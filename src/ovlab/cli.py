@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discovery import estimate_category_count, filter_background_proposals
+from .discovery import estimate_category_count
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, run_ablation
 from .losses import ProposalBatch
@@ -28,9 +28,10 @@ from .synth import ScenarioConfig, generate_scenario, load_dataset, write_datase
 from .trainer import (
     Checkpoint,
     TrainConfig,
-    compute_gradients,
     finite_diff_gradients,
     history_to_json,
+    loss_and_gradients,
+    pool_background,
     train,
 )
 from .vocab import build_training_vocab
@@ -38,12 +39,23 @@ from .vocab import build_training_vocab
 GRADCHECK_TOLERANCES = {1.0: 1e-5, 0.05: 1e-4}
 
 
+def _section(config: dict, name: str) -> dict:
+    """A copy of one configuration section, which must be a JSON object."""
+    data = config.get(name, {})
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {name!r} must be an object, got {data!r}")
+    return dict(data)
+
+
 def _dataclass_from_dict(cls, data: dict):
     names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ValueError(f"invalid {cls.__name__} value: {exc}") from None
 
 
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
@@ -51,6 +63,10 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> dic
     config: dict = {}
     if path:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+    if seed is not None:
+        overrides = [*overrides, *(f"{s}.seed={seed}" for s in ("scenario", "train", "gradcheck"))]
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form section.key=value")
@@ -63,27 +79,25 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> dic
         node = config
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"override {item!r}: {p!r} is not an object")
         node[parts[-1]] = value
-    if seed is not None:
-        config.setdefault("scenario", {})["seed"] = seed
-        config.setdefault("train", {})["seed"] = seed
-        config.setdefault("gradcheck", {})["seed"] = seed
     return config
 
 
 def _scenario_config(config: dict) -> ScenarioConfig:
-    data = dict(config.get("scenario", {}))
+    data = _section(config, "scenario")
     if "hidden_weights" in data and data["hidden_weights"] is not None:
         data["hidden_weights"] = tuple(data["hidden_weights"])
     return _dataclass_from_dict(ScenarioConfig, data)
 
 
 def _encoder(config: dict) -> MockTextEncoder:
-    return MockTextEncoder(**{"seed": 7, **config.get("encoder", {})})
+    return MockTextEncoder(**{"seed": 7, **_section(config, "encoder")})
 
 
 def _train_config(config: dict) -> TrainConfig:
-    return _dataclass_from_dict(TrainConfig, dict(config.get("train", {})))
+    return _dataclass_from_dict(TrainConfig, _section(config, "train"))
 
 
 def _write_manifest(out_dir: Path, extra: dict | None = None) -> None:
@@ -120,19 +134,7 @@ def cmd_gen(args) -> int:
 def cmd_estimate_k(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = _train_config(config)
-    scenario = load_dataset(args.dataset)
-    feats = []
-    for image in scenario.train_images:
-        bg = [p for p in image.proposals if p.gt_label is None]
-        kept = filter_background_proposals(
-            bg, image.gt_boxes, theta=tcfg.score_threshold,
-            gt_iou_cut=tcfg.gt_iou_cut, nms_iou=tcfg.nms_iou,
-        )
-        feats.extend(p.img_feature for p in kept)
-    if not feats:
-        print("no background proposals survive filtering", file=sys.stderr)
-        return 1
-    features = np.stack(feats)
+    features = pool_background(load_dataset(args.dataset), tcfg)
     k_max = min(tcfg.k_max, features.shape[0])
     estimate = estimate_category_count(features, tcfg.k_min, k_max, tcfg.seed)
     print(f"{'k':>4} {'silhouette':>12}")
@@ -168,9 +170,10 @@ def cmd_train(args) -> int:
     checkpoint.save(out_dir / "checkpoint.json")
     write_text(out_dir / "history.json", history_to_json(history) + "\n")
     _write_manifest(out_dir, {"train_config_hash": config_hash(asdict(tcfg))})
-    first, last = history.steps[0], history.steps[-1]
     print(f"trained {tcfg.steps} steps (seed {tcfg.seed})")
-    print(f"loss: {first.breakdown.total:.6f} (step 1) -> {last.breakdown.total:.6f} (step {tcfg.steps})")
+    if history.steps:
+        first, last = history.steps[0].breakdown.total, history.steps[-1].breakdown.total
+        print(f"loss: {first:.6f} (step 1) -> {last:.6f} (step {tcfg.steps})")
     print(f"underlying categories: {checkpoint.n_discovered} discovered + {tcfg.extra_categories} expansion")
     print(f"wrote {out_dir / 'checkpoint.json'}")
     return 0
@@ -178,7 +181,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    eval_cfg = config.get("eval", {})
+    eval_cfg = _section(config, "eval")
     rectify = args.rectify if args.rectify is not None else eval_cfg.get("rectify", True)
     threshold = eval_cfg.get("recall_threshold", 0.5)
     checkpoint = Checkpoint.load(args.checkpoint)
@@ -229,7 +232,7 @@ def cmd_rectify_report(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = _train_config(config)
-    ablation_cfg = config.get("ablation", {})
+    ablation_cfg = _section(config, "ablation")
     seeds = tuple(ablation_cfg.get("seeds", list(range(10))))
     combo_names = ablation_cfg.get("combos")
     combos = STANDARD_COMBOS
@@ -311,7 +314,7 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
             flagged = 0
             for i in range(n_instances):
                 batch, vocab, partition, config = _gradcheck_instance(seed + i, tau)
-                analytic = compute_gradients(batch, vocab, partition, config, component=component)
+                _, analytic = loss_and_gradients(batch, vocab, partition, config, component)
                 fd, flips = finite_diff_gradients(
                     batch, vocab, partition, config, h=h, component=component
                 )
@@ -320,7 +323,7 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
                     continue
                 num = float(np.linalg.norm(analytic.flat() - fd.flat()))
                 den = max(float(np.linalg.norm(fd.flat())), 1e-12)
-                worst = max(worst, num / den)
+                worst = float(np.maximum(worst, num / den))  # a NaN error propagates and fails
             passed = bool(worst <= tol)
             ok = ok and passed
             rows.append(
@@ -338,7 +341,7 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
 
 def cmd_gradcheck(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    gc = config.get("gradcheck", {})
+    gc = _section(config, "gradcheck")
     seed = gc.get("seed", 0)
     n = gc.get("instances", args.instances)
     rows, ok = gradcheck_table(n, seed)

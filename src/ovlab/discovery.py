@@ -303,6 +303,7 @@ class CountEstimate:
     best_score: float
     low_confidence: bool
     scores: tuple[tuple[int, float], ...]
+    model: ClusterModel = field(compare=False, repr=False)  # the winning clustering
 
 
 # Below this mean silhouette the sweep's winner says little about structure.
@@ -324,8 +325,9 @@ def estimate_category_count(features, k_min: int, k_max: int, seed: int) -> Coun
         raise ValueError(f"k_max {k_max} exceeds point count {pts.shape[0]}")
 
     results = []
+    models = {}
     for k in range(k_min, k_max + 1):
-        model = kmeans(pts, k, seed=seed)
+        model = models[k] = kmeans(pts, k, seed=seed)
         if len(np.unique(model.assignments)) < 2:
             score = -1.0
         else:
@@ -337,4 +339,5 @@ def estimate_category_count(features, k_min: int, k_max: int, seed: int) -> Coun
         best_score=best_score,
         low_confidence=best_score < _LOW_CONFIDENCE_SILHOUETTE,
         scores=tuple(results),
+        model=models[best_k],
     )

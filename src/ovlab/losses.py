@@ -1,25 +1,30 @@
 """Classification losses for the prompt-learning head.
 
-Four components over a batch of proposals scored against the training
-vocabulary:
+The training objective has four proposal groups scored against the training
+vocabulary and these components:
 
 * foreground cross-entropy on annotated proposals;
 * a background-mass loss that raises the summed probability of the
   underlying-plus-sub-background block for each unlabeled proposal;
-* a relaxed variant that spreads the pull uniformly over that block; and
+* a relaxed variant that spreads the pull uniformly over that block;
 * the switched loss that picks, per proposal, mass or relaxed depending on
-  whether the block's current probability mass clears a threshold.
+  whether the block's current probability mass clears a threshold; and
+* the pseudo-label loss: cross-entropy of mined positives toward their
+  discovered category plus the weighted mass pull of the remaining filtered
+  proposals toward the expansion-plus-sub-background block.
 
-Every component has a ``*_terms`` companion returning the per-proposal
-values together with the derivative of each value with respect to that
-proposal's logits; the trainer chains those through the cosine layer and
-the encoder. All means are over proposals, so duplicating a batch leaves
-every loss unchanged.
+``objective_terms`` is the one implementation: from one cosine matrix per
+group it returns every component value, the switch pattern, and every
+component's gradient with respect to the logits; the trainer chains those
+through the cosine layer and the encoder. The per-component loss functions
+below are views of it. All means are over proposals, so duplicating a batch
+leaves every loss unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +35,15 @@ from .vocab import Vocabulary
 __all__ = [
     "MASS_BRANCH",
     "UNIFORM_BRANCH",
+    "COMPONENTS",
     "ProposalBatch",
     "LossBreakdown",
+    "ObjectiveTerms",
     "batch_logits",
     "background_mass",
+    "proposal_groups",
+    "objective_terms",
+    "batch_terms",
     "foreground_loss",
     "background_mass_loss",
     "relaxed_background_loss",
@@ -42,6 +52,7 @@ __all__ = [
 
 MASS_BRANCH = "mass"
 UNIFORM_BRANCH = "uniform"
+COMPONENTS = ("foreground", "mass", "uniform", "switched", "pseudo", "final")
 
 
 @dataclass(frozen=True)
@@ -145,42 +156,139 @@ def uniform_terms(
     return values, grad
 
 
-# -- batch-level losses -------------------------------------------------------
+def switched_branches(masses: np.ndarray, gamma: float) -> tuple[str, ...]:
+    """Mass branch where the block mass clears gamma (inclusive), uniform otherwise."""
+    return tuple(MASS_BRANCH if m >= gamma else UNIFORM_BRANCH for m in masses)
+
+
+# -- the objective ------------------------------------------------------------
+
+
+def proposal_groups(batch: ProposalBatch, partition, vocab: Vocabulary):
+    """Features, targets and vocabulary cosines of each non-empty proposal group.
+
+    Groups are "foreground", "background", "pseudo_positive" and
+    "pseudo_negative" (the last two from a pseudo-label partition, if any);
+    targets exist for the two labeled groups only.
+    """
+    features: dict[str, np.ndarray] = {}
+    targets: dict[str, np.ndarray] = {}
+    if batch.foreground:
+        features["foreground"] = batch.foreground_features()
+        targets["foreground"] = batch.foreground_targets(vocab)
+    if batch.background:
+        features["background"] = batch.background_features()
+    if partition is not None and partition.positives:
+        features["pseudo_positive"] = np.stack([p.det_feature for p, _ in partition.positives])
+        targets["pseudo_positive"] = np.array(
+            [vocab.underlying_position(lab.category) for _, lab in partition.positives]
+        )
+    if partition is not None and partition.negatives:
+        features["pseudo_negative"] = np.stack([p.det_feature for p in partition.negatives])
+    cosines = {name: cosine_matrix(f, vocab.embeddings) for name, f in features.items()}
+    return features, targets, cosines
+
+
+class ObjectiveTerms(NamedTuple):
+    """What ``objective_terms`` returns."""
+
+    values: dict[str, float]  # every component of COMPONENTS
+    branches: tuple[str, ...]  # switch pattern selected from the current masses
+    logit_grads: dict[str, dict[str, np.ndarray]]  # component -> group -> d value / d logits
+
+
+def objective_terms(
+    cosines: dict[str, np.ndarray], targets: dict[str, np.ndarray], vocab: Vocabulary,
+    tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
+    use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
+) -> ObjectiveTerms:
+    """Every component value, the switch pattern, and every component's logit gradients.
+
+    ``cosines`` holds one matrix per group of ``proposal_groups``; every mean
+    and weight is folded into the gradients. "final" is foreground plus the
+    switched loss (when ``use_prompts``) plus the pseudo-label loss (when
+    ``use_discovery``). ``branches`` pins the switch selection — finite
+    difference stencils use it to avoid differencing across the switch
+    discontinuity — while the returned pattern is always the one the current
+    masses select.
+    """
+    tau = check_temperature(tau)
+    values = dict.fromkeys(COMPONENTS, 0.0)
+    grads: dict[str, dict[str, np.ndarray]] = {name: {} for name in COMPONENTS}
+    live: tuple[str, ...] = ()
+
+    if "foreground" in cosines:
+        vals, g = nll_terms(cosines["foreground"] / tau, targets["foreground"])
+        values["foreground"] = float(vals.mean())
+        grads["foreground"]["foreground"] = g / g.shape[0]
+
+    if "background" in cosines:
+        z = cosines["background"] / tau
+        bg_idx = vocab.background_indices()
+        mass_vals, g_mass, masses = mass_terms(z, bg_idx)
+        uniform_vals, g_uniform = uniform_terms(z, bg_idx)
+        live = switched_branches(masses, gamma)
+        if branches is None:
+            branches = live
+        elif len(branches) != len(live):
+            raise ValueError("pinned branches must match the background count")
+        sel = np.array([b == MASS_BRANCH for b in branches])
+        n = z.shape[0]
+        values["mass"] = float(mass_vals.mean())
+        values["uniform"] = float(uniform_vals.mean())
+        values["switched"] = float(np.where(sel, mass_vals, uniform_vals).mean())
+        grads["mass"]["background"] = g_mass / n
+        grads["uniform"]["background"] = g_uniform / n
+        grads["switched"]["background"] = np.where(sel[:, None], g_mass, g_uniform) / n
+
+    if "pseudo_positive" in cosines:
+        vals, g = nll_terms(cosines["pseudo_positive"] / tau, targets["pseudo_positive"])
+        values["pseudo"] += float(vals.mean())
+        grads["pseudo"]["pseudo_positive"] = g / g.shape[0]
+    if "pseudo_negative" in cosines:
+        members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
+        vals, g, _ = mass_terms(cosines["pseudo_negative"] / tau, members)
+        values["pseudo"] += negative_weight * float(vals.mean())
+        grads["pseudo"]["pseudo_negative"] = g * (negative_weight / g.shape[0])
+
+    values["final"] = (
+        values["foreground"]
+        + (values["switched"] if use_prompts else 0.0)
+        + (values["pseudo"] if use_discovery else 0.0)
+    )
+    grads["final"] = {
+        **grads["foreground"],
+        **(grads["switched"] if use_prompts else {}),
+        **(grads["pseudo"] if use_discovery else {}),
+    }
+    return ObjectiveTerms(values, live, grads)
+
+
+def batch_terms(
+    batch: ProposalBatch, partition, vocab: Vocabulary, tau: float, gamma: float = 0.0,
+    negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
+) -> ObjectiveTerms:
+    """``objective_terms`` of one batch (and optional pseudo-label partition)."""
+    _, targets, cosines = proposal_groups(batch, partition, vocab)
+    return objective_terms(cosines, targets, vocab, tau, gamma, negative_weight, branches=branches)
+
+
+# -- per-component views ------------------------------------------------------
 
 
 def foreground_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
-    """Mean cross-entropy of annotated proposals against their base category.
-
-    Returns 0 for an empty foreground set (LossBreakdown records the count).
-    """
-    if not batch.foreground:
-        return 0.0
-    logits = batch_logits(batch.foreground_features(), vocab, tau)
-    values, _ = nll_terms(logits, batch.foreground_targets(vocab))
-    return float(values.mean())
+    """Mean cross-entropy of annotated proposals against their base category; 0 when empty."""
+    return batch_terms(batch, None, vocab, tau).values["foreground"]
 
 
 def background_mass_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
     """Mean over background proposals of -log(background block mass)."""
-    if not batch.background:
-        return 0.0
-    logits = batch_logits(batch.background_features(), vocab, tau)
-    values, _, _ = mass_terms(logits, vocab.background_indices())
-    return float(values.mean())
+    return batch_terms(batch, None, vocab, tau).values["mass"]
 
 
 def relaxed_background_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
     """Mean over background proposals of the uniform pull toward the background block."""
-    if not batch.background:
-        return 0.0
-    logits = batch_logits(batch.background_features(), vocab, tau)
-    values, _ = uniform_terms(logits, vocab.background_indices())
-    return float(values.mean())
-
-
-def switched_branches(masses: np.ndarray, gamma: float) -> tuple[str, ...]:
-    """Mass branch where the block mass clears gamma (inclusive), uniform otherwise."""
-    return tuple(MASS_BRANCH if m >= gamma else UNIFORM_BRANCH for m in masses)
+    return batch_terms(batch, None, vocab, tau).values["uniform"]
 
 
 def switched_background_loss(
@@ -196,25 +304,9 @@ def switched_background_loss(
     mass branch; otherwise the relaxed branch. The endpoints are admitted so
     the degenerate identities are expressible: at 0 every proposal takes the
     mass branch, at 1 only proposals with full background mass do.
-    ``forced_branches`` pins the selection regardless of the current mass —
-    finite-difference stencils use it to avoid differencing across the switch
-    discontinuity.
+    ``forced_branches`` pins the selection regardless of the current mass.
     """
     if not (0.0 <= gamma <= 1.0) and forced_branches is None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if not batch.background:
-        return 0.0, ()
-    logits = batch_logits(batch.background_features(), vocab, tau)
-    bg_idx = vocab.background_indices()
-    mass_vals, _, masses = mass_terms(logits, bg_idx)
-    uniform_vals, _ = uniform_terms(logits, bg_idx)
-    if forced_branches is None:
-        branches = switched_branches(masses, gamma)
-    else:
-        if len(forced_branches) != len(batch.background):
-            raise ValueError("forced_branches must match the background count")
-        branches = tuple(forced_branches)
-    per = np.where(
-        np.array([b == MASS_BRANCH for b in branches]), mass_vals, uniform_vals
-    )
-    return float(per.mean()), branches
+    terms = batch_terms(batch, None, vocab, tau, gamma, branches=forced_branches)
+    return terms.values["switched"], tuple(forced_branches or terms.branches)

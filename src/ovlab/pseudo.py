@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import check_temperature, cosine_matrix
 from .discovery import Proposal, filter_background_proposals, nms_indices
-from .losses import batch_logits, mass_terms, nll_terms
+from .losses import ProposalBatch, batch_terms
 from .vocab import Vocabulary
 
 __all__ = [
@@ -131,41 +131,10 @@ def pseudo_label_loss(
 
     Either side contributes 0 when empty.
     """
-    value, _, _ = pseudo_label_loss_terms(partition, vocab, tau, negative_weight)
-    return value
-
-
-def pseudo_label_loss_terms(
-    partition: BackgroundPartition,
-    vocab: Vocabulary,
-    tau: float,
-    negative_weight: float,
-):
-    """Loss value plus per-proposal logit gradients for (positives, negatives)."""
     if negative_weight < 0.0:
         raise ValueError(f"negative_weight must be nonnegative, got {negative_weight}")
-    total = 0.0
-    pos_grad = None
-    neg_grad = None
-    if partition.positives:
-        feats = np.stack([p.det_feature for p, _ in partition.positives])
-        logits = batch_logits(feats, vocab, tau)
-        targets = np.array(
-            [vocab.underlying_position(lab.category) for _, lab in partition.positives]
-        )
-        values, grad = nll_terms(logits, targets)
-        total += float(values.mean())
-        pos_grad = grad / len(partition.positives)
-    if partition.negatives:
-        feats = np.stack([p.det_feature for p in partition.negatives])
-        logits = batch_logits(feats, vocab, tau)
-        members = np.concatenate(
-            [vocab.expansion_indices(), [vocab.sub_background_index]]
-        )
-        values, grad, _ = mass_terms(logits, members)
-        total += negative_weight * float(values.mean())
-        neg_grad = grad * (negative_weight / len(partition.negatives))
-    return total, pos_grad, neg_grad
+    empty = ProposalBatch(foreground=(), background=())
+    return batch_terms(empty, partition, vocab, tau, negative_weight=negative_weight).values["pseudo"]
 
 
 def dump_pseudo_labels(partition: BackgroundPartition) -> str:

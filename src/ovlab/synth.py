@@ -395,6 +395,8 @@ def write_dataset(scenario: Scenario, path) -> None:
 def load_dataset(path) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder)."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
+    if not text:
+        raise ValueError(f"empty dataset file {path}")
     header = json.loads(text[0])
     if header.get("format") != DATASET_FORMAT:
         raise ValueError(f"not a dataset file: format={header.get('format')!r}")
@@ -424,6 +426,10 @@ def load_dataset(path) -> Scenario:
             images[key] = {"gt_boxes": [Box(*b) for b in rec["gt_boxes"]], "proposals": []}
             order.append(key)
         elif rec["type"] == "proposal":
+            if key not in images:
+                raise ValueError(
+                    f"proposal of {rec['split']} image {rec['image']} precedes that image's line"
+                )
             det = np.asarray(rec["det"], dtype=np.float64)
             img = np.asarray(rec["img"], dtype=np.float64)
             det.setflags(write=False)

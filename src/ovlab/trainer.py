@@ -19,16 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .discovery import filter_background_proposals, kmeans, estimate_category_count
+from .discovery import estimate_category_count, filter_background_proposals, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .losses import (
+    COMPONENTS,
     MASS_BRANCH,
     LossBreakdown,
     ProposalBatch,
-    mass_terms,
-    nll_terms,
-    switched_branches,
-    uniform_terms,
+    objective_terms,
+    proposal_groups,
 )
 from .persist import canonical_json
 from .pseudo import BackgroundPartition, generate_pseudo_labels
@@ -45,15 +44,16 @@ __all__ = [
     "TrainingDivergedError",
     "NonFiniteGradientError",
     "COMPONENTS",
+    "loss_and_gradients",
     "loss_final",
     "compute_gradients",
+    "feature_gradients",
     "finite_diff_gradients",
     "sgd_step",
+    "pool_background",
     "prepare_background",
     "train",
 ]
-
-COMPONENTS = ("foreground", "mass", "uniform", "switched", "pseudo", "final")
 
 CHECKPOINT_FORMAT = "ovlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -149,178 +149,19 @@ class TrainHistory:
         }
 
 
-# -- objective ----------------------------------------------------------------
+# -- objective and analytic gradients -------------------------------------------
 
 
-def _group_matrices(batch: ProposalBatch, partition: BackgroundPartition | None, vocab: Vocabulary):
-    """Feature matrices and targets for each proposal group of the objective."""
-    groups: dict[str, dict] = {}
-    if batch.foreground:
-        groups["foreground"] = {
-            "features": batch.foreground_features(),
-            "targets": batch.foreground_targets(vocab),
-        }
-    if batch.background:
-        groups["background"] = {"features": batch.background_features()}
-    if partition is not None and partition.positives:
-        groups["pseudo_positive"] = {
-            "features": np.stack([p.det_feature for p, _ in partition.positives]),
-            "targets": np.array(
-                [vocab.underlying_position(lab.category) for _, lab in partition.positives]
-            ),
-        }
-    if partition is not None and partition.negatives:
-        groups["pseudo_negative"] = {
-            "features": np.stack([p.det_feature for p in partition.negatives])
-        }
-    return groups
-
-
-def _group_cosines(groups: dict, vocab: Vocabulary) -> dict:
-    from .core import cosine_matrix
-
-    return {name: cosine_matrix(g["features"], vocab.embeddings) for name, g in groups.items()}
-
-
-def _component_values(
-    cosines: dict,
-    groups: dict,
-    vocab: Vocabulary,
-    config: TrainConfig,
-    branches: tuple[str, ...] | None,
-):
-    """All loss-component values (and the branch pattern) from cosine matrices.
-
-    ``branches`` pins the switch selection; None means select from the
-    current masses.
-    """
-    tau = config.temperature
-    out = {name: 0.0 for name in COMPONENTS}
-    bg_idx = vocab.background_indices()
-
-    if "foreground" in cosines:
-        vals, _ = nll_terms(cosines["foreground"] / tau, groups["foreground"]["targets"])
-        out["foreground"] = float(vals.mean())
-
-    if "background" in cosines:
-        z = cosines["background"] / tau
-        mass_vals, _, masses = mass_terms(z, bg_idx)
-        uniform_vals, _ = uniform_terms(z, bg_idx)
-        out["mass"] = float(mass_vals.mean())
-        out["uniform"] = float(uniform_vals.mean())
-        if branches is None:
-            branches = switched_branches(masses, config.relax_threshold)
-        chosen = np.where(
-            np.array([b == MASS_BRANCH for b in branches]), mass_vals, uniform_vals
-        )
-        out["switched"] = float(chosen.mean())
-    else:
-        branches = ()
-
-    pseudo = 0.0
-    if "pseudo_positive" in cosines:
-        vals, _ = nll_terms(
-            cosines["pseudo_positive"] / tau, groups["pseudo_positive"]["targets"]
-        )
-        pseudo += float(vals.mean())
-    if "pseudo_negative" in cosines:
-        members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
-        vals, _, _ = mass_terms(cosines["pseudo_negative"] / tau, members)
-        pseudo += config.negative_weight * float(vals.mean())
-    out["pseudo"] = pseudo
-
-    out["final"] = (
-        out["foreground"]
-        + (out["switched"] if config.use_prompts else 0.0)
-        + (out["pseudo"] if config.use_discovery else 0.0)
+def _terms(cosines: dict, targets: dict, vocab: Vocabulary, config: TrainConfig, branches=None):
+    """``objective_terms`` under one training configuration's hyperparameters and toggles."""
+    return objective_terms(
+        cosines, targets, vocab, config.temperature, config.relax_threshold,
+        config.negative_weight, config.use_prompts, config.use_discovery, branches,
     )
-    return out, branches
-
-
-def loss_final(
-    batch: ProposalBatch,
-    vocab: Vocabulary,
-    partition: BackgroundPartition | None,
-    config: TrainConfig,
-    forced_branches: tuple[str, ...] | None = None,
-) -> LossBreakdown:
-    """Combined objective of one batch; disabled toggles zero their term."""
-    groups = _group_matrices(batch, partition if config.use_discovery else None, vocab)
-    cosines = _group_cosines(groups, vocab)
-    values, branches = _component_values(cosines, groups, vocab, config, forced_branches)
-    fg = values["foreground"]
-    bg = values["switched"] if config.use_prompts else 0.0
-    ps = values["pseudo"] if config.use_discovery else 0.0
-    return LossBreakdown(
-        foreground=fg,
-        background=bg,
-        pseudo=ps,
-        total=fg + bg + ps,
-        branches=branches if config.use_prompts else (),
-        n_foreground=len(batch.foreground),
-        n_background=len(batch.background),
-    )
-
-
-# -- analytic gradients ---------------------------------------------------------
-
-
-def _logit_grads(
-    cosines: dict,
-    groups: dict,
-    vocab: Vocabulary,
-    config: TrainConfig,
-    component: str,
-    branches: tuple[str, ...] | None,
-):
-    """d(component)/d(logits) per group, with every mean and weight folded in."""
-    tau = config.temperature
-    bg_idx = vocab.background_indices()
-    grads: dict[str, np.ndarray] = {}
-
-    want_fg = component in ("foreground", "final")
-    want_bg = component in ("mass", "uniform", "switched", "final")
-    want_pseudo = component in ("pseudo", "final")
-    if component == "final":
-        if not config.use_prompts:
-            want_bg = False
-        if not config.use_discovery:
-            want_pseudo = False
-
-    if want_fg and "foreground" in cosines:
-        _, g = nll_terms(cosines["foreground"] / tau, groups["foreground"]["targets"])
-        grads["foreground"] = g / g.shape[0]
-
-    if want_bg and "background" in cosines:
-        z = cosines["background"] / tau
-        _, g_mass, masses = mass_terms(z, bg_idx)
-        _, g_uniform = uniform_terms(z, bg_idx)
-        if component == "mass":
-            g = g_mass
-        elif component == "uniform":
-            g = g_uniform
-        else:
-            if branches is None:
-                branches = switched_branches(masses, config.relax_threshold)
-            sel = np.array([b == MASS_BRANCH for b in branches])
-            g = np.where(sel[:, None], g_mass, g_uniform)
-        grads["background"] = g / g.shape[0]
-
-    if want_pseudo:
-        if "pseudo_positive" in cosines:
-            _, g = nll_terms(
-                cosines["pseudo_positive"] / tau, groups["pseudo_positive"]["targets"]
-            )
-            grads["pseudo_positive"] = g / g.shape[0]
-        if "pseudo_negative" in cosines:
-            members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
-            _, g, _ = mass_terms(cosines["pseudo_negative"] / tau, members)
-            grads["pseudo_negative"] = g * (config.negative_weight / g.shape[0])
-    return grads, branches
 
 
 def _embedding_gradient(
-    groups: dict, cosines: dict, logit_grads: dict, vocab: Vocabulary, tau: float
+    features: dict, cosines: dict, logit_grads: dict, vocab: Vocabulary, tau: float
 ) -> np.ndarray:
     """Chain d(loss)/d(logits) through the cosine layer to d(loss)/d(embeddings)."""
     emb = vocab.embeddings
@@ -328,62 +169,70 @@ def _embedding_gradient(
     ehat = emb / norms[:, None]
     total = np.zeros_like(emb)
     for name, g in logit_grads.items():
-        feats = groups[name]["features"]
-        fnorms = np.linalg.norm(feats, axis=1, keepdims=True)
-        what = feats / fnorms
-        c = cosines[name]
-        total += g.T @ what - ((g * c).sum(axis=0))[:, None] * ehat
+        feats = features[name]
+        what = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        total += g.T @ what - ((g * cosines[name]).sum(axis=0))[:, None] * ehat
     return total / (tau * norms[:, None])
 
 
-def compute_gradients(
+def loss_and_gradients(
     batch: ProposalBatch,
     vocab: Vocabulary,
     partition: BackgroundPartition | None,
     config: TrainConfig,
     component: str = "final",
-) -> Gradients:
-    """Exact gradient of a loss component for every enabled trainable parameter.
+) -> tuple[LossBreakdown, Gradients]:
+    """Combined objective of one batch and the exact gradient of one of its components.
 
+    Disabled toggles zero their term of the breakdown and of "final".
     Context-vector gradients chain through the encoder's transpose-Jacobian;
     the sub-background gradient is the raw embedding-space gradient (its
-    cosine already accounts for the parameter's norm).
+    cosine already accounts for the parameter's norm). Values are returned
+    unchecked: a non-finite loss or gradient is the caller's to report.
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
-    groups = _group_matrices(batch, partition if _wants_partition(config, component) else None, vocab)
-    cosines = _group_cosines(groups, vocab)
-    logit_grads, _ = _logit_grads(cosines, groups, vocab, config, component, None)
-
-    if logit_grads:
-        demb = _embedding_gradient(groups, cosines, logit_grads, vocab, config.temperature)
-    else:
-        demb = np.zeros_like(vocab.embeddings)
-
-    n_ctx = vocab.context_vectors.shape[0]
+    features, targets, cosines = proposal_groups(batch, partition, vocab)
+    values, branches, logit_grads = _terms(cosines, targets, vocab, config)
+    breakdown = LossBreakdown(
+        foreground=values["foreground"],
+        background=values["switched"] if config.use_prompts else 0.0,
+        pseudo=values["pseudo"] if config.use_discovery else 0.0,
+        total=values["final"],
+        branches=branches if config.use_prompts else (),
+        n_foreground=len(batch.foreground),
+        n_background=len(batch.background),
+    )
+    demb = _embedding_gradient(features, cosines, logit_grads[component], vocab, config.temperature)
     under_start = vocab.underlying_slice.start
-    if n_ctx:
-        ctx_grad = np.stack(
-            [
-                vocab.encoder.encode_context_vjp(vocab.context_vectors[j], demb[under_start + j])
-                for j in range(n_ctx)
-            ]
-        )
-    else:
-        ctx_grad = np.zeros_like(vocab.context_vectors)
-    sub_grad = demb[vocab.sub_background_index]
+    ctx_grad = np.zeros_like(vocab.context_vectors)
+    for j, v in enumerate(vocab.context_vectors):
+        ctx_grad[j] = vocab.encoder.encode_context_vjp(v, demb[under_start + j])
+    grads = Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
+    return breakdown, grads
 
-    for name, arr in (("context", ctx_grad), ("sub_background", sub_grad)):
+
+def _check_finite(grads: Gradients) -> Gradients:
+    for name, arr in (("context", grads.context), ("sub_background", grads.sub_background)):
         if not np.all(np.isfinite(arr)):
             bad = np.argwhere(~np.isfinite(arr))
             raise NonFiniteGradientError(f"non-finite gradient in {name} at {bad[0].tolist()}")
-    return Gradients(context=ctx_grad, sub_background=sub_grad)
+    return grads
 
 
-def _wants_partition(config: TrainConfig, component: str) -> bool:
-    if component == "pseudo":
-        return True
-    return component == "final" and config.use_discovery
+def loss_final(
+    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None, config: TrainConfig
+) -> LossBreakdown:
+    """Combined objective of one batch (the loss half of ``loss_and_gradients``)."""
+    return loss_and_gradients(batch, vocab, partition, config)[0]
+
+
+def compute_gradients(
+    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
+    config: TrainConfig, component: str = "final",
+) -> Gradients:
+    """Finite-checked gradient of one component (the other half of ``loss_and_gradients``)."""
+    return _check_finite(loss_and_gradients(batch, vocab, partition, config, component)[1])
 
 
 def feature_gradients(
@@ -398,18 +247,15 @@ def feature_gradients(
     Features are synthetic inputs, not trained parameters; this exists so the
     whole differentiation chain can be checked from the other end.
     """
-    groups = _group_matrices(batch, partition if _wants_partition(config, component) else None, vocab)
-    cosines = _group_cosines(groups, vocab)
-    logit_grads, _ = _logit_grads(cosines, groups, vocab, config, component, None)
+    features, targets, cosines = proposal_groups(batch, partition, vocab)
+    logit_grads = _terms(cosines, targets, vocab, config).logit_grads[component]
     emb = vocab.embeddings
     ehat = emb / np.linalg.norm(emb, axis=1)[:, None]
     out = {}
     for name, g in logit_grads.items():
-        feats = groups[name]["features"]
-        fnorms = np.linalg.norm(feats, axis=1, keepdims=True)
-        what = feats / fnorms
-        c = cosines[name]
-        out[name] = ((g @ ehat) - (g * c).sum(axis=1)[:, None] * what) / (
+        fnorms = np.linalg.norm(features[name], axis=1, keepdims=True)
+        what = features[name] / fnorms
+        out[name] = ((g @ ehat) - (g * cosines[name]).sum(axis=1)[:, None] * what) / (
             config.temperature * fnorms
         )
     return out
@@ -446,65 +292,49 @@ def finite_diff_gradients(
     """Central differences over every scalar parameter, branch frozen at center.
 
     Perturbing one parameter changes exactly one embedding row, so each
-    stencil evaluation patches a single cosine column instead of rebuilding
-    the vocabulary. The switch branch of the background loss is pinned to
-    the center point's selection; stencils whose live branch pattern would
-    differ are counted and reported, not silently differenced across.
+    stencil evaluation patches a single cosine column and re-evaluates the
+    training objective on the patched cosines. The switch branch of the
+    background loss is pinned to the center point's selection; stencils
+    whose live branch pattern would differ are counted and reported, not
+    silently differenced across.
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    use_partition = partition if _wants_partition(config, component) else None
-    groups = _group_matrices(batch, use_partition, vocab)
-    cosines = _group_cosines(groups, vocab)
-    _, center_branches = _component_values(cosines, groups, vocab, config, None)
-
-    n_ctx = vocab.context_vectors.shape[0]
-    under_start = vocab.underlying_slice.start
-    flips = 0
-
+    features, targets, cosines = proposal_groups(batch, partition, vocab)
+    center_branches = _terms(cosines, targets, vocab, config).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
+    flips = 0
 
     def patched_value(row: int, new_emb: np.ndarray) -> tuple[float, bool]:
         patched = {}
         nn = np.linalg.norm(new_emb)
-        for name, g in groups.items():
-            feats = g["features"]
-            fnorms = np.linalg.norm(feats, axis=1)
-            col = feats @ new_emb / (fnorms * nn)
-            c = cosines[name].copy()
-            c[:, row] = np.clip(col, -1.0, 1.0)
-            patched[name] = c
-        vals, _ = _component_values(patched, groups, vocab, config, center_branches)
-        flipped = False
-        if switch_live and "background" in patched:
-            z = patched["background"] / config.temperature
-            _, _, masses = mass_terms(z, vocab.background_indices())
-            flipped = switched_branches(masses, config.relax_threshold) != center_branches
-        return vals[component], flipped
+        for name, feats in features.items():
+            col = feats @ new_emb / (np.linalg.norm(feats, axis=1) * nn)
+            patched[name] = cosines[name].copy()
+            patched[name][:, row] = np.clip(col, -1.0, 1.0)
+        values, live, _ = _terms(patched, targets, vocab, config, center_branches)
+        return values[component], switch_live and live != center_branches
 
-    ctx_grad = np.zeros_like(vocab.context_vectors)
-    for j in range(n_ctx):
-        v = vocab.context_vectors[j]
-        for i in range(v.shape[0]):
-            delta = np.zeros_like(v)
+    def stencil(row: int, x: np.ndarray, embed) -> np.ndarray:
+        nonlocal flips
+        grad = np.zeros_like(x)
+        for i in range(x.shape[0]):
+            delta = np.zeros_like(x)
             delta[i] = h
-            up, f1 = patched_value(under_start + j, vocab.encoder.encode_context(v + delta))
-            dn, f2 = patched_value(under_start + j, vocab.encoder.encode_context(v - delta))
-            ctx_grad[j, i] = (up - dn) / (2 * h)
-            flips += int(f1 or f2)
+            up, f1 = patched_value(row, embed(x + delta))
+            dn, f2 = patched_value(row, embed(x - delta))
+            grad[i] = (up - dn) / (2 * h)
+            flips += f1 or f2
+        return grad
 
+    under_start = vocab.underlying_slice.start
+    ctx_grad = np.zeros_like(vocab.context_vectors)
+    for j, v in enumerate(vocab.context_vectors):
+        ctx_grad[j] = stencil(under_start + j, v, vocab.encoder.encode_context)
     sub = vocab.embeddings[vocab.sub_background_index]
-    sub_grad = np.zeros_like(sub)
-    for i in range(sub.shape[0]):
-        delta = np.zeros_like(sub)
-        delta[i] = h
-        up, f1 = patched_value(vocab.sub_background_index, sub + delta)
-        dn, f2 = patched_value(vocab.sub_background_index, sub - delta)
-        sub_grad[i] = (up - dn) / (2 * h)
-        flips += int(f1 or f2)
-
+    sub_grad = stencil(vocab.sub_background_index, sub, lambda e: e)
     return Gradients(context=ctx_grad, sub_background=sub_grad), flips
 
 
@@ -628,69 +458,63 @@ class Checkpoint:
         )
 
 
+def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
+    """Image features of every training background proposal that survives filtering."""
+    feats = []
+    for image in scenario.train_images:
+        bg = [p for p in image.proposals if p.gt_label is None]
+        kept = filter_background_proposals(
+            bg, image.gt_boxes, theta=config.score_threshold,
+            gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou,
+        )
+        feats.extend(p.img_feature for p in kept)
+    if not feats:
+        raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
+    return np.stack(feats)
+
+
 def prepare_background(scenario: Scenario, config: TrainConfig):
     """Offline prep: pooled filtered background features, latent count, centers.
 
     Runs once before the loop. The count comes from the silhouette sweep
     unless the configuration pins it; centers are computed only when the
-    discovery loss is enabled, and stay frozen for the whole run.
+    discovery loss is enabled (reusing the sweep's winning clustering), and
+    stay frozen for the whole run.
     """
     if config.baseline_mode:
         return 0, None
-    feats = []
-    for image in scenario.train_images:
-        bg = [p for p in image.proposals if p.gt_label is None]
-        kept = filter_background_proposals(
-            bg,
-            image.gt_boxes,
-            theta=config.score_threshold,
-            gt_iou_cut=config.gt_iou_cut,
-            nms_iou=config.nms_iou,
-        )
-        feats.extend(p.img_feature for p in kept)
-    if not feats:
-        raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
-    features = np.stack(feats)
+    features = pool_background(scenario, config)
+    model = None
     if config.discovered_categories is not None:
         n_disc = config.discovered_categories
     else:
         k_max = min(config.k_max, features.shape[0])
-        n_disc = estimate_category_count(features, config.k_min, k_max, config.seed).count
-    centers = None
-    if config.use_discovery:
-        centers = kmeans(features, n_disc, seed=config.seed).centers
-    return n_disc, centers
+        estimate = estimate_category_count(features, config.k_min, k_max, config.seed)
+        n_disc, model = estimate.count, estimate.model
+    if not config.use_discovery:
+        return n_disc, None
+    if model is None:
+        model = kmeans(features, n_disc, seed=config.seed)
+    return n_disc, model.centers
+
+
+def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition:
+    bg = [p for p in image.proposals if p.gt_label is None]
+    return generate_pseudo_labels(
+        bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold,
+        nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut, rpn_nms_iou=config.nms_iou,
+    )
 
 
 def _sample_batch(rng, scenario: Scenario, config: TrainConfig):
     n = len(scenario.train_images)
     k = min(config.batch_images, n)
-    idx = rng.choice(n, size=k, replace=False)
-    images = [scenario.train_images[i] for i in sorted(idx)]
+    idx = sorted(rng.choice(n, size=k, replace=False))
     fg, bg = [], []
-    for image in images:
-        fg.extend(p for p in image.proposals if p.gt_label is not None)
-        bg.extend(p for p in image.proposals if p.gt_label is None)
-    return images, ProposalBatch(foreground=tuple(fg), background=tuple(bg))
-
-
-def _batch_partition(images, centers, config: TrainConfig) -> BackgroundPartition:
-    positives, negatives = [], []
-    for image in images:
-        bg = [p for p in image.proposals if p.gt_label is None]
-        part = generate_pseudo_labels(
-            bg,
-            image.gt_boxes,
-            centers,
-            tau=config.temperature,
-            theta=config.score_threshold,
-            nms_iou=config.pseudo_nms_iou,
-            gt_iou_cut=config.gt_iou_cut,
-            rpn_nms_iou=config.nms_iou,
-        )
-        positives.extend(part.positives)
-        negatives.extend(part.negatives)
-    return BackgroundPartition(positives=tuple(positives), negatives=tuple(negatives))
+    for i in idx:
+        fg.extend(p for p in scenario.train_images[i].proposals if p.gt_label is not None)
+        bg.extend(p for p in scenario.train_images[i].proposals if p.gt_label is None)
+    return idx, ProposalBatch(foreground=tuple(fg), background=tuple(bg))
 
 
 def initial_params(config: TrainConfig, encoder: MockTextEncoder, n_discovered: int) -> Params:
@@ -710,9 +534,10 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
     """Deterministic training over a scenario; returns the history and checkpoint.
 
     Per step: sample a batch of images, rebuild the vocabulary from the live
-    parameters, pseudo-label the batch (when discovery is on), evaluate the
-    objective, backpropagate analytically, and apply one SGD step. Frozen
-    components (encoder, base embeddings, centers) are never touched.
+    parameters, gather the sampled images' pseudo-labels (when discovery is
+    on), evaluate the objective and its analytic gradient in one pass, and
+    apply one SGD step. Frozen components (encoder, base embeddings,
+    centers) are never touched.
     """
     encoder = MockTextEncoder(**scenario.encoder_config)
     base_ids = list(scenario.base_ids)
@@ -720,6 +545,11 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
         [encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids]
     )
     n_discovered, centers = prepare_background(scenario, config)
+    # Pseudo-labels depend only on frozen centers and image data: label each
+    # training image once, then every step reads the sampled images' parts.
+    partitions = None
+    if centers is not None:  # discovery is on
+        partitions = [_image_partition(im, centers, config) for im in scenario.train_images]
     params = initial_params(config, encoder, n_discovered)
     velocity = Params(
         context_vectors=np.zeros_like(params.context_vectors),
@@ -729,7 +559,7 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
     records: list[StepRecord] = []
 
     for step in range(config.steps):
-        images, batch = _sample_batch(rng, scenario, config)
+        idx, batch = _sample_batch(rng, scenario, config)
         vocab = build_training_vocab(
             base_ids,
             base_emb,
@@ -740,15 +570,17 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
             baseline_mode=config.baseline_mode,
         )
         partition = None
-        if config.use_discovery and centers is not None:
-            partition = _batch_partition(images, centers, config)
-        breakdown = loss_final(batch, vocab, partition, config)
+        if partitions is not None:
+            partition = BackgroundPartition(
+                positives=tuple(pos for i in idx for pos in partitions[i].positives),
+                negatives=tuple(neg for i in idx for neg in partitions[i].negatives),
+            )
+        breakdown, grads = loss_and_gradients(batch, vocab, partition, config)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
-        grads = compute_gradients(batch, vocab, partition, config)
         params, velocity = sgd_step(
             params,
-            grads,
+            _check_finite(grads),
             velocity,
             lr=config.learning_rate,
             momentum=config.momentum,

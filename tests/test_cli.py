@@ -138,8 +138,42 @@ def test_config_file_drives_commands(tmp_path):
     assert header["config"]["seed"] == 11
 
 
-def test_bad_override_fails(tmp_path):
+def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(run),
+                 *SMALL, "--set", "train.steps=0"]) == 0
+    assert (run / "checkpoint.json").exists()
+    out = capsys.readouterr().out
+    assert "trained 0 steps" in out and "loss:" not in out
+
+
+def test_bad_override_fails(dataset, tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", "nonsense"]) == 1
+    # A section or an intermediate node that is not an object.
+    for override in ("train=5", "train.steps.x=1"):
+        capsys.readouterr()
+        assert main([
+            "train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r"),
+            "--set", override,
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (override, err)
+
+
+def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
+    lines = dataset.read_text().splitlines()
+    first_image = next(i for i, line in enumerate(lines) if json.loads(line).get("type") == "image")
+    rec = json.loads(lines[first_image])
+    assert json.loads(lines[first_image + 1])["type"] == "proposal"
+    lines[first_image], lines[first_image + 1] = lines[first_image + 1], lines[first_image]
+    swapped, empty = tmp_path / "swapped.jsonl", tmp_path / "empty.jsonl"
+    swapped.write_text("\n".join(lines) + "\n")
+    empty.write_text("")
+    for path, message in ((swapped, f"{rec['split']} image {rec['image']}"), (empty, "empty")):
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r"), *SMALL]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
 def test_unknown_config_key_fails(tmp_path):

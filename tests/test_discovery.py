@@ -273,6 +273,15 @@ def test_estimate_count_deterministic():
     assert a == b
 
 
+def test_estimate_count_returns_the_winning_clustering():
+    rng = np.random.default_rng(13)
+    pts, _, _ = _blobs(rng, 4, 50, d=8)
+    estimate = estimate_category_count(pts, 2, 8, seed=5)
+    again = kmeans(pts, estimate.count, seed=5)
+    np.testing.assert_array_equal(estimate.model.centers, again.centers)
+    np.testing.assert_array_equal(estimate.model.assignments, again.assignments)
+
+
 def test_estimate_count_invalid_ranges():
     pts = np.eye(6)
     with pytest.raises(ValueError):

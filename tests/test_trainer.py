@@ -399,15 +399,17 @@ def test_train_records_history(small_scenario):
 def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
     import ovlab.trainer as trainer_mod
 
-    def bad_loss(batch, vocab, partition, config, forced_branches=None):
+    def bad_loss(batch, vocab, partition, config, component="final"):
         from ovlab.losses import LossBreakdown
 
-        return LossBreakdown(
+        breakdown = LossBreakdown(
             foreground=math.nan, background=0.0, pseudo=0.0, total=math.nan,
             branches=(), n_foreground=0, n_background=0,
         )
+        zero = Gradients(np.zeros_like(vocab.context_vectors), np.zeros(vocab.dim))
+        return breakdown, zero
 
-    monkeypatch.setattr(trainer_mod, "loss_final", bad_loss)
+    monkeypatch.setattr(trainer_mod, "loss_and_gradients", bad_loss)
     with pytest.raises(TrainingDivergedError, match="step 0"):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
 
