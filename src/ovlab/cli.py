@@ -10,22 +10,24 @@ directory gets a manifest listing its artifacts with content hashes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .discovery import estimate_category_count
+from .discovery import Box, Proposal, estimate_category_count
 from .encoder import MockTextEncoder, init_context_vectors
-from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, run_ablation
+from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
 from .losses import ProposalBatch
 from .persist import canonical_json, config_hash, sha256_file, write_text
 from .pseudo import BackgroundPartition, PseudoLabel
 from .rectify import rectification_report
 from .synth import ScenarioConfig, generate_scenario, load_dataset, write_dataset
 from .trainer import (
+    COMPONENTS,
     Checkpoint,
     TrainConfig,
     finite_diff_gradients,
@@ -47,8 +49,9 @@ def _section(config: dict, name: str) -> dict:
     return dict(data)
 
 
-def _dataclass_from_dict(cls, data: dict):
-    names = {f.name for f in fields(cls)}
+def _from_dict(cls, data: dict):
+    """``cls(**data)``, with unknown keys and wrong-typed values as ``ValueError``."""
+    names = set(inspect.signature(cls).parameters)
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
@@ -89,15 +92,15 @@ def _scenario_config(config: dict) -> ScenarioConfig:
     data = _section(config, "scenario")
     if "hidden_weights" in data and data["hidden_weights"] is not None:
         data["hidden_weights"] = tuple(data["hidden_weights"])
-    return _dataclass_from_dict(ScenarioConfig, data)
+    return _from_dict(ScenarioConfig, data)
 
 
 def _encoder(config: dict) -> MockTextEncoder:
-    return MockTextEncoder(**{"seed": 7, **_section(config, "encoder")})
+    return _from_dict(MockTextEncoder, {"seed": 7, **_section(config, "encoder")})
 
 
 def _train_config(config: dict) -> TrainConfig:
-    return _dataclass_from_dict(TrainConfig, _section(config, "train"))
+    return _from_dict(TrainConfig, _section(config, "train"))
 
 
 def _write_manifest(out_dir: Path, extra: dict | None = None) -> None:
@@ -196,26 +199,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rectify_report(args) -> int:
-    config = load_config(args.config, args.set, args.seed)
+    load_config(args.config, args.set, args.seed)
+    if args.max_proposals < 1:
+        raise ValueError(f"--max-proposals must be at least 1, got {args.max_proposals}")
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset)
-    encoder = checkpoint.encoder_obj()
+    vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config_obj().temperature
-    from .vocab import build_inference_vocab
-
-    train_vocab = checkpoint.build_vocab()
-    novel_emb = (
-        np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in scenario.novel_ids])
-        if scenario.novel_ids
-        else np.zeros((0, encoder.dim))
-    )
-    vocab = build_inference_vocab(train_vocab, scenario.novel_ids, novel_emb)
-    queries = [
-        p.det_feature
-        for image in scenario.eval_images
-        for p in image.proposals
-    ][: args.max_proposals]
-    report = rectification_report(vocab, tau, np.stack(queries))
+    queries = [p.det_feature for image in scenario.eval_images for p in image.proposals]
+    report = rectification_report(vocab, tau, np.stack(queries[: args.max_proposals]))
     out_dir = Path(args.out_dir)
     write_text(out_dir / "rectification.json", canonical_json(report) + "\n")
     lines = [f"{'category':>10} {'factor':>10}"]
@@ -257,8 +249,6 @@ def cmd_ablate(args) -> int:
 
 def _gradcheck_instance(seed: int, tau: float):
     """One random small training setup for the oracle comparison."""
-    from .discovery import Box, Proposal
-
     rng = np.random.default_rng([9, seed])
     enc = MockTextEncoder(seed=int(rng.integers(1 << 16)), dim=16, ctx_dim=8, hidden_dim=32, prefix_dim=4)
 
@@ -304,8 +294,6 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
     Returns per-(tau, component) rows with the worst relative L2 error over
     unflagged instances, plus an overall pass flag against the tolerances.
     """
-    from .trainer import COMPONENTS
-
     rows = []
     ok = True
     for tau, tol in GRADCHECK_TOLERANCES.items():

@@ -9,6 +9,7 @@ multiplies and partially sums the raw exponential scores.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -16,6 +17,7 @@ __all__ = [
     "DimensionMismatchError",
     "ZeroNormError",
     "check_temperature",
+    "is_integer",
     "as_embedding",
     "normalize",
     "cosine",
@@ -44,6 +46,11 @@ def check_temperature(tau: float) -> float:
     if not (tau > 0.0) or not math.isfinite(tau):
         raise ValueError(f"temperature must be a positive finite real, got {tau!r}")
     return float(tau)
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and everything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_embedding(v, dim: int | None = None) -> np.ndarray:

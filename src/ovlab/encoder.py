@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, normalize
+from .core import DimensionMismatchError, is_integer, normalize
 
 __all__ = [
     "PromptTemplate",
@@ -70,6 +70,9 @@ class MockTextEncoder:
         hidden_dim: int = 64,
         prefix_dim: int = 8,
     ) -> None:
+        sizes = dict(seed=seed, dim=dim, ctx_dim=ctx_dim, hidden_dim=hidden_dim, prefix_dim=prefix_dim)
+        if not all(map(is_integer, sizes.values())):
+            raise ValueError(f"encoder settings must be integers, got {sizes}")
         self.seed = int(seed)
         self.dim = int(dim)
         self.ctx_dim = int(ctx_dim)

@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .persist import canonical_json
-from .rectify import compute_shrinking_factors, inference_probs
+from .rectify import compute_shrinking_factors, score
 from .synth import Scenario
 from .trainer import Checkpoint, TrainConfig, TrainHistory, train
-from .vocab import build_inference_vocab
+from .vocab import Vocabulary, build_inference_vocab
 
-__all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "evaluate", "run_ablation"]
+__all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "inference_vocab",
+           "evaluate", "run_ablation"]
 
 BACKGROUND_KEY = "background"
 
@@ -60,8 +61,7 @@ class EvalReport:
 
     @staticmethod
     def from_json(text: str) -> "EvalReport":
-        rec = json.loads(text)
-        return EvalReport(**rec)
+        return EvalReport(**json.loads(text))
 
     def render(self) -> str:
         lines = [
@@ -77,6 +77,25 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
+    """The checkpoint's vocabulary with the scenario's oracle novel block inserted.
+
+    Refuses a checkpoint whose embedding dimension or base categories do
+    not match the dataset's.
+    """
+    encoder = checkpoint.encoder_obj()
+    if encoder.dim != scenario.config.dim:
+        raise ValueError(
+            f"checkpoint dimension {encoder.dim} != dataset dimension {scenario.config.dim}"
+        )
+    if set(i for i, _ in checkpoint.base_categories) != set(scenario.base_ids):
+        raise ValueError("checkpoint base categories do not match the dataset")
+    novel_emb = np.array(
+        [encoder.encode_named_category(scenario.name_seeds[i]) for i in scenario.novel_ids]
+    )
+    return build_inference_vocab(checkpoint.build_vocab(), scenario.novel_ids, novel_emb)
+
+
 def evaluate(
     checkpoint: Checkpoint,
     scenario: Scenario,
@@ -86,26 +105,11 @@ def evaluate(
 ) -> EvalReport:
     """Score every held-out proposal and compare against the oracle labels.
 
-    Never mutates the checkpoint or the dataset. The novel block is built
-    from the scenario's oracle registry; the shrinking factors are computed
-    once and shared across proposals.
+    Never mutates the checkpoint or the dataset. The shrinking factors are
+    computed once; each eval image's proposals are scored in one batch.
     """
-    encoder = checkpoint.encoder_obj()
-    if encoder.dim != scenario.config.dim:
-        raise ValueError(
-            f"checkpoint dimension {encoder.dim} != dataset dimension {scenario.config.dim}"
-        )
-    if set(i for i, _ in checkpoint.base_categories) != set(scenario.base_ids):
-        raise ValueError("checkpoint base categories do not match the dataset")
+    vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config_obj().temperature
-
-    train_vocab = checkpoint.build_vocab()
-    novel_emb = (
-        np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in scenario.novel_ids])
-        if scenario.novel_ids
-        else np.zeros((0, encoder.dim))
-    )
-    vocab = build_inference_vocab(train_vocab, scenario.novel_ids, novel_emb)
     factors = compute_shrinking_factors(vocab, tau)
 
     fg_ids = list(vocab.base_ids) + list(vocab.novel_ids)
@@ -118,26 +122,23 @@ def evaluate(
     recalled = 0
 
     for image in scenario.eval_images:
-        for p in image.proposals:
+        if not image.proposals:
+            continue
+        features = np.stack([p.det_feature for p in image.proposals])
+        fg_probs, bg_mass = score(features, vocab, tau, factors if rectify else None)
+        for p, probs, mass in zip(image.proposals, fg_probs, bg_mass):
             label = p.oracle.generative_label if p.oracle else None
-            if label in base_set:
-                true_key, kind = str(label), "base"
-            elif label in novel_set:
-                true_key, kind = str(label), "novel"
-            else:
-                true_key, kind = BACKGROUND_KEY, "background"
+            kind = "base" if label in base_set else "novel" if label in novel_set else "background"
+            true_key = BACKGROUND_KEY if kind == "background" else str(label)
             totals[kind] += 1
 
-            scores = inference_probs(p.det_feature, vocab, tau, rectify=rectify, factors=factors)
-            best = int(np.argmax(scores.probabilities)) if len(fg_ids) else -1
-            best_prob = float(scores.probabilities[best]) if best >= 0 else 0.0
-            if best < 0 or scores.background_mass > best_prob:
-                pred_key = BACKGROUND_KEY
-            else:
-                pred_key = str(fg_ids[best])
+            # The base check in inference_vocab guarantees a non-empty foreground block.
+            best = int(np.argmax(probs))
+            best_prob = float(probs[best])
+            pred_key = BACKGROUND_KEY if mass > best_prob else str(fg_ids[best])
 
-            confusion.setdefault(true_key, {})
-            confusion[true_key][pred_key] = confusion[true_key].get(pred_key, 0) + 1
+            row = confusion.setdefault(true_key, {})
+            row[pred_key] = row.get(pred_key, 0) + 1
             if kind in ("base", "novel") and pred_key == true_key:
                 hits[kind] += 1
                 if kind == "novel" and best_prob >= recall_threshold:

@@ -11,8 +11,9 @@ the vocabulary, not of any proposal), then re-run the softmax with the
 shrunken underlying sum.
 
 Raw scores at the default temperature span dozens of orders of magnitude,
-so every sum here is formed in log space with compensated accumulation and
-mirrored back to linear.
+so ``score`` shifts each row by its largest (shrunk) logit before
+exponentiating, and the scalar block sums are formed in log space with
+compensated accumulation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "conditional_prob",
     "shrinking_factor",
     "compute_shrinking_factors",
+    "score",
     "rectified_underlying_sum",
     "inference_probs",
     "rectification_report",
@@ -77,7 +79,7 @@ class RectifiedScores:
 
     ``probabilities`` is aligned with [base block, novel block]. The
     ``underlying_sum`` is the (possibly shrunken) underlying-block score sum
-    actually used in the denominator, mirrored from log domain.
+    actually used in the denominator.
     """
 
     probabilities: np.ndarray
@@ -94,16 +96,11 @@ def _require_inference(vocab: Vocabulary) -> None:
         )
 
 
-def _block_logits(query, vocab: Vocabulary, tau: float) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    return cosine_matrix(q[None, :], vocab.embeddings)[0] / tau
-
-
 def partial_sums(query, vocab: Vocabulary, tau: float) -> PartialSums:
     """Log-domain block sums of exp(cos/tau) against an inference vocabulary."""
     tau = check_temperature(tau)
     _require_inference(vocab)
-    z = _block_logits(query, vocab, tau)
+    z = cosine_matrix(np.asarray(query, dtype=np.float64)[None, :], vocab.embeddings)[0] / tau
     fg = z[vocab.foreground_slice]
     under = z[vocab.underlying_slice]
     return PartialSums(
@@ -139,12 +136,10 @@ def conditional_prob(
     if c_novel.kind is not Kind.NOVEL:
         raise ValueError(f"first argument must be a novel category, got {c_novel.kind}")
     if c_underlying.kind is not Kind.UNDERLYING:
-        raise ValueError(
-            f"second argument must be an underlying category, got {c_underlying.kind}"
-        )
+        raise ValueError(f"second argument must be an underlying category, got {c_underlying.kind}")
     anchor_pos = _position(vocab, c_underlying)
     novel_pos = _position(vocab, c_novel)
-    z = _block_logits(vocab.embeddings[anchor_pos], vocab, tau)
+    z = cosine_matrix(vocab.embeddings[anchor_pos][None, :], vocab.embeddings)[0] / tau
     others = np.delete(np.arange(vocab.size), anchor_pos)
     return math.exp(z[novel_pos] - logsumexp(z[others]))
 
@@ -179,19 +174,43 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
 def shrinking_factor(c_underlying: CategoryId, vocab: Vocabulary, tau: float) -> float:
     """Factor in [0, 1] scaling one underlying category's score at inference."""
     if c_underlying.kind is not Kind.UNDERLYING:
-        raise ValueError(
-            f"expected an underlying category, got {c_underlying.kind}"
-        )
+        raise ValueError(f"expected an underlying category, got {c_underlying.kind}")
     return float(compute_shrinking_factors(vocab, tau)[c_underlying.index])
 
 
-def _log_shrunk_underlying(z_under: np.ndarray, factors: np.ndarray) -> float:
-    """log sum of score * factor over the underlying block; -inf when empty or all zero."""
-    if z_under.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        log_terms = z_under + np.log(factors)
-    return logsumexp(log_terms)
+def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
+    """Each row's shift, and its blocks' exp(logit - shift) with factors applied.
+
+    Factors enter in log space and the shift is the row's largest shrunk
+    logit, so no denominator underflows, whatever the temperature.
+    """
+    z = cosine_matrix(np.atleast_2d(features), vocab.embeddings) / tau
+    if factors is not None:
+        if np.shape(factors) != (vocab.n_underlying,):
+            raise ValueError(f"need {vocab.n_underlying} shrinking factors, got {np.shape(factors)}")
+        with np.errstate(divide="ignore"):
+            z[:, vocab.underlying_slice] += np.log(factors)
+    shift = z.max(axis=1)
+    e = np.exp(z - shift[:, None])
+    fg, under, sub = vocab.foreground_slice, vocab.underlying_slice, vocab.sub_background_index
+    return shift, e[:, fg], e[:, under], e[:, sub]
+
+
+def score(
+    features, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Foreground probabilities (n, n_base + n_novel) and background mass (n,) of feature rows.
+
+    One cosine matrix against the inference vocabulary; each denominator is
+    foreground sum + underlying sum + sub-background score. ``factors``
+    shrink the underlying scores (rectified), ``None`` leaves them whole.
+    """
+    tau = check_temperature(tau)
+    _require_inference(vocab)
+    _, fg, under, sub = _shifted_scores(features, vocab, tau, factors)
+    bg = under.sum(axis=1) + sub
+    denom = fg.sum(axis=1) + bg
+    return fg / denom[:, None], bg / denom
 
 
 def rectified_underlying_sum(
@@ -202,9 +221,9 @@ def rectified_underlying_sum(
     _require_inference(vocab)
     if factors is None:
         factors = compute_shrinking_factors(vocab, tau)
-    z = _block_logits(query, vocab, tau)
-    log_sum = _log_shrunk_underlying(z[vocab.underlying_slice], factors)
-    return (math.exp(log_sum) if log_sum != -math.inf else 0.0), factors
+    row = np.asarray(query, dtype=np.float64)[None, :]
+    shift, _, under, _ = _shifted_scores(row, vocab, tau, factors)
+    return float(np.exp(shift[0]) * under[0].sum()), factors
 
 
 def inference_probs(
@@ -214,38 +233,17 @@ def inference_probs(
     rectify: bool = True,
     factors: np.ndarray | None = None,
 ) -> RectifiedScores:
-    """Foreground probabilities of one proposal, optionally rectified.
-
-    Each base/novel category's probability is its raw score over the
-    denominator (foreground sum + underlying sum + sub-background score);
-    with ``rectify`` the underlying sum is the factor-shrunken one, which can
-    only raise foreground probabilities.
-    """
-    tau = check_temperature(tau)
-    _require_inference(vocab)
-    if factors is None and rectify:
-        factors = compute_shrinking_factors(vocab, tau)
-    elif factors is None:
-        factors = np.ones(vocab.n_underlying)
-    z = _block_logits(query, vocab, tau)
-    z_under = z[vocab.underlying_slice]
-    if rectify:
-        log_under = _log_shrunk_underlying(z_under, factors)
-    else:
-        log_under = logsumexp(z_under) if z_under.size else -math.inf
-    log_sub = float(z[vocab.sub_background_index])
-    fg = z[vocab.foreground_slice]
-    parts = [log_under, log_sub]
-    if fg.size:
-        parts.append(logsumexp(fg))
-    log_denom = logsumexp(parts)
-    probs = np.exp(fg - log_denom)
-    bg_mass = math.exp(logsumexp([log_under, log_sub]) - log_denom)
+    """One proposal's foreground probabilities: a one-row ``score``, rectified unless
+    ``rectify`` is false (shrinking can only raise foreground probabilities)."""
+    if factors is None:
+        factors = compute_shrinking_factors(vocab, tau) if rectify else np.ones(vocab.n_underlying)
+    shrunk = factors if rectify else np.ones(vocab.n_underlying)
+    probs, bg_mass = score(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, shrunk)
     return RectifiedScores(
-        probabilities=probs,
+        probabilities=probs[0],
         shrinking_factors=np.array(factors, dtype=np.float64),
-        underlying_sum=math.exp(log_under) if log_under != -math.inf else 0.0,
-        background_mass=bg_mass,
+        underlying_sum=rectified_underlying_sum(query, vocab, tau, shrunk)[0],
+        background_mass=float(bg_mass[0]),
         rectified=bool(rectify),
     )
 
@@ -253,21 +251,15 @@ def inference_probs(
 def rectification_report(vocab: Vocabulary, tau: float, queries) -> dict:
     """Per-category factors plus (unrectified, rectified) probability pairs per query."""
     factors = compute_shrinking_factors(vocab, tau)
-    rows = []
-    for i, q in enumerate(np.asarray(queries, dtype=np.float64)):
-        plain = inference_probs(q, vocab, tau, rectify=False, factors=np.ones_like(factors))
-        fixed = inference_probs(q, vocab, tau, rectify=True, factors=factors)
-        rows.append(
-            {
-                "proposal": i,
-                "unrectified": plain.probabilities.tolist(),
-                "rectified": fixed.probabilities.tolist(),
-                "background_mass_unrectified": plain.background_mass,
-                "background_mass_rectified": fixed.background_mass,
-            }
-        )
+    plain, plain_bg = score(queries, vocab, tau)
+    fixed, fixed_bg = score(queries, vocab, tau, factors)
+    rows = zip(plain.tolist(), fixed.tolist(), plain_bg.tolist(), fixed_bg.tolist())
     return {
         "shrinking_factors": factors.tolist(),
         "mean_shrinking_factor": float(factors.mean()) if factors.size else 1.0,
-        "proposals": rows,
+        "proposals": [
+            {"proposal": i, "unrectified": p, "rectified": f,
+             "background_mass_unrectified": pb, "background_mass_rectified": fb}
+            for i, (p, f, pb, fb) in enumerate(rows)
+        ],
     }

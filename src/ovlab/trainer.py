@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_integer
 from .discovery import estimate_category_count, filter_background_proposals, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .losses import (
@@ -99,6 +100,11 @@ class TrainConfig:
     pseudo_nms_iou: float = 0.5
 
     def __post_init__(self):
+        for name in ("steps", "batch_images", "seed", "k_min", "k_max", "extra_categories",
+                     "discovered_categories"):
+            value = getattr(self, name)
+            if not is_integer(value) and not (name == "discovered_categories" and value is None):
+                raise ValueError(f"TrainConfig.{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("rates must be positive (momentum/decay nonnegative)")
         if self.steps < 0 or self.batch_images < 1:

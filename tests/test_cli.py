@@ -105,6 +105,35 @@ def test_rectify_report(dataset, tmp_path, capsys):
     assert "mean factor" in capsys.readouterr().out
 
 
+def test_rectify_report_rejects_a_non_positive_proposal_count(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
+    for count in ("0", "-3"):
+        capsys.readouterr()
+        assert main([
+            "rectify-report", "--checkpoint", str(run / "checkpoint.json"),
+            "--dataset", str(dataset), "--out-dir", str(tmp_path / "rect"), "--max-proposals", count,
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--max-proposals" in err[0], err
+    assert not (tmp_path / "rect").exists()
+
+
+def test_rectify_report_checks_the_checkpoint_like_eval(dataset, tmp_path, capsys):
+    run, other = tmp_path / "run", tmp_path / "other.jsonl"
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
+    assert main(["gen", "--out", str(other), *SMALL, "--set", "scenario.n_base=5"]) == 0
+    errors = []
+    for command in ("eval", "rectify-report"):
+        capsys.readouterr()
+        assert main([
+            command, "--checkpoint", str(run / "checkpoint.json"),
+            "--dataset", str(other), "--out-dir", str(tmp_path / command),
+        ]) == 1
+        errors.append(capsys.readouterr().err.splitlines())
+    assert errors[0] == errors[1] == ["error: checkpoint base categories do not match the dataset"]
+
+
 def test_ablate_small_grid(dataset, tmp_path):
     out = tmp_path / "abl"
     assert main([
@@ -149,15 +178,21 @@ def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
 
 def test_bad_override_fails(dataset, tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", "nonsense"]) == 1
-    # A section or an intermediate node that is not an object.
-    for override in ("train=5", "train.steps.x=1"):
+    gen = ["gen", "--out", str(tmp_path / "x.jsonl")]
+    train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r")]
+    # A section or an intermediate node that is not an object, or a value of the wrong type.
+    for command, override in (
+        (train, "train=5"),
+        (train, "train.steps.x=1"),
+        (train, "train.steps=2.5"),
+        (gen, "encoder.dim=2.5"),
+        (gen, "encoder.seed=[1]"),
+    ):
         capsys.readouterr()
-        assert main([
-            "train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r"),
-            "--set", override,
-        ]) == 1
+        assert main([*command, "--set", override]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (override, err)
+    assert not (tmp_path / "r").exists()
 
 
 def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
@@ -176,10 +211,13 @@ def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
-def test_unknown_config_key_fails(tmp_path):
-    assert main([
-        "gen", "--out", str(tmp_path / "x.jsonl"), "--set", "scenario.bogus_knob=3",
-    ]) == 1
+def test_unknown_config_key_fails(tmp_path, capsys):
+    for override in ("scenario.bogus_knob=3", "encoder.bogus=1"):
+        capsys.readouterr()
+        assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", override]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0], err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_unknown_ablation_combo_fails(dataset, tmp_path):

@@ -12,9 +12,10 @@ from ovlab.rectify import (
     inference_probs,
     partial_sums,
     rectified_underlying_sum,
+    score,
     shrinking_factor,
 )
-from ovlab.vocab import CategoryId, Kind
+from ovlab.vocab import CategoryId, Kind, build_inference_vocab, build_training_vocab
 
 from util import make_vocab, unit
 
@@ -311,3 +312,116 @@ def test_strict_shrinkage_with_partial_overlap():
     plain = partial_sums(q, vocab, 0.5).underlying
     fixed, _ = rectified_underlying_sum(q, vocab, 0.5, factors=factors)
     assert fixed < plain
+
+
+# -- batched scorer -------------------------------------------------------------------
+
+
+def _oracle_row(q, vocab, tau, factors=None):
+    """Term-by-term foreground probabilities and background mass of one query."""
+    scores = _oracle_scores(q, vocab, tau)
+    under = scores[vocab.underlying_slice]
+    if factors is not None:
+        under = [s * f for s, f in zip(under, factors)]
+    fg = scores[vocab.foreground_slice]
+    bg = math.fsum(under) + scores[vocab.sub_background_index]
+    denom = math.fsum(fg) + bg
+    return np.array(fg) / denom, bg / denom
+
+
+def _assert_matches_oracle(queries, vocab, tau, factors=None):
+    probs, bg_mass = score(queries, vocab, tau, factors)
+    assert probs.shape == (len(queries), vocab.n_base + vocab.n_novel)
+    assert bg_mass.shape == (len(queries),)
+    for q, p, b in zip(queries, probs, bg_mass):
+        expected, expected_bg = _oracle_row(q, vocab, tau, factors)
+        np.testing.assert_allclose(p, expected, rtol=1e-10, atol=0)
+        assert b == pytest.approx(expected_bg, rel=1e-10)
+
+
+def test_score_matches_oracle_on_many_rows():
+    rng = np.random.default_rng(18)
+    for tau in (1.0, 0.02):
+        for _ in range(10):
+            vocab = _random_inference_vocab(rng)
+            queries = np.array([unit(rng, 12) for _ in range(7)])
+            _assert_matches_oracle(queries, vocab, tau)
+            _assert_matches_oracle(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
+
+
+def test_score_baseline_vocab_with_empty_underlying_block():
+    rng = np.random.default_rng(19)
+    d = 12
+    training = build_training_vocab(
+        [0, 1, 2], np.array([unit(rng, d) for _ in range(3)]), np.zeros((0, 0)), unit(rng, d),
+        None, baseline_mode=True,
+    )
+    vocab = build_inference_vocab(training, [7, 8], np.array([unit(rng, d) for _ in range(2)]))
+    assert vocab.baseline_mode and vocab.n_underlying == 0
+    queries = np.array([unit(rng, d) for _ in range(5)])
+    for tau in (1.0, 0.02):
+        _assert_matches_oracle(queries, vocab, tau)
+        plain = score(queries, vocab, tau)
+        fixed = score(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
+        for a, b in zip(plain, fixed):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_score_empty_novel_block_rectified_equals_plain_exactly():
+    rng = np.random.default_rng(20)
+    for tau in (1.0, 0.02):
+        vocab = _random_inference_vocab(rng, n_novel=0)
+        queries = np.array([unit(rng, 12) for _ in range(6)])
+        factors = compute_shrinking_factors(vocab, tau)
+        np.testing.assert_array_equal(factors, 1.0)
+        plain = score(queries, vocab, tau)
+        fixed = score(queries, vocab, tau, factors)
+        for a, b in zip(plain, fixed):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_score_factors_with_exact_zeros():
+    rng = np.random.default_rng(21)
+    vocab = _random_inference_vocab(rng, n_under=4)
+    queries = np.array([unit(rng, 12) for _ in range(6)])
+    for factors in (np.array([0.0, 0.5, 0.0, 1.0]), np.zeros(4)):
+        for tau in (1.0, 0.02):
+            _assert_matches_oracle(queries, vocab, tau, factors)
+    # A zeroed underlying category that dominates the raw scores by far more
+    # than the float64 range: the remaining five scores are all exp(0).
+    eye = np.eye(8)
+    vocab = make_vocab(base_emb=eye[1:3], novel_emb=eye[3:4], under_emb=eye[[0, 4]], sub=eye[5])
+    probs, bg_mass = score(eye[:1], vocab, 0.001, factors=np.array([0.0, 1.0]))
+    np.testing.assert_allclose(probs, [[0.2, 0.2, 0.2]], rtol=1e-15)
+    np.testing.assert_allclose(bg_mass, [0.4], rtol=1e-15)
+
+
+def test_score_rectified_never_below_plain_on_any_row():
+    rng = np.random.default_rng(22)
+    for tau in (1.0, 0.02):
+        for _ in range(20):
+            vocab = _random_inference_vocab(rng, n_novel=int(rng.integers(0, 4)))
+            queries = np.array([unit(rng, 12) for _ in range(8)])
+            plain, _ = score(queries, vocab, tau)
+            fixed, _ = score(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
+            assert np.all(fixed >= plain - 1e-15)
+
+
+def test_score_rejects_a_factor_count_mismatch():
+    rng = np.random.default_rng(23)
+    vocab = _random_inference_vocab(rng)
+    with pytest.raises(ValueError, match="need 3 shrinking factors"):
+        score(np.array([unit(rng, 12)]), vocab, 1.0, factors=np.ones(1))
+
+
+def test_inference_probs_is_a_row_of_score():
+    rng = np.random.default_rng(24)
+    vocab = _random_inference_vocab(rng)
+    queries = np.array([unit(rng, 12) for _ in range(4)])
+    factors = compute_shrinking_factors(vocab, 0.02)
+    probs, bg_mass = score(queries, vocab, 0.02, factors)
+    for q, p, b in zip(queries, probs, bg_mass):
+        one = inference_probs(q, vocab, 0.02, rectify=True, factors=factors)
+        # A one-row cosine product may round differently from a many-row one.
+        np.testing.assert_allclose(one.probabilities, p, rtol=1e-12, atol=0)
+        assert one.background_mass == pytest.approx(b, rel=1e-12)

@@ -458,3 +458,15 @@ def test_hyperparameter_defaults_pinned():
     assert config.extra_categories == 10
     assert config.momentum == 0.90
     assert config.weight_decay == 2.5e-5
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["steps", "batch_images", "seed", "k_min", "k_max", "extra_categories", "discovered_categories"],
+)
+def test_train_config_rejects_non_integer_counts(name):
+    for value in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+    assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
+    assert TrainConfig(discovered_categories=None).discovered_categories is None
