@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_integer
 from .discovery import Box, Proposal, estimate_category_count
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
@@ -59,6 +60,19 @@ def _from_dict(cls, data: dict):
         return cls(**data)
     except TypeError as exc:  # a value of the wrong JSON type
         raise ValueError(f"invalid {cls.__name__} value: {exc}") from None
+
+
+def _setting(config: dict, dotted: str, default, valid, expected: str):
+    """One hand-read ``section.key`` value (or its default); ``ValueError`` unless ``valid``."""
+    section, key = dotted.split(".")
+    value = _section(config, section).get(key, default)
+    if not valid(value):
+        raise ValueError(f"{dotted} must be {expected}, got {value!r}")
+    return value
+
+
+def _is_count(value) -> bool:
+    return is_integer(value) and value >= 0
 
 
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
@@ -184,9 +198,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    eval_cfg = _section(config, "eval")
-    rectify = args.rectify if args.rectify is not None else eval_cfg.get("rectify", True)
-    threshold = eval_cfg.get("recall_threshold", 0.5)
+    rectify = _setting(config, "eval.rectify", True, lambda v: isinstance(v, bool), "true or false")
+    threshold = _setting(
+        config, "eval.recall_threshold", 0.5,
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
+        "a real number in [0, 1]",
+    )
+    if args.rectify is not None:
+        rectify = args.rectify
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset)
     report = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
@@ -207,6 +226,8 @@ def cmd_rectify_report(args) -> int:
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config_obj().temperature
     queries = [p.det_feature for image in scenario.eval_images for p in image.proposals]
+    if not queries:
+        raise ValueError(f"the eval split of {args.dataset} has no proposals to report on")
     report = rectification_report(vocab, tau, np.stack(queries[: args.max_proposals]))
     out_dir = Path(args.out_dir)
     write_text(out_dir / "rectification.json", canonical_json(report) + "\n")
@@ -224,9 +245,16 @@ def cmd_rectify_report(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = _train_config(config)
-    ablation_cfg = _section(config, "ablation")
-    seeds = tuple(ablation_cfg.get("seeds", list(range(10))))
-    combo_names = ablation_cfg.get("combos")
+    seeds = _setting(
+        config, "ablation.seeds", list(range(10)),
+        lambda v: isinstance(v, list) and v and all(map(_is_count, v)),
+        "a non-empty list of nonnegative integers",
+    )
+    combo_names = _setting(
+        config, "ablation.combos", None,
+        lambda v: v is None or (isinstance(v, list) and all(isinstance(n, str) for n in v)),
+        "a list of combination names",
+    )
     combos = STANDARD_COMBOS
     if combo_names:
         by_name = {c.name: c for c in STANDARD_COMBOS}
@@ -235,7 +263,7 @@ def cmd_ablate(args) -> int:
             raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(by_name)}")
         combos = tuple(by_name[n] for n in combo_names)
     scenario = load_dataset(args.dataset)
-    result = run_ablation(AblationSpec(combos=combos, seeds=seeds), scenario, tcfg)
+    result = run_ablation(AblationSpec(combos=combos, seeds=tuple(seeds)), scenario, tcfg)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "ablation.json", result.to_json() + "\n")
     write_text(out_dir / "ablation.txt", result.render() + "\n")
@@ -329,9 +357,11 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
 
 def cmd_gradcheck(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    gc = _section(config, "gradcheck")
-    seed = gc.get("seed", 0)
-    n = gc.get("instances", args.instances)
+    seed = _setting(config, "gradcheck.seed", 0, _is_count, "a nonnegative integer")
+    n = _setting(
+        config, "gradcheck.instances", args.instances,
+        lambda v: _is_count(v) and v >= 1, "a positive integer",
+    )
     rows, ok = gradcheck_table(n, seed)
     print(f"{'tau':>6} {'component':<12} {'worst rel err':>14} {'tol':>8} {'flagged':>8} {'status':>8}")
     for r in rows:

@@ -19,7 +19,6 @@ __all__ = [
     "check_temperature",
     "is_integer",
     "as_embedding",
-    "normalize",
     "cosine",
     "log_cos_exp_score",
     "cos_exp_score",
@@ -68,15 +67,6 @@ def as_embedding(v, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding has non-finite entries")
     return arr
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the unit sphere."""
-    arr = as_embedding(v)
-    n = float(np.linalg.norm(arr))
-    if n <= _NORM_FLOOR:
-        raise ZeroNormError("cannot normalize a zero-norm vector")
-    return arr / n
 
 
 def cosine(a, b) -> float:

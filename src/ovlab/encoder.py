@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, is_integer, normalize
+from .core import DimensionMismatchError, is_integer
 
 __all__ = [
     "PromptTemplate",
@@ -93,52 +93,60 @@ class MockTextEncoder:
 
     # -- forward ----------------------------------------------------------
 
-    def _check_ctx(self, v) -> np.ndarray:
+    def _check_ctx(self, v, stack: bool = True) -> np.ndarray:
         arr = np.asarray(v, dtype=np.float64)
-        if arr.shape != (self.ctx_dim,):
+        if arr.shape[-1:] != (self.ctx_dim,) or arr.ndim > (2 if stack else 1):
+            rows = f" or (n, {self.ctx_dim})" if stack else ""
             raise DimensionMismatchError(
-                f"context vector must have shape ({self.ctx_dim},), got {arr.shape}"
+                f"context vector must have shape ({self.ctx_dim},){rows}, got {arr.shape}"
             )
         return arr
 
-    def _pre_normalize(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (pre-activation a, raw output y) for the context vector v."""
-        x = np.concatenate([self.template.prefix, v])
-        a = self._w1 @ x + self._b1
-        y = self._w2 @ np.tanh(a) + self._b2
-        return a, y
+    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pre-activations a, raw outputs y and their (n, 1) norms for an (n, ctx_dim) stack.
+
+        On one row every product is the same BLAS call as on a vector, so a
+        vector and its one-row stack encode bit for bit alike.
+        """
+        prefix = np.broadcast_to(self.template.prefix, (rows.shape[0], self.prefix_dim))
+        a = np.hstack([prefix, rows]) @ self._w1.T + self._b1
+        y = np.tanh(a) @ self._w2.T + self._b2
+        if not np.all(np.isfinite(y)):
+            raise ValueError("context vectors encode to non-finite embeddings")
+        return a, y, np.sqrt(_row_dots(y, y))
 
     def encode_context(self, v) -> np.ndarray:
-        """Unit-norm embedding of a context vector."""
+        """Unit-norm embedding of a context vector, or one per row of an (n, ctx_dim) stack."""
         arr = self._check_ctx(v)
-        _, y = self._pre_normalize(arr)
-        return normalize(y)
+        _, y, ny = self._forward(np.atleast_2d(arr))
+        out = y / ny
+        return out[0] if arr.ndim == 1 else out
 
     def encode_context_jvp(self, v, direction) -> np.ndarray:
-        """Jacobian-vector product of encode_context at v, including normalization."""
-        arr = self._check_ctx(v)
-        d = self._check_ctx(direction)
-        a, y = self._pre_normalize(arr)
+        """Jacobian-vector product of encode_context at one vector v, including normalization."""
+        arr = self._check_ctx(v, stack=False)
+        d = self._check_ctx(direction, stack=False)
+        a, y, ny = (x[0] for x in self._forward(arr[None]))
         da = self._w1[:, self.prefix_dim :] @ d
         dy = self._w2 @ ((1.0 - np.tanh(a) ** 2) * da)
-        ny = np.linalg.norm(y)
         yhat = y / ny
         return (dy - np.dot(yhat, dy) * yhat) / ny
 
     def encode_context_vjp(self, v, cotangent) -> np.ndarray:
-        """Transpose-Jacobian product: pulls an embedding-space gradient back to context space."""
-        arr = self._check_ctx(v)
-        g = np.asarray(cotangent, dtype=np.float64)
-        if g.shape != (self.dim,):
+        """Transpose-Jacobian product: pulls an embedding-space gradient back to context space.
+
+        Takes one vector and cotangent, or matching (n, ctx_dim) and (n, dim) row stacks.
+        """
+        arr, g = self._check_ctx(v), np.asarray(cotangent, dtype=np.float64)
+        if g.shape != arr.shape[:-1] + (self.dim,):
             raise DimensionMismatchError(
-                f"cotangent must have shape ({self.dim},), got {g.shape}"
+                f"cotangent must have shape {arr.shape[:-1] + (self.dim,)}, got {g.shape}"
             )
-        a, y = self._pre_normalize(arr)
-        ny = np.linalg.norm(y)
-        yhat = y / ny
-        gy = (g - np.dot(yhat, g) * yhat) / ny
-        gh = (1.0 - np.tanh(a) ** 2) * (self._w2.T @ gy)
-        return self._w1[:, self.prefix_dim :].T @ gh
+        a, y, ny = self._forward(np.atleast_2d(arr))
+        g, yhat = np.atleast_2d(g), y / ny
+        gy = (g - _row_dots(yhat, g) * yhat) / ny
+        out = ((1.0 - np.tanh(a) ** 2) * (gy @ self._w2)) @ self._w1[:, self.prefix_dim :]
+        return out[0] if arr.ndim == 1 else out
 
     # -- named categories --------------------------------------------------
 
@@ -160,6 +168,11 @@ class MockTextEncoder:
             "hidden_dim": self.hidden_dim,
             "prefix_dim": self.prefix_dim,
         }
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products as an (n, 1) column, each the same BLAS dot as a 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0]
 
 
 def init_context_vectors(count: int, seed: int, ctx_dim: int = 16) -> np.ndarray:

@@ -13,11 +13,11 @@ vocabulary and these components:
   discovered category plus the weighted mass pull of the remaining filtered
   proposals toward the expansion-plus-sub-background block.
 
-``objective_terms`` is the one implementation: from one cosine matrix per
-group it returns every component value, the switch pattern, and every
-component's gradient with respect to the logits; the trainer chains those
-through the cosine layer and the encoder. The per-component loss functions
-below are views of it. All means are over proposals, so duplicating a batch
+``objective_terms`` is the one implementation: from one cosine matrix over
+every group's stacked proposals it returns every component value, the
+switch pattern, and every component's gradient with respect to the logits;
+the trainer chains those through the cosine layer and the encoder. The
+per-component loss functions below are views of it. All means are over proposals, so duplicating a batch
 leaves every loss unchanged.
 """
 
@@ -39,7 +39,6 @@ __all__ = [
     "ProposalBatch",
     "LossBreakdown",
     "ObjectiveTerms",
-    "batch_logits",
     "background_mass",
     "proposal_groups",
     "objective_terms",
@@ -70,19 +69,6 @@ class ProposalBatch:
             if p.gt_label is not None:
                 raise ValueError("background proposals must not carry a base label")
 
-    @staticmethod
-    def _features(proposals) -> np.ndarray:
-        return np.stack([p.det_feature for p in proposals])
-
-    def foreground_features(self) -> np.ndarray:
-        return self._features(self.foreground)
-
-    def background_features(self) -> np.ndarray:
-        return self._features(self.background)
-
-    def foreground_targets(self, vocab: Vocabulary) -> np.ndarray:
-        return np.array([vocab.base_position(p.gt_label) for p in self.foreground], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -95,12 +81,6 @@ class LossBreakdown:
     branches: tuple[str, ...]
     n_foreground: int
     n_background: int
-
-
-def batch_logits(features: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
-    """Per-proposal logits: cosines against every vocabulary embedding, over tau."""
-    tau = check_temperature(tau)
-    return cosine_matrix(features, vocab.embeddings) / tau
 
 
 def background_mass(probs, vocab: Vocabulary) -> float:
@@ -165,28 +145,34 @@ def switched_branches(masses: np.ndarray, gamma: float) -> tuple[str, ...]:
 
 
 def proposal_groups(batch: ProposalBatch, partition, vocab: Vocabulary):
-    """Features, targets and vocabulary cosines of each non-empty proposal group.
+    """Stacked features, group row slices, targets and the one vocabulary cosine matrix.
 
-    Groups are "foreground", "background", "pseudo_positive" and
-    "pseudo_negative" (the last two from a pseudo-label partition, if any);
-    targets exist for the two labeled groups only.
+    Rows run through the groups "foreground", "background", "pseudo_positive"
+    and "pseudo_negative" (the last two from a pseudo-label partition, if
+    any); ``slices`` names each non-empty group's rows, and targets exist for
+    the two labeled groups only.
     """
-    features: dict[str, np.ndarray] = {}
-    targets: dict[str, np.ndarray] = {}
-    if batch.foreground:
-        features["foreground"] = batch.foreground_features()
-        targets["foreground"] = batch.foreground_targets(vocab)
-    if batch.background:
-        features["background"] = batch.background_features()
-    if partition is not None and partition.positives:
-        features["pseudo_positive"] = np.stack([p.det_feature for p, _ in partition.positives])
-        targets["pseudo_positive"] = np.array(
-            [vocab.underlying_position(lab.category) for _, lab in partition.positives]
-        )
-    if partition is not None and partition.negatives:
-        features["pseudo_negative"] = np.stack([p.det_feature for p in partition.negatives])
-    cosines = {name: cosine_matrix(f, vocab.embeddings) for name, f in features.items()}
-    return features, targets, cosines
+    positives = partition.positives if partition is not None else ()
+    negatives = partition.negatives if partition is not None else ()
+    groups = {
+        "foreground": [p.det_feature for p in batch.foreground],
+        "background": [p.det_feature for p in batch.background],
+        "pseudo_positive": [p.det_feature for p, _ in positives],
+        "pseudo_negative": [p.det_feature for p in negatives],
+    }
+    targets = {
+        "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
+        "pseudo_positive": np.array(
+            [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
+        ),
+    }
+    slices, rows = {}, []
+    for name, feats in groups.items():
+        if feats:
+            slices[name] = slice(len(rows), len(rows) + len(feats))
+            rows.extend(feats)
+    features = np.stack(rows) if rows else np.zeros((0, vocab.dim))
+    return features, slices, targets, cosine_matrix(features, vocab.embeddings)
 
 
 class ObjectiveTerms(NamedTuple):
@@ -194,73 +180,71 @@ class ObjectiveTerms(NamedTuple):
 
     values: dict[str, float]  # every component of COMPONENTS
     branches: tuple[str, ...]  # switch pattern selected from the current masses
-    logit_grads: dict[str, dict[str, np.ndarray]]  # component -> group -> d value / d logits
+    logit_grads: dict[str, np.ndarray]  # component -> (n, V) d value / d logits
 
 
 def objective_terms(
-    cosines: dict[str, np.ndarray], targets: dict[str, np.ndarray], vocab: Vocabulary,
+    cosines: np.ndarray, slices: dict[str, slice], targets: dict[str, np.ndarray], vocab: Vocabulary,
     tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
     use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
 ) -> ObjectiveTerms:
     """Every component value, the switch pattern, and every component's logit gradients.
 
-    ``cosines`` holds one matrix per group of ``proposal_groups``; every mean
-    and weight is folded into the gradients. "final" is foreground plus the
-    switched loss (when ``use_prompts``) plus the pseudo-label loss (when
+    ``cosines``, ``slices`` and ``targets`` come from ``proposal_groups``;
+    every mean and weight is folded into the gradients, and rows a component
+    does not read have zero gradient. "final" is foreground plus the switched
+    loss (when ``use_prompts``) plus the pseudo-label loss (when
     ``use_discovery``). ``branches`` pins the switch selection — finite
     difference stencils use it to avoid differencing across the switch
     discontinuity — while the returned pattern is always the one the current
     masses select.
     """
-    tau = check_temperature(tau)
+    z = cosines / check_temperature(tau)
     values = dict.fromkeys(COMPONENTS, 0.0)
-    grads: dict[str, dict[str, np.ndarray]] = {name: {} for name in COMPONENTS}
+    grads = {name: np.zeros_like(z) for name in COMPONENTS[:-1]}
     live: tuple[str, ...] = ()
 
-    if "foreground" in cosines:
-        vals, g = nll_terms(cosines["foreground"] / tau, targets["foreground"])
+    if "foreground" in slices:
+        rows = slices["foreground"]
+        vals, g = nll_terms(z[rows], targets["foreground"])
         values["foreground"] = float(vals.mean())
-        grads["foreground"]["foreground"] = g / g.shape[0]
+        grads["foreground"][rows] = g / g.shape[0]
 
-    if "background" in cosines:
-        z = cosines["background"] / tau
+    if "background" in slices:
+        rows = slices["background"]
         bg_idx = vocab.background_indices()
-        mass_vals, g_mass, masses = mass_terms(z, bg_idx)
-        uniform_vals, g_uniform = uniform_terms(z, bg_idx)
+        mass_vals, g_mass, masses = mass_terms(z[rows], bg_idx)
+        uniform_vals, g_uniform = uniform_terms(z[rows], bg_idx)
         live = switched_branches(masses, gamma)
         if branches is None:
             branches = live
         elif len(branches) != len(live):
             raise ValueError("pinned branches must match the background count")
         sel = np.array([b == MASS_BRANCH for b in branches])
-        n = z.shape[0]
+        n = len(live)
         values["mass"] = float(mass_vals.mean())
         values["uniform"] = float(uniform_vals.mean())
         values["switched"] = float(np.where(sel, mass_vals, uniform_vals).mean())
-        grads["mass"]["background"] = g_mass / n
-        grads["uniform"]["background"] = g_uniform / n
-        grads["switched"]["background"] = np.where(sel[:, None], g_mass, g_uniform) / n
+        grads["mass"][rows] = g_mass / n
+        grads["uniform"][rows] = g_uniform / n
+        grads["switched"][rows] = np.where(sel[:, None], g_mass, g_uniform) / n
 
-    if "pseudo_positive" in cosines:
-        vals, g = nll_terms(cosines["pseudo_positive"] / tau, targets["pseudo_positive"])
+    if "pseudo_positive" in slices:
+        rows = slices["pseudo_positive"]
+        vals, g = nll_terms(z[rows], targets["pseudo_positive"])
         values["pseudo"] += float(vals.mean())
-        grads["pseudo"]["pseudo_positive"] = g / g.shape[0]
-    if "pseudo_negative" in cosines:
+        grads["pseudo"][rows] = g / g.shape[0]
+    if "pseudo_negative" in slices:
+        rows = slices["pseudo_negative"]
         members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
-        vals, g, _ = mass_terms(cosines["pseudo_negative"] / tau, members)
+        vals, g, _ = mass_terms(z[rows], members)
         values["pseudo"] += negative_weight * float(vals.mean())
-        grads["pseudo"]["pseudo_negative"] = g * (negative_weight / g.shape[0])
+        grads["pseudo"][rows] = g * (negative_weight / g.shape[0])
 
-    values["final"] = (
-        values["foreground"]
-        + (values["switched"] if use_prompts else 0.0)
-        + (values["pseudo"] if use_discovery else 0.0)
-    )
-    grads["final"] = {
-        **grads["foreground"],
-        **(grads["switched"] if use_prompts else {}),
-        **(grads["pseudo"] if use_discovery else {}),
-    }
+    toggles = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
+    parts = [name for name, on in toggles.items() if on]
+    values["final"] = sum(values[name] for name in parts)
+    grads["final"] = sum(grads[name] for name in parts)
     return ObjectiveTerms(values, live, grads)
 
 
@@ -269,8 +253,8 @@ def batch_terms(
     negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
 ) -> ObjectiveTerms:
     """``objective_terms`` of one batch (and optional pseudo-label partition)."""
-    _, targets, cosines = proposal_groups(batch, partition, vocab)
-    return objective_terms(cosines, targets, vocab, tau, gamma, negative_weight, branches=branches)
+    _, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
 
 
 # -- per-component views ------------------------------------------------------

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import is_integer
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash
@@ -71,6 +72,12 @@ class ScenarioConfig:
     max_rejection_tries: int = 10000
 
     def __post_init__(self):
+        for name in ("dim", "n_base", "n_novel", "n_distractor", "n_train_images", "n_eval_images",
+                     "objects_per_image", "proposals_per_object", "clutter_per_image", "seed",
+                     "max_rejection_tries"):
+            value = getattr(self, name)
+            if not is_integer(value) or value < 0:
+                raise ValueError(f"ScenarioConfig.{name} must be a nonnegative integer, got {value!r}")
         if self.n_base < 1:
             raise ValueError("need at least one base category")
         if min(self.sigma_feat, self.sigma_det) < 0:

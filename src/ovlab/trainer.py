@@ -158,35 +158,25 @@ class TrainHistory:
 # -- objective and analytic gradients -------------------------------------------
 
 
-def _terms(cosines: dict, targets: dict, vocab: Vocabulary, config: TrainConfig, branches=None):
+def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, config: TrainConfig,
+           branches=None):
     """``objective_terms`` under one training configuration's hyperparameters and toggles."""
     return objective_terms(
-        cosines, targets, vocab, config.temperature, config.relax_threshold,
+        cosines, slices, targets, vocab, config.temperature, config.relax_threshold,
         config.negative_weight, config.use_prompts, config.use_discovery, branches,
     )
 
 
-def _embedding_gradient(
-    features: dict, cosines: dict, logit_grads: dict, vocab: Vocabulary, tau: float
-) -> np.ndarray:
-    """Chain d(loss)/d(logits) through the cosine layer to d(loss)/d(embeddings)."""
-    emb = vocab.embeddings
-    norms = np.linalg.norm(emb, axis=1)
-    ehat = emb / norms[:, None]
-    total = np.zeros_like(emb)
-    for name, g in logit_grads.items():
-        feats = features[name]
-        what = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        total += g.T @ what - ((g * cosines[name]).sum(axis=0))[:, None] * ehat
-    return total / (tau * norms[:, None])
+def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
+    """Chain d(loss)/d(logits) ``g`` through the cosine layer to d(loss)/d(embeddings)."""
+    norms = np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
+    what = features / np.linalg.norm(features, axis=1, keepdims=True)
+    return (g.T @ what - (g * cosines).sum(axis=0)[:, None] * (vocab.embeddings / norms)) / (tau * norms)
 
 
 def loss_and_gradients(
-    batch: ProposalBatch,
-    vocab: Vocabulary,
-    partition: BackgroundPartition | None,
-    config: TrainConfig,
-    component: str = "final",
+    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
+    config: TrainConfig, component: str = "final",
 ) -> tuple[LossBreakdown, Gradients]:
     """Combined objective of one batch and the exact gradient of one of its components.
 
@@ -198,8 +188,8 @@ def loss_and_gradients(
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
-    features, targets, cosines = proposal_groups(batch, partition, vocab)
-    values, branches, logit_grads = _terms(cosines, targets, vocab, config)
+    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    values, branches, logit_grads = _terms(cosines, slices, targets, vocab, config)
     breakdown = LossBreakdown(
         foreground=values["foreground"],
         background=values["switched"] if config.use_prompts else 0.0,
@@ -210,12 +200,10 @@ def loss_and_gradients(
         n_background=len(batch.background),
     )
     demb = _embedding_gradient(features, cosines, logit_grads[component], vocab, config.temperature)
-    under_start = vocab.underlying_slice.start
     ctx_grad = np.zeros_like(vocab.context_vectors)
-    for j, v in enumerate(vocab.context_vectors):
-        ctx_grad[j] = vocab.encoder.encode_context_vjp(v, demb[under_start + j])
-    grads = Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
-    return breakdown, grads
+    if vocab.n_underlying:  # a baseline vocabulary may carry no encoder
+        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
+    return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
 
 
 def _check_finite(grads: Gradients) -> Gradients:
@@ -242,29 +230,22 @@ def compute_gradients(
 
 
 def feature_gradients(
-    batch: ProposalBatch,
-    vocab: Vocabulary,
-    partition: BackgroundPartition | None,
-    config: TrainConfig,
-    component: str = "final",
+    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
+    config: TrainConfig, component: str = "final",
 ) -> dict[str, np.ndarray]:
     """Diagnostic gradient of a loss component with respect to the detector features.
 
     Features are synthetic inputs, not trained parameters; this exists so the
     whole differentiation chain can be checked from the other end.
     """
-    features, targets, cosines = proposal_groups(batch, partition, vocab)
-    logit_grads = _terms(cosines, targets, vocab, config).logit_grads[component]
-    emb = vocab.embeddings
-    ehat = emb / np.linalg.norm(emb, axis=1)[:, None]
-    out = {}
-    for name, g in logit_grads.items():
-        fnorms = np.linalg.norm(features[name], axis=1, keepdims=True)
-        what = features[name] / fnorms
-        out[name] = ((g @ ehat) - (g * cosines[name]).sum(axis=1)[:, None] * what) / (
-            config.temperature * fnorms
-        )
-    return out
+    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    g = _terms(cosines, slices, targets, vocab, config).logit_grads[component]
+    ehat = vocab.embeddings / np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
+    fnorms = np.linalg.norm(features, axis=1, keepdims=True)
+    grad = (g @ ehat - (g * cosines).sum(axis=1)[:, None] * (features / fnorms)) / (
+        config.temperature * fnorms
+    )
+    return {name: grad[rows] for name, rows in slices.items()}
 
 
 # -- finite-difference oracle ---------------------------------------------------
@@ -288,12 +269,8 @@ def central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def finite_diff_gradients(
-    batch: ProposalBatch,
-    vocab: Vocabulary,
-    partition: BackgroundPartition | None,
-    config: TrainConfig,
-    h: float,
-    component: str = "final",
+    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
+    config: TrainConfig, h: float, component: str = "final",
 ) -> tuple[Gradients, int]:
     """Central differences over every scalar parameter, branch frozen at center.
 
@@ -308,39 +285,38 @@ def finite_diff_gradients(
         raise ValueError(f"step size must be positive, got {h}")
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    features, targets, cosines = proposal_groups(batch, partition, vocab)
-    center_branches = _terms(cosines, targets, vocab, config).branches
+    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    center_branches = _terms(cosines, slices, targets, vocab, config).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
+    fnorms = np.linalg.norm(features, axis=1)
     flips = 0
 
     def patched_value(row: int, new_emb: np.ndarray) -> tuple[float, bool]:
-        patched = {}
-        nn = np.linalg.norm(new_emb)
-        for name, feats in features.items():
-            col = feats @ new_emb / (np.linalg.norm(feats, axis=1) * nn)
-            patched[name] = cosines[name].copy()
-            patched[name][:, row] = np.clip(col, -1.0, 1.0)
-        values, live, _ = _terms(patched, targets, vocab, config, center_branches)
+        patched = cosines.copy()
+        patched[:, row] = np.clip(features @ new_emb / (fnorms * np.linalg.norm(new_emb)), -1.0, 1.0)
+        values, live, _ = _terms(patched, slices, targets, vocab, config, center_branches)
         return values[component], switch_live and live != center_branches
 
-    def stencil(row: int, x: np.ndarray, embed) -> np.ndarray:
+    def stencil(rows, points: np.ndarray, embed) -> np.ndarray:
+        """Central differences over every coordinate of every point; point j patches column rows[j]."""
         nonlocal flips
-        grad = np.zeros_like(x)
-        for i in range(x.shape[0]):
-            delta = np.zeros_like(x)
-            delta[i] = h
-            up, f1 = patched_value(row, embed(x + delta))
-            dn, f2 = patched_value(row, embed(x - delta))
-            grad[i] = (up - dn) / (2 * h)
+        n, k = points.shape
+        ups = embed((points[:, None, :] + h * np.eye(k)).reshape(-1, k))
+        dns = embed((points[:, None, :] - h * np.eye(k)).reshape(-1, k))
+        grad = np.empty(n * k)
+        for p, row in enumerate(np.repeat(rows, k)):
+            up, f1 = patched_value(row, ups[p])
+            dn, f2 = patched_value(row, dns[p])
+            grad[p] = (up - dn) / (2 * h)
             flips += f1 or f2
-        return grad
+        return grad.reshape(n, k)
 
-    under_start = vocab.underlying_slice.start
+    under, sub = vocab.underlying_slice, vocab.sub_background_index
     ctx_grad = np.zeros_like(vocab.context_vectors)
-    for j, v in enumerate(vocab.context_vectors):
-        ctx_grad[j] = stencil(under_start + j, v, vocab.encoder.encode_context)
-    sub = vocab.embeddings[vocab.sub_background_index]
-    sub_grad = stencil(vocab.sub_background_index, sub, lambda e: e)
+    if vocab.n_underlying:
+        rows = range(under.start, under.stop)
+        ctx_grad = stencil(rows, vocab.context_vectors, vocab.encoder.encode_context)
+    sub_grad = stencil([sub], vocab.embeddings[[sub]], lambda e: e)[0]
     return Gradients(context=ctx_grad, sub_background=sub_grad), flips
 
 
@@ -422,26 +398,39 @@ class Checkpoint:
 
     @staticmethod
     def load(path) -> "Checkpoint":
+        """Read a checkpoint, rejecting malformed files and mismatched parts with ``ValueError``."""
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        if rec.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a checkpoint file: {rec.get('format')!r}")
+        if not isinstance(rec, dict) or rec.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path} is not a checkpoint file")
         if rec.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {rec.get('version')}")
-        centers = rec["cluster_centers"]
-        return Checkpoint(
-            encoder_config=rec["encoder"],
-            train_config=rec["train_config"],
-            dataset_hash=rec["dataset_hash"],
-            base_categories=tuple((r["id"], r["name_seed"]) for r in rec["base"]),
-            n_discovered=rec["n_discovered"],
-            context_vectors=np.asarray(rec["context_vectors"], dtype=np.float64),
-            sub_background=np.asarray(rec["sub_background"], dtype=np.float64),
-            cluster_centers=(
-                np.asarray(centers, dtype=np.float64) if centers is not None else None
-            ),
-            rng_state=rec["rng_state"],
-            branch_totals=rec["branch_totals"],
-        )
+        try:
+            centers = rec["cluster_centers"]
+            ckpt = Checkpoint(
+                encoder_config=rec["encoder"],
+                train_config=rec["train_config"],
+                dataset_hash=rec["dataset_hash"],
+                base_categories=tuple((r["id"], r["name_seed"]) for r in rec["base"]),
+                n_discovered=rec["n_discovered"],
+                context_vectors=np.asarray(rec["context_vectors"], dtype=np.float64),
+                sub_background=np.asarray(rec["sub_background"], dtype=np.float64),
+                cluster_centers=(
+                    np.asarray(centers, dtype=np.float64) if centers is not None else None
+                ),
+                rng_state=rec["rng_state"],
+                branch_totals=rec["branch_totals"],
+            )
+            ckpt.encoder_obj()
+            n_under = _underlying_count(ckpt.config_obj(), ckpt.n_discovered)
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path} lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed checkpoint {path}: {exc}") from None
+        for name, rows, want in (("context vectors", ckpt.context_vectors, n_under),
+                                  ("cluster centers", ckpt.cluster_centers, ckpt.n_discovered)):
+            if rows is not None and rows.shape[:1] != (want,):
+                raise ValueError(f"checkpoint {path} has {name} of shape {rows.shape}, needs {want} rows")
+        return ckpt
 
     def config_obj(self) -> TrainConfig:
         return TrainConfig(**self.train_config)
@@ -454,13 +443,8 @@ class Checkpoint:
         base_ids = [i for i, _ in self.base_categories]
         base_emb = np.stack([enc.encode_named_category(s) for _, s in self.base_categories])
         return build_training_vocab(
-            base_ids,
-            base_emb,
-            self.context_vectors,
-            self.sub_background,
-            enc,
-            n_discovered=self.n_discovered,
-            baseline_mode=self.config_obj().baseline_mode,
+            base_ids, base_emb, self.context_vectors, self.sub_background, enc,
+            n_discovered=self.n_discovered, baseline_mode=self.config_obj().baseline_mode,
         )
 
 
@@ -516,20 +500,22 @@ def _sample_batch(rng, scenario: Scenario, config: TrainConfig):
     n = len(scenario.train_images)
     k = min(config.batch_images, n)
     idx = sorted(rng.choice(n, size=k, replace=False))
-    fg, bg = [], []
-    for i in idx:
-        fg.extend(p for p in scenario.train_images[i].proposals if p.gt_label is not None)
-        bg.extend(p for p in scenario.train_images[i].proposals if p.gt_label is None)
-    return idx, ProposalBatch(foreground=tuple(fg), background=tuple(bg))
+    proposals = [p for i in idx for p in scenario.train_images[i].proposals]
+    return idx, ProposalBatch(foreground=tuple(p for p in proposals if p.gt_label is not None),
+                              background=tuple(p for p in proposals if p.gt_label is None))
+
+
+def _underlying_count(config: TrainConfig, n_discovered: int) -> int:
+    """Context vectors a run trains: discovered plus expansion categories (none in baseline mode)."""
+    return 0 if config.baseline_mode else n_discovered + config.extra_categories
 
 
 def initial_params(config: TrainConfig, encoder: MockTextEncoder, n_discovered: int) -> Params:
     """Seeded initialization: Gaussian context vectors, random unit sub-background."""
-    n_under = 0 if config.baseline_mode else n_discovered + config.extra_categories
+    n_under = _underlying_count(config, n_discovered)
+    ctx = np.zeros((0, encoder.ctx_dim))
     if n_under:
         ctx = init_context_vectors(n_under, config.seed, encoder.ctx_dim)
-    else:
-        ctx = np.zeros((0, encoder.ctx_dim))
     rng = np.random.default_rng([6, config.seed])
     sub = rng.standard_normal(encoder.dim)
     sub /= np.linalg.norm(sub)
@@ -547,9 +533,7 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
     """
     encoder = MockTextEncoder(**scenario.encoder_config)
     base_ids = list(scenario.base_ids)
-    base_emb = np.stack(
-        [encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids]
-    )
+    base_emb = np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids])
     n_discovered, centers = prepare_background(scenario, config)
     # Pseudo-labels depend only on frozen centers and image data: label each
     # training image once, then every step reads the sampled images' parts.
@@ -557,23 +541,15 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
     if centers is not None:  # discovery is on
         partitions = [_image_partition(im, centers, config) for im in scenario.train_images]
     params = initial_params(config, encoder, n_discovered)
-    velocity = Params(
-        context_vectors=np.zeros_like(params.context_vectors),
-        sub_background=np.zeros_like(params.sub_background),
-    )
+    velocity = Params(np.zeros_like(params.context_vectors), np.zeros_like(params.sub_background))
     rng = np.random.default_rng([5, config.seed])
     records: list[StepRecord] = []
 
     for step in range(config.steps):
         idx, batch = _sample_batch(rng, scenario, config)
         vocab = build_training_vocab(
-            base_ids,
-            base_emb,
-            params.context_vectors,
-            params.sub_background,
-            encoder,
-            n_discovered=n_discovered,
-            baseline_mode=config.baseline_mode,
+            base_ids, base_emb, params.context_vectors, params.sub_background, encoder,
+            n_discovered=n_discovered, baseline_mode=config.baseline_mode,
         )
         partition = None
         if partitions is not None:
@@ -585,12 +561,8 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
         params, velocity = sgd_step(
-            params,
-            _check_finite(grads),
-            velocity,
-            lr=config.learning_rate,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
+            params, _check_finite(grads), velocity,
+            lr=config.learning_rate, momentum=config.momentum, weight_decay=config.weight_decay,
         )
         records.append(
             StepRecord(

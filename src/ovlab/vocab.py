@@ -208,7 +208,7 @@ def build_training_vocab(
         )
 
     if n_under:
-        under_emb = np.stack([encoder.encode_context(v) for v in ctx])
+        under_emb = encoder.encode_context(ctx)
         if under_emb.shape[1] != d:
             raise DimensionMismatchError(
                 f"encoder dimension {under_emb.shape[1]} != base dimension {d}"

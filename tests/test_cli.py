@@ -180,6 +180,8 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", "nonsense"]) == 1
     gen = ["gen", "--out", str(tmp_path / "x.jsonl")]
     train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r")]
+    ablate = ["ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r")]
+    gradcheck = ["gradcheck", "--out", str(tmp_path / "r" / "gc.json")]
     # A section or an intermediate node that is not an object, or a value of the wrong type.
     for command, override in (
         (train, "train=5"),
@@ -187,12 +189,78 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (train, "train.steps=2.5"),
         (gen, "encoder.dim=2.5"),
         (gen, "encoder.seed=[1]"),
+        (gen, "scenario.n_base=2.5"),
+        (gen, "scenario.objects_per_image=-1"),
+        (ablate, "ablation.seeds=3"),
+        (ablate, 'ablation.combos="full"'),
+        (gradcheck, 'gradcheck.instances="a"'),
+        (gradcheck, "gradcheck.instances=0"),
     ):
         capsys.readouterr()
         assert main([*command, "--set", override]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (override, err)
     assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.fixture()
+def checkpoint(dataset, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
+    return run / "checkpoint.json"
+
+
+def _eval_error(checkpoint, dataset, out_dir, capsys, *extra) -> str:
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--out-dir", str(out_dir), *extra])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error:"), (extra, err)
+    assert not out_dir.exists()
+    return err[0]
+
+
+def test_eval_rejects_wrong_typed_settings(checkpoint, dataset, tmp_path, capsys):
+    for override, key in (
+        ('eval.recall_threshold="x"', "recall_threshold"),
+        ("eval.recall_threshold=1.5", "recall_threshold"),
+        ("eval.recall_threshold=true", "recall_threshold"),
+        ('eval.rectify="no"', "rectify"),
+        ("eval.rectify=0", "rectify"),
+    ):
+        assert key in _eval_error(checkpoint, dataset, tmp_path / "ev", capsys, "--set", override)
+
+
+def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsys):
+    rec = json.loads(checkpoint.read_text())
+    short = dict(rec, context_vectors=rec["context_vectors"][:-1])
+    centers = dict(rec, cluster_centers=rec["cluster_centers"][:-1])
+    for name, payload, message in (
+        ("list", [rec], "not a checkpoint"),
+        ("missing", {k: v for k, v in rec.items() if k != "sub_background"}, "sub_background"),
+        ("short", short, "context vectors"),
+        ("centers", centers, "cluster centers"),
+        ("config", dict(rec, train_config=dict(rec["train_config"], bogus=1)), "bogus"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        assert message in _eval_error(path, dataset, tmp_path / "ev", capsys), name
+
+
+def test_rectify_report_rejects_an_empty_eval_split(tmp_path, capsys):
+    data, run = tmp_path / "d.jsonl", tmp_path / "run"
+    empty = [*SMALL, "--set", "scenario.n_eval_images=0"]
+    assert main(["gen", "--out", str(data), *empty]) == 0
+    assert main(["train", "--dataset", str(data), "--out-dir", str(run), *empty]) == 0
+    capsys.readouterr()
+    assert main([
+        "rectify-report", "--checkpoint", str(run / "checkpoint.json"),
+        "--dataset", str(data), "--out-dir", str(tmp_path / "rect"),
+    ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "no proposals" in err[0], err
+    assert not (tmp_path / "rect").exists()
 
 
 def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):

@@ -55,6 +55,41 @@ def test_encode_context_dimension_error(enc):
         enc.encode_context(np.zeros(enc.ctx_dim + 1))
 
 
+def test_row_stack_matches_per_row_calls(enc):
+    rng = np.random.default_rng(12)
+    v = rng.normal(0, 1.2, (9, enc.ctx_dim))
+    g = rng.standard_normal((9, enc.dim))
+    np.testing.assert_allclose(
+        enc.encode_context(v), np.stack([enc.encode_context(row) for row in v]), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        enc.encode_context_vjp(v, g),
+        np.stack([enc.encode_context_vjp(row, cot) for row, cot in zip(v, g)]),
+        rtol=1e-12,
+    )
+
+
+def test_one_row_stack_equals_vector_call_exactly(enc):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        v = rng.normal(0, 1.2, enc.ctx_dim)
+        g = rng.standard_normal(enc.dim)
+        assert np.array_equal(enc.encode_context(v[None])[0], enc.encode_context(v))
+        assert np.array_equal(enc.encode_context_vjp(v[None], g[None])[0], enc.encode_context_vjp(v, g))
+
+
+def test_row_stack_shape_errors(enc):
+    v = np.zeros((3, enc.ctx_dim))
+    with pytest.raises(DimensionMismatchError):
+        enc.encode_context(np.zeros((2, 3, enc.ctx_dim)))
+    with pytest.raises(DimensionMismatchError):
+        enc.encode_context_vjp(v, np.zeros((2, enc.dim)))
+    with pytest.raises(DimensionMismatchError):
+        enc.encode_context_vjp(v, np.zeros(enc.dim))
+    with pytest.raises(DimensionMismatchError):
+        enc.encode_context_jvp(v, v)
+
+
 def test_jvp_zero_direction(enc):
     v = np.ones(enc.ctx_dim) * 0.1
     np.testing.assert_array_equal(enc.encode_context_jvp(v, np.zeros(enc.ctx_dim)), 0.0)

@@ -252,9 +252,11 @@ def test_branch_straddle_flagged(enc):
     batch = ProposalBatch(foreground=(), background=(make_proposal(q),))
     config = TrainConfig(temperature=0.05, discovered_categories=1, extra_categories=0,
                          use_discovery=False)
-    from ovlab.losses import batch_logits, mass_terms
+    from ovlab.core import cosine_matrix
+    from ovlab.losses import mass_terms
 
-    logits = batch_logits(batch.background_features(), vocab, config.temperature)
+    features = np.stack([p.det_feature for p in batch.background])
+    logits = cosine_matrix(features, vocab.embeddings) / config.temperature
     _, _, masses = mass_terms(logits, vocab.background_indices())
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
     _, flips = finite_diff_gradients(batch, vocab, None, on_boundary, h=1e-5)
