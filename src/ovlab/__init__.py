@@ -34,7 +34,7 @@ from .rectify import (
     partial_sums,
     shrinking_factor,
 )
-from .synth import Scenario, ScenarioConfig, generate_scenario, load_dataset, split_fg_bg, write_dataset
+from .synth import Scenario, ScenarioConfig, generate_scenario, load_dataset, write_dataset
 from .trainer import (
     Checkpoint,
     Gradients,

@@ -10,15 +10,14 @@ directory gets a manifest listing its artifacts with content hashes.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import is_integer
+from .core import check_fields, from_dict
 from .discovery import Box, Proposal, estimate_category_count
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
@@ -31,6 +30,7 @@ from .trainer import (
     COMPONENTS,
     Checkpoint,
     TrainConfig,
+    _underlying_count,
     finite_diff_gradients,
     history_to_json,
     loss_and_gradients,
@@ -40,43 +40,60 @@ from .trainer import (
 from .vocab import build_training_vocab
 
 GRADCHECK_TOLERANCES = {1.0: 1e-5, 0.05: 1e-4}
+COMBOS_BY_NAME = {c.name: c for c in STANDARD_COMBOS}
 
 
-def _section(config: dict, name: str) -> dict:
-    """A copy of one configuration section, which must be a JSON object."""
-    data = config.get(name, {})
-    if not isinstance(data, dict):
-        raise ValueError(f"config section {name!r} must be an object, got {data!r}")
-    return dict(data)
+@dataclass(frozen=True)
+class EvalConfig:
+    """The ``eval`` section: whether to rectify and the probability that counts as recalled."""
+
+    rectify: bool = True
+    recall_threshold: float = 0.5
+
+    def __post_init__(self):
+        check_fields(self)
+        if not 0 <= self.recall_threshold <= 1:
+            raise ValueError(f"EvalConfig.recall_threshold must lie in [0, 1], got {self.recall_threshold}")
 
 
-def _from_dict(cls, data: dict):
-    """``cls(**data)``, with unknown keys and wrong-typed values as ``ValueError``."""
-    names = set(inspect.signature(cls).parameters)
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:  # a value of the wrong JSON type
-        raise ValueError(f"invalid {cls.__name__} value: {exc}") from None
+@dataclass(frozen=True)
+class AblationConfig:
+    """The ``ablation`` section: training seeds and combination names (all standard ones if unset)."""
+
+    seeds: tuple[int, ...] = tuple(range(10))
+    combos: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"AblationConfig.seeds must be nonnegative and not empty, got {self.seeds}")
+        unknown = [n for n in self.combos or () if n not in COMBOS_BY_NAME]
+        if unknown:
+            raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(COMBOS_BY_NAME)}")
 
 
-def _setting(config: dict, dotted: str, default, valid, expected: str):
-    """One hand-read ``section.key`` value (or its default); ``ValueError`` unless ``valid``."""
-    section, key = dotted.split(".")
-    value = _section(config, section).get(key, default)
-    if not valid(value):
-        raise ValueError(f"{dotted} must be {expected}, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class GradcheckConfig:
+    """The ``gradcheck`` section: the first instance seed and the number of instances."""
+
+    seed: int = 0
+    instances: int = 10
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.seed < 0 or self.instances < 1:
+            raise ValueError(f"GradcheckConfig needs seed >= 0 and instances >= 1, got {self}")
 
 
-def _is_count(value) -> bool:
-    return is_integer(value) and value >= 0
+SECTIONS = {"scenario": ScenarioConfig, "encoder": MockTextEncoder, "train": TrainConfig,
+            "eval": EvalConfig, "ablation": AblationConfig, "gradcheck": GradcheckConfig}
 
 
-def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
-    """Merge the config file, --set overrides, and the --seed shorthand."""
+def load_config(path: str | None, overrides: list[str], seed: int | None, **defaults) -> dict:
+    """Merge the config file, --set overrides and --seed into one object per name in ``SECTIONS``.
+
+    ``defaults`` maps a section name to values that the file and overrides may replace.
+    """
     config: dict = {}
     if path:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -99,22 +116,12 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> dic
             if not isinstance(node, dict):
                 raise ValueError(f"override {item!r}: {p!r} is not an object")
         node[parts[-1]] = value
-    return config
-
-
-def _scenario_config(config: dict) -> ScenarioConfig:
-    data = _section(config, "scenario")
-    if "hidden_weights" in data and data["hidden_weights"] is not None:
-        data["hidden_weights"] = tuple(data["hidden_weights"])
-    return _from_dict(ScenarioConfig, data)
-
-
-def _encoder(config: dict) -> MockTextEncoder:
-    return _from_dict(MockTextEncoder, {"seed": 7, **_section(config, "encoder")})
-
-
-def _train_config(config: dict) -> TrainConfig:
-    return _from_dict(TrainConfig, _section(config, "train"))
+    unknown = set(config) - set(SECTIONS)
+    if unknown:
+        raise ValueError(f"unknown config sections {sorted(unknown)}; known: {list(SECTIONS)}")
+    defaults = {"encoder": {"seed": 7}, **defaults}
+    return {name: from_dict(cls, config.get(name, {}), **defaults.get(name, {}))
+            for name, cls in SECTIONS.items()}
 
 
 def _write_manifest(out_dir: Path, extra: dict | None = None) -> None:
@@ -134,9 +141,7 @@ def _write_manifest(out_dir: Path, extra: dict | None = None) -> None:
 
 def cmd_gen(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    scenario_config = _scenario_config(config)
-    encoder = _encoder(config)
-    scenario = generate_scenario(scenario_config, encoder)
+    scenario = generate_scenario(config["scenario"], config["encoder"])
     write_dataset(scenario, args.out)
     n_train = sum(len(im.proposals) for im in scenario.train_images)
     n_eval = sum(len(im.proposals) for im in scenario.eval_images)
@@ -150,7 +155,7 @@ def cmd_gen(args) -> int:
 
 def cmd_estimate_k(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    tcfg = _train_config(config)
+    tcfg = config["train"]
     features = pool_background(load_dataset(args.dataset), tcfg)
     k_max = min(tcfg.k_max, features.shape[0])
     estimate = estimate_category_count(features, tcfg.k_min, k_max, tcfg.seed)
@@ -160,7 +165,7 @@ def cmd_estimate_k(args) -> int:
         print(f"{k:>4} {score:>12.4f}{marker}")
     print(f"estimated count: {estimate.count}"
           + (" (low confidence)" if estimate.low_confidence else ""))
-    print(f"vocabulary will use {estimate.count} + {tcfg.extra_categories} underlying categories")
+    print(f"vocabulary will use {_underlying_count(tcfg, estimate.count)} underlying categories")
     if args.out:
         write_text(
             args.out,
@@ -180,7 +185,7 @@ def cmd_estimate_k(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    tcfg = _train_config(config)
+    tcfg = config["train"]
     scenario = load_dataset(args.dataset)
     history, checkpoint = train(tcfg, scenario)
     out_dir = Path(args.out_dir)
@@ -191,24 +196,18 @@ def cmd_train(args) -> int:
     if history.steps:
         first, last = history.steps[0].breakdown.total, history.steps[-1].breakdown.total
         print(f"loss: {first:.6f} (step 1) -> {last:.6f} (step {tcfg.steps})")
-    print(f"underlying categories: {checkpoint.n_discovered} discovered + {tcfg.extra_categories} expansion")
+    print(f"underlying categories: {_underlying_count(tcfg, checkpoint.n_discovered)}")
     print(f"wrote {out_dir / 'checkpoint.json'}")
     return 0
 
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    rectify = _setting(config, "eval.rectify", True, lambda v: isinstance(v, bool), "true or false")
-    threshold = _setting(
-        config, "eval.recall_threshold", 0.5,
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1,
-        "a real number in [0, 1]",
-    )
-    if args.rectify is not None:
-        rectify = args.rectify
+    settings = config["eval"]
+    rectify = settings.rectify if args.rectify is None else args.rectify
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset)
-    report = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+    report = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=settings.recall_threshold)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "report.json", report.to_json() + "\n")
     write_text(out_dir / "report.txt", report.render() + "\n")
@@ -244,26 +243,11 @@ def cmd_rectify_report(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set, args.seed)
-    tcfg = _train_config(config)
-    seeds = _setting(
-        config, "ablation.seeds", list(range(10)),
-        lambda v: isinstance(v, list) and v and all(map(_is_count, v)),
-        "a non-empty list of nonnegative integers",
-    )
-    combo_names = _setting(
-        config, "ablation.combos", None,
-        lambda v: v is None or (isinstance(v, list) and all(isinstance(n, str) for n in v)),
-        "a list of combination names",
-    )
-    combos = STANDARD_COMBOS
-    if combo_names:
-        by_name = {c.name: c for c in STANDARD_COMBOS}
-        unknown = [n for n in combo_names if n not in by_name]
-        if unknown:
-            raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(by_name)}")
-        combos = tuple(by_name[n] for n in combo_names)
+    tcfg = config["train"]
+    settings = config["ablation"]
+    combos = tuple(COMBOS_BY_NAME[n] for n in settings.combos) if settings.combos else STANDARD_COMBOS
     scenario = load_dataset(args.dataset)
-    result = run_ablation(AblationSpec(combos=combos, seeds=tuple(seeds)), scenario, tcfg)
+    result = run_ablation(AblationSpec(combos=combos, seeds=settings.seeds), scenario, tcfg)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "ablation.json", result.to_json() + "\n")
     write_text(out_dir / "ablation.txt", result.render() + "\n")
@@ -356,13 +340,9 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_config(args.config, args.set, args.seed)
-    seed = _setting(config, "gradcheck.seed", 0, _is_count, "a nonnegative integer")
-    n = _setting(
-        config, "gradcheck.instances", args.instances,
-        lambda v: _is_count(v) and v >= 1, "a positive integer",
-    )
-    rows, ok = gradcheck_table(n, seed)
+    config = load_config(args.config, args.set, args.seed, gradcheck={"instances": args.instances})
+    settings = config["gradcheck"]
+    rows, ok = gradcheck_table(settings.instances, settings.seed)
     print(f"{'tau':>6} {'component':<12} {'worst rel err':>14} {'tol':>8} {'flagged':>8} {'status':>8}")
     for r in rows:
         status = "ok" if r["passed"] else "FAIL"

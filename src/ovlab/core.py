@@ -8,8 +8,11 @@ multiplies and partially sums the raw exponential scores.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import types
+import typing
 
 import numpy as np
 
@@ -18,6 +21,8 @@ __all__ = [
     "ZeroNormError",
     "check_temperature",
     "is_integer",
+    "check_fields",
+    "from_dict",
     "as_embedding",
     "cosine",
     "log_cos_exp_score",
@@ -50,6 +55,46 @@ def check_temperature(tau: float) -> float:
 def is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, floats and everything else."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _matches(value, hint) -> bool:
+    """Whether ``value`` fits an ``int``, ``float``, ``bool``, ``str``, ``tuple[T, ...]`` or ``T | None`` hint."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_matches(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (tuple, list)) and all(_matches(v, args[0]) for v in value)
+    if hint is int:
+        return is_integer(value)
+    if hint is float:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def check_fields(instance) -> None:
+    """Raise one ``ValueError`` naming ``Class.field`` for a value that does not match its annotation.
+
+    Checks and never converts (a bool is not an int, an int is a float),
+    except that a list given for a tuple field is stored as a tuple.
+    """
+    cls = type(instance)
+    for name, hint in _type_hints(cls).items():
+        value = getattr(instance, name)
+        if not _matches(value, hint):
+            raise ValueError(f"{cls.__name__}.{name} must be {cls.__annotations__[name]}, got {value!r}")
+        if isinstance(value, list):
+            object.__setattr__(instance, name, tuple(value))
+
+
+def from_dict(cls, data, **defaults):
+    """``cls(**defaults, **data)``; a non-object ``data`` or an unknown or missing key is a ``ValueError``."""
+    try:
+        return cls(**{**defaults, **data})
+    except TypeError as exc:
+        raise ValueError(f"invalid {cls.__name__} settings: {exc}") from None
 
 
 def as_embedding(v, dim: int | None = None) -> np.ndarray:

@@ -192,7 +192,7 @@ def kmeans(features, k: int, seed: int, max_iters: int = 100, n_init: int = 8) -
     which minimizes the same squared-distance objective for unit-norm data.
     Empty clusters are re-seeded to the point farthest from its own center.
     Runs ``n_init`` independent seeded initializations and keeps the lowest
-    objective; each run's objective is asserted non-increasing.
+    objective; a run whose objective increases raises ``RuntimeError``.
     """
     pts = np.asarray(features, dtype=np.float64)
     if pts.ndim != 2:
@@ -235,10 +235,9 @@ def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: in
         d2 = _sq_dists(pts, centers, point_sq)
         new_assign = d2.argmin(axis=1)
         objective = float(d2[np.arange(n), new_assign].sum())
-        if history:
-            assert objective <= history[-1] + 1e-9, (
-                f"k-means objective increased at iteration {iteration}: "
-                f"{history[-1]} -> {objective}"
+        if history and objective > history[-1] + 1e-9:
+            raise RuntimeError(
+                f"k-means objective increased at iteration {iteration}: {history[-1]} -> {objective}"
             )
         history.append(objective)
         if np.array_equal(new_assign, assignments):

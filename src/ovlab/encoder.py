@@ -15,14 +15,11 @@ embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DimensionMismatchError, is_integer
 
 __all__ = [
-    "PromptTemplate",
     "MockTextEncoder",
     "init_context_vectors",
     "CONTEXT_INIT_STD",
@@ -42,17 +39,6 @@ _NAME_TOKEN_STD = 1.0
 # Salts separating the independent random streams drawn from one encoder seed.
 _WEIGHT_SALT = 0
 _NAME_SALT = 1
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Fixed encoder-input rendering of the shared prompt wording."""
-
-    prefix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.prefix.shape[0]
 
 
 class MockTextEncoder:
@@ -80,7 +66,7 @@ class MockTextEncoder:
         self.prefix_dim = int(prefix_dim)
 
         rng = np.random.default_rng([_WEIGHT_SALT, self.seed])
-        self.template = PromptTemplate(prefix=rng.standard_normal(prefix_dim) * _PREFIX_SCALE)
+        self._prefix = rng.standard_normal(prefix_dim) * _PREFIX_SCALE  # the shared prompt wording
         w1 = rng.standard_normal((hidden_dim, prefix_dim + ctx_dim))
         w1[:, :prefix_dim] /= np.sqrt(prefix_dim)
         w1[:, prefix_dim:] *= _CONTEXT_COLUMN_STD
@@ -88,7 +74,7 @@ class MockTextEncoder:
         self._b1 = rng.standard_normal(hidden_dim) * _HIDDEN_BIAS_STD
         self._w2 = rng.standard_normal((dim, hidden_dim)) / np.sqrt(hidden_dim)
         self._b2 = rng.standard_normal(dim) * _OUTPUT_BIAS_STD
-        for arr in (self._w1, self._b1, self._w2, self._b2, self.template.prefix):
+        for arr in (self._w1, self._b1, self._w2, self._b2, self._prefix):
             arr.setflags(write=False)
 
     # -- forward ----------------------------------------------------------
@@ -108,7 +94,7 @@ class MockTextEncoder:
         On one row every product is the same BLAS call as on a vector, so a
         vector and its one-row stack encode bit for bit alike.
         """
-        prefix = np.broadcast_to(self.template.prefix, (rows.shape[0], self.prefix_dim))
+        prefix = np.broadcast_to(self._prefix, (rows.shape[0], self.prefix_dim))
         a = np.hstack([prefix, rows]) @ self._w1.T + self._b1
         y = np.tanh(a) @ self._w2.T + self._b2
         if not np.all(np.isfinite(y)):

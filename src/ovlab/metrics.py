@@ -80,8 +80,8 @@ class EvalReport:
 def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
     """The checkpoint's vocabulary with the scenario's oracle novel block inserted.
 
-    Refuses a checkpoint whose embedding dimension or base categories do
-    not match the dataset's.
+    Refuses a checkpoint whose embedding dimension, base categories or
+    dataset hash do not match the dataset's.
     """
     encoder = checkpoint.encoder_obj()
     if encoder.dim != scenario.config.dim:
@@ -90,6 +90,8 @@ def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
         )
     if set(i for i, _ in checkpoint.base_categories) != set(scenario.base_ids):
         raise ValueError("checkpoint base categories do not match the dataset")
+    if checkpoint.dataset_hash != scenario.dataset_hash():
+        raise ValueError("checkpoint was trained on another dataset (its dataset_hash differs)")
     novel_emb = np.array(
         [encoder.encode_named_category(scenario.name_seeds[i]) for i in scenario.novel_ids]
     )
@@ -242,11 +244,7 @@ def run_ablation(
             base_scores.append(report.base_top1)
         rows.append(
             {
-                "name": combo.name,
-                "baseline_mode": combo.baseline_mode,
-                "use_prompts": combo.use_prompts,
-                "use_discovery": combo.use_discovery,
-                "rectify": combo.rectify,
+                **asdict(combo),
                 "seeds": list(spec.seeds),
                 "novel_top1": novel_scores,
                 "base_top1": base_scores,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_integer
+from .core import check_fields, from_dict
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash
@@ -31,7 +31,6 @@ __all__ = [
     "SynthImage",
     "Scenario",
     "generate_scenario",
-    "split_fg_bg",
     "write_dataset",
     "load_dataset",
     "DATASET_FORMAT",
@@ -72,16 +71,14 @@ class ScenarioConfig:
     max_rejection_tries: int = 10000
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("dim", "n_base", "n_novel", "n_distractor", "n_train_images", "n_eval_images",
                      "objects_per_image", "proposals_per_object", "clutter_per_image", "seed",
-                     "max_rejection_tries"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 0:
-                raise ValueError(f"ScenarioConfig.{name} must be a nonnegative integer, got {value!r}")
+                     "max_rejection_tries", "sigma_feat", "sigma_det"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"ScenarioConfig.{name} must be nonnegative, got {getattr(self, name)}")
         if self.n_base < 1:
             raise ValueError("need at least one base category")
-        if min(self.sigma_feat, self.sigma_det) < 0:
-            raise ValueError("noise levels must be nonnegative")
         if not (0.0 <= self.base_fraction <= 1.0):
             raise ValueError("base_fraction must lie in [0, 1]")
 
@@ -329,20 +326,6 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     )
 
 
-def split_fg_bg(scenario: Scenario) -> list[tuple[list[Proposal], list[Proposal]]]:
-    """Per training image: annotated (foreground) vs everything else (background).
-
-    Every unlabeled proposal — novel objects, distractor objects, clutter —
-    lands in the background set.
-    """
-    out = []
-    for image in scenario.train_images:
-        fg = [p for p in image.proposals if p.gt_label is not None]
-        bg = [p for p in image.proposals if p.gt_label is None]
-        out.append((fg, bg))
-    return out
-
-
 # -- dataset files ------------------------------------------------------------
 
 
@@ -400,19 +383,30 @@ def write_dataset(scenario: Scenario, path) -> None:
 
 
 def load_dataset(path) -> Scenario:
-    """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder)."""
+    """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
+
+    A malformed file, a missing key or a header whose ``config_hash`` does
+    not match its settings is a ``ValueError``.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text:
         raise ValueError(f"empty dataset file {path}")
+    try:
+        return _parse_dataset(path, text)
+    except KeyError as exc:
+        raise ValueError(f"dataset {path} lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed dataset {path}: {exc}") from None
+
+
+def _parse_dataset(path, text: list[str]) -> Scenario:
     header = json.loads(text[0])
-    if header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"not a dataset file: format={header.get('format')!r}")
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{path} is not a dataset file")
     if header.get("version") != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {header.get('version')}")
-    cfg = header["config"]
-    cfg["hidden_weights"] = tuple(cfg["hidden_weights"]) if cfg["hidden_weights"] else None
-    config = ScenarioConfig(**cfg)
-    encoder = MockTextEncoder(**header["encoder"])
+    config = from_dict(ScenarioConfig, header["config"])
+    encoder = from_dict(MockTextEncoder, header["encoder"])
 
     name_seeds: dict[int, int] = {}
     base_ids = tuple(rec["id"] for rec in header["base"])
@@ -422,8 +416,7 @@ def load_dataset(path) -> Scenario:
         name_seeds[rec["id"]] = rec["name_seed"]
     prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
 
-    images: dict[tuple[str, int], dict] = {}
-    order: list[tuple[str, int]] = []
+    images: dict[tuple[str, int], dict] = {}  # in file order
     for line in text[1:]:
         if not line.strip():
             continue
@@ -431,7 +424,6 @@ def load_dataset(path) -> Scenario:
         key = (rec["split"], rec["image"])
         if rec["type"] == "image":
             images[key] = {"gt_boxes": [Box(*b) for b in rec["gt_boxes"]], "proposals": []}
-            order.append(key)
         elif rec["type"] == "proposal":
             if key not in images:
                 raise ValueError(
@@ -460,14 +452,14 @@ def load_dataset(path) -> Scenario:
         return tuple(
             SynthImage(
                 image_id=img_id,
-                proposals=tuple(images[(split, img_id)]["proposals"]),
-                gt_boxes=tuple(images[(split, img_id)]["gt_boxes"]),
+                proposals=tuple(image["proposals"]),
+                gt_boxes=tuple(image["gt_boxes"]),
             )
-            for (s, img_id) in order
+            for (s, img_id), image in images.items()
             if s == split
         )
 
-    return Scenario(
+    scenario = Scenario(
         config=config,
         encoder_config=header["encoder"],
         base_ids=base_ids,
@@ -478,3 +470,6 @@ def load_dataset(path) -> Scenario:
         train_images=build("train"),
         eval_images=build("eval"),
     )
+    if header["config_hash"] != scenario.dataset_hash():
+        raise ValueError(f"dataset {path} header config_hash does not match its settings")
+    return scenario

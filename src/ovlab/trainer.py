@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import is_integer
+from .core import check_fields, from_dict
 from .discovery import estimate_category_count, filter_background_proposals, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .losses import (
@@ -100,11 +100,7 @@ class TrainConfig:
     pseudo_nms_iou: float = 0.5
 
     def __post_init__(self):
-        for name in ("steps", "batch_images", "seed", "k_min", "k_max", "extra_categories",
-                     "discovered_categories"):
-            value = getattr(self, name)
-            if not is_integer(value) and not (name == "discovered_categories" and value is None):
-                raise ValueError(f"TrainConfig.{name} must be an integer, got {value!r}")
+        check_fields(self)
         if self.learning_rate <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("rates must be positive (momentum/decay nonnegative)")
         if self.steps < 0 or self.batch_images < 1:
@@ -433,10 +429,10 @@ class Checkpoint:
         return ckpt
 
     def config_obj(self) -> TrainConfig:
-        return TrainConfig(**self.train_config)
+        return from_dict(TrainConfig, self.train_config)
 
     def encoder_obj(self) -> MockTextEncoder:
-        return MockTextEncoder(**self.encoder_config)
+        return from_dict(MockTextEncoder, self.encoder_config)
 
     def build_vocab(self) -> Vocabulary:
         enc = self.encoder_obj()

@@ -120,18 +120,25 @@ def test_rectify_report_rejects_a_non_positive_proposal_count(dataset, tmp_path,
 
 
 def test_rectify_report_checks_the_checkpoint_like_eval(dataset, tmp_path, capsys):
-    run, other = tmp_path / "run", tmp_path / "other.jsonl"
+    run = tmp_path / "run"
     assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
-    assert main(["gen", "--out", str(other), *SMALL, "--set", "scenario.n_base=5"]) == 0
-    errors = []
-    for command in ("eval", "rectify-report"):
-        capsys.readouterr()
-        assert main([
-            command, "--checkpoint", str(run / "checkpoint.json"),
-            "--dataset", str(other), "--out-dir", str(tmp_path / command),
-        ]) == 1
-        errors.append(capsys.readouterr().err.splitlines())
-    assert errors[0] == errors[1] == ["error: checkpoint base categories do not match the dataset"]
+    for extra, message in (
+        (["--set", "scenario.n_base=5"], "error: checkpoint base categories do not match the dataset"),
+        # Same shape and base categories, but another world: trained on another dataset.
+        (["--seed", "99"], "error: checkpoint was trained on another dataset (its dataset_hash differs)"),
+    ):
+        other = tmp_path / "other.jsonl"
+        assert main(["gen", "--out", str(other), *SMALL, *extra]) == 0
+        errors = []
+        for command in ("eval", "rectify-report"):
+            capsys.readouterr()
+            assert main([
+                command, "--checkpoint", str(run / "checkpoint.json"),
+                "--dataset", str(other), "--out-dir", str(tmp_path / command),
+            ]) == 1
+            errors.append(capsys.readouterr().err.splitlines())
+        assert errors[0] == errors[1] == [message]
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "rectify-report").exists()
 
 
 def test_ablate_small_grid(dataset, tmp_path):
@@ -156,8 +163,9 @@ def test_gradcheck_passes(tmp_path):
 
 def test_config_file_drives_commands(tmp_path):
     cfg = tmp_path / "config.json"
+    weights = [2, 1, 1, 1, 1, 1, 1.5]  # a list (JSON has no tuple) of ints and floats
     cfg.write_text(json.dumps({
-        "scenario": {"n_train_images": 6, "n_eval_images": 3, "seed": 11},
+        "scenario": {"n_train_images": 6, "n_eval_images": 3, "seed": 11, "hidden_weights": weights},
         "train": {"steps": 4},
     }))
     data = tmp_path / "d.jsonl"
@@ -165,6 +173,9 @@ def test_config_file_drives_commands(tmp_path):
     header = json.loads(data.read_text().splitlines()[0])
     assert header["config"]["n_train_images"] == 6
     assert header["config"]["seed"] == 11
+    assert header["config"]["hidden_weights"] == weights
+    # The header round-trips through the same check, and its config_hash still matches.
+    assert main(["train", "--config", str(cfg), "--dataset", str(data), "--out-dir", str(tmp_path / "r")]) == 0
 
 
 def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
@@ -174,6 +185,10 @@ def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
     assert (run / "checkpoint.json").exists()
     out = capsys.readouterr().out
     assert "trained 0 steps" in out and "loss:" not in out
+    # Baseline mode trains no underlying category, and the summary says so.
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "base"),
+                 *SMALL, "--set", "train.steps=0", "--set", "train.baseline_mode=true"]) == 0
+    assert "underlying categories: 0\n" in capsys.readouterr().out
 
 
 def test_bad_override_fails(dataset, tmp_path, capsys):
@@ -187,10 +202,17 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (train, "train=5"),
         (train, "train.steps.x=1"),
         (train, "train.steps=2.5"),
+        (train, 'train.temperature="x"'),
+        (train, "train.nms_iou=null"),
+        (train, 'train.baseline_mode="no"'),
+        (train, "train.use_prompts=1"),
         (gen, "encoder.dim=2.5"),
         (gen, "encoder.seed=[1]"),
         (gen, "scenario.n_base=2.5"),
         (gen, "scenario.objects_per_image=-1"),
+        (gen, "scenario.hidden_weights=5"),
+        (gen, 'scenario.novel_cone_deg="a"'),
+        (gen, 'scenario.image_size="x"'),
         (ablate, "ablation.seeds=3"),
         (ablate, 'ablation.combos="full"'),
         (gradcheck, 'gradcheck.instances="a"'),
@@ -272,19 +294,39 @@ def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
     swapped, empty = tmp_path / "swapped.jsonl", tmp_path / "empty.jsonl"
     swapped.write_text("\n".join(lines) + "\n")
     empty.write_text("")
-    for path, message in ((swapped, f"{rec['split']} image {rec['image']}"), (empty, "empty")):
+    cases = [(swapped, f"{rec['split']} image {rec['image']}"), (empty, "empty")]
+    # Header edits: each is refused with a message that names what is wrong.
+    header = json.loads(lines[0])
+    for name, edited, message in (
+        ("unknown_key", dict(header, config=dict(header["config"], bogus=1)), "bogus"),
+        ("no_config", {k: v for k, v in header.items() if k != "config"}, "'config'"),
+        ("sigma_type", dict(header, config=dict(header["config"], sigma_det="0.15")), "sigma_det"),
+        ("encoder_key", dict(header, encoder=dict(header["encoder"], bogus=1)), "bogus"),
+        ("hash", dict(header, config_hash="0" * 64), "config_hash"),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join([json.dumps(edited), *dataset.read_text().splitlines()[1:]]) + "\n")
+        cases.append((path, message))
+    for path, message in cases:
         capsys.readouterr()
         assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r"), *SMALL]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
-    for override in ("scenario.bogus_knob=3", "encoder.bogus=1"):
+    # Every command builds every section, so gen refuses a bad eval key too.
+    for override, name in (
+        ("scenario.bogus_knob=3", "bogus"),
+        ("encoder.bogus=1", "bogus"),
+        ("eval.bogus=1", "bogus"),
+        ("evall.rectify=false", "evall"),
+    ):
         capsys.readouterr()
         assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", override]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0], err
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0], (override, err)
     assert not (tmp_path / "x.jsonl").exists()
 
 

@@ -201,6 +201,19 @@ def test_kmeans_objective_non_increasing():
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
 
 
+def test_kmeans_objective_increase_raises(monkeypatch):
+    # A broken centre update (the antipode of the mean) must stop the run,
+    # also under ``python -O``, which strips asserts.
+    import ovlab.discovery as discovery
+
+    rng = np.random.default_rng(6)
+    pts = np.array([unit(rng, 8) for _ in range(120)])
+    normalized_mean = discovery._normalized_mean
+    monkeypatch.setattr(discovery, "_normalized_mean", lambda rows: -normalized_mean(rows))
+    with pytest.raises(RuntimeError, match="objective increased"):
+        kmeans(pts, k=4, seed=1)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(7)
     pts = np.array([unit(rng, 6) for _ in range(50)])

@@ -13,7 +13,6 @@ from ovlab.synth import (
     SynthImage,
     generate_scenario,
     load_dataset,
-    split_fg_bg,
     write_dataset,
 )
 from ovlab.trainer import TrainConfig, train
@@ -104,24 +103,25 @@ def test_reference_scenario_nearest_prototype_accuracy(enc):
 
 
 def test_split_fg_bg_partitions(scenario):
-    splits = split_fg_bg(scenario)
-    assert len(splits) == len(scenario.train_images)
-    for (fg, bg), image in zip(splits, scenario.train_images):
+    # Annotated (foreground) proposals are base objects labeled with their
+    # own category; every other proposal is unlabeled background.
+    for image in scenario.train_images:
+        fg = [p for p in image.proposals if p.gt_label is not None]
+        bg = [p for p in image.proposals if p.gt_label is None]
         assert len(fg) + len(bg) == len(image.proposals)
         for p in fg:
-            assert p.gt_label is not None and p.oracle.generative_label in scenario.base_ids
-        for p in bg:
-            assert p.gt_label is None
+            assert p.oracle.generative_label in scenario.base_ids
+            assert p.gt_label == p.oracle.generative_label
 
 
 def test_every_hidden_object_is_background(scenario):
+    # Novel and distractor objects are unlabeled, like every other
+    # background proposal.
     hidden = set(scenario.hidden_ids)
-    for fg, bg in split_fg_bg(scenario):
-        for p in fg:
-            assert p.oracle.generative_label not in hidden
-        hidden_in_bg = [p for p in bg if p.oracle.generative_label in hidden]
-        for p in hidden_in_bg:
-            assert p.gt_label is None
+    for image in scenario.train_images:
+        for p in image.proposals:
+            if p.oracle.generative_label in hidden:
+                assert p.gt_label is None
 
 
 def test_no_hidden_objects_means_clutter_only_background(enc):
@@ -129,9 +129,9 @@ def test_no_hidden_objects_means_clutter_only_background(enc):
         n_novel=0, n_distractor=0, n_train_images=5, n_eval_images=2, seed=4
     )
     scen = generate_scenario(config, enc)
-    for fg, bg in split_fg_bg(scen):
-        for p in bg:
-            assert p.oracle.source == "clutter"
+    for image in scen.train_images:
+        for p in image.proposals:
+            assert p.gt_label is not None or p.oracle.source == "clutter"
 
 
 def test_rpn_scores_separate_objects_from_clutter(scenario):

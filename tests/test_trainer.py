@@ -462,13 +462,27 @@ def test_hyperparameter_defaults_pinned():
     assert config.weight_decay == 2.5e-5
 
 
+FLOAT_FIELDS = ("temperature", "learning_rate", "nms_iou", "score_threshold")
+BOOL_FIELDS = ("use_prompts", "use_discovery", "baseline_mode")
+
+
 @pytest.mark.parametrize(
     "name",
-    ["steps", "batch_images", "seed", "k_min", "k_max", "extra_categories", "discovered_categories"],
+    ["steps", "batch_images", "seed", "k_min", "k_max", "extra_categories", "discovered_categories",
+     *FLOAT_FIELDS, *BOOL_FIELDS],
 )
 def test_train_config_rejects_non_integer_counts(name):
-    for value in (2.5, 3.0, "3", True):
+    # Each field admits only its annotated type; an accepted value is stored unconverted.
+    if name in FLOAT_FIELDS:
+        bad, good = ("x", "0.5", True, None, [0.5]), (np.int64(1), 1, 0.25)
+    elif name in BOOL_FIELDS:
+        bad, good = (1, 0, "no", "false", None), (False, True)
+    else:
+        bad, good = (2.5, 3.0, "3", True), (np.int64(3), 3)
+    for value in bad:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
-    assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
+    for value in good:
+        stored = getattr(TrainConfig(**{name: value}), name)
+        assert stored == value and type(stored) is type(value)
     assert TrainConfig(discovered_categories=None).discovered_categories is None
