@@ -5,17 +5,14 @@ pseudo-labels, and reconciled with revealed novel categories at inference
 through probability rectification. Every formula is backed by brute-force
 oracles and gradient checks over synthetic embedding scenarios."""
 
-from .core import cos_exp_score, cosine, softmax_probs
-from .discovery import Box, Proposal, estimate_category_count, iou, kmeans, nms
+from .core import cosine, softmax_probs
+from .discovery import Box, Proposal, estimate_category_count, iou, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import AblationSpec, EvalReport, evaluate, run_ablation
 from .losses import (
     LossBreakdown,
     ProposalBatch,
     background_mass,
-    background_mass_loss,
-    foreground_loss,
-    relaxed_background_loss,
     switched_background_loss,
 )
 from .pseudo import (
@@ -24,15 +21,12 @@ from .pseudo import (
     assign_pseudo_label,
     center_probs,
     generate_pseudo_labels,
-    pseudo_label_loss,
 )
 from .rectify import (
     PartialSums,
     RectifiedScores,
-    conditional_prob,
     inference_probs,
     partial_sums,
-    shrinking_factor,
 )
 from .synth import Scenario, ScenarioConfig, generate_scenario, load_dataset, write_dataset
 from .trainer import (

@@ -25,10 +25,7 @@ __all__ = [
     "from_dict",
     "as_embedding",
     "cosine",
-    "log_cos_exp_score",
-    "cos_exp_score",
     "logsumexp",
-    "log_softmax",
     "softmax_probs",
     "cosine_matrix",
     "log_softmax_rows",
@@ -66,8 +63,9 @@ def _matches(value, hint) -> bool:
         return isinstance(value, (tuple, list)) and all(_matches(v, args[0]) for v in value)
     if hint is int:
         return is_integer(value)
-    if hint is float:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if hint is float:  # JSON's NaN and Infinity literals parse, but fit no setting
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return real and (is_integer(value) or math.isfinite(value))
     return isinstance(value, hint)
 
 
@@ -77,8 +75,8 @@ _type_hints = functools.cache(typing.get_type_hints)
 def check_fields(instance) -> None:
     """Raise one ``ValueError`` naming ``Class.field`` for a value that does not match its annotation.
 
-    Checks and never converts (a bool is not an int, an int is a float),
-    except that a list given for a tuple field is stored as a tuple.
+    Checks and never converts (a bool is not an int, an int is a float, a
+    float is finite), except that a list given for a tuple field is stored as a tuple.
     """
     cls = type(instance)
     for name, hint in _type_hints(cls).items():
@@ -131,16 +129,6 @@ def cosine(a, b) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def log_cos_exp_score(a, b, tau: float) -> float:
-    """Log of the cosine exponential score: cos(a, b) / tau."""
-    return cosine(a, b) / check_temperature(tau)
-
-
-def cos_exp_score(a, b, tau: float) -> float:
-    """Unnormalized category score exp(cos(a, b) / tau); strictly positive."""
-    return math.exp(log_cos_exp_score(a, b, tau))
-
-
 def logsumexp(values) -> float:
     """Max-shifted log-sum-exp with compensated (fsum) accumulation.
 
@@ -156,12 +144,6 @@ def logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in arr.ravel()))
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities of a 1-D logit vector (max-shifted)."""
-    z = np.asarray(logits, dtype=np.float64)
-    return z - logsumexp(z)
-
-
 def softmax_probs(query, categories, tau: float) -> np.ndarray:
     """Temperature-scaled softmax of a query embedding over an ordered category list.
 
@@ -172,8 +154,8 @@ def softmax_probs(query, categories, tau: float) -> np.ndarray:
     q = as_embedding(query)
     if len(categories) == 0:
         raise ValueError("softmax over an empty category list")
-    logits = np.array([cosine(q, c) / tau for c in categories])
-    return np.exp(log_softmax(logits))
+    z = np.array([cosine(q, c) / tau for c in categories])
+    return np.exp(z - logsumexp(z))
 
 
 def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:

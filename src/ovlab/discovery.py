@@ -20,7 +20,6 @@ __all__ = [
     "CountEstimate",
     "iou",
     "nms_indices",
-    "nms",
     "filter_background_proposals",
     "kmeans",
     "silhouette_score",
@@ -112,20 +111,6 @@ def nms_indices(boxes, scores, iou_threshold: float) -> list[int]:
     return kept
 
 
-def nms(proposals, iou_threshold: float, score_key: str = "rpn", pseudo_scores=None):
-    """NMS over proposals scored by objectness ("rpn") or pseudo-label score ("pseudo")."""
-    if score_key == "rpn":
-        scores = [p.rpn_score for p in proposals]
-    elif score_key == "pseudo":
-        if pseudo_scores is None or len(pseudo_scores) != len(proposals):
-            raise ValueError("score_key='pseudo' needs one pseudo score per proposal")
-        scores = list(pseudo_scores)
-    else:
-        raise ValueError(f"unknown score_key {score_key!r}")
-    kept = nms_indices([p.box for p in proposals], scores, iou_threshold)
-    return [proposals[i] for i in kept]
-
-
 def filter_background_proposals(
     proposals,
     gt_boxes,
@@ -146,7 +131,8 @@ def filter_background_proposals(
         if p.rpn_score >= theta
         and all(iou(p.box, g) < gt_iou_cut for g in gt_boxes)
     ]
-    return nms(survivors, nms_iou, score_key="rpn")
+    kept = nms_indices([p.box for p in survivors], [p.rpn_score for p in survivors], nms_iou)
+    return [survivors[i] for i in kept]
 
 
 # -- clustering -------------------------------------------------------------

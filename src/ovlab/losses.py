@@ -16,9 +16,9 @@ vocabulary and these components:
 ``objective_terms`` is the one implementation: from one cosine matrix over
 every group's stacked proposals it returns every component value, the
 switch pattern, and every component's gradient with respect to the logits;
-the trainer chains those through the cosine layer and the encoder. The
-per-component loss functions below are views of it. All means are over proposals, so duplicating a batch
-leaves every loss unchanged.
+the trainer chains those through the cosine layer and the encoder, and
+``batch_terms`` evaluates it on one batch. All means are over proposals, so
+duplicating a batch leaves every loss unchanged.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ __all__ = [
     "proposal_groups",
     "objective_terms",
     "batch_terms",
-    "foreground_loss",
-    "background_mass_loss",
-    "relaxed_background_loss",
     "switched_background_loss",
 ]
 
@@ -255,24 +252,6 @@ def batch_terms(
     """``objective_terms`` of one batch (and optional pseudo-label partition)."""
     _, slices, targets, cosines = proposal_groups(batch, partition, vocab)
     return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
-
-
-# -- per-component views ------------------------------------------------------
-
-
-def foreground_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
-    """Mean cross-entropy of annotated proposals against their base category; 0 when empty."""
-    return batch_terms(batch, None, vocab, tau).values["foreground"]
-
-
-def background_mass_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
-    """Mean over background proposals of -log(background block mass)."""
-    return batch_terms(batch, None, vocab, tau).values["mass"]
-
-
-def relaxed_background_loss(batch: ProposalBatch, vocab: Vocabulary, tau: float) -> float:
-    """Mean over background proposals of the uniform pull toward the background block."""
-    return batch_terms(batch, None, vocab, tau).values["uniform"]
 
 
 def switched_background_loss(

@@ -19,8 +19,6 @@ import numpy as np
 
 from .core import check_temperature, cosine_matrix
 from .discovery import Proposal, filter_background_proposals, nms_indices
-from .losses import ProposalBatch, batch_terms
-from .vocab import Vocabulary
 
 __all__ = [
     "PseudoLabel",
@@ -28,8 +26,6 @@ __all__ = [
     "center_probs",
     "assign_pseudo_label",
     "generate_pseudo_labels",
-    "pseudo_label_loss",
-    "dump_pseudo_labels",
 ]
 
 
@@ -48,10 +44,6 @@ class BackgroundPartition:
 
     positives: tuple[tuple[Proposal, PseudoLabel], ...]
     negatives: tuple[Proposal, ...]
-
-    @property
-    def n_filtered(self) -> int:
-        return len(self.positives) + len(self.negatives)
 
 
 def center_probs(img_feature, centers, tau: float) -> np.ndarray:
@@ -119,28 +111,3 @@ def generate_pseudo_labels(
     negatives = tuple(filtered[i] for i in range(len(filtered)) if i not in kept)
     return BackgroundPartition(positives=positives, negatives=negatives)
 
-
-def pseudo_label_loss(
-    partition: BackgroundPartition,
-    vocab: Vocabulary,
-    tau: float,
-    negative_weight: float,
-) -> float:
-    """Cross-entropy of positives toward their discovered category, plus the
-    weighted mass pull of negatives toward the expansion-plus-sub-background set.
-
-    Either side contributes 0 when empty.
-    """
-    if negative_weight < 0.0:
-        raise ValueError(f"negative_weight must be nonnegative, got {negative_weight}")
-    empty = ProposalBatch(foreground=(), background=())
-    return batch_terms(empty, partition, vocab, tau, negative_weight=negative_weight).values["pseudo"]
-
-
-def dump_pseudo_labels(partition: BackgroundPartition) -> str:
-    """Line-oriented record of the positive labels: proposal id, category, score."""
-    lines = [
-        f"{lab.proposal_index}\t{lab.category}\t{lab.score!r}"
-        for _, lab in partition.positives
-    ]
-    return "\n".join(lines)

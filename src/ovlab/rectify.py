@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, cosine_matrix, logsumexp
-from .vocab import CategoryId, Kind, Vocabulary
+from .vocab import Vocabulary
 
 __all__ = [
     "PartialSums",
     "RectifiedScores",
     "partial_sums",
-    "conditional_prob",
-    "shrinking_factor",
     "compute_shrinking_factors",
     "score",
     "rectified_underlying_sum",
@@ -110,40 +108,6 @@ def partial_sums(query, vocab: Vocabulary, tau: float) -> PartialSums:
     )
 
 
-def _position(vocab: Vocabulary, cat: CategoryId) -> int:
-    if cat.kind is Kind.NOVEL:
-        return vocab.novel_slice.start + vocab.novel_ids.index(cat.index)
-    if cat.kind is Kind.UNDERLYING:
-        if not (0 <= cat.index < vocab.n_underlying):
-            raise IndexError(f"underlying index {cat.index} out of range")
-        return vocab.underlying_slice.start + cat.index
-    if cat.kind is Kind.BASE:
-        return vocab.base_position(cat.index)
-    return vocab.sub_background_index
-
-
-def conditional_prob(
-    c_novel: CategoryId, c_underlying: CategoryId, vocab: Vocabulary, tau: float
-) -> float:
-    """Probability that an underlying category's concept is the given novel one.
-
-    Sample-agnostic: computed purely from embedding similarities, as the
-    underlying embedding's score for the novel embedding normalized over
-    every other category in the inference vocabulary.
-    """
-    tau = check_temperature(tau)
-    _require_inference(vocab)
-    if c_novel.kind is not Kind.NOVEL:
-        raise ValueError(f"first argument must be a novel category, got {c_novel.kind}")
-    if c_underlying.kind is not Kind.UNDERLYING:
-        raise ValueError(f"second argument must be an underlying category, got {c_underlying.kind}")
-    anchor_pos = _position(vocab, c_underlying)
-    novel_pos = _position(vocab, c_novel)
-    z = cosine_matrix(vocab.embeddings[anchor_pos][None, :], vocab.embeddings)[0] / tau
-    others = np.delete(np.arange(vocab.size), anchor_pos)
-    return math.exp(z[novel_pos] - logsumexp(z[others]))
-
-
 def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     """Per-underlying-category factor 1 - (conditional mass shared with the novel block).
 
@@ -169,13 +133,6 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
         shared = math.exp(logsumexp(z[i, novel]) - denom)
         factors[i] = min(1.0, max(0.0, 1.0 - shared))
     return factors
-
-
-def shrinking_factor(c_underlying: CategoryId, vocab: Vocabulary, tau: float) -> float:
-    """Factor in [0, 1] scaling one underlying category's score at inference."""
-    if c_underlying.kind is not Kind.UNDERLYING:
-        raise ValueError(f"expected an underlying category, got {c_underlying.kind}")
-    return float(compute_shrinking_factors(vocab, tau)[c_underlying.index])
 
 
 def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):

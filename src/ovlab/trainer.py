@@ -48,7 +48,6 @@ __all__ = [
     "loss_and_gradients",
     "loss_final",
     "compute_gradients",
-    "feature_gradients",
     "finite_diff_gradients",
     "sgd_step",
     "pool_background",
@@ -105,6 +104,10 @@ class TrainConfig:
             raise ValueError("rates must be positive (momentum/decay nonnegative)")
         if self.steps < 0 or self.batch_images < 1:
             raise ValueError("invalid step or batch configuration")
+        if self.negative_weight < 0:
+            raise ValueError(f"negative_weight must be nonnegative, got {self.negative_weight}")
+        if not 0.0 <= self.relax_threshold <= 1.0:
+            raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
 
 
 @dataclass
@@ -225,43 +228,7 @@ def compute_gradients(
     return _check_finite(loss_and_gradients(batch, vocab, partition, config, component)[1])
 
 
-def feature_gradients(
-    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
-    config: TrainConfig, component: str = "final",
-) -> dict[str, np.ndarray]:
-    """Diagnostic gradient of a loss component with respect to the detector features.
-
-    Features are synthetic inputs, not trained parameters; this exists so the
-    whole differentiation chain can be checked from the other end.
-    """
-    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
-    g = _terms(cosines, slices, targets, vocab, config).logit_grads[component]
-    ehat = vocab.embeddings / np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
-    fnorms = np.linalg.norm(features, axis=1, keepdims=True)
-    grad = (g @ ehat - (g * cosines).sum(axis=1)[:, None] * (features / fnorms)) / (
-        config.temperature * fnorms
-    )
-    return {name: grad[rows] for name, rows in slices.items()}
-
-
 # -- finite-difference oracle ---------------------------------------------------
-
-
-def central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    The elementary stencil (f(x + h e_i) - f(x - h e_i)) / 2h: exact for
-    quadratics, O(h^2) truncation error in the smooth regime.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return grad
 
 
 def finite_diff_gradients(
@@ -416,7 +383,7 @@ class Checkpoint:
                 rng_state=rec["rng_state"],
                 branch_totals=rec["branch_totals"],
             )
-            ckpt.encoder_obj()
+            dim = ckpt.encoder_obj().dim
             n_under = _underlying_count(ckpt.config_obj(), ckpt.n_discovered)
         except KeyError as exc:
             raise ValueError(f"checkpoint {path} lacks {exc}") from None
@@ -426,6 +393,10 @@ class Checkpoint:
                                   ("cluster centers", ckpt.cluster_centers, ckpt.n_discovered)):
             if rows is not None and rows.shape[:1] != (want,):
                 raise ValueError(f"checkpoint {path} has {name} of shape {rows.shape}, needs {want} rows")
+        centers = ckpt.cluster_centers
+        if centers is not None and centers.shape[1:] != (dim,):
+            raise ValueError(f"checkpoint {path} has cluster centers of shape {centers.shape}, "
+                             f"needs {dim} columns (the encoder's dim)")
         return ckpt
 
     def config_obj(self) -> TrainConfig:

@@ -206,6 +206,9 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (train, "train.nms_iou=null"),
         (train, 'train.baseline_mode="no"'),
         (train, "train.use_prompts=1"),
+        (train, "train.learning_rate=NaN"),
+        (train, "train.negative_weight=-1"),
+        (train, "train.relax_threshold=5"),
         (gen, "encoder.dim=2.5"),
         (gen, "encoder.seed=[1]"),
         (gen, "scenario.n_base=2.5"),
@@ -213,6 +216,8 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (gen, "scenario.hidden_weights=5"),
         (gen, 'scenario.novel_cone_deg="a"'),
         (gen, 'scenario.image_size="x"'),
+        (gen, "scenario.image_size=Infinity"),
+        (gen, "scenario.sigma_feat=NaN"),
         (ablate, "ablation.seeds=3"),
         (ablate, 'ablation.combos="full"'),
         (gradcheck, 'gradcheck.instances="a"'),
@@ -258,11 +263,13 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
     rec = json.loads(checkpoint.read_text())
     short = dict(rec, context_vectors=rec["context_vectors"][:-1])
     centers = dict(rec, cluster_centers=rec["cluster_centers"][:-1])
+    narrow = dict(rec, cluster_centers=[row[:-1] for row in rec["cluster_centers"]])
     for name, payload, message in (
         ("list", [rec], "not a checkpoint"),
         ("missing", {k: v for k, v in rec.items() if k != "sub_background"}, "sub_background"),
         ("short", short, "context vectors"),
         ("centers", centers, "cluster centers"),
+        ("narrow", narrow, "cluster centers"),
         ("config", dict(rec, train_config=dict(rec["train_config"], bogus=1)), "bogus"),
     ):
         path = tmp_path / f"{name}.json"

@@ -10,7 +10,6 @@ from ovlab.discovery import (
     filter_background_proposals,
     iou,
     kmeans,
-    nms,
     nms_indices,
     silhouette_score,
 )
@@ -70,7 +69,7 @@ def test_nms_two_identical_boxes():
     b = Box(0, 0, 10, 10)
     props = [make_proposal(np.array([1.0, 0.0]), box=b, rpn_score=0.8),
              make_proposal(np.array([1.0, 0.0]), box=b, rpn_score=0.9)]
-    kept = nms(props, iou_threshold=0.5)
+    kept = filter_background_proposals(props, [], theta=0.1, nms_iou=0.5)
     assert len(kept) == 1 and kept[0].rpn_score == 0.9
 
 
@@ -79,7 +78,7 @@ def test_nms_disjoint_all_kept():
         make_proposal(np.array([1.0, 0.0]), box=Box(20 * i, 0, 20 * i + 5, 5), rpn_score=0.5)
         for i in range(6)
     ]
-    assert len(nms(props, iou_threshold=0.5)) == 6
+    assert len(filter_background_proposals(props, [], theta=0.1, nms_iou=0.5)) == 6
 
 
 def test_nms_matches_brute_force_oracle():
@@ -100,15 +99,9 @@ def test_nms_tie_break_lower_index():
 
 
 def test_nms_pseudo_scores():
-    b1, b2 = Box(0, 0, 10, 10), Box(1, 1, 11, 11)
-    props = [make_proposal(np.array([1.0, 0.0]), box=b1, rpn_score=0.99),
-             make_proposal(np.array([1.0, 0.0]), box=b2, rpn_score=0.01)]
-    kept = nms(props, 0.5, score_key="pseudo", pseudo_scores=[0.1, 0.9])
-    assert kept[0] is props[1]
-    with pytest.raises(ValueError):
-        nms(props, 0.5, score_key="pseudo")
-    with pytest.raises(ValueError):
-        nms(props, 0.5, score_key="bogus")
+    # Per-class NMS in pseudo-labelling ranks overlapping boxes by label score.
+    boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11)]
+    assert nms_indices(boxes, [0.1, 0.9], 0.5) == [1]
 
 
 def test_filter_background_proposals_threshold_and_overlap():

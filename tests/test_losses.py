@@ -11,9 +11,7 @@ from ovlab.losses import (
     UNIFORM_BRANCH,
     ProposalBatch,
     background_mass,
-    background_mass_loss,
-    foreground_loss,
-    relaxed_background_loss,
+    batch_terms,
     switched_background_loss,
 )
 
@@ -34,6 +32,11 @@ def _eye_vocab(n_base, n_under, d=None, n_discovered=None):
 
 def _batch(fg=(), bg=()):
     return ProposalBatch(foreground=tuple(fg), background=tuple(bg))
+
+
+def _loss(component, batch, vocab, tau):
+    """One component of the objective on a batch without pseudo-labels."""
+    return batch_terms(batch, None, vocab, tau).values[component]
 
 
 # -- background_mass -----------------------------------------------------------
@@ -77,7 +80,7 @@ def test_foreground_loss_perfect_classification_saturates():
         eye = np.eye(m + 1)
         vocab = make_vocab(base_emb=eye[: m - 1], under_emb=None, sub=eye[m - 1])
         batch = _batch(fg=[make_proposal(eye[0], gt_label=0)])
-        loss = foreground_loss(batch, vocab, tau=0.02)
+        loss = _loss("foreground", batch, vocab, tau=0.02)
         expected = math.log1p((m - 1) * math.exp(-50.0))
         assert loss == pytest.approx(expected, rel=1e-6)
         assert loss < 1e-18
@@ -88,21 +91,21 @@ def test_foreground_loss_symmetric_two_category():
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     q = (eye[0] + eye[1]) / math.sqrt(2.0)
     batch = _batch(fg=[make_proposal(q, gt_label=0)])
-    assert foreground_loss(batch, vocab, tau=0.31) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert _loss("foreground", batch, vocab, tau=0.31) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_foreground_loss_mean_not_sum():
     rng = np.random.default_rng(2)
     vocab = _eye_vocab(3, 2, d=8)
     fg = [make_proposal(unit(rng, 8), gt_label=i % 3) for i in range(4)]
-    single = foreground_loss(_batch(fg=fg), vocab, tau=0.5)
-    doubled = foreground_loss(_batch(fg=fg + fg), vocab, tau=0.5)
+    single = _loss("foreground", _batch(fg=fg), vocab, tau=0.5)
+    doubled = _loss("foreground", _batch(fg=fg + fg), vocab, tau=0.5)
     assert single == pytest.approx(doubled, rel=1e-12)
 
 
 def test_foreground_loss_empty_set_is_zero():
     vocab = _eye_vocab(2, 1)
-    assert foreground_loss(_batch(), vocab, tau=1.0) == 0.0
+    assert _loss("foreground", _batch(), vocab, tau=1.0) == 0.0
 
 
 def test_unlabeled_foreground_rejected():
@@ -123,7 +126,7 @@ def test_foreground_loss_nonnegative_sweep():
     for tau in (1.0, 0.05):
         for _ in range(30):
             batch = _batch(fg=[make_proposal(unit(rng, 10), gt_label=int(rng.integers(3)))])
-            assert foreground_loss(batch, vocab, tau) >= 0.0
+            assert _loss("foreground", batch, vocab, tau) >= 0.0
 
 
 # -- background mass loss ---------------------------------------------------------
@@ -134,14 +137,14 @@ def test_mass_loss_half_mass():
     eye = np.eye(3)
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     q = (eye[0] + eye[1]) / math.sqrt(2.0)
-    loss = background_mass_loss(_batch(bg=[make_proposal(q)]), vocab, tau=0.11)
+    loss = _loss("mass", _batch(bg=[make_proposal(q)]), vocab, tau=0.11)
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_mass_loss_no_base_limit():
     vocab = make_vocab(base_emb=np.zeros((0, 4)), under_emb=np.eye(4)[:2], sub=np.eye(4)[2])
     rng = np.random.default_rng(6)
-    loss = background_mass_loss(_batch(bg=[make_proposal(unit(rng, 4))]), vocab, tau=0.5)
+    loss = _loss("mass", _batch(bg=[make_proposal(unit(rng, 4))]), vocab, tau=0.5)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -149,7 +152,7 @@ def test_mass_loss_brute_force_oracle():
     rng = np.random.default_rng(7)
     vocab = _eye_vocab(3, 3, d=12)
     bg = [make_proposal(unit(rng, 12)) for _ in range(9)]
-    loss = background_mass_loss(_batch(bg=bg), vocab, tau=0.2)
+    loss = _loss("mass", _batch(bg=bg), vocab, tau=0.2)
     # Independent path: scalar softmax, explicit index sum, then -log.
     total = 0.0
     for p in bg:
@@ -160,7 +163,7 @@ def test_mass_loss_brute_force_oracle():
 
 def test_mass_loss_empty_background_is_zero():
     vocab = _eye_vocab(2, 1)
-    assert background_mass_loss(_batch(), vocab, tau=1.0) == 0.0
+    assert _loss("mass", _batch(), vocab, tau=1.0) == 0.0
 
 
 # -- relaxed loss ------------------------------------------------------------------
@@ -173,7 +176,7 @@ def test_relaxed_loss_uniform_probabilities():
     eye = np.eye(m + 1)
     vocab = make_vocab(base_emb=eye[:2], under_emb=eye[2:4], sub=eye[4])
     q = eye[:m].sum(axis=0) / math.sqrt(m)
-    loss = relaxed_background_loss(_batch(bg=[make_proposal(q)]), vocab, tau=0.4)
+    loss = _loss("uniform", _batch(bg=[make_proposal(q)]), vocab, tau=0.4)
     assert loss == pytest.approx(math.log(m), abs=1e-12)
 
 
@@ -183,8 +186,8 @@ def test_relaxed_loss_degenerate_single_term():
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     rng = np.random.default_rng(8)
     bg = [make_proposal(unit(rng, 3))]
-    relaxed = relaxed_background_loss(_batch(bg=bg), vocab, tau=0.3)
-    mass = background_mass_loss(_batch(bg=bg), vocab, tau=0.3)
+    relaxed = _loss("uniform", _batch(bg=bg), vocab, tau=0.3)
+    mass = _loss("mass", _batch(bg=bg), vocab, tau=0.3)
     assert relaxed == pytest.approx(mass, rel=1e-12)
 
 
@@ -192,7 +195,7 @@ def test_relaxed_loss_brute_force_oracle():
     rng = np.random.default_rng(9)
     vocab = _eye_vocab(2, 4, d=10)
     bg = [make_proposal(unit(rng, 10)) for _ in range(7)]
-    loss = relaxed_background_loss(_batch(bg=bg), vocab, tau=0.15)
+    loss = _loss("uniform", _batch(bg=bg), vocab, tau=0.15)
     total = 0.0
     for p in bg:
         probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.15)
@@ -264,7 +267,7 @@ def test_switch_gamma_zero_equals_mass_loss():
     bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
     value, branches = switched_background_loss(_batch(bg=bg), vocab, tau=0.3, gamma=0.0)
     assert set(branches) == {MASS_BRANCH}
-    assert value == background_mass_loss(_batch(bg=bg), vocab, tau=0.3)
+    assert value == _loss("mass", _batch(bg=bg), vocab, tau=0.3)
 
 
 def test_switch_gamma_one_equals_relaxed_loss():
@@ -273,7 +276,7 @@ def test_switch_gamma_one_equals_relaxed_loss():
     bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
     value, branches = switched_background_loss(_batch(bg=bg), vocab, tau=0.3, gamma=1.0)
     assert set(branches) == {UNIFORM_BRANCH}
-    assert value == relaxed_background_loss(_batch(bg=bg), vocab, tau=0.3)
+    assert value == _loss("uniform", _batch(bg=bg), vocab, tau=0.3)
 
 
 def test_switch_gamma_out_of_range():
@@ -304,7 +307,7 @@ def test_all_losses_nonnegative_random_sweep():
     for tau in (1.0, 0.05):
         bg = [make_proposal(unit(rng, 10)) for _ in range(5)]
         batch = _batch(bg=bg)
-        assert background_mass_loss(batch, vocab, tau) >= 0.0
-        assert relaxed_background_loss(batch, vocab, tau) >= 0.0
+        assert _loss("mass", batch, vocab, tau) >= 0.0
+        assert _loss("uniform", batch, vocab, tau) >= 0.0
         value, _ = switched_background_loss(batch, vocab, tau, gamma=0.02)
         assert value >= 0.0

@@ -1,0 +1,92 @@
+"""The production package holds production code.
+
+Every function a module of ``src/ovlab`` exports through ``__all__`` must be
+used by the package itself, be part of the acceptance suite's interface, or
+be a function the benchmark tracer hooks. A function only other tests call
+belongs in the tests (scalar oracles live in ``tests/oracles.py``).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ovlab"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported_functions(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that the module defines as top-level functions."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in exported
+    )
+
+
+def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names read (or attributes taken) anywhere in ``tree`` outside ``skip``'s body."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every ``from ovlab.<module> import name`` or ``from .<module> import name``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("ovlab.")
+            found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+def _hook_targets() -> set[tuple[str, str]]:
+    """(module, attribute) of every ``Hook(...)`` in the benchmark tracer's ``HOOKS`` table."""
+    tree = _parse(ROOT / "bench" / "tracing.py")
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook":
+            module, attr = (ast.literal_eval(a) for a in node.args[1:3])
+            targets.add((module.removeprefix("ovlab."), attr))
+    return targets
+
+
+def test_every_exported_function_has_a_production_caller():
+    trees = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    acceptance = _imports(_parse(ROOT / "tests" / "test_acceptance.py"))
+    hooks = _hook_targets()
+    unused = []
+    for module, tree in trees.items():
+        for name in _exported_functions(tree):
+            if (module, name) in acceptance or (module, name) in hooks:
+                continue
+            definition = next(
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name
+            )
+            if name in _references(tree, skip=definition):
+                continue
+            importers = [
+                other for m, other in trees.items()
+                if m != module and (module, name) in _imports(other)
+            ]
+            if any(name in _references(other) for other in importers):
+                continue
+            unused.append(f"{module}.{name}")
+    assert not unused, f"exported functions with no caller in src/ovlab: {unused}"

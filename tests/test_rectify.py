@@ -8,15 +8,14 @@ import pytest
 from ovlab.core import softmax_probs
 from ovlab.rectify import (
     compute_shrinking_factors,
-    conditional_prob,
     inference_probs,
     partial_sums,
     rectified_underlying_sum,
     score,
-    shrinking_factor,
 )
 from ovlab.vocab import CategoryId, Kind, build_inference_vocab, build_training_vocab
 
+from oracles import conditional_prob
 from util import make_vocab, unit
 
 
@@ -161,7 +160,7 @@ def test_conditional_rows_sum_to_one():
 def test_factor_empty_novel_is_one():
     rng = np.random.default_rng(6)
     vocab = _random_inference_vocab(rng, n_novel=0)
-    assert shrinking_factor(CategoryId(0, Kind.UNDERLYING), vocab, tau=0.5) == 1.0
+    assert compute_shrinking_factors(vocab, tau=0.5)[0] == 1.0
 
 
 def test_factor_concentrated_overlap_vanishes():
@@ -170,7 +169,7 @@ def test_factor_concentrated_overlap_vanishes():
     novel = eye[3]
     under = np.vstack([novel, eye[4]])
     vocab = make_vocab(base_emb=eye[:2], novel_emb=novel[None, :], under_emb=under, sub=eye[5])
-    f = shrinking_factor(CategoryId(0, Kind.UNDERLYING), vocab, tau=0.02)
+    f = compute_shrinking_factors(vocab, tau=0.02)[0]
     assert f == pytest.approx(0.0, abs=1e-12)
 
 
@@ -179,8 +178,22 @@ def test_factor_hand_computed_orthogonal_case():
     # every conditional score equal, novel share 1/5, factor 0.8.
     eye = np.eye(8)
     vocab = make_vocab(base_emb=eye[:2], novel_emb=eye[2:3], under_emb=eye[3:5], sub=eye[5])
-    f = shrinking_factor(CategoryId(0, Kind.UNDERLYING), vocab, tau=0.33)
+    f = compute_shrinking_factors(vocab, tau=0.33)[0]
     assert f == pytest.approx(0.8, rel=1e-12)
+
+
+def test_factors_match_conditional_prob_oracle():
+    # Factor u = 1 - sum over the novel block of p(novel | underlying u).
+    rng = np.random.default_rng(14)
+    for tau in (1.0, 0.1):
+        vocab = _random_inference_vocab(rng, n_novel=3)
+        factors = compute_shrinking_factors(vocab, tau)
+        for u in range(vocab.n_underlying):
+            shared = sum(
+                conditional_prob(CategoryId(n, Kind.NOVEL), CategoryId(u, Kind.UNDERLYING), vocab, tau)
+                for n in vocab.novel_ids
+            )
+            assert factors[u] == pytest.approx(1.0 - shared, rel=1e-12, abs=1e-15)
 
 
 def test_factors_in_unit_interval_sweep():
@@ -190,13 +203,6 @@ def test_factors_in_unit_interval_sweep():
             vocab = _random_inference_vocab(rng)
             f = compute_shrinking_factors(vocab, tau)
             assert np.all(f >= 0.0) and np.all(f <= 1.0)
-
-
-def test_factor_requires_underlying_kind():
-    rng = np.random.default_rng(8)
-    vocab = _random_inference_vocab(rng)
-    with pytest.raises(ValueError):
-        shrinking_factor(CategoryId(0, Kind.BASE), vocab, tau=1.0)
 
 
 # -- rectified underlying sum ----------------------------------------------------------
