@@ -161,14 +161,26 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray, point_sq=None) -> np.ndar
     return np.maximum(d2, 0.0)
 
 
-def _normalized_mean(rows: np.ndarray) -> np.ndarray:
-    m = rows.mean(axis=0)
-    n = np.linalg.norm(m)
-    if n < 1e-12:
-        # Pathological antipodal cluster; keep a deterministic direction.
-        m = rows[0]
-        n = np.linalg.norm(m)
-    return m / n
+def _update_centers(pts: np.ndarray, assignments: np.ndarray, k: int, own_d2: np.ndarray) -> np.ndarray:
+    """Lloyd centre update: every cluster's member mean, normalized onto the unit sphere.
+
+    The member sums are one ``onehot.T @ pts`` product. Only two rare cases
+    take a per-cluster path: an empty cluster is re-seeded to the point
+    farthest from its own centre (``own_d2`` holds each point's squared
+    distance to the centre it was assigned to), and a cluster whose mean is
+    near zero (an antipodal pair) keeps the direction of its first member.
+    """
+    onehot = (assignments[:, None] == np.arange(k)).astype(np.float64)
+    counts = onehot.sum(axis=0)
+    means = (onehot.T @ pts) / np.maximum(counts, 1.0)[:, None]
+    # Row-wise dot products: the arithmetic of ``np.linalg.norm`` on one row.
+    norms = np.sqrt((means[:, None, :] @ means[:, :, None]).ravel())
+    rare = norms < 1e-12  # every empty cluster too: its mean is zero
+    centers = means / np.where(rare, 1.0, norms)[:, None]
+    for j in np.flatnonzero(rare):
+        row = pts[int(own_d2.argmax())] if counts[j] == 0 else pts[int(np.argmax(assignments == j))]
+        centers[j] = row / np.linalg.norm(row)
+    return centers
 
 
 def kmeans(features, k: int, seed: int, max_iters: int = 100, n_init: int = 8) -> ClusterModel:
@@ -220,7 +232,8 @@ def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: in
     for iteration in range(1, max_iters + 1):
         d2 = _sq_dists(pts, centers, point_sq)
         new_assign = d2.argmin(axis=1)
-        objective = float(d2[np.arange(n), new_assign].sum())
+        own_d2 = d2[np.arange(n), new_assign]
+        objective = float(own_d2.sum())
         if history and objective > history[-1] + 1e-9:
             raise RuntimeError(
                 f"k-means objective increased at iteration {iteration}: {history[-1]} -> {objective}"
@@ -229,14 +242,7 @@ def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: in
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        for j in range(k):
-            members = pts[assignments == j]
-            if len(members) == 0:
-                # Re-seed to the farthest point from its current center.
-                far = int(d2[np.arange(n), assignments].argmax())
-                centers[j] = pts[far] / np.linalg.norm(pts[far])
-            else:
-                centers[j] = _normalized_mean(members)
+        centers = _update_centers(pts, assignments, k, own_d2)
 
     d2 = _sq_dists(pts, centers, point_sq)
     assignments = d2.argmin(axis=1)

@@ -17,8 +17,10 @@ vocabulary and these components:
 every group's stacked proposals it returns every component value, the
 switch pattern, and every component's gradient with respect to the logits;
 the trainer chains those through the cosine layer and the encoder, and
-``batch_terms`` evaluates it on one batch. All means are over proposals, so
-duplicating a batch leaves every loss unchanged.
+``batch_terms`` evaluates it on one batch. ``proposal_blocks`` stacks a
+batch's groups once (training does so per image, at the start of a run)
+and ``proposal_groups`` concatenates blocks into that one matrix. All means
+are over proposals, so duplicating a batch leaves every loss unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ __all__ = [
     "ProposalBatch",
     "LossBreakdown",
     "ObjectiveTerms",
+    "ProposalBlocks",
     "background_mass",
+    "proposal_blocks",
     "proposal_groups",
     "objective_terms",
     "batch_terms",
@@ -141,34 +145,66 @@ def switched_branches(masses: np.ndarray, gamma: float) -> tuple[str, ...]:
 # -- the objective ------------------------------------------------------------
 
 
-def proposal_groups(batch: ProposalBatch, partition, vocab: Vocabulary):
-    """Stacked features, group row slices, targets and the one vocabulary cosine matrix.
+GROUPS = ("foreground", "background", "pseudo_positive", "pseudo_negative")
 
-    Rows run through the groups "foreground", "background", "pseudo_positive"
-    and "pseudo_negative" (the last two from a pseudo-label partition, if
-    any); ``slices`` names each non-empty group's rows, and targets exist for
-    the two labeled groups only.
+
+class ProposalBlocks(NamedTuple):
+    """One batch's detector features stacked per proposal group, with target positions.
+
+    ``features`` maps every name of ``GROUPS`` to an (n, dim) array, empty
+    for a group without proposals; ``targets`` maps the two labeled groups,
+    "foreground" and "pseudo_positive", to int64 vocabulary positions.
+    """
+
+    features: dict[str, np.ndarray]
+    targets: dict[str, np.ndarray]
+
+
+def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> ProposalBlocks:
+    """Stack a batch's proposals (and a pseudo-label partition's, if any) into ``ProposalBlocks``.
+
+    Target positions come from ``vocab``'s layout, which stays fixed while
+    the parameters train, so a run stacks each training image once.
     """
     positives = partition.positives if partition is not None else ()
     negatives = partition.negatives if partition is not None else ()
-    groups = {
+    rows = {
         "foreground": [p.det_feature for p in batch.foreground],
         "background": [p.det_feature for p in batch.background],
         "pseudo_positive": [p.det_feature for p, _ in positives],
         "pseudo_negative": [p.det_feature for p in negatives],
     }
+    features = {name: np.stack(r) if r else np.zeros((0, vocab.dim)) for name, r in rows.items()}
     targets = {
         "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
         "pseudo_positive": np.array(
             [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
         ),
     }
-    slices, rows = {}, []
-    for name, feats in groups.items():
-        if feats:
-            slices[name] = slice(len(rows), len(rows) + len(feats))
-            rows.extend(feats)
-    features = np.stack(rows) if rows else np.zeros((0, vocab.dim))
+    return ProposalBlocks(features, targets)
+
+
+def proposal_groups(blocks, vocab: Vocabulary):
+    """Stacked features, group row slices, targets and the one vocabulary cosine matrix.
+
+    ``blocks`` is a sequence of ``ProposalBlocks`` (one per sampled image in
+    training); rows run through ``GROUPS`` in order, each group's rows in
+    block order. ``slices`` names each non-empty group's rows, and targets
+    exist for the two labeled groups only.
+    """
+    slices, parts, start = {}, [], 0
+    for name in GROUPS:
+        group = [b.features[name] for b in blocks]
+        n = sum(len(f) for f in group)
+        if n:
+            slices[name] = slice(start, start + n)
+            start += n
+            parts.extend(group)
+    features = np.concatenate(parts) if parts else np.zeros((0, vocab.dim))
+    targets = {  # the leading empty block keeps an empty sequence int64
+        name: np.concatenate([np.zeros(0, np.int64)] + [b.targets[name] for b in blocks])
+        for name in ("foreground", "pseudo_positive")
+    }
     return features, slices, targets, cosine_matrix(features, vocab.embeddings)
 
 
@@ -250,7 +286,7 @@ def batch_terms(
     negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
 ) -> ObjectiveTerms:
     """``objective_terms`` of one batch (and optional pseudo-label partition)."""
-    _, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, partition, vocab)], vocab)
     return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .persist import canonical_json
 from .rectify import compute_shrinking_factors, score
 from .synth import Scenario
-from .trainer import Checkpoint, TrainConfig, TrainHistory, train
+from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, TrainHistory, prepare_discovery, train
 from .vocab import Vocabulary, build_inference_vocab
 
 __all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "inference_vocab",
@@ -218,11 +218,17 @@ def run_ablation(
 ) -> AblationResult:
     """Train/evaluate every toggle combination on identical data and seeds.
 
-    Combinations sharing training toggles reuse the trained checkpoint and
-    differ only in the rectify flag, mirroring how rectification is purely
-    an inference-time change.
+    Per seed, the discovery prep (pooling, silhouette sweep, centers and the
+    pseudo-labels of every training image) is computed once, with
+    ``prepare_discovery``, and shared by every non-baseline training of that
+    seed; each training keeps what its toggles use, so its checkpoint equals
+    that of a standalone ``train``. Combinations sharing training toggles
+    reuse the trained checkpoint and differ only in the rectify flag,
+    mirroring how rectification is purely an inference-time change.
     """
     base_config = base_config or TrainConfig()
+    discovers = any(c.use_discovery and not c.baseline_mode for c in spec.combos)
+    preps: dict[int, DiscoveryPrep] = {}
     cache: dict[tuple, Checkpoint] = {}
     rows = []
     for combo in spec.combos:
@@ -237,7 +243,14 @@ def run_ablation(
                     use_prompts=combo.use_prompts,
                     use_discovery=combo.use_discovery,
                 )
-                _, checkpoint = train(config, scenario)
+                prep = None  # a baseline run needs none
+                if not combo.baseline_mode:
+                    if seed not in preps:
+                        preps[seed] = prepare_discovery(
+                            scenario, replace(config, use_discovery=discovers)
+                        )
+                    prep = preps[seed]
+                _, checkpoint = train(config, scenario, prep)
                 cache[key] = checkpoint
             report = evaluate(cache[key], scenario, rectify=combo.rectify)
             novel_scores.append(report.novel_top1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +28,9 @@ from .losses import (
     MASS_BRANCH,
     LossBreakdown,
     ProposalBatch,
+    ProposalBlocks,
     objective_terms,
+    proposal_blocks,
     proposal_groups,
 )
 from .persist import canonical_json
@@ -52,6 +55,8 @@ __all__ = [
     "sgd_step",
     "pool_background",
     "prepare_background",
+    "DiscoveryPrep",
+    "prepare_discovery",
     "train",
 ]
 
@@ -108,6 +113,11 @@ class TrainConfig:
             raise ValueError(f"negative_weight must be nonnegative, got {self.negative_weight}")
         if not 0.0 <= self.relax_threshold <= 1.0:
             raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
+        if not self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for name in ("gt_iou_cut", "nms_iou", "pseudo_nms_iou"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
 
 
 @dataclass
@@ -166,6 +176,18 @@ def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, 
     )
 
 
+def _groups(batch, partition: BackgroundPartition | None, vocab: Vocabulary):
+    """``proposal_groups`` of a ``ProposalBatch`` plus partition, or of pre-stacked blocks.
+
+    Training passes a sequence of the sampled images' ``ProposalBlocks``
+    (stacked once per run, each holding its own pseudo-label groups) and no
+    partition; gradient checks pass proposals, stacked here.
+    """
+    if isinstance(batch, ProposalBatch):
+        batch = [proposal_blocks(batch, partition, vocab)]
+    return proposal_groups(batch, vocab)
+
+
 def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
     """Chain d(loss)/d(logits) ``g`` through the cosine layer to d(loss)/d(embeddings)."""
     norms = np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
@@ -174,11 +196,13 @@ def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau
 
 
 def loss_and_gradients(
-    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
-    config: TrainConfig, component: str = "final",
+    batch: ProposalBatch | Sequence[ProposalBlocks], vocab: Vocabulary,
+    partition: BackgroundPartition | None, config: TrainConfig, component: str = "final",
 ) -> tuple[LossBreakdown, Gradients]:
     """Combined objective of one batch and the exact gradient of one of its components.
 
+    ``batch`` is a ``ProposalBatch`` with an optional pseudo-label partition,
+    or the sampled images' pre-stacked ``ProposalBlocks`` (no partition).
     Disabled toggles zero their term of the breakdown and of "final".
     Context-vector gradients chain through the encoder's transpose-Jacobian;
     the sub-background gradient is the raw embedding-space gradient (its
@@ -187,16 +211,17 @@ def loss_and_gradients(
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
-    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    features, slices, targets, cosines = _groups(batch, partition, vocab)
     values, branches, logit_grads = _terms(cosines, slices, targets, vocab, config)
+    counts = {name: rows.stop - rows.start for name, rows in slices.items()}
     breakdown = LossBreakdown(
         foreground=values["foreground"],
         background=values["switched"] if config.use_prompts else 0.0,
         pseudo=values["pseudo"] if config.use_discovery else 0.0,
         total=values["final"],
         branches=branches if config.use_prompts else (),
-        n_foreground=len(batch.foreground),
-        n_background=len(batch.background),
+        n_foreground=counts.get("foreground", 0),
+        n_background=counts.get("background", 0),
     )
     demb = _embedding_gradient(features, cosines, logit_grads[component], vocab, config.temperature)
     ctx_grad = np.zeros_like(vocab.context_vectors)
@@ -248,7 +273,7 @@ def finite_diff_gradients(
         raise ValueError(f"step size must be positive, got {h}")
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    features, slices, targets, cosines = proposal_groups(batch, partition, vocab)
+    features, slices, targets, cosines = _groups(batch, partition, vocab)
     center_branches = _terms(cosines, slices, targets, vocab, config).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
     fnorms = np.linalg.norm(features, axis=1)
@@ -433,10 +458,10 @@ def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
 def prepare_background(scenario: Scenario, config: TrainConfig):
     """Offline prep: pooled filtered background features, latent count, centers.
 
-    Runs once before the loop. The count comes from the silhouette sweep
-    unless the configuration pins it; centers are computed only when the
-    discovery loss is enabled (reusing the sweep's winning clustering), and
-    stay frozen for the whole run.
+    The count comes from the silhouette sweep unless the configuration pins
+    it; centers are computed only when the discovery loss is enabled
+    (reusing the sweep's winning clustering), and stay frozen for the whole
+    run. Returns ``(n_discovered, centers)``.
     """
     if config.baseline_mode:
         return 0, None
@@ -455,6 +480,59 @@ def prepare_background(scenario: Scenario, config: TrainConfig):
     return n_disc, model.centers
 
 
+# The settings the discovery prep reads; every other field (the module
+# toggles among them) only decides which part of a prep a run keeps.
+_PREP_FIELDS = ("seed", "k_min", "k_max", "discovered_categories", "score_threshold",
+                "temperature", "nms_iou", "gt_iou_cut", "pseudo_nms_iou")
+
+
+def _prep_settings(config: TrainConfig) -> tuple:
+    return tuple(getattr(config, name) for name in _PREP_FIELDS)
+
+
+@dataclass(frozen=True)
+class DiscoveryPrep:
+    """Everything a run needs from discovery: count, frozen centers, per-image pseudo-labels.
+
+    None of it depends on the live parameters or on the module toggles, so
+    the trainings of one seed can share one prep. ``partitions`` holds one
+    ``BackgroundPartition`` per training image, present with the centers.
+    """
+
+    settings: tuple  # the values of _PREP_FIELDS it was computed with
+    n_discovered: int
+    centers: np.ndarray | None
+    partitions: tuple[BackgroundPartition, ...] | None
+
+    def for_run(self, config: TrainConfig) -> "DiscoveryPrep":
+        """The part of this prep a run with ``config`` uses; refuses a prep made with other settings."""
+        if config.baseline_mode:
+            return DiscoveryPrep(self.settings, 0, None, None)
+        if self.settings != _prep_settings(config):
+            raise ValueError("the discovery prep was computed with other settings than this run's")
+        if not config.use_discovery:
+            return DiscoveryPrep(self.settings, self.n_discovered, None, None)
+        if self.centers is None:
+            raise ValueError("discovery is on but the discovery prep holds no cluster centers")
+        return self
+
+
+def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
+    """``prepare_background``, then, with centers, one pseudo-label partition per training image.
+
+    Pseudo-labels depend only on the frozen centers and the image data, so
+    each training image is labelled once per prep. A baseline run needs no
+    prep and gets an empty one without any work.
+    """
+    if config.baseline_mode:
+        return DiscoveryPrep(_prep_settings(config), 0, None, None)
+    n_discovered, centers = prepare_background(scenario, config)
+    partitions = None
+    if centers is not None:
+        partitions = tuple(_image_partition(im, centers, config) for im in scenario.train_images)
+    return DiscoveryPrep(_prep_settings(config), n_discovered, centers, partitions)
+
+
 def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition:
     bg = [p for p in image.proposals if p.gt_label is None]
     return generate_pseudo_labels(
@@ -463,13 +541,14 @@ def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition
     )
 
 
-def _sample_batch(rng, scenario: Scenario, config: TrainConfig):
-    n = len(scenario.train_images)
-    k = min(config.batch_images, n)
-    idx = sorted(rng.choice(n, size=k, replace=False))
-    proposals = [p for i in idx for p in scenario.train_images[i].proposals]
-    return idx, ProposalBatch(foreground=tuple(p for p in proposals if p.gt_label is not None),
-                              background=tuple(p for p in proposals if p.gt_label is None))
+def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[ProposalBlocks]:
+    """Each training image's proposals (and pseudo-labels, if any) stacked into ``ProposalBlocks``."""
+    blocks = []
+    for i, image in enumerate(scenario.train_images):
+        batch = ProposalBatch(foreground=tuple(p for p in image.proposals if p.gt_label is not None),
+                              background=tuple(p for p in image.proposals if p.gt_label is None))
+        blocks.append(proposal_blocks(batch, partitions[i] if partitions else None, vocab))
+    return blocks
 
 
 def _underlying_count(config: TrainConfig, n_discovered: int) -> int:
@@ -489,42 +568,44 @@ def initial_params(config: TrainConfig, encoder: MockTextEncoder, n_discovered: 
     return Params(context_vectors=ctx, sub_background=sub)
 
 
-def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkpoint]:
+def train(
+    config: TrainConfig, scenario: Scenario, prep: DiscoveryPrep | None = None
+) -> tuple[TrainHistory, Checkpoint]:
     """Deterministic training over a scenario; returns the history and checkpoint.
 
-    Per step: sample a batch of images, rebuild the vocabulary from the live
-    parameters, gather the sampled images' pseudo-labels (when discovery is
-    on), evaluate the objective and its analytic gradient in one pass, and
-    apply one SGD step. Frozen components (encoder, base embeddings,
-    centers) are never touched.
+    ``prep`` is a discovery prep computed with this run's settings;
+    ``run_ablation`` shares one among the trainings of a seed. Without it
+    the run computes its own with ``prepare_discovery``. Either way the run
+    keeps only what its toggles use (``DiscoveryPrep.for_run``). Each
+    training image's proposal groups are stacked once, then per step: sample
+    a batch of images, rebuild the vocabulary from the live parameters,
+    concatenate the sampled images' blocks, evaluate the objective and its
+    analytic gradient in one pass, and apply one SGD step. Frozen components
+    (encoder, base embeddings, centers) are never touched.
     """
     encoder = MockTextEncoder(**scenario.encoder_config)
     base_ids = list(scenario.base_ids)
     base_emb = np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids])
-    n_discovered, centers = prepare_background(scenario, config)
-    # Pseudo-labels depend only on frozen centers and image data: label each
-    # training image once, then every step reads the sampled images' parts.
-    partitions = None
-    if centers is not None:  # discovery is on
-        partitions = [_image_partition(im, centers, config) for im in scenario.train_images]
+    prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config)
+    n_discovered, centers = prep.n_discovered, prep.centers
     params = initial_params(config, encoder, n_discovered)
     velocity = Params(np.zeros_like(params.context_vectors), np.zeros_like(params.sub_background))
+
+    def vocab_of(params: Params) -> Vocabulary:
+        return build_training_vocab(
+            base_ids, base_emb, params.context_vectors, params.sub_background, encoder,
+            n_discovered=n_discovered, baseline_mode=config.baseline_mode,
+        )
+
+    # Training moves no vocabulary position, so any snapshot gives the targets.
+    blocks = _image_blocks(scenario, prep.partitions, vocab_of(params))
     rng = np.random.default_rng([5, config.seed])
     records: list[StepRecord] = []
 
     for step in range(config.steps):
-        idx, batch = _sample_batch(rng, scenario, config)
-        vocab = build_training_vocab(
-            base_ids, base_emb, params.context_vectors, params.sub_background, encoder,
-            n_discovered=n_discovered, baseline_mode=config.baseline_mode,
-        )
-        partition = None
-        if partitions is not None:
-            partition = BackgroundPartition(
-                positives=tuple(pos for i in idx for pos in partitions[i].positives),
-                negatives=tuple(neg for i in idx for neg in partitions[i].negatives),
-            )
-        breakdown, grads = loss_and_gradients(batch, vocab, partition, config)
+        idx = sorted(rng.choice(len(blocks), size=min(config.batch_images, len(blocks)), replace=False))
+        sampled = [blocks[i] for i in idx]
+        breakdown, grads = loss_and_gradients(sampled, vocab_of(params), None, config)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
         params, velocity = sgd_step(
@@ -537,8 +618,8 @@ def train(config: TrainConfig, scenario: Scenario) -> tuple[TrainHistory, Checkp
                 breakdown=breakdown,
                 n_mass_branch=sum(b == MASS_BRANCH for b in breakdown.branches),
                 n_uniform_branch=sum(b != MASS_BRANCH for b in breakdown.branches),
-                n_pseudo_positive=len(partition.positives) if partition else 0,
-                n_pseudo_negative=len(partition.negatives) if partition else 0,
+                n_pseudo_positive=sum(len(b.features["pseudo_positive"]) for b in sampled),
+                n_pseudo_negative=sum(len(b.features["pseudo_negative"]) for b in sampled),
             )
         )
 

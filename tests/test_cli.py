@@ -209,6 +209,9 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (train, "train.learning_rate=NaN"),
         (train, "train.negative_weight=-1"),
         (train, "train.relax_threshold=5"),
+        (train, "train.momentum=1"),
+        (train, "train.gt_iou_cut=5"),
+        (train, "train.gt_iou_cut=0"),
         (gen, "encoder.dim=2.5"),
         (gen, "encoder.seed=[1]"),
         (gen, "scenario.n_base=2.5"),

@@ -14,6 +14,7 @@ from ovlab.discovery import (
     silhouette_score,
 )
 
+from oracles import lloyd_update
 from util import make_proposal, unit
 
 
@@ -201,10 +202,62 @@ def test_kmeans_objective_increase_raises(monkeypatch):
 
     rng = np.random.default_rng(6)
     pts = np.array([unit(rng, 8) for _ in range(120)])
-    normalized_mean = discovery._normalized_mean
-    monkeypatch.setattr(discovery, "_normalized_mean", lambda rows: -normalized_mean(rows))
+    update_centers = discovery._update_centers
+    monkeypatch.setattr(discovery, "_update_centers", lambda *args: -update_centers(*args))
     with pytest.raises(RuntimeError, match="objective increased"):
         kmeans(pts, k=4, seed=1)
+
+
+# The matmul sums members in another order than the per-cluster mean: the
+# centres may differ by rounding, up to one float64 epsilon (2.2e-16).
+EPS = np.finfo(np.float64).eps
+
+
+def _update_case(name):
+    """(points, assignments, k, own_d2) of one Lloyd-update case."""
+    rng = np.random.default_rng(11)
+    own_d2 = rng.uniform(0.0, 4.0, 200)
+    if name == "empty":  # cluster 3 of 4 has no members
+        pts = np.array([unit(rng, 8) for _ in range(40)])
+        return pts, rng.integers(0, 3, len(pts)), 4, own_d2[: len(pts)]
+    if name == "antipodal":  # cluster 0 is the pair x, -x: its mean is exactly zero
+        x = unit(rng, 8)
+        pts = np.vstack([x, -x, [unit(rng, 8) for _ in range(20)]])
+        return pts, np.r_[0, 0, rng.integers(1, 3, 20)], 3, own_d2[: len(pts)]
+    k = int(name.removeprefix("random-k"))
+    pts = np.array([unit(rng, 16) for _ in range(200)])
+    return pts, rng.integers(0, k, len(pts)), k, own_d2
+
+
+@pytest.mark.parametrize("case", ["random-k2", "random-k5", "random-k9", "empty", "antipodal"])
+def test_center_update_matches_per_cluster_oracle(case):
+    import ovlab.discovery as discovery
+
+    pts, assign, k, own_d2 = _update_case(case)
+    got = discovery._update_centers(pts, assign, k, own_d2)
+    want = lloyd_update(pts, assign, k, own_d2)
+    assert np.abs(got - want).max() <= EPS
+    np.testing.assert_array_equal(
+        discovery._sq_dists(pts, got).argmin(axis=1), discovery._sq_dists(pts, want).argmin(axis=1)
+    )
+    if case == "empty":
+        far = pts[int(own_d2.argmax())]
+        np.testing.assert_array_equal(got[3], far / np.linalg.norm(far))
+    if case == "antipodal":
+        np.testing.assert_array_equal(got[0], pts[0] / np.linalg.norm(pts[0]))
+
+
+def test_kmeans_with_per_cluster_oracle_update_agrees(monkeypatch):
+    import ovlab.discovery as discovery
+
+    rng = np.random.default_rng(12)
+    pts = np.array([unit(rng, 8) for _ in range(150)])
+    fast = [kmeans(pts, k, seed=k) for k in (2, 4, 7)]
+    monkeypatch.setattr(discovery, "_update_centers", lloyd_update)
+    for k, model in zip((2, 4, 7), fast):
+        slow = kmeans(pts, k, seed=k)
+        np.testing.assert_array_equal(model.assignments, slow.assignments)
+        assert np.abs(model.centers - slow.centers).max() <= EPS
 
 
 def test_kmeans_deterministic():

@@ -1,5 +1,7 @@
 """Evaluation metrics and the ablation runner."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -144,9 +146,9 @@ def test_ablation_shares_training_across_rectify_flags(small_scenario, monkeypat
     calls = []
     real_train = eval_mod.train
 
-    def counting_train(config, scenario):
+    def counting_train(config, scenario, prep=None):
         calls.append(config.seed)
-        return real_train(config, scenario)
+        return real_train(config, scenario, prep)
 
     monkeypatch.setattr(eval_mod, "train", counting_train)
     combos = (
@@ -158,3 +160,47 @@ def test_ablation_shares_training_across_rectify_flags(small_scenario, monkeypat
     )
     assert len(calls) == 2  # one training per seed, shared by both rows
     assert {r["name"] for r in result.rows} == {"p", "p+r"}
+
+
+def test_ablation_shares_one_discovery_prep_per_seed(small_scenario, monkeypatch):
+    # One sweep per seed and one labelling per (seed, image), and every
+    # training still matches a standalone run of its configuration byte for byte.
+    import ovlab.metrics as eval_mod
+    import ovlab.trainer as trainer_mod
+
+    trained = []
+    sweeps = []
+    labelled = Counter()
+    real_train = eval_mod.train
+    real_estimate = trainer_mod.estimate_category_count
+    real_label = trainer_mod.generate_pseudo_labels
+
+    def recording_train(config, scenario, prep=None):
+        history, checkpoint = real_train(config, scenario, prep)
+        trained.append((config, checkpoint))
+        return history, checkpoint
+
+    def counting_estimate(features, k_min, k_max, seed):
+        sweeps.append(seed)
+        return real_estimate(features, k_min, k_max, seed)
+
+    def counting_label(batch_bg, gt_boxes, centers, **kwargs):
+        labelled[id(gt_boxes)] += 1
+        return real_label(batch_bg, gt_boxes, centers, **kwargs)
+
+    monkeypatch.setattr(eval_mod, "train", recording_train)
+    monkeypatch.setattr(trainer_mod, "estimate_category_count", counting_estimate)
+    monkeypatch.setattr(trainer_mod, "generate_pseudo_labels", counting_label)
+    seeds = (0, 1)
+    run_ablation(AblationSpec(seeds=seeds), small_scenario, TrainConfig(steps=10))
+    monkeypatch.undo()
+
+    assert sorted(sweeps) == list(seeds)
+    assert len(labelled) == len(small_scenario.train_images)
+    assert set(labelled.values()) == {len(seeds)}
+    assert len(trained) == 4 * len(seeds)  # baseline, prompts, discovery, full
+    for config, checkpoint in trained:
+        assert (checkpoint.cluster_centers is None) == (config.baseline_mode or not config.use_discovery)
+        if config.seed == seeds[0]:
+            _, alone = train(config, small_scenario)
+            assert checkpoint.to_json() == alone.to_json(), config

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from ovlab.core import softmax_probs
+from ovlab.encoder import MockTextEncoder
 from ovlab.losses import (
     MASS_BRANCH,
     UNIFORM_BRANCH,
     ProposalBatch,
     background_mass,
     batch_terms,
+    proposal_blocks,
+    proposal_groups,
     switched_background_loss,
 )
+from ovlab.pseudo import BackgroundPartition, PseudoLabel
+from ovlab.vocab import build_training_vocab
 
+from oracles import proposal_groups as oracle_groups
 from util import make_proposal, make_vocab, unit
 
 
@@ -311,3 +317,58 @@ def test_all_losses_nonnegative_random_sweep():
         assert _loss("uniform", batch, vocab, tau) >= 0.0
         value, _ = switched_background_loss(batch, vocab, tau, gamma=0.02)
         assert value >= 0.0
+
+
+# -- block assembly ------------------------------------------------------------
+
+
+def _random_images(rng, vocab, n_images, with_partition):
+    """Per-image (batch, partition) pairs with random group sizes, some of them empty."""
+    d = vocab.dim
+    images = []
+    for _ in range(n_images):
+        fg = [make_proposal(unit(rng, d), gt_label=int(rng.choice(vocab.base_ids)))
+              for _ in range(rng.integers(0, 4))]
+        bg = [make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 5))]
+        partition = None
+        if with_partition:
+            labels = [PseudoLabel(i, int(rng.integers(vocab.n_discovered)), 0.99)
+                      for i in range(rng.integers(0, 3))]
+            partition = BackgroundPartition(
+                positives=tuple((make_proposal(unit(rng, d)), lab) for lab in labels),
+                negatives=tuple(make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 3))),
+            )
+        images.append((_batch(fg, bg), partition))
+    return images
+
+
+@pytest.mark.parametrize("kind", ["partition", "no_partition", "baseline"])
+def test_block_assembly_matches_per_proposal_oracle(kind):
+    # Training stacks each image once and concatenates the sampled images'
+    # blocks; that must equal assembling the union batch proposal by proposal.
+    rng = np.random.default_rng({"partition": 20, "no_partition": 21, "baseline": 22}[kind])
+    enc = MockTextEncoder(dim=12, ctx_dim=6, seed=3)
+    base_ids = [4, 9, 2]
+    base_emb = np.stack([enc.encode_named_category(s) for s in base_ids])
+    if kind == "baseline":
+        vocab = build_training_vocab(base_ids, base_emb, np.zeros((0, 6)), unit(rng, 12), None,
+                                     baseline_mode=True)
+    else:
+        vocab = build_training_vocab(base_ids, base_emb, rng.normal(size=(5, 6)), unit(rng, 12), enc,
+                                     n_discovered=3)
+    for _ in range(20):
+        images = _random_images(rng, vocab, int(rng.integers(1, 5)), kind == "partition")
+        union = _batch([p for b, _ in images for p in b.foreground],
+                       [p for b, _ in images for p in b.background])
+        partition = None
+        if kind == "partition":
+            partition = BackgroundPartition(
+                positives=tuple(x for _, part in images for x in part.positives),
+                negatives=tuple(x for _, part in images for x in part.negatives),
+            )
+        got = proposal_groups([proposal_blocks(b, part, vocab) for b, part in images], vocab)
+        want = oracle_groups(union, partition, vocab)
+        assert got[1] == want[1]  # slices
+        assert got[2].keys() == want[2].keys()
+        for g, w in [(got[0], want[0]), (got[3], want[3])] + [(got[2][n], want[2][n]) for n in want[2]]:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()

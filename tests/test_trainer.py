@@ -20,6 +20,7 @@ from ovlab.trainer import (
     finite_diff_gradients,
     initial_params,
     loss_final,
+    prepare_discovery,
     sgd_step,
     train,
 )
@@ -319,6 +320,16 @@ def small_scenario():
     return generate_scenario(config, enc)
 
 
+def test_baseline_trains_on_a_world_without_training_images():
+    # No image to sample: every step sees an empty batch, so nothing moves.
+    scenario = generate_scenario(ScenarioConfig(n_train_images=0, n_eval_images=1, seed=2),
+                                 MockTextEncoder(seed=5))
+    config = TrainConfig(steps=3, seed=4, baseline_mode=True, use_discovery=False)
+    history, checkpoint = train(config, scenario)
+    assert [s.breakdown.total for s in history.steps] == [0.0, 0.0, 0.0]
+    assert [s.breakdown.n_foreground + s.breakdown.n_background for s in history.steps] == [0, 0, 0]
+
+
 def test_train_zero_steps_returns_initialization(small_scenario):
     config = TrainConfig(steps=0, seed=3)
     history, checkpoint = train(config, small_scenario)
@@ -388,6 +399,18 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
     monkeypatch.setattr(trainer_mod, "loss_and_gradients", bad_loss)
     with pytest.raises(TrainingDivergedError, match="step 0"):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
+
+
+def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
+    prep = prepare_discovery(small_scenario, TrainConfig(seed=1, use_discovery=False))
+    assert prep.centers is None and prep.partitions is None
+    with pytest.raises(ValueError, match="other settings"):
+        train(TrainConfig(steps=1, seed=2, use_discovery=False), small_scenario, prep)
+    with pytest.raises(ValueError, match="no cluster centers"):
+        train(TrainConfig(steps=1, seed=1), small_scenario, prep)
+    # A baseline run keeps nothing of any prep.
+    _, checkpoint = train(TrainConfig(steps=1, seed=2, baseline_mode=True), small_scenario, prep)
+    assert checkpoint.n_discovered == 0 and checkpoint.cluster_centers is None
 
 
 def test_checkpoint_round_trip(tmp_path, small_scenario):
@@ -467,7 +490,13 @@ def test_train_config_rejects_non_integer_counts(name):
     "name,value",
     [pytest.param("negative_weight", -0.1, id="negative_weight"),
      pytest.param("relax_threshold", 5.0, id="relax_threshold_above_one"),
-     pytest.param("relax_threshold", -0.01, id="relax_threshold_negative")],
+     pytest.param("relax_threshold", -0.01, id="relax_threshold_negative"),
+     pytest.param("momentum", 1.0, id="momentum_one"),
+     pytest.param("momentum", 3.0, id="momentum_above_one"),
+     pytest.param("gt_iou_cut", 5.0, id="gt_iou_cut_above_one"),
+     pytest.param("gt_iou_cut", 0.0, id="gt_iou_cut_zero"),
+     pytest.param("nms_iou", 0.0, id="nms_iou_zero"),
+     pytest.param("pseudo_nms_iou", 1.5, id="pseudo_nms_iou_above_one")],
 )
 def test_train_config_rejects_out_of_range_values(name, value):
     with pytest.raises(ValueError, match=name):
