@@ -27,6 +27,8 @@ __all__ = [
     "cosine",
     "logsumexp",
     "softmax_probs",
+    "unit_rows",
+    "unit_cosines",
     "cosine_matrix",
     "log_softmax_rows",
 ]
@@ -158,6 +160,22 @@ def softmax_probs(query, categories, tau: float) -> np.ndarray:
     return np.exp(z - logsumexp(z))
 
 
+def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a 2-D array divided by its norm, and the (n, 1) norms.
+
+    A zero-norm row has no direction and raises ``ZeroNormError``.
+    """
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if (norms <= _NORM_FLOOR).any():
+        raise ZeroNormError("cosine matrix undefined for zero-norm rows")
+    return rows / norms, norms
+
+
+def unit_cosines(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """Pairwise cosines of rows that ``unit_rows`` already normalized: (n, d) x (m, d) -> (n, m)."""
+    return np.clip(queries @ references.T, -1.0, 1.0)
+
+
 def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Pairwise cosines between row sets: (n, d) x (m, d) -> (n, m).
 
@@ -169,12 +187,7 @@ def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible shapes for cosine matrix: {q.shape} vs {r.shape}"
         )
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    rn = np.linalg.norm(r, axis=1, keepdims=True)
-    if np.any(qn <= _NORM_FLOOR) or np.any(rn <= _NORM_FLOOR):
-        raise ZeroNormError("cosine matrix undefined for zero-norm rows")
-    c = (q / qn) @ (r / rn).T
-    return np.clip(c, -1.0, 1.0)
+    return unit_cosines(unit_rows(q)[0], unit_rows(r)[0])
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ latent categories hide in the background.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class Box:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate box {self}")
         for v in (self.x1, self.y1, self.x2, self.y2):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"non-finite box coordinate in {self}")
 
     @property
@@ -258,16 +259,25 @@ def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: in
     )
 
 
-def silhouette_score(features, assignments) -> float:
-    """Mean silhouette over all points (Euclidean); singleton clusters score 0."""
+def _distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows of ``pts``."""
+    sq = (pts * pts).sum(axis=1)
+    return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0))
+
+
+def silhouette_score(features, assignments, _distances: np.ndarray | None = None) -> float:
+    """Mean silhouette over all points (Euclidean); singleton clusters score 0.
+
+    ``_distances`` is the features' pairwise distance matrix, for a caller
+    that scores several clusterings of the same points (the count sweep).
+    """
     pts = np.asarray(features, dtype=np.float64)
     labels = np.asarray(assignments)
     n = pts.shape[0]
     uniq = np.unique(labels)
     if len(uniq) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    sq = (pts * pts).sum(axis=1)
-    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0))
+    d = _distances if _distances is not None else _distance_matrix(pts)
 
     onehot = (labels[:, None] == uniq[None, :]).astype(np.float64)
     sizes = onehot.sum(axis=0)
@@ -317,12 +327,13 @@ def estimate_category_count(features, k_min: int, k_max: int, seed: int) -> Coun
 
     results = []
     models = {}
+    distances = _distance_matrix(pts)  # one matrix for every k of the sweep
     for k in range(k_min, k_max + 1):
         model = models[k] = kmeans(pts, k, seed=seed)
         if len(np.unique(model.assignments)) < 2:
             score = -1.0
         else:
-            score = silhouette_score(pts, model.assignments)
+            score = silhouette_score(pts, model.assignments, _distances=distances)
         results.append((k, score))
     best_k, best_score = max(results, key=lambda kv: (kv[1], -kv[0]))
     return CountEstimate(

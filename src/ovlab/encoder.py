@@ -15,11 +15,14 @@ embeddings.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import DimensionMismatchError, is_integer
 
 __all__ = [
+    "ContextForward",
     "MockTextEncoder",
     "init_context_vectors",
     "CONTEXT_INIT_STD",
@@ -39,6 +42,18 @@ _NAME_TOKEN_STD = 1.0
 # Salts separating the independent random streams drawn from one encoder seed.
 _WEIGHT_SALT = 0
 _NAME_SALT = 1
+
+
+class ContextForward(NamedTuple):
+    """What encoding an (n, ctx_dim) stack computes that its derivatives reuse.
+
+    ``hidden`` is tanh of the pre-activations, ``norms`` holds the (n, 1)
+    norms of the raw outputs and ``embeddings`` those outputs over their norms.
+    """
+
+    hidden: np.ndarray
+    norms: np.ndarray
+    embeddings: np.ndarray
 
 
 class MockTextEncoder:
@@ -88,50 +103,55 @@ class MockTextEncoder:
             )
         return arr
 
-    def _forward(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pre-activations a, raw outputs y and their (n, 1) norms for an (n, ctx_dim) stack.
+    def forward(self, v) -> ContextForward:
+        """The ``ContextForward`` of a context vector (as a one-row stack) or of an (n, ctx_dim) stack.
 
         On one row every product is the same BLAS call as on a vector, so a
         vector and its one-row stack encode bit for bit alike.
         """
-        prefix = np.broadcast_to(self._prefix, (rows.shape[0], self.prefix_dim))
-        a = np.hstack([prefix, rows]) @ self._w1.T + self._b1
-        y = np.tanh(a) @ self._w2.T + self._b2
-        if not np.all(np.isfinite(y)):
+        rows = np.atleast_2d(self._check_ctx(v))
+        x = np.empty((rows.shape[0], self.prefix_dim + self.ctx_dim))
+        x[:, : self.prefix_dim] = self._prefix
+        x[:, self.prefix_dim :] = rows
+        hidden = np.tanh(x @ self._w1.T + self._b1)
+        y = hidden @ self._w2.T + self._b2
+        if not np.isfinite(y).all():
             raise ValueError("context vectors encode to non-finite embeddings")
-        return a, y, np.sqrt(_row_dots(y, y))
+        norms = np.sqrt(_row_dots(y, y))
+        return ContextForward(hidden, norms, y / norms)
 
     def encode_context(self, v) -> np.ndarray:
         """Unit-norm embedding of a context vector, or one per row of an (n, ctx_dim) stack."""
-        arr = self._check_ctx(v)
-        _, y, ny = self._forward(np.atleast_2d(arr))
-        out = y / ny
-        return out[0] if arr.ndim == 1 else out
+        out = self.forward(v).embeddings
+        return out[0] if np.ndim(v) == 1 else out
 
     def encode_context_jvp(self, v, direction) -> np.ndarray:
         """Jacobian-vector product of encode_context at one vector v, including normalization."""
         arr = self._check_ctx(v, stack=False)
         d = self._check_ctx(direction, stack=False)
-        a, y, ny = (x[0] for x in self._forward(arr[None]))
+        hidden, ny, yhat = (x[0] for x in self.forward(arr))
         da = self._w1[:, self.prefix_dim :] @ d
-        dy = self._w2 @ ((1.0 - np.tanh(a) ** 2) * da)
-        yhat = y / ny
+        dy = self._w2 @ ((1.0 - hidden**2) * da)
         return (dy - np.dot(yhat, dy) * yhat) / ny
 
-    def encode_context_vjp(self, v, cotangent) -> np.ndarray:
+    def encode_context_vjp(self, v, cotangent, forward: ContextForward | None = None) -> np.ndarray:
         """Transpose-Jacobian product: pulls an embedding-space gradient back to context space.
 
-        Takes one vector and cotangent, or matching (n, ctx_dim) and (n, dim) row stacks.
+        Takes one vector and cotangent, or matching (n, ctx_dim) and (n, dim)
+        row stacks. ``forward``, when given, is ``self.forward(v)``: the
+        pullback then reuses it instead of running the stack again.
         """
         arr, g = self._check_ctx(v), np.asarray(cotangent, dtype=np.float64)
         if g.shape != arr.shape[:-1] + (self.dim,):
             raise DimensionMismatchError(
                 f"cotangent must have shape {arr.shape[:-1] + (self.dim,)}, got {g.shape}"
             )
-        a, y, ny = self._forward(np.atleast_2d(arr))
-        g, yhat = np.atleast_2d(g), y / ny
+        hidden, ny, yhat = forward if forward is not None else self.forward(arr)
+        if hidden.shape[0] != (arr.shape[0] if arr.ndim == 2 else 1):
+            raise DimensionMismatchError(f"forward of {hidden.shape[0]} rows for context shape {arr.shape}")
+        g = np.atleast_2d(g)
         gy = (g - _row_dots(yhat, g) * yhat) / ny
-        out = ((1.0 - np.tanh(a) ** 2) * (gy @ self._w2)) @ self._w1[:, self.prefix_dim :]
+        out = ((1.0 - hidden**2) * (gy @ self._w2)) @ self._w1[:, self.prefix_dim :]
         return out[0] if arr.ndim == 1 else out
 
     # -- named categories --------------------------------------------------

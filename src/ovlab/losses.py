@@ -15,12 +15,22 @@ vocabulary and these components:
 
 ``objective_terms`` is the one implementation: from one cosine matrix over
 every group's stacked proposals it returns every component value, the
-switch pattern, and every component's gradient with respect to the logits;
-the trainer chains those through the cosine layer and the encoder, and
-``batch_terms`` evaluates it on one batch. ``proposal_blocks`` stacks a
-batch's groups once (training does so per image, at the start of a run)
-and ``proposal_groups`` concatenates blocks into that one matrix. All means
-are over proposals, so duplicating a batch leaves every loss unchanged.
+switch pattern and the logit gradient of the one component asked for; the
+trainer chains that through the cosine layer and the encoder, and
+``batch_terms`` evaluates it on one batch. All means are over proposals, so
+duplicating a batch leaves every loss unchanged.
+
+What training computes when:
+
+* per run, ``proposal_blocks`` stacks each training image's groups once, as
+  unit rows (``core.unit_rows``, so a zero-norm feature fails at stacking
+  time) with their vocabulary target positions;
+* per step, ``proposal_groups`` concatenates the sampled images' blocks and
+  takes one cosine matrix against the step vocabulary's unit embeddings;
+  ``objective_terms`` takes one row log-softmax and its ``exp`` over all
+  rows, hands each group's rows of both to ``nll_terms``, ``mass_terms`` and
+  ``uniform_terms``, and writes the requested gradient into one (n, V)
+  array group by group (the groups' row blocks are disjoint).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_temperature, cosine_matrix, log_softmax_rows
+from .core import check_temperature, log_softmax_rows, unit_cosines, unit_rows
 from .discovery import Proposal
 from .vocab import Vocabulary
 
@@ -96,50 +106,50 @@ def background_mass(probs, vocab: Vocabulary) -> float:
 
 
 # -- per-proposal terms (value plus d value / d logits) -----------------------
+#
+# Each takes its rows' log-probabilities ``logp`` and, when the caller wants
+# the gradient, the same rows' probabilities ``probs``; without ``probs`` the
+# gradient is None.
 
 
-def nll_terms(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nll_terms(logp: np.ndarray, targets: np.ndarray, probs: np.ndarray | None = None):
     """-log p(target) per row, with its logit gradient p - onehot(target)."""
-    logp = log_softmax_rows(logits)
-    rows = np.arange(logits.shape[0])
-    values = -logp[rows, targets]
-    grad = np.exp(logp)
-    grad[rows, targets] -= 1.0
-    return values, grad
+    rows = np.arange(logp.shape[0])
+    grad = None
+    if probs is not None:
+        grad = probs.copy()
+        grad[rows, targets] -= 1.0
+    return -logp[rows, targets], grad
 
 
-def mass_terms(
-    logits: np.ndarray, member_indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mass_terms(logp: np.ndarray, member_indices: np.ndarray, probs: np.ndarray | None = None):
     """-log of the member-set probability mass per row, its gradient, and the mass.
 
     Gradient per row: p - q, where q renormalizes p over the member set.
     """
-    logp = log_softmax_rows(logits)
     member_logp = logp[:, member_indices]
     shift = member_logp.max(axis=1, keepdims=True)
     log_mass = (np.log(np.exp(member_logp - shift).sum(axis=1, keepdims=True)) + shift).ravel()
-    values = -log_mass
-    grad = np.exp(logp)
-    grad[:, member_indices] -= np.exp(member_logp - log_mass[:, None])
-    return values, grad, np.exp(log_mass)
+    grad = None
+    if probs is not None:
+        grad = probs.copy()
+        grad[:, member_indices] -= np.exp(member_logp - log_mass[:, None])
+    return -log_mass, grad, np.exp(log_mass)
 
 
-def uniform_terms(
-    logits: np.ndarray, member_indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def uniform_terms(logp: np.ndarray, member_indices: np.ndarray, probs: np.ndarray | None = None):
     """Mean of -log p(c) over the member set per row, with gradient p - uniform(set)."""
-    logp = log_softmax_rows(logits)
     k = len(member_indices)
-    values = -logp[:, member_indices].mean(axis=1)
-    grad = np.exp(logp)
-    grad[:, member_indices] -= 1.0 / k
-    return values, grad
+    grad = None
+    if probs is not None:
+        grad = probs.copy()
+        grad[:, member_indices] -= 1.0 / k
+    return -(logp[:, member_indices].sum(axis=1) / k), grad
 
 
-def switched_branches(masses: np.ndarray, gamma: float) -> tuple[str, ...]:
-    """Mass branch where the block mass clears gamma (inclusive), uniform otherwise."""
-    return tuple(MASS_BRANCH if m >= gamma else UNIFORM_BRANCH for m in masses)
+def switched_branches(selected: np.ndarray) -> tuple[str, ...]:
+    """Branch names of a boolean mass-branch selection (masses at or above gamma)."""
+    return tuple(MASS_BRANCH if m else UNIFORM_BRANCH for m in selected.tolist())
 
 
 # -- the objective ------------------------------------------------------------
@@ -151,8 +161,8 @@ GROUPS = ("foreground", "background", "pseudo_positive", "pseudo_negative")
 class ProposalBlocks(NamedTuple):
     """One batch's detector features stacked per proposal group, with target positions.
 
-    ``features`` maps every name of ``GROUPS`` to an (n, dim) array, empty
-    for a group without proposals; ``targets`` maps the two labeled groups,
+    ``features`` maps every name of ``GROUPS`` to an (n, dim) array of unit
+    rows, empty for a group without proposals; ``targets`` maps the two labeled groups,
     "foreground" and "pseudo_positive", to int64 vocabulary positions.
     """
 
@@ -163,8 +173,10 @@ class ProposalBlocks(NamedTuple):
 def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> ProposalBlocks:
     """Stack a batch's proposals (and a pseudo-label partition's, if any) into ``ProposalBlocks``.
 
-    Target positions come from ``vocab``'s layout, which stays fixed while
-    the parameters train, so a run stacks each training image once.
+    Features are stored as unit rows, so a zero-norm feature raises
+    ``ZeroNormError`` here. Target positions come from ``vocab``'s layout,
+    which stays fixed while the parameters train, so a run stacks each
+    training image once.
     """
     positives = partition.positives if partition is not None else ()
     negatives = partition.negatives if partition is not None else ()
@@ -174,7 +186,8 @@ def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> Propo
         "pseudo_positive": [p.det_feature for p, _ in positives],
         "pseudo_negative": [p.det_feature for p in negatives],
     }
-    features = {name: np.stack(r) if r else np.zeros((0, vocab.dim)) for name, r in rows.items()}
+    features = {name: unit_rows(np.stack(r))[0] if r else np.zeros((0, vocab.dim))
+                for name, r in rows.items()}
     targets = {
         "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
         "pseudo_positive": np.array(
@@ -185,7 +198,7 @@ def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> Propo
 
 
 def proposal_groups(blocks, vocab: Vocabulary):
-    """Stacked features, group row slices, targets and the one vocabulary cosine matrix.
+    """Stacked unit features, group row slices, targets and the one vocabulary cosine matrix.
 
     ``blocks`` is a sequence of ``ProposalBlocks`` (one per sampled image in
     training); rows run through ``GROUPS`` in order, each group's rows in
@@ -205,7 +218,7 @@ def proposal_groups(blocks, vocab: Vocabulary):
         name: np.concatenate([np.zeros(0, np.int64)] + [b.targets[name] for b in blocks])
         for name in ("foreground", "pseudo_positive")
     }
-    return features, slices, targets, cosine_matrix(features, vocab.embeddings)
+    return features, slices, targets, unit_cosines(features, vocab.unit_embeddings[0])
 
 
 class ObjectiveTerms(NamedTuple):
@@ -213,81 +226,102 @@ class ObjectiveTerms(NamedTuple):
 
     values: dict[str, float]  # every component of COMPONENTS
     branches: tuple[str, ...]  # switch pattern selected from the current masses
-    logit_grads: dict[str, np.ndarray]  # component -> (n, V) d value / d logits
+    logit_grad: np.ndarray | None  # (n, V) d value / d logits of the requested component
 
 
 def objective_terms(
     cosines: np.ndarray, slices: dict[str, slice], targets: dict[str, np.ndarray], vocab: Vocabulary,
     tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
     use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
+    component: str | None = "final",
 ) -> ObjectiveTerms:
-    """Every component value, the switch pattern, and every component's logit gradients.
+    """Every component value, the switch pattern, and the logit gradient of ``component``.
 
-    ``cosines``, ``slices`` and ``targets`` come from ``proposal_groups``;
-    every mean and weight is folded into the gradients, and rows a component
-    does not read have zero gradient. "final" is foreground plus the switched
-    loss (when ``use_prompts``) plus the pseudo-label loss (when
-    ``use_discovery``). ``branches`` pins the switch selection — finite
-    difference stencils use it to avoid differencing across the switch
-    discontinuity — while the returned pattern is always the one the current
-    masses select.
+    ``cosines``, ``slices`` and ``targets`` come from ``proposal_groups``.
+    "final" is foreground plus the switched loss (when ``use_prompts``) plus
+    the pseudo-label loss (when ``use_discovery``). The gradient folds in
+    every mean and weight, and rows the component does not read are zero;
+    ``component=None`` skips it. ``branches`` pins the switch selection —
+    finite difference stencils use it to avoid differencing across the
+    switch discontinuity — while the returned pattern is always the one the
+    current masses select.
     """
+    if component is not None and component not in COMPONENTS:
+        raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
     z = cosines / check_temperature(tau)
+    logp = log_softmax_rows(z)
+    probs = grad = None
+    if component is not None:
+        probs = np.exp(logp)
+        grad = np.zeros_like(z)
     values = dict.fromkeys(COMPONENTS, 0.0)
-    grads = {name: np.zeros_like(z) for name in COMPONENTS[:-1]}
     live: tuple[str, ...] = ()
+    in_final = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
+
+    def wants(*names: str) -> bool:
+        """Whether the requested gradient reads the group of these components (the last is in "final")."""
+        return component in names or (component == "final" and in_final[names[-1]])
+
+    def group(name: str, wanted: bool):
+        """A group's rows, its log-probabilities, and its probabilities if its gradient is wanted."""
+        rows = slices[name]
+        return rows, logp[rows], probs[rows] if wanted else None
 
     if "foreground" in slices:
-        rows = slices["foreground"]
-        vals, g = nll_terms(z[rows], targets["foreground"])
-        values["foreground"] = float(vals.mean())
-        grads["foreground"][rows] = g / g.shape[0]
+        rows, lp, p = group("foreground", wants("foreground"))
+        vals, g = nll_terms(lp, targets["foreground"], p)
+        values["foreground"] = float(vals.sum() / len(vals))
+        if g is not None:
+            grad[rows] = g / len(vals)
 
     if "background" in slices:
-        rows = slices["background"]
+        wanted = wants("mass", "uniform", "switched")
+        rows, lp, p = group("background", wanted)
         bg_idx = vocab.background_indices()
-        mass_vals, g_mass, masses = mass_terms(z[rows], bg_idx)
-        uniform_vals, g_uniform = uniform_terms(z[rows], bg_idx)
-        live = switched_branches(masses, gamma)
-        if branches is None:
-            branches = live
-        elif len(branches) != len(live):
-            raise ValueError("pinned branches must match the background count")
-        sel = np.array([b == MASS_BRANCH for b in branches])
+        mass_vals, g_mass, masses = mass_terms(lp, bg_idx, None if component == "uniform" else p)
+        uniform_vals, g_uniform = uniform_terms(lp, bg_idx, None if component == "mass" else p)
+        sel = masses >= gamma
+        live = switched_branches(sel)
+        if branches is not None:
+            if len(branches) != len(live):
+                raise ValueError("pinned branches must match the background count")
+            sel = np.array([b == MASS_BRANCH for b in branches])
         n = len(live)
-        values["mass"] = float(mass_vals.mean())
-        values["uniform"] = float(uniform_vals.mean())
-        values["switched"] = float(np.where(sel, mass_vals, uniform_vals).mean())
-        grads["mass"][rows] = g_mass / n
-        grads["uniform"][rows] = g_uniform / n
-        grads["switched"][rows] = np.where(sel[:, None], g_mass, g_uniform) / n
+        values["mass"] = float(mass_vals.sum() / n)
+        values["uniform"] = float(uniform_vals.sum() / n)
+        values["switched"] = float(np.where(sel, mass_vals, uniform_vals).sum() / n)
+        if wanted:
+            g = (g_mass if component == "mass" else g_uniform if component == "uniform"
+                 else np.where(sel[:, None], g_mass, g_uniform))
+            grad[rows] = g / n
 
+    wanted = wants("pseudo")
     if "pseudo_positive" in slices:
-        rows = slices["pseudo_positive"]
-        vals, g = nll_terms(z[rows], targets["pseudo_positive"])
-        values["pseudo"] += float(vals.mean())
-        grads["pseudo"][rows] = g / g.shape[0]
+        rows, lp, p = group("pseudo_positive", wanted)
+        vals, g = nll_terms(lp, targets["pseudo_positive"], p)
+        values["pseudo"] += float(vals.sum() / len(vals))
+        if g is not None:
+            grad[rows] = g / len(vals)
     if "pseudo_negative" in slices:
-        rows = slices["pseudo_negative"]
+        rows, lp, p = group("pseudo_negative", wanted)
         members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
-        vals, g, _ = mass_terms(z[rows], members)
-        values["pseudo"] += negative_weight * float(vals.mean())
-        grads["pseudo"][rows] = g * (negative_weight / g.shape[0])
+        vals, g, _ = mass_terms(lp, members, p)
+        values["pseudo"] += negative_weight * float(vals.sum() / len(vals))
+        if g is not None:
+            grad[rows] = g * (negative_weight / len(vals))
 
-    toggles = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
-    parts = [name for name, on in toggles.items() if on]
-    values["final"] = sum(values[name] for name in parts)
-    grads["final"] = sum(grads[name] for name in parts)
-    return ObjectiveTerms(values, live, grads)
+    values["final"] = sum(values[name] for name, on in in_final.items() if on)
+    return ObjectiveTerms(values, live, grad)
 
 
 def batch_terms(
     batch: ProposalBatch, partition, vocab: Vocabulary, tau: float, gamma: float = 0.0,
     negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
 ) -> ObjectiveTerms:
-    """``objective_terms`` of one batch (and optional pseudo-label partition)."""
+    """``objective_terms`` values and switch pattern of one batch (and optional pseudo-label partition)."""
     _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, partition, vocab)], vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
+    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight,
+                           branches=branches, component=None)
 
 
 def switched_background_loss(

@@ -229,7 +229,7 @@ def _features(rng, direction: np.ndarray, config: ScenarioConfig):
     return det, img
 
 def _score(rng, mean: float, std: float) -> float:
-    return float(np.clip(rng.normal(mean, std), 0.0, 1.0))
+    return min(max(rng.normal(mean, std), 0.0), 1.0)
 
 
 def _generate_image(

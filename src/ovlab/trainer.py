@@ -8,6 +8,15 @@ them. The switch in the background loss is a step discontinuity, so the
 oracle freezes each proposal's branch at the stencil center and reports any
 stencil that straddles the boundary instead of silently differencing
 across it.
+
+Each quantity of a run is computed at the scope where it changes. Per run:
+the discovery prep (count, centers, per-image pseudo-labels; one per seed in
+an ablation), the base embeddings, and each training image's proposal blocks
+as unit rows with their target positions. Per step: the vocabulary of the
+live parameters (one encoder forward, kept for the pullback), the embedding
+norms, one cosine matrix, one log-softmax and the logit gradient of "final"
+(``losses.objective_terms``), the pullback through the kept forward, and one
+SGD update.
 """
 
 from __future__ import annotations
@@ -168,11 +177,11 @@ class TrainHistory:
 
 
 def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, config: TrainConfig,
-           branches=None):
+           branches=None, component: str | None = "final"):
     """``objective_terms`` under one training configuration's hyperparameters and toggles."""
     return objective_terms(
         cosines, slices, targets, vocab, config.temperature, config.relax_threshold,
-        config.negative_weight, config.use_prompts, config.use_discovery, branches,
+        config.negative_weight, config.use_prompts, config.use_discovery, branches, component,
     )
 
 
@@ -189,10 +198,9 @@ def _groups(batch, partition: BackgroundPartition | None, vocab: Vocabulary):
 
 
 def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
-    """Chain d(loss)/d(logits) ``g`` through the cosine layer to d(loss)/d(embeddings)."""
-    norms = np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
-    what = features / np.linalg.norm(features, axis=1, keepdims=True)
-    return (g.T @ what - (g * cosines).sum(axis=0)[:, None] * (vocab.embeddings / norms)) / (tau * norms)
+    """Chain d(loss)/d(logits) ``g`` through the cosine layer (unit ``features``) to d(loss)/d(embeddings)."""
+    units, norms = vocab.unit_embeddings
+    return (g.T @ features - (g * cosines).sum(axis=0)[:, None] * units) / (tau * norms)
 
 
 def loss_and_gradients(
@@ -209,10 +217,8 @@ def loss_and_gradients(
     cosine already accounts for the parameter's norm). Values are returned
     unchecked: a non-finite loss or gradient is the caller's to report.
     """
-    if component not in COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
     features, slices, targets, cosines = _groups(batch, partition, vocab)
-    values, branches, logit_grads = _terms(cosines, slices, targets, vocab, config)
+    values, branches, logit_grad = _terms(cosines, slices, targets, vocab, config, component=component)
     counts = {name: rows.stop - rows.start for name, rows in slices.items()}
     breakdown = LossBreakdown(
         foreground=values["foreground"],
@@ -223,16 +229,19 @@ def loss_and_gradients(
         n_foreground=counts.get("foreground", 0),
         n_background=counts.get("background", 0),
     )
-    demb = _embedding_gradient(features, cosines, logit_grads[component], vocab, config.temperature)
-    ctx_grad = np.zeros_like(vocab.context_vectors)
+    demb = _embedding_gradient(features, cosines, logit_grad, vocab, config.temperature)
     if vocab.n_underlying:  # a baseline vocabulary may carry no encoder
-        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
+        ctx_grad = vocab.encoder.encode_context_vjp(
+            vocab.context_vectors, demb[vocab.underlying_slice], forward=vocab.context_forward
+        )
+    else:
+        ctx_grad = np.zeros_like(vocab.context_vectors)
     return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
 
 
 def _check_finite(grads: Gradients) -> Gradients:
     for name, arr in (("context", grads.context), ("sub_background", grads.sub_background)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))
             raise NonFiniteGradientError(f"non-finite gradient in {name} at {bad[0].tolist()}")
     return grads
@@ -274,15 +283,14 @@ def finite_diff_gradients(
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     features, slices, targets, cosines = _groups(batch, partition, vocab)
-    center_branches = _terms(cosines, slices, targets, vocab, config).branches
+    center_branches = _terms(cosines, slices, targets, vocab, config, component=None).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
-    fnorms = np.linalg.norm(features, axis=1)
     flips = 0
 
     def patched_value(row: int, new_emb: np.ndarray) -> tuple[float, bool]:
         patched = cosines.copy()
-        patched[:, row] = np.clip(features @ new_emb / (fnorms * np.linalg.norm(new_emb)), -1.0, 1.0)
-        values, live, _ = _terms(patched, slices, targets, vocab, config, center_branches)
+        patched[:, row] = np.clip(features @ new_emb / np.linalg.norm(new_emb), -1.0, 1.0)
+        values, live, _ = _terms(patched, slices, targets, vocab, config, center_branches, None)
         return values[component], switch_live and live != center_branches
 
     def stencil(rows, points: np.ndarray, embed) -> np.ndarray:
@@ -612,12 +620,13 @@ def train(
             params, _check_finite(grads), velocity,
             lr=config.learning_rate, momentum=config.momentum, weight_decay=config.weight_decay,
         )
+        n_mass = breakdown.branches.count(MASS_BRANCH)
         records.append(
             StepRecord(
                 step=step,
                 breakdown=breakdown,
-                n_mass_branch=sum(b == MASS_BRANCH for b in breakdown.branches),
-                n_uniform_branch=sum(b != MASS_BRANCH for b in breakdown.branches),
+                n_mass_branch=n_mass,
+                n_uniform_branch=len(breakdown.branches) - n_mass,
                 n_pseudo_positive=sum(len(b.features["pseudo_positive"]) for b in sampled),
                 n_pseudo_negative=sum(len(b.features["pseudo_negative"]) for b in sampled),
             )

@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DimensionMismatchError
-from .encoder import MockTextEncoder
+from .core import DimensionMismatchError, unit_rows
+from .encoder import ContextForward, MockTextEncoder
 
 __all__ = [
     "Kind",
@@ -49,9 +49,11 @@ class Vocabulary:
     """Immutable snapshot of every category the head scores against.
 
     ``embeddings`` stacks all category embeddings in block order. The
-    snapshot also carries the context vectors and encoder it was built from
-    so gradient code can chain through the underlying block without extra
-    arguments.
+    snapshot also carries the context vectors, the encoder and (for a
+    training vocabulary) the encoder's ``ContextForward`` of the underlying
+    block, so gradient code can chain through that block without extra
+    arguments or a second forward pass. A zero-norm embedding row has no
+    direction and raises ``ZeroNormError`` on construction.
     """
 
     base_ids: tuple[int, ...]
@@ -64,6 +66,13 @@ class Vocabulary:
     baseline_mode: bool = False
     inference: bool = False
     _base_pos: dict[int, int] = field(repr=False, default_factory=dict)
+    context_forward: ContextForward | None = field(repr=False, default=None)
+    # ``core.unit_rows`` of the embeddings (unit rows and their (size, 1)
+    # norms), which the cosine layer and its gradient share.
+    unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unit_embeddings", unit_rows(self.embeddings))
 
     # -- counts and index blocks -------------------------------------------
 
@@ -174,7 +183,8 @@ def build_training_vocab(
     """Assemble the training-time vocabulary [base..., underlying..., sub-background].
 
     Underlying embeddings are recomputed from the current context vectors on
-    every call, so the returned snapshot always reflects the live parameters.
+    every call, so the returned snapshot always reflects the live parameters;
+    the snapshot keeps that encoder forward for the gradient's pullback.
     In baseline mode the underlying block must be empty and the final slot is
     the single background embedding.
     """
@@ -207,27 +217,28 @@ def build_training_vocab(
             f"sub-background embedding must have shape ({d},), got {sub.shape}"
         )
 
+    forward = None
     if n_under:
-        under_emb = encoder.encode_context(ctx)
-        if under_emb.shape[1] != d:
-            raise DimensionMismatchError(
-                f"encoder dimension {under_emb.shape[1]} != base dimension {d}"
-            )
-        stacked = np.vstack([base_emb, under_emb, sub[None, :]])
+        forward = encoder.forward(ctx)
+        if encoder.dim != d:
+            raise DimensionMismatchError(f"encoder dimension {encoder.dim} != base dimension {d}")
+        stacked = np.concatenate([base_emb, forward.embeddings, sub[None, :]])
     else:
-        stacked = np.vstack([base_emb, sub[None, :]])
+        stacked = np.concatenate([base_emb, sub[None, :]])
+    stacked.setflags(write=False)  # a new array, so freezing needs no copy
 
     return Vocabulary(
         base_ids=base_ids,
         novel_ids=(),
         n_underlying=n_under,
         n_discovered=int(n_discovered),
-        embeddings=_frozen(stacked),
+        embeddings=stacked,
         context_vectors=_frozen(ctx),
         encoder=encoder,
         baseline_mode=baseline_mode,
         inference=False,
         _base_pos={cid: pos for pos, cid in enumerate(base_ids)},
+        context_forward=forward,
     )
 
 

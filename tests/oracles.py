@@ -2,14 +2,18 @@
 
 Each one computes its quantity the slow, direct way (one pair, one category
 pair, one coordinate, one cluster or one proposal at a time) from the
-``ovlab.core`` primitives only.
+``ovlab.core`` primitives only. The unfused training step at the end is the
+exception: it is the step as written before training computed each quantity
+once, kept to show the fused step trains bit for bit alike.
 """
 
 import math
 
 import numpy as np
 
-from ovlab.core import check_temperature, cosine, cosine_matrix, logsumexp
+from ovlab.core import check_temperature, cosine, cosine_matrix, log_softmax_rows, logsumexp
+from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
+from ovlab.trainer import Gradients
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
 
@@ -122,3 +126,129 @@ def proposal_groups(batch, partition, vocab: Vocabulary):
             rows.extend(feats)
     features = np.stack(rows) if rows else np.zeros((0, vocab.dim))
     return features, slices, targets, cosine_matrix(features, vocab.embeddings)
+
+
+# -- the unfused training step --------------------------------------------------
+
+
+def raw_proposal_blocks(batch, partition, vocab: Vocabulary) -> ProposalBlocks:
+    """``losses.proposal_blocks`` with the detector rows as given, not unit-normalized."""
+    positives = partition.positives if partition is not None else ()
+    negatives = partition.negatives if partition is not None else ()
+    rows = {
+        "foreground": [p.det_feature for p in batch.foreground],
+        "background": [p.det_feature for p in batch.background],
+        "pseudo_positive": [p.det_feature for p, _ in positives],
+        "pseudo_negative": [p.det_feature for p in negatives],
+    }
+    features = {name: np.stack(r) if r else np.zeros((0, vocab.dim)) for name, r in rows.items()}
+    targets = {
+        "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
+        "pseudo_positive": np.array(
+            [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
+        ),
+    }
+    return ProposalBlocks(features, targets)
+
+
+def _nll(logits, targets):
+    logp = log_softmax_rows(logits)
+    rows = np.arange(logits.shape[0])
+    grad = np.exp(logp)
+    grad[rows, targets] -= 1.0
+    return -logp[rows, targets], grad
+
+
+def _mass(logits, members):
+    logp = log_softmax_rows(logits)
+    member_logp = logp[:, members]
+    shift = member_logp.max(axis=1, keepdims=True)
+    log_mass = (np.log(np.exp(member_logp - shift).sum(axis=1, keepdims=True)) + shift).ravel()
+    grad = np.exp(logp)
+    grad[:, members] -= np.exp(member_logp - log_mass[:, None])
+    return -log_mass, grad, np.exp(log_mass)
+
+
+def _uniform(logits, members):
+    logp = log_softmax_rows(logits)
+    grad = np.exp(logp)
+    grad[:, members] -= 1.0 / len(members)
+    return -logp[:, members].mean(axis=1), grad
+
+
+def unfused_loss_and_gradients(blocks, vocab: Vocabulary, partition, config, component: str = "final"):
+    """``trainer.loss_and_gradients`` on ``raw_proposal_blocks``, every quantity computed where it is used.
+
+    Raw rows go through ``cosine_matrix``; each group takes its own
+    log-softmax (the background group two); all five component gradients are
+    filled and the toggled ones summed to "final"; and the pullback runs the
+    encoder forward again.
+    """
+    assert partition is None, "training passes the pseudo-label groups inside the blocks"
+    slices, parts, start = {}, [], 0
+    for name in GROUPS:
+        n = sum(len(b.features[name]) for b in blocks)
+        if n:
+            slices[name] = slice(start, start + n)
+            start += n
+            parts.extend(b.features[name] for b in blocks)
+    features = np.concatenate(parts) if parts else np.zeros((0, vocab.dim))
+    targets = {name: np.concatenate([np.zeros(0, np.int64)] + [b.targets[name] for b in blocks])
+               for name in ("foreground", "pseudo_positive")}
+    cosines = cosine_matrix(features, vocab.embeddings)
+
+    z = cosines / config.temperature
+    values = dict.fromkeys(("foreground", "mass", "uniform", "switched", "pseudo"), 0.0)
+    grads = {name: np.zeros_like(z) for name in values}
+    branches = ()
+    if "foreground" in slices:
+        rows = slices["foreground"]
+        vals, g = _nll(z[rows], targets["foreground"])
+        values["foreground"] = float(vals.mean())
+        grads["foreground"][rows] = g / g.shape[0]
+    if "background" in slices:
+        rows = slices["background"]
+        mass_vals, g_mass, masses = _mass(z[rows], vocab.background_indices())
+        uniform_vals, g_uniform = _uniform(z[rows], vocab.background_indices())
+        branches = tuple(MASS_BRANCH if m >= config.relax_threshold else UNIFORM_BRANCH for m in masses)
+        sel = np.array([b == MASS_BRANCH for b in branches])
+        n = len(branches)
+        values["mass"], values["uniform"] = float(mass_vals.mean()), float(uniform_vals.mean())
+        values["switched"] = float(np.where(sel, mass_vals, uniform_vals).mean())
+        grads["mass"][rows] = g_mass / n
+        grads["uniform"][rows] = g_uniform / n
+        grads["switched"][rows] = np.where(sel[:, None], g_mass, g_uniform) / n
+    if "pseudo_positive" in slices:
+        rows = slices["pseudo_positive"]
+        vals, g = _nll(z[rows], targets["pseudo_positive"])
+        values["pseudo"] += float(vals.mean())
+        grads["pseudo"][rows] = g / g.shape[0]
+    if "pseudo_negative" in slices:
+        rows = slices["pseudo_negative"]
+        members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
+        vals, g, _ = _mass(z[rows], members)
+        values["pseudo"] += config.negative_weight * float(vals.mean())
+        grads["pseudo"][rows] = g * (config.negative_weight / g.shape[0])
+    parts = ["foreground"] + ["switched"] * config.use_prompts + ["pseudo"] * config.use_discovery
+    values["final"] = sum(values[name] for name in parts)
+    grads["final"] = sum(grads[name] for name in parts)
+
+    counts = {name: rows.stop - rows.start for name, rows in slices.items()}
+    breakdown = LossBreakdown(
+        foreground=values["foreground"],
+        background=values["switched"] if config.use_prompts else 0.0,
+        pseudo=values["pseudo"] if config.use_discovery else 0.0,
+        total=values["final"],
+        branches=branches if config.use_prompts else (),
+        n_foreground=counts.get("foreground", 0),
+        n_background=counts.get("background", 0),
+    )
+    g = grads[component]
+    norms = np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
+    what = features / np.linalg.norm(features, axis=1, keepdims=True)
+    demb = (g.T @ what - (g * cosines).sum(axis=0)[:, None] * (vocab.embeddings / norms)) / (
+        config.temperature * norms)
+    ctx_grad = np.zeros_like(vocab.context_vectors)
+    if vocab.n_underlying:
+        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
+    return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])

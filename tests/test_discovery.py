@@ -46,6 +46,17 @@ def test_degenerate_box_rejected():
         Box(1.0, 0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("corners,match", [
+    ((0.0, 0.0, float("inf"), 1.0), "non-finite"),
+    ((-np.inf, 0.0, 1.0, 1.0), "non-finite"),
+    ((0.0, np.float64(-np.inf), 1.0, np.float64(2.0)), "non-finite"),
+    ((float("nan"), 0.0, 1.0, 1.0), "degenerate"),
+])
+def test_non_finite_box_rejected(corners, match):
+    with pytest.raises(ValueError, match=match):
+        Box(*corners)
+
+
 def _random_box(rng, span=50.0):
     x1 = rng.uniform(0, span)
     y1 = rng.uniform(0, span)
@@ -339,6 +350,17 @@ def test_estimate_count_returns_the_winning_clustering():
     again = kmeans(pts, estimate.count, seed=5)
     np.testing.assert_array_equal(estimate.model.centers, again.centers)
     np.testing.assert_array_equal(estimate.model.assignments, again.assignments)
+
+
+def test_sweep_scores_equal_the_public_silhouette_per_k():
+    # The sweep builds the distance matrix once and shares it; every k's
+    # score must be the bytes the public silhouette_score gives on its own.
+    rng = np.random.default_rng(14)
+    pts, _, _ = _blobs(rng, 4, 40, d=8)
+    estimate = estimate_category_count(pts, 2, 9, seed=3)
+    for k, score in estimate.scores:
+        assignments = kmeans(pts, k, seed=3).assignments
+        assert score == silhouette_score(pts, assignments)
 
 
 def test_estimate_count_invalid_ranges():

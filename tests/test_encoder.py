@@ -78,6 +78,29 @@ def test_one_row_stack_equals_vector_call_exactly(enc):
         assert np.array_equal(enc.encode_context_vjp(v[None], g[None])[0], enc.encode_context_vjp(v, g))
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["vector", "one_row", "stack"])
+def test_vjp_through_a_kept_forward_equals_a_fresh_forward(enc, rows):
+    # Training encodes the context vectors once per step and pulls back through
+    # that forward; it must give the bytes of a pullback that runs its own.
+    rng = np.random.default_rng(14)
+    shape = () if rows is None else (rows,)
+    for _ in range(10):
+        v = rng.normal(0, 1.2, shape + (enc.ctx_dim,))
+        g = rng.standard_normal(shape + (enc.dim,))
+        forward = enc.forward(v)
+        kept = enc.encode_context_vjp(v, g, forward=forward)
+        fresh = enc.encode_context_vjp(v, g)
+        assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
+        encoded = enc.encode_context(v)
+        assert forward.embeddings.reshape(encoded.shape).tobytes() == encoded.tobytes()
+
+
+def test_vjp_refuses_a_forward_of_other_rows(enc):
+    v = np.zeros((3, enc.ctx_dim))
+    with pytest.raises(DimensionMismatchError, match="forward of 2 rows"):
+        enc.encode_context_vjp(v, np.zeros((3, enc.dim)), forward=enc.forward(v[:2]))
+
+
 def test_row_stack_shape_errors(enc):
     v = np.zeros((3, enc.ctx_dim))
     with pytest.raises(DimensionMismatchError):

@@ -342,10 +342,20 @@ def _random_images(rng, vocab, n_images, with_partition):
     return images
 
 
+def test_zero_norm_feature_fails_at_stacking_time():
+    from ovlab.core import ZeroNormError
+
+    vocab = _eye_vocab(2, 1)
+    batch = _batch(fg=[make_proposal(np.eye(4)[0], gt_label=0)], bg=[make_proposal(np.zeros(4))])
+    with pytest.raises(ZeroNormError):
+        proposal_blocks(batch, None, vocab)
+
+
 @pytest.mark.parametrize("kind", ["partition", "no_partition", "baseline"])
 def test_block_assembly_matches_per_proposal_oracle(kind):
-    # Training stacks each image once and concatenates the sampled images'
-    # blocks; that must equal assembling the union batch proposal by proposal.
+    # Training stacks each image once, as unit rows, and concatenates the
+    # sampled images' blocks; that must equal assembling the union batch
+    # proposal by proposal and normalizing its rows.
     rng = np.random.default_rng({"partition": 20, "no_partition": 21, "baseline": 22}[kind])
     enc = MockTextEncoder(dim=12, ctx_dim=6, seed=3)
     base_ids = [4, 9, 2]
@@ -370,5 +380,6 @@ def test_block_assembly_matches_per_proposal_oracle(kind):
         want = oracle_groups(union, partition, vocab)
         assert got[1] == want[1]  # slices
         assert got[2].keys() == want[2].keys()
-        for g, w in [(got[0], want[0]), (got[3], want[3])] + [(got[2][n], want[2][n]) for n in want[2]]:
+        unit_rows = want[0] / np.linalg.norm(want[0], axis=1, keepdims=True)  # blocks hold unit rows
+        for g, w in [(got[0], unit_rows), (got[3], want[3])] + [(got[2][n], want[2][n]) for n in want[2]]:
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()

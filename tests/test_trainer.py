@@ -8,6 +8,7 @@ import pytest
 
 from ovlab.encoder import MockTextEncoder, init_context_vectors
 from ovlab.losses import ProposalBatch
+from ovlab.metrics import STANDARD_COMBOS
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import (
@@ -18,6 +19,7 @@ from ovlab.trainer import (
     TrainingDivergedError,
     compute_gradients,
     finite_diff_gradients,
+    history_to_json,
     initial_params,
     loss_final,
     prepare_discovery,
@@ -26,7 +28,7 @@ from ovlab.trainer import (
 )
 from ovlab.vocab import build_training_vocab
 
-from oracles import central_difference
+from oracles import central_difference, raw_proposal_blocks, unfused_loss_and_gradients
 from util import make_proposal, unit
 
 
@@ -227,12 +229,12 @@ def test_branch_straddle_flagged(enc):
     batch = ProposalBatch(foreground=(), background=(make_proposal(q),))
     config = TrainConfig(temperature=0.05, discovered_categories=1, extra_categories=0,
                          use_discovery=False)
-    from ovlab.core import cosine_matrix
+    from ovlab.core import cosine_matrix, log_softmax_rows
     from ovlab.losses import mass_terms
 
     features = np.stack([p.det_feature for p in batch.background])
     logits = cosine_matrix(features, vocab.embeddings) / config.temperature
-    _, _, masses = mass_terms(logits, vocab.background_indices())
+    _, _, masses = mass_terms(log_softmax_rows(logits), vocab.background_indices())
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
     _, flips = finite_diff_gradients(batch, vocab, None, on_boundary, h=1e-5)
     assert flips > 0
@@ -345,8 +347,6 @@ def test_train_deterministic(small_scenario):
     h1, c1 = train(config, small_scenario)
     h2, c2 = train(config, small_scenario)
     assert c1.to_json() == c2.to_json()
-    from ovlab.trainer import history_to_json
-
     assert history_to_json(h1) == history_to_json(h2)
 
 
@@ -399,6 +399,29 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
     monkeypatch.setattr(trainer_mod, "loss_and_gradients", bad_loss)
     with pytest.raises(TrainingDivergedError, match="step 0"):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
+
+
+TRAINING_TOGGLES = sorted({(c.baseline_mode, c.use_prompts, c.use_discovery) for c in STANDARD_COMBOS})
+
+
+@pytest.mark.parametrize("baseline_mode,use_prompts,use_discovery", TRAINING_TOGGLES)
+def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, baseline_mode,
+                                                   use_prompts, use_discovery):
+    # The step computes each quantity once (unit rows per run, one log-softmax,
+    # one gradient, one encoder forward); the oracle recomputes each where it
+    # is used. Both must train to the same bytes under every ablation toggle set.
+    import ovlab.trainer as trainer_mod
+
+    config = TrainConfig(steps=20, seed=3, baseline_mode=baseline_mode, use_prompts=use_prompts,
+                         use_discovery=use_discovery)
+    prep = prepare_discovery(small_scenario, config)
+    history, checkpoint = train(config, small_scenario, prep)
+    monkeypatch.setattr(trainer_mod, "proposal_blocks", raw_proposal_blocks)
+    monkeypatch.setattr(trainer_mod, "loss_and_gradients", unfused_loss_and_gradients)
+    oracle_history, oracle_checkpoint = train(config, small_scenario, prep)
+    assert history_to_json(history) == history_to_json(oracle_history)
+    assert checkpoint.to_json() == oracle_checkpoint.to_json()
+    assert history.totals()["pseudo_positive"] > 0 or not use_discovery
 
 
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
