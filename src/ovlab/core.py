@@ -167,7 +167,7 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if (norms <= _NORM_FLOOR).any():
-        raise ZeroNormError("cosine matrix undefined for zero-norm rows")
+        raise ZeroNormError("zero-norm rows have no direction")
     return rows / norms, norms
 
 

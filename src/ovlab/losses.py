@@ -226,34 +226,31 @@ class ObjectiveTerms(NamedTuple):
 
     values: dict[str, float]  # every component of COMPONENTS
     branches: tuple[str, ...]  # switch pattern selected from the current masses
-    logit_grad: np.ndarray | None  # (n, V) d value / d logits of the requested component
+    logit_grad: np.ndarray  # (n, V) d value / d logits of the requested component
 
 
 def objective_terms(
     cosines: np.ndarray, slices: dict[str, slice], targets: dict[str, np.ndarray], vocab: Vocabulary,
     tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
     use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
-    component: str | None = "final",
+    component: str = "final",
 ) -> ObjectiveTerms:
     """Every component value, the switch pattern, and the logit gradient of ``component``.
 
     ``cosines``, ``slices`` and ``targets`` come from ``proposal_groups``.
     "final" is foreground plus the switched loss (when ``use_prompts``) plus
     the pseudo-label loss (when ``use_discovery``). The gradient folds in
-    every mean and weight, and rows the component does not read are zero;
-    ``component=None`` skips it. ``branches`` pins the switch selection —
-    finite difference stencils use it to avoid differencing across the
-    switch discontinuity — while the returned pattern is always the one the
-    current masses select.
+    every mean and weight, and rows the component does not read are zero.
+    ``branches`` pins the switch selection — finite difference stencils use
+    it to avoid differencing across the switch discontinuity — while the
+    returned pattern is always the one the current masses select.
     """
-    if component is not None and component not in COMPONENTS:
+    if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
     z = cosines / check_temperature(tau)
     logp = log_softmax_rows(z)
-    probs = grad = None
-    if component is not None:
-        probs = np.exp(logp)
-        grad = np.zeros_like(z)
+    probs = np.exp(logp)
+    grad = np.zeros_like(z)
     values = dict.fromkeys(COMPONENTS, 0.0)
     live: tuple[str, ...] = ()
     in_final = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
@@ -278,8 +275,8 @@ def objective_terms(
         wanted = wants("mass", "uniform", "switched")
         rows, lp, p = group("background", wanted)
         bg_idx = vocab.background_indices()
-        mass_vals, g_mass, masses = mass_terms(lp, bg_idx, None if component == "uniform" else p)
-        uniform_vals, g_uniform = uniform_terms(lp, bg_idx, None if component == "mass" else p)
+        mass_vals, g_mass, masses = mass_terms(lp, bg_idx, p)
+        uniform_vals, g_uniform = uniform_terms(lp, bg_idx, p)
         sel = masses >= gamma
         live = switched_branches(sel)
         if branches is not None:
@@ -318,10 +315,9 @@ def batch_terms(
     batch: ProposalBatch, partition, vocab: Vocabulary, tau: float, gamma: float = 0.0,
     negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
 ) -> ObjectiveTerms:
-    """``objective_terms`` values and switch pattern of one batch (and optional pseudo-label partition)."""
+    """``objective_terms`` of one batch (and optional pseudo-label partition)."""
     _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, partition, vocab)], vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight,
-                           branches=branches, component=None)
+    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
 
 
 def switched_background_loss(

@@ -177,7 +177,7 @@ class TrainHistory:
 
 
 def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, config: TrainConfig,
-           branches=None, component: str | None = "final"):
+           branches=None, component: str = "final"):
     """``objective_terms`` under one training configuration's hyperparameters and toggles."""
     return objective_terms(
         cosines, slices, targets, vocab, config.temperature, config.relax_threshold,
@@ -283,14 +283,14 @@ def finite_diff_gradients(
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     features, slices, targets, cosines = _groups(batch, partition, vocab)
-    center_branches = _terms(cosines, slices, targets, vocab, config, component=None).branches
+    center_branches = _terms(cosines, slices, targets, vocab, config, component=component).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
     flips = 0
 
     def patched_value(row: int, new_emb: np.ndarray) -> tuple[float, bool]:
         patched = cosines.copy()
         patched[:, row] = np.clip(features @ new_emb / np.linalg.norm(new_emb), -1.0, 1.0)
-        values, live, _ = _terms(patched, slices, targets, vocab, config, center_branches, None)
+        values, live, _ = _terms(patched, slices, targets, vocab, config, center_branches, component)
         return values[component], switch_live and live != center_branches
 
     def stencil(rows, points: np.ndarray, embed) -> np.ndarray:

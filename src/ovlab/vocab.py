@@ -66,7 +66,9 @@ class Vocabulary:
     baseline_mode: bool = False
     inference: bool = False
     _base_pos: dict[int, int] = field(repr=False, default_factory=dict)
-    context_forward: ContextForward | None = field(repr=False, default=None)
+    # Set by ``build_training_vocab`` only, so it is always the forward of
+    # these context vectors.
+    context_forward: ContextForward | None = field(init=False, repr=False, default=None)
     # ``core.unit_rows`` of the embeddings (unit rows and their (size, 1)
     # norms), which the cosine layer and its gradient share.
     unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
@@ -227,7 +229,7 @@ def build_training_vocab(
         stacked = np.concatenate([base_emb, sub[None, :]])
     stacked.setflags(write=False)  # a new array, so freezing needs no copy
 
-    return Vocabulary(
+    vocab = Vocabulary(
         base_ids=base_ids,
         novel_ids=(),
         n_underlying=n_under,
@@ -238,8 +240,9 @@ def build_training_vocab(
         baseline_mode=baseline_mode,
         inference=False,
         _base_pos={cid: pos for pos, cid in enumerate(base_ids)},
-        context_forward=forward,
     )
+    object.__setattr__(vocab, "context_forward", forward)
+    return vocab
 
 
 def build_inference_vocab(training_vocab: Vocabulary, novel_ids, novel_embeddings) -> Vocabulary:

@@ -1,10 +1,13 @@
 """Category registry: ordering, counts, and rebuild semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ovlab.core import ZeroNormError
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.vocab import Kind, build_inference_vocab, build_training_vocab
+from ovlab.vocab import Kind, Vocabulary, build_inference_vocab, build_training_vocab
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +156,32 @@ def test_embeddings_are_frozen(enc):
     vocab = build_training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
     with pytest.raises(ValueError):
         vocab.embeddings[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("n_ctx", [0, 2])
+def test_zero_norm_embedding_fails_when_the_vocabulary_is_built(enc, n_ctx):
+    # Every vocabulary stores its unit embeddings, so a direction-less row
+    # is refused on construction, not when the vocabulary is first scored.
+    ids, emb = _base(enc, 3)
+    ctx = init_context_vectors(n_ctx, seed=0, ctx_dim=enc.ctx_dim) if n_ctx else np.zeros((0, enc.ctx_dim))
+    with pytest.raises(ZeroNormError, match="zero-norm rows have no direction"):
+        build_training_vocab(ids, emb, ctx, np.zeros(enc.dim), enc)
+    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    with pytest.raises(ZeroNormError):
+        build_inference_vocab(vocab, [100], np.zeros((1, enc.dim)))
+
+
+def test_context_forward_is_set_by_the_training_builder_only(enc):
+    ids, emb = _base(enc, 2)
+    ctx = init_context_vectors(3, seed=1, ctx_dim=enc.ctx_dim)
+    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    fresh = enc.forward(vocab.context_vectors)
+    for kept, new in zip(vocab.context_forward, fresh):
+        assert kept.tobytes() == new.tobytes()
+    fields = {f.name: f for f in dataclasses.fields(Vocabulary)}
+    assert not fields["context_forward"].init
+    with pytest.raises(TypeError):
+        Vocabulary(**{name: getattr(vocab, name) for name, f in fields.items() if f.init},
+                   context_forward=enc.forward(ctx[::-1]))
+    assert dataclasses.replace(vocab).context_forward is None
+    assert build_inference_vocab(vocab, [], np.zeros((0, enc.dim))).context_forward is None
