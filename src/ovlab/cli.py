@@ -21,7 +21,7 @@ from .core import check_fields, from_dict
 from .discovery import Box, Proposal, estimate_category_count
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
-from .losses import ProposalBatch
+from .losses import ProposalBatch, proposal_blocks
 from .persist import canonical_json, config_hash, sha256_file, write_text
 from .pseudo import BackgroundPartition, PseudoLabel
 from .rectify import rectification_report
@@ -40,6 +40,7 @@ from .trainer import (
 from .vocab import build_training_vocab
 
 GRADCHECK_TOLERANCES = {1.0: 1e-5, 0.05: 1e-4}
+GRADCHECK_STEP = 1e-5  # central-difference step size
 COMBOS_BY_NAME = {c.name: c for c in STANDARD_COMBOS}
 
 
@@ -260,7 +261,7 @@ def cmd_ablate(args) -> int:
 
 
 def _gradcheck_instance(seed: int, tau: float):
-    """One random small training setup for the oracle comparison."""
+    """One random small training setup for the oracle comparison: stacked blocks, vocabulary, config."""
     rng = np.random.default_rng([9, seed])
     enc = MockTextEncoder(seed=int(rng.integers(1 << 16)), dim=16, ctx_dim=8, hidden_dim=32, prefix_dim=4)
 
@@ -297,10 +298,10 @@ def _gradcheck_instance(seed: int, tau: float):
         negatives=tuple(prop() for _ in range(3)),
     )
     config = TrainConfig(temperature=tau, discovered_categories=n_disc, extra_categories=n_extra)
-    return batch, vocab, partition, config
+    return [proposal_blocks(batch, partition, vocab)], vocab, config
 
 
-def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[dict], bool]:
+def gradcheck_table(n_instances: int, seed: int) -> tuple[list[dict], bool]:
     """Compare analytic and central-difference gradients across seeded instances.
 
     Returns per-(tau, component) rows with the worst relative L2 error over
@@ -313,11 +314,9 @@ def gradcheck_table(n_instances: int, seed: int, h: float = 1e-5) -> tuple[list[
             worst = 0.0
             flagged = 0
             for i in range(n_instances):
-                batch, vocab, partition, config = _gradcheck_instance(seed + i, tau)
-                _, analytic = loss_and_gradients(batch, vocab, partition, config, component)
-                fd, flips = finite_diff_gradients(
-                    batch, vocab, partition, config, h=h, component=component
-                )
+                blocks, vocab, config = _gradcheck_instance(seed + i, tau)
+                _, analytic = loss_and_gradients(blocks, vocab, config, component)
+                fd, flips = finite_diff_gradients(blocks, vocab, config, GRADCHECK_STEP, component)
                 if flips:
                     flagged += 1
                     continue

@@ -27,6 +27,9 @@ __all__ = [
     "estimate_category_count",
 ]
 
+KMEANS_MAX_ITERS = 100  # Lloyd iterations per initialization
+KMEANS_RESTARTS = 8  # seeded initializations per clustering; the lowest objective wins
+
 
 @dataclass(frozen=True)
 class Box:
@@ -184,14 +187,15 @@ def _update_centers(pts: np.ndarray, assignments: np.ndarray, k: int, own_d2: np
     return centers
 
 
-def kmeans(features, k: int, seed: int, max_iters: int = 100, n_init: int = 8) -> ClusterModel:
+def kmeans(features, k: int, seed: int) -> ClusterModel:
     """Spherical k-means: k-means++ seeding, Lloyd iterations to a fixpoint.
 
     Centers are constrained to the unit sphere (normalized member means),
     which minimizes the same squared-distance objective for unit-norm data.
     Empty clusters are re-seeded to the point farthest from its own center.
-    Runs ``n_init`` independent seeded initializations and keeps the lowest
-    objective; a run whose objective increases raises ``RuntimeError``.
+    Runs ``KMEANS_RESTARTS`` independent seeded initializations of at most
+    ``KMEANS_MAX_ITERS`` iterations each and keeps the lowest objective; a
+    run whose objective increases raises ``RuntimeError``.
     """
     pts = np.asarray(features, dtype=np.float64)
     if pts.ndim != 2:
@@ -199,17 +203,15 @@ def kmeans(features, k: int, seed: int, max_iters: int = 100, n_init: int = 8) -
     n = pts.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if n_init < 1:
-        raise ValueError(f"need at least one initialization, got {n_init}")
     best = None
-    for restart in range(n_init):
-        model = _kmeans_once(pts, k, seed, restart, max_iters)
+    for restart in range(KMEANS_RESTARTS):
+        model = _kmeans_once(pts, k, seed, restart)
         if best is None or model.objective < best.objective:
             best = model
     return best
 
 
-def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: int) -> ClusterModel:
+def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int) -> ClusterModel:
     n = pts.shape[0]
     rng = np.random.default_rng([3, int(seed), int(k), int(restart)])
     point_sq = (pts * pts).sum(axis=1)
@@ -230,7 +232,7 @@ def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int, max_iters: in
 
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, KMEANS_MAX_ITERS + 1):
         d2 = _sq_dists(pts, centers, point_sq)
         new_assign = d2.argmin(axis=1)
         own_d2 = d2[np.arange(n), new_assign]

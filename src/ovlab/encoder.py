@@ -94,12 +94,11 @@ class MockTextEncoder:
 
     # -- forward ----------------------------------------------------------
 
-    def _check_ctx(self, v, stack: bool = True) -> np.ndarray:
+    def _check_ctx(self, v) -> np.ndarray:
         arr = np.asarray(v, dtype=np.float64)
-        if arr.shape[-1:] != (self.ctx_dim,) or arr.ndim > (2 if stack else 1):
-            rows = f" or (n, {self.ctx_dim})" if stack else ""
+        if arr.shape[-1:] != (self.ctx_dim,) or arr.ndim > 2:
             raise DimensionMismatchError(
-                f"context vector must have shape ({self.ctx_dim},){rows}, got {arr.shape}"
+                f"context vector must have shape ({self.ctx_dim},) or (n, {self.ctx_dim}), got {arr.shape}"
             )
         return arr
 
@@ -124,15 +123,6 @@ class MockTextEncoder:
         """Unit-norm embedding of a context vector, or one per row of an (n, ctx_dim) stack."""
         out = self.forward(v).embeddings
         return out[0] if np.ndim(v) == 1 else out
-
-    def encode_context_jvp(self, v, direction) -> np.ndarray:
-        """Jacobian-vector product of encode_context at one vector v, including normalization."""
-        arr = self._check_ctx(v, stack=False)
-        d = self._check_ctx(direction, stack=False)
-        hidden, ny, yhat = (x[0] for x in self.forward(arr))
-        da = self._w1[:, self.prefix_dim :] @ d
-        dy = self._w2 @ ((1.0 - hidden**2) * da)
-        return (dy - np.dot(yhat, dy) * yhat) / ny
 
     def encode_context_vjp(self, v, cotangent, forward: ContextForward | None = None) -> np.ndarray:
         """Transpose-Jacobian product: pulls an embedding-space gradient back to context space.

@@ -18,7 +18,9 @@ every group's stacked proposals it returns every component value, the
 switch pattern and the logit gradient of the one component asked for; the
 trainer chains that through the cosine layer and the encoder, and
 ``batch_terms`` evaluates it on one batch. All means are over proposals, so
-duplicating a batch leaves every loss unchanged.
+duplicating a batch leaves every loss unchanged. A batch reaches the objective
+in one form, a sequence of ``ProposalBlocks``, into which ``proposal_blocks``
+stacks a ``ProposalBatch`` and its optional pseudo-label partition.
 
 What training computes when:
 

@@ -18,7 +18,7 @@ import numpy as np
 from .persist import canonical_json
 from .rectify import compute_shrinking_factors, score
 from .synth import Scenario
-from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, TrainHistory, prepare_discovery, train
+from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_discovery, train
 from .vocab import Vocabulary, build_inference_vocab
 
 __all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "inference_vocab",
@@ -103,7 +103,6 @@ def evaluate(
     scenario: Scenario,
     rectify: bool = True,
     recall_threshold: float = 0.5,
-    history: TrainHistory | None = None,
 ) -> EvalReport:
     """Score every held-out proposal and compare against the oracle labels.
 
@@ -154,7 +153,7 @@ def evaluate(
         rectified=bool(rectify),
         mean_shrinking_factor=float(factors.mean()) if factors.size else 1.0,
         confusion=confusion,
-        branch_histogram=(history.totals() if history is not None else dict(checkpoint.branch_totals)),
+        branch_histogram=dict(checkpoint.branch_totals),
         n_novel=totals["novel"],
         n_base=totals["base"],
         n_background=totals["background"],

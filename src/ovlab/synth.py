@@ -24,7 +24,7 @@ import numpy as np
 from .core import check_fields, from_dict
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
-from .persist import canonical_json, config_hash
+from .persist import canonical_json, config_hash, write_text
 
 __all__ = [
     "ScenarioConfig",
@@ -378,8 +378,7 @@ def write_dataset(scenario: Scenario, path) -> None:
             )
             for p in image.proposals:
                 lines.append(canonical_json(_proposal_record(split, image.image_id, p)))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Scenario:

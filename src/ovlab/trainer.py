@@ -4,10 +4,11 @@ Only the context vectors and the sub-background embedding train; base
 embeddings, the encoder, and the cluster centers are frozen throughout.
 Gradients are analytic, chained loss -> softmax -> cosine -> encoder
 transpose-Jacobian, and a patched-column central-difference oracle verifies
-them. The switch in the background loss is a step discontinuity, so the
-oracle freezes each proposal's branch at the stencil center and reports any
-stencil that straddles the boundary instead of silently differencing
-across it.
+them; both take a batch in one form, a sequence of ``losses.ProposalBlocks``
+(``loss_final`` and ``compute_gradients`` stack a ``ProposalBatch`` first).
+The switch in the background loss is a step discontinuity, so the oracle
+freezes each proposal's branch at the stencil center and reports any stencil
+that straddles the boundary instead of silently differencing across it.
 
 Each quantity of a run is computed at the scope where it changes. Per run:
 the discovery prep (count, centers, per-image pseudo-labels; one per seed in
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .losses import (
     proposal_blocks,
     proposal_groups,
 )
-from .persist import canonical_json
+from .persist import canonical_json, write_text
 from .pseudo import BackgroundPartition, generate_pseudo_labels
 from .synth import Scenario
 from .vocab import Vocabulary, build_training_vocab
@@ -185,18 +186,6 @@ def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, 
     )
 
 
-def _groups(batch, partition: BackgroundPartition | None, vocab: Vocabulary):
-    """``proposal_groups`` of a ``ProposalBatch`` plus partition, or of pre-stacked blocks.
-
-    Training passes a sequence of the sampled images' ``ProposalBlocks``
-    (stacked once per run, each holding its own pseudo-label groups) and no
-    partition; gradient checks pass proposals, stacked here.
-    """
-    if isinstance(batch, ProposalBatch):
-        batch = [proposal_blocks(batch, partition, vocab)]
-    return proposal_groups(batch, vocab)
-
-
 def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
     """Chain d(loss)/d(logits) ``g`` through the cosine layer (unit ``features``) to d(loss)/d(embeddings)."""
     units, norms = vocab.unit_embeddings
@@ -204,20 +193,18 @@ def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau
 
 
 def loss_and_gradients(
-    batch: ProposalBatch | Sequence[ProposalBlocks], vocab: Vocabulary,
-    partition: BackgroundPartition | None, config: TrainConfig, component: str = "final",
+    blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, component: str = "final",
 ) -> tuple[LossBreakdown, Gradients]:
     """Combined objective of one batch and the exact gradient of one of its components.
 
-    ``batch`` is a ``ProposalBatch`` with an optional pseudo-label partition,
-    or the sampled images' pre-stacked ``ProposalBlocks`` (no partition).
-    Disabled toggles zero their term of the breakdown and of "final".
+    ``blocks`` are the batch's ``ProposalBlocks`` (in training, one per
+    sampled image). Disabled toggles zero their term of the breakdown and of "final".
     Context-vector gradients chain through the encoder's transpose-Jacobian;
     the sub-background gradient is the raw embedding-space gradient (its
     cosine already accounts for the parameter's norm). Values are returned
     unchecked: a non-finite loss or gradient is the caller's to report.
     """
-    features, slices, targets, cosines = _groups(batch, partition, vocab)
+    features, slices, targets, cosines = proposal_groups(blocks, vocab)
     values, branches, logit_grad = _terms(cosines, slices, targets, vocab, config, component=component)
     counts = {name: rows.stop - rows.start for name, rows in slices.items()}
     breakdown = LossBreakdown(
@@ -251,7 +238,7 @@ def loss_final(
     batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None, config: TrainConfig
 ) -> LossBreakdown:
     """Combined objective of one batch (the loss half of ``loss_and_gradients``)."""
-    return loss_and_gradients(batch, vocab, partition, config)[0]
+    return loss_and_gradients([proposal_blocks(batch, partition, vocab)], vocab, config)[0]
 
 
 def compute_gradients(
@@ -259,15 +246,16 @@ def compute_gradients(
     config: TrainConfig, component: str = "final",
 ) -> Gradients:
     """Finite-checked gradient of one component (the other half of ``loss_and_gradients``)."""
-    return _check_finite(loss_and_gradients(batch, vocab, partition, config, component)[1])
+    blocks = [proposal_blocks(batch, partition, vocab)]
+    return _check_finite(loss_and_gradients(blocks, vocab, config, component)[1])
 
 
 # -- finite-difference oracle ---------------------------------------------------
 
 
 def finite_diff_gradients(
-    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
-    config: TrainConfig, h: float, component: str = "final",
+    blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, h: float,
+    component: str = "final",
 ) -> tuple[Gradients, int]:
     """Central differences over every scalar parameter, branch frozen at center.
 
@@ -282,7 +270,7 @@ def finite_diff_gradients(
         raise ValueError(f"step size must be positive, got {h}")
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
-    features, slices, targets, cosines = _groups(batch, partition, vocab)
+    features, slices, targets, cosines = proposal_groups(blocks, vocab)
     center_branches = _terms(cosines, slices, targets, vocab, config, component=component).branches
     switch_live = component == "switched" or (component == "final" and config.use_prompts)
     flips = 0
@@ -389,8 +377,7 @@ class Checkpoint:
         return canonical_json(payload)
 
     def save(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        write_text(path, self.to_json() + "\n")
 
     @staticmethod
     def load(path) -> "Checkpoint":
@@ -488,16 +475,6 @@ def prepare_background(scenario: Scenario, config: TrainConfig):
     return n_disc, model.centers
 
 
-# The settings the discovery prep reads; every other field (the module
-# toggles among them) only decides which part of a prep a run keeps.
-_PREP_FIELDS = ("seed", "k_min", "k_max", "discovered_categories", "score_threshold",
-                "temperature", "nms_iou", "gt_iou_cut", "pseudo_nms_iou")
-
-
-def _prep_settings(config: TrainConfig) -> tuple:
-    return tuple(getattr(config, name) for name in _PREP_FIELDS)
-
-
 @dataclass(frozen=True)
 class DiscoveryPrep:
     """Everything a run needs from discovery: count, frozen centers, per-image pseudo-labels.
@@ -507,19 +484,20 @@ class DiscoveryPrep:
     ``BackgroundPartition`` per training image, present with the centers.
     """
 
-    settings: tuple  # the values of _PREP_FIELDS it was computed with
+    config: TrainConfig  # the configuration it was computed with
     n_discovered: int
     centers: np.ndarray | None
     partitions: tuple[BackgroundPartition, ...] | None
 
     def for_run(self, config: TrainConfig) -> "DiscoveryPrep":
-        """The part of this prep a run with ``config`` uses; refuses a prep made with other settings."""
+        """The part of this prep a run uses; refuses a run whose config differs beyond the toggles."""
         if config.baseline_mode:
-            return DiscoveryPrep(self.settings, 0, None, None)
-        if self.settings != _prep_settings(config):
+            return DiscoveryPrep(self.config, 0, None, None)
+        toggles = {name: getattr(config, name) for name in ("baseline_mode", "use_prompts", "use_discovery")}
+        if replace(self.config, **toggles) != config:
             raise ValueError("the discovery prep was computed with other settings than this run's")
         if not config.use_discovery:
-            return DiscoveryPrep(self.settings, self.n_discovered, None, None)
+            return DiscoveryPrep(self.config, self.n_discovered, None, None)
         if self.centers is None:
             raise ValueError("discovery is on but the discovery prep holds no cluster centers")
         return self
@@ -529,16 +507,14 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     """``prepare_background``, then, with centers, one pseudo-label partition per training image.
 
     Pseudo-labels depend only on the frozen centers and the image data, so
-    each training image is labelled once per prep. A baseline run needs no
-    prep and gets an empty one without any work.
+    each training image is labelled once per prep. A baseline run gets an
+    empty prep without any work.
     """
-    if config.baseline_mode:
-        return DiscoveryPrep(_prep_settings(config), 0, None, None)
     n_discovered, centers = prepare_background(scenario, config)
     partitions = None
     if centers is not None:
         partitions = tuple(_image_partition(im, centers, config) for im in scenario.train_images)
-    return DiscoveryPrep(_prep_settings(config), n_discovered, centers, partitions)
+    return DiscoveryPrep(config, n_discovered, centers, partitions)
 
 
 def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition:
@@ -581,7 +557,8 @@ def train(
 ) -> tuple[TrainHistory, Checkpoint]:
     """Deterministic training over a scenario; returns the history and checkpoint.
 
-    ``prep`` is a discovery prep computed with this run's settings;
+    ``prep`` is a discovery prep computed with this run's configuration
+    (the module toggles aside);
     ``run_ablation`` shares one among the trainings of a seed. Without it
     the run computes its own with ``prepare_discovery``. Either way the run
     keeps only what its toggles use (``DiscoveryPrep.for_run``). Each
@@ -613,7 +590,7 @@ def train(
     for step in range(config.steps):
         idx = sorted(rng.choice(len(blocks), size=min(config.batch_images, len(blocks)), replace=False))
         sampled = [blocks[i] for i in idx]
-        breakdown, grads = loss_and_gradients(sampled, vocab_of(params), None, config)
+        breakdown, grads = loss_and_gradients(sampled, vocab_of(params), config)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
         params, velocity = sgd_step(

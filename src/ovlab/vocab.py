@@ -58,23 +58,23 @@ class Vocabulary:
 
     base_ids: tuple[int, ...]
     novel_ids: tuple[int, ...]
-    n_underlying: int
     n_discovered: int
     embeddings: np.ndarray
     context_vectors: np.ndarray
     encoder: MockTextEncoder | None
     baseline_mode: bool = False
     inference: bool = False
-    _base_pos: dict[int, int] = field(repr=False, default_factory=dict)
     # Set by ``build_training_vocab`` only, so it is always the forward of
     # these context vectors.
     context_forward: ContextForward | None = field(init=False, repr=False, default=None)
     # ``core.unit_rows`` of the embeddings (unit rows and their (size, 1)
     # norms), which the cosine layer and its gradient share.
     unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _base_pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "unit_embeddings", unit_rows(self.embeddings))
+        object.__setattr__(self, "_base_pos", {cid: pos for pos, cid in enumerate(self.base_ids)})
 
     # -- counts and index blocks -------------------------------------------
 
@@ -85,6 +85,10 @@ class Vocabulary:
     @property
     def n_novel(self) -> int:
         return len(self.novel_ids)
+
+    @property
+    def n_underlying(self) -> int:
+        return len(self.context_vectors)
 
     @property
     def size(self) -> int:
@@ -232,14 +236,12 @@ def build_training_vocab(
     vocab = Vocabulary(
         base_ids=base_ids,
         novel_ids=(),
-        n_underlying=n_under,
         n_discovered=int(n_discovered),
         embeddings=stacked,
         context_vectors=_frozen(ctx),
         encoder=encoder,
         baseline_mode=baseline_mode,
         inference=False,
-        _base_pos={cid: pos for pos, cid in enumerate(base_ids)},
     )
     object.__setattr__(vocab, "context_forward", forward)
     return vocab
@@ -271,12 +273,10 @@ def build_inference_vocab(training_vocab: Vocabulary, novel_ids, novel_embedding
     return Vocabulary(
         base_ids=training_vocab.base_ids,
         novel_ids=novel_ids,
-        n_underlying=training_vocab.n_underlying,
         n_discovered=training_vocab.n_discovered,
         embeddings=_frozen(stacked),
         context_vectors=training_vocab.context_vectors,
         encoder=training_vocab.encoder,
         baseline_mode=training_vocab.baseline_mode,
         inference=True,
-        _base_pos=dict(training_vocab._base_pos),
     )

@@ -2,16 +2,27 @@
 
 Each one computes its quantity the slow, direct way (one pair, one category
 pair, one coordinate, one cluster or one proposal at a time) from the
-``ovlab.core`` primitives only. The unfused training step at the end is the
-exception: it is the step as written before training computed each quantity
-once, kept to show the fused step trains bit for bit alike.
+``ovlab.core`` primitives only. Two are exceptions. The encoder's
+Jacobian-vector product reads the encoder's frozen weights; it is the
+forward-mode derivative that the reverse-mode ``encode_context_vjp`` is
+checked against. The unfused training step at the end is the step as written
+before training computed each quantity once, kept to show the fused step
+trains bit for bit alike.
 """
 
 import math
 
 import numpy as np
 
-from ovlab.core import check_temperature, cosine, cosine_matrix, log_softmax_rows, logsumexp
+from ovlab.core import (
+    DimensionMismatchError,
+    check_temperature,
+    cosine,
+    cosine_matrix,
+    log_softmax_rows,
+    logsumexp,
+)
+from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.trainer import Gradients
 from ovlab.vocab import CategoryId, Kind, Vocabulary
@@ -68,6 +79,19 @@ def central_difference(fn, x: np.ndarray, h: float) -> np.ndarray:
         step[i] = h
         grad[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return grad
+
+
+def encode_context_jvp(enc: MockTextEncoder, v, direction) -> np.ndarray:
+    """Jacobian-vector product of ``enc.encode_context`` at one vector v, including normalization."""
+    v, d = np.asarray(v, dtype=np.float64), np.asarray(direction, dtype=np.float64)
+    if v.shape != (enc.ctx_dim,) or d.shape != (enc.ctx_dim,):
+        raise DimensionMismatchError(
+            f"context vector and direction must have shape ({enc.ctx_dim},), got {v.shape} and {d.shape}"
+        )
+    hidden, ny, yhat = (x[0] for x in enc.forward(v))
+    da = enc._w1[:, enc.prefix_dim :] @ d
+    dy = enc._w2 @ ((1.0 - hidden**2) * da)
+    return (dy - np.dot(yhat, dy) * yhat) / ny
 
 
 def _normalized_mean(rows: np.ndarray) -> np.ndarray:
@@ -176,7 +200,7 @@ def _uniform(logits, members):
     return -logp[:, members].mean(axis=1), grad
 
 
-def unfused_loss_and_gradients(blocks, vocab: Vocabulary, partition, config, component: str = "final"):
+def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str = "final"):
     """``trainer.loss_and_gradients`` on ``raw_proposal_blocks``, every quantity computed where it is used.
 
     Raw rows go through ``cosine_matrix``; each group takes its own
@@ -184,7 +208,6 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, partition, config, com
     filled and the toggled ones summed to "final"; and the pullback runs the
     encoder forward again.
     """
-    assert partition is None, "training passes the pseudo-label groups inside the blocks"
     slices, parts, start = {}, [], 0
     for name in GROUPS:
         n = sum(len(b.features[name]) for b in blocks)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.losses import ProposalBatch
+from ovlab.losses import ProposalBatch, proposal_blocks
 from ovlab.metrics import STANDARD_COMBOS
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import ScenarioConfig, generate_scenario
@@ -123,9 +123,8 @@ def test_gradients_match_central_differences(enc, tau, tol, component):
     for seed in range(5):
         batch, vocab, partition, config = _setup(enc, seed=seed, tau=tau)
         analytic = compute_gradients(batch, vocab, partition, config, component=component)
-        fd, flips = finite_diff_gradients(
-            batch, vocab, partition, config, h=1e-5, component=component
-        )
+        blocks = [proposal_blocks(batch, partition, vocab)]
+        fd, flips = finite_diff_gradients(blocks, vocab, config, h=1e-5, component=component)
         if flips:
             continue
         num = np.linalg.norm(analytic.flat() - fd.flat())
@@ -209,7 +208,7 @@ def test_finite_difference_error_shrinks_quadratically(enc):
     analytic = compute_gradients(batch, vocab, partition, config).flat()
     errs = []
     for h in (2e-3, 1e-3):
-        fd, flips = finite_diff_gradients(batch, vocab, partition, config, h=h)
+        fd, flips = finite_diff_gradients([proposal_blocks(batch, partition, vocab)], vocab, config, h=h)
         assert flips == 0
         errs.append(np.linalg.norm(fd.flat() - analytic))
     ratio = errs[0] / errs[1]
@@ -236,14 +235,14 @@ def test_branch_straddle_flagged(enc):
     logits = cosine_matrix(features, vocab.embeddings) / config.temperature
     _, _, masses = mass_terms(log_softmax_rows(logits), vocab.background_indices())
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
-    _, flips = finite_diff_gradients(batch, vocab, None, on_boundary, h=1e-5)
+    _, flips = finite_diff_gradients([proposal_blocks(batch, None, vocab)], vocab, on_boundary, h=1e-5)
     assert flips > 0
 
 
 def test_finite_diff_rejects_bad_step(enc):
     batch, vocab, partition, config = _setup(enc, seed=11)
     with pytest.raises(ValueError):
-        finite_diff_gradients(batch, vocab, partition, config, h=0.0)
+        finite_diff_gradients([proposal_blocks(batch, partition, vocab)], vocab, config, h=0.0)
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -386,7 +385,7 @@ def test_train_records_history(small_scenario):
 def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
     import ovlab.trainer as trainer_mod
 
-    def bad_loss(batch, vocab, partition, config, component="final"):
+    def bad_loss(blocks, vocab, config, component="final"):
         from ovlab.losses import LossBreakdown
 
         breakdown = LossBreakdown(
@@ -425,12 +424,19 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
 
 
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
-    prep = prepare_discovery(small_scenario, TrainConfig(seed=1, use_discovery=False))
+    prep = prepare_discovery(small_scenario, TrainConfig(steps=1, seed=1, use_discovery=False))
     assert prep.centers is None and prep.partitions is None
     with pytest.raises(ValueError, match="other settings"):
         train(TrainConfig(steps=1, seed=2, use_discovery=False), small_scenario, prep)
+    # Any setting other than the module toggles counts, not only those discovery reads.
+    with pytest.raises(ValueError, match="other settings"):
+        train(TrainConfig(steps=1, seed=1, learning_rate=0.2, use_discovery=False), small_scenario, prep)
     with pytest.raises(ValueError, match="no cluster centers"):
         train(TrainConfig(steps=1, seed=1), small_scenario, prep)
+    # A run that differs only in the module toggles uses the prep.
+    _, checkpoint = train(TrainConfig(steps=1, seed=1, use_prompts=False, use_discovery=False),
+                          small_scenario, prep)
+    assert checkpoint.n_discovered == prep.n_discovered
     # A baseline run keeps nothing of any prep.
     _, checkpoint = train(TrainConfig(steps=1, seed=2, baseline_mode=True), small_scenario, prep)
     assert checkpoint.n_discovered == 0 and checkpoint.cluster_centers is None

@@ -151,6 +151,22 @@ def test_base_position_lookup(enc):
         vocab.base_position(7)
 
 
+def test_directly_constructed_vocabulary_derives_its_lookups(enc):
+    # The base positions and the underlying count come from the base ids and
+    # the context vectors, so a vocabulary built without a builder has them too.
+    ids = (5, 9, 2)
+    ctx = init_context_vectors(2, seed=0, ctx_dim=enc.ctx_dim)
+    emb = np.concatenate([np.stack([enc.encode_named_category(i) for i in ids]),
+                          enc.encode_context(ctx), _sub(enc)[None, :]])
+    vocab = Vocabulary(base_ids=ids, novel_ids=(), n_discovered=1, embeddings=emb,
+                       context_vectors=ctx, encoder=enc)
+    assert [vocab.base_position(i) for i in ids] == [0, 1, 2]
+    assert vocab.n_underlying == 2 and vocab.size == 6
+    assert vocab.underlying_slice == slice(3, 5) and vocab.sub_background_index == 5
+    with pytest.raises(KeyError):
+        vocab.base_position(7)
+
+
 def test_embeddings_are_frozen(enc):
     ids, emb = _base(enc, 2)
     vocab = build_training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)

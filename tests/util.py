@@ -62,14 +62,12 @@ def make_vocab(
     return Vocabulary(
         base_ids=base_ids,
         novel_ids=novel_ids,
-        n_underlying=n_under,
         n_discovered=n_discovered,
         embeddings=stacked,
         context_vectors=np.asarray(context_vectors, dtype=np.float64),
         encoder=encoder,
         baseline_mode=False,
         inference=inference,
-        _base_pos={cid: pos for pos, cid in enumerate(base_ids)},
     )
 
 
