@@ -157,7 +157,7 @@ def cmd_gen(args) -> int:
 def cmd_estimate_k(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = config["train"]
-    features = pool_background(load_dataset(args.dataset), tcfg)
+    features = pool_background(load_dataset(args.dataset, ("train",)), tcfg)
     k_max = min(tcfg.k_max, features.shape[0])
     estimate = estimate_category_count(features, tcfg.k_min, k_max, tcfg.seed)
     print(f"{'k':>4} {'silhouette':>12}")
@@ -187,7 +187,7 @@ def cmd_estimate_k(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = config["train"]
-    scenario = load_dataset(args.dataset)
+    scenario = load_dataset(args.dataset, ("train",))
     history, checkpoint = train(tcfg, scenario)
     out_dir = Path(args.out_dir)
     checkpoint.save(out_dir / "checkpoint.json")
@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
     settings = config["eval"]
     rectify = settings.rectify if args.rectify is None else args.rectify
     checkpoint = Checkpoint.load(args.checkpoint)
-    scenario = load_dataset(args.dataset)
+    scenario = load_dataset(args.dataset, ("eval",))
     report = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=settings.recall_threshold)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "report.json", report.to_json() + "\n")
@@ -222,10 +222,10 @@ def cmd_rectify_report(args) -> int:
     if args.max_proposals < 1:
         raise ValueError(f"--max-proposals must be at least 1, got {args.max_proposals}")
     checkpoint = Checkpoint.load(args.checkpoint)
-    scenario = load_dataset(args.dataset)
+    scenario = load_dataset(args.dataset, ("eval",))
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config_obj().temperature
-    queries = [p.det_feature for image in scenario.eval_images for p in image.proposals]
+    queries = [p.det_feature for image in scenario.images("eval") for p in image.proposals]
     if not queries:
         raise ValueError(f"the eval split of {args.dataset} has no proposals to report on")
     report = rectification_report(vocab, tau, np.stack(queries[: args.max_proposals]))

@@ -122,7 +122,7 @@ def evaluate(
     totals = {"base": 0, "novel": 0, "background": 0}
     recalled = 0
 
-    for image in scenario.eval_images:
+    for image in scenario.images("eval"):
         if not image.proposals:
             continue
         features = np.stack([p.det_feature for p in image.proposals])

@@ -11,6 +11,15 @@ Novel and distractor objects appear unlabeled in the training split — they
 are exactly the structure hiding in the background. Hidden category
 identities live only in per-proposal oracle records consumed by evaluation
 and tests; no training-time code path reads them.
+
+A dataset file holds one JSON record per line, in a layout its header
+fixes: the header line, then the ``n_train_images`` train images, then the
+``n_eval_images`` eval images, each split numbering its images 0..n-1.
+Each image is its image line followed by ``objects_per_image *
+proposals_per_object + clutter_per_image`` proposal lines. The loader
+derives every line's position from the header alone, so it parses only the
+lines of the splits it is asked for and refuses a file of any other line
+count.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ __all__ = [
 
 DATASET_FORMAT = "ovlab-dataset"
 DATASET_VERSION = 1
+SPLITS = ("train", "eval")  # in file order
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,11 @@ class SynthImage:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generated world: category registry, prototypes, and both splits."""
+    """A generated world: category registry, prototypes, and both splits.
+
+    A scenario loaded with ``load_dataset(path, splits)`` holds None for
+    each split it was not asked for; ``images`` refuses to hand one out.
+    """
 
     config: ScenarioConfig
     encoder_config: dict
@@ -124,12 +138,19 @@ class Scenario:
     distractor_ids: tuple[int, ...]
     name_seeds: dict[int, int]
     prototypes: dict[int, np.ndarray] = field(repr=False)
-    train_images: tuple[SynthImage, ...] = field(repr=False)
-    eval_images: tuple[SynthImage, ...] = field(repr=False)
+    train_images: tuple[SynthImage, ...] | None = field(repr=False)
+    eval_images: tuple[SynthImage, ...] | None = field(repr=False)
 
     @property
     def hidden_ids(self) -> tuple[int, ...]:
         return self.novel_ids + self.distractor_ids
+
+    def images(self, split: str) -> tuple[SynthImage, ...]:
+        """The images of ``split``; a split that was not loaded is a ``ValueError``."""
+        images = {"train": self.train_images, "eval": self.eval_images}[split]
+        if images is None:
+            raise ValueError(f"the {split} split of this scenario was not loaded")
+        return images
 
     def dataset_hash(self) -> str:
         return config_hash({"scenario": asdict(self.config), "encoder": self.encoder_config})
@@ -381,24 +402,31 @@ def write_dataset(scenario: Scenario, path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def load_dataset(path) -> Scenario:
+def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
 
-    A malformed file, a missing key or a header whose ``config_hash`` does
-    not match its settings is a ``ValueError``.
+    Only the lines of ``splits`` are parsed; a split that was not requested
+    is None. The header fixes the layout (see the module docstring), so a
+    file whose line count differs from it, or a parsed line that is not the
+    record its position calls for, is a ``ValueError``, as are a malformed
+    file, a missing key, an unknown split name and a header whose
+    ``config_hash`` does not match its settings.
     """
+    unknown = [s for s in splits if s not in SPLITS]
+    if unknown:
+        raise ValueError(f"unknown dataset splits {unknown}; known: {list(SPLITS)}")
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text:
         raise ValueError(f"empty dataset file {path}")
     try:
-        return _parse_dataset(path, text)
+        return _parse_dataset(path, text, splits)
     except KeyError as exc:
         raise ValueError(f"dataset {path} lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed dataset {path}: {exc}") from None
 
 
-def _parse_dataset(path, text: list[str]) -> Scenario:
+def _parse_dataset(path, text: list[str], splits: tuple[str, ...]) -> Scenario:
     header = json.loads(text[0])
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path} is not a dataset file")
@@ -415,48 +443,20 @@ def _parse_dataset(path, text: list[str]) -> Scenario:
         name_seeds[rec["id"]] = rec["name_seed"]
     prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
 
-    images: dict[tuple[str, int], dict] = {}  # in file order
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        key = (rec["split"], rec["image"])
-        if rec["type"] == "image":
-            images[key] = {"gt_boxes": [Box(*b) for b in rec["gt_boxes"]], "proposals": []}
-        elif rec["type"] == "proposal":
-            if key not in images:
-                raise ValueError(
-                    f"proposal of {rec['split']} image {rec['image']} precedes that image's line"
-                )
-            det = np.asarray(rec["det"], dtype=np.float64)
-            img = np.asarray(rec["img"], dtype=np.float64)
-            det.setflags(write=False)
-            img.setflags(write=False)
-            images[key]["proposals"].append(
-                Proposal(
-                    box=Box(*rec["box"]),
-                    rpn_score=rec["rpn"],
-                    det_feature=det,
-                    img_feature=img,
-                    gt_label=rec["gt"],
-                    oracle=OracleInfo(
-                        generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"]
-                    ),
-                )
+    per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
+    counts = {"train": config.n_train_images, "eval": config.n_eval_images}
+    expected = 1 + per_image * sum(counts.values())
+    if len(text) != expected:
+        raise ValueError(f"dataset {path} has {len(text)} lines, but its header implies {expected}")
+    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
+    first = 1  # line of the split's first image
+    for split in SPLITS:
+        if split in splits:
+            images[split] = tuple(
+                _parse_image(path, text, first + i * per_image, per_image, split, i)
+                for i in range(counts[split])
             )
-        else:
-            raise ValueError(f"unknown record type {rec['type']!r}")
-
-    def build(split: str):
-        return tuple(
-            SynthImage(
-                image_id=img_id,
-                proposals=tuple(image["proposals"]),
-                gt_boxes=tuple(image["gt_boxes"]),
-            )
-            for (s, img_id), image in images.items()
-            if s == split
-        )
+        first += counts[split] * per_image
 
     scenario = Scenario(
         config=config,
@@ -466,9 +466,46 @@ def _parse_dataset(path, text: list[str]) -> Scenario:
         distractor_ids=distractor_ids,
         name_seeds=name_seeds,
         prototypes=prototypes,
-        train_images=build("train"),
-        eval_images=build("eval"),
+        train_images=images["train"],
+        eval_images=images["eval"],
     )
     if header["config_hash"] != scenario.dataset_hash():
         raise ValueError(f"dataset {path} header config_hash does not match its settings")
     return scenario
+
+
+def _record(path, text: list[str], n: int, kind: str, split: str, image_id: int) -> dict:
+    """Line ``n`` of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
+    try:
+        rec = json.loads(text[n])
+        position = (kind, split, image_id)
+        if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == position:
+            return rec
+        problem = "holds another record"
+    except json.JSONDecodeError as exc:
+        problem = f"is not JSON: {exc}"
+    raise ValueError(f"line {n + 1} of dataset {path}, the {kind} line of {split} image {image_id}, "
+                     f"{problem}")
+
+
+def _parse_image(path, text: list[str], first: int, n_lines: int, split: str, image_id: int) -> SynthImage:
+    rec = _record(path, text, first, "image", split, image_id)
+    gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
+    proposals = []
+    for n in range(first + 1, first + n_lines):
+        rec = _record(path, text, n, "proposal", split, image_id)
+        det = np.asarray(rec["det"], dtype=np.float64)
+        img = np.asarray(rec["img"], dtype=np.float64)
+        det.setflags(write=False)
+        img.setflags(write=False)
+        proposals.append(
+            Proposal(
+                box=Box(*rec["box"]),
+                rpn_score=rec["rpn"],
+                det_feature=det,
+                img_feature=img,
+                gt_label=rec["gt"],
+                oracle=OracleInfo(generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"]),
+            )
+        )
+    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=gt_boxes)

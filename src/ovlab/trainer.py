@@ -438,7 +438,7 @@ class Checkpoint:
 def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
     """Image features of every training background proposal that survives filtering."""
     feats = []
-    for image in scenario.train_images:
+    for image in scenario.images("train"):
         bg = [p for p in image.proposals if p.gt_label is None]
         kept = filter_background_proposals(
             bg, image.gt_boxes, theta=config.score_threshold,
@@ -485,19 +485,22 @@ class DiscoveryPrep:
     """
 
     config: TrainConfig  # the configuration it was computed with
+    dataset_hash: str  # the scenario it was computed on
     n_discovered: int
     centers: np.ndarray | None
     partitions: tuple[BackgroundPartition, ...] | None
 
-    def for_run(self, config: TrainConfig) -> "DiscoveryPrep":
-        """The part of this prep a run uses; refuses a run whose config differs beyond the toggles."""
+    def for_run(self, config: TrainConfig, scenario: Scenario) -> "DiscoveryPrep":
+        """The part of this prep a run uses; refuses another scenario, or settings other than the toggles."""
+        if self.dataset_hash != scenario.dataset_hash():
+            raise ValueError("the discovery prep was computed on another scenario than this run's")
         if config.baseline_mode:
-            return DiscoveryPrep(self.config, 0, None, None)
+            return replace(self, n_discovered=0, centers=None, partitions=None)
         toggles = {name: getattr(config, name) for name in ("baseline_mode", "use_prompts", "use_discovery")}
         if replace(self.config, **toggles) != config:
             raise ValueError("the discovery prep was computed with other settings than this run's")
         if not config.use_discovery:
-            return DiscoveryPrep(self.config, self.n_discovered, None, None)
+            return replace(self, centers=None, partitions=None)
         if self.centers is None:
             raise ValueError("discovery is on but the discovery prep holds no cluster centers")
         return self
@@ -513,8 +516,8 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     n_discovered, centers = prepare_background(scenario, config)
     partitions = None
     if centers is not None:
-        partitions = tuple(_image_partition(im, centers, config) for im in scenario.train_images)
-    return DiscoveryPrep(config, n_discovered, centers, partitions)
+        partitions = tuple(_image_partition(im, centers, config) for im in scenario.images("train"))
+    return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
 
 
 def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition:
@@ -528,7 +531,7 @@ def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition
 def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[ProposalBlocks]:
     """Each training image's proposals (and pseudo-labels, if any) stacked into ``ProposalBlocks``."""
     blocks = []
-    for i, image in enumerate(scenario.train_images):
+    for i, image in enumerate(scenario.images("train")):
         batch = ProposalBatch(foreground=tuple(p for p in image.proposals if p.gt_label is not None),
                               background=tuple(p for p in image.proposals if p.gt_label is None))
         blocks.append(proposal_blocks(batch, partitions[i] if partitions else None, vocab))
@@ -557,8 +560,8 @@ def train(
 ) -> tuple[TrainHistory, Checkpoint]:
     """Deterministic training over a scenario; returns the history and checkpoint.
 
-    ``prep`` is a discovery prep computed with this run's configuration
-    (the module toggles aside);
+    ``prep`` is a discovery prep computed on this run's scenario with this
+    run's configuration (the module toggles aside);
     ``run_ablation`` shares one among the trainings of a seed. Without it
     the run computes its own with ``prepare_discovery``. Either way the run
     keeps only what its toggles use (``DiscoveryPrep.for_run``). Each
@@ -571,7 +574,7 @@ def train(
     encoder = MockTextEncoder(**scenario.encoder_config)
     base_ids = list(scenario.base_ids)
     base_emb = np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids])
-    prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config)
+    prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config, scenario)
     n_discovered, centers = prep.n_discovered, prep.centers
     params = initial_params(config, encoder, n_discovered)
     velocity = Params(np.zeros_like(params.context_vectors), np.zeros_like(params.sub_background))

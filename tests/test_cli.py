@@ -295,7 +295,7 @@ def test_rectify_report_rejects_an_empty_eval_split(tmp_path, capsys):
     assert not (tmp_path / "rect").exists()
 
 
-def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
+def test_out_of_order_or_empty_dataset_fails(dataset, checkpoint, tmp_path, capsys):
     lines = dataset.read_text().splitlines()
     first_image = next(i for i, line in enumerate(lines) if json.loads(line).get("type") == "image")
     rec = json.loads(lines[first_image])
@@ -317,12 +317,71 @@ def test_out_of_order_or_empty_dataset_fails(dataset, tmp_path, capsys):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join([json.dumps(edited), *dataset.read_text().splitlines()[1:]]) + "\n")
         cases.append((path, message))
+    # Layout edits: the header fixes the line count, whichever split a command parses.
+    original = dataset.read_text().splitlines()
+    middle = len(original) // 2
+    layout = []
+    for name, edited in (
+        ("dropped", original[:-1]),
+        ("appended", [*original, original[-1]]),
+        ("blank", [*original[:middle], "", *original[middle:]]),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(edited) + "\n")
+        layout.append((path, "its header implies"))
+    cases += layout
     for path, message in cases:
         capsys.readouterr()
         assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r"), *SMALL]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
     assert not (tmp_path / "r").exists()
+    for path, message in layout:
+        assert message in _eval_error(checkpoint, path, tmp_path / "ev", capsys), path.name
+
+
+def _command_outputs(argv, out, capsys):
+    """Exit code, stderr lines and the bytes of every file under ``out`` of one CLI call."""
+    capsys.readouterr()
+    code = main(argv)
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, capsys.readouterr().err.splitlines(), files
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_each_command_parses_only_the_split_it_reads(dataset, checkpoint, tmp_path, capsys, split):
+    # One proposal line of ``split`` becomes invalid JSON. The commands that
+    # read that split refuse the file; the others never parse the line and
+    # write what they write on the intact file.
+    lines = dataset.read_text().splitlines()
+    n = max(i for i, line in enumerate(lines[1:], 1)
+            if json.loads(line)["type"] == "proposal" and json.loads(line)["split"] == split)
+    lines[n] = "{not json"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    ck = ["--checkpoint", str(checkpoint)]
+    readers = {
+        "train": ("train", ["--out-dir", "{out}", *SMALL]),
+        "estimate-k": ("train", ["--out", "{out}/k.json", *SMALL]),
+        "eval": ("eval", [*ck, "--out-dir", "{out}"]),
+        "rectify-report": ("eval", [*ck, "--out-dir", "{out}"]),
+        "ablate": (split, ["--out-dir", "{out}", *SMALL,
+                           "--set", 'ablation.combos=["full"]', "--set", "ablation.seeds=[0]"]),
+    }
+    for command, (reads, args) in readers.items():
+        outputs = []
+        for name, data in (("intact", dataset), ("broken", broken)):
+            out = tmp_path / f"{command}-{name}"
+            argv = [command, "--dataset", str(data), *(a.replace("{out}", str(out)) for a in args)]
+            outputs.append(_command_outputs(argv, out, capsys))
+        (code, err, files), (broken_code, broken_err, broken_files) = outputs
+        assert code == 0 and err == [] and files, command
+        if reads == split:
+            assert broken_code == 1 and len(broken_err) == 1, (command, broken_err)
+            assert broken_err[0].startswith("error:") and f"{split} image" in broken_err[0], broken_err
+            assert broken_files == {}, command
+        else:
+            assert (broken_code, broken_err, broken_files) == (0, [], files), command
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):

@@ -191,6 +191,60 @@ def test_dataset_file_byte_deterministic(tmp_path, scenario):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    full, part = load_dataset(path), load_dataset(path, (split,))
+    other = "eval" if split == "train" else "train"
+    assert getattr(part, f"{other}_images") is None
+    with pytest.raises(ValueError, match=f"the {other} split of this scenario was not loaded"):
+        part.images(other)
+    for name in ("config", "encoder_config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
+        assert getattr(part, name) == getattr(full, name), name
+    assert part.dataset_hash() == full.dataset_hash()
+    assert part.prototypes.keys() == full.prototypes.keys()
+    for i in full.prototypes:
+        assert part.prototypes[i].tobytes() == full.prototypes[i].tobytes()
+    images, want = part.images(split), full.images(split)
+    assert len(images) == len(want) > 0
+    for li, fi in zip(images, want):
+        assert li.image_id == fi.image_id and li.gt_boxes == fi.gt_boxes
+        assert len(li.proposals) == len(fi.proposals)
+        for lp, fp in zip(li.proposals, fi.proposals):
+            assert lp.det_feature.tobytes() == fp.det_feature.tobytes()
+            assert lp.img_feature.tobytes() == fp.img_feature.tobytes()
+            assert (lp.box, lp.rpn_score, lp.gt_label, lp.oracle) == (fp.box, fp.rpn_score, fp.gt_label, fp.oracle)
+
+
+def test_unknown_split_name_is_refused(tmp_path, scenario):
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    for splits in (("test",), ("train", "Eval"), "train"):
+        with pytest.raises(ValueError, match="unknown dataset splits"):
+            load_dataset(path, splits)
+
+
+def test_a_line_out_of_its_position_names_the_split_and_image(tmp_path, scenario):
+    # Two eval proposal lines of different images trade places: the line
+    # count still matches the header, but each line's image id does not.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    eval_props = [i for i, line in enumerate(lines)
+                  if '"split":"eval"' in line and '"type":"proposal"' in line]
+    first = eval_props[0]
+    second = next(i for i in eval_props if json.loads(lines[i])["image"] == 1)
+    lines[first], lines[second] = lines[second], lines[first]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {first + 1} .* proposal line of eval image 0"):
+        load_dataset(path)
+    with pytest.raises(ValueError, match="eval image 0"):
+        load_dataset(path, ("eval",))
+    # The train split does not parse those lines.
+    assert len(load_dataset(path, ("train",)).images("train")) == len(scenario.train_images)
+
+
 def test_dataset_rejects_foreign_files(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text(json.dumps({"format": "other"}) + "\n")

@@ -442,6 +442,22 @@ def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
     assert checkpoint.n_discovered == 0 and checkpoint.cluster_centers is None
 
 
+def test_train_refuses_a_discovery_prep_of_another_scenario():
+    enc = MockTextEncoder(seed=7)
+    one, two = (generate_scenario(ScenarioConfig(n_train_images=10, n_eval_images=0, seed=s), enc)
+                for s in (1, 2))
+    config = TrainConfig(steps=5, seed=1)
+    foreign = prepare_discovery(one, config)
+    for run in (config, dataclasses.replace(config, use_discovery=False),
+                dataclasses.replace(config, baseline_mode=True)):
+        with pytest.raises(ValueError, match="another scenario"):
+            train(run, two, foreign)
+    # The scenario's own prep is accepted, and trains as a run that makes its own.
+    _, own = train(config, two, prepare_discovery(two, config))
+    _, fresh = train(config, two)
+    assert own.to_json() == fresh.to_json()
+
+
 def test_checkpoint_round_trip(tmp_path, small_scenario):
     config = TrainConfig(steps=4, seed=8)
     _, checkpoint = train(config, small_scenario)
