@@ -2,9 +2,11 @@
 
 One JSON configuration file drives every command; individual keys can be
 overridden on the command line with ``--set section.key=value`` and every
-command accepts ``--seed``. All artifacts are written deterministically so
-reruns with identical configuration are byte-identical, and each output
-directory gets a manifest listing its artifacts with content hashes.
+command accepts ``--seed``. A flag that sets a key (``--seed``,
+``--instances``, ``--rectify``/``--no-rectify``) beats both the file and
+``--set``. All artifacts are written deterministically so reruns with
+identical configuration are byte-identical, and each output directory gets a
+manifest listing its artifacts with content hashes.
 """
 
 from __future__ import annotations
@@ -18,24 +20,24 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_fields, from_dict
-from .discovery import Box, Proposal, estimate_category_count
+from .discovery import Box, Proposal
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
-from .losses import ProposalBatch, proposal_blocks
+from .losses import COMPONENTS, ProposalBatch, proposal_blocks
 from .persist import canonical_json, config_hash, sha256_file, write_text
 from .pseudo import BackgroundPartition, PseudoLabel
 from .rectify import rectification_report
 from .synth import ScenarioConfig, generate_scenario, load_dataset, write_dataset
 from .trainer import (
-    COMPONENTS,
     Checkpoint,
     TrainConfig,
-    _underlying_count,
     finite_diff_gradients,
     history_to_json,
     loss_and_gradients,
     pool_background,
+    sweep_category_count,
     train,
+    underlying_count,
 )
 from .vocab import build_training_vocab
 
@@ -88,12 +90,18 @@ class GradcheckConfig:
 
 SECTIONS = {"scenario": ScenarioConfig, "encoder": MockTextEncoder, "train": TrainConfig,
             "eval": EvalConfig, "ablation": AblationConfig, "gradcheck": GradcheckConfig}
+SECTION_DEFAULTS = {"encoder": {"seed": 7}}  # values the file and every override may replace
 
 
-def load_config(path: str | None, overrides: list[str], seed: int | None, **defaults) -> dict:
-    """Merge the config file, --set overrides and --seed into one object per name in ``SECTIONS``.
+def _flag(key: str, value) -> list[str]:
+    """The override of a flag that sets ``key`` (none if the flag is unset)."""
+    return [] if value is None else [f"{key}={json.dumps(value)}"]
 
-    ``defaults`` maps a section name to values that the file and overrides may replace.
+
+def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
+    """Merge the config file, then ``overrides`` in order, then --seed into one object per name in ``SECTIONS``.
+
+    A command appends its own flags (``_flag``) after the --set overrides, so a flag beats both.
     """
     config: dict = {}
     if path:
@@ -120,8 +128,7 @@ def load_config(path: str | None, overrides: list[str], seed: int | None, **defa
     unknown = set(config) - set(SECTIONS)
     if unknown:
         raise ValueError(f"unknown config sections {sorted(unknown)}; known: {list(SECTIONS)}")
-    defaults = {"encoder": {"seed": 7}, **defaults}
-    return {name: from_dict(cls, config.get(name, {}), **defaults.get(name, {}))
+    return {name: from_dict(cls, config.get(name, {}), **SECTION_DEFAULTS.get(name, {}))
             for name, cls in SECTIONS.items()}
 
 
@@ -158,15 +165,14 @@ def cmd_estimate_k(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = config["train"]
     features = pool_background(load_dataset(args.dataset, ("train",)), tcfg)
-    k_max = min(tcfg.k_max, features.shape[0])
-    estimate = estimate_category_count(features, tcfg.k_min, k_max, tcfg.seed)
+    estimate = sweep_category_count(features, tcfg)
     print(f"{'k':>4} {'silhouette':>12}")
     for k, score in estimate.scores:
         marker = "  <-- selected" if k == estimate.count else ""
         print(f"{k:>4} {score:>12.4f}{marker}")
     print(f"estimated count: {estimate.count}"
           + (" (low confidence)" if estimate.low_confidence else ""))
-    print(f"vocabulary will use {_underlying_count(tcfg, estimate.count)} underlying categories")
+    print(f"vocabulary will use {underlying_count(tcfg, estimate.count)} underlying categories")
     if args.out:
         write_text(
             args.out,
@@ -197,18 +203,16 @@ def cmd_train(args) -> int:
     if history.steps:
         first, last = history.steps[0].breakdown.total, history.steps[-1].breakdown.total
         print(f"loss: {first:.6f} (step 1) -> {last:.6f} (step {tcfg.steps})")
-    print(f"underlying categories: {_underlying_count(tcfg, checkpoint.n_discovered)}")
+    print(f"underlying categories: {underlying_count(tcfg, checkpoint.n_discovered)}")
     print(f"wrote {out_dir / 'checkpoint.json'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config, args.set, args.seed)
-    settings = config["eval"]
-    rectify = settings.rectify if args.rectify is None else args.rectify
+    settings = load_config(args.config, [*args.set, *_flag("eval.rectify", args.rectify)], args.seed)["eval"]
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset, ("eval",))
-    report = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=settings.recall_threshold)
+    report = evaluate(checkpoint, scenario, rectify=settings.rectify, recall_threshold=settings.recall_threshold)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "report.json", report.to_json() + "\n")
     write_text(out_dir / "report.txt", report.render() + "\n")
@@ -224,7 +228,7 @@ def cmd_rectify_report(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset, ("eval",))
     vocab = inference_vocab(checkpoint, scenario)
-    tau = checkpoint.config_obj().temperature
+    tau = checkpoint.config.temperature
     queries = [p.det_feature for image in scenario.images("eval") for p in image.proposals]
     if not queries:
         raise ValueError(f"the eval split of {args.dataset} has no proposals to report on")
@@ -339,8 +343,8 @@ def gradcheck_table(n_instances: int, seed: int) -> tuple[list[dict], bool]:
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_config(args.config, args.set, args.seed, gradcheck={"instances": args.instances})
-    settings = config["gradcheck"]
+    overrides = [*args.set, *_flag("gradcheck.instances", args.instances)]
+    settings = load_config(args.config, overrides, args.seed)["gradcheck"]
     rows, ok = gradcheck_table(settings.instances, settings.seed)
     print(f"{'tau':>6} {'component':<12} {'worst rel err':>14} {'tol':>8} {'flagged':>8} {'status':>8}")
     for r in rows:
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against central differences")
     common(p)
-    p.add_argument("--instances", type=int, default=10)
+    p.add_argument("--instances", type=int, default=None, help="instance count (config default 10)")
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=cmd_gradcheck)
 

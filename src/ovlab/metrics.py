@@ -83,7 +83,7 @@ def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
     Refuses a checkpoint whose embedding dimension, base categories or
     dataset hash do not match the dataset's.
     """
-    encoder = checkpoint.encoder_obj()
+    encoder = checkpoint.encoder
     if encoder.dim != scenario.config.dim:
         raise ValueError(
             f"checkpoint dimension {encoder.dim} != dataset dimension {scenario.config.dim}"
@@ -110,7 +110,7 @@ def evaluate(
     computed once; each eval image's proposals are scored in one batch.
     """
     vocab = inference_vocab(checkpoint, scenario)
-    tau = checkpoint.config_obj().temperature
+    tau = checkpoint.config.temperature
     factors = compute_shrinking_factors(vocab, tau)
 
     fg_ids = list(vocab.base_ids) + list(vocab.novel_ids)

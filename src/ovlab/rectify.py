@@ -117,8 +117,8 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     tau = check_temperature(tau)
     _require_inference(vocab)
     n_under = vocab.n_underlying
-    if n_under == 0:
-        return np.zeros(0)
+    if vocab.n_novel == 0:  # nothing to share mass with (also covers an empty underlying block)
+        return np.ones(n_under)
     cos = cosine_matrix(vocab.embeddings[vocab.underlying_slice], vocab.embeddings)
     z = cos / tau
     under_start = vocab.underlying_slice.start
@@ -126,11 +126,7 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     factors = np.empty(n_under)
     for i in range(n_under):
         others = np.delete(np.arange(vocab.size), under_start + i)
-        denom = logsumexp(z[i, others])
-        if novel.stop == novel.start:
-            factors[i] = 1.0
-            continue
-        shared = math.exp(logsumexp(z[i, novel]) - denom)
+        shared = math.exp(logsumexp(z[i, novel]) - logsumexp(z[i, others]))
         factors[i] = min(1.0, max(0.0, 1.0 - shared))
     return factors
 

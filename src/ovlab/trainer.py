@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_fields, from_dict
-from .discovery import estimate_category_count, filter_background_proposals, kmeans
+from .discovery import CountEstimate, estimate_category_count, filter_background_proposals, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .losses import (
     COMPONENTS,
@@ -57,13 +57,14 @@ __all__ = [
     "Checkpoint",
     "TrainingDivergedError",
     "NonFiniteGradientError",
-    "COMPONENTS",
     "loss_and_gradients",
     "loss_final",
     "compute_gradients",
     "finite_diff_gradients",
     "sgd_step",
     "pool_background",
+    "sweep_category_count",
+    "underlying_count",
     "prepare_background",
     "DiscoveryPrep",
     "prepare_discovery",
@@ -137,9 +138,6 @@ class Params:
 
     context_vectors: np.ndarray
     sub_background: np.ndarray
-
-    def copy(self) -> "Params":
-        return Params(self.context_vectors.copy(), self.sub_background.copy())
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,8 @@ class Checkpoint:
     """Frozen result of a run: trainable parameters plus everything needed to
     rebuild the vocabularies that scored them."""
 
-    encoder_config: dict
-    train_config: dict
+    encoder: MockTextEncoder
+    config: TrainConfig  # the configuration the run trained with
     dataset_hash: str
     base_categories: tuple[tuple[int, int], ...]  # (id, name_seed)
     n_discovered: int
@@ -360,8 +358,8 @@ class Checkpoint:
         payload = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "encoder": self.encoder_config,
-            "train_config": self.train_config,
+            "encoder": self.encoder.config(),
+            "train_config": asdict(self.config),
             "dataset_hash": self.dataset_hash,
             "base": [{"id": i, "name_seed": s} for i, s in self.base_categories],
             "n_discovered": self.n_discovered,
@@ -388,14 +386,16 @@ class Checkpoint:
         if rec.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {rec.get('version')}")
         try:
+            encoder = from_dict(MockTextEncoder, rec["encoder"])
+            context = np.asarray(rec["context_vectors"], dtype=np.float64)
             centers = rec["cluster_centers"]
             ckpt = Checkpoint(
-                encoder_config=rec["encoder"],
-                train_config=rec["train_config"],
+                encoder=encoder,
+                config=from_dict(TrainConfig, rec["train_config"]),
                 dataset_hash=rec["dataset_hash"],
                 base_categories=tuple((r["id"], r["name_seed"]) for r in rec["base"]),
                 n_discovered=rec["n_discovered"],
-                context_vectors=np.asarray(rec["context_vectors"], dtype=np.float64),
+                context_vectors=context.reshape(0, encoder.ctx_dim) if context.shape == (0,) else context,
                 sub_background=np.asarray(rec["sub_background"], dtype=np.float64),
                 cluster_centers=(
                     np.asarray(centers, dtype=np.float64) if centers is not None else None
@@ -403,35 +403,25 @@ class Checkpoint:
                 rng_state=rec["rng_state"],
                 branch_totals=rec["branch_totals"],
             )
-            dim = ckpt.encoder_obj().dim
-            n_under = _underlying_count(ckpt.config_obj(), ckpt.n_discovered)
+            shapes = (("context vectors", ckpt.context_vectors,
+                        (underlying_count(ckpt.config, ckpt.n_discovered), encoder.ctx_dim)),
+                      ("cluster centers", ckpt.cluster_centers, (ckpt.n_discovered, encoder.dim)))
         except KeyError as exc:
             raise ValueError(f"checkpoint {path} lacks {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed checkpoint {path}: {exc}") from None
-        for name, rows, want in (("context vectors", ckpt.context_vectors, n_under),
-                                  ("cluster centers", ckpt.cluster_centers, ckpt.n_discovered)):
-            if rows is not None and rows.shape[:1] != (want,):
-                raise ValueError(f"checkpoint {path} has {name} of shape {rows.shape}, needs {want} rows")
-        centers = ckpt.cluster_centers
-        if centers is not None and centers.shape[1:] != (dim,):
-            raise ValueError(f"checkpoint {path} has cluster centers of shape {centers.shape}, "
-                             f"needs {dim} columns (the encoder's dim)")
+        for name, rows, want in shapes:
+            if rows is not None and rows.shape != want:
+                raise ValueError(f"checkpoint {path} has {name} of shape {rows.shape}, needs {want} "
+                                 "(rows of the run, columns of the encoder)")
         return ckpt
 
-    def config_obj(self) -> TrainConfig:
-        return from_dict(TrainConfig, self.train_config)
-
-    def encoder_obj(self) -> MockTextEncoder:
-        return from_dict(MockTextEncoder, self.encoder_config)
-
     def build_vocab(self) -> Vocabulary:
-        enc = self.encoder_obj()
         base_ids = [i for i, _ in self.base_categories]
-        base_emb = np.stack([enc.encode_named_category(s) for _, s in self.base_categories])
+        base_emb = np.stack([self.encoder.encode_named_category(s) for _, s in self.base_categories])
         return build_training_vocab(
-            base_ids, base_emb, self.context_vectors, self.sub_background, enc,
-            n_discovered=self.n_discovered, baseline_mode=self.config_obj().baseline_mode,
+            base_ids, base_emb, self.context_vectors, self.sub_background, self.encoder,
+            n_discovered=self.n_discovered, baseline_mode=self.config.baseline_mode,
         )
 
 
@@ -450,6 +440,17 @@ def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
     return np.stack(feats)
 
 
+def sweep_category_count(features: np.ndarray, config: TrainConfig) -> CountEstimate:
+    """The configuration's silhouette sweep over pooled features: k from ``k_min`` to ``k_max``, capped by the pool."""
+    k_max = min(config.k_max, len(features))
+    return estimate_category_count(features, config.k_min, k_max, config.seed)
+
+
+def underlying_count(config: TrainConfig, n_discovered: int) -> int:
+    """Context vectors a run trains: discovered plus expansion categories (none in baseline mode)."""
+    return 0 if config.baseline_mode else n_discovered + config.extra_categories
+
+
 def prepare_background(scenario: Scenario, config: TrainConfig):
     """Offline prep: pooled filtered background features, latent count, centers.
 
@@ -465,8 +466,7 @@ def prepare_background(scenario: Scenario, config: TrainConfig):
     if config.discovered_categories is not None:
         n_disc = config.discovered_categories
     else:
-        k_max = min(config.k_max, features.shape[0])
-        estimate = estimate_category_count(features, config.k_min, k_max, config.seed)
+        estimate = sweep_category_count(features, config)
         n_disc, model = estimate.count, estimate.model
     if not config.use_discovery:
         return n_disc, None
@@ -538,14 +538,9 @@ def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[Pro
     return blocks
 
 
-def _underlying_count(config: TrainConfig, n_discovered: int) -> int:
-    """Context vectors a run trains: discovered plus expansion categories (none in baseline mode)."""
-    return 0 if config.baseline_mode else n_discovered + config.extra_categories
-
-
 def initial_params(config: TrainConfig, encoder: MockTextEncoder, n_discovered: int) -> Params:
     """Seeded initialization: Gaussian context vectors, random unit sub-background."""
-    n_under = _underlying_count(config, n_discovered)
+    n_under = underlying_count(config, n_discovered)
     ctx = np.zeros((0, encoder.ctx_dim))
     if n_under:
         ctx = init_context_vectors(n_under, config.seed, encoder.ctx_dim)
@@ -614,8 +609,8 @@ def train(
 
     history = TrainHistory(steps=tuple(records))
     checkpoint = Checkpoint(
-        encoder_config=encoder.config(),
-        train_config=asdict(config),
+        encoder=encoder,
+        config=config,
         dataset_hash=scenario.dataset_hash(),
         base_categories=tuple((i, scenario.name_seeds[i]) for i in base_ids),
         n_discovered=n_discovered,

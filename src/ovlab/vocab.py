@@ -62,7 +62,6 @@ class Vocabulary:
     embeddings: np.ndarray
     context_vectors: np.ndarray
     encoder: MockTextEncoder | None
-    baseline_mode: bool = False
     inference: bool = False
     # Set by ``build_training_vocab`` only, so it is always the forward of
     # these context vectors.
@@ -70,11 +69,9 @@ class Vocabulary:
     # ``core.unit_rows`` of the embeddings (unit rows and their (size, 1)
     # norms), which the cosine layer and its gradient share.
     unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _base_pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "unit_embeddings", unit_rows(self.embeddings))
-        object.__setattr__(self, "_base_pos", {cid: pos for pos, cid in enumerate(self.base_ids)})
 
     # -- counts and index blocks -------------------------------------------
 
@@ -134,8 +131,8 @@ class Vocabulary:
 
     def base_position(self, base_id: int) -> int:
         try:
-            return self._base_pos[base_id]
-        except KeyError:
+            return self.base_ids.index(base_id)
+        except ValueError:
             raise KeyError(f"unknown base category id {base_id}") from None
 
     def underlying_position(self, cluster_index: int) -> int:
@@ -240,7 +237,6 @@ def build_training_vocab(
         embeddings=stacked,
         context_vectors=_frozen(ctx),
         encoder=encoder,
-        baseline_mode=baseline_mode,
         inference=False,
     )
     object.__setattr__(vocab, "context_forward", forward)
@@ -277,6 +273,5 @@ def build_inference_vocab(training_vocab: Vocabulary, novel_ids, novel_embedding
         embeddings=_frozen(stacked),
         context_vectors=training_vocab.context_vectors,
         encoder=training_vocab.encoder,
-        baseline_mode=training_vocab.baseline_mode,
         inference=True,
     )

@@ -161,6 +161,18 @@ def test_gradcheck_passes(tmp_path):
     assert rec["passed"] is True
 
 
+def test_a_flag_beats_the_config_file_and_set(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr("ovlab.cli.gradcheck_table", lambda n, seed: runs.append((n, seed)) or ([], True))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gradcheck": {"instances": 3}}))
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert main(["gradcheck", "--config", str(cfg), "--instances", "2"]) == 0
+    assert main(["gradcheck", "--instances", "2", "--set", "gradcheck.instances=5"]) == 0
+    assert main(["gradcheck", "--seed", "9", "--set", "gradcheck.seed=1"]) == 0
+    assert runs == [(3, 0), (2, 0), (2, 0), (10, 9)]
+
+
 def test_config_file_drives_commands(tmp_path):
     cfg = tmp_path / "config.json"
     weights = [2, 1, 1, 1, 1, 1, 1.5]  # a list (JSON has no tuple) of ints and floats

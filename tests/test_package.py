@@ -4,6 +4,10 @@ Every function a module of ``src/ovlab`` exports through ``__all__`` must be
 used by the package itself, be part of the acceptance suite's interface, or
 be a function the benchmark tracer hooks. A function only other tests call
 belongs in the tests (scalar oracles live in ``tests/oracles.py``).
+
+Every name has one home: the package root re-exports nothing, a module's
+``__all__`` lists only names it defines, and no module imports another's
+private (underscore) name.
 """
 
 import ast
@@ -17,14 +21,19 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _exported_functions(tree: ast.Module) -> list[str]:
-    """Names in ``__all__`` that the module defines as top-level functions."""
-    exported = set()
+def _all(tree: ast.Module) -> list[str]:
+    """The module's ``__all__`` (empty if it has none)."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _exported_functions(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that the module defines as top-level functions."""
+    exported = set(_all(tree))
     return sorted(
         node.name for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name in exported
@@ -90,3 +99,48 @@ def test_every_exported_function_has_a_production_caller():
                 continue
             unused.append(f"{module}.{name}")
     assert not unused, f"exported functions with no caller in src/ovlab: {unused}"
+
+
+def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """Every ``from .<module> import ...`` or ``from ovlab.<module> import ...`` in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ovlab")
+    ]
+
+
+def test_the_package_root_binds_no_name_of_another_module():
+    tree = _parse(PACKAGE / "__init__.py")
+    imported = [alias.name for node in _package_imports(tree) for alias in node.names]
+    imported += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.split(".")[0] == "ovlab"
+    ]
+    assert not imported, f"ovlab/__init__.py re-exports {imported}; import them from their modules"
+
+
+def test_every_name_in_all_is_defined_in_its_module():
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        foreign += [f"{path.stem}.{name}" for name in _all(tree) if name not in defined]
+    assert not foreign, f"names exported by a module that does not define them: {foreign}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [
+        f"{path.stem} imports {node.module}.{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _package_imports(_parse(path))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported across modules: {private}"

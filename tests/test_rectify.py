@@ -363,7 +363,7 @@ def test_score_baseline_vocab_with_empty_underlying_block():
         None, baseline_mode=True,
     )
     vocab = build_inference_vocab(training, [7, 8], np.array([unit(rng, d) for _ in range(2)]))
-    assert vocab.baseline_mode and vocab.n_underlying == 0
+    assert vocab.n_underlying == 0
     queries = np.array([unit(rng, d) for _ in range(5)])
     for tau in (1.0, 0.02):
         _assert_matches_oracle(queries, vocab, tau)

@@ -335,7 +335,7 @@ def test_train_zero_steps_returns_initialization(small_scenario):
     config = TrainConfig(steps=0, seed=3)
     history, checkpoint = train(config, small_scenario)
     assert history.steps == ()
-    enc = checkpoint.encoder_obj()
+    enc = checkpoint.encoder
     params = initial_params(config, enc, checkpoint.n_discovered)
     np.testing.assert_array_equal(checkpoint.context_vectors, params.context_vectors)
     np.testing.assert_array_equal(checkpoint.sub_background, params.sub_background)
@@ -458,16 +458,33 @@ def test_train_refuses_a_discovery_prep_of_another_scenario():
     assert own.to_json() == fresh.to_json()
 
 
-def test_checkpoint_round_trip(tmp_path, small_scenario):
-    config = TrainConfig(steps=4, seed=8)
+@pytest.mark.parametrize("config", [
+    TrainConfig(steps=4, seed=8),
+    TrainConfig(steps=4, seed=8, baseline_mode=True),  # empty context block, no centers
+    TrainConfig(steps=4, seed=8, use_discovery=False),  # context block, no centers
+], ids=["full", "baseline", "no-discovery"])
+def test_checkpoint_round_trip(tmp_path, small_scenario, config):
     _, checkpoint = train(config, small_scenario)
     path = tmp_path / "ck.json"
     checkpoint.save(path)
     loaded = Checkpoint.load(path)
     assert loaded.to_json() == checkpoint.to_json()
+    assert loaded.config == config and loaded.encoder.config() == checkpoint.encoder.config()
     np.testing.assert_array_equal(loaded.context_vectors, checkpoint.context_vectors)
+    assert (loaded.cluster_centers is None) == (checkpoint.cluster_centers is None)
     vocab = loaded.build_vocab()
     assert vocab.size == len(small_scenario.base_ids) + loaded.context_vectors.shape[0] + 1
+
+
+def test_checkpoint_load_refuses_context_vectors_of_another_width(tmp_path, small_scenario):
+    import json
+
+    _, checkpoint = train(TrainConfig(steps=1, seed=8), small_scenario)
+    rec = json.loads(checkpoint.to_json())
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(dict(rec, context_vectors=[row[:-1] for row in rec["context_vectors"]])))
+    with pytest.raises(ValueError, match="context vectors of shape"):
+        Checkpoint.load(path)
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):

@@ -43,7 +43,6 @@ def test_baseline_mode_counts(enc):
     )
     assert vocab.size == 4  # single background embedding only
     assert vocab.n_underlying == 0
-    assert vocab.baseline_mode
 
 
 def test_baseline_mode_rejects_context_vectors(enc):

@@ -66,7 +66,6 @@ def make_vocab(
         embeddings=stacked,
         context_vectors=np.asarray(context_vectors, dtype=np.float64),
         encoder=encoder,
-        baseline_mode=False,
         inference=inference,
     )
 
