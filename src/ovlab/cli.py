@@ -39,7 +39,7 @@ from .trainer import (
     train,
     underlying_count,
 )
-from .vocab import build_training_vocab
+from .vocab import FixedRows, build_training_vocab
 
 GRADCHECK_TOLERANCES = {1.0: 1e-5, 0.05: 1e-4}
 GRADCHECK_STEP = 1e-5  # central-difference step size
@@ -288,9 +288,7 @@ def _gradcheck_instance(seed: int, tau: float):
         0, 0.4, (n_disc + n_extra, enc.ctx_dim)
     )
     sub = unit()
-    vocab = build_training_vocab(
-        list(range(n_base)), base_emb, ctx, sub, enc, n_discovered=n_disc
-    )
+    vocab = build_training_vocab(FixedRows(tuple(range(n_base)), base_emb, enc, len(ctx), n_disc), ctx, sub)
     batch = ProposalBatch(
         foreground=tuple(prop(label=int(rng.integers(n_base))) for _ in range(6)),
         background=tuple(prop() for _ in range(10)),

@@ -165,15 +165,18 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A zero-norm row has no direction and raises ``ZeroNormError``.
     """
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if (norms <= _NORM_FLOOR).any():
+    # ``np.linalg.norm(rows, axis=1)``'s arithmetic (squares, one row sum, sqrt), bit for bit.
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    if np.count_nonzero(norms <= _NORM_FLOOR):
         raise ZeroNormError("zero-norm rows have no direction")
     return rows / norms, norms
 
 
 def unit_cosines(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Pairwise cosines of rows that ``unit_rows`` already normalized: (n, d) x (m, d) -> (n, m)."""
-    return np.clip(queries @ references.T, -1.0, 1.0)
+    cosines = queries @ references.T
+    np.maximum(cosines, -1.0, out=cosines)  # ``np.clip(cosines, -1, 1)``, in place
+    return np.minimum(cosines, 1.0, out=cosines)
 
 
 def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:

@@ -26,13 +26,17 @@ What training computes when:
 
 * per run, ``proposal_blocks`` stacks each training image's groups once, as
   unit rows (``core.unit_rows``, so a zero-norm feature fails at stacking
-  time) with their vocabulary target positions;
-* per step, ``proposal_groups`` concatenates the sampled images' blocks and
+  time) with their vocabulary target positions; the vocabulary's block index
+  arrays (``Vocabulary.background_indices``, ``pseudo_negative_indices``)
+  come from the run's ``vocab.FixedRows``;
+* per step, ``proposal_groups`` gathers the sampled images' rows with one
+  concatenation in ``GROUPS`` order (and their targets with one more) and
   takes one cosine matrix against the step vocabulary's unit embeddings;
   ``objective_terms`` takes one row log-softmax and its ``exp`` over all
   rows, hands each group's rows of both to ``nll_terms``, ``mass_terms`` and
-  ``uniform_terms``, and writes the requested gradient into one (n, V)
-  array group by group (the groups' row blocks are disjoint).
+  ``uniform_terms`` with the run's index arrays, and writes the requested
+  gradient into one (n, V) array group by group (the groups' row blocks are
+  disjoint).
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def uniform_terms(logp: np.ndarray, member_indices: np.ndarray, probs: np.ndarra
 
 def switched_branches(selected: np.ndarray) -> tuple[str, ...]:
     """Branch names of a boolean mass-branch selection (masses at or above gamma)."""
-    return tuple(MASS_BRANCH if m else UNIFORM_BRANCH for m in selected.tolist())
+    return tuple(map((UNIFORM_BRANCH, MASS_BRANCH).__getitem__, selected.tolist()))
 
 
 # -- the objective ------------------------------------------------------------
@@ -199,27 +203,29 @@ def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> Propo
     return ProposalBlocks(features, targets)
 
 
+_NO_TARGETS = np.zeros(0, np.int64)  # keeps an empty target sequence int64
+_LABELED = ("foreground", "pseudo_positive")  # the groups with targets, in ``GROUPS`` order
+
+
 def proposal_groups(blocks, vocab: Vocabulary):
     """Stacked unit features, group row slices, targets and the one vocabulary cosine matrix.
 
     ``blocks`` is a sequence of ``ProposalBlocks`` (one per sampled image in
     training); rows run through ``GROUPS`` in order, each group's rows in
-    block order. ``slices`` names each non-empty group's rows, and targets
-    exist for the two labeled groups only.
+    block order, gathered with one concatenation. ``slices`` names each
+    non-empty group's rows, and targets exist for the two labeled groups only.
     """
-    slices, parts, start = {}, [], 0
-    for name in GROUPS:
-        group = [b.features[name] for b in blocks]
-        n = sum(len(f) for f in group)
+    parts = [b.features[name] for name in GROUPS for b in blocks]
+    slices, start, k = {}, 0, len(blocks)
+    for g, name in enumerate(GROUPS):
+        n = sum(map(len, parts[g * k:(g + 1) * k]))
         if n:
             slices[name] = slice(start, start + n)
             start += n
-            parts.extend(group)
-    features = np.concatenate(parts) if parts else np.zeros((0, vocab.dim))
-    targets = {  # the leading empty block keeps an empty sequence int64
-        name: np.concatenate([np.zeros(0, np.int64)] + [b.targets[name] for b in blocks])
-        for name in ("foreground", "pseudo_positive")
-    }
+    features = np.concatenate(parts) if start else np.zeros((0, vocab.dim))
+    labeled = np.concatenate([_NO_TARGETS] + [b.targets[name] for name in _LABELED for b in blocks])
+    n_foreground = slices["foreground"].stop if "foreground" in slices else 0
+    targets = {"foreground": labeled[:n_foreground], "pseudo_positive": labeled[n_foreground:]}
     return features, slices, targets, unit_cosines(features, vocab.unit_embeddings[0])
 
 
@@ -252,33 +258,33 @@ def objective_terms(
     z = cosines / check_temperature(tau)
     logp = log_softmax_rows(z)
     probs = np.exp(logp)
-    grad = np.zeros_like(z)
+    grad = np.zeros(z.shape)
     values = dict.fromkeys(COMPONENTS, 0.0)
     live: tuple[str, ...] = ()
     in_final = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
+    # Whether the requested gradient reads each group: its own component, or "final" with the term on.
+    final = component == "final"
+    wanted = {"foreground": component == "foreground" or final,
+              "background": component in ("mass", "uniform", "switched") or (final and use_prompts),
+              "pseudo_positive": component == "pseudo" or (final and use_discovery)}
+    wanted["pseudo_negative"] = wanted["pseudo_positive"]
 
-    def wants(*names: str) -> bool:
-        """Whether the requested gradient reads the group of these components (the last is in "final")."""
-        return component in names or (component == "final" and in_final[names[-1]])
-
-    def group(name: str, wanted: bool):
+    def group(name: str):
         """A group's rows, its log-probabilities, and its probabilities if its gradient is wanted."""
         rows = slices[name]
-        return rows, logp[rows], probs[rows] if wanted else None
+        return rows, logp[rows], probs[rows] if wanted[name] else None
 
     if "foreground" in slices:
-        rows, lp, p = group("foreground", wants("foreground"))
+        rows, lp, p = group("foreground")
         vals, g = nll_terms(lp, targets["foreground"], p)
         values["foreground"] = float(vals.sum() / len(vals))
         if g is not None:
-            grad[rows] = g / len(vals)
+            np.divide(g, len(vals), out=grad[rows])
 
     if "background" in slices:
-        wanted = wants("mass", "uniform", "switched")
-        rows, lp, p = group("background", wanted)
-        bg_idx = vocab.background_indices()
-        mass_vals, g_mass, masses = mass_terms(lp, bg_idx, p)
-        uniform_vals, g_uniform = uniform_terms(lp, bg_idx, p)
+        rows, lp, p = group("background")
+        mass_vals, g_mass, masses = mass_terms(lp, vocab.background_indices(), p)
+        uniform_vals, g_uniform = uniform_terms(lp, vocab.background_indices(), p)
         sel = masses >= gamma
         live = switched_branches(sel)
         if branches is not None:
@@ -289,25 +295,23 @@ def objective_terms(
         values["mass"] = float(mass_vals.sum() / n)
         values["uniform"] = float(uniform_vals.sum() / n)
         values["switched"] = float(np.where(sel, mass_vals, uniform_vals).sum() / n)
-        if wanted:
+        if p is not None:
             g = (g_mass if component == "mass" else g_uniform if component == "uniform"
                  else np.where(sel[:, None], g_mass, g_uniform))
-            grad[rows] = g / n
+            np.divide(g, n, out=grad[rows])
 
-    wanted = wants("pseudo")
     if "pseudo_positive" in slices:
-        rows, lp, p = group("pseudo_positive", wanted)
+        rows, lp, p = group("pseudo_positive")
         vals, g = nll_terms(lp, targets["pseudo_positive"], p)
         values["pseudo"] += float(vals.sum() / len(vals))
         if g is not None:
-            grad[rows] = g / len(vals)
+            np.divide(g, len(vals), out=grad[rows])
     if "pseudo_negative" in slices:
-        rows, lp, p = group("pseudo_negative", wanted)
-        members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
-        vals, g, _ = mass_terms(lp, members, p)
+        rows, lp, p = group("pseudo_negative")
+        vals, g, _ = mass_terms(lp, vocab.pseudo_negative_indices(), p)
         values["pseudo"] += negative_weight * float(vals.sum() / len(vals))
         if g is not None:
-            grad[rows] = g * (negative_weight / len(vals))
+            np.multiply(g, negative_weight / len(vals), out=grad[rows])
 
     values["final"] = sum(values[name] for name, on in in_final.items() if on)
     return ObjectiveTerms(values, live, grad)

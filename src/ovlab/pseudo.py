@@ -48,22 +48,32 @@ class BackgroundPartition:
 
 def center_probs(img_feature, centers, tau: float) -> np.ndarray:
     """Softmax over cluster centers of the image-encoder feature's cosine scores."""
+    return _center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau)[0]
+
+
+def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
+    """``center_probs`` of every row of an (n, d) feature stack, from one cosine matrix."""
     tau = check_temperature(tau)
     c = np.asarray(centers, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] == 0:
         raise ValueError("need a non-empty (k, d) center matrix")
-    feat = np.asarray(img_feature, dtype=np.float64)
-    logits = cosine_matrix(feat[None, :], c)[0] / tau
-    shifted = logits - logits.max()
+    logits = cosine_matrix(img_features, c) / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def assign_pseudo_label(img_feature, centers, tau: float, proposal_index: int = 0) -> PseudoLabel:
     """Highest-probability discovered category; ties break toward the smaller index."""
-    probs = center_probs(img_feature, centers, tau)
-    cat = int(probs.argmax())
-    return PseudoLabel(proposal_index=proposal_index, category=cat, score=float(probs[cat]))
+    return _labels(center_probs(img_feature, centers, tau)[None, :], proposal_index)[0]
+
+
+def _labels(probs: np.ndarray, first_index: int = 0) -> list[PseudoLabel]:
+    """One ``PseudoLabel`` per row of center probabilities, numbered from ``first_index``."""
+    cats = probs.argmax(axis=1)
+    scores = probs[np.arange(len(probs)), cats]
+    return [PseudoLabel(proposal_index=first_index + i, category=c, score=v)
+            for i, (c, v) in enumerate(zip(cats.tolist(), scores.tolist()))]
 
 
 def generate_pseudo_labels(
@@ -79,10 +89,11 @@ def generate_pseudo_labels(
     """Filter, label, threshold, and per-class-suppress one batch's background.
 
     Pipeline: objectness/annotation-overlap filtering -> per-proposal label
-    from the frozen centers -> drop labels scoring under theta -> per-class
-    NMS keyed on the label score. Survivors become positives; every other
-    filtered proposal becomes a negative. Box refinement of the survivors is
-    an identity hook at this scale (no trained box head exists).
+    from the frozen centers (one cosine matrix over the filtered proposals)
+    -> drop labels scoring under theta -> per-class NMS keyed on the label
+    score. Survivors become positives; every other filtered proposal becomes
+    a negative. Box refinement of the survivors is an identity hook at this
+    scale (no trained box head exists).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -92,10 +103,7 @@ def generate_pseudo_labels(
     if not filtered:
         return BackgroundPartition(positives=(), negatives=())
 
-    labels = [
-        assign_pseudo_label(p.img_feature, centers, tau, proposal_index=i)
-        for i, p in enumerate(filtered)
-    ]
+    labels = _labels(_center_probs(np.stack([p.img_feature for p in filtered]), centers, tau))
     confident = [i for i, lab in enumerate(labels) if lab.score >= theta]
 
     kept: set[int] = set()

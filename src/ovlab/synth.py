@@ -17,9 +17,9 @@ fixes: the header line, then the ``n_train_images`` train images, then the
 ``n_eval_images`` eval images, each split numbering its images 0..n-1.
 Each image is its image line followed by ``objects_per_image *
 proposals_per_object + clutter_per_image`` proposal lines. The loader
-derives every line's position from the header alone, so it parses only the
-lines of the splits it is asked for and refuses a file of any other line
-count.
+derives every line's position from the header alone, so it decodes and
+parses only the lines of the splits it is asked for (it counts and finds
+lines in the file's bytes) and refuses a file of any other line count.
 """
 
 from __future__ import annotations
@@ -415,19 +415,28 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
         raise ValueError(f"unknown dataset splits {unknown}; known: {list(SPLITS)}")
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text:
+    data = Path(path).read_bytes()
+    if not data:
         raise ValueError(f"empty dataset file {path}")
     try:
-        return _parse_dataset(path, text, splits)
+        return _parse_dataset(path, data, splits)
     except KeyError as exc:
         raise ValueError(f"dataset {path} lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed dataset {path}: {exc}") from None
 
 
-def _parse_dataset(path, text: list[str], splits: tuple[str, ...]) -> Scenario:
-    header = json.loads(text[0])
+def _line_end(data: bytes, start: int, n: int) -> int:
+    """Byte offset just past the ``n`` lines that begin at offset ``start``."""
+    for _ in range(n):
+        start = data.find(b"\n", start) + 1 or len(data)  # the last line may lack its newline
+    return start
+
+
+def _parse_dataset(path, data: bytes, splits: tuple[str, ...]) -> Scenario:
+    """Parse the header and the lines of ``splits``; only those lines are decoded."""
+    start = _line_end(data, 0, 1)
+    header = json.loads(data[:start].decode("utf-8"))
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path} is not a dataset file")
     if header.get("version") != DATASET_VERSION:
@@ -446,17 +455,21 @@ def _parse_dataset(path, text: list[str], splits: tuple[str, ...]) -> Scenario:
     per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
     counts = {"train": config.n_train_images, "eval": config.n_eval_images}
     expected = 1 + per_image * sum(counts.values())
-    if len(text) != expected:
-        raise ValueError(f"dataset {path} has {len(text)} lines, but its header implies {expected}")
+    n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as ``str.splitlines`` counts them
+    if n_lines != expected:
+        raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
     images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
     first = 1  # line of the split's first image
     for split in SPLITS:
+        n_split = counts[split] * per_image
+        end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
         if split in splits:
+            lines = data[start:end].decode("utf-8").split("\n")
             images[split] = tuple(
-                _parse_image(path, text, first + i * per_image, per_image, split, i)
+                _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i)
                 for i in range(counts[split])
             )
-        first += counts[split] * per_image
+        start, first = end, first + n_split
 
     scenario = Scenario(
         config=config,
@@ -474,10 +487,10 @@ def _parse_dataset(path, text: list[str], splits: tuple[str, ...]) -> Scenario:
     return scenario
 
 
-def _record(path, text: list[str], n: int, kind: str, split: str, image_id: int) -> dict:
-    """Line ``n`` of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
+def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> dict:
+    """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
     try:
-        rec = json.loads(text[n])
+        rec = json.loads(line)
         position = (kind, split, image_id)
         if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == position:
             return rec
@@ -488,12 +501,13 @@ def _record(path, text: list[str], n: int, kind: str, split: str, image_id: int)
                      f"{problem}")
 
 
-def _parse_image(path, text: list[str], first: int, n_lines: int, split: str, image_id: int) -> SynthImage:
-    rec = _record(path, text, first, "image", split, image_id)
+def _parse_image(path, lines: list[str], first: int, split: str, image_id: int) -> SynthImage:
+    """One image from its lines, the first of which is line ``first`` (from 0) of the file."""
+    rec = _record(path, lines[0], first, "image", split, image_id)
     gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
     proposals = []
-    for n in range(first + 1, first + n_lines):
-        rec = _record(path, text, n, "proposal", split, image_id)
+    for n, line in enumerate(lines[1:], first + 1):
+        rec = _record(path, line, n, "proposal", split, image_id)
         det = np.asarray(rec["det"], dtype=np.float64)
         img = np.asarray(rec["img"], dtype=np.float64)
         det.setflags(write=False)

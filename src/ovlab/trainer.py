@@ -12,12 +12,15 @@ that straddles the boundary instead of silently differencing across it.
 
 Each quantity of a run is computed at the scope where it changes. Per run:
 the discovery prep (count, centers, per-image pseudo-labels; one per seed in
-an ablation), the base embeddings, and each training image's proposal blocks
-as unit rows with their target positions. Per step: the vocabulary of the
-live parameters (one encoder forward, kept for the pullback), the embedding
-norms, one cosine matrix, one log-softmax and the logit gradient of "final"
-(``losses.objective_terms``), the pullback through the kept forward, and one
-SGD update.
+an ablation), the vocabulary's ``FixedRows`` (base embeddings with their
+unit rows and norms, the block index arrays), each training image's proposal
+blocks as unit rows with their target positions and its pseudo-label counts,
+and one flat parameter vector and one flat velocity with the two blocks as
+views. Per step: the vocabulary of the live parameters (one encoder forward,
+kept for the pullback, and the unit rows of the moving rows only), one
+concatenation and one cosine matrix of the sampled images' rows, one
+log-softmax and the logit gradient of "final" (``losses.objective_terms``),
+the pullback through the kept forward, and one SGD update of the flat vector.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .losses import (
 from .persist import canonical_json, write_text
 from .pseudo import BackgroundPartition, generate_pseudo_labels
 from .synth import Scenario
-from .vocab import Vocabulary, build_training_vocab
+from .vocab import FixedRows, Vocabulary, build_training_vocab
 
 __all__ = [
     "TrainConfig",
@@ -131,13 +134,39 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
 
 
-@dataclass
 class Params:
     """Trainable state: one context vector per underlying category, plus the
-    sub-background embedding (kept unit-norm by the optimizer)."""
+    sub-background embedding (kept unit-norm by the optimizer).
 
-    context_vectors: np.ndarray
-    sub_background: np.ndarray
+    Both blocks are views into one flat vector, ``flat`` (context vectors
+    row by row, then the sub-background), so the optimizer updates them as
+    one array. The constructor copies its blocks into a new flat vector.
+    """
+
+    def __init__(self, context_vectors, sub_background):
+        ctx = np.asarray(context_vectors, dtype=np.float64)
+        flat = np.concatenate([ctx.ravel(), np.asarray(sub_background, dtype=np.float64)])
+        self._bind(flat, ctx.shape)
+
+    @classmethod
+    def of_flat(cls, flat: np.ndarray, context_shape: tuple[int, int]) -> "Params":
+        """Parameters whose blocks are views into ``flat`` (not copied)."""
+        params = cls.__new__(cls)
+        params._bind(flat, context_shape)
+        return params
+
+    def _bind(self, flat: np.ndarray, context_shape) -> None:
+        self.flat = flat
+        self.context_shape = tuple(context_shape)
+        self._n_context = math.prod(context_shape)
+
+    @property
+    def context_vectors(self) -> np.ndarray:
+        return self.flat[: self._n_context].reshape(self.context_shape)
+
+    @property
+    def sub_background(self) -> np.ndarray:
+        return self.flat[self._n_context :]
 
 
 @dataclass(frozen=True)
@@ -145,8 +174,12 @@ class Gradients:
     context: np.ndarray
     sub_background: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_flat", np.concatenate([self.context.ravel(), self.sub_background]))
+
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.context.ravel(), self.sub_background])
+        """Both blocks in one vector, in the order of ``Params.flat``."""
+        return self._flat
 
 
 @dataclass(frozen=True)
@@ -225,11 +258,12 @@ def loss_and_gradients(
 
 
 def _check_finite(grads: Gradients) -> Gradients:
+    if np.isfinite(grads.flat()).all():
+        return grads
     for name, arr in (("context", grads.context), ("sub_background", grads.sub_background)):
         if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))
             raise NonFiniteGradientError(f"non-finite gradient in {name} at {bad[0].tolist()}")
-    return grads
 
 
 def loss_final(
@@ -313,26 +347,18 @@ def sgd_step(
     momentum: float,
     weight_decay: float,
 ) -> tuple[Params, Params]:
-    """One SGD-with-momentum update; the sub-background embedding is re-projected
-    onto the unit sphere afterwards."""
-    if params.context_vectors.shape != grads.context.shape:
-        raise ValueError(
-            f"context shape mismatch: {params.context_vectors.shape} vs {grads.context.shape}"
-        )
+    """One SGD-with-momentum update of the flat parameter vector; the sub-background
+    embedding is re-projected onto the unit sphere afterwards."""
+    shape = params.context_shape
+    if shape != grads.context.shape:
+        raise ValueError(f"context shape mismatch: {shape} vs {grads.context.shape}")
     if params.sub_background.shape != grads.sub_background.shape:
         raise ValueError("sub-background shape mismatch")
-    new_vel = Params(
-        context_vectors=momentum * velocity.context_vectors
-        + grads.context
-        + weight_decay * params.context_vectors,
-        sub_background=momentum * velocity.sub_background
-        + grads.sub_background
-        + weight_decay * params.sub_background,
-    )
-    new_ctx = params.context_vectors - lr * new_vel.context_vectors
-    new_sub = params.sub_background - lr * new_vel.sub_background
-    new_sub = new_sub / np.linalg.norm(new_sub)
-    return Params(context_vectors=new_ctx, sub_background=new_sub), new_vel
+    new_vel = momentum * velocity.flat + grads.flat() + weight_decay * params.flat
+    new = Params.of_flat(params.flat - lr * new_vel, shape)
+    sub = new.sub_background
+    sub /= np.sqrt(sub.dot(sub))  # ``np.linalg.norm``'s arithmetic on a vector
+    return new, Params.of_flat(new_vel, shape)
 
 
 # -- training loop -----------------------------------------------------------
@@ -353,6 +379,9 @@ class Checkpoint:
     cluster_centers: np.ndarray | None
     rng_state: dict
     branch_totals: dict
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> str:
         payload = {
@@ -408,7 +437,7 @@ class Checkpoint:
                       ("cluster centers", ckpt.cluster_centers, (ckpt.n_discovered, encoder.dim)))
         except KeyError as exc:
             raise ValueError(f"checkpoint {path} lacks {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint {path}: {exc}") from None
         for name, rows, want in shapes:
             if rows is not None and rows.shape != want:
@@ -417,12 +446,10 @@ class Checkpoint:
         return ckpt
 
     def build_vocab(self) -> Vocabulary:
-        base_ids = [i for i, _ in self.base_categories]
         base_emb = np.stack([self.encoder.encode_named_category(s) for _, s in self.base_categories])
-        return build_training_vocab(
-            base_ids, base_emb, self.context_vectors, self.sub_background, self.encoder,
-            n_discovered=self.n_discovered, baseline_mode=self.config.baseline_mode,
-        )
+        fixed = FixedRows(tuple(i for i, _ in self.base_categories), base_emb, self.encoder,
+                          len(self.context_vectors), self.n_discovered, self.config.baseline_mode)
+        return build_training_vocab(fixed, self.context_vectors, self.sub_background)
 
 
 def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
@@ -559,36 +586,36 @@ def train(
     run's configuration (the module toggles aside);
     ``run_ablation`` shares one among the trainings of a seed. Without it
     the run computes its own with ``prepare_discovery``. Either way the run
-    keeps only what its toggles use (``DiscoveryPrep.for_run``). Each
-    training image's proposal groups are stacked once, then per step: sample
-    a batch of images, rebuild the vocabulary from the live parameters,
-    concatenate the sampled images' blocks, evaluate the objective and its
-    analytic gradient in one pass, and apply one SGD step. Frozen components
-    (encoder, base embeddings, centers) are never touched.
+    keeps only what its toggles use (``DiscoveryPrep.for_run``). The
+    vocabulary's fixed rows and each training image's proposal groups are
+    laid out once, then per step: sample a batch of images, rebuild the
+    vocabulary's moving rows from the live parameters, evaluate the objective
+    and its analytic gradient in one pass over the sampled images' blocks, and
+    apply one SGD step. Frozen components (encoder, base embeddings, centers)
+    are never touched.
     """
     encoder = MockTextEncoder(**scenario.encoder_config)
-    base_ids = list(scenario.base_ids)
+    base_ids = tuple(scenario.base_ids)
     base_emb = np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids])
     prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config, scenario)
     n_discovered, centers = prep.n_discovered, prep.centers
+    fixed = FixedRows(base_ids, base_emb, encoder, underlying_count(config, n_discovered), n_discovered,
+                      config.baseline_mode)
     params = initial_params(config, encoder, n_discovered)
-    velocity = Params(np.zeros_like(params.context_vectors), np.zeros_like(params.sub_background))
+    velocity = Params.of_flat(np.zeros_like(params.flat), params.context_shape)
 
     def vocab_of(params: Params) -> Vocabulary:
-        return build_training_vocab(
-            base_ids, base_emb, params.context_vectors, params.sub_background, encoder,
-            n_discovered=n_discovered, baseline_mode=config.baseline_mode,
-        )
+        return build_training_vocab(fixed, params.context_vectors, params.sub_background)
 
     # Training moves no vocabulary position, so any snapshot gives the targets.
     blocks = _image_blocks(scenario, prep.partitions, vocab_of(params))
+    pseudo_counts = [(len(b.features["pseudo_positive"]), len(b.features["pseudo_negative"])) for b in blocks]
     rng = np.random.default_rng([5, config.seed])
     records: list[StepRecord] = []
 
     for step in range(config.steps):
-        idx = sorted(rng.choice(len(blocks), size=min(config.batch_images, len(blocks)), replace=False))
-        sampled = [blocks[i] for i in idx]
-        breakdown, grads = loss_and_gradients(sampled, vocab_of(params), config)
+        idx = sorted(rng.choice(len(blocks), size=min(config.batch_images, len(blocks)), replace=False).tolist())
+        breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab_of(params), config)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
         params, velocity = sgd_step(
@@ -602,8 +629,8 @@ def train(
                 breakdown=breakdown,
                 n_mass_branch=n_mass,
                 n_uniform_branch=len(breakdown.branches) - n_mass,
-                n_pseudo_positive=sum(len(b.features["pseudo_positive"]) for b in sampled),
-                n_pseudo_negative=sum(len(b.features["pseudo_negative"]) for b in sampled),
+                n_pseudo_positive=sum(pseudo_counts[i][0] for i in idx),
+                n_pseudo_negative=sum(pseudo_counts[i][1] for i in idx),
             )
         )
 

@@ -10,12 +10,18 @@ holds the context-vector-backed background categories; its first
 centers, the remainder are the safety-expansion categories. The final slot
 is the learnable sub-background embedding (or, in baseline mode, the single
 catch-all background embedding, with an empty underlying block).
+
+Training never moves a position, and only the underlying block and the
+sub-background row change: a run checks its base rows once in ``FixedRows``,
+and ``build_training_vocab`` then embeds and normalizes only the moving rows
+of each step's vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +31,9 @@ from .encoder import ContextForward, MockTextEncoder
 __all__ = [
     "Kind",
     "CategoryId",
+    "BlockIndices",
     "Vocabulary",
+    "FixedRows",
     "build_training_vocab",
     "build_inference_vocab",
 ]
@@ -44,6 +52,21 @@ class CategoryId:
     kind: Kind
 
 
+class BlockIndices(NamedTuple):
+    """Read-only position arrays of a vocabulary's blocks, fixed by its block sizes."""
+
+    background: np.ndarray  # the underlying block plus the sub-background slot
+    pseudo_negative: np.ndarray  # the expansion categories plus the sub-background slot
+
+
+def _block_indices(n_before: int, n_underlying: int, n_discovered: int) -> BlockIndices:
+    """``BlockIndices`` of a vocabulary whose underlying block starts at ``n_before``."""
+    sub = n_before + n_underlying
+    background = np.arange(n_before, sub + 1)
+    background.setflags(write=False)
+    return BlockIndices(background, background[n_discovered:])  # a view, read-only like its base
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Immutable snapshot of every category the head scores against.
@@ -54,6 +77,10 @@ class Vocabulary:
     block, so gradient code can chain through that block without extra
     arguments or a second forward pass. A zero-norm embedding row has no
     direction and raises ``ZeroNormError`` on construction.
+
+    ``units`` and ``indices`` let a builder hand over the unit embeddings and
+    block indices it already has (``build_training_vocab`` takes both from
+    the run's ``FixedRows``); left out, they are computed here.
     """
 
     base_ids: tuple[int, ...]
@@ -63,15 +90,23 @@ class Vocabulary:
     context_vectors: np.ndarray
     encoder: MockTextEncoder | None
     inference: bool = False
+    units: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    indices: InitVar[BlockIndices | None] = None
     # Set by ``build_training_vocab`` only, so it is always the forward of
     # these context vectors.
     context_forward: ContextForward | None = field(init=False, repr=False, default=None)
     # ``core.unit_rows`` of the embeddings (unit rows and their (size, 1)
     # norms), which the cosine layer and its gradient share.
     unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    block_indices: BlockIndices = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit_embeddings", unit_rows(self.embeddings))
+    def __post_init__(self, units, indices):
+        if units is None:
+            units = unit_rows(self.embeddings)
+        if indices is None:
+            indices = _block_indices(self.n_base + self.n_novel, self.n_underlying, self.n_discovered)
+        object.__setattr__(self, "unit_embeddings", units)
+        object.__setattr__(self, "block_indices", indices)
 
     # -- counts and index blocks -------------------------------------------
 
@@ -118,11 +153,13 @@ class Vocabulary:
         return slice(0, self.n_base + self.n_novel)
 
     def background_indices(self) -> np.ndarray:
-        """Positions of the underlying block plus the sub-background slot."""
-        under = self.underlying_slice
-        return np.concatenate(
-            [np.arange(under.start, under.stop), [self.sub_background_index]]
-        )
+        """Positions of the underlying block plus the sub-background slot (a read-only array)."""
+        return self.block_indices.background
+
+    def pseudo_negative_indices(self) -> np.ndarray:
+        """Positions of the expansion categories plus the sub-background slot (a read-only array):
+        the member set the pseudo-label loss pulls unlabeled filtered proposals toward."""
+        return self.block_indices.pseudo_negative
 
     def expansion_indices(self) -> np.ndarray:
         """Positions of the safety-expansion underlying categories (beyond the clustered ones)."""
@@ -168,76 +205,107 @@ class Vocabulary:
         return recs
 
 
+@dataclass(frozen=True)
+class FixedRows:
+    """What every training vocabulary of one run shares, checked and derived once.
+
+    The base rows, the encoder and the block sizes never change while the
+    parameters train, so a run builds this once and then each step's
+    vocabulary with ``build_training_vocab``, which embeds and normalizes
+    only the rows that move (the underlying block and the sub-background).
+    ``n_discovered`` defaults to the whole underlying block. In baseline mode
+    the underlying block must be empty and the final slot is the single
+    background embedding.
+    """
+
+    base_ids: tuple[int, ...]
+    base_embeddings: np.ndarray
+    encoder: MockTextEncoder | None
+    n_underlying: int
+    n_discovered: int | None = None
+    baseline_mode: bool = False
+    # ``core.unit_rows`` of the base embeddings and the vocabulary's block indices.
+    base_units: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    block_indices: BlockIndices = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        base_ids = tuple(int(i) for i in self.base_ids)
+        base_emb = _frozen(self.base_embeddings)
+        if base_emb.ndim != 2 or base_emb.shape[0] != len(base_ids):
+            raise ValueError(
+                f"need one embedding per base id: {len(base_ids)} ids, embeddings {base_emb.shape}"
+            )
+        n_under, encoder = self.n_underlying, self.encoder
+        if self.baseline_mode and n_under != 0:
+            raise ValueError("baseline mode admits no underlying categories")
+        if encoder is None and n_under > 0:
+            raise ValueError("an encoder is required to embed context vectors")
+        if n_under and encoder.dim != base_emb.shape[1]:
+            raise DimensionMismatchError(
+                f"encoder dimension {encoder.dim} != base dimension {base_emb.shape[1]}"
+            )
+        n_discovered = n_under if self.n_discovered is None else self.n_discovered
+        if not (0 <= n_discovered <= n_under):
+            raise ValueError(
+                f"discovered-category count {n_discovered} outside [0, {n_under}]"
+            )
+        for name, value in (("base_ids", base_ids), ("base_embeddings", base_emb),
+                            ("n_discovered", int(n_discovered)), ("base_units", unit_rows(base_emb)),
+                            ("block_indices", _block_indices(len(base_ids), n_under, n_discovered))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.base_embeddings.shape[1]
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
 
 
-def build_training_vocab(
-    base_ids,
-    base_embeddings,
-    context_vectors,
-    sub_background,
-    encoder: MockTextEncoder | None,
-    n_discovered: int | None = None,
-    baseline_mode: bool = False,
-) -> Vocabulary:
-    """Assemble the training-time vocabulary [base..., underlying..., sub-background].
+def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> Vocabulary:
+    """The training-time vocabulary [base..., underlying..., sub-background] of the live parameters.
 
-    Underlying embeddings are recomputed from the current context vectors on
-    every call, so the returned snapshot always reflects the live parameters;
-    the snapshot keeps that encoder forward for the gradient's pullback.
-    In baseline mode the underlying block must be empty and the final slot is
-    the single background embedding.
+    Underlying embeddings are recomputed from ``context_vectors`` on every
+    call, so the returned snapshot always reflects the live parameters; it
+    keeps that encoder forward for the gradient's pullback. Only the moving
+    rows are normalized: the base rows' unit rows and the block indices come
+    from ``fixed``, and the result is the same to the bit as normalizing
+    every row.
     """
-    base_ids = tuple(int(i) for i in base_ids)
-    base_emb = np.asarray(base_embeddings, dtype=np.float64)
-    if base_emb.ndim != 2 or base_emb.shape[0] != len(base_ids):
-        raise ValueError(
-            f"need one embedding per base id: {len(base_ids)} ids, embeddings {base_emb.shape}"
-        )
-    ctx = np.asarray(context_vectors, dtype=np.float64)
+    ctx = _frozen(context_vectors)  # the snapshot's own copy, which the forward also reads
     if ctx.size == 0:
-        ctx = ctx.reshape(0, encoder.ctx_dim if encoder is not None else 0)
-    if baseline_mode and ctx.shape[0] != 0:
-        raise ValueError("baseline mode admits no underlying categories")
-    if not baseline_mode and encoder is None and ctx.shape[0] > 0:
-        raise ValueError("an encoder is required to embed context vectors")
-
-    n_under = ctx.shape[0]
-    if n_discovered is None:
-        n_discovered = n_under
-    if not (0 <= n_discovered <= n_under):
-        raise ValueError(
-            f"discovered-category count {n_discovered} outside [0, {n_under}]"
-        )
-
+        ctx = ctx.reshape(0, fixed.encoder.ctx_dim if fixed.encoder is not None else 0)
+    if ctx.shape[0] != fixed.n_underlying:
+        raise ValueError(f"{ctx.shape[0]} context vectors for an underlying block of {fixed.n_underlying}")
     sub = np.asarray(sub_background, dtype=np.float64)
-    d = base_emb.shape[1]
-    if sub.shape != (d,):
+    if sub.shape != (fixed.dim,):
         raise DimensionMismatchError(
-            f"sub-background embedding must have shape ({d},), got {sub.shape}"
+            f"sub-background embedding must have shape ({fixed.dim},), got {sub.shape}"
         )
 
     forward = None
-    if n_under:
-        forward = encoder.forward(ctx)
-        if encoder.dim != d:
-            raise DimensionMismatchError(f"encoder dimension {encoder.dim} != base dimension {d}")
-        stacked = np.concatenate([base_emb, forward.embeddings, sub[None, :]])
-    else:
-        stacked = np.concatenate([base_emb, sub[None, :]])
+    moving = sub[None, :]
+    if fixed.n_underlying:
+        forward = fixed.encoder.forward(ctx)
+        moving = np.concatenate([forward.embeddings, moving])
+    units, norms = unit_rows(moving)
+    stacked = np.concatenate([fixed.base_embeddings, moving])
     stacked.setflags(write=False)  # a new array, so freezing needs no copy
 
+    base_units, base_norms = fixed.base_units
     vocab = Vocabulary(
-        base_ids=base_ids,
+        base_ids=fixed.base_ids,
         novel_ids=(),
-        n_discovered=int(n_discovered),
+        n_discovered=fixed.n_discovered,
         embeddings=stacked,
-        context_vectors=_frozen(ctx),
-        encoder=encoder,
+        context_vectors=ctx,
+        encoder=fixed.encoder,
         inference=False,
+        units=(np.concatenate([base_units, units]), np.concatenate([base_norms, norms])),
+        indices=fixed.block_indices,
     )
     object.__setattr__(vocab, "context_forward", forward)
     return vocab

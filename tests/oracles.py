@@ -5,9 +5,10 @@ pair, one coordinate, one cluster or one proposal at a time) from the
 ``ovlab.core`` primitives only. Two are exceptions. The encoder's
 Jacobian-vector product reads the encoder's frozen weights; it is the
 forward-mode derivative that the reverse-mode ``encode_context_vjp`` is
-checked against. The unfused training step at the end is the step as written
-before training computed each quantity once, kept to show the fused step
-trains bit for bit alike.
+checked against. The unfused training step, the two-block SGD update and
+the row-by-row pseudo-labeller at the end are those steps as written before
+training computed each quantity once, kept to show the fast paths compute
+alike.
 """
 
 import math
@@ -21,10 +22,13 @@ from ovlab.core import (
     cosine_matrix,
     log_softmax_rows,
     logsumexp,
+    softmax_probs,
 )
+from ovlab.discovery import filter_background_proposals, nms_indices
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
-from ovlab.trainer import Gradients
+from ovlab.pseudo import BackgroundPartition, PseudoLabel
+from ovlab.trainer import Gradients, Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
 
@@ -275,3 +279,35 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
     if vocab.n_underlying:
         ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
     return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
+
+
+def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weight_decay: float):
+    """``trainer.sgd_step`` as two separate updates, one per parameter block."""
+    vel_ctx = momentum * velocity.context_vectors + grads.context + weight_decay * params.context_vectors
+    vel_sub = momentum * velocity.sub_background + grads.sub_background + weight_decay * params.sub_background
+    new_ctx = params.context_vectors - lr * vel_ctx
+    new_sub = params.sub_background - lr * vel_sub
+    new_sub = new_sub / np.linalg.norm(new_sub)
+    return Params(new_ctx, new_sub), Params(vel_ctx, vel_sub)
+
+
+def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
+                          gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
+    """``pseudo.generate_pseudo_labels`` with each proposal scored alone by the scalar softmax."""
+    filtered = filter_background_proposals(batch_bg, gt_boxes, theta=theta, gt_iou_cut=gt_iou_cut,
+                                           nms_iou=rpn_nms_iou)
+    labels = []
+    for i, p in enumerate(filtered):
+        probs = softmax_probs(p.img_feature, list(centers), tau)
+        cat = int(np.argmax(probs))
+        labels.append(PseudoLabel(i, cat, float(probs[cat])))
+    kept = set()
+    for cat in sorted({lab.category for lab in labels if lab.score >= theta}):
+        members = [i for i, lab in enumerate(labels) if lab.score >= theta and lab.category == cat]
+        for local in nms_indices([filtered[i].box for i in members], [labels[i].score for i in members],
+                                 nms_iou):
+            kept.add(members[local])
+    return BackgroundPartition(
+        positives=tuple((filtered[i], labels[i]) for i in sorted(kept)),
+        negatives=tuple(p for i, p in enumerate(filtered) if i not in kept),
+    )

@@ -292,6 +292,25 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
         assert message in _eval_error(path, dataset, tmp_path / "ev", capsys), name
 
 
+def test_eval_rejects_checkpoint_fields_of_the_wrong_type(checkpoint, dataset, tmp_path, capsys):
+    # A float count used to load (the shape check compares 13.0 == 13),
+    # evaluate, and re-serialize to other bytes; every scalar field is typed.
+    rec = json.loads(checkpoint.read_text())
+    base = rec["base"]
+    for name, payload, message in (
+        ("float_count", dict(rec, n_discovered=float(rec["n_discovered"])), "n_discovered"),
+        ("bool_count", dict(rec, n_discovered=True), "n_discovered"),
+        ("hash", dict(rec, dataset_hash=7), "dataset_hash"),
+        ("base_id", dict(rec, base=[dict(base[0], id=float(base[0]["id"])), *base[1:]]), "base_categories"),
+        ("name_seed", dict(rec, base=[dict(base[0], name_seed="1"), *base[1:]]), "base_categories"),
+        ("rng_state", dict(rec, rng_state=[]), "rng_state"),
+        ("branch_totals", dict(rec, branch_totals=None), "branch_totals"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        assert message in _eval_error(path, dataset, tmp_path / "ev", capsys), name
+
+
 def test_rectify_report_rejects_an_empty_eval_split(tmp_path, capsys):
     data, run = tmp_path / "d.jsonl", tmp_path / "run"
     empty = [*SMALL, "--set", "scenario.n_eval_images=0"]

@@ -18,10 +18,9 @@ from ovlab.losses import (
     switched_background_loss,
 )
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
-from ovlab.vocab import build_training_vocab
 
 from oracles import proposal_groups as oracle_groups
-from util import make_proposal, make_vocab, unit
+from util import make_proposal, make_vocab, training_vocab, unit
 
 
 def _eye_vocab(n_base, n_under, d=None, n_discovered=None):
@@ -361,10 +360,10 @@ def test_block_assembly_matches_per_proposal_oracle(kind):
     base_ids = [4, 9, 2]
     base_emb = np.stack([enc.encode_named_category(s) for s in base_ids])
     if kind == "baseline":
-        vocab = build_training_vocab(base_ids, base_emb, np.zeros((0, 6)), unit(rng, 12), None,
+        vocab = training_vocab(base_ids, base_emb, np.zeros((0, 6)), unit(rng, 12), None,
                                      baseline_mode=True)
     else:
-        vocab = build_training_vocab(base_ids, base_emb, rng.normal(size=(5, 6)), unit(rng, 12), enc,
+        vocab = training_vocab(base_ids, base_emb, rng.normal(size=(5, 6)), unit(rng, 12), enc,
                                      n_discovered=3)
     for _ in range(20):
         images = _random_images(rng, vocab, int(rng.integers(1, 5)), kind == "partition")

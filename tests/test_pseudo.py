@@ -16,6 +16,7 @@ from ovlab.pseudo import (
     generate_pseudo_labels,
 )
 
+from oracles import rowwise_pseudo_labels
 from util import make_proposal, make_vocab, unit
 
 
@@ -161,6 +162,31 @@ def test_labels_ignore_detector_features():
     labels_a = [(l.proposal_index, l.category) for _, l in part_a.positives]
     labels_b = [(l.proposal_index, l.category) for _, l in part_b.positives]
     assert labels_a == labels_b
+
+
+def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
+    # Each image's filtered proposals are scored with one cosine matrix; the
+    # oracle scores each proposal alone with the scalar softmax. Scores may
+    # differ in the last bits, but no label or partition may.
+    from ovlab.encoder import MockTextEncoder
+    from ovlab.synth import ScenarioConfig, generate_scenario
+    from ovlab.trainer import TrainConfig, prepare_background
+
+    scenario = generate_scenario(ScenarioConfig(n_train_images=12, n_eval_images=0, seed=0), MockTextEncoder(seed=7))
+    config = TrainConfig(seed=0)
+    _, centers = prepare_background(scenario, config)
+    n_positive = 0
+    for image in scenario.images("train"):
+        bg = [p for p in image.proposals if p.gt_label is None]
+        got, want = (label(bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold)
+                     for label in (generate_pseudo_labels, rowwise_pseudo_labels))
+        assert [id(p) for p, _ in got.positives] == [id(p) for p, _ in want.positives]
+        assert list(map(id, got.negatives)) == list(map(id, want.negatives))
+        for (_, g), (_, w) in zip(got.positives, want.positives):
+            assert (g.proposal_index, g.category) == (w.proposal_index, w.category)
+            assert g.score == pytest.approx(w.score, rel=1e-12)
+        n_positive += len(got.positives)
+    assert n_positive > 0
 
 
 def test_theta_out_of_range():

@@ -13,10 +13,10 @@ from ovlab.rectify import (
     rectified_underlying_sum,
     score,
 )
-from ovlab.vocab import CategoryId, Kind, build_inference_vocab, build_training_vocab
+from ovlab.vocab import CategoryId, Kind, build_inference_vocab
 
 from oracles import conditional_prob
-from util import make_vocab, unit
+from util import make_vocab, training_vocab, unit
 
 
 def _random_inference_vocab(rng, n_base=3, n_novel=2, n_under=3, d=12, inference=True):
@@ -358,7 +358,7 @@ def test_score_matches_oracle_on_many_rows():
 def test_score_baseline_vocab_with_empty_underlying_block():
     rng = np.random.default_rng(19)
     d = 12
-    training = build_training_vocab(
+    training = training_vocab(
         [0, 1, 2], np.array([unit(rng, d) for _ in range(3)]), np.zeros((0, 0)), unit(rng, d),
         None, baseline_mode=True,
     )

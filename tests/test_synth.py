@@ -245,6 +245,45 @@ def test_a_line_out_of_its_position_names_the_split_and_image(tmp_path, scenario
     assert len(load_dataset(path, ("train",)).images("train")) == len(scenario.train_images)
 
 
+@pytest.mark.parametrize("ending", ["crlf", "no-final-newline"])
+def test_line_endings_load_as_the_lines_they_hold(tmp_path, scenario, ending):
+    # The loader counts and splits lines in bytes; a file with CRLF endings
+    # or without a final newline still holds the same lines.
+    path, edited = tmp_path / "data.jsonl", tmp_path / f"{ending}.jsonl"
+    write_dataset(scenario, path)
+    data = path.read_bytes()
+    edited.write_bytes(data.replace(b"\n", b"\r\n") if ending == "crlf" else data[:-1])
+    for splits in (("train", "eval"), ("train",), ("eval",)):
+        want, got = load_dataset(path, splits), load_dataset(edited, splits)
+        assert got.dataset_hash() == want.dataset_hash()
+        for split in splits:
+            for gi, wi in zip(got.images(split), want.images(split), strict=True):
+                assert gi.gt_boxes == wi.gt_boxes and len(gi.proposals) == len(wi.proposals)
+                for gp, wp in zip(gi.proposals, wi.proposals):
+                    assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
+                    assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
+                    assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
+    # A line count the header does not imply is still refused.
+    edited.write_bytes(data + b"\n")
+    with pytest.raises(ValueError, match="has .* lines, but its header implies"):
+        load_dataset(edited, ("train",))
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_a_broken_line_is_named_by_its_line_in_the_file(tmp_path, scenario, split):
+    # Only the requested split's lines are decoded, but an error still names
+    # the line's number in the whole file.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    n = max(i for i, line in enumerate(lines) if f'"split":"{split}"' in line)
+    lines[n] = "{not json"
+    path.write_text("\n".join(lines) + "\n")
+    for splits in ((split,), ("train", "eval")):
+        with pytest.raises(ValueError, match=f"^line {n + 1} of dataset .* of {split} image"):
+            load_dataset(path, splits)
+
+
 def test_dataset_rejects_foreign_files(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text(json.dumps({"format": "other"}) + "\n")

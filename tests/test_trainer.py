@@ -26,10 +26,9 @@ from ovlab.trainer import (
     sgd_step,
     train,
 )
-from ovlab.vocab import build_training_vocab
 
-from oracles import central_difference, raw_proposal_blocks, unfused_loss_and_gradients
-from util import make_proposal, unit
+from oracles import central_difference, raw_proposal_blocks, two_block_sgd_step, unfused_loss_and_gradients
+from util import make_proposal, training_vocab, unit
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ def _setup(enc, seed, n_base=4, n_disc=3, n_extra=2, n_fg=6, n_bg=10, tau=0.05):
         0, 0.4, (n_disc + n_extra, enc.ctx_dim)
     )
     sub = unit(rng, enc.dim)
-    vocab = build_training_vocab(
+    vocab = training_vocab(
         list(range(n_base)), base_emb, ctx, sub, enc, n_discovered=n_disc
     )
     batch = ProposalBatch(
@@ -95,7 +94,7 @@ def test_loss_baseline_mode_single_embedding(enc):
     rng = np.random.default_rng(2)
     base_emb = np.stack([enc.encode_named_category(s) for s in range(3)])
     sub = unit(rng, enc.dim)
-    vocab = build_training_vocab(
+    vocab = training_vocab(
         [0, 1, 2], base_emb, np.zeros((0, enc.ctx_dim)), sub, enc, baseline_mode=True
     )
     bg = tuple(make_proposal(unit(rng, enc.dim)) for _ in range(5))
@@ -140,7 +139,7 @@ def test_gradients_vanish_when_saturated(enc):
     base_emb = np.eye(enc.dim)[:3]
     sub = np.eye(enc.dim)[3]
     ctx = init_context_vectors(2, seed=0, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab([0, 1, 2], base_emb, ctx, sub, enc, n_discovered=2)
+    vocab = training_vocab([0, 1, 2], base_emb, ctx, sub, enc, n_discovered=2)
     batch = ProposalBatch(
         foreground=tuple(make_proposal(base_emb[i], gt_label=i) for i in range(3)),
         background=(make_proposal(sub),),
@@ -162,7 +161,7 @@ def test_baseline_mode_has_no_context_gradients(enc):
     rng = np.random.default_rng(6)
     base_emb = np.stack([enc.encode_named_category(s) for s in range(3)])
     sub = unit(rng, enc.dim)
-    vocab = build_training_vocab(
+    vocab = training_vocab(
         [0, 1, 2], base_emb, np.zeros((0, enc.ctx_dim)), sub, enc, baseline_mode=True
     )
     batch = ProposalBatch(
@@ -222,7 +221,7 @@ def test_branch_straddle_flagged(enc):
     base_emb = np.eye(enc.dim)[:1]
     sub = np.eye(enc.dim)[1]
     ctx = init_context_vectors(1, seed=1, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab([0], base_emb, ctx, sub, enc, n_discovered=1)
+    vocab = training_vocab([0], base_emb, ctx, sub, enc, n_discovered=1)
     q = np.eye(enc.dim)[0] * 0.9 + np.eye(enc.dim)[1] * 0.1
     q /= np.linalg.norm(q)
     batch = ProposalBatch(foreground=(), background=(make_proposal(q),))
@@ -307,6 +306,24 @@ def test_sgd_shape_mismatch():
     grads = Gradients(context=np.zeros((3, 2)), sub_background=np.ones(3))
     with pytest.raises(ValueError):
         sgd_step(params, grads, _zero_like(params), 0.1, 0.9, 0.0)
+
+
+@pytest.mark.parametrize("n_ctx", [0, 5])
+def test_flat_sgd_updates_like_the_two_block_update(n_ctx):
+    # One update of the flat vector must equal the separate updates of the
+    # two blocks, to the bit, step after step.
+    rng = np.random.default_rng(16 + n_ctx)
+    params = oracle = Params(rng.standard_normal((n_ctx, 4)), unit(rng, 6))
+    velocity = oracle_velocity = Params(np.zeros((n_ctx, 4)), np.zeros(6))
+    for _ in range(50):
+        grads = Gradients(context=rng.standard_normal((n_ctx, 4)), sub_background=rng.standard_normal(6))
+        params, velocity = sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=2.5e-5)
+        oracle, oracle_velocity = two_block_sgd_step(oracle, grads, oracle_velocity, 0.1, 0.9, 2.5e-5)
+        for got, want in ((params, oracle), (velocity, oracle_velocity)):
+            assert got.context_vectors.tobytes() == want.context_vectors.tobytes()
+            assert got.sub_background.tobytes() == want.sub_background.tobytes()
+    # Both blocks are views into the one flat vector the update wrote.
+    assert params.sub_background.base is params.flat and params.flat.shape == (n_ctx * 4 + 6,)
 
 
 # -- training loop -----------------------------------------------------------------
@@ -421,6 +438,46 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
     assert history_to_json(history) == history_to_json(oracle_history)
     assert checkpoint.to_json() == oracle_checkpoint.to_json()
     assert history.totals()["pseudo_positive"] > 0 or not use_discovery
+
+
+def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
+    # The benchmark times these layers by wrapping them by name; a step that
+    # stopped calling one would leave its metric reading 0.
+    import sys
+
+    from ovlab.encoder import MockTextEncoder as Encoder
+
+    calls = dict.fromkeys(("sgd_step", "build_training_vocab", "nll_terms", "mass_terms", "uniform_terms",
+                           "encode_context_vjp"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        if name == "encode_context_vjp":
+            monkeypatch.setattr(Encoder, name, counted(name, Encoder.encode_context_vjp))
+            continue
+        original = getattr(sys.modules["ovlab.trainer" if name == "sgd_step" else
+                                       "ovlab.vocab" if name == "build_training_vocab" else "ovlab.losses"], name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("ovlab")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+
+    per_run = {}
+    for steps in (0, 3):
+        config = TrainConfig(steps=steps, seed=4)
+        prep = prepare_discovery(small_scenario, config)
+        for name in calls:
+            calls[name] = 0
+        train(config, small_scenario, prep)
+        per_run[steps] = dict(calls)
+    per_step = {name: per_run[3][name] - per_run[0][name] for name in calls}
+    assert {name: per_step[name] for name in ("sgd_step", "build_training_vocab", "encode_context_vjp")} == \
+        dict.fromkeys(("sgd_step", "build_training_vocab", "encode_context_vjp"), 3)
+    assert all(per_step[name] >= 3 for name in ("nll_terms", "mass_terms", "uniform_terms")), per_step
 
 
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):

@@ -7,7 +7,9 @@ import pytest
 
 from ovlab.core import ZeroNormError
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.vocab import Kind, Vocabulary, build_inference_vocab, build_training_vocab
+from ovlab.vocab import FixedRows, Kind, Vocabulary, build_inference_vocab, build_training_vocab
+
+from util import training_vocab
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ def _sub(enc, seed=0):
 def test_training_vocab_counts(enc):
     ids, emb = _base(enc, 3)
     ctx = init_context_vectors(2, seed=0, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    vocab = training_vocab(ids, emb, ctx, _sub(enc), enc)
     assert vocab.size == 6  # 3 base + 2 underlying + 1 sub-background
     assert vocab.n_base == 3 and vocab.n_underlying == 2
     assert vocab.embeddings.shape == (6, enc.dim)
@@ -38,7 +40,7 @@ def test_training_vocab_counts(enc):
 
 def test_baseline_mode_counts(enc):
     ids, emb = _base(enc, 3)
-    vocab = build_training_vocab(
+    vocab = training_vocab(
         ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc, baseline_mode=True
     )
     assert vocab.size == 4  # single background embedding only
@@ -49,7 +51,7 @@ def test_baseline_mode_rejects_context_vectors(enc):
     ids, emb = _base(enc, 2)
     ctx = init_context_vectors(1, seed=0, ctx_dim=enc.ctx_dim)
     with pytest.raises(ValueError):
-        build_training_vocab(ids, emb, ctx, _sub(enc), enc, baseline_mode=True)
+        training_vocab(ids, emb, ctx, _sub(enc), enc, baseline_mode=True)
 
 
 def test_benchmark_scale_counts(enc):
@@ -57,7 +59,7 @@ def test_benchmark_scale_counts(enc):
     ids, emb = _base(enc, 48)
     n_o = 7
     ctx = init_context_vectors(n_o + 10, seed=3, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=n_o)
+    vocab = training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=n_o)
     assert vocab.size == 48 + (n_o + 10) + 1
     inference = build_inference_vocab(
         vocab, range(48, 65), np.stack([enc.encode_named_category(100 + i) for i in range(17)])
@@ -69,7 +71,7 @@ def test_benchmark_scale_counts(enc):
 def test_inference_vocab_empty_novel(enc):
     ids, emb = _base(enc, 4)
     ctx = init_context_vectors(3, seed=1, ctx_dim=enc.ctx_dim)
-    tv = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    tv = training_vocab(ids, emb, ctx, _sub(enc), enc)
     iv = build_inference_vocab(tv, [], np.zeros((0, enc.dim)))
     assert iv.size == tv.size
     np.testing.assert_array_equal(iv.embeddings, tv.embeddings)
@@ -79,14 +81,14 @@ def test_inference_vocab_empty_novel(enc):
 def test_inference_vocab_id_collision(enc):
     ids, emb = _base(enc, 4)
     ctx = init_context_vectors(2, seed=1, ctx_dim=enc.ctx_dim)
-    tv = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    tv = training_vocab(ids, emb, ctx, _sub(enc), enc)
     with pytest.raises(ValueError):
         build_inference_vocab(tv, [2], enc.encode_named_category(99)[None, :])
 
 
 def test_inference_vocab_duplicate_novel_ids(enc):
     ids, emb = _base(enc, 2)
-    tv = build_training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
+    tv = training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
     novel = np.stack([enc.encode_named_category(50), enc.encode_named_category(51)])
     with pytest.raises(ValueError):
         build_inference_vocab(tv, [7, 7], novel)
@@ -95,7 +97,7 @@ def test_inference_vocab_duplicate_novel_ids(enc):
 def test_block_ordering_reconstructible_from_counts(enc):
     ids, emb = _base(enc, 3)
     ctx = init_context_vectors(4, seed=2, ctx_dim=enc.ctx_dim)
-    tv = build_training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=2)
+    tv = training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=2)
     novel_emb = np.stack([enc.encode_named_category(60), enc.encode_named_category(61)])
     iv = build_inference_vocab(tv, [10, 11], novel_emb)
     kinds = [c.kind for c in iv.categories()]
@@ -112,8 +114,8 @@ def test_rebuild_changes_only_underlying_block(enc):
     ids, emb = _base(enc, 3)
     ctx = init_context_vectors(2, seed=4, ctx_dim=enc.ctx_dim)
     sub = _sub(enc)
-    v1 = build_training_vocab(ids, emb, ctx, sub, enc)
-    v2 = build_training_vocab(ids, emb, ctx + 0.5, sub, enc)
+    v1 = training_vocab(ids, emb, ctx, sub, enc)
+    v2 = training_vocab(ids, emb, ctx + 0.5, sub, enc)
     np.testing.assert_array_equal(v1.embeddings[v1.base_slice], v2.embeddings[v2.base_slice])
     np.testing.assert_array_equal(
         v1.embeddings[v1.sub_background_index], v2.embeddings[v2.sub_background_index]
@@ -127,13 +129,13 @@ def test_count_mismatch_error(enc):
     ids, emb = _base(enc, 2)
     ctx = init_context_vectors(2, seed=5, ctx_dim=enc.ctx_dim)
     with pytest.raises(ValueError):
-        build_training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=3)
+        training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=3)
 
 
 def test_records_serialization(enc):
     ids, emb = _base(enc, 2)
     ctx = init_context_vectors(1, seed=6, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    vocab = training_vocab(ids, emb, ctx, _sub(enc), enc)
     recs = vocab.records()
     assert len(recs) == vocab.size
     assert recs[0]["kind"] == "base" and recs[0]["context_vector"] is None
@@ -144,7 +146,7 @@ def test_records_serialization(enc):
 def test_base_position_lookup(enc):
     ids = [5, 9, 2]
     emb = np.stack([enc.encode_named_category(i) for i in ids])
-    vocab = build_training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
+    vocab = training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
     assert vocab.base_position(9) == 1
     with pytest.raises(KeyError):
         vocab.base_position(7)
@@ -168,7 +170,7 @@ def test_directly_constructed_vocabulary_derives_its_lookups(enc):
 
 def test_embeddings_are_frozen(enc):
     ids, emb = _base(enc, 2)
-    vocab = build_training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
+    vocab = training_vocab(ids, emb, np.zeros((0, enc.ctx_dim)), _sub(enc), enc)
     with pytest.raises(ValueError):
         vocab.embeddings[0, 0] = 5.0
 
@@ -180,8 +182,8 @@ def test_zero_norm_embedding_fails_when_the_vocabulary_is_built(enc, n_ctx):
     ids, emb = _base(enc, 3)
     ctx = init_context_vectors(n_ctx, seed=0, ctx_dim=enc.ctx_dim) if n_ctx else np.zeros((0, enc.ctx_dim))
     with pytest.raises(ZeroNormError, match="zero-norm rows have no direction"):
-        build_training_vocab(ids, emb, ctx, np.zeros(enc.dim), enc)
-    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+        training_vocab(ids, emb, ctx, np.zeros(enc.dim), enc)
+    vocab = training_vocab(ids, emb, ctx, _sub(enc), enc)
     with pytest.raises(ZeroNormError):
         build_inference_vocab(vocab, [100], np.zeros((1, enc.dim)))
 
@@ -189,7 +191,7 @@ def test_zero_norm_embedding_fails_when_the_vocabulary_is_built(enc, n_ctx):
 def test_context_forward_is_set_by_the_training_builder_only(enc):
     ids, emb = _base(enc, 2)
     ctx = init_context_vectors(3, seed=1, ctx_dim=enc.ctx_dim)
-    vocab = build_training_vocab(ids, emb, ctx, _sub(enc), enc)
+    vocab = training_vocab(ids, emb, ctx, _sub(enc), enc)
     fresh = enc.forward(vocab.context_vectors)
     for kept, new in zip(vocab.context_forward, fresh):
         assert kept.tobytes() == new.tobytes()
@@ -200,3 +202,66 @@ def test_context_forward_is_set_by_the_training_builder_only(enc):
                    context_forward=enc.forward(ctx[::-1]))
     assert dataclasses.replace(vocab).context_forward is None
     assert build_inference_vocab(vocab, [], np.zeros((0, enc.dim))).context_forward is None
+
+
+@pytest.mark.parametrize("n_ctx, n_disc", [(0, 0), (3, 3), (5, 2)])
+def test_step_vocabulary_equals_a_vocabulary_normalized_whole(enc, n_ctx, n_disc):
+    # A step normalizes only the moving rows and reuses the run's base unit
+    # rows; the result must match normalizing every stacked row, to the bit.
+    ids, emb = _base(enc, 4)
+    fixed = FixedRows(tuple(ids), emb, enc, n_ctx, n_disc)
+    rng = np.random.default_rng(n_ctx)
+    for _ in range(5):
+        ctx = rng.normal(0.0, 0.5, (n_ctx, enc.ctx_dim))
+        sub = rng.normal(size=enc.dim)
+        step = build_training_vocab(fixed, ctx, sub)
+        forward = enc.forward(ctx) if n_ctx else None
+        rows = [emb, forward.embeddings] if n_ctx else [emb]
+        whole = Vocabulary(base_ids=tuple(ids), novel_ids=(), n_discovered=n_disc,
+                           embeddings=np.concatenate([*rows, sub[None, :]]), context_vectors=ctx, encoder=enc)
+        assert step.embeddings.tobytes() == whole.embeddings.tobytes()
+        for got, want in zip(step.unit_embeddings, whole.unit_embeddings, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert step.context_vectors.tobytes() == ctx.tobytes()
+        if n_ctx:
+            for kept, fresh in zip(step.context_forward, forward, strict=True):
+                assert kept.tobytes() == fresh.tobytes()
+        else:
+            assert step.context_forward is None
+
+
+@pytest.mark.parametrize("n_novel", [0, 2])
+def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
+    # The run's index arrays are computed once; they must be the underlying
+    # block plus the sub-background slot, and the expansion categories plus
+    # that slot, for training and inference vocabularies alike.
+    ids, emb = _base(enc, 3)
+    ctx = init_context_vectors(5, seed=2, ctx_dim=enc.ctx_dim)
+    fixed = FixedRows(tuple(ids), emb, enc, 5, 2)
+    vocab = build_training_vocab(fixed, ctx, _sub(enc))
+    assert vocab.block_indices is fixed.block_indices
+    if n_novel:
+        vocab = build_inference_vocab(vocab, [100, 101], np.stack([_sub(enc, s) for s in (1, 2)]))
+    under, sub = vocab.underlying_slice, vocab.sub_background_index
+    background = np.concatenate([np.arange(under.start, under.stop), [sub]])
+    members = np.concatenate([vocab.expansion_indices(), [sub]])
+    for got, want in ((vocab.background_indices(), background), (vocab.pseudo_negative_indices(), members)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            got[0] = 0
+
+
+def test_fixed_rows_check_the_run_once(enc):
+    ids, emb = _base(enc, 3)
+    with pytest.raises(ValueError, match="baseline mode"):
+        FixedRows(tuple(ids), emb, enc, 2, baseline_mode=True)
+    with pytest.raises(ValueError, match="encoder is required"):
+        FixedRows(tuple(ids), emb, None, 2)
+    with pytest.raises(ValueError, match="one embedding per base id"):
+        FixedRows(tuple(ids[:2]), emb, enc, 2)
+    with pytest.raises(ZeroNormError):
+        FixedRows(tuple(ids), np.zeros_like(emb), enc, 2)
+    fixed = FixedRows(tuple(ids), emb, enc, 2)
+    assert fixed.n_discovered == 2 and not fixed.base_embeddings.flags.writeable
+    with pytest.raises(ValueError, match="3 context vectors for an underlying block of 2"):
+        build_training_vocab(fixed, init_context_vectors(3, seed=0, ctx_dim=enc.ctx_dim), _sub(enc))

@@ -3,12 +3,19 @@
 import numpy as np
 
 from ovlab.discovery import Box, OracleInfo, Proposal
-from ovlab.vocab import Vocabulary
+from ovlab.vocab import FixedRows, Vocabulary, build_training_vocab
 
 
 def unit(rng, d):
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def training_vocab(base_ids, base_emb, ctx, sub, encoder, n_discovered=None, baseline_mode=False):
+    """``build_training_vocab`` over ``FixedRows`` made from the same arguments, for a one-off vocabulary."""
+    ctx = np.asarray(ctx, dtype=np.float64)
+    fixed = FixedRows(tuple(base_ids), base_emb, encoder, len(ctx), n_discovered, baseline_mode)
+    return build_training_vocab(fixed, ctx, sub)
 
 
 def make_vocab(
