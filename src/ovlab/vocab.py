@@ -286,14 +286,11 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
             f"sub-background embedding must have shape ({fixed.dim},), got {sub.shape}"
         )
 
-    forward = None
-    moving = sub[None, :]
-    if fixed.n_underlying:
-        forward = fixed.encoder.forward(ctx)
-        moving = np.concatenate([forward.embeddings, moving])
-    units, norms = unit_rows(moving)
-    stacked = np.concatenate([fixed.base_embeddings, moving])
+    forward = fixed.encoder.forward(ctx) if fixed.n_underlying else None
+    moving = [forward.embeddings, sub[None, :]] if forward is not None else [sub[None, :]]
+    stacked = np.concatenate([fixed.base_embeddings, *moving])
     stacked.setflags(write=False)  # a new array, so freezing needs no copy
+    units, norms = unit_rows(stacked[len(fixed.base_ids):])
 
     base_units, base_norms = fixed.base_units
     vocab = Vocabulary(

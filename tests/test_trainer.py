@@ -441,14 +441,16 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
 
 
 def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
-    # The benchmark times these layers by wrapping them by name; a step that
-    # stopped calling one would leave its metric reading 0.
+    # The benchmark times these layers by wrapping them by name wherever a
+    # module binds them; a step that stopped calling one would leave its
+    # metric reading 0.
     import sys
 
     from ovlab.encoder import MockTextEncoder as Encoder
 
-    calls = dict.fromkeys(("sgd_step", "build_training_vocab", "nll_terms", "mass_terms", "uniform_terms",
-                           "encode_context_vjp"), 0)
+    homes = {"sgd_step": "ovlab.trainer", "build_training_vocab": "ovlab.vocab",
+             "nll_terms": "ovlab.losses", "mass_terms": "ovlab.losses", "uniform_terms": "ovlab.losses"}
+    calls = dict.fromkeys([*homes, "encode_context_vjp"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -456,28 +458,25 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        if name == "encode_context_vjp":
-            monkeypatch.setattr(Encoder, name, counted(name, Encoder.encode_context_vjp))
-            continue
-        original = getattr(sys.modules["ovlab.trainer" if name == "sgd_step" else
-                                       "ovlab.vocab" if name == "build_training_vocab" else "ovlab.losses"], name)
+    for name, home in homes.items():
+        original = getattr(sys.modules[home], name)
         for module in [m for n, m in sys.modules.items() if n.startswith("ovlab")]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(Encoder, "encode_context_vjp", counted("encode_context_vjp", Encoder.encode_context_vjp))
 
     per_run = {}
     for steps in (0, 3):
         config = TrainConfig(steps=steps, seed=4)
         prep = prepare_discovery(small_scenario, config)
-        for name in calls:
-            calls[name] = 0
+        calls.update(dict.fromkeys(calls, 0))
         train(config, small_scenario, prep)
         per_run[steps] = dict(calls)
     per_step = {name: per_run[3][name] - per_run[0][name] for name in calls}
-    assert {name: per_step[name] for name in ("sgd_step", "build_training_vocab", "encode_context_vjp")} == \
-        dict.fromkeys(("sgd_step", "build_training_vocab", "encode_context_vjp"), 3)
-    assert all(per_step[name] >= 3 for name in ("nll_terms", "mass_terms", "uniform_terms")), per_step
+    for name in ("sgd_step", "build_training_vocab", "encode_context_vjp"):
+        assert per_step[name] == 3, per_step
+    for name in ("nll_terms", "mass_terms", "uniform_terms"):
+        assert per_step[name] >= 3, per_step
 
 
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
