@@ -78,9 +78,9 @@ class Vocabulary:
     arguments or a second forward pass. A zero-norm embedding row has no
     direction and raises ``ZeroNormError`` on construction.
 
-    ``units`` and ``indices`` let a builder hand over the unit embeddings and
-    block indices it already has (``build_training_vocab`` takes both from
-    the run's ``FixedRows``); left out, they are computed here.
+    ``units`` and ``indices`` let the caller hand over the unit embeddings
+    and block indices it already has (``build_training_vocab`` takes both
+    from the run's ``FixedRows``); left out, they are computed here.
     """
 
     base_ids: tuple[int, ...]
