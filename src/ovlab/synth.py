@@ -415,11 +415,8 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
         raise ValueError(f"unknown dataset splits {unknown}; known: {list(SPLITS)}")
-    data = Path(path).read_bytes()
-    if not data:
-        raise ValueError(f"empty dataset file {path}")
     try:
-        return _parse_dataset(path, data, splits)
+        return _parse_dataset(path, splits)
     except KeyError as exc:
         raise ValueError(f"dataset {path} lacks key {exc}") from None
     except TypeError as exc:
@@ -433,8 +430,16 @@ def _line_end(data: bytes, start: int, n: int) -> int:
     return start
 
 
-def _parse_dataset(path, data: bytes, splits: tuple[str, ...]) -> Scenario:
-    """Parse the header and the lines of ``splits``; only those lines are decoded."""
+def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
+    """Parse the header and the lines of ``splits``; only those lines are decoded.
+
+    The file's bytes are dropped once the requested splits are decoded, and
+    each split's text once it is split into lines, so the load holds at most
+    about as much as the file's text while the proposals are built.
+    """
+    data = Path(path).read_bytes()
+    if not data:
+        raise ValueError(f"empty dataset file {path}")
     start = _line_end(data, 0, 1)
     header = json.loads(data[:start].decode("utf-8"))
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
@@ -458,18 +463,24 @@ def _parse_dataset(path, data: bytes, splits: tuple[str, ...]) -> Scenario:
     n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as ``str.splitlines`` counts them
     if n_lines != expected:
         raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
-    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
-    first = 1  # line of the split's first image
+    texts, first = {}, 1  # each requested split's text, and the line number of its first line
     for split in SPLITS:
         n_split = counts[split] * per_image
         end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
         if split in splits:
-            lines = data[start:end].decode("utf-8").split("\n")
-            images[split] = tuple(
-                _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i)
-                for i in range(counts[split])
-            )
+            with memoryview(data) as view:  # decoded in place, without a copy of the byte range
+                texts[split] = str(view[start:end], "utf-8"), first
         start, first = end, first + n_split
+    del data
+    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
+    for split in list(texts):
+        text, first = texts.pop(split)  # so that only its lines outlive the split
+        lines = text.split("\n")
+        del text
+        images[split] = tuple(
+            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i)
+            for i in range(counts[split])
+        )
 
     scenario = Scenario(
         config=config,
