@@ -467,9 +467,8 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     for split in SPLITS:
         n_split = counts[split] * per_image
         end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
-        if split in splits:
-            with memoryview(data) as view:  # decoded in place, without a copy of the byte range
-                texts[split] = str(view[start:end], "utf-8"), first
+        if split in splits:  # decoded through a view, without a copy of the byte range
+            texts[split] = str(memoryview(data)[start:end], "utf-8"), first
         start, first = end, first + n_split
     del data
     images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
