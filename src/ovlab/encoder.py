@@ -74,6 +74,10 @@ class MockTextEncoder:
         sizes = dict(seed=seed, dim=dim, ctx_dim=ctx_dim, hidden_dim=hidden_dim, prefix_dim=prefix_dim)
         if not all(map(is_integer, sizes.values())):
             raise ValueError(f"encoder settings must be integers, got {sizes}")
+        for name, value in sizes.items():
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"MockTextEncoder.{name} must be at least {least}, got {value}")
         self.seed = int(seed)
         self.dim = int(dim)
         self.ctx_dim = int(ctx_dim)

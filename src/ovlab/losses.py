@@ -17,10 +17,16 @@ vocabulary and these components:
 every group's stacked proposals it returns every component value, the
 switch pattern and the logit gradient of the one component asked for; the
 trainer chains that through the cosine layer and the encoder, and
-``batch_terms`` evaluates it on one batch. All means are over proposals, so
-duplicating a batch leaves every loss unchanged. A batch reaches the objective
-in one form, a sequence of ``ProposalBlocks``, into which ``proposal_blocks``
-stacks a ``ProposalBatch`` and its optional pseudo-label partition.
+``batch_terms`` evaluates it on one batch. Every component has the same
+logit gradient per proposal, w * (p - q): p the row's probabilities, q a
+target distribution over the vocabulary (one-hot at the target for the
+cross-entropies, p renormalized over the member set for a mass term,
+uniform over the member set for the relaxed term, and per proposal one of
+the last two for the switch) and w the term's weight over the group's
+proposal count. All means are over proposals, so duplicating a batch
+leaves every loss unchanged. A batch reaches the objective in one form, a
+sequence of ``ProposalBlocks``, into which ``proposal_blocks`` stacks a
+``ProposalBatch`` and its optional pseudo-label partition.
 
 What training computes when:
 
@@ -32,11 +38,13 @@ What training computes when:
 * per step, ``proposal_groups`` gathers the sampled images' rows with one
   concatenation in ``GROUPS`` order (and their targets with one more) and
   takes one cosine matrix against the step vocabulary's unit embeddings;
-  ``objective_terms`` takes one row log-softmax and its ``exp`` over all
-  rows, hands each group's rows of both to ``nll_terms``, ``mass_terms`` and
-  ``uniform_terms`` with the run's index arrays, and writes the requested
-  gradient into one (n, V) array group by group (the groups' row blocks are
-  disjoint).
+  ``objective_terms`` takes one row log-softmax over all rows, hands each
+  group's rows to ``nll_terms``, ``mass_terms`` and ``uniform_terms`` with
+  the run's index arrays for the values (and the mass term's shares), and
+  turns the ``exp`` of the log-softmax, p, into the requested gradient in
+  place, group by group (the groups' row blocks are disjoint): subtract q
+  on the entries it covers and scale by w, or zero a group the gradient
+  does not read.
 """
 
 from __future__ import annotations
@@ -111,51 +119,31 @@ def background_mass(probs, vocab: Vocabulary) -> float:
     return float(p[vocab.background_indices()].sum())
 
 
-# -- per-proposal terms (value plus d value / d logits) -----------------------
+# -- per-proposal terms -------------------------------------------------------
 #
-# Each takes its rows' log-probabilities ``logp`` and, when the caller wants
-# the gradient, the same rows' probabilities ``probs``; without ``probs`` the
-# gradient is None.
+# Each takes its rows' log-probabilities ``logp`` and returns the value per
+# row; ``objective_terms`` writes their gradients (see the module docstring).
 
 
-def nll_terms(logp: np.ndarray, targets: np.ndarray, probs: np.ndarray | None = None):
-    """-log p(target) per row, with its logit gradient p - onehot(target)."""
-    rows = np.arange(logp.shape[0])
-    grad = None
-    if probs is not None:
-        grad = probs.copy()
-        grad[rows, targets] -= 1.0
-    return -logp[rows, targets], grad
+def nll_terms(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """-log p(target) per row."""
+    return -logp[np.arange(logp.shape[0]), targets]
 
 
-def mass_terms(logp: np.ndarray, member_indices: np.ndarray, probs: np.ndarray | None = None):
-    """-log of the member-set probability mass per row, its gradient, and the mass.
+def mass_terms(logp: np.ndarray, member_indices: np.ndarray):
+    """-log of the member-set probability mass per row, the member shares, and the mass.
 
-    Gradient per row: p - q, where q renormalizes p over the member set.
+    The shares renormalize p over the member set: the q of the mass term.
     """
     member_logp = logp[:, member_indices]
     shift = member_logp.max(axis=1, keepdims=True)
     log_mass = (np.log(np.exp(member_logp - shift).sum(axis=1, keepdims=True)) + shift).ravel()
-    grad = None
-    if probs is not None:
-        grad = probs.copy()
-        grad[:, member_indices] -= np.exp(member_logp - log_mass[:, None])
-    return -log_mass, grad, np.exp(log_mass)
+    return -log_mass, np.exp(member_logp - log_mass[:, None]), np.exp(log_mass)
 
 
-def uniform_terms(logp: np.ndarray, member_indices: np.ndarray, probs: np.ndarray | None = None):
-    """Mean of -log p(c) over the member set per row, with gradient p - uniform(set)."""
-    k = len(member_indices)
-    grad = None
-    if probs is not None:
-        grad = probs.copy()
-        grad[:, member_indices] -= 1.0 / k
-    return -(logp[:, member_indices].sum(axis=1) / k), grad
-
-
-def switched_branches(selected: np.ndarray) -> tuple[str, ...]:
-    """Branch names of a boolean mass-branch selection (masses at or above gamma)."""
-    return tuple(map((UNIFORM_BRANCH, MASS_BRANCH).__getitem__, selected.tolist()))
+def uniform_terms(logp: np.ndarray, member_indices: np.ndarray) -> np.ndarray:
+    """Mean of -log p(c) over the member set per row."""
+    return -(logp[:, member_indices].sum(axis=1) / len(member_indices))
 
 
 # -- the objective ------------------------------------------------------------
@@ -257,8 +245,7 @@ def objective_terms(
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
     z = cosines / check_temperature(tau)
     logp = log_softmax_rows(z)
-    probs = np.exp(logp)
-    grad = np.zeros(z.shape)
+    grad = np.exp(logp)  # p; each group's rows become w * (p - q) below, or zero
     values = dict.fromkeys(COMPONENTS, 0.0)
     live: tuple[str, ...] = ()
     in_final = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
@@ -269,49 +256,49 @@ def objective_terms(
               "pseudo_positive": component == "pseudo" or (final and use_discovery)}
     wanted["pseudo_negative"] = wanted["pseudo_positive"]
 
-    def group(name: str):
-        """A group's rows, its log-probabilities, and its probabilities if its gradient is wanted."""
-        rows = slices[name]
-        return rows, logp[rows], probs[rows] if wanted[name] else None
+    def pull(name: str, columns, q, weight: float | None = None) -> None:
+        """Turn the group's n rows of ``grad`` into (p - q) / n, times ``weight`` if given, or zero;
+        q is zero outside the entries ``columns`` indexes."""
+        g = grad[slices[name]]
+        if not wanted[name]:
+            g.fill(0.0)
+            return
+        g[columns] -= q
+        if weight is None:
+            np.divide(g, len(g), out=g)
+        else:
+            np.multiply(g, weight / len(g), out=g)
 
-    if "foreground" in slices:
-        rows, lp, p = group("foreground")
-        vals, g = nll_terms(lp, targets["foreground"], p)
-        values["foreground"] = float(vals.sum() / len(vals))
-        if g is not None:
-            np.divide(g, len(vals), out=grad[rows])
+    for name, component_name in (("foreground", "foreground"), ("pseudo_positive", "pseudo")):
+        if name in slices:
+            vals = nll_terms(logp[slices[name]], targets[name])
+            values[component_name] += float(vals.sum() / len(vals))
+            pull(name, (np.arange(len(vals)), targets[name]), 1.0)
 
     if "background" in slices:
-        rows, lp, p = group("background")
-        mass_vals, g_mass, masses = mass_terms(lp, vocab.background_indices(), p)
-        uniform_vals, g_uniform = uniform_terms(lp, vocab.background_indices(), p)
+        members = vocab.background_indices()
+        lp = logp[slices["background"]]
+        mass_vals, shares, masses = mass_terms(lp, members)
+        uniform_vals = uniform_terms(lp, members)
         sel = masses >= gamma
-        live = switched_branches(sel)
+        live = tuple(map((UNIFORM_BRANCH, MASS_BRANCH).__getitem__, sel.tolist()))
         if branches is not None:
             if len(branches) != len(live):
                 raise ValueError("pinned branches must match the background count")
             sel = np.array([b == MASS_BRANCH for b in branches])
-        n = len(live)
+        n, k = len(live), len(members)
         values["mass"] = float(mass_vals.sum() / n)
         values["uniform"] = float(uniform_vals.sum() / n)
         values["switched"] = float(np.where(sel, mass_vals, uniform_vals).sum() / n)
-        if p is not None:
-            g = (g_mass if component == "mass" else g_uniform if component == "uniform"
-                 else np.where(sel[:, None], g_mass, g_uniform))
-            np.divide(g, n, out=grad[rows])
+        q = (shares if component == "mass" else 1.0 / k if component == "uniform"
+             else np.where(sel[:, None], shares, 1.0 / k))
+        pull("background", (slice(None), members), q)
 
-    if "pseudo_positive" in slices:
-        rows, lp, p = group("pseudo_positive")
-        vals, g = nll_terms(lp, targets["pseudo_positive"], p)
-        values["pseudo"] += float(vals.sum() / len(vals))
-        if g is not None:
-            np.divide(g, len(vals), out=grad[rows])
     if "pseudo_negative" in slices:
-        rows, lp, p = group("pseudo_negative")
-        vals, g, _ = mass_terms(lp, vocab.pseudo_negative_indices(), p)
+        members = vocab.pseudo_negative_indices()
+        vals, shares, _ = mass_terms(logp[slices["pseudo_negative"]], members)
         values["pseudo"] += negative_weight * float(vals.sum() / len(vals))
-        if g is not None:
-            np.multiply(g, negative_weight / len(vals), out=grad[rows])
+        pull("pseudo_negative", (slice(None), members), shares, negative_weight)
 
     values["final"] = sum(values[name] for name, on in in_final.items() if on)
     return ObjectiveTerms(values, live, grad)

@@ -11,9 +11,11 @@ the vocabulary, not of any proposal), then re-run the softmax with the
 shrunken underlying sum.
 
 Raw scores at the default temperature span dozens of orders of magnitude,
-so ``score`` shifts each row by its largest (shrunk) logit before
-exponentiating, and the scalar block sums are formed in log space with
-compensated accumulation.
+so one scorer, ``_shifted_scores``, takes one cosine matrix per call and
+shifts each row by its largest (shrunk) logit before exponentiating. Every
+view reads it: ``score`` for many rows, and ``partial_sums``,
+``rectified_underlying_sum`` and ``inference_probs`` for one row, whose
+linear block sums are the shifted sums times exp(shift).
 """
 
 from __future__ import annotations
@@ -40,35 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartialSums:
-    """Block sums of the raw exponential scores, in log domain with linear mirrors.
+    """Block sums of the raw exponential scores exp(cos/tau); the denominator is their total.
 
     foreground covers the base and novel blocks together; underlying covers
     the context-backed block; sub_background is the final slot's score.
     """
 
-    log_foreground: float
-    log_underlying: float
-    log_sub_background: float
-
-    @property
-    def foreground(self) -> float:
-        return math.exp(self.log_foreground)
-
-    @property
-    def underlying(self) -> float:
-        return math.exp(self.log_underlying) if self.log_underlying != -math.inf else 0.0
-
-    @property
-    def log_denominator(self) -> float:
-        return logsumexp([self.log_foreground, self.log_underlying, self.log_sub_background])
-
-    @property
-    def sub_background(self) -> float:
-        return math.exp(self.log_sub_background)
-
-    @property
-    def denominator(self) -> float:
-        return math.exp(self.log_denominator)
+    foreground: float
+    underlying: float
+    sub_background: float
 
 
 @dataclass(frozen=True)
@@ -95,17 +77,10 @@ def _require_inference(vocab: Vocabulary) -> None:
 
 
 def partial_sums(query, vocab: Vocabulary, tau: float) -> PartialSums:
-    """Log-domain block sums of exp(cos/tau) against an inference vocabulary."""
-    tau = check_temperature(tau)
-    _require_inference(vocab)
-    z = cosine_matrix(np.asarray(query, dtype=np.float64)[None, :], vocab.embeddings)[0] / tau
-    fg = z[vocab.foreground_slice]
-    under = z[vocab.underlying_slice]
-    return PartialSums(
-        log_foreground=logsumexp(fg) if fg.size else -math.inf,
-        log_underlying=logsumexp(under) if under.size else -math.inf,
-        log_sub_background=float(z[vocab.sub_background_index]),
-    )
+    """Block sums of exp(cos/tau) of one query against an inference vocabulary."""
+    shift, fg, under, sub = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, None)
+    scale = np.exp(shift[0])
+    return PartialSums(float(scale * fg[0].sum()), float(scale * under[0].sum()), float(scale * sub[0]))
 
 
 def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
@@ -137,6 +112,8 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     Factors enter in log space and the shift is the row's largest shrunk
     logit, so no denominator underflows, whatever the temperature.
     """
+    tau = check_temperature(tau)
+    _require_inference(vocab)
     z = cosine_matrix(np.atleast_2d(features), vocab.embeddings) / tau
     if factors is not None:
         if np.shape(factors) != (vocab.n_underlying,):
@@ -149,6 +126,13 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     return shift, e[:, fg], e[:, under], e[:, sub]
 
 
+def _probabilities(fg, under, sub) -> tuple[np.ndarray, np.ndarray]:
+    """Foreground probabilities and background mass from shifted block scores."""
+    bg = under.sum(axis=1) + sub
+    denom = fg.sum(axis=1) + bg
+    return fg / denom[:, None], bg / denom
+
+
 def score(
     features, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,24 +142,16 @@ def score(
     foreground sum + underlying sum + sub-background score. ``factors``
     shrink the underlying scores (rectified), ``None`` leaves them whole.
     """
-    tau = check_temperature(tau)
-    _require_inference(vocab)
-    _, fg, under, sub = _shifted_scores(features, vocab, tau, factors)
-    bg = under.sum(axis=1) + sub
-    denom = fg.sum(axis=1) + bg
-    return fg / denom[:, None], bg / denom
+    return _probabilities(*_shifted_scores(features, vocab, tau, factors)[1:])
 
 
 def rectified_underlying_sum(
     query, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Underlying-block score sum with each term shrunk by its factor."""
-    tau = check_temperature(tau)
-    _require_inference(vocab)
     if factors is None:
         factors = compute_shrinking_factors(vocab, tau)
-    row = np.asarray(query, dtype=np.float64)[None, :]
-    shift, _, under, _ = _shifted_scores(row, vocab, tau, factors)
+    shift, _, under, _ = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, factors)
     return float(np.exp(shift[0]) * under[0].sum()), factors
 
 
@@ -191,11 +167,12 @@ def inference_probs(
     if factors is None:
         factors = compute_shrinking_factors(vocab, tau) if rectify else np.ones(vocab.n_underlying)
     shrunk = factors if rectify else np.ones(vocab.n_underlying)
-    probs, bg_mass = score(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, shrunk)
+    shift, fg, under, sub = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, shrunk)
+    probs, bg_mass = _probabilities(fg, under, sub)
     return RectifiedScores(
         probabilities=probs[0],
         shrinking_factors=np.array(factors, dtype=np.float64),
-        underlying_sum=rectified_underlying_sum(query, vocab, tau, shrunk)[0],
+        underlying_sum=float(np.exp(shift[0]) * under[0].sum()),
         background_mass=float(bg_mass[0]),
         rectified=bool(rectify),
     )

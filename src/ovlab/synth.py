@@ -89,6 +89,8 @@ class ScenarioConfig:
                 raise ValueError(f"ScenarioConfig.{name} must be nonnegative, got {getattr(self, name)}")
         if self.n_base < 1:
             raise ValueError("need at least one base category")
+        if self.dim < 1:
+            raise ValueError(f"ScenarioConfig.dim must be at least 1, got {self.dim}")
         if not (0.0 <= self.base_fraction <= 1.0):
             raise ValueError("base_fraction must lie in [0, 1]")
 

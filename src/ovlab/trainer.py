@@ -125,6 +125,10 @@ class TrainConfig:
             raise ValueError("invalid step or batch configuration")
         if self.negative_weight < 0:
             raise ValueError(f"negative_weight must be nonnegative, got {self.negative_weight}")
+        for name, least in (("seed", 0), ("extra_categories", 0), ("discovered_categories", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"TrainConfig.{name} must be at least {least}, got {value}")
         if not 0.0 <= self.relax_threshold <= 1.0:
             raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
         if not self.momentum < 1.0:

@@ -131,10 +131,6 @@ class Vocabulary:
         return self.embeddings.shape[1]
 
     @property
-    def base_slice(self) -> slice:
-        return slice(0, self.n_base)
-
-    @property
     def novel_slice(self) -> slice:
         return slice(self.n_base, self.n_base + self.n_novel)
 
@@ -160,11 +156,6 @@ class Vocabulary:
         """Positions of the expansion categories plus the sub-background slot (a read-only array):
         the member set the pseudo-label loss pulls unlabeled filtered proposals toward."""
         return self.block_indices.pseudo_negative
-
-    def expansion_indices(self) -> np.ndarray:
-        """Positions of the safety-expansion underlying categories (beyond the clustered ones)."""
-        under = self.underlying_slice
-        return np.arange(under.start + self.n_discovered, under.stop)
 
     def base_position(self, base_id: int) -> int:
         try:

@@ -252,7 +252,9 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
         grads["pseudo"][rows] = g / g.shape[0]
     if "pseudo_negative" in slices:
         rows = slices["pseudo_negative"]
-        members = np.concatenate([vocab.expansion_indices(), [vocab.sub_background_index]])
+        under = vocab.underlying_slice
+        expansion = np.arange(under.start + vocab.n_discovered, under.stop)
+        members = np.concatenate([expansion, [vocab.sub_background_index]])
         vals, g, _ = _mass(z[rows], members)
         values["pseudo"] += config.negative_weight * float(vals.mean())
         grads["pseudo"][rows] = g * (config.negative_weight / g.shape[0])

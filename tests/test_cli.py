@@ -430,6 +430,28 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys):
+    # Each of these used to fail later, with an error that named no setting
+    # (or the wrong one, or only after 10,000 rejection tries).
+    train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r"), *SMALL]
+    gen = ["gen", "--out", str(tmp_path / "x.jsonl")]
+    for command, overrides, name in (
+        (train, ["train.extra_categories=-3"], "TrainConfig.extra_categories"),
+        (train, ["train.seed=-1"], "TrainConfig.seed"),
+        (train, ["train.discovered_categories=0"], "TrainConfig.discovered_categories"),
+        (gen, ["encoder.seed=-1"], "MockTextEncoder.seed"),
+        (gen, ["encoder.hidden_dim=0"], "MockTextEncoder.hidden_dim"),
+        (gen, ["encoder.dim=0"], "MockTextEncoder.dim"),
+        (gen, ["encoder.dim=0", "scenario.dim=0"], "ScenarioConfig.dim"),
+    ):
+        capsys.readouterr()
+        assert main([*command, *(a for o in overrides for a in ("--set", o))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0], (overrides, err)
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_unknown_ablation_combo_fails(dataset, tmp_path):
     assert main([
         "ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "a"),

@@ -2,8 +2,10 @@
 
 Every function a module of ``src/ovlab`` exports through ``__all__`` must be
 used by the package itself, be part of the acceptance suite's interface, or
-be a function the benchmark tracer hooks. A function only other tests call
-belongs in the tests (scalar oracles live in ``tests/oracles.py``).
+be a function the benchmark tracer hooks. Every public method and property
+of a class in ``src/ovlab`` must be read by the package, the acceptance
+suite or the benchmark. A function only other tests call belongs in the
+tests (scalar oracles live in ``tests/oracles.py``).
 
 Every name has one home: the package root re-exports nothing, a module's
 ``__all__`` lists only names it defines, and no module imports another's
@@ -99,6 +101,23 @@ def test_every_exported_function_has_a_production_caller():
                 continue
             unused.append(f"{module}.{name}")
     assert not unused, f"exported functions with no caller in src/ovlab: {unused}"
+
+
+def test_every_public_method_and_property_is_read():
+    trees = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    read = {name: _references(tree) for name, tree in trees.items()}
+    read_outside = set().union(*(_references(_parse(p)) for p in outside))
+    unread = []
+    for module, tree in trees.items():
+        read_elsewhere = read_outside.union(*(r for m, r in read.items() if m != module))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                if member.name not in read_elsewhere and member.name not in _references(tree, skip=member):
+                    unread.append(f"{module}.{cls.name}.{member.name}")
+    assert not unread, f"public methods and properties nothing in src/ovlab, the acceptance suite or bench reads: {unread}"
 
 
 def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:

@@ -82,7 +82,8 @@ def test_partial_sums_match_per_index_oracle():
             assert sums.foreground == pytest.approx(sum(scores[:5]), rel=1e-12)
             assert sums.underlying == pytest.approx(sum(scores[5:8]), rel=1e-12)
             assert sums.sub_background == pytest.approx(scores[8], rel=1e-12)
-            assert sums.denominator == pytest.approx(sum(scores), rel=1e-9)
+            total = sums.foreground + sums.underlying + sums.sub_background
+            assert total == pytest.approx(sum(scores), rel=1e-9)
 
 
 # -- conditional probability -------------------------------------------------------

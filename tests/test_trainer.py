@@ -1,13 +1,14 @@
 """Objective composition, gradient correctness, SGD, and the training loop."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.losses import ProposalBatch, proposal_blocks
+from ovlab.losses import COMPONENTS, MASS_BRANCH, UNIFORM_BRANCH, ProposalBatch, proposal_blocks
 from ovlab.metrics import STANDARD_COMBOS
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import ScenarioConfig, generate_scenario
@@ -21,6 +22,7 @@ from ovlab.trainer import (
     finite_diff_gradients,
     history_to_json,
     initial_params,
+    loss_and_gradients,
     loss_final,
     prepare_discovery,
     sgd_step,
@@ -438,6 +440,33 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
     assert history_to_json(history) == history_to_json(oracle_history)
     assert checkpoint.to_json() == oracle_checkpoint.to_json()
     assert history.totals()["pseudo_positive"] > 0 or not use_discovery
+
+
+def test_every_component_gradient_matches_the_unfused_oracle(monkeypatch):
+    # Training reaches the oracle only through "final"; this checks every
+    # component under every toggle pair, with a threshold that puts some
+    # background proposals on each switch branch. The oracle gets the same
+    # instance stacked without unit-normalizing, as training's oracle does.
+    import ovlab.cli as cli
+
+    seen = set()
+    for seed, tau in itertools.product(range(3), (1.0, 0.05, 0.02)):
+        blocks, vocab, config = cli._gradcheck_instance(seed, tau)
+        monkeypatch.setattr(cli, "proposal_blocks", raw_proposal_blocks)
+        raw, _, _ = cli._gradcheck_instance(seed, tau)
+        monkeypatch.undo()
+        for use_prompts, use_discovery in itertools.product((True, False), repeat=2):
+            cfg = dataclasses.replace(config, relax_threshold=0.3, use_prompts=use_prompts,
+                                      use_discovery=use_discovery)
+            for component in COMPONENTS:
+                breakdown, grads = loss_and_gradients(blocks, vocab, cfg, component)
+                oracle_breakdown, oracle = unfused_loss_and_gradients(raw, vocab, cfg, component)
+                assert breakdown == oracle_breakdown, (seed, tau, use_prompts, use_discovery, component)
+                for block in ("context", "sub_background"):
+                    got, want = getattr(grads, block), getattr(oracle, block)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (component, block)
+                seen.update(breakdown.branches)
+    assert seen == {MASS_BRANCH, UNIFORM_BRANCH}
 
 
 def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):

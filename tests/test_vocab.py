@@ -102,12 +102,10 @@ def test_block_ordering_reconstructible_from_counts(enc):
     iv = build_inference_vocab(tv, [10, 11], novel_emb)
     kinds = [c.kind for c in iv.categories()]
     assert kinds == [Kind.BASE] * 3 + [Kind.NOVEL] * 2 + [Kind.UNDERLYING] * 4 + [Kind.SUB_BACKGROUND]
-    assert iv.base_slice == slice(0, 3)
     assert iv.novel_slice == slice(3, 5)
     assert iv.underlying_slice == slice(5, 9)
     assert iv.sub_background_index == 9
     np.testing.assert_array_equal(iv.background_indices(), [5, 6, 7, 8, 9])
-    np.testing.assert_array_equal(iv.expansion_indices(), [7, 8])
 
 
 def test_rebuild_changes_only_underlying_block(enc):
@@ -116,7 +114,7 @@ def test_rebuild_changes_only_underlying_block(enc):
     sub = _sub(enc)
     v1 = training_vocab(ids, emb, ctx, sub, enc)
     v2 = training_vocab(ids, emb, ctx + 0.5, sub, enc)
-    np.testing.assert_array_equal(v1.embeddings[v1.base_slice], v2.embeddings[v2.base_slice])
+    np.testing.assert_array_equal(v1.embeddings[:3], v2.embeddings[:3])
     np.testing.assert_array_equal(
         v1.embeddings[v1.sub_background_index], v2.embeddings[v2.sub_background_index]
     )
@@ -244,7 +242,7 @@ def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
         vocab = build_inference_vocab(vocab, [100, 101], np.stack([_sub(enc, s) for s in (1, 2)]))
     under, sub = vocab.underlying_slice, vocab.sub_background_index
     background = np.concatenate([np.arange(under.start, under.stop), [sub]])
-    members = np.concatenate([vocab.expansion_indices(), [sub]])
+    members = np.concatenate([np.arange(under.start + vocab.n_discovered, under.stop), [sub]])
     for got, want in ((vocab.background_indices(), background), (vocab.pseudo_negative_indices(), members)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         with pytest.raises(ValueError):
