@@ -4,9 +4,11 @@ One JSON configuration file drives every command; individual keys can be
 overridden on the command line with ``--set section.key=value`` and every
 command accepts ``--seed``. A flag that sets a key (``--seed``,
 ``--instances``, ``--rectify``/``--no-rectify``) beats both the file and
-``--set``. All artifacts are written deterministically so reruns with
-identical configuration are byte-identical, and each output directory gets a
-manifest listing its artifacts with content hashes.
+``--set``. Only ``gen`` reads the encoder settings; the other commands take
+their encoder from their input and refuse a ``--set encoder.*``. All
+artifacts are written deterministically so reruns with identical
+configuration are byte-identical, and each output directory gets a manifest
+listing its artifacts with content hashes.
 """
 
 from __future__ import annotations
@@ -130,6 +132,18 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> dic
         raise ValueError(f"unknown config sections {sorted(unknown)}; known: {list(SECTIONS)}")
     return {name: from_dict(cls, config.get(name, {}), **SECTION_DEFAULTS.get(name, {}))
             for name, cls in SECTIONS.items()}
+
+
+def _refuse_encoder_overrides(command: str, overrides: list[str]) -> None:
+    """Refuse ``--set encoder.*`` on a command that takes its encoder from its input, not the config.
+
+    Only ``gen`` builds an encoder from the ``encoder`` section. An ``encoder``
+    section in a config file stays accepted, because one file may drive every command.
+    """
+    for item in overrides:
+        if item.split("=", 1)[0].split(".")[0] == "encoder":
+            raise ValueError(f"--set {item}: {command} takes its encoder from its dataset, checkpoint "
+                             "or instances; only gen reads encoder settings")
 
 
 def _write_manifest(out_dir: Path, extra: dict | None = None) -> None:
@@ -425,6 +439,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "gen":
+            _refuse_encoder_overrides(args.command, args.set)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,10 @@
 Covers the pieces that run before training starts: IoU and greedy NMS,
 objectness-score filtering of background proposals, spherical k-means over
 image-encoder features, and the silhouette sweep that estimates how many
-latent categories hide in the background.
+latent categories hide in the background. k-means carries its seeded
+restarts side by side on one leading axis, one batched Lloyd loop per call;
+each restart keeps its own random stream and computes the bits it would
+compute alone.
 """
 
 from __future__ import annotations
@@ -155,35 +158,41 @@ class ClusterModel:
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray, point_sq=None) -> np.ndarray:
     # ||x - c||^2 expanded; clamped at zero against rounding on near-duplicates.
+    # ``centers`` may carry leading (restart) axes: one product per (k, d) slice.
     if point_sq is None:
-        point_sq = (points * points).sum(axis=1)
-    d2 = (
-        point_sq[:, None]
-        - 2.0 * points @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+        point_sq = (points * points).sum(axis=-1)
+    d2 = 2.0 * points @ np.swapaxes(centers, -1, -2)
+    np.subtract(point_sq[..., :, None], d2, out=d2)
+    d2 += (centers * centers).sum(axis=-1)[..., None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _update_centers(pts: np.ndarray, assignments: np.ndarray, k: int, own_d2: np.ndarray) -> np.ndarray:
     """Lloyd centre update: every cluster's member mean, normalized onto the unit sphere.
 
-    The member sums are one ``onehot.T @ pts`` product. Only two rare cases
-    take a per-cluster path: an empty cluster is re-seeded to the point
-    farthest from its own centre (``own_d2`` holds each point's squared
-    distance to the centre it was assigned to), and a cluster whose mean is
-    near zero (an antipodal pair) keeps the direction of its first member.
+    ``assignments`` and ``own_d2`` are (..., n) with any leading (restart)
+    axes; the centres come back as (..., k, d). The member sums are one
+    ``onehot.T @ pts`` product per slice. Only two rare cases take a
+    per-cluster path: an empty cluster is re-seeded to the point farthest
+    from its own centre (``own_d2`` holds each point's squared distance to
+    the centre it was assigned to), and a cluster whose mean is near zero
+    (an antipodal pair) keeps the direction of its first member.
     """
-    onehot = (assignments[:, None] == np.arange(k)).astype(np.float64)
-    counts = onehot.sum(axis=0)
-    means = (onehot.T @ pts) / np.maximum(counts, 1.0)[:, None]
+    onehot = np.zeros((*assignments.shape, k))
+    onehot.reshape(-1)[np.arange(assignments.size) * k + assignments.ravel()] = 1.0  # each point's cluster
+    counts = onehot.sum(axis=-2)
+    means = (np.swapaxes(onehot, -1, -2) @ pts) / np.maximum(counts, 1.0)[..., None]
     # Row-wise dot products: the arithmetic of ``np.linalg.norm`` on one row.
-    norms = np.sqrt((means[:, None, :] @ means[:, :, None]).ravel())
+    norms = np.sqrt((means[..., None, :] @ means[..., :, None])[..., 0, 0])
     rare = norms < 1e-12  # every empty cluster too: its mean is zero
-    centers = means / np.where(rare, 1.0, norms)[:, None]
-    for j in np.flatnonzero(rare):
-        row = pts[int(own_d2.argmax())] if counts[j] == 0 else pts[int(np.argmax(assignments == j))]
-        centers[j] = row / np.linalg.norm(row)
+    centers = means / np.where(rare, 1.0, norms)[..., None]
+    for *lead, j in np.argwhere(rare):
+        at = tuple(lead)
+        if counts[at][j] == 0:
+            row = pts[int(own_d2[at].argmax())]
+        else:
+            row = pts[int(np.argmax(assignments[at] == j))]
+        centers[at][j] = row / np.linalg.norm(row)
     return centers
 
 
@@ -194,8 +203,14 @@ def kmeans(features, k: int, seed: int) -> ClusterModel:
     which minimizes the same squared-distance objective for unit-norm data.
     Empty clusters are re-seeded to the point farthest from its own center.
     Runs ``KMEANS_RESTARTS`` independent seeded initializations of at most
-    ``KMEANS_MAX_ITERS`` iterations each and keeps the lowest objective; a
-    run whose objective increases raises ``RuntimeError``.
+    ``KMEANS_MAX_ITERS`` iterations each and keeps the first with the lowest
+    objective; a run whose objective increases raises ``RuntimeError``.
+
+    The restarts run side by side on a leading axis (centres (R, k, d),
+    assignments (R, n)), each with its own random stream, and a restart
+    stops moving once its assignments repeat. Every product is still one
+    BLAS call per restart, so each restart computes the bits it would
+    compute alone.
     """
     pts = np.asarray(features, dtype=np.float64)
     if pts.ndim != 2:
@@ -203,62 +218,79 @@ def kmeans(features, k: int, seed: int) -> ClusterModel:
     n = pts.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    best = None
-    for restart in range(KMEANS_RESTARTS):
-        model = _kmeans_once(pts, k, seed, restart)
-        if best is None or model.objective < best.objective:
-            best = model
-    return best
-
-
-def _kmeans_once(pts: np.ndarray, k: int, seed: int, restart: int) -> ClusterModel:
-    n = pts.shape[0]
-    rng = np.random.default_rng([3, int(seed), int(k), int(restart)])
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"k-means features row {int(np.argmin(finite))} is not finite")
     point_sq = (pts * pts).sum(axis=1)
+    centers = _seed_centers(pts, k, seed, point_sq)
+    restarts = centers.shape[0]
 
-    # k-means++ seeding.
-    centers = np.empty((k, pts.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = pts[first] / np.linalg.norm(pts[first])
-    closest = _sq_dists(pts, centers[:1], point_sq).ravel()
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centers[j] = pts[idx] / np.linalg.norm(pts[idx])
-        closest = np.minimum(closest, _sq_dists(pts, centers[j : j + 1], point_sq).ravel())
-
-    assignments = np.full(n, -1, dtype=np.int64)
-    history: list[float] = []
+    histories: list[list[float]] = [[] for _ in range(restarts)]
+    assignments = np.full((restarts, n), -1, dtype=np.int64)
+    objectives = np.empty(restarts)
+    active = np.arange(restarts)  # the restarts whose assignments still change
     for iteration in range(1, KMEANS_MAX_ITERS + 1):
-        d2 = _sq_dists(pts, centers, point_sq)
-        new_assign = d2.argmin(axis=1)
-        own_d2 = d2[np.arange(n), new_assign]
-        objective = float(own_d2.sum())
-        if history and objective > history[-1] + 1e-9:
-            raise RuntimeError(
-                f"k-means objective increased at iteration {iteration}: {history[-1]} -> {objective}"
-            )
-        history.append(objective)
-        if np.array_equal(new_assign, assignments):
+        d2 = _sq_dists(pts, centers[active], point_sq)
+        new_assign = d2.argmin(axis=-1)
+        own_d2 = np.take_along_axis(d2, new_assign[..., None], axis=-1)[..., 0]
+        step_objectives = own_d2.sum(axis=-1)
+        for r, objective in zip(active, step_objectives.tolist()):
+            history = histories[r]
+            if history and objective > history[-1] + 1e-9:
+                raise RuntimeError(
+                    f"k-means objective increased at iteration {iteration} of restart {r}: "
+                    f"{history[-1]} -> {objective}"
+                )
+            history.append(objective)
+        moved = (new_assign != assignments[active]).any(axis=1)
+        # A converged restart keeps these centres, so its last distances are its final ones.
+        objectives[active[~moved]] = step_objectives[~moved]
+        assignments[active] = new_assign
+        active = active[moved]
+        if not active.size:
             break
-        assignments = new_assign
-        centers = _update_centers(pts, assignments, k, own_d2)
+        centers[active] = _update_centers(pts, new_assign[moved], k, own_d2[moved])
+    else:
+        d2 = _sq_dists(pts, centers[active], point_sq)
+        assignments[active] = d2.argmin(axis=-1)
+        own_d2 = np.take_along_axis(d2, assignments[active][..., None], axis=-1)[..., 0]
+        objectives[active] = own_d2.sum(axis=-1)
 
-    d2 = _sq_dists(pts, centers, point_sq)
-    assignments = d2.argmin(axis=1)
-    objective = float(d2[np.arange(n), assignments].sum())
-    centers.setflags(write=False)
-    assignments.setflags(write=False)
+    best = min(range(restarts), key=objectives.__getitem__)
+    best_centers, best_assign = centers[best].copy(), assignments[best].copy()
+    best_centers.setflags(write=False)
+    best_assign.setflags(write=False)
     return ClusterModel(
-        centers=centers,
-        assignments=assignments,
-        objective=objective,
-        n_iterations=len(history),
-        objective_history=tuple(history),
+        centers=best_centers,
+        assignments=best_assign,
+        objective=float(objectives[best]),
+        n_iterations=len(histories[best]),
+        objective_history=tuple(histories[best]),
     )
+
+
+def _seed_centers(pts: np.ndarray, k: int, seed: int, point_sq: np.ndarray) -> np.ndarray:
+    """k-means++ seeding of every restart: (R, k, d) unit centres.
+
+    Restart r draws from its own ``default_rng([3, seed, k, r])``; each new
+    centre index is one batched distance update over the restarts.
+    """
+    n = pts.shape[0]
+    rngs = [np.random.default_rng([3, int(seed), int(k), r]) for r in range(KMEANS_RESTARTS)]
+    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None]).ravel())  # ``np.linalg.norm`` per row
+    centers = np.empty((len(rngs), k, pts.shape[1]))
+    picks = [int(rng.integers(n)) for rng in rngs]
+    centers[:, 0] = pts[picks] / norms[picks, None]
+    closest = _sq_dists(pts, centers[:, :1], point_sq)[..., 0]
+    for j in range(1, k):
+        picks = [
+            int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=row / total))
+            for rng, row, total in zip(rngs, closest, closest.sum(axis=1).tolist())
+        ]
+        centers[:, j] = pts[picks] / norms[picks, None]
+        if j + 1 < k:  # the last centre's distances are never drawn from
+            closest = np.minimum(closest, _sq_dists(pts, centers[:, j : j + 1], point_sq)[..., 0])
+    return centers
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Each one computes its quantity the slow, direct way (one pair, one category
 pair, one coordinate, one cluster or one proposal at a time) from the
-``ovlab.core`` primitives only. Two are exceptions. The encoder's
+``ovlab.core`` primitives only. A few are exceptions. The encoder's
 Jacobian-vector product reads the encoder's frozen weights; it is the
 forward-mode derivative that the reverse-mode ``encode_context_vjp`` is
-checked against. The unfused training step, the two-block SGD update and
-the row-by-row pseudo-labeller at the end are those steps as written before
-training computed each quantity once, kept to show the fast paths compute
-alike.
+checked against. The per-restart k-means runs the production distance and
+centre-update helpers on one restart's 2-D arrays, as ``kmeans`` ran before
+it carried its restarts on one axis. The unfused training step, the
+two-block SGD update and the row-by-row pseudo-labeller at the end are those
+steps as written before training computed each quantity once, kept to show
+the fast paths compute alike.
 """
 
 import math
@@ -24,7 +26,15 @@ from ovlab.core import (
     logsumexp,
     softmax_probs,
 )
-from ovlab.discovery import filter_background_proposals, nms_indices
+from ovlab.discovery import (
+    KMEANS_MAX_ITERS,
+    KMEANS_RESTARTS,
+    ClusterModel,
+    _sq_dists,
+    _update_centers,
+    filter_background_proposals,
+    nms_indices,
+)
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
@@ -124,6 +134,69 @@ def lloyd_update(pts: np.ndarray, assignments: np.ndarray, k: int, own_d2: np.nd
         else:
             centers[j] = _normalized_mean(members)
     return centers
+
+
+def kmeans_restart(pts: np.ndarray, k: int, seed: int, restart: int) -> ClusterModel:
+    """One k-means restart on its own: k-means++ seeding, then Lloyd iterations on 2-D arrays.
+
+    Draws from ``default_rng([3, seed, k, restart])`` and runs the production
+    ``_sq_dists`` and ``_update_centers`` on one (k, d) centre block at a time.
+    """
+    n = pts.shape[0]
+    rng = np.random.default_rng([3, int(seed), int(k), int(restart)])
+    point_sq = (pts * pts).sum(axis=1)
+
+    centers = np.empty((k, pts.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = pts[first] / np.linalg.norm(pts[first])
+    closest = _sq_dists(pts, centers[:1], point_sq).ravel()
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centers[j] = pts[idx] / np.linalg.norm(pts[idx])
+        closest = np.minimum(closest, _sq_dists(pts, centers[j : j + 1], point_sq).ravel())
+
+    assignments = np.full(n, -1, dtype=np.int64)
+    history: list[float] = []
+    for iteration in range(1, KMEANS_MAX_ITERS + 1):
+        d2 = _sq_dists(pts, centers, point_sq)
+        new_assign = d2.argmin(axis=1)
+        own_d2 = d2[np.arange(n), new_assign]
+        objective = float(own_d2.sum())
+        if history and objective > history[-1] + 1e-9:
+            raise RuntimeError(
+                f"k-means objective increased at iteration {iteration}: {history[-1]} -> {objective}"
+            )
+        history.append(objective)
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        centers = _update_centers(pts, assignments, k, own_d2)
+
+    d2 = _sq_dists(pts, centers, point_sq)
+    assignments = d2.argmin(axis=1)
+    objective = float(d2[np.arange(n), assignments].sum())
+    return ClusterModel(
+        centers=centers,
+        assignments=assignments,
+        objective=objective,
+        n_iterations=len(history),
+        objective_history=tuple(history),
+    )
+
+
+def kmeans_per_restart(features, k: int, seed: int) -> ClusterModel:
+    """``discovery.kmeans`` one restart after another: the first restart with the lowest objective."""
+    pts = np.asarray(features, dtype=np.float64)
+    best = None
+    for restart in range(KMEANS_RESTARTS):
+        model = kmeans_restart(pts, k, seed, restart)
+        if best is None or model.objective < best.objective:
+            best = model
+    return best
 
 
 def proposal_groups(batch, partition, vocab: Vocabulary):

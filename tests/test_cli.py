@@ -457,3 +457,41 @@ def test_unknown_ablation_combo_fails(dataset, tmp_path):
         "ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "a"),
         "--set", 'ablation.combos=["nope"]',
     ]) == 1
+
+
+ENCODER_READERS = {  # every command but gen, with its output under "{out}"
+    "estimate-k": ["--dataset", "{data}", "--out", "{out}/k.json"],
+    "train": ["--dataset", "{data}", "--out-dir", "{out}"],
+    "eval": ["--checkpoint", "{ck}", "--dataset", "{data}", "--out-dir", "{out}"],
+    "rectify-report": ["--checkpoint", "{ck}", "--dataset", "{data}", "--out-dir", "{out}"],
+    "ablate": ["--dataset", "{data}", "--out-dir", "{out}"],
+    "gradcheck": ["--instances", "1", "--out", "{out}/gc.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENCODER_READERS))
+def test_a_command_that_reads_no_encoder_settings_refuses_an_encoder_override(
+    command, dataset, checkpoint, tmp_path, capsys
+):
+    # These commands take the encoder from the dataset header, the checkpoint
+    # or their own instances, so an encoder override would be silently ignored.
+    out = tmp_path / "out"
+    args = [a.format(data=dataset, ck=checkpoint, out=out) for a in ENCODER_READERS[command]]
+    for override in ("encoder.dim=16", 'encoder={"seed": 3}'):
+        capsys.readouterr()
+        assert main([command, *args, *SMALL, "--set", override]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert override in err[0] and command in err[0] and "only gen" in err[0], err
+    assert not out.exists()
+
+
+def test_gen_and_a_config_file_still_set_the_encoder(tmp_path):
+    data = tmp_path / "d.jsonl"
+    assert main(["gen", "--out", str(data), *SMALL, "--set", "encoder.dim=16", "--set", "scenario.dim=16"]) == 0
+    assert json.loads(data.read_text().splitlines()[0])["encoder"]["dim"] == 16
+    # A shared config file may hold an encoder section; commands other than gen ignore it.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"encoder": {"dim": 16}, "scenario": {"dim": 16}}))
+    run = ["train", "--config", str(cfg), "--dataset", str(data), "--out-dir", str(tmp_path / "r")]
+    assert main([*run, *SMALL]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ovlab.discovery import (
+    KMEANS_RESTARTS,
     Box,
     Proposal,
     estimate_category_count,
@@ -14,7 +15,11 @@ from ovlab.discovery import (
     silhouette_score,
 )
 
-from oracles import lloyd_update
+from ovlab.encoder import MockTextEncoder
+from ovlab.synth import ScenarioConfig, generate_scenario
+from ovlab.trainer import TrainConfig, pool_background
+
+from oracles import kmeans_per_restart, kmeans_restart, lloyd_update
 from util import make_proposal, unit
 
 
@@ -264,11 +269,97 @@ def test_kmeans_with_per_cluster_oracle_update_agrees(monkeypatch):
     rng = np.random.default_rng(12)
     pts = np.array([unit(rng, 8) for _ in range(150)])
     fast = [kmeans(pts, k, seed=k) for k in (2, 4, 7)]
-    monkeypatch.setattr(discovery, "_update_centers", lloyd_update)
+    # ``kmeans`` updates a batch of restarts at once; the oracle takes one restart.
+    monkeypatch.setattr(discovery, "_update_centers", lambda pts, assign, k, own_d2: np.stack(
+        [lloyd_update(pts, a, k, o) for a, o in zip(assign, own_d2)]
+    ))
     for k, model in zip((2, 4, 7), fast):
         slow = kmeans(pts, k, seed=k)
         np.testing.assert_array_equal(model.assignments, slow.assignments)
         assert np.abs(model.centers - slow.centers).max() <= EPS
+
+
+def _assert_same_bits(got, want):
+    assert got.centers.shape == want.centers.shape
+    assert got.centers.tobytes() == want.centers.tobytes()
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.objective.hex() == want.objective.hex()
+    assert got.objective_history == want.objective_history
+    assert got.n_iterations == want.n_iterations
+
+
+@pytest.mark.parametrize("scenario_seed", range(6))
+def test_kmeans_matches_the_per_restart_oracle_on_reference_pools(scenario_seed):
+    scenario = generate_scenario(ScenarioConfig(seed=scenario_seed, n_eval_images=0), MockTextEncoder(seed=7))
+    pool = pool_background(scenario, TrainConfig())
+    for k in range(2, 13):
+        _assert_same_bits(kmeans(pool, k, seed=0), kmeans_per_restart(pool, k, seed=0))
+
+
+def _antipodal_points(rng):
+    x = unit(rng, 8)
+    return np.vstack([x, -x])
+
+
+@pytest.mark.parametrize("case", [
+    "random", "k=1", "k=n", "duplicates-k2", "duplicates-k=n", "antipodal-pair", "antipodal-among-others",
+])
+def test_kmeans_matches_the_per_restart_oracle(case):
+    rng = np.random.default_rng(15)
+    random = np.array([unit(rng, 8) for _ in range(50)])
+    a, b = np.eye(3)[:2]
+    pts, ks = {
+        "random": (random, (2, 3, 5, 9, 17)),
+        "k=1": (random, (1,)),
+        "k=n": (random, (50,)),
+        "duplicates-k2": (np.array([a, a, a, a]), (2,)),  # one cluster goes empty and is re-seeded
+        "duplicates-k=n": (np.array([a, a, a, b, b]), (3, 5)),
+        "antipodal-pair": (_antipodal_points(rng), (1,)),  # the pair's mean is exactly zero
+        "antipodal-among-others": (np.vstack([_antipodal_points(rng), random[:6]]), (1, 2, 3)),
+    }[case]
+    for k in ks:
+        for seed in (0, 1, 2):
+            _assert_same_bits(kmeans(pts, k, seed=seed), kmeans_per_restart(pts, k, seed=seed))
+
+
+def test_kmeans_restarts_that_converge_at_different_iterations_match_the_oracle():
+    rng = np.random.default_rng(16)
+    pts, _, _ = _blobs(rng, 5, 30, d=8, sep_to_noise=1.5)
+    iterations = {kmeans_restart(pts, 5, 4, r).n_iterations for r in range(KMEANS_RESTARTS)}
+    assert len(iterations) > 2, iterations
+    _assert_same_bits(kmeans(pts, 5, seed=4), kmeans_per_restart(pts, 5, seed=4))
+
+
+def test_kmeans_objective_increase_in_one_restart_raises(monkeypatch):
+    # Only the first restart of each batched update gets the antipodes of
+    # its means; the other restarts of the batch are updated correctly.
+    import ovlab.discovery as discovery
+
+    rng = np.random.default_rng(6)
+    pts = np.array([unit(rng, 8) for _ in range(120)])
+    update_centers = discovery._update_centers
+    batch_sizes = []
+
+    def corrupt_first(pts, assignments, k, own_d2):
+        batch_sizes.append(len(assignments))
+        centers = update_centers(pts, assignments, k, own_d2)
+        centers[0] = -centers[0]
+        return centers
+
+    monkeypatch.setattr(discovery, "_update_centers", corrupt_first)
+    with pytest.raises(RuntimeError, match=r"objective increased at iteration \d+ of restart 0:"):
+        kmeans(pts, k=4, seed=1)
+    assert batch_sizes[0] == KMEANS_RESTARTS
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_kmeans_refuses_non_finite_features(k):
+    rng = np.random.default_rng(17)
+    pts = np.array([unit(rng, 4) for _ in range(6)])
+    for bad in (np.nan, np.inf):
+        pts[4, 1], pts[5, 0] = bad, bad
+        with pytest.raises(ValueError, match="features row 4 is not finite"):
+            kmeans(pts, k, seed=0)
 
 
 def test_kmeans_deterministic():

@@ -24,6 +24,7 @@ from ovlab.trainer import (
     initial_params,
     loss_and_gradients,
     loss_final,
+    prepare_background,
     prepare_discovery,
     sgd_step,
     train,
@@ -527,6 +528,29 @@ def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
     assert checkpoint.n_discovered == 0 and checkpoint.cluster_centers is None
 
 
+def test_discovery_prep_calls_the_module_kmeans_once_per_clustering(small_scenario, monkeypatch):
+    # The bench times discovery by hooking ``kmeans`` in both namespaces that
+    # bind it; a sweep makes one call per k, and a pinned count one call.
+    import ovlab.discovery
+    import ovlab.trainer
+
+    calls = []
+    kmeans = ovlab.discovery.kmeans
+
+    def counted(features, k, seed):
+        calls.append(k)
+        return kmeans(features, k, seed)
+
+    for module in (ovlab.discovery, ovlab.trainer):
+        monkeypatch.setattr(module, "kmeans", counted)
+    config = TrainConfig(seed=2, k_min=2, k_max=6)
+    prepare_background(small_scenario, config)
+    assert calls == [2, 3, 4, 5, 6]
+    calls.clear()
+    prepare_background(small_scenario, dataclasses.replace(config, discovered_categories=3))
+    assert calls == [3]
+
+
 def test_train_refuses_a_discovery_prep_of_another_scenario():
     enc = MockTextEncoder(seed=7)
     one, two = (generate_scenario(ScenarioConfig(n_train_images=10, n_eval_images=0, seed=s), enc)
@@ -554,6 +578,10 @@ def test_checkpoint_round_trip(tmp_path, small_scenario, config):
     checkpoint.save(path)
     loaded = Checkpoint.load(path)
     assert loaded.to_json() == checkpoint.to_json()
+    assert (checkpoint.cluster_centers is None) == (config.baseline_mode or not config.use_discovery)
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()  # save, load, save: the same bytes
     assert loaded.config == config and loaded.encoder.config() == checkpoint.encoder.config()
     np.testing.assert_array_equal(loaded.context_vectors, checkpoint.context_vectors)
     assert (loaded.cluster_centers is None) == (checkpoint.cluster_centers is None)
