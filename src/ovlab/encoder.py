@@ -15,6 +15,7 @@ embeddings.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +96,7 @@ class MockTextEncoder:
         self._b2 = rng.standard_normal(dim) * _OUTPUT_BIAS_STD
         for arr in (self._w1, self._b1, self._w2, self._b2, self._prefix):
             arr.setflags(write=False)
+        self._w1_context = w1[:, prefix_dim:]  # the columns a context vector enters through (a view)
 
     # -- forward ----------------------------------------------------------
 
@@ -112,16 +114,22 @@ class MockTextEncoder:
         On one row every product is the same BLAS call as on a vector, so a
         vector and its one-row stack encode bit for bit alike.
         """
-        rows = np.atleast_2d(self._check_ctx(v))
+        rows = self._check_ctx(v)
+        if rows.ndim == 1:
+            rows = rows[None, :]
         x = np.empty((rows.shape[0], self.prefix_dim + self.ctx_dim))
         x[:, : self.prefix_dim] = self._prefix
         x[:, self.prefix_dim :] = rows
-        hidden = np.tanh(x @ self._w1.T + self._b1)
-        y = hidden @ self._w2.T + self._b2
-        if not np.isfinite(y).all():
-            raise ValueError("context vectors encode to non-finite embeddings")
+        hidden = x @ self._w1.T
+        hidden += self._b1
+        np.tanh(hidden, out=hidden)
+        y = hidden @ self._w2.T
+        y += self._b2
         norms = np.sqrt(_row_dots(y, y))
-        return ContextForward(hidden, norms, y / norms)
+        # A non-finite output makes its row's norm, and so the norms' sum, non-finite.
+        if not math.isfinite(np.add.reduce(norms, axis=None)):
+            raise ValueError("context vectors encode to non-finite embeddings")
+        return ContextForward(hidden, norms, np.divide(y, norms, out=y))
 
     def encode_context(self, v) -> np.ndarray:
         """Unit-norm embedding of a context vector, or one per row of an (n, ctx_dim) stack."""
@@ -143,9 +151,15 @@ class MockTextEncoder:
         hidden, ny, yhat = forward if forward is not None else self.forward(arr)
         if hidden.shape[0] != (arr.shape[0] if arr.ndim == 2 else 1):
             raise DimensionMismatchError(f"forward of {hidden.shape[0]} rows for context shape {arr.shape}")
-        g = np.atleast_2d(g)
-        gy = (g - _row_dots(yhat, g) * yhat) / ny
-        out = ((1.0 - hidden**2) * (gy @ self._w2)) @ self._w1[:, self.prefix_dim :]
+        if g.ndim == 1:
+            g = g[None, :]
+        gy = _row_dots(yhat, g) * yhat
+        np.subtract(g, gy, out=gy)
+        gy /= ny
+        gh = np.square(hidden)  # ``hidden**2``
+        np.subtract(1.0, gh, out=gh)
+        gh *= gy @ self._w2
+        out = gh @ self._w1_context
         return out[0] if arr.ndim == 1 else out
 
     # -- named categories --------------------------------------------------

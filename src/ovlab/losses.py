@@ -95,8 +95,7 @@ class ProposalBatch:
                 raise ValueError("background proposals must not carry a base label")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Scalar loss components of one batch; total = foreground + background + pseudo."""
 
     foreground: float
@@ -121,29 +120,33 @@ def background_mass(probs, vocab: Vocabulary) -> float:
 
 # -- per-proposal terms -------------------------------------------------------
 #
-# Each takes its rows' log-probabilities ``logp`` and returns the value per
-# row; ``objective_terms`` writes their gradients (see the module docstring).
+# Each takes its rows' log-probabilities ``logp`` (the mass and relaxed terms
+# only the member-set columns) and returns the value per row;
+# ``objective_terms`` writes their gradients (see the module docstring).
 
 
-def nll_terms(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """-log p(target) per row."""
-    return -logp[np.arange(logp.shape[0]), targets]
+def nll_terms(logp: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """-log p(target) of each of the given rows (positions into ``logp``)."""
+    return -logp[rows, targets]
 
 
-def mass_terms(logp: np.ndarray, member_indices: np.ndarray):
+def mass_terms(member_logp: np.ndarray):
     """-log of the member-set probability mass per row, the member shares, and the mass.
 
     The shares renormalize p over the member set: the q of the mass term.
     """
-    member_logp = logp[:, member_indices]
-    shift = member_logp.max(axis=1, keepdims=True)
-    log_mass = (np.log(np.exp(member_logp - shift).sum(axis=1, keepdims=True)) + shift).ravel()
-    return -log_mass, np.exp(member_logp - log_mass[:, None]), np.exp(log_mass)
+    shift = np.maximum.reduce(member_logp, axis=1, keepdims=True)
+    shares = np.exp(member_logp - shift)
+    log_mass = np.log(np.add.reduce(shares, axis=1, keepdims=True))
+    log_mass += shift
+    np.subtract(member_logp, log_mass, out=shares)
+    log_mass = log_mass.ravel()
+    return -log_mass, np.exp(shares, out=shares), np.exp(log_mass)
 
 
-def uniform_terms(logp: np.ndarray, member_indices: np.ndarray) -> np.ndarray:
+def uniform_terms(member_logp: np.ndarray) -> np.ndarray:
     """Mean of -log p(c) over the member set per row."""
-    return -(logp[:, member_indices].sum(axis=1) / len(member_indices))
+    return np.add.reduce(member_logp, axis=1) / -member_logp.shape[1]  # ``-(sum / k)``, exactly
 
 
 # -- the objective ------------------------------------------------------------
@@ -201,19 +204,19 @@ def proposal_groups(blocks, vocab: Vocabulary):
     ``blocks`` is a sequence of ``ProposalBlocks`` (one per sampled image in
     training); rows run through ``GROUPS`` in order, each group's rows in
     block order, gathered with one concatenation. ``slices`` names each
-    non-empty group's rows, and targets exist for the two labeled groups only.
+    non-empty group's rows. ``targets`` holds the target positions of the two
+    labeled groups' rows, in row order: the foreground's, then the pseudo-positives'.
     """
     parts = [b.features[name] for name in GROUPS for b in blocks]
-    slices, start, k = {}, 0, len(blocks)
+    sizes, k = list(map(len, parts)), len(blocks)
+    slices, start = {}, 0
     for g, name in enumerate(GROUPS):
-        n = sum(map(len, parts[g * k:(g + 1) * k]))
+        n = sum(sizes[g * k:(g + 1) * k])
         if n:
             slices[name] = slice(start, start + n)
             start += n
     features = np.concatenate(parts) if start else np.zeros((0, vocab.dim))
-    labeled = np.concatenate([_NO_TARGETS] + [b.targets[name] for name in _LABELED for b in blocks])
-    n_foreground = slices["foreground"].stop if "foreground" in slices else 0
-    targets = {"foreground": labeled[:n_foreground], "pseudo_positive": labeled[n_foreground:]}
+    targets = np.concatenate([_NO_TARGETS] + [b.targets[name] for name in _LABELED for b in blocks])
     return features, slices, targets, unit_cosines(features, vocab.unit_embeddings[0])
 
 
@@ -225,8 +228,12 @@ class ObjectiveTerms(NamedTuple):
     logit_grad: np.ndarray  # (n, V) d value / d logits of the requested component
 
 
+_BRANCH_OF = np.array((UNIFORM_BRANCH, MASS_BRANCH), dtype=object)  # indexed by "mass >= gamma"
+_BACKGROUND_COMPONENTS = ("mass", "uniform", "switched")
+
+
 def objective_terms(
-    cosines: np.ndarray, slices: dict[str, slice], targets: dict[str, np.ndarray], vocab: Vocabulary,
+    cosines: np.ndarray, slices: dict[str, slice], targets: np.ndarray, vocab: Vocabulary,
     tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
     use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
     component: str = "final",
@@ -243,64 +250,86 @@ def objective_terms(
     """
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; choose from {COMPONENTS}")
-    z = cosines / check_temperature(tau)
-    logp = log_softmax_rows(z)
+    logp = log_softmax_rows(cosines / check_temperature(tau))
     grad = np.exp(logp)  # p; each group's rows become w * (p - q) below, or zero
-    values = dict.fromkeys(COMPONENTS, 0.0)
-    live: tuple[str, ...] = ()
-    in_final = {"foreground": True, "switched": use_prompts, "pseudo": use_discovery}
     # Whether the requested gradient reads each group: its own component, or "final" with the term on.
     final = component == "final"
-    wanted = {"foreground": component == "foreground" or final,
-              "background": component in ("mass", "uniform", "switched") or (final and use_prompts),
-              "pseudo_positive": component == "pseudo" or (final and use_discovery)}
-    wanted["pseudo_negative"] = wanted["pseudo_positive"]
+    pseudo_read = component == "pseudo" or (final and use_discovery)
+    foreground = pseudo = mass = uniform = switched = 0.0
+    live: tuple[str, ...] = ()
+    indices = vocab.block_indices
 
-    def pull(name: str, columns, q, weight: float | None = None) -> None:
-        """Turn the group's n rows of ``grad`` into (p - q) / n, times ``weight`` if given, or zero;
-        q is zero outside the entries ``columns`` indexes."""
-        g = grad[slices[name]]
-        if not wanted[name]:
-            g.fill(0.0)
-            return
-        g[columns] -= q
-        if weight is None:
-            np.divide(g, len(g), out=g)
-        else:
-            np.multiply(g, weight / len(g), out=g)
+    # Both labeled groups take -log p(target) in one gather and their gradient's
+    # one-hot in one scatter; the foreground rows, if any, come first.
+    fg, pp = slices.get("foreground"), slices.get("pseudo_positive")
+    if len(targets):
+        n_fg = fg.stop if fg is not None else 0
+        rows = np.arange(len(targets))
+        if pp is not None:
+            rows[n_fg:] += pp.start - n_fg
+        vals = nll_terms(logp, rows, targets)
+        grad[rows, targets] -= 1.0
+        if fg is not None:
+            foreground += float(np.add.reduce(vals[:n_fg]) / n_fg)
+            g = grad[fg]
+            if final or component == "foreground":
+                g /= n_fg
+            else:
+                g.fill(0.0)
+        if pp is not None:
+            n = pp.stop - pp.start
+            pseudo += float(np.add.reduce(vals[n_fg:]) / n)
+            g = grad[pp]
+            if pseudo_read:
+                g /= n
+            else:
+                g.fill(0.0)
 
-    for name, component_name in (("foreground", "foreground"), ("pseudo_positive", "pseudo")):
-        if name in slices:
-            vals = nll_terms(logp[slices[name]], targets[name])
-            values[component_name] += float(vals.sum() / len(vals))
-            pull(name, (np.arange(len(vals)), targets[name]), 1.0)
-
-    if "background" in slices:
-        members = vocab.background_indices()
-        lp = logp[slices["background"]]
-        mass_vals, shares, masses = mass_terms(lp, members)
-        uniform_vals = uniform_terms(lp, members)
+    # Member columns are gathered by position, which lays them out column by
+    # column: the terms' row sums then add the members one after another. (A
+    # column slice would be a row-major view, summed pairwise: other bits.)
+    rows = slices.get("background")
+    if rows is not None:
+        member_logp = logp[rows][:, indices.background]
+        mass_vals, shares, masses = mass_terms(member_logp)
+        uniform_vals = uniform_terms(member_logp)
         sel = masses >= gamma
-        live = tuple(map((UNIFORM_BRANCH, MASS_BRANCH).__getitem__, sel.tolist()))
+        live = tuple(_BRANCH_OF[sel.view(np.int8)].tolist())
         if branches is not None:
             if len(branches) != len(live):
                 raise ValueError("pinned branches must match the background count")
             sel = np.array([b == MASS_BRANCH for b in branches])
-        n, k = len(live), len(members)
-        values["mass"] = float(mass_vals.sum() / n)
-        values["uniform"] = float(uniform_vals.sum() / n)
-        values["switched"] = float(np.where(sel, mass_vals, uniform_vals).sum() / n)
-        q = (shares if component == "mass" else 1.0 / k if component == "uniform"
-             else np.where(sel[:, None], shares, 1.0 / k))
-        pull("background", (slice(None), members), q)
+        n, k = len(live), shares.shape[1]
+        mass = float(np.add.reduce(mass_vals) / n)
+        uniform = float(np.add.reduce(uniform_vals) / n)
+        switched = float(np.add.reduce(np.where(sel, mass_vals, uniform_vals)) / n)
+        g = grad[rows]
+        if component in _BACKGROUND_COMPONENTS or (final and use_prompts):
+            g[:, indices.background_columns] -= (shares if component == "mass" else 1.0 / k if component == "uniform"
+                                                 else np.where(sel[:, None], shares, 1.0 / k))
+            g /= n
+        else:
+            g.fill(0.0)
 
-    if "pseudo_negative" in slices:
-        members = vocab.pseudo_negative_indices()
-        vals, shares, _ = mass_terms(logp[slices["pseudo_negative"]], members)
-        values["pseudo"] += negative_weight * float(vals.sum() / len(vals))
-        pull("pseudo_negative", (slice(None), members), shares, negative_weight)
+    rows = slices.get("pseudo_negative")
+    if rows is not None:
+        vals, shares, _ = mass_terms(logp[rows][:, vocab.pseudo_negative_indices()])
+        n = len(vals)
+        pseudo += negative_weight * float(np.add.reduce(vals) / n)
+        g = grad[rows]
+        if pseudo_read:
+            g[:, indices.pseudo_negative_columns] -= shares
+            g *= negative_weight / n
+        else:
+            g.fill(0.0)
 
-    values["final"] = sum(values[name] for name, on in in_final.items() if on)
+    total = 0.0 + foreground  # the sum of the components "final" holds, in this order
+    if use_prompts:
+        total += switched
+    if use_discovery:
+        total += pseudo
+    values = {"foreground": foreground, "mass": mass, "uniform": uniform, "switched": switched,
+              "pseudo": pseudo, "final": total}
     return ObjectiveTerms(values, live, grad)
 
 

@@ -29,7 +29,9 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,21 +175,21 @@ class Params:
         return self.flat[self._n_context :]
 
 
-@dataclass(frozen=True)
 class Gradients:
-    context: np.ndarray
-    sub_background: np.ndarray
+    """The gradient of each block of ``Params``; ``flat()`` holds both in one vector."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_flat", np.concatenate([self.context.ravel(), self.sub_background]))
+    __slots__ = ("context", "sub_background", "_flat")
+
+    def __init__(self, context: np.ndarray, sub_background: np.ndarray):
+        self.context, self.sub_background = context, sub_background
+        self._flat = np.concatenate([context.ravel(), sub_background])
 
     def flat(self) -> np.ndarray:
         """Both blocks in one vector, in the order of ``Params.flat``."""
         return self._flat
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     breakdown: LossBreakdown
     n_mass_branch: int
@@ -201,18 +203,14 @@ class TrainHistory:
     steps: tuple[StepRecord, ...]
 
     def totals(self) -> dict:
-        return {
-            "mass_branch": sum(s.n_mass_branch for s in self.steps),
-            "uniform_branch": sum(s.n_uniform_branch for s in self.steps),
-            "pseudo_positive": sum(s.n_pseudo_positive for s in self.steps),
-            "pseudo_negative": sum(s.n_pseudo_negative for s in self.steps),
-        }
+        return {key: sum(map(attrgetter(f"n_{key}"), self.steps))
+                for key in ("mass_branch", "uniform_branch", "pseudo_positive", "pseudo_negative")}
 
 
 # -- objective and analytic gradients -------------------------------------------
 
 
-def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, config: TrainConfig,
+def _terms(cosines: np.ndarray, slices: dict, targets: np.ndarray, vocab: Vocabulary, config: TrainConfig,
            branches=None, component: str = "final"):
     """``objective_terms`` under one training configuration's hyperparameters and toggles."""
     return objective_terms(
@@ -224,7 +222,10 @@ def _terms(cosines: np.ndarray, slices: dict, targets: dict, vocab: Vocabulary, 
 def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau: float) -> np.ndarray:
     """Chain d(loss)/d(logits) ``g`` through the cosine layer (unit ``features``) to d(loss)/d(embeddings)."""
     units, norms = vocab.unit_embeddings
-    return (g.T @ features - (g * cosines).sum(axis=0)[:, None] * units) / (tau * norms)
+    demb = g.T @ features
+    demb -= np.add.reduce(g * cosines, axis=0)[:, None] * units
+    demb /= tau * norms
+    return demb
 
 
 def loss_and_gradients(
@@ -241,33 +242,37 @@ def loss_and_gradients(
     """
     features, slices, targets, cosines = proposal_groups(blocks, vocab)
     values, branches, logit_grad = _terms(cosines, slices, targets, vocab, config, component=component)
-    counts = {name: rows.stop - rows.start for name, rows in slices.items()}
+    fg, bg = slices.get("foreground"), slices.get("background")
     breakdown = LossBreakdown(
         foreground=values["foreground"],
         background=values["switched"] if config.use_prompts else 0.0,
         pseudo=values["pseudo"] if config.use_discovery else 0.0,
         total=values["final"],
         branches=branches if config.use_prompts else (),
-        n_foreground=counts.get("foreground", 0),
-        n_background=counts.get("background", 0),
+        n_foreground=fg.stop - fg.start if fg is not None else 0,
+        n_background=bg.stop - bg.start if bg is not None else 0,
     )
     demb = _embedding_gradient(features, cosines, logit_grad, vocab, config.temperature)
-    if vocab.n_underlying:  # a baseline vocabulary may carry no encoder
-        ctx_grad = vocab.encoder.encode_context_vjp(
-            vocab.context_vectors, demb[vocab.underlying_slice], forward=vocab.context_forward
-        )
+    under, sub = vocab.block_indices.underlying, vocab.block_indices.sub_background
+    context = vocab.context_vectors
+    if len(context):  # a baseline vocabulary may carry no encoder
+        ctx_grad = vocab.encoder.encode_context_vjp(context, demb[under], forward=vocab.context_forward)
     else:
-        ctx_grad = np.zeros_like(vocab.context_vectors)
-    return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
+        ctx_grad = np.zeros_like(context)
+    return breakdown, Gradients(context=ctx_grad, sub_background=demb[sub])
 
 
 def _check_finite(grads: Gradients) -> Gradients:
-    if np.isfinite(grads.flat()).all():
+    flat = grads.flat()
+    # The squared norm is finite when every entry is; finite entries large
+    # enough to overflow it fall through to the scan, which then finds nothing.
+    if math.isfinite(flat @ flat):
         return grads
     for name, arr in (("context", grads.context), ("sub_background", grads.sub_background)):
         if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))
             raise NonFiniteGradientError(f"non-finite gradient in {name} at {bad[0].tolist()}")
+    return grads
 
 
 def loss_final(
@@ -353,16 +358,18 @@ def sgd_step(
 ) -> tuple[Params, Params]:
     """One SGD-with-momentum update of the flat parameter vector; the sub-background
     embedding is re-projected onto the unit sphere afterwards."""
-    shape = params.context_shape
+    shape, flat, step = params.context_shape, params.flat, grads.flat()
     if shape != grads.context.shape:
         raise ValueError(f"context shape mismatch: {shape} vs {grads.context.shape}")
-    if params.sub_background.shape != grads.sub_background.shape:
+    if flat.shape != step.shape:
         raise ValueError("sub-background shape mismatch")
-    new_vel = momentum * velocity.flat + grads.flat() + weight_decay * params.flat
-    new = Params.of_flat(params.flat - lr * new_vel, shape)
-    sub = new.sub_background
-    sub /= np.sqrt(sub.dot(sub))  # ``np.linalg.norm``'s arithmetic on a vector
-    return new, Params.of_flat(new_vel, shape)
+    new_vel = momentum * velocity.flat  # ``m * v + g + decay * w``, summed in that order
+    new_vel += step
+    new_vel += weight_decay * flat
+    new = flat - lr * new_vel
+    sub = new[params._n_context :]
+    sub /= math.sqrt(sub.dot(sub))  # ``np.linalg.norm``'s arithmetic on a vector
+    return Params.of_flat(new, shape), Params.of_flat(new_vel, shape)
 
 
 # -- training loop -----------------------------------------------------------
@@ -608,35 +615,28 @@ def train(
     params = initial_params(config, encoder, n_discovered)
     velocity = Params.of_flat(np.zeros_like(params.flat), params.context_shape)
 
-    def vocab_of(params: Params) -> Vocabulary:
-        return build_training_vocab(fixed, params.context_vectors, params.sub_background)
-
     # Training moves no vocabulary position, so any snapshot gives the targets.
-    blocks = _image_blocks(scenario, prep.partitions, vocab_of(params))
-    pseudo_counts = [(len(b.features["pseudo_positive"]), len(b.features["pseudo_negative"])) for b in blocks]
+    blocks = _image_blocks(scenario, prep.partitions,
+                           build_training_vocab(fixed, params.context_vectors, params.sub_background))
+    positives = [len(b.features["pseudo_positive"]) for b in blocks]
+    negatives = [len(b.features["pseudo_negative"]) for b in blocks]
     rng = np.random.default_rng([5, config.seed])
+    n_blocks, batch = len(blocks), min(config.batch_images, len(blocks))
+    # Nothing else draws from ``rng``, so every step's batch is drawn up front,
+    # in step order: the same draws, in one tight loop.
+    batches = [sorted(rng.choice(n_blocks, size=batch, replace=False).tolist()) for _ in range(config.steps)]
+    rates = config.learning_rate, config.momentum, config.weight_decay
     records: list[StepRecord] = []
 
-    for step in range(config.steps):
-        idx = sorted(rng.choice(len(blocks), size=min(config.batch_images, len(blocks)), replace=False).tolist())
-        breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab_of(params), config)
+    for step, idx in enumerate(batches):
+        vocab = build_training_vocab(fixed, params.context_vectors, params.sub_background)
+        breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab, config)
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
-        params, velocity = sgd_step(
-            params, _check_finite(grads), velocity,
-            lr=config.learning_rate, momentum=config.momentum, weight_decay=config.weight_decay,
-        )
+        params, velocity = sgd_step(params, _check_finite(grads), velocity, *rates)
         n_mass = breakdown.branches.count(MASS_BRANCH)
-        records.append(
-            StepRecord(
-                step=step,
-                breakdown=breakdown,
-                n_mass_branch=n_mass,
-                n_uniform_branch=len(breakdown.branches) - n_mass,
-                n_pseudo_positive=sum(pseudo_counts[i][0] for i in idx),
-                n_pseudo_negative=sum(pseudo_counts[i][1] for i in idx),
-            )
-        )
+        records.append(StepRecord(step, breakdown, n_mass, len(breakdown.branches) - n_mass,
+                                  sum(map(positives.__getitem__, idx)), sum(map(negatives.__getitem__, idx))))
 
     history = TrainHistory(steps=tuple(records))
     checkpoint = Checkpoint(

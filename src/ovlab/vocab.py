@@ -53,10 +53,19 @@ class CategoryId:
 
 
 class BlockIndices(NamedTuple):
-    """Read-only position arrays of a vocabulary's blocks, fixed by its block sizes."""
+    """Positions of a vocabulary's blocks, fixed by its block sizes.
+
+    Both member sets are contiguous and end at the sub-background slot, so
+    each is held twice: as a read-only position array and as the column slice
+    that reads the same entries as a view.
+    """
 
     background: np.ndarray  # the underlying block plus the sub-background slot
     pseudo_negative: np.ndarray  # the expansion categories plus the sub-background slot
+    background_columns: slice
+    pseudo_negative_columns: slice
+    underlying: slice
+    sub_background: int
 
 
 def _block_indices(n_before: int, n_underlying: int, n_discovered: int) -> BlockIndices:
@@ -64,7 +73,9 @@ def _block_indices(n_before: int, n_underlying: int, n_discovered: int) -> Block
     sub = n_before + n_underlying
     background = np.arange(n_before, sub + 1)
     background.setflags(write=False)
-    return BlockIndices(background, background[n_discovered:])  # a view, read-only like its base
+    return BlockIndices(background, background[n_discovered:],  # a view, read-only like its base
+                        slice(n_before, sub + 1), slice(n_before + n_discovered, sub + 1),
+                        slice(n_before, sub), sub)
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,9 @@ class Vocabulary:
     arguments or a second forward pass. A zero-norm embedding row has no
     direction and raises ``ZeroNormError`` on construction.
 
-    ``units`` and ``indices`` let the caller hand over the unit embeddings
-    and block indices it already has (``build_training_vocab`` takes both
-    from the run's ``FixedRows``); left out, they are computed here.
+    ``indices`` lets the caller hand over the block indices it already has
+    (``build_training_vocab`` takes them from the run's ``FixedRows``); left
+    out, they are computed here.
     """
 
     base_ids: tuple[int, ...]
@@ -90,7 +101,6 @@ class Vocabulary:
     context_vectors: np.ndarray
     encoder: MockTextEncoder | None
     inference: bool = False
-    units: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     indices: InitVar[BlockIndices | None] = None
     # Set by ``build_training_vocab`` only, so it is always the forward of
     # these context vectors.
@@ -100,12 +110,10 @@ class Vocabulary:
     unit_embeddings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     block_indices: BlockIndices = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, units, indices):
-        if units is None:
-            units = unit_rows(self.embeddings)
+    def __post_init__(self, indices):
         if indices is None:
             indices = _block_indices(self.n_base + self.n_novel, self.n_underlying, self.n_discovered)
-        object.__setattr__(self, "unit_embeddings", units)
+        object.__setattr__(self, "unit_embeddings", unit_rows(self.embeddings))
         object.__setattr__(self, "block_indices", indices)
 
     # -- counts and index blocks -------------------------------------------
@@ -136,12 +144,11 @@ class Vocabulary:
 
     @property
     def underlying_slice(self) -> slice:
-        start = self.n_base + self.n_novel
-        return slice(start, start + self.n_underlying)
+        return self.block_indices.underlying
 
     @property
     def sub_background_index(self) -> int:
-        return self.size - 1
+        return self.block_indices.sub_background
 
     @property
     def foreground_slice(self) -> slice:
@@ -201,9 +208,9 @@ class FixedRows:
     """What every training vocabulary of one run shares, checked and derived once.
 
     The base rows, the encoder and the block sizes never change while the
-    parameters train, so a run builds this once and then each step's
-    vocabulary with ``build_training_vocab``, which embeds and normalizes
-    only the rows that move (the underlying block and the sub-background).
+    parameters train, so a run checks them once and then builds each step's
+    vocabulary with ``build_training_vocab``, which embeds only the rows that
+    move (the underlying block and the sub-background).
     ``n_discovered`` defaults to the whole underlying block. In baseline mode
     the underlying block must be empty and the final slot is the single
     background embedding.
@@ -215,8 +222,6 @@ class FixedRows:
     n_underlying: int
     n_discovered: int | None = None
     baseline_mode: bool = False
-    # ``core.unit_rows`` of the base embeddings and the vocabulary's block indices.
-    base_units: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     block_indices: BlockIndices = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -240,8 +245,9 @@ class FixedRows:
             raise ValueError(
                 f"discovered-category count {n_discovered} outside [0, {n_under}]"
             )
+        unit_rows(base_emb)  # a zero-norm base row fails here, once per run
         for name, value in (("base_ids", base_ids), ("base_embeddings", base_emb),
-                            ("n_discovered", int(n_discovered)), ("base_units", unit_rows(base_emb)),
+                            ("n_discovered", int(n_discovered)),
                             ("block_indices", _block_indices(len(base_ids), n_under, n_discovered))):
             object.__setattr__(self, name, value)
 
@@ -261,10 +267,10 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
 
     Underlying embeddings are recomputed from ``context_vectors`` on every
     call, so the returned snapshot always reflects the live parameters; it
-    keeps that encoder forward for the gradient's pullback. Only the moving
-    rows are normalized: the base rows' unit rows and the block indices come
-    from ``fixed``, and the result is the same to the bit as normalizing
-    every row.
+    keeps that encoder forward for the gradient's pullback. The block indices
+    come from ``fixed``; the unit rows are taken over every row, which costs
+    less than normalizing the moving rows and concatenating them with the
+    base rows' (each row's norm is the same to the bit either way).
     """
     ctx = _frozen(context_vectors)  # the snapshot's own copy, which the forward also reads
     if ctx.size == 0:
@@ -272,7 +278,7 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
     if ctx.shape[0] != fixed.n_underlying:
         raise ValueError(f"{ctx.shape[0]} context vectors for an underlying block of {fixed.n_underlying}")
     sub = np.asarray(sub_background, dtype=np.float64)
-    if sub.shape != (fixed.dim,):
+    if sub.shape != fixed.base_embeddings.shape[1:]:
         raise DimensionMismatchError(
             f"sub-background embedding must have shape ({fixed.dim},), got {sub.shape}"
         )
@@ -281,9 +287,6 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
     moving = [forward.embeddings, sub[None, :]] if forward is not None else [sub[None, :]]
     stacked = np.concatenate([fixed.base_embeddings, *moving])
     stacked.setflags(write=False)  # a new array, so freezing needs no copy
-    units, norms = unit_rows(stacked[len(fixed.base_ids):])
-
-    base_units, base_norms = fixed.base_units
     vocab = Vocabulary(
         base_ids=fixed.base_ids,
         novel_ids=(),
@@ -292,7 +295,6 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
         context_vectors=ctx,
         encoder=fixed.encoder,
         inference=False,
-        units=(np.concatenate([base_units, units]), np.concatenate([base_norms, norms])),
         indices=fixed.block_indices,
     )
     object.__setattr__(vocab, "context_forward", forward)

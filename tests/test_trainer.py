@@ -235,7 +235,7 @@ def test_branch_straddle_flagged(enc):
 
     features = np.stack([p.det_feature for p in batch.background])
     logits = cosine_matrix(features, vocab.embeddings) / config.temperature
-    _, _, masses = mass_terms(log_softmax_rows(logits), vocab.background_indices())
+    _, _, masses = mass_terms(log_softmax_rows(logits)[:, vocab.background_indices()])
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
     _, flips = finite_diff_gradients([proposal_blocks(batch, None, vocab)], vocab, on_boundary, h=1e-5)
     assert flips > 0
