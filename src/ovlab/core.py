@@ -167,7 +167,7 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     # ``np.linalg.norm(rows, axis=1)``'s arithmetic (squares, one row sum, sqrt), bit for bit.
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-    if np.minimum.reduce(norms, axis=None, initial=math.inf) <= _NORM_FLOOR:  # a NaN norm passes, as before
+    if np.minimum.reduce(norms, axis=None, initial=math.inf) <= _NORM_FLOOR:  # a NaN norm is not refused here
         raise ZeroNormError("zero-norm rows have no direction")
     return rows / norms, norms
 

@@ -273,7 +273,10 @@ def _seed_centers(pts: np.ndarray, k: int, seed: int, point_sq: np.ndarray) -> n
     """k-means++ seeding of every restart: (R, k, d) unit centres.
 
     Restart r draws from its own ``default_rng([3, seed, k, r])``; each new
-    centre index is one batched distance update over the restarts.
+    centre index is one batched distance update over the restarts. The
+    distance-weighted pick is ``Generator.choice(n, p=row / total)`` draw for
+    draw, taken for all restarts at once: one ``random()`` per restart, and
+    the pick is the count of normalized cumulative weights at or below it.
     """
     n = pts.shape[0]
     rngs = [np.random.default_rng([3, int(seed), int(k), r]) for r in range(KMEANS_RESTARTS)]
@@ -283,10 +286,15 @@ def _seed_centers(pts: np.ndarray, k: int, seed: int, point_sq: np.ndarray) -> n
     centers[:, 0] = pts[picks] / norms[picks, None]
     closest = _sq_dists(pts, centers[:, :1], point_sq)[..., 0]
     for j in range(1, k):
-        picks = [
-            int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=row / total))
-            for rng, row, total in zip(rngs, closest, closest.sum(axis=1).tolist())
-        ]
+        totals = closest.sum(axis=1)
+        # A restart whose points all sit on its centres (a zero total) draws uniformly instead.
+        zero = totals <= 0.0
+        draws = np.array([rng.integers(n) if z else rng.random() for rng, z in zip(rngs, zero.tolist())],
+                         dtype=np.float64)  # an index draw is exact as a float
+        with np.errstate(divide="ignore", invalid="ignore"):  # the zero totals, whose cdf goes unread
+            cdf = np.cumsum(closest / totals[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        picks = np.where(zero, draws.astype(np.int64), np.count_nonzero(cdf <= draws[:, None], axis=1))
         centers[:, j] = pts[picks] / norms[picks, None]
         if j + 1 < k:  # the last centre's distances are never drawn from
             closest = np.minimum(closest, _sq_dists(pts, centers[:, j : j + 1], point_sq)[..., 0])

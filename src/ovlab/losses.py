@@ -36,15 +36,20 @@ What training computes when:
   arrays (``Vocabulary.background_indices``, ``pseudo_negative_indices``)
   come from the run's ``vocab.FixedRows``;
 * per step, ``proposal_groups`` gathers the sampled images' rows with one
-  concatenation in ``GROUPS`` order (and their targets with one more) and
-  takes one cosine matrix against the step vocabulary's unit embeddings;
-  ``objective_terms`` takes one row log-softmax over all rows, hands each
-  group's rows to ``nll_terms``, ``mass_terms`` and ``uniform_terms`` with
-  the run's index arrays for the values (and the mass term's shares), and
-  turns the ``exp`` of the log-softmax, p, into the requested gradient in
-  place, group by group (the groups' row blocks are disjoint): subtract q
-  on the entries it covers and scale by w, or zero a group the gradient
-  does not read.
+  concatenation in ``GROUPS`` order (and the labeled rows' targets with one
+  more) and takes one cosine matrix against the step vocabulary's unit
+  embeddings; ``objective_terms`` takes one row log-softmax over all rows,
+  reads both labeled groups' values with one ``nll_terms`` gather, gathers
+  each unlabeled group's member columns once for ``mass_terms`` and
+  ``uniform_terms``, and turns the ``exp`` of the log-softmax, p, into the
+  requested gradient in place, group by group (the groups' row blocks are
+  disjoint): subtract q on the entries it covers and scale by w, or zero a
+  group the gradient does not read.
+
+Every sum keeps the order of the formula it computes, so that the values,
+and the bytes of every artifact built from them, do not depend on how the
+work is laid out: a row sum of gathered member columns, for one, adds the
+members one after another (see ``objective_terms``).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_temperature, cosine_matrix, logsumexp
+from .core import DimensionMismatchError, check_temperature, logsumexp, unit_cosines, unit_rows
 from .vocab import Vocabulary
 
 __all__ = [
@@ -94,8 +94,7 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     n_under = vocab.n_underlying
     if vocab.n_novel == 0:  # nothing to share mass with (also covers an empty underlying block)
         return np.ones(n_under)
-    cos = cosine_matrix(vocab.embeddings[vocab.underlying_slice], vocab.embeddings)
-    z = cos / tau
+    z = _vocab_cosines(vocab.embeddings[vocab.underlying_slice], vocab) / tau
     under_start = vocab.underlying_slice.start
     novel = vocab.novel_slice
     factors = np.empty(n_under)
@@ -106,6 +105,16 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     return factors
 
 
+def _vocab_cosines(queries, vocab: Vocabulary) -> np.ndarray:
+    """``cosine_matrix(queries, vocab.embeddings)``, against the unit rows the vocabulary already holds."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != vocab.dim:
+        raise DimensionMismatchError(
+            f"incompatible shapes for cosine matrix: {q.shape} vs {vocab.embeddings.shape}"
+        )
+    return unit_cosines(unit_rows(q)[0], vocab.unit_embeddings[0])
+
+
 def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     """Each row's shift, and its blocks' exp(logit - shift) with factors applied.
 
@@ -114,7 +123,7 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     """
     tau = check_temperature(tau)
     _require_inference(vocab)
-    z = cosine_matrix(np.atleast_2d(features), vocab.embeddings) / tau
+    z = _vocab_cosines(np.atleast_2d(features), vocab) / tau
     if factors is not None:
         if np.shape(factors) != (vocab.n_underlying,):
             raise ValueError(f"need {vocab.n_underlying} shrinking factors, got {np.shape(factors)}")

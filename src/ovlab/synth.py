@@ -514,24 +514,37 @@ def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> di
 
 
 def _parse_image(path, lines: list[str], first: int, split: str, image_id: int) -> SynthImage:
-    """One image from its lines, the first of which is line ``first`` (from 0) of the file."""
+    """One image from its lines, the first of which is line ``first`` (from 0) of the file.
+
+    Each feature kind of the image's proposals is read into the rows of one
+    block, as each line is parsed, and checked finite once; each proposal
+    holds a read-only row of it.
+    """
     rec = _record(path, lines[0], first, "image", split, image_id)
     gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
-    proposals = []
-    for n, line in enumerate(lines[1:], first + 1):
+    blocks: dict[str, np.ndarray] = {}
+    parts = []
+    for i, line in enumerate(lines[1:]):
+        n = first + 1 + i
         rec = _record(path, line, n, "proposal", split, image_id)
-        det = np.asarray(rec["det"], dtype=np.float64)
-        img = np.asarray(rec["img"], dtype=np.float64)
-        det.setflags(write=False)
-        img.setflags(write=False)
-        proposals.append(
-            Proposal(
-                box=Box(*rec["box"]),
-                rpn_score=rec["rpn"],
-                det_feature=det,
-                img_feature=img,
-                gt_label=rec["gt"],
-                oracle=OracleInfo(generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"]),
-            )
-        )
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=gt_boxes)
+        for key in ("det", "img"):
+            if not i:
+                blocks[key] = np.empty((len(lines) - 1, len(rec[key])))
+            try:
+                blocks[key][i] = rec[key]
+            except ValueError as exc:
+                raise ValueError(f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id}, "
+                                 f"holds a bad {key} feature: {exc}") from None
+        parts.append((Box(*rec["box"]), rec["rpn"], rec["gt"],
+                      OracleInfo(generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"])))
+    for key, block in blocks.items():
+        if not np.isfinite(block).all():
+            n = first + 2 + int(np.argwhere(~np.isfinite(block))[0][0])  # the first bad proposal's line, from 1
+            raise ValueError(f"line {n} of dataset {path}, a proposal line of {split} image {image_id}, "
+                             f"holds a non-finite {key} feature")
+        block.setflags(write=False)
+    proposals = tuple(
+        Proposal(box=box, rpn_score=rpn, det_feature=det, img_feature=img, gt_label=gt, oracle=oracle)
+        for (box, rpn, gt, oracle), det, img in zip(parts, blocks.get("det", ()), blocks.get("img", ()))
+    )
+    return SynthImage(image_id=image_id, proposals=proposals, gt_boxes=gt_boxes)

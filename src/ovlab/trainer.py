@@ -12,15 +12,17 @@ that straddles the boundary instead of silently differencing across it.
 
 Each quantity of a run is computed at the scope where it changes. Per run:
 the discovery prep (count, centers, per-image pseudo-labels; one per seed in
-an ablation), the vocabulary's ``FixedRows`` (base embeddings with their
-unit rows and norms, the block index arrays), each training image's proposal
-blocks as unit rows with their target positions and its pseudo-label counts,
-and one flat parameter vector and one flat velocity with the two blocks as
-views. Per step: the vocabulary of the live parameters (one encoder forward,
-kept for the pullback, and the unit rows of the moving rows only), one
+an ablation), the vocabulary's ``FixedRows`` (checked base embeddings, the
+block indices), each training image's proposal blocks as unit rows with
+their target positions and its pseudo-label counts, every step's batch of
+images (drawn up front, in step order), and one flat parameter vector and
+one flat velocity with the two blocks as views. Per step: the vocabulary of
+the live parameters (one encoder forward, kept for the pullback), one
 concatenation and one cosine matrix of the sampled images' rows, one
 log-softmax and the logit gradient of "final" (``losses.objective_terms``),
 the pullback through the kept forward, and one SGD update of the flat vector.
+A step is a few dozen small numpy calls, so their count, not their
+arithmetic, sets its time; ``tests/test_trainer.py`` holds it to a budget.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ is the learnable sub-background embedding (or, in baseline mode, the single
 catch-all background embedding, with an empty underlying block).
 
 Training never moves a position, and only the underlying block and the
-sub-background row change: a run checks its base rows once in ``FixedRows``,
-and ``build_training_vocab`` then embeds and normalizes only the moving rows
-of each step's vocabulary.
+sub-background row change: a run checks its base rows and lays out its block
+indices once in ``FixedRows``, and ``build_training_vocab`` then embeds only
+the moving rows of each step's vocabulary.
 """
 
 from __future__ import annotations

@@ -190,6 +190,23 @@ def test_config_file_drives_commands(tmp_path):
     assert main(["train", "--config", str(cfg), "--dataset", str(data), "--out-dir", str(tmp_path / "r")]) == 0
 
 
+def test_train_refuses_a_non_finite_feature_by_its_line(dataset, tmp_path, capsys):
+    # A NaN in a proposal's features is refused when the dataset loads, by its
+    # line in the file, not later by k-means as a row of the filtered pool.
+    lines = dataset.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if '"split":"train"' in line and '"type":"proposal"' in line)
+    rec = json.loads(lines[n])
+    rec["img"][3] = float("nan")
+    lines[n] = json.dumps(rec)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "run"), *SMALL]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"line {n + 1} " in err[0] and "train image 0" in err[0] and "non-finite img feature" in err[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(dataset), "--out-dir", str(run),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.core import softmax_probs
+from ovlab.core import DimensionMismatchError, cosine_matrix, softmax_probs
+import ovlab.rectify as rectify
 from ovlab.rectify import (
     compute_shrinking_factors,
     inference_probs,
@@ -36,6 +37,22 @@ def _oracle_scores(q, vocab, tau):
         c = float(np.dot(q, row) / (np.linalg.norm(q) * np.linalg.norm(row)))
         out.append(math.exp(c / tau))
     return out
+
+
+def test_vocabulary_cosines_are_the_cosine_matrix():
+    # Scoring and the shrinking factors take their cosines against the unit
+    # rows the vocabulary holds instead of normalizing it per call; that must
+    # be ``cosine_matrix`` to the bit, and a query of another width is refused.
+    rng = np.random.default_rng(40)
+    for n_under in (0, 3):
+        vocab = _random_inference_vocab(rng, n_under=n_under)
+        queries = rng.normal(size=(7, 12)) * rng.uniform(0.1, 10.0, size=(7, 1))
+        for q in (queries, vocab.embeddings[vocab.underlying_slice]):
+            assert rectify._vocab_cosines(q, vocab).tobytes() == cosine_matrix(q, vocab.embeddings).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        rectify._vocab_cosines(np.ones((2, 11)), vocab)
+    with pytest.raises(DimensionMismatchError):
+        rectify._vocab_cosines(np.ones(12), vocab)
 
 
 # -- partial sums ---------------------------------------------------------------

@@ -217,6 +217,57 @@ def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
             assert (lp.box, lp.rpn_score, lp.gt_label, lp.oracle) == (fp.box, fp.rpn_score, fp.gt_label, fp.oracle)
 
 
+def _assert_same_images(got, want):
+    assert len(got) == len(want)
+    for gi, wi in zip(got, want):
+        assert gi.image_id == wi.image_id and gi.gt_boxes == wi.gt_boxes
+        assert len(gi.proposals) == len(wi.proposals)
+        for gp, wp in zip(gi.proposals, wi.proposals):
+            assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
+            assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
+            assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
+
+
+def test_a_written_scenario_loads_back_split_by_split():
+    # Round trip over random valid worlds: each split alone, and both, load
+    # back as the generated scenario; a split not asked for is None.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import tempfile
+    from pathlib import Path
+
+    configs = st.builds(
+        ScenarioConfig,
+        dim=st.integers(8, 16), n_base=st.integers(1, 3), n_novel=st.integers(0, 2),
+        n_distractor=st.integers(0, 2), n_train_images=st.integers(0, 3), n_eval_images=st.integers(0, 3),
+        objects_per_image=st.integers(0, 3), proposals_per_object=st.integers(0, 2),
+        clutter_per_image=st.integers(0, 2), sigma_feat=st.floats(0.0, 0.5), sigma_det=st.floats(0.0, 0.5),
+        base_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**31),
+    )
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(configs)
+    def round_trip(config):
+        scenario = generate_scenario(config, MockTextEncoder(seed=7, dim=config.dim))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            write_dataset(scenario, path)
+            for splits in (("train",), ("eval",), ("train", "eval")):
+                loaded = load_dataset(path, splits)
+                for name in ("config", "encoder_config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
+                    assert getattr(loaded, name) == getattr(scenario, name), name
+                assert loaded.dataset_hash() == scenario.dataset_hash()
+                assert {i: a.tobytes() for i, a in loaded.prototypes.items()} == \
+                    {i: a.tobytes() for i, a in scenario.prototypes.items()}
+                for split in ("train", "eval"):
+                    if split in splits:
+                        _assert_same_images(loaded.images(split), scenario.images(split))
+                    else:
+                        assert getattr(loaded, f"{split}_images") is None
+
+    round_trip()
+
+
 def test_unknown_split_name_is_refused(tmp_path, scenario):
     path = tmp_path / "data.jsonl"
     write_dataset(scenario, path)

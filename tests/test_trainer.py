@@ -509,6 +509,36 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
         assert per_step[name] >= 3, per_step
 
 
+STEP_CALL_BUDGET = 52  # Python-level calls per training step; 112 before the step was trimmed
+
+
+def test_a_training_step_stays_within_its_call_budget(small_scenario):
+    # Every Python-level call of a step costs far more than the step's
+    # arithmetic. Counted as ``sys.setprofile`` "call" events of a 3-step run
+    # minus those of a 0-step run, each run once before it is counted.
+    import sys
+
+    counts = {}
+    for steps in (0, 3):
+        config = TrainConfig(steps=steps, seed=4)
+        prep = prepare_discovery(small_scenario, config)
+        train(config, small_scenario, prep)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            train(config, small_scenario, prep)
+        finally:
+            sys.setprofile(None)
+        counts[steps] = calls
+    per_step = (counts[3] - counts[0]) / 3
+    assert per_step <= STEP_CALL_BUDGET, per_step
+
+
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
     prep = prepare_discovery(small_scenario, TrainConfig(steps=1, seed=1, use_discovery=False))
     assert prep.centers is None and prep.partitions is None
