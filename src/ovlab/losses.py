@@ -33,8 +33,8 @@ What training computes when:
 * per run, ``proposal_blocks`` stacks each training image's groups once, as
   unit rows (``core.unit_rows``, so a zero-norm feature fails at stacking
   time) with their vocabulary target positions; the vocabulary's block index
-  arrays (``Vocabulary.background_indices``, ``pseudo_negative_indices``)
-  come from the run's ``vocab.FixedRows``;
+  arrays and column slices (``Vocabulary.block_indices``) come from the
+  run's ``vocab.FixedRows``;
 * per step, ``proposal_groups`` gathers the sampled images' rows with one
   concatenation in ``GROUPS`` order (and the labeled rows' targets with one
   more) and takes one cosine matrix against the step vocabulary's unit
@@ -310,15 +310,16 @@ def objective_terms(
         switched = float(np.add.reduce(np.where(sel, mass_vals, uniform_vals)) / n)
         g = grad[rows]
         if component in _BACKGROUND_COMPONENTS or (final and use_prompts):
-            g[:, indices.background_columns] -= (shares if component == "mass" else 1.0 / k if component == "uniform"
-                                                 else np.where(sel[:, None], shares, 1.0 / k))
+            q = (shares if component == "mass" else 1.0 / k if component == "uniform"
+                 else np.where(sel[:, None], shares, 1.0 / k))
+            g[:, indices.background_columns] -= q
             g /= n
         else:
             g.fill(0.0)
 
     rows = slices.get("pseudo_negative")
     if rows is not None:
-        vals, shares, _ = mass_terms(logp[rows][:, vocab.pseudo_negative_indices()])
+        vals, shares, _ = mass_terms(logp[rows][:, indices.pseudo_negative])
         n = len(vals)
         pseudo += negative_weight * float(np.add.reduce(vals) / n)
         g = grad[rows]

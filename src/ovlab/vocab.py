@@ -61,7 +61,9 @@ class BlockIndices(NamedTuple):
     """
 
     background: np.ndarray  # the underlying block plus the sub-background slot
-    pseudo_negative: np.ndarray  # the expansion categories plus the sub-background slot
+    # the expansion categories plus the sub-background slot: the member set the
+    # pseudo-label loss pulls unlabeled filtered proposals toward
+    pseudo_negative: np.ndarray
     background_columns: slice
     pseudo_negative_columns: slice
     underlying: slice
@@ -158,11 +160,6 @@ class Vocabulary:
     def background_indices(self) -> np.ndarray:
         """Positions of the underlying block plus the sub-background slot (a read-only array)."""
         return self.block_indices.background
-
-    def pseudo_negative_indices(self) -> np.ndarray:
-        """Positions of the expansion categories plus the sub-background slot (a read-only array):
-        the member set the pseudo-label loss pulls unlabeled filtered proposals toward."""
-        return self.block_indices.pseudo_negative
 
     def base_position(self, base_id: int) -> int:
         try:

@@ -232,7 +232,8 @@ def test_step_vocabulary_equals_a_vocabulary_normalized_whole(enc, n_ctx, n_disc
 def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
     # The run's index arrays are computed once; they must be the underlying
     # block plus the sub-background slot, and the expansion categories plus
-    # that slot, for training and inference vocabularies alike.
+    # that slot, for training and inference vocabularies alike, and their
+    # column slices must select the same positions.
     ids, emb = _base(enc, 3)
     ctx = init_context_vectors(5, seed=2, ctx_dim=enc.ctx_dim)
     fixed = FixedRows(tuple(ids), emb, enc, 5, 2)
@@ -240,11 +241,15 @@ def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
     assert vocab.block_indices is fixed.block_indices
     if n_novel:
         vocab = build_inference_vocab(vocab, [100, 101], np.stack([_sub(enc, s) for s in (1, 2)]))
-    under, sub = vocab.underlying_slice, vocab.sub_background_index
+    start = vocab.n_base + vocab.n_novel
+    under, sub = slice(start, start + vocab.n_underlying), vocab.size - 1
+    assert (vocab.underlying_slice, vocab.sub_background_index) == (under, sub)
     background = np.concatenate([np.arange(under.start, under.stop), [sub]])
     members = np.concatenate([np.arange(under.start + vocab.n_discovered, under.stop), [sub]])
-    for got, want in ((vocab.background_indices(), background), (vocab.pseudo_negative_indices(), members)):
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    indices, positions = vocab.block_indices, np.arange(vocab.size)
+    for got, columns, want in ((vocab.background_indices(), indices.background_columns, background),
+                               (indices.pseudo_negative, indices.pseudo_negative_columns, members)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist() == positions[columns].tolist()
         with pytest.raises(ValueError):
             got[0] = 0
 
