@@ -233,7 +233,7 @@ class ObjectiveTerms(NamedTuple):
     logit_grad: np.ndarray  # (n, V) d value / d logits of the requested component
 
 
-_BRANCH_OF = np.array((UNIFORM_BRANCH, MASS_BRANCH), dtype=object)  # indexed by "mass >= gamma"
+_BRANCH_OF = (UNIFORM_BRANCH, MASS_BRANCH)  # indexed by "mass >= gamma"
 _BACKGROUND_COMPONENTS = ("mass", "uniform", "switched")
 
 
@@ -299,7 +299,7 @@ def objective_terms(
         mass_vals, shares, masses = mass_terms(member_logp)
         uniform_vals = uniform_terms(member_logp)
         sel = masses >= gamma
-        live = tuple(_BRANCH_OF[sel.view(np.int8)].tolist())
+        live = tuple(map(_BRANCH_OF.__getitem__, sel.tolist()))
         if branches is not None:
             if len(branches) != len(live):
                 raise ValueError("pinned branches must match the background count")
