@@ -509,7 +509,7 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
         assert per_step[name] >= 3, per_step
 
 
-STEP_CALL_BUDGET = 52  # Python-level calls per training step; 112 before the step was trimmed
+STEP_CALL_BUDGET = 52  # Python-level calls per training step
 
 
 def test_a_training_step_stays_within_its_call_budget(small_scenario):
