@@ -72,6 +72,8 @@ class AblationConfig:
         check_fields(self)
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"AblationConfig.seeds must be nonnegative and not empty, got {self.seeds}")
+        if self.combos == ():
+            raise ValueError("AblationConfig.combos must name at least one combination, or be null for all")
         unknown = [n for n in self.combos or () if n not in COMBOS_BY_NAME]
         if unknown:
             raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(COMBOS_BY_NAME)}")

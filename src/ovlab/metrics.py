@@ -78,23 +78,18 @@ class EvalReport:
 
 
 def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
-    """The checkpoint's vocabulary with the scenario's oracle novel block inserted.
+    """The checkpoint's vocabulary with the scenario's novel rows inserted.
 
-    Refuses a checkpoint whose embedding dimension, base categories or
-    dataset hash do not match the dataset's.
+    Refuses, in one ``ValueError`` naming each, a checkpoint whose encoder settings,
+    ordered ``(id, name_seed)`` base list or dataset hash differ from the dataset's.
     """
-    encoder = checkpoint.encoder
-    if encoder.dim != scenario.config.dim:
-        raise ValueError(
-            f"checkpoint dimension {encoder.dim} != dataset dimension {scenario.config.dim}"
-        )
-    if set(i for i, _ in checkpoint.base_categories) != set(scenario.base_ids):
-        raise ValueError("checkpoint base categories do not match the dataset")
-    if checkpoint.dataset_hash != scenario.dataset_hash():
-        raise ValueError("checkpoint was trained on another dataset (its dataset_hash differs)")
-    novel_emb = np.array(
-        [encoder.encode_named_category(scenario.name_seeds[i]) for i in scenario.novel_ids]
-    )
+    facts = (("encoder", checkpoint.encoder.config(), scenario.encoder.config()),
+             ("base categories", checkpoint.base_categories, scenario.base_categories),
+             ("dataset_hash", checkpoint.dataset_hash, scenario.dataset_hash()))
+    differ = [name for name, ours, theirs in facts if ours != theirs]
+    if differ:
+        raise ValueError(f"checkpoint was trained on another dataset; it differs in: {', '.join(differ)}")
+    novel_emb = np.array([scenario.prototypes[i] for i in scenario.novel_ids])
     return build_inference_vocab(checkpoint.build_vocab(), scenario.novel_ids, novel_emb)
 
 
@@ -133,7 +128,7 @@ def evaluate(
             true_key = BACKGROUND_KEY if kind == "background" else str(label)
             totals[kind] += 1
 
-            # The base check in inference_vocab guarantees a non-empty foreground block.
+            # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
             best = int(np.argmax(probs))
             best_prob = float(probs[best])
             pred_key = BACKGROUND_KEY if mass > best_prob else str(fg_ids[best])

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_fields, from_dict
+from .core import check_fields, from_dict, is_integer
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash, write_text
@@ -127,14 +127,14 @@ class SynthImage:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generated world: category registry, prototypes, and both splits.
+    """A generated world: its encoder, the categories and their prototypes under it, and both splits.
 
     A scenario loaded with ``load_dataset(path, splits)`` holds None for
     each split it was not asked for; ``images`` refuses to hand one out.
     """
 
     config: ScenarioConfig
-    encoder_config: dict
+    encoder: MockTextEncoder
     base_ids: tuple[int, ...]
     novel_ids: tuple[int, ...]
     distractor_ids: tuple[int, ...]
@@ -147,6 +147,11 @@ class Scenario:
     def hidden_ids(self) -> tuple[int, ...]:
         return self.novel_ids + self.distractor_ids
 
+    @property
+    def base_categories(self) -> tuple[tuple[int, int], ...]:
+        """The ordered ``(id, name_seed)`` base list, which a checkpoint copies."""
+        return tuple((i, self.name_seeds[i]) for i in self.base_ids)
+
     def images(self, split: str) -> tuple[SynthImage, ...]:
         """The images of ``split``; a split that was not loaded is a ``ValueError``."""
         images = {"train": self.train_images, "eval": self.eval_images}[split]
@@ -155,7 +160,7 @@ class Scenario:
         return images
 
     def dataset_hash(self) -> str:
-        return config_hash({"scenario": asdict(self.config), "encoder": self.encoder_config})
+        return config_hash({"scenario": asdict(self.config), "encoder": self.encoder.config()})
 
 
 def _sample_prototypes(config: ScenarioConfig, encoder: MockTextEncoder):
@@ -338,7 +343,7 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     )
     return Scenario(
         config=config,
-        encoder_config=encoder.config(),
+        encoder=encoder,
         base_ids=base_ids,
         novel_ids=novel_ids,
         distractor_ids=distractor_ids,
@@ -376,7 +381,7 @@ def write_dataset(scenario: Scenario, path) -> None:
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "config": asdict(scenario.config),
-        "encoder": scenario.encoder_config,
+        "encoder": scenario.encoder.config(),
         "config_hash": scenario.dataset_hash(),
         "base": [{"id": i, "name_seed": scenario.name_seeds[i]} for i in scenario.base_ids],
         "oracle": {
@@ -450,12 +455,17 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         raise ValueError(f"unsupported dataset version {header.get('version')}")
     config = from_dict(ScenarioConfig, header["config"])
     encoder = from_dict(MockTextEncoder, header["encoder"])
+    if encoder.dim != config.dim:
+        raise ValueError(f"dataset {path} header: encoder dim {encoder.dim} != scenario dim {config.dim}")
 
     name_seeds: dict[int, int] = {}
     base_ids = tuple(rec["id"] for rec in header["base"])
     novel_ids = tuple(rec["id"] for rec in header["oracle"]["novel"])
     distractor_ids = tuple(rec["id"] for rec in header["oracle"]["distractor"])
     for rec in header["base"] + header["oracle"]["novel"] + header["oracle"]["distractor"]:
+        if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
+            raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
+                             "are not both ints")
         name_seeds[rec["id"]] = rec["name_seed"]
     prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
 
@@ -479,13 +489,14 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         lines = text.split("\n")
         del text
         images[split] = tuple(
-            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i)
+            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
+                         config.dim)
             for i in range(counts[split])
         )
 
     scenario = Scenario(
         config=config,
-        encoder_config=header["encoder"],
+        encoder=encoder,
         base_ids=base_ids,
         novel_ids=novel_ids,
         distractor_ids=distractor_ids,
@@ -513,12 +524,13 @@ def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> di
                      f"{problem}")
 
 
-def _parse_image(path, lines: list[str], first: int, split: str, image_id: int) -> SynthImage:
+def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int) -> SynthImage:
     """One image from its lines, the first of which is line ``first`` (from 0) of the file.
 
     Each feature kind of the image's proposals is read into the rows of one
-    block, as each line is parsed, and checked finite once; each proposal
-    holds a read-only row of it.
+    ``dim``-wide block, as each line is parsed, and checked finite once; each
+    proposal holds a read-only row of it. A feature that is not a list of
+    ``dim`` numbers is refused by its line, so no row is broadcast into the block.
     """
     rec = _record(path, lines[0], first, "image", split, image_id)
     gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
@@ -529,8 +541,10 @@ def _parse_image(path, lines: list[str], first: int, split: str, image_id: int) 
         rec = _record(path, line, n, "proposal", split, image_id)
         for key in ("det", "img"):
             if not i:
-                blocks[key] = np.empty((len(lines) - 1, len(rec[key])))
+                blocks[key] = np.empty((len(lines) - 1, dim))
             try:
+                if type(rec[key]) is not list or len(rec[key]) != dim:
+                    raise ValueError(f"not a list of config.dim = {dim} numbers")
                 blocks[key][i] = rec[key]
             except ValueError as exc:
                 raise ValueError(f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id}, "

@@ -604,12 +604,11 @@ def train(
     laid out once, then per step: sample a batch of images, rebuild the
     vocabulary's moving rows from the live parameters, evaluate the objective
     and its analytic gradient in one pass over the sampled images' blocks, and
-    apply one SGD step. Frozen components (encoder, base embeddings, centers)
-    are never touched.
+    apply one SGD step. The encoder and the base rows are the scenario's own;
+    they and the centers stay frozen.
     """
-    encoder = MockTextEncoder(**scenario.encoder_config)
-    base_ids = tuple(scenario.base_ids)
-    base_emb = np.stack([encoder.encode_named_category(scenario.name_seeds[i]) for i in base_ids])
+    encoder, base_ids = scenario.encoder, scenario.base_ids
+    base_emb = np.stack([scenario.prototypes[i] for i in base_ids])
     prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config, scenario)
     n_discovered, centers = prep.n_discovered, prep.centers
     fixed = FixedRows(base_ids, base_emb, encoder, underlying_count(config, n_discovered), n_discovered,
@@ -645,7 +644,7 @@ def train(
         encoder=encoder,
         config=config,
         dataset_hash=scenario.dataset_hash(),
-        base_categories=tuple((i, scenario.name_seeds[i]) for i in base_ids),
+        base_categories=scenario.base_categories,
         n_discovered=n_discovered,
         context_vectors=params.context_vectors.copy(),
         sub_background=params.sub_background.copy(),

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ovlab.cli import main
-from ovlab.persist import sha256_file
+from ovlab.persist import config_hash, sha256_file
 
 SMALL = [
     "--set", "scenario.n_train_images=8",
@@ -123,9 +123,10 @@ def test_rectify_report_checks_the_checkpoint_like_eval(dataset, tmp_path, capsy
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
     for extra, message in (
-        (["--set", "scenario.n_base=5"], "error: checkpoint base categories do not match the dataset"),
+        (["--set", "scenario.n_base=5"],
+         "error: checkpoint was trained on another dataset; it differs in: base categories, dataset_hash"),
         # Same shape and base categories, but another world: trained on another dataset.
-        (["--seed", "99"], "error: checkpoint was trained on another dataset (its dataset_hash differs)"),
+        (["--seed", "99"], "error: checkpoint was trained on another dataset; it differs in: dataset_hash"),
     ):
         other = tmp_path / "other.jsonl"
         assert main(["gen", "--out", str(other), *SMALL, *extra]) == 0
@@ -252,6 +253,7 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (gen, "scenario.sigma_feat=NaN"),
         (ablate, "ablation.seeds=3"),
         (ablate, 'ablation.combos="full"'),
+        (ablate, "ablation.combos=[]"),
         (gradcheck, 'gradcheck.instances="a"'),
         (gradcheck, "gradcheck.instances=0"),
     ):
@@ -307,6 +309,30 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         assert message in _eval_error(path, dataset, tmp_path / "ev", capsys), name
+    # A checkpoint copies its encoder settings, its ordered (id, name_seed)
+    # base list and the dataset hash from its dataset. Each edit below used
+    # to evaluate; both commands now refuse it with the same line. The
+    # dataset hash does not cover name seeds, so the edited header keeps a
+    # valid config_hash.
+    reseeded = dict(rec, encoder=dict(rec["encoder"], seed=rec["encoder"]["seed"] + 1))
+    rebased = dict(rec, base=[dict(rec["base"][0], name_seed=rec["base"][0]["name_seed"] + 1), *rec["base"][1:]])
+    lines = dataset.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["base"][0]["name_seed"] += 1
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    for payload, data, fact in ((reseeded, dataset, "encoder"), (rebased, dataset, "base categories"),
+                                (rec, renamed, "base categories")):
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(payload))
+        errors = []
+        for command in ("eval", "rectify-report"):
+            capsys.readouterr()
+            assert main([command, "--checkpoint", str(path), "--dataset", str(data),
+                         "--out-dir", str(tmp_path / command)]) == 1
+            errors.append(capsys.readouterr().err.splitlines())
+        assert errors[0] == errors[1] == [f"error: checkpoint was trained on another dataset; it differs in: {fact}"]
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "rectify-report").exists()
 
 
 def test_eval_rejects_checkpoint_fields_of_the_wrong_type(checkpoint, dataset, tmp_path, capsys):
@@ -355,12 +381,19 @@ def test_out_of_order_or_empty_dataset_fails(dataset, checkpoint, tmp_path, caps
     cases = [(swapped, f"{rec['split']} image {rec['image']}"), (empty, "empty")]
     # Header edits: each is refused with a message that names what is wrong.
     header = json.loads(lines[0])
+    # An encoder narrower than the scenario, under a recomputed (so valid) config_hash.
+    narrow = dict(header, encoder=dict(header["encoder"], dim=header["config"]["dim"] - 1))
+    narrow["config_hash"] = config_hash({"scenario": narrow["config"], "encoder": narrow["encoder"]})
     for name, edited, message in (
         ("unknown_key", dict(header, config=dict(header["config"], bogus=1)), "bogus"),
         ("no_config", {k: v for k, v in header.items() if k != "config"}, "'config'"),
         ("sigma_type", dict(header, config=dict(header["config"], sigma_det="0.15")), "sigma_det"),
         ("encoder_key", dict(header, encoder=dict(header["encoder"], bogus=1)), "bogus"),
         ("hash", dict(header, config_hash="0" * 64), "config_hash"),
+        ("encoder_dim", narrow, "encoder dim"),
+        # A float name seed used to be truncated by the encoder, and training failed only at its end.
+        ("name_seed_type", dict(header, base=[dict(header["base"][0], name_seed=0.5), *header["base"][1:]]),
+         "name_seed"),
     ):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join([json.dumps(edited), *dataset.read_text().splitlines()[1:]]) + "\n")
@@ -377,7 +410,20 @@ def test_out_of_order_or_empty_dataset_fails(dataset, checkpoint, tmp_path, caps
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join(edited) + "\n")
         layout.append((path, "its header implies"))
+    # Every feature one entry narrower than the header's config.dim.
+    narrow_features = tmp_path / "narrow_features.jsonl"
+    records = [json.loads(line) for line in original]
+    for rec in records[1:]:
+        if rec["type"] == "proposal":
+            rec["det"], rec["img"] = rec["det"][:-1], rec["img"][:-1]
+    narrow_features.write_text("\n".join(json.dumps(rec) for rec in records) + "\n")
+    layout.append((narrow_features, f"bad det feature: not a list of config.dim = {header['config']['dim']} numbers"))
     cases += layout
+    # One 1-wide feature after the first row of its image: it used to be broadcast into its block row unnoticed.
+    broadcast = [json.loads(line) for line in original]
+    broadcast[first_image + 2]["det"] = [0.5]
+    (tmp_path / "broadcast.jsonl").write_text("\n".join(json.dumps(rec) for rec in broadcast) + "\n")
+    cases.append((tmp_path / "broadcast.jsonl", "bad det feature: not a list of config.dim"))
     for path, message in cases:
         capsys.readouterr()
         assert main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "r"), *SMALL]) == 1

@@ -200,8 +200,9 @@ def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
     assert getattr(part, f"{other}_images") is None
     with pytest.raises(ValueError, match=f"the {other} split of this scenario was not loaded"):
         part.images(other)
-    for name in ("config", "encoder_config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
+    for name in ("config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
         assert getattr(part, name) == getattr(full, name), name
+    assert part.encoder.config() == full.encoder.config()
     assert part.dataset_hash() == full.dataset_hash()
     assert part.prototypes.keys() == full.prototypes.keys()
     for i in full.prototypes:
@@ -254,8 +255,9 @@ def test_a_written_scenario_loads_back_split_by_split():
             write_dataset(scenario, path)
             for splits in (("train",), ("eval",), ("train", "eval")):
                 loaded = load_dataset(path, splits)
-                for name in ("config", "encoder_config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
+                for name in ("config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
                     assert getattr(loaded, name) == getattr(scenario, name), name
+                assert loaded.encoder.config() == scenario.encoder.config()
                 assert loaded.dataset_hash() == scenario.dataset_hash()
                 assert {i: a.tobytes() for i, a in loaded.prototypes.items()} == \
                     {i: a.tobytes() for i, a in scenario.prototypes.items()}
@@ -361,7 +363,7 @@ def _scrub_oracle(scenario: Scenario) -> Scenario:
 
     return Scenario(
         config=scenario.config,
-        encoder_config=scenario.encoder_config,
+        encoder=scenario.encoder,
         base_ids=scenario.base_ids,
         novel_ids=scenario.novel_ids,
         distractor_ids=scenario.distractor_ids,

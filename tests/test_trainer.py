@@ -370,16 +370,18 @@ def test_train_deterministic(small_scenario):
 
 
 def test_train_frozen_components_untouched(small_scenario):
-    enc = MockTextEncoder(**small_scenario.encoder_config)
+    # Training uses the scenario's own encoder, so that encoder must come out as it went in.
+    enc = small_scenario.encoder
+    enc_before = enc.config()
     base_before = np.stack(
         [enc.encode_named_category(small_scenario.name_seeds[i]) for i in small_scenario.base_ids]
     )
     proto_before = {k: v.copy() for k, v in small_scenario.prototypes.items()}
     config = TrainConfig(steps=6, seed=5)
     _, checkpoint = train(config, small_scenario)
-    enc_after = MockTextEncoder(**small_scenario.encoder_config)
+    assert checkpoint.encoder.config() == small_scenario.encoder.config() == enc_before
     base_after = np.stack(
-        [enc_after.encode_named_category(small_scenario.name_seeds[i]) for i in small_scenario.base_ids]
+        [enc.encode_named_category(small_scenario.name_seeds[i]) for i in small_scenario.base_ids]
     )
     np.testing.assert_array_equal(base_before, base_after)
     for k, v in small_scenario.prototypes.items():
