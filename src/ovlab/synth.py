@@ -5,7 +5,8 @@ frozen image encoder. Each scenario fixes a prototype embedding per
 category (base, novel, distractor); proposals are drawn around prototypes
 (object proposals) or isotropic directions (clutter), with image-encoder
 features and slightly noisier detector features, objectness scores from
-per-type truncated Gaussians, and jittered boxes.
+per-type truncated Gaussians, and jittered boxes. The order of the random
+draws is part of the dataset format: the same settings give the same file.
 
 Novel and distractor objects appear unlabeled in the training split — they
 are exactly the structure hiding in the background. Hidden category
@@ -25,6 +26,7 @@ lines in the file's bytes) and refuses a file of any other line count.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,7 +35,7 @@ import numpy as np
 from .core import check_fields, from_dict, is_integer
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
-from .persist import canonical_json, config_hash, write_text
+from .persist import canonical_json, config_hash
 
 __all__ = [
     "ScenarioConfig",
@@ -52,7 +54,12 @@ SPLITS = ("train", "eval")  # in file order
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of the synthetic world; all randomness flows from ``seed``."""
+    """Knobs of the synthetic world; all randomness flows from ``seed``.
+
+    Box sizes are drawn in ``[box_min, box_max)``, which must satisfy
+    ``0 <= box_min <= box_max <= image_size``; counts, sigmas and score
+    standard deviations are nonnegative and ``base_fraction`` lies in [0, 1].
+    """
 
     dim: int = 32
     n_base: int = 8
@@ -84,7 +91,7 @@ class ScenarioConfig:
         check_fields(self)
         for name in ("dim", "n_base", "n_novel", "n_distractor", "n_train_images", "n_eval_images",
                      "objects_per_image", "proposals_per_object", "clutter_per_image", "seed",
-                     "max_rejection_tries", "sigma_feat", "sigma_det"):
+                     "max_rejection_tries", "sigma_feat", "sigma_det", "object_score_std", "clutter_score_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"ScenarioConfig.{name} must be nonnegative, got {getattr(self, name)}")
         if self.n_base < 1:
@@ -92,7 +99,12 @@ class ScenarioConfig:
         if self.dim < 1:
             raise ValueError(f"ScenarioConfig.dim must be at least 1, got {self.dim}")
         if not (0.0 <= self.base_fraction <= 1.0):
-            raise ValueError("base_fraction must lie in [0, 1]")
+            raise ValueError(f"ScenarioConfig.base_fraction must lie in [0, 1], got {self.base_fraction}")
+        if not (0.0 <= self.box_min <= self.box_max):
+            raise ValueError(f"ScenarioConfig.box_min must lie in [0, box_max = {self.box_max}], got {self.box_min}")
+        if self.box_max > self.image_size:
+            raise ValueError(f"ScenarioConfig.box_max must be at most image_size = {self.image_size}, "
+                             f"got {self.box_max}")
 
     def resolved_hidden_weights(self) -> np.ndarray:
         """Relative frequencies of novel+distractor objects; skewed by default.
@@ -214,97 +226,109 @@ def _sample_prototypes(config: ScenarioConfig, encoder: MockTextEncoder):
     return prototypes, name_seeds
 
 
-def _jittered_box(rng: np.random.Generator, gt: Box, image_size: float) -> Box:
-    """Box near an object's annotation; jitter is small enough to keep IoU above 0.5."""
-    w = gt.x2 - gt.x1
-    h = gt.y2 - gt.y1
-    dx = rng.uniform(-0.08, 0.08) * w
-    dy = rng.uniform(-0.08, 0.08) * h
-    sw = rng.uniform(0.92, 1.08)
-    sh = rng.uniform(0.92, 1.08)
-    cx = (gt.x1 + gt.x2) / 2 + dx
-    cy = (gt.y1 + gt.y2) / 2 + dy
-    half_w = w * sw / 2
-    half_h = h * sh / 2
-    return Box(
-        x1=max(0.0, cx - half_w),
-        y1=max(0.0, cy - half_h),
-        x2=min(image_size, cx + half_w),
-        y2=min(image_size, cy + half_h),
-    )
+_JITTER_LOW = np.array([-0.08, -0.08, 0.92, 0.92])  # centre shifts (times the box's size), then size scales
+_JITTER_SPAN = np.array([0.08, 0.08, 1.08, 1.08]) - _JITTER_LOW
+_CLUTTER = OracleInfo(generative_label=None, source="clutter")
 
 
-def _random_box(rng: np.random.Generator, config: ScenarioConfig) -> Box:
-    w = rng.uniform(config.box_min, config.box_max)
-    h = rng.uniform(config.box_min, config.box_max)
-    x1 = rng.uniform(0.0, config.image_size - w)
-    y1 = rng.uniform(0.0, config.image_size - h)
-    return Box(x1=x1, y1=y1, x2=x1 + w, y2=y1 + h)
+def _row_normalized(x: np.ndarray) -> np.ndarray:
+    """Each row over its norm; the row dot product is the arithmetic of ``np.linalg.norm`` on one row."""
+    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _random_boxes(u: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """(m, 4) corner rows from (m, 4) uniforms: a size in [box_min, box_max), then a corner that keeps the box inside."""
+    size = config.box_min + (config.box_max - config.box_min) * u[:, :2]
+    corner = (config.image_size - size) * u[:, 2:]
+    return np.concatenate([corner, corner + size], axis=1)
 
 
-def _features(rng, direction: np.ndarray, config: ScenarioConfig):
-    img = direction + config.sigma_feat * rng.standard_normal(config.dim)
-    img /= np.linalg.norm(img)
-    det = img + config.sigma_det * rng.standard_normal(config.dim)
-    det /= np.linalg.norm(det)
-    img.setflags(write=False)
-    det.setflags(write=False)
-    return det, img
+def _jittered_boxes(gt: np.ndarray, u: np.ndarray, image_size: float) -> np.ndarray:
+    """(m, 4) boxes near the annotations ``gt``, from (m, 4) uniforms; the jitter keeps IoU above 0.5."""
+    jitter = _JITTER_LOW + _JITTER_SPAN * u
+    size = gt[:, 2:] - gt[:, :2]
+    centre = (gt[:, :2] + gt[:, 2:]) / 2 + jitter[:, :2] * size
+    half = size * jitter[:, 2:] / 2
+    lo, hi = centre - half, centre + half
+    return np.concatenate([np.where(lo > 0.0, lo, 0.0), np.where(hi < image_size, hi, image_size)], axis=1)
 
-def _score(rng, mean: float, std: float) -> float:
-    return min(max(rng.normal(mean, std), 0.0), 1.0)
+
+def _clipped(scores: np.ndarray) -> np.ndarray:
+    """Scores clipped to [0, 1] as ``min(max(s, 0.0), 1.0)`` clips each one."""
+    scores = np.where(scores < 0.0, 0.0, scores)
+    return np.where(scores > 1.0, 1.0, scores)
 
 
 def _generate_image(
     rng: np.random.Generator,
     image_id: int,
     config: ScenarioConfig,
-    prototypes: dict[int, np.ndarray],
-    base_ids,
-    hidden_ids,
-    hidden_weights: np.ndarray,
+    prototypes: np.ndarray,
+    base_ids: tuple[int, ...],
+    hidden_ids: tuple[int, ...],
+    hidden_cdf: list[float],
 ) -> SynthImage:
-    proposals: list[Proposal] = []
-    gt_boxes: list[Box] = []
-    for _ in range(config.objects_per_image):
-        if hidden_ids and rng.random() >= config.base_fraction:
-            cat = int(rng.choice(np.asarray(hidden_ids), p=hidden_weights))
-            is_base = False
-        else:
-            cat = int(rng.choice(np.asarray(base_ids)))
-            is_base = True
-        gt = _random_box(rng, config)
+    """One image, its draws taken in the order the dataset format fixes.
+
+    Each object draws whether it is hidden (only if there are hidden
+    categories), its category (a uniform searched in ``hidden_cdf``, the cdf
+    ``Generator.choice(p=...)`` builds, or a uniform base index), its
+    annotation's four uniforms, then per proposal ``2 * dim`` feature noises,
+    four jitter uniforms and a score normal. Each clutter proposal draws
+    ``3 * dim`` normals (its direction first), four box uniforms and a score
+    normal. The features, boxes and scores of the whole image are then
+    computed at once, with the arithmetic of the per-proposal draws; each
+    proposal holds read-only rows of the image's det and img blocks.
+    """
+    n_objects, per_object, dim = config.objects_per_image, config.proposals_per_object, config.dim
+    n_object_proposals = n_objects * per_object
+    n = n_object_proposals + config.clutter_per_image
+    cats, bases = [], []
+    gt_u = np.empty((n_objects, 4))
+    noise = np.empty((n, 3, dim))  # per proposal: clutter direction, image noise, detector noise
+    box_u = np.empty((n, 4))
+    scores = np.empty(n)
+    k = 0
+    for o in range(n_objects):
+        is_base = not (hidden_ids and rng.random() >= config.base_fraction)
         if is_base:
-            gt_boxes.append(gt)
-        for _ in range(config.proposals_per_object):
-            det, img = _features(rng, prototypes[cat], config)
-            proposals.append(
-                Proposal(
-                    box=_jittered_box(rng, gt, config.image_size),
-                    rpn_score=_score(rng, config.object_score_mean, config.object_score_std),
-                    det_feature=det,
-                    img_feature=img,
-                    gt_label=cat if is_base else None,
-                    oracle=OracleInfo(generative_label=cat, source="object"),
-                )
-            )
-    for _ in range(config.clutter_per_image):
-        det, img = _features(rng, _unit(rng, config.dim), config)
-        proposals.append(
-            Proposal(
-                box=_random_box(rng, config),
-                rpn_score=_score(rng, config.clutter_score_mean, config.clutter_score_std),
-                det_feature=det,
-                img_feature=img,
-                gt_label=None,
-                oracle=OracleInfo(generative_label=None, source="clutter"),
-            )
-        )
+            cats.append(base_ids[rng.integers(len(base_ids))])
+        else:
+            cats.append(hidden_ids[bisect_right(hidden_cdf, rng.random())])
+        bases.append(is_base)
+        rng.random(out=gt_u[o])
+        for _ in range(per_object):
+            rng.standard_normal(out=noise[k, 1:])
+            rng.random(out=box_u[k])
+            scores[k] = rng.standard_normal()
+            k += 1
+    for k in range(n_object_proposals, n):
+        rng.standard_normal(out=noise[k])
+        rng.random(out=box_u[k])
+        scores[k] = rng.standard_normal()
+
+    directions = noise[:, 0]
+    directions[:n_object_proposals] = prototypes[np.repeat(np.array(cats, dtype=np.intp), per_object)]
+    directions[n_object_proposals:] = _row_normalized(directions[n_object_proposals:])
+    img = _row_normalized(directions + config.sigma_feat * noise[:, 1])
+    det = _row_normalized(img + config.sigma_det * noise[:, 2])
+    img.setflags(write=False)
+    det.setflags(write=False)
+    scores[:n_object_proposals] = config.object_score_mean + config.object_score_std * scores[:n_object_proposals]
+    scores[n_object_proposals:] = config.clutter_score_mean + config.clutter_score_std * scores[n_object_proposals:]
+    gt = _random_boxes(gt_u, config)
+    boxes = np.concatenate([
+        _jittered_boxes(np.repeat(gt, per_object, axis=0), box_u[:n_object_proposals], config.image_size),
+        _random_boxes(box_u[n_object_proposals:], config),
+    ])
+    labels = [(cat if is_base else None, OracleInfo(generative_label=cat, source="object"))
+              for cat, is_base in zip(cats, bases) for _ in range(per_object)]
+    labels += [(None, _CLUTTER)] * config.clutter_per_image
+    proposals = [
+        Proposal(box=Box(*box), rpn_score=score, det_feature=d, img_feature=i, gt_label=gt_label, oracle=oracle)
+        for box, score, d, i, (gt_label, oracle) in zip(boxes.tolist(), _clipped(scores).tolist(), det, img, labels)
+    ]
+    gt_boxes = [Box(*box) for box, is_base in zip(gt.tolist(), bases) if is_base]
     return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes))
 
 
@@ -330,15 +354,17 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     name_seeds = {i: seeds[i] for i in ids}
 
     hidden_ids = novel_ids + distractor_ids
-    weights = config.resolved_hidden_weights()
+    cdf = config.resolved_hidden_weights().cumsum()  # as ``Generator.choice(p=...)`` builds it
+    hidden_cdf = (cdf / cdf[-1]).tolist() if hidden_ids else []
+    rows = np.array(protos)  # row i is category i's prototype
 
     rng = np.random.default_rng([4, config.seed])
     train_images = tuple(
-        _generate_image(rng, i, config, prototypes, base_ids, hidden_ids, weights)
+        _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
         for i in range(config.n_train_images)
     )
     eval_images = tuple(
-        _generate_image(rng, i, config, prototypes, base_ids, hidden_ids, weights)
+        _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
         for i in range(config.n_eval_images)
     )
     return Scenario(
@@ -375,7 +401,11 @@ def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
 
 
 def write_dataset(scenario: Scenario, path) -> None:
-    """One-line-per-record dataset file: header, then image and proposal lines."""
+    """One-line-per-record dataset file: header, then image and proposal lines.
+
+    The file is written image by image, so at most one image's text is held
+    at a time; a write that fails removes its partial file.
+    """
     header = {
         "type": "header",
         "format": DATASET_FORMAT,
@@ -391,22 +421,20 @@ def write_dataset(scenario: Scenario, path) -> None:
             ],
         },
     }
-    lines = [canonical_json(header)]
-    for split, images in (("train", scenario.train_images), ("eval", scenario.eval_images)):
-        for image in images:
-            lines.append(
-                canonical_json(
-                    {
-                        "type": "image",
-                        "split": split,
-                        "image": image.image_id,
-                        "gt_boxes": [b.to_list() for b in image.gt_boxes],
-                    }
-                )
-            )
-            for p in image.proposals:
-                lines.append(canonical_json(_proposal_record(split, image.image_id, p)))
-    write_text(path, "\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with path.open("w", encoding="utf-8") as f:
+            f.write(canonical_json(header) + "\n")
+            for split, images in (("train", scenario.train_images), ("eval", scenario.eval_images)):
+                for image in images:
+                    lines = [canonical_json({"type": "image", "split": split, "image": image.image_id,
+                                             "gt_boxes": [b.to_list() for b in image.gt_boxes]})]
+                    lines += [canonical_json(_proposal_record(split, image.image_id, p)) for p in image.proposals]
+                    f.write("\n".join(lines) + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:

@@ -10,10 +10,13 @@ centre-update helpers on one restart's 2-D arrays, as ``kmeans`` ran before
 it carried its restarts on one axis. The unfused training step, the
 two-block SGD update and the row-by-row pseudo-labeller at the end are those
 steps as written before training computed each quantity once, kept to show
-the fast paths compute alike.
+the fast paths compute alike. The per-proposal scenario generator and the
+joined-text dataset writer are the generator and writer as they were before
+each image's draws were taken in a few calls and its file was streamed.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,7 +32,10 @@ from ovlab.core import (
 from ovlab.discovery import (
     KMEANS_MAX_ITERS,
     KMEANS_RESTARTS,
+    Box,
     ClusterModel,
+    OracleInfo,
+    Proposal,
     _sq_dists,
     _update_centers,
     filter_background_proposals,
@@ -37,7 +43,9 @@ from ovlab.discovery import (
 )
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
+from ovlab.persist import canonical_json
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
+from ovlab.synth import DATASET_FORMAT, DATASET_VERSION, Scenario, ScenarioConfig, SynthImage, _proposal_record
 from ovlab.trainer import Gradients, Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
@@ -386,3 +394,147 @@ def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float,
         positives=tuple((filtered[i], labels[i]) for i in sorted(kept)),
         negatives=tuple(p for i, p in enumerate(filtered) if i not in kept),
     )
+
+
+# -- the per-proposal scenario generator and the joined-text writer ------------
+
+
+def _jittered_box(rng: np.random.Generator, gt: Box, image_size: float) -> Box:
+    """Box near an object's annotation; jitter is small enough to keep IoU above 0.5."""
+    w = gt.x2 - gt.x1
+    h = gt.y2 - gt.y1
+    dx = rng.uniform(-0.08, 0.08) * w
+    dy = rng.uniform(-0.08, 0.08) * h
+    sw = rng.uniform(0.92, 1.08)
+    sh = rng.uniform(0.92, 1.08)
+    cx = (gt.x1 + gt.x2) / 2 + dx
+    cy = (gt.y1 + gt.y2) / 2 + dy
+    half_w = w * sw / 2
+    half_h = h * sh / 2
+    return Box(
+        x1=max(0.0, cx - half_w),
+        y1=max(0.0, cy - half_h),
+        x2=min(image_size, cx + half_w),
+        y2=min(image_size, cy + half_h),
+    )
+
+
+def _random_box(rng: np.random.Generator, config: ScenarioConfig) -> Box:
+    w = rng.uniform(config.box_min, config.box_max)
+    h = rng.uniform(config.box_min, config.box_max)
+    x1 = rng.uniform(0.0, config.image_size - w)
+    y1 = rng.uniform(0.0, config.image_size - h)
+    return Box(x1=x1, y1=y1, x2=x1 + w, y2=y1 + h)
+
+
+def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _features(rng, direction: np.ndarray, config: ScenarioConfig):
+    img = direction + config.sigma_feat * rng.standard_normal(config.dim)
+    img /= np.linalg.norm(img)
+    det = img + config.sigma_det * rng.standard_normal(config.dim)
+    det /= np.linalg.norm(det)
+    img.setflags(write=False)
+    det.setflags(write=False)
+    return det, img
+
+def _score(rng, mean: float, std: float) -> float:
+    return min(max(rng.normal(mean, std), 0.0), 1.0)
+
+
+def _generate_image(
+    rng: np.random.Generator,
+    image_id: int,
+    config: ScenarioConfig,
+    prototypes: dict[int, np.ndarray],
+    base_ids,
+    hidden_ids,
+    hidden_weights: np.ndarray,
+) -> SynthImage:
+    proposals: list[Proposal] = []
+    gt_boxes: list[Box] = []
+    for _ in range(config.objects_per_image):
+        if hidden_ids and rng.random() >= config.base_fraction:
+            cat = int(rng.choice(np.asarray(hidden_ids), p=hidden_weights))
+            is_base = False
+        else:
+            cat = int(rng.choice(np.asarray(base_ids)))
+            is_base = True
+        gt = _random_box(rng, config)
+        if is_base:
+            gt_boxes.append(gt)
+        for _ in range(config.proposals_per_object):
+            det, img = _features(rng, prototypes[cat], config)
+            proposals.append(
+                Proposal(
+                    box=_jittered_box(rng, gt, config.image_size),
+                    rpn_score=_score(rng, config.object_score_mean, config.object_score_std),
+                    det_feature=det,
+                    img_feature=img,
+                    gt_label=cat if is_base else None,
+                    oracle=OracleInfo(generative_label=cat, source="object"),
+                )
+            )
+    for _ in range(config.clutter_per_image):
+        det, img = _features(rng, _unit(rng, config.dim), config)
+        proposals.append(
+            Proposal(
+                box=_random_box(rng, config),
+                rpn_score=_score(rng, config.clutter_score_mean, config.clutter_score_std),
+                det_feature=det,
+                img_feature=img,
+                gt_label=None,
+                oracle=OracleInfo(generative_label=None, source="clutter"),
+            )
+        )
+    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes))
+
+
+def per_proposal_images(scenario: Scenario) -> tuple[tuple[SynthImage, ...], tuple[SynthImage, ...]]:
+    """Both splits of ``scenario`` drawn again, one proposal at a time, from its seed's stream."""
+    config = scenario.config
+    weights = config.resolved_hidden_weights()
+    rng = np.random.default_rng([4, config.seed])
+    return tuple(
+        tuple(_generate_image(rng, i, config, scenario.prototypes, scenario.base_ids, scenario.hidden_ids, weights)
+              for i in range(n))
+        for n in (config.n_train_images, config.n_eval_images)
+    )
+
+
+def joined_dataset_text(scenario: Scenario) -> str:
+    """The dataset file's text, every line held and then joined."""
+    header = {
+        "type": "header",
+        "format": DATASET_FORMAT,
+        "version": DATASET_VERSION,
+        "config": asdict(scenario.config),
+        "encoder": scenario.encoder.config(),
+        "config_hash": scenario.dataset_hash(),
+        "base": [{"id": i, "name_seed": scenario.name_seeds[i]} for i in scenario.base_ids],
+        "oracle": {
+            "novel": [{"id": i, "name_seed": scenario.name_seeds[i]} for i in scenario.novel_ids],
+            "distractor": [
+                {"id": i, "name_seed": scenario.name_seeds[i]} for i in scenario.distractor_ids
+            ],
+        },
+    }
+    lines = [canonical_json(header)]
+    for split, images in (("train", scenario.train_images), ("eval", scenario.eval_images)):
+        for image in images:
+            lines.append(
+                canonical_json(
+                    {
+                        "type": "image",
+                        "split": split,
+                        "image": image.image_id,
+                        "gt_boxes": [b.to_list() for b in image.gt_boxes],
+                    }
+                )
+            )
+            for p in image.proposals:
+                lines.append(canonical_json(_proposal_record(split, image.image_id, p)))
+    return "\n".join(lines) + "\n"

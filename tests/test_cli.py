@@ -261,8 +261,24 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         assert main([*command, "--set", override]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (override, err)
+    # Box and score settings are refused before any draw, by the field at fault.
+    for override, field in (
+        ("scenario.box_max=200", "box_max"),
+        ("scenario.box_min=-5", "box_min"),
+        ("scenario.box_min=31", "box_min"),
+        ("scenario.object_score_std=-0.1", "object_score_std"),
+        ("scenario.clutter_score_std=-1", "clutter_score_std"),
+        ("scenario.base_fraction=1.5", "base_fraction"),
+    ):
+        capsys.readouterr()
+        assert main([*gen, "--set", override]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ScenarioConfig.{field} "), (override, err)
     assert not (tmp_path / "r").exists()
     assert not (tmp_path / "x.jsonl").exists()
+    # A box size range that starts at zero is accepted.
+    assert main([*gen, "--set", "scenario.box_min=0", "--set", "scenario.n_train_images=2",
+                 "--set", "scenario.n_eval_images=2"]) == 0
 
 
 @pytest.fixture()

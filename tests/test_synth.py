@@ -1,9 +1,13 @@
 """Scenario generator: determinism, geometry, oracle isolation, file round-trips."""
 
+import dataclasses
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
+from oracles import joined_dataset_text, per_proposal_images
 
 from ovlab.discovery import OracleInfo, Proposal
 from ovlab.encoder import MockTextEncoder
@@ -229,15 +233,9 @@ def _assert_same_images(got, want):
             assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
 
 
-def test_a_written_scenario_loads_back_split_by_split():
-    # Round trip over random valid worlds: each split alone, and both, load
-    # back as the generated scenario; a split not asked for is None.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    import tempfile
-    from pathlib import Path
-
-    configs = st.builds(
+def _small_configs(st):
+    """A hypothesis strategy of small valid worlds, each count down to zero."""
+    return st.builds(
         ScenarioConfig,
         dim=st.integers(8, 16), n_base=st.integers(1, 3), n_novel=st.integers(0, 2),
         n_distractor=st.integers(0, 2), n_train_images=st.integers(0, 3), n_eval_images=st.integers(0, 3),
@@ -246,8 +244,16 @@ def test_a_written_scenario_loads_back_split_by_split():
         base_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**31),
     )
 
+
+def test_a_written_scenario_loads_back_split_by_split():
+    # Round trip over random valid worlds: each split alone, and both, load
+    # back as the generated scenario; a split not asked for is None.
+    hypothesis = pytest.importorskip("hypothesis")
+    import tempfile
+    from pathlib import Path
+
     @hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(configs)
+    @hypothesis.given(_small_configs(hypothesis.strategies))
     def round_trip(config):
         scenario = generate_scenario(config, MockTextEncoder(seed=7, dim=config.dim))
         with tempfile.TemporaryDirectory() as tmp:
@@ -268,6 +274,119 @@ def test_a_written_scenario_loads_back_split_by_split():
                         assert getattr(loaded, f"{split}_images") is None
 
     round_trip()
+
+
+def _assert_generated_as_the_oracle(scenario, tmp_path):
+    """``scenario`` equals the per-proposal oracle's draws, feature bits and written bytes included."""
+    train, eval_ = per_proposal_images(scenario)
+    for got, want in ((scenario.train_images, train), (scenario.eval_images, eval_)):
+        assert len(got) == len(want)
+        for gi, wi in zip(got, want):
+            assert gi.image_id == wi.image_id and gi.gt_boxes == wi.gt_boxes
+            assert len(gi.proposals) == len(wi.proposals)
+            for gp, wp in zip(gi.proposals, wi.proposals):
+                assert np.array_equal(gp.det_feature, wp.det_feature)
+                assert np.array_equal(gp.img_feature, wp.img_feature)
+                assert not (gp.det_feature.flags.writeable or gp.img_feature.flags.writeable)
+                assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
+    got_path, want_path = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    write_dataset(scenario, got_path)
+    write_dataset(dataclasses.replace(scenario, train_images=train, eval_images=eval_), want_path)
+    assert got_path.read_bytes() == want_path.read_bytes()
+
+
+EDGE_WORLDS = {
+    "no_hidden": dict(n_novel=0, n_distractor=0),
+    "all_hidden": dict(base_fraction=0.0),
+    "all_base": dict(base_fraction=1.0),
+    "custom_hidden_weights": dict(hidden_weights=(0.0, 3.0, 1.0, 0.5, 2.0, 0.0, 1.0)),
+    "no_objects": dict(objects_per_image=0),
+    "no_object_proposals": dict(proposals_per_object=0),
+    "no_clutter": dict(clutter_per_image=0),
+    "clipped": dict(box_min=60.0, box_max=100.0, object_score_std=0.1, clutter_score_std=1.0),
+    "fixed_size_boxes": dict(box_min=20.0, box_max=20.0),
+    "boxes_from_zero": dict(box_min=0.0),
+    "noiseless": dict(sigma_feat=0.0, sigma_det=0.0),
+}
+
+
+@pytest.mark.parametrize("world", ["reference", *EDGE_WORLDS])
+def test_generation_matches_the_per_proposal_oracle(enc, tmp_path, world):
+    # The batched generator takes every draw the per-proposal one took, in
+    # the same order, and computes bit-identical features, boxes and scores.
+    if world == "reference":
+        config = ScenarioConfig(seed=5)
+    else:
+        config = ScenarioConfig(n_train_images=6, n_eval_images=4, seed=5, **EDGE_WORLDS[world])
+    scenario = generate_scenario(config, enc)
+    _assert_generated_as_the_oracle(scenario, tmp_path)
+    proposals = [p for image in scenario.train_images + scenario.eval_images for p in image.proposals]
+    if world == "clipped":  # the edge cases the clipping handles do occur
+        coords = [c for p in proposals for c in p.box.to_list()]
+        assert 0.0 in coords and config.image_size in coords
+        assert {0.0, 1.0} <= {p.rpn_score for p in proposals}
+    if world == "no_objects":
+        assert all(p.oracle.source == "clutter" for p in proposals) and len(proposals) == 30
+
+
+def test_generation_matches_the_per_proposal_oracle_on_random_worlds(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_small_configs(hypothesis.strategies))
+    def same_as_oracle(config):
+        _assert_generated_as_the_oracle(generate_scenario(config, MockTextEncoder(seed=7, dim=config.dim)), tmp_path)
+
+    same_as_oracle()
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_the_streamed_file_is_the_joined_text(tmp_path, scenario, empty):
+    if empty:
+        scenario = dataclasses.replace(scenario, train_images=(), eval_images=())
+    path = tmp_path / "new" / "dir" / "data.jsonl"  # the parent directories are created
+    write_dataset(scenario, path)
+    assert path.read_bytes() == joined_dataset_text(scenario).encode("utf-8")
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, scenario):
+    # A non-finite feature is refused by the JSON encoder midway through
+    # the file; the lines already streamed are removed.
+    image = scenario.eval_images[-1]
+    bad = dataclasses.replace(image.proposals[0], det_feature=np.full(scenario.config.dim, np.nan))
+    broken = dataclasses.replace(image, proposals=(bad, *image.proposals[1:]))
+    scenario = dataclasses.replace(scenario, eval_images=(*scenario.eval_images[:-1], broken))
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_dataset(scenario, path)
+    assert not path.exists()
+
+
+GENERATE_CALL_BUDGET = 8  # Python-level calls per generated proposal on the reference world
+
+
+def test_generation_stays_within_its_call_budget(enc):
+    # Counted as ``sys.setprofile`` "call" events of one reference
+    # ``generate_scenario`` (run once before it is counted), with the garbage
+    # collector paused so that no collection adds calls.
+    config = ScenarioConfig()
+    generate_scenario(config, enc)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        scenario = generate_scenario(config, enc)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    per_proposal = calls / sum(len(image.proposals) for image in scenario.train_images + scenario.eval_images)
+    assert per_proposal <= GENERATE_CALL_BUDGET, per_proposal
 
 
 def test_unknown_split_name_is_refused(tmp_path, scenario):

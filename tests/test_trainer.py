@@ -517,7 +517,10 @@ STEP_CALL_BUDGET = 52  # Python-level calls per training step
 def test_a_training_step_stays_within_its_call_budget(small_scenario):
     # Every Python-level call of a step costs far more than the step's
     # arithmetic. Counted as ``sys.setprofile`` "call" events of a 3-step run
-    # minus those of a 0-step run, each run once before it is counted.
+    # minus those of a 0-step run, each run once before it is counted, with
+    # the garbage collector paused: a collection's calls depend on the tests
+    # that ran before.
+    import gc
     import sys
 
     counts = {}
@@ -531,11 +534,14 @@ def test_a_training_step_stays_within_its_call_budget(small_scenario):
             nonlocal calls
             calls += event == "call"
 
+        gc.collect()
+        gc.disable()
         sys.setprofile(profile)
         try:
             train(config, small_scenario, prep)
         finally:
             sys.setprofile(None)
+            gc.enable()
         counts[steps] = calls
     per_step = (counts[3] - counts[0]) / 3
     assert per_step <= STEP_CALL_BUDGET, per_step
