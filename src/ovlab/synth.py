@@ -287,7 +287,7 @@ def _generate_image(
     gt_u = np.empty((n_objects, 4))
     noise = np.empty((n, 3, dim))  # per proposal: clutter direction, image noise, detector noise
     box_u = np.empty((n, 4))
-    scores = np.empty(n)
+    scores = np.empty(n)  # each proposal's standard normal, then its score
     k = 0
     for o in range(n_objects):
         is_base = not (hidden_ids and rng.random() >= config.base_fraction)
