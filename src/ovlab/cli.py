@@ -311,7 +311,7 @@ def _gradcheck_instance(seed: int, tau: float):
     )
     partition = BackgroundPartition(
         positives=tuple(
-            (prop(), PseudoLabel(i, int(rng.integers(n_disc)), 0.99)) for i in range(3)
+            (prop(), PseudoLabel(int(rng.integers(n_disc)), 0.99)) for _ in range(3)
         ),
         negatives=tuple(prop() for _ in range(3)),
     )
@@ -338,8 +338,8 @@ def gradcheck_table(n_instances: int, seed: int) -> tuple[list[dict], bool]:
                 if flips:
                     flagged += 1
                     continue
-                num = float(np.linalg.norm(analytic.flat() - fd.flat()))
-                den = max(float(np.linalg.norm(fd.flat())), 1e-12)
+                num = float(np.linalg.norm(analytic.flat - fd.flat))
+                den = max(float(np.linalg.norm(fd.flat)), 1e-12)
                 worst = float(np.maximum(worst, num / den))  # a NaN error propagates and fails
             passed = bool(worst <= tol)
             ok = ok and passed

@@ -17,16 +17,17 @@ vocabulary and these components:
 every group's stacked proposals it returns every component value, the
 switch pattern and the logit gradient of the one component asked for; the
 trainer chains that through the cosine layer and the encoder, and
-``batch_terms`` evaluates it on one batch. Every component has the same
-logit gradient per proposal, w * (p - q): p the row's probabilities, q a
-target distribution over the vocabulary (one-hot at the target for the
-cross-entropies, p renormalized over the member set for a mass term,
-uniform over the member set for the relaxed term, and per proposal one of
-the last two for the switch) and w the term's weight over the group's
-proposal count. All means are over proposals, so duplicating a batch
-leaves every loss unchanged. A batch reaches the objective in one form, a
-sequence of ``ProposalBlocks``, into which ``proposal_blocks`` stacks a
-``ProposalBatch`` and its optional pseudo-label partition.
+``switched_background_loss`` reads one batch's switched value from it.
+Every component has the same logit gradient per proposal, w * (p - q): p
+the row's probabilities, q a target distribution over the vocabulary
+(one-hot at the target for the cross-entropies, p renormalized over the
+member set for a mass term, uniform over the member set for the relaxed
+term, and per proposal one of the last two for the switch) and w the
+term's weight over the group's proposal count. All means are over
+proposals, so duplicating a batch leaves every loss unchanged. A batch
+reaches the objective in one form, a sequence of ``ProposalBlocks``, into
+which ``proposal_blocks`` stacks a ``ProposalBatch`` and its optional
+pseudo-label partition.
 
 What training computes when:
 
@@ -75,7 +76,6 @@ __all__ = [
     "proposal_blocks",
     "proposal_groups",
     "objective_terms",
-    "batch_terms",
     "switched_background_loss",
 ]
 
@@ -108,8 +108,6 @@ class LossBreakdown(NamedTuple):
     pseudo: float
     total: float
     branches: tuple[str, ...]
-    n_foreground: int
-    n_background: int
 
 
 def background_mass(probs, vocab: Vocabulary) -> float:
@@ -339,15 +337,6 @@ def objective_terms(
     return ObjectiveTerms(values, live, grad)
 
 
-def batch_terms(
-    batch: ProposalBatch, partition, vocab: Vocabulary, tau: float, gamma: float = 0.0,
-    negative_weight: float = 0.0, branches: tuple[str, ...] | None = None,
-) -> ObjectiveTerms:
-    """``objective_terms`` of one batch (and optional pseudo-label partition)."""
-    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, partition, vocab)], vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau, gamma, negative_weight, branches=branches)
-
-
 def switched_background_loss(
     batch: ProposalBatch,
     vocab: Vocabulary,
@@ -365,5 +354,6 @@ def switched_background_loss(
     """
     if not (0.0 <= gamma <= 1.0) and forced_branches is None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    terms = batch_terms(batch, None, vocab, tau, gamma, branches=forced_branches)
+    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    terms = objective_terms(cosines, slices, targets, vocab, tau, gamma, branches=forced_branches)
     return terms.values["switched"], tuple(forced_branches or terms.branches)

@@ -23,7 +23,6 @@ from .discovery import Proposal, filter_background_proposals, nms_indices
 __all__ = [
     "PseudoLabel",
     "BackgroundPartition",
-    "center_probs",
     "assign_pseudo_label",
     "generate_pseudo_labels",
 ]
@@ -33,7 +32,6 @@ __all__ = [
 class PseudoLabel:
     """Discovered-category label for one background proposal."""
 
-    proposal_index: int
     category: int
     score: float
 
@@ -46,13 +44,8 @@ class BackgroundPartition:
     negatives: tuple[Proposal, ...]
 
 
-def center_probs(img_feature, centers, tau: float) -> np.ndarray:
-    """Softmax over cluster centers of the image-encoder feature's cosine scores."""
-    return _center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau)[0]
-
-
 def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
-    """``center_probs`` of every row of an (n, d) feature stack, from one cosine matrix."""
+    """Softmax over the cluster centers of each feature row's cosine scores, from one cosine matrix."""
     tau = check_temperature(tau)
     c = np.asarray(centers, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] == 0:
@@ -63,17 +56,16 @@ def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def assign_pseudo_label(img_feature, centers, tau: float, proposal_index: int = 0) -> PseudoLabel:
+def assign_pseudo_label(img_feature, centers, tau: float) -> PseudoLabel:
     """Highest-probability discovered category; ties break toward the smaller index."""
-    return _labels(center_probs(img_feature, centers, tau)[None, :], proposal_index)[0]
+    return _labels(_center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau))[0]
 
 
-def _labels(probs: np.ndarray, first_index: int = 0) -> list[PseudoLabel]:
-    """One ``PseudoLabel`` per row of center probabilities, numbered from ``first_index``."""
+def _labels(probs: np.ndarray) -> list[PseudoLabel]:
+    """One ``PseudoLabel`` per row of center probabilities."""
     cats = probs.argmax(axis=1)
     scores = probs[np.arange(len(probs)), cats]
-    return [PseudoLabel(proposal_index=first_index + i, category=c, score=v)
-            for i, (c, v) in enumerate(zip(cats.tolist(), scores.tolist()))]
+    return [PseudoLabel(category=c, score=v) for c, v in zip(cats.tolist(), scores.tolist())]
 
 
 def generate_pseudo_labels(

@@ -13,9 +13,9 @@ shrunken underlying sum.
 Raw scores at the default temperature span dozens of orders of magnitude,
 so one scorer, ``_shifted_scores``, takes one cosine matrix per call and
 shifts each row by its largest (shrunk) logit before exponentiating. Every
-view reads it: ``score`` for many rows, and ``partial_sums``,
-``rectified_underlying_sum`` and ``inference_probs`` for one row, whose
-linear block sums are the shifted sums times exp(shift).
+view reads it: ``score`` for many rows (``inference_probs`` is its one-row
+case), and ``partial_sums`` and ``rectified_underlying_sum`` for one row,
+whose linear block sums are the shifted sums times exp(shift).
 """
 
 from __future__ import annotations
@@ -55,18 +55,11 @@ class PartialSums:
 
 @dataclass(frozen=True)
 class RectifiedScores:
-    """Inference probabilities for the foreground blocks plus rectification details.
-
-    ``probabilities`` is aligned with [base block, novel block]. The
-    ``underlying_sum`` is the (possibly shrunken) underlying-block score sum
-    actually used in the denominator.
-    """
+    """One proposal's inference probabilities for the foreground blocks, aligned with
+    [base block, novel block], and its background mass."""
 
     probabilities: np.ndarray
-    shrinking_factors: np.ndarray
-    underlying_sum: float
     background_mass: float
-    rectified: bool
 
 
 def _require_inference(vocab: Vocabulary) -> None:
@@ -173,18 +166,10 @@ def inference_probs(
 ) -> RectifiedScores:
     """One proposal's foreground probabilities: a one-row ``score``, rectified unless
     ``rectify`` is false (shrinking can only raise foreground probabilities)."""
-    if factors is None:
-        factors = compute_shrinking_factors(vocab, tau) if rectify else np.ones(vocab.n_underlying)
-    shrunk = factors if rectify else np.ones(vocab.n_underlying)
-    shift, fg, under, sub = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, shrunk)
-    probs, bg_mass = _probabilities(fg, under, sub)
-    return RectifiedScores(
-        probabilities=probs[0],
-        shrinking_factors=np.array(factors, dtype=np.float64),
-        underlying_sum=float(np.exp(shift[0]) * under[0].sum()),
-        background_mass=float(bg_mass[0]),
-        rectified=bool(rectify),
-    )
+    if rectify and factors is None:
+        factors = compute_shrinking_factors(vocab, tau)
+    probs, bg_mass = score(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, factors if rectify else None)
+    return RectifiedScores(probabilities=probs[0], background_mass=float(bg_mass[0]))
 
 
 def rectification_report(vocab: Vocabulary, tau: float, queries) -> dict:

@@ -26,6 +26,7 @@ lines in the file's bytes) and refuses a file of any other line count.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -231,9 +232,11 @@ _JITTER_SPAN = np.array([0.08, 0.08, 1.08, 1.08]) - _JITTER_LOW
 _CLUTTER = OracleInfo(generative_label=None, source="clutter")
 
 
-def _row_normalized(x: np.ndarray) -> np.ndarray:
-    """Each row over its norm; the row dot product is the arithmetic of ``np.linalg.norm`` on one row."""
-    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+def _row_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its norm, and the (n, 1) norms; the row dot product is the arithmetic of
+    ``np.linalg.norm`` on one row."""
+    norms = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    return x / norms, norms
 
 
 def _random_boxes(u: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -309,9 +312,15 @@ def _generate_image(
 
     directions = noise[:, 0]
     directions[:n_object_proposals] = prototypes[np.repeat(np.array(cats, dtype=np.intp), per_object)]
-    directions[n_object_proposals:] = _row_normalized(directions[n_object_proposals:])
-    img = _row_normalized(directions + config.sigma_feat * noise[:, 1])
-    det = _row_normalized(img + config.sigma_det * noise[:, 2])
+    directions[n_object_proposals:] = _row_normalized(directions[n_object_proposals:])[0]
+    img, img_norms = _row_normalized(directions + config.sigma_feat * noise[:, 1])
+    det, det_norms = _row_normalized(img + config.sigma_det * noise[:, 2])
+    for name, norms in (("sigma_feat", img_norms), ("sigma_det", det_norms)):
+        # A NaN norm fails the first comparison; an image without proposals passes both.
+        least, most = np.minimum.reduce(norms, None, initial=math.inf), np.maximum.reduce(norms, None, initial=0.0)
+        if not (0.0 < least and most < math.inf):
+            raise ValueError(f"ScenarioConfig.{name} = {getattr(config, name)} is too large: the features of "
+                             f"image {image_id} overflow to rows without a finite nonzero norm")
     img.setflags(write=False)
     det.setflags(write=False)
     scores[:n_object_proposals] = config.object_score_mean + config.object_score_std * scores[:n_object_proposals]
@@ -359,14 +368,16 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     rows = np.array(protos)  # row i is category i's prototype
 
     rng = np.random.default_rng([4, config.seed])
-    train_images = tuple(
-        _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
-        for i in range(config.n_train_images)
-    )
-    eval_images = tuple(
-        _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
-        for i in range(config.n_eval_images)
-    )
+    # Sigmas large enough to overflow the features are refused per image, in one error, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_images = tuple(
+            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
+            for i in range(config.n_train_images)
+        )
+        eval_images = tuple(
+            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
+            for i in range(config.n_eval_images)
+        )
     return Scenario(
         config=config,
         encoder=encoder,

@@ -58,12 +58,10 @@ from .vocab import FixedRows, Vocabulary, build_training_vocab
 __all__ = [
     "TrainConfig",
     "Params",
-    "Gradients",
     "StepRecord",
     "TrainHistory",
     "Checkpoint",
     "TrainingDivergedError",
-    "NonFiniteGradientError",
     "loss_and_gradients",
     "loss_final",
     "compute_gradients",
@@ -83,10 +81,6 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
-    pass
-
-
-class NonFiniteGradientError(RuntimeError):
     pass
 
 
@@ -149,6 +143,7 @@ class Params:
     Both blocks are views into one flat vector, ``flat`` (context vectors
     row by row, then the sub-background), so the optimizer updates them as
     one array. The constructor copies its blocks into a new flat vector.
+    The velocity and every gradient have this layout, so they are ``Params`` too.
     """
 
     def __init__(self, context_vectors, sub_background):
@@ -175,20 +170,6 @@ class Params:
     @property
     def sub_background(self) -> np.ndarray:
         return self.flat[self._n_context :]
-
-
-class Gradients:
-    """The gradient of each block of ``Params``; ``flat()`` holds both in one vector."""
-
-    __slots__ = ("context", "sub_background", "_flat")
-
-    def __init__(self, context: np.ndarray, sub_background: np.ndarray):
-        self.context, self.sub_background = context, sub_background
-        self._flat = np.concatenate([context.ravel(), sub_background])
-
-    def flat(self) -> np.ndarray:
-        """Both blocks in one vector, in the order of ``Params.flat``."""
-        return self._flat
 
 
 class StepRecord(NamedTuple):
@@ -232,7 +213,7 @@ def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau
 
 def loss_and_gradients(
     blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, component: str = "final",
-) -> tuple[LossBreakdown, Gradients]:
+) -> tuple[LossBreakdown, Params]:
     """Combined objective of one batch and the exact gradient of one of its components.
 
     ``blocks`` are the batch's ``ProposalBlocks`` (in training, one per
@@ -244,15 +225,12 @@ def loss_and_gradients(
     """
     features, slices, targets, cosines = proposal_groups(blocks, vocab)
     values, branches, logit_grad = _terms(cosines, slices, targets, vocab, config, component=component)
-    fg, bg = slices.get("foreground"), slices.get("background")
     breakdown = LossBreakdown(
         foreground=values["foreground"],
         background=values["switched"] if config.use_prompts else 0.0,
         pseudo=values["pseudo"] if config.use_discovery else 0.0,
         total=values["final"],
         branches=branches if config.use_prompts else (),
-        n_foreground=fg.stop - fg.start if fg is not None else 0,
-        n_background=bg.stop - bg.start if bg is not None else 0,
     )
     demb = _embedding_gradient(features, cosines, logit_grad, vocab, config.temperature)
     under, sub = vocab.block_indices.underlying, vocab.block_indices.sub_background
@@ -261,19 +239,20 @@ def loss_and_gradients(
         ctx_grad = vocab.encoder.encode_context_vjp(context, demb[under], forward=vocab.context_forward)
     else:
         ctx_grad = np.zeros_like(context)
-    return breakdown, Gradients(context=ctx_grad, sub_background=demb[sub])
+    return breakdown, Params(ctx_grad, demb[sub])
 
 
-def _check_finite(grads: Gradients) -> Gradients:
-    flat = grads.flat()
-    # The squared norm is finite when every entry is; finite entries large
-    # enough to overflow it fall through to the scan, which then finds nothing.
+def _check_finite(grads: Params) -> Params:
+    flat = grads.flat
+    # A finite squared norm means every entry is finite. Finite entries large
+    # enough to overflow it reach the scan, which finds nothing and passes
+    # them: ``train`` refuses the parameters such a step makes non-finite.
     if math.isfinite(flat @ flat):
         return grads
-    for name, arr in (("context", grads.context), ("sub_background", grads.sub_background)):
+    for name, arr in (("context_vectors", grads.context_vectors), ("sub_background", grads.sub_background)):
         if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))
-            raise NonFiniteGradientError(f"non-finite gradient in {name} at {bad[0].tolist()}")
+            raise TrainingDivergedError(f"non-finite gradient in {name} at {bad[0].tolist()}")
     return grads
 
 
@@ -287,7 +266,7 @@ def loss_final(
 def compute_gradients(
     batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
     config: TrainConfig, component: str = "final",
-) -> Gradients:
+) -> Params:
     """Finite-checked gradient of one component (the other half of ``loss_and_gradients``)."""
     blocks = [proposal_blocks(batch, partition, vocab)]
     return _check_finite(loss_and_gradients(blocks, vocab, config, component)[1])
@@ -299,7 +278,7 @@ def compute_gradients(
 def finite_diff_gradients(
     blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, h: float,
     component: str = "final",
-) -> tuple[Gradients, int]:
+) -> tuple[Params, int]:
     """Central differences over every scalar parameter, branch frozen at center.
 
     Perturbing one parameter changes exactly one embedding row, so each
@@ -344,7 +323,7 @@ def finite_diff_gradients(
         rows = range(under.start, under.stop)
         ctx_grad = stencil(rows, vocab.context_vectors, vocab.encoder.encode_context)
     sub_grad = stencil([sub], vocab.embeddings[[sub]], lambda e: e)[0]
-    return Gradients(context=ctx_grad, sub_background=sub_grad), flips
+    return Params(ctx_grad, sub_grad), flips
 
 
 # -- optimizer ------------------------------------------------------------------
@@ -352,25 +331,31 @@ def finite_diff_gradients(
 
 def sgd_step(
     params: Params,
-    grads: Gradients,
+    grads: Params,
     velocity: Params,
     lr: float,
     momentum: float,
     weight_decay: float,
 ) -> tuple[Params, Params]:
     """One SGD-with-momentum update of the flat parameter vector; the sub-background
-    embedding is re-projected onto the unit sphere afterwards."""
-    shape, flat, step = params.context_shape, params.flat, grads.flat()
-    if shape != grads.context.shape:
-        raise ValueError(f"context shape mismatch: {shape} vs {grads.context.shape}")
-    if flat.shape != step.shape:
-        raise ValueError("sub-background shape mismatch")
+    embedding is re-projected onto the unit sphere afterwards.
+
+    An update that leaves the sub-background no finite nonzero norm to
+    project by raises ``TrainingDivergedError``.
+    """
+    shape, flat, step = params.context_shape, params.flat, grads.flat
+    if (grads.context_shape, step.shape) != (shape, flat.shape):
+        raise ValueError(f"gradient blocks {grads.context_shape}, {step.shape} do not match "
+                         f"the parameters' {shape}, {flat.shape}")
     new_vel = momentum * velocity.flat  # ``m * v + g + decay * w``, summed in that order
     new_vel += step
     new_vel += weight_decay * flat
     new = flat - lr * new_vel
     sub = new[params._n_context :]
-    sub /= math.sqrt(sub.dot(sub))  # ``np.linalg.norm``'s arithmetic on a vector
+    norm2 = sub.dot(sub)
+    if not 0.0 < norm2 < math.inf:
+        raise TrainingDivergedError(f"the update gives the sub-background a squared norm of {norm2}")
+    sub /= math.sqrt(norm2)  # ``np.linalg.norm``'s arithmetic on a vector
     return Params.of_flat(new, shape), Params.of_flat(new_vel, shape)
 
 
@@ -629,15 +614,23 @@ def train(
     rates = config.learning_rate, config.momentum, config.weight_decay
     records: list[StepRecord] = []
 
-    for step, idx in enumerate(batches):
-        vocab = build_training_vocab(fixed, params.context_vectors, params.sub_background)
-        breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab, config)
-        if not math.isfinite(breakdown.total):
-            raise TrainingDivergedError(f"non-finite loss at step {step}: {breakdown}")
-        params, velocity = sgd_step(params, _check_finite(grads), velocity, *rates)
-        n_mass = breakdown.branches.count(MASS_BRANCH)
-        records.append(StepRecord(step, breakdown, n_mass, len(breakdown.branches) - n_mass,
-                                  sum(map(positives.__getitem__, idx)), sum(map(negatives.__getitem__, idx))))
+    # A diverging run overflows before any check sees it; the checks below turn
+    # that into one ``TrainingDivergedError`` instead of a trail of warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, idx in enumerate(batches):
+            try:
+                vocab = build_training_vocab(fixed, params.context_vectors, params.sub_background)
+                breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab, config)
+                if not math.isfinite(breakdown.total):
+                    raise TrainingDivergedError(f"non-finite loss {breakdown}")
+                params, velocity = sgd_step(params, _check_finite(grads), velocity, *rates)
+                if not math.isfinite(params.flat @ params.flat):
+                    raise TrainingDivergedError("the update makes the parameters non-finite")
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"training diverged at step {step}: {exc}") from None
+            n_mass = breakdown.branches.count(MASS_BRANCH)
+            records.append(StepRecord(step, breakdown, n_mass, len(breakdown.branches) - n_mass,
+                                      sum(map(positives.__getitem__, idx)), sum(map(negatives.__getitem__, idx))))
 
     history = TrainHistory(steps=tuple(records))
     checkpoint = Checkpoint(

@@ -215,7 +215,7 @@ class FixedRows:
 
     base_ids: tuple[int, ...]
     base_embeddings: np.ndarray
-    encoder: MockTextEncoder | None
+    encoder: MockTextEncoder
     n_underlying: int
     n_discovered: int | None = None
     baseline_mode: bool = False
@@ -231,8 +231,6 @@ class FixedRows:
         n_under, encoder = self.n_underlying, self.encoder
         if self.baseline_mode and n_under != 0:
             raise ValueError("baseline mode admits no underlying categories")
-        if encoder is None and n_under > 0:
-            raise ValueError("an encoder is required to embed context vectors")
         if n_under and encoder.dim != base_emb.shape[1]:
             raise DimensionMismatchError(
                 f"encoder dimension {encoder.dim} != base dimension {base_emb.shape[1]}"
@@ -271,7 +269,7 @@ def build_training_vocab(fixed: FixedRows, context_vectors, sub_background) -> V
     """
     ctx = _frozen(context_vectors)  # the snapshot's own copy, which the forward also reads
     if ctx.size == 0:
-        ctx = ctx.reshape(0, fixed.encoder.ctx_dim if fixed.encoder is not None else 0)
+        ctx = ctx.reshape(0, fixed.encoder.ctx_dim)
     if ctx.shape[0] != fixed.n_underlying:
         raise ValueError(f"{ctx.shape[0]} context vectors for an underlying block of {fixed.n_underlying}")
     sub = np.asarray(sub_background, dtype=np.float64)

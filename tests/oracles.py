@@ -46,7 +46,7 @@ from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, Pro
 from ovlab.persist import canonical_json
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import DATASET_FORMAT, DATASET_VERSION, Scenario, ScenarioConfig, SynthImage, _proposal_record
-from ovlab.trainer import Gradients, Params
+from ovlab.trainer import Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
 
@@ -343,15 +343,12 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
     values["final"] = sum(values[name] for name in parts)
     grads["final"] = sum(grads[name] for name in parts)
 
-    counts = {name: rows.stop - rows.start for name, rows in slices.items()}
     breakdown = LossBreakdown(
         foreground=values["foreground"],
         background=values["switched"] if config.use_prompts else 0.0,
         pseudo=values["pseudo"] if config.use_discovery else 0.0,
         total=values["final"],
         branches=branches if config.use_prompts else (),
-        n_foreground=counts.get("foreground", 0),
-        n_background=counts.get("background", 0),
     )
     g = grads[component]
     norms = np.linalg.norm(vocab.embeddings, axis=1, keepdims=True)
@@ -361,12 +358,12 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
     ctx_grad = np.zeros_like(vocab.context_vectors)
     if vocab.n_underlying:
         ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
-    return breakdown, Gradients(context=ctx_grad, sub_background=demb[vocab.sub_background_index])
+    return breakdown, Params(ctx_grad, demb[vocab.sub_background_index])
 
 
 def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weight_decay: float):
     """``trainer.sgd_step`` as two separate updates, one per parameter block."""
-    vel_ctx = momentum * velocity.context_vectors + grads.context + weight_decay * params.context_vectors
+    vel_ctx = momentum * velocity.context_vectors + grads.context_vectors + weight_decay * params.context_vectors
     vel_sub = momentum * velocity.sub_background + grads.sub_background + weight_decay * params.sub_background
     new_ctx = params.context_vectors - lr * vel_ctx
     new_sub = params.sub_background - lr * vel_sub
@@ -380,10 +377,10 @@ def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float,
     filtered = filter_background_proposals(batch_bg, gt_boxes, theta=theta, gt_iou_cut=gt_iou_cut,
                                            nms_iou=rpn_nms_iou)
     labels = []
-    for i, p in enumerate(filtered):
+    for p in filtered:
         probs = softmax_probs(p.img_feature, list(centers), tau)
         cat = int(np.argmax(probs))
-        labels.append(PseudoLabel(i, cat, float(probs[cat])))
+        labels.append(PseudoLabel(cat, float(probs[cat])))
     kept = set()
     for cat in sorted({lab.category for lab in labels if lab.score >= theta}):
         members = [i for i, lab in enumerate(labels) if lab.score >= theta and lab.category == cat]

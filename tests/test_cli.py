@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, overrides, manifests, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -206,6 +207,21 @@ def test_train_refuses_a_non_finite_feature_by_its_line(dataset, tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert f"line {n + 1} " in err[0] and "train image 0" in err[0] and "non-finite img feature" in err[0]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_run_ends_in_one_error_line(dataset, tmp_path, capsys):
+    # Each setting overflows the parameters within the first steps. The run
+    # stops at the first step whose loss, gradient or update is not finite,
+    # with one error line and no numpy warning before it, and writes nothing.
+    run = tmp_path / "run"
+    for override in ("train.temperature=1e-300", "train.learning_rate=1e300", "train.weight_decay=1e308",
+                     "train.learning_rate=1e150"):
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL, "--set", override]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(r"error: training diverged at step \d+: ", err[0]), (override, err)
+    assert not run.exists()
 
 
 def test_train_zero_steps_succeeds(dataset, tmp_path, capsys):
@@ -513,7 +529,7 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
     # Each of these used to fail later, with an error that named no setting
     # (or the wrong one, or only after 10,000 rejection tries).
     train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r"), *SMALL]
-    gen = ["gen", "--out", str(tmp_path / "x.jsonl")]
+    gen = ["gen", "--out", str(tmp_path / "g" / "x.jsonl")]
     for command, overrides, name in (
         (train, ["train.extra_categories=-3"], "TrainConfig.extra_categories"),
         (train, ["train.seed=-1"], "TrainConfig.seed"),
@@ -522,13 +538,15 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
         (gen, ["encoder.hidden_dim=0"], "MockTextEncoder.hidden_dim"),
         (gen, ["encoder.dim=0"], "MockTextEncoder.dim"),
         (gen, ["encoder.dim=0", "scenario.dim=0"], "ScenarioConfig.dim"),
+        (gen, ["scenario.sigma_det=1e200"], "ScenarioConfig.sigma_det"),  # all-zero det features
+        (gen, ["scenario.sigma_feat=1e308"], "ScenarioConfig.sigma_feat"),  # NaN features
     ):
         capsys.readouterr()
         assert main([*command, *(a for o in overrides for a in ("--set", o))]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and name in err[0], (overrides, err)
     assert not (tmp_path / "r").exists()
-    assert not (tmp_path / "x.jsonl").exists()
+    assert not (tmp_path / "g").exists()
 
 
 def test_unknown_ablation_combo_fails(dataset, tmp_path):

@@ -12,7 +12,7 @@ from ovlab.losses import (
     UNIFORM_BRANCH,
     ProposalBatch,
     background_mass,
-    batch_terms,
+    objective_terms,
     proposal_blocks,
     proposal_groups,
     switched_background_loss,
@@ -41,7 +41,8 @@ def _batch(fg=(), bg=()):
 
 def _loss(component, batch, vocab, tau):
     """One component of the objective on a batch without pseudo-labels."""
-    return batch_terms(batch, None, vocab, tau).values[component]
+    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    return objective_terms(cosines, slices, targets, vocab, tau).values[component]
 
 
 # -- background_mass -----------------------------------------------------------
@@ -331,8 +332,8 @@ def _random_images(rng, vocab, n_images, with_partition):
         bg = [make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 5))]
         partition = None
         if with_partition:
-            labels = [PseudoLabel(i, int(rng.integers(vocab.n_discovered)), 0.99)
-                      for i in range(rng.integers(0, 3))]
+            labels = [PseudoLabel(int(rng.integers(vocab.n_discovered)), 0.99)
+                      for _ in range(rng.integers(0, 3))]
             partition = BackgroundPartition(
                 positives=tuple((make_proposal(unit(rng, d)), lab) for lab in labels),
                 negatives=tuple(make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 3))),
@@ -360,7 +361,7 @@ def test_block_assembly_matches_per_proposal_oracle(kind):
     base_ids = [4, 9, 2]
     base_emb = np.stack([enc.encode_named_category(s) for s in base_ids])
     if kind == "baseline":
-        vocab = training_vocab(base_ids, base_emb, np.zeros((0, 6)), unit(rng, 12), None,
+        vocab = training_vocab(base_ids, base_emb, np.zeros((0, 6)), unit(rng, 12), enc,
                                      baseline_mode=True)
     else:
         vocab = training_vocab(base_ids, base_emb, rng.normal(size=(5, 6)), unit(rng, 12), enc,

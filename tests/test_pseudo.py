@@ -7,17 +7,22 @@ import pytest
 
 from ovlab.core import softmax_probs
 from ovlab.discovery import Box, iou
-from ovlab.losses import ProposalBatch, batch_terms
+from ovlab.losses import ProposalBatch, objective_terms, proposal_blocks, proposal_groups
 from ovlab.pseudo import (
     BackgroundPartition,
     PseudoLabel,
+    _center_probs,
     assign_pseudo_label,
-    center_probs,
     generate_pseudo_labels,
 )
 
 from oracles import rowwise_pseudo_labels
 from util import make_proposal, make_vocab, unit
+
+
+def center_probs(img_feature, centers, tau):
+    """The batched path's center probabilities of one feature."""
+    return _center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau)[0]
 
 
 def test_center_probs_matched_center_saturates():
@@ -45,8 +50,8 @@ def test_center_probs_empty_centers():
 
 def test_assign_label_matches_center_index():
     centers = np.eye(5)[:4]
-    label = assign_pseudo_label(np.eye(5)[2], centers, tau=0.02, proposal_index=9)
-    assert label.category == 2 and label.proposal_index == 9
+    label = assign_pseudo_label(np.eye(5)[2], centers, tau=0.02)
+    assert label.category == 2
     assert label.score >= 1.0 - 1e-18
 
 
@@ -159,8 +164,8 @@ def test_labels_ignore_detector_features():
     ]
     part_a = generate_pseudo_labels(props_a, [], centers, tau=0.02, theta=0.5)
     part_b = generate_pseudo_labels(props_b, [], centers, tau=0.02, theta=0.5)
-    labels_a = [(l.proposal_index, l.category) for _, l in part_a.positives]
-    labels_b = [(l.proposal_index, l.category) for _, l in part_b.positives]
+    labels_a = [(p.box, l.category) for p, l in part_a.positives]
+    labels_b = [(p.box, l.category) for p, l in part_b.positives]
     assert labels_a == labels_b
 
 
@@ -183,7 +188,7 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
         assert [id(p) for p, _ in got.positives] == [id(p) for p, _ in want.positives]
         assert list(map(id, got.negatives)) == list(map(id, want.negatives))
         for (_, g), (_, w) in zip(got.positives, want.positives):
-            assert (g.proposal_index, g.category) == (w.proposal_index, w.category)
+            assert g.category == w.category
             assert g.score == pytest.approx(w.score, rel=1e-12)
         n_positive += len(got.positives)
     assert n_positive > 0
@@ -210,7 +215,8 @@ def _vocab_for_loss(rng, n_base=3, n_disc=2, n_extra=2, d=10):
 def _pseudo_loss(partition, vocab, tau, negative_weight):
     """The objective's pseudo-label component on a batch with no other proposals."""
     empty = ProposalBatch(foreground=(), background=())
-    return batch_terms(empty, partition, vocab, tau, negative_weight=negative_weight).values["pseudo"]
+    _, slices, targets, cosines = proposal_groups([proposal_blocks(empty, partition, vocab)], vocab)
+    return objective_terms(cosines, slices, targets, vocab, tau, negative_weight=negative_weight).values["pseudo"]
 
 
 def test_loss_empty_partition_zero():
@@ -224,8 +230,8 @@ def test_loss_brute_force_oracle():
     rng = np.random.default_rng(9)
     vocab = _vocab_for_loss(rng, n_base=3, n_disc=2, n_extra=2, d=10)
     positives = tuple(
-        (make_proposal(unit(rng, 10)), PseudoLabel(i, int(rng.integers(2)), 0.99))
-        for i in range(4)
+        (make_proposal(unit(rng, 10)), PseudoLabel(int(rng.integers(2)), 0.99))
+        for _ in range(4)
     )
     negatives = tuple(make_proposal(unit(rng, 10)) for _ in range(3))
     part = BackgroundPartition(positives=positives, negatives=negatives)
@@ -270,7 +276,7 @@ def test_pseudo_label_target_outside_discovered_rejected():
     rng = np.random.default_rng(12)
     vocab = _vocab_for_loss(rng, n_disc=2, n_extra=2)
     part = BackgroundPartition(
-        positives=((make_proposal(unit(rng, 10)), PseudoLabel(0, 2, 0.99)),),
+        positives=((make_proposal(unit(rng, 10)), PseudoLabel(2, 0.99)),),
         negatives=(),
     )
     with pytest.raises(IndexError):

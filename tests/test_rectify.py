@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ovlab.core import DimensionMismatchError, cosine_matrix, softmax_probs
+from ovlab.encoder import MockTextEncoder
 import ovlab.rectify as rectify
 from ovlab.rectify import (
     compute_shrinking_factors,
@@ -277,7 +278,9 @@ def test_inference_identity_without_novel():
         plain = inference_probs(q, vocab, tau=0.02, rectify=False)
         fixed = inference_probs(q, vocab, tau=0.02, rectify=True)
         np.testing.assert_allclose(fixed.probabilities, plain.probabilities, atol=1e-12)
-        assert fixed.underlying_sum == pytest.approx(plain.underlying_sum, rel=1e-12)
+        shrunk, _ = rectified_underlying_sum(q, vocab, 0.02)
+        whole, _ = rectified_underlying_sum(q, vocab, 0.02, factors=np.ones(vocab.n_underlying))
+        assert shrunk == pytest.approx(whole, rel=1e-12)
 
 
 def test_rectification_never_decreases_foreground_probabilities():
@@ -289,7 +292,9 @@ def test_rectification_never_decreases_foreground_probabilities():
             plain = inference_probs(q, vocab, tau, rectify=False)
             fixed = inference_probs(q, vocab, tau, rectify=True)
             assert np.all(fixed.probabilities >= plain.probabilities - 1e-15)
-            assert fixed.underlying_sum <= plain.underlying_sum + 1e-15
+            shrunk, _ = rectified_underlying_sum(q, vocab, tau)
+            whole, _ = rectified_underlying_sum(q, vocab, tau, factors=np.ones(vocab.n_underlying))
+            assert shrunk <= whole + 1e-15
 
 
 def test_rectification_preserves_novel_ranking():
@@ -313,10 +318,11 @@ def test_inference_probs_match_direct_formula():
             vocab = _random_inference_vocab(rng)
             q = unit(rng, 12)
             result = inference_probs(q, vocab, tau, rectify=True)
+            factors = compute_shrinking_factors(vocab, tau)
             scores = _oracle_scores(q, vocab, tau)
             start = vocab.underlying_slice.start
             shrunk = sum(
-                scores[start + j] * result.shrinking_factors[j]
+                scores[start + j] * factors[j]
                 for j in range(vocab.n_underlying)
             )
             denom = sum(scores[:5]) + shrunk + scores[-1]
@@ -378,7 +384,7 @@ def test_score_baseline_vocab_with_empty_underlying_block():
     d = 12
     training = training_vocab(
         [0, 1, 2], np.array([unit(rng, d) for _ in range(3)]), np.zeros((0, 0)), unit(rng, d),
-        None, baseline_mode=True,
+        MockTextEncoder(seed=0, dim=d, ctx_dim=4), baseline_mode=True,
     )
     vocab = build_inference_vocab(training, [7, 8], np.array([unit(rng, d) for _ in range(2)]))
     assert vocab.n_underlying == 0
@@ -449,3 +455,18 @@ def test_inference_probs_is_a_row_of_score():
         # A one-row cosine product may round differently from a many-row one.
         np.testing.assert_allclose(one.probabilities, p, rtol=1e-12, atol=0)
         assert one.background_mass == pytest.approx(b, rel=1e-12)
+
+
+def test_inference_probs_is_a_one_row_score_to_the_bit():
+    # ``inference_probs`` is ``score`` of the one-row stack: the same
+    # product, so the same bits, rectified (given factors or its own) and not.
+    rng = np.random.default_rng(25)
+    for tau in (1.0, 0.02):
+        vocab = _random_inference_vocab(rng)
+        factors = compute_shrinking_factors(vocab, tau)
+        for q in (unit(rng, 12) for _ in range(4)):
+            for rectify, given, shrink in ((True, factors, factors), (True, None, factors), (False, None, None)):
+                one = inference_probs(q, vocab, tau, rectify=rectify, factors=given)
+                probs, bg_mass = score(q[None, :], vocab, tau, shrink)
+                assert one.probabilities.tobytes() == probs[0].tobytes()
+                assert one.background_mass == float(bg_mass[0])

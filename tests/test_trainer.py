@@ -14,7 +14,6 @@ from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import (
     Checkpoint,
-    Gradients,
     Params,
     TrainConfig,
     TrainingDivergedError,
@@ -58,8 +57,8 @@ def _setup(enc, seed, n_base=4, n_disc=3, n_extra=2, n_fg=6, n_bg=10, tau=0.05):
     )
     partition = BackgroundPartition(
         positives=tuple(
-            (make_proposal(unit(rng, enc.dim)), PseudoLabel(i, int(rng.integers(n_disc)), 0.99))
-            for i in range(3)
+            (make_proposal(unit(rng, enc.dim)), PseudoLabel(int(rng.integers(n_disc)), 0.99))
+            for _ in range(3)
         ),
         negatives=tuple(make_proposal(unit(rng, enc.dim)) for _ in range(3)),
     )
@@ -74,7 +73,6 @@ def test_loss_breakdown_additivity(enc):
     batch, vocab, partition, config = _setup(enc, seed=0)
     br = loss_final(batch, vocab, partition, config)
     assert br.total == pytest.approx(br.foreground + br.background + br.pseudo, abs=1e-12)
-    assert br.n_foreground == 6 and br.n_background == 10
     assert len(br.branches) == 10
 
 
@@ -129,8 +127,8 @@ def test_gradients_match_central_differences(enc, tau, tol, component):
         fd, flips = finite_diff_gradients(blocks, vocab, config, h=1e-5, component=component)
         if flips:
             continue
-        num = np.linalg.norm(analytic.flat() - fd.flat())
-        den = max(float(np.linalg.norm(fd.flat())), 1e-12)
+        num = np.linalg.norm(analytic.flat - fd.flat)
+        den = max(float(np.linalg.norm(fd.flat)), 1e-12)
         worst = max(worst, num / den)
     assert worst <= tol
 
@@ -150,14 +148,14 @@ def test_gradients_vanish_when_saturated(enc):
     config = TrainConfig(temperature=0.02, discovered_categories=2, extra_categories=0,
                          use_discovery=False)
     grads = compute_gradients(batch, vocab, None, config)
-    assert np.all(np.abs(grads.flat()) < 1e-8)
+    assert np.all(np.abs(grads.flat) < 1e-8)
 
 
 def test_disabled_everything_zero_gradients(enc):
     batch, vocab, partition, config = _setup(enc, seed=5, n_fg=0)
     off = dataclasses.replace(config, use_prompts=False, use_discovery=False)
     grads = compute_gradients(batch, vocab, partition, off)
-    np.testing.assert_array_equal(grads.flat(), 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
 
 
 def test_baseline_mode_has_no_context_gradients(enc):
@@ -173,7 +171,7 @@ def test_baseline_mode_has_no_context_gradients(enc):
     )
     config = TrainConfig(temperature=0.1, baseline_mode=True, use_discovery=False)
     grads = compute_gradients(batch, vocab, None, config)
-    assert grads.context.shape == (0, enc.ctx_dim)
+    assert grads.context_vectors.shape == (0, enc.ctx_dim)
     assert np.any(grads.sub_background != 0.0)
 
 
@@ -207,12 +205,12 @@ def test_finite_difference_error_shrinks_quadratically(enc):
     # Halving h should shrink the truncation error roughly fourfold in the
     # smooth regime (h large enough that roundoff is negligible).
     batch, vocab, partition, config = _setup(enc, seed=9, tau=0.3)
-    analytic = compute_gradients(batch, vocab, partition, config).flat()
+    analytic = compute_gradients(batch, vocab, partition, config).flat
     errs = []
     for h in (2e-3, 1e-3):
         fd, flips = finite_diff_gradients([proposal_blocks(batch, partition, vocab)], vocab, config, h=h)
         assert flips == 0
-        errs.append(np.linalg.norm(fd.flat() - analytic))
+        errs.append(np.linalg.norm(fd.flat - analytic))
     ratio = errs[0] / errs[1]
     assert 2.5 < ratio < 6.5
 
@@ -260,7 +258,7 @@ def _zero_like(params):
 def test_sgd_zero_gradient_weight_decay_shrinkage():
     rng = np.random.default_rng(12)
     params = Params(context_vectors=rng.standard_normal((3, 4)), sub_background=unit(rng, 6))
-    grads = Gradients(context=np.zeros((3, 4)), sub_background=np.zeros(6))
+    grads = Params(context_vectors=np.zeros((3, 4)), sub_background=np.zeros(6))
     new, _ = sgd_step(params, grads, _zero_like(params), lr=0.1, momentum=0.9, weight_decay=0.01)
     np.testing.assert_allclose(
         new.context_vectors, params.context_vectors * (1.0 - 0.1 * 0.01), rtol=1e-12
@@ -272,24 +270,24 @@ def test_sgd_zero_gradient_weight_decay_shrinkage():
 def test_sgd_plain_gradient_descent():
     rng = np.random.default_rng(13)
     params = Params(context_vectors=rng.standard_normal((2, 3)), sub_background=unit(rng, 4))
-    grads = Gradients(context=rng.standard_normal((2, 3)), sub_background=np.zeros(4))
+    grads = Params(context_vectors=rng.standard_normal((2, 3)), sub_background=np.zeros(4))
     new, _ = sgd_step(params, grads, _zero_like(params), lr=0.5, momentum=0.0, weight_decay=0.0)
     np.testing.assert_allclose(
-        new.context_vectors, params.context_vectors - 0.5 * grads.context, rtol=1e-12
+        new.context_vectors, params.context_vectors - 0.5 * grads.context_vectors, rtol=1e-12
     )
 
 
 def test_sgd_velocity_recurrence():
     rng = np.random.default_rng(14)
     params = Params(context_vectors=rng.standard_normal((2, 2)), sub_background=unit(rng, 3))
-    g1 = Gradients(context=rng.standard_normal((2, 2)), sub_background=rng.standard_normal(3))
-    g2 = Gradients(context=rng.standard_normal((2, 2)), sub_background=rng.standard_normal(3))
+    g1 = Params(context_vectors=rng.standard_normal((2, 2)), sub_background=rng.standard_normal(3))
+    g2 = Params(context_vectors=rng.standard_normal((2, 2)), sub_background=rng.standard_normal(3))
     m, wd, lr = 0.9, 0.01, 0.1
     p1, v1 = sgd_step(params, g1, _zero_like(params), lr, m, wd)
-    expected_v1 = g1.context + wd * params.context_vectors
+    expected_v1 = g1.context_vectors + wd * params.context_vectors
     np.testing.assert_allclose(v1.context_vectors, expected_v1, rtol=1e-12)
     p2, v2 = sgd_step(p1, g2, v1, lr, m, wd)
-    expected_v2 = m * expected_v1 + g2.context + wd * p1.context_vectors
+    expected_v2 = m * expected_v1 + g2.context_vectors + wd * p1.context_vectors
     np.testing.assert_allclose(v2.context_vectors, expected_v2, rtol=1e-12)
     np.testing.assert_allclose(
         p2.context_vectors, p1.context_vectors - lr * expected_v2, rtol=1e-12
@@ -299,16 +297,18 @@ def test_sgd_velocity_recurrence():
 def test_sgd_sub_background_unit_norm():
     rng = np.random.default_rng(15)
     params = Params(context_vectors=np.zeros((1, 2)), sub_background=unit(rng, 5))
-    grads = Gradients(context=np.zeros((1, 2)), sub_background=rng.standard_normal(5))
+    grads = Params(context_vectors=np.zeros((1, 2)), sub_background=rng.standard_normal(5))
     new, _ = sgd_step(params, grads, _zero_like(params), lr=0.3, momentum=0.0, weight_decay=0.0)
     assert abs(np.linalg.norm(new.sub_background) - 1.0) < 1e-12
 
 
 def test_sgd_shape_mismatch():
-    params = Params(context_vectors=np.zeros((2, 2)), sub_background=np.ones(3))
-    grads = Gradients(context=np.zeros((3, 2)), sub_background=np.ones(3))
-    with pytest.raises(ValueError):
-        sgd_step(params, grads, _zero_like(params), 0.1, 0.9, 0.0)
+    params = Params(context_vectors=np.zeros((2, 3)), sub_background=np.ones(3))
+    # Another context shape (with and without another flat size), or another sub-background size.
+    for ctx, sub in (((3, 3), 3), ((3, 2), 3), ((2, 3), 4)):
+        grads = Params(context_vectors=np.zeros(ctx), sub_background=np.ones(sub))
+        with pytest.raises(ValueError, match="do not match"):
+            sgd_step(params, grads, _zero_like(params), 0.1, 0.9, 0.0)
 
 
 @pytest.mark.parametrize("n_ctx", [0, 5])
@@ -319,7 +319,7 @@ def test_flat_sgd_updates_like_the_two_block_update(n_ctx):
     params = oracle = Params(rng.standard_normal((n_ctx, 4)), unit(rng, 6))
     velocity = oracle_velocity = Params(np.zeros((n_ctx, 4)), np.zeros(6))
     for _ in range(50):
-        grads = Gradients(context=rng.standard_normal((n_ctx, 4)), sub_background=rng.standard_normal(6))
+        grads = Params(context_vectors=rng.standard_normal((n_ctx, 4)), sub_background=rng.standard_normal(6))
         params, velocity = sgd_step(params, grads, velocity, lr=0.1, momentum=0.9, weight_decay=2.5e-5)
         oracle, oracle_velocity = two_block_sgd_step(oracle, grads, oracle_velocity, 0.1, 0.9, 2.5e-5)
         for got, want in ((params, oracle), (velocity, oracle_velocity)):
@@ -348,7 +348,6 @@ def test_baseline_trains_on_a_world_without_training_images():
     config = TrainConfig(steps=3, seed=4, baseline_mode=True, use_discovery=False)
     history, checkpoint = train(config, scenario)
     assert [s.breakdown.total for s in history.steps] == [0.0, 0.0, 0.0]
-    assert [s.breakdown.n_foreground + s.breakdown.n_background for s in history.steps] == [0, 0, 0]
 
 
 def test_train_zero_steps_returns_initialization(small_scenario):
@@ -412,9 +411,9 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
 
         breakdown = LossBreakdown(
             foreground=math.nan, background=0.0, pseudo=0.0, total=math.nan,
-            branches=(), n_foreground=0, n_background=0,
+            branches=(),
         )
-        zero = Gradients(np.zeros_like(vocab.context_vectors), np.zeros(vocab.dim))
+        zero = Params(np.zeros_like(vocab.context_vectors), np.zeros(vocab.dim))
         return breakdown, zero
 
     monkeypatch.setattr(trainer_mod, "loss_and_gradients", bad_loss)
@@ -465,7 +464,7 @@ def test_every_component_gradient_matches_the_unfused_oracle(monkeypatch):
                 breakdown, grads = loss_and_gradients(blocks, vocab, cfg, component)
                 oracle_breakdown, oracle = unfused_loss_and_gradients(raw, vocab, cfg, component)
                 assert breakdown == oracle_breakdown, (seed, tau, use_prompts, use_discovery, component)
-                for block in ("context", "sub_background"):
+                for block in ("context_vectors", "sub_background"):
                     got, want = getattr(grads, block), getattr(oracle, block)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (component, block)
                 seen.update(breakdown.branches)

@@ -258,8 +258,6 @@ def test_fixed_rows_check_the_run_once(enc):
     ids, emb = _base(enc, 3)
     with pytest.raises(ValueError, match="baseline mode"):
         FixedRows(tuple(ids), emb, enc, 2, baseline_mode=True)
-    with pytest.raises(ValueError, match="encoder is required"):
-        FixedRows(tuple(ids), emb, None, 2)
     with pytest.raises(ValueError, match="one embedding per base id"):
         FixedRows(tuple(ids[:2]), emb, enc, 2)
     with pytest.raises(ZeroNormError):
