@@ -17,6 +17,7 @@ import typing
 import numpy as np
 
 __all__ = [
+    "NORM_FLOOR",
     "DimensionMismatchError",
     "ZeroNormError",
     "check_temperature",
@@ -42,7 +43,7 @@ class ZeroNormError(ValueError):
     """Raised when a direction-less (zero or near-zero norm) vector is used as an embedding."""
 
 
-_NORM_FLOOR = 1e-300
+NORM_FLOOR = 1e-300  # a vector whose norm is at most this has no direction
 
 
 def check_temperature(tau: float) -> float:
@@ -84,7 +85,9 @@ def check_fields(instance) -> None:
     for name, hint in _type_hints(cls).items():
         value = getattr(instance, name)
         if not _matches(value, hint):
-            raise ValueError(f"{cls.__name__}.{name} must be {cls.__annotations__[name]}, got {value!r}")
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            finite = "finite " if any(isinstance(v, float) and not math.isfinite(v) for v in items) else ""
+            raise ValueError(f"{cls.__name__}.{name} must be {finite}{cls.__annotations__[name]}, got {value!r}")
         if isinstance(value, list):
             object.__setattr__(instance, name, tuple(value))
 
@@ -124,7 +127,7 @@ def cosine(a, b) -> float:
     bv = as_embedding(b, dim=av.shape[0])
     na = float(np.linalg.norm(av))
     nb = float(np.linalg.norm(bv))
-    if na <= _NORM_FLOOR or nb <= _NORM_FLOOR:
+    if na <= NORM_FLOOR or nb <= NORM_FLOOR:
         raise ZeroNormError("cosine undefined for zero-norm input")
     c = float(np.dot(av, bv) / (na * nb))
     # Rounding can push |c| a hair past 1; clamp so exp(c/tau) stays in range.
@@ -167,7 +170,7 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     # ``np.linalg.norm(rows, axis=1)``'s arithmetic (squares, one row sum, sqrt), bit for bit.
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-    if np.minimum.reduce(norms, axis=None, initial=math.inf) <= _NORM_FLOOR:  # a NaN norm is not refused here
+    if np.minimum.reduce(norms, axis=None, initial=math.inf) <= NORM_FLOOR:  # a NaN norm is not refused here
         raise ZeroNormError("zero-norm rows have no direction")
     return rows / norms, norms
 

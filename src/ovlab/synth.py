@@ -18,9 +18,10 @@ fixes: the header line, then the ``n_train_images`` train images, then the
 ``n_eval_images`` eval images, each split numbering its images 0..n-1.
 Each image is its image line followed by ``objects_per_image *
 proposals_per_object + clutter_per_image`` proposal lines. The loader
-derives every line's position from the header alone, so it decodes and
-parses only the lines of the splits it is asked for (it counts and finds
-lines in the file's bytes) and refuses a file of any other line count.
+derives every line's position from the header alone, so it reads the file
+one image's lines at a time, decodes and parses only the lines of the splits
+it is asked for, and refuses a file of any other line count (it counts the
+lines in fixed-size chunks of bytes before it parses one).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_fields, from_dict, is_integer
+from .core import NORM_FLOOR, check_fields, from_dict, is_integer
 from .discovery import Box, OracleInfo, Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash
@@ -51,6 +52,8 @@ __all__ = [
 DATASET_FORMAT = "ovlab-dataset"
 DATASET_VERSION = 1
 SPLITS = ("train", "eval")  # in file order
+_CHUNK_BYTES = 1 << 16  # the loader counts a file's lines in chunks of this size
+_FEATURES = ("det", "img")  # a proposal record's feature keys, in the order of a loaded image's block
 
 
 @dataclass(frozen=True)
@@ -451,12 +454,15 @@ def write_dataset(scenario: Scenario, path) -> None:
 def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
 
-    Only the lines of ``splits`` are parsed; a split that was not requested
-    is None. The header fixes the layout (see the module docstring), so a
-    file whose line count differs from it, or a parsed line that is not the
-    record its position calls for, is a ``ValueError``, as are a malformed
-    file, a missing key, an unknown split name and a header whose
-    ``config_hash`` does not match its settings.
+    The file is read one image's lines at a time, so the load holds the
+    scenario it builds and at most one image's text. Only the lines of
+    ``splits`` are decoded and parsed; a split that was not requested is
+    None. The header fixes the layout (see the module docstring), so a file
+    whose line count differs from it, or a parsed line that is not the record
+    its position calls for, is a ``ValueError``, as are a malformed file, a
+    line that is not UTF-8, a feature that is not finite or has zero norm, a
+    missing key, an unknown split name and a header whose ``config_hash``
+    does not match its settings.
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
@@ -469,69 +475,62 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
         raise ValueError(f"malformed dataset {path}: {exc}") from None
 
 
-def _line_end(data: bytes, start: int, n: int) -> int:
-    """Byte offset just past the ``n`` lines that begin at offset ``start``."""
-    for _ in range(n):
-        start = data.find(b"\n", start) + 1 or len(data)  # the last line may lack its newline
-    return start
-
-
 def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
-    """Parse the header and the lines of ``splits``; only those lines are decoded.
+    """Parse the header and the lines of ``splits``, one image's lines at a time.
 
-    The file's bytes are dropped once the requested splits are decoded, and
-    each split's text once it is split into lines, so the load holds at most
-    about as much as the file's text while the proposals are built.
+    The file's lines are counted in fixed-size chunks of bytes; the lines of
+    a split that was not requested are read past without being decoded.
     """
-    data = Path(path).read_bytes()
-    if not data:
-        raise ValueError(f"empty dataset file {path}")
-    start = _line_end(data, 0, 1)
-    header = json.loads(data[:start].decode("utf-8"))
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path} is not a dataset file")
-    if header.get("version") != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {header.get('version')}")
-    config = from_dict(ScenarioConfig, header["config"])
-    encoder = from_dict(MockTextEncoder, header["encoder"])
-    if encoder.dim != config.dim:
-        raise ValueError(f"dataset {path} header: encoder dim {encoder.dim} != scenario dim {config.dim}")
+    with Path(path).open("rb") as f:
+        n_lines, tail = 0, b""
+        while chunk := f.read(_CHUNK_BYTES):
+            n_lines, tail = n_lines + chunk.count(b"\n"), chunk[-1:]
+        if not tail:
+            raise ValueError(f"empty dataset file {path}")
+        n_lines += tail != b"\n"  # the last line may lack its newline
+        f.seek(0)
+        try:
+            header = json.loads(str(f.readline(), "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line 1 of dataset {path}, the header line, is not UTF-8: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+            raise ValueError(f"{path} is not a dataset file")
+        if header.get("version") != DATASET_VERSION:
+            raise ValueError(f"unsupported dataset version {header.get('version')}")
+        config = from_dict(ScenarioConfig, header["config"])
+        encoder = from_dict(MockTextEncoder, header["encoder"])
+        if encoder.dim != config.dim:
+            raise ValueError(f"dataset {path} header: encoder dim {encoder.dim} != scenario dim {config.dim}")
 
-    name_seeds: dict[int, int] = {}
-    base_ids = tuple(rec["id"] for rec in header["base"])
-    novel_ids = tuple(rec["id"] for rec in header["oracle"]["novel"])
-    distractor_ids = tuple(rec["id"] for rec in header["oracle"]["distractor"])
-    for rec in header["base"] + header["oracle"]["novel"] + header["oracle"]["distractor"]:
-        if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
-            raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
-                             "are not both ints")
-        name_seeds[rec["id"]] = rec["name_seed"]
-    prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
+        name_seeds: dict[int, int] = {}
+        base_ids = tuple(rec["id"] for rec in header["base"])
+        novel_ids = tuple(rec["id"] for rec in header["oracle"]["novel"])
+        distractor_ids = tuple(rec["id"] for rec in header["oracle"]["distractor"])
+        for rec in header["base"] + header["oracle"]["novel"] + header["oracle"]["distractor"]:
+            if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
+                raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
+                                 "are not both ints")
+            name_seeds[rec["id"]] = rec["name_seed"]
+        prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
 
-    per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
-    counts = {"train": config.n_train_images, "eval": config.n_eval_images}
-    expected = 1 + per_image * sum(counts.values())
-    n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as ``str.splitlines`` counts them
-    if n_lines != expected:
-        raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
-    texts, first = {}, 1  # each requested split's text, and the line number of its first line
-    for split in SPLITS:
-        n_split = counts[split] * per_image
-        end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
-        if split in splits:  # decoded through a view, without a copy of the byte range
-            texts[split] = str(memoryview(data)[start:end], "utf-8"), first
-        start, first = end, first + n_split
-    del data
-    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
-    for split in list(texts):
-        text, first = texts.pop(split)  # so that only its lines outlive the split
-        lines = text.split("\n")
-        del text
-        images[split] = tuple(
-            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
-                         config.dim)
-            for i in range(counts[split])
-        )
+        per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
+        counts = {"train": config.n_train_images, "eval": config.n_eval_images}
+        expected = 1 + per_image * sum(counts.values())
+        if n_lines != expected:
+            raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
+        images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
+        first = 1  # the line number (from 0) of the split's first line
+        for split in SPLITS:
+            if split in splits:
+                images[split] = tuple(
+                    _parse_image(path, _image_lines(f, path, first + i * per_image, per_image, split, i),
+                                 first + i * per_image, split, i, config.dim)
+                    for i in range(counts[split])
+                )
+            elif split != SPLITS[-1]:  # read past its lines to the next split's
+                for _ in range(counts[split] * per_image):
+                    f.readline()
+            first += counts[split] * per_image
 
     scenario = Scenario(
         config=config,
@@ -549,6 +548,23 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     return scenario
 
 
+def _image_lines(f, path, first: int, per_image: int, split: str, image_id: int) -> list[str]:
+    """The next ``per_image`` lines of ``f`` as text, the first of which is line ``first`` (from 0) of the file."""
+    lines = [f.readline().removesuffix(b"\n") for _ in range(per_image)]
+    for j, line in enumerate(lines):
+        try:
+            lines[j] = str(line, "utf-8")
+        except UnicodeDecodeError as exc:
+            where = _where(path, first + j, "proposal" if j else "image", split, image_id)
+            raise ValueError(f"{where} is not UTF-8: {exc}") from None
+    return lines
+
+
+def _where(path, n: int, kind: str, split: str, image_id: int) -> str:
+    """The place of line ``n`` (from 0), the ``kind`` line of ``split`` image ``image_id``, in error messages."""
+    return f"line {n + 1} of dataset {path}, the {kind} line of {split} image {image_id},"
+
+
 def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> dict:
     """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
     try:
@@ -559,45 +575,48 @@ def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> di
         problem = "holds another record"
     except json.JSONDecodeError as exc:
         problem = f"is not JSON: {exc}"
-    raise ValueError(f"line {n + 1} of dataset {path}, the {kind} line of {split} image {image_id}, "
-                     f"{problem}")
+    raise ValueError(f"{_where(path, n, kind, split, image_id)} {problem}")
 
 
 def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int) -> SynthImage:
     """One image from its lines, the first of which is line ``first`` (from 0) of the file.
 
-    Each feature kind of the image's proposals is read into the rows of one
-    ``dim``-wide block, as each line is parsed, and checked finite once; each
-    proposal holds a read-only row of it. A feature that is not a list of
-    ``dim`` numbers is refused by its line, so no row is broadcast into the block.
+    The ``det`` and ``img`` features of the image's proposals are read into
+    the rows of one ``(2, n, dim)`` block, as each line is parsed, and the
+    block is checked once: every row finite and with a direction (a norm
+    above ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). Each proposal
+    holds read-only rows of it. A feature that is not a list of ``dim``
+    numbers is refused by its line, so no row is broadcast into the block.
     """
     rec = _record(path, lines[0], first, "image", split, image_id)
     gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
-    blocks: dict[str, np.ndarray] = {}
+    block = np.empty((2, len(lines) - 1, dim))
     parts = []
     for i, line in enumerate(lines[1:]):
         n = first + 1 + i
         rec = _record(path, line, n, "proposal", split, image_id)
-        for key in ("det", "img"):
-            if not i:
-                blocks[key] = np.empty((len(lines) - 1, dim))
+        for k, key in enumerate(_FEATURES):
             try:
                 if type(rec[key]) is not list or len(rec[key]) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
-                blocks[key][i] = rec[key]
+                block[k, i] = rec[key]
             except ValueError as exc:
                 raise ValueError(f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id}, "
                                  f"holds a bad {key} feature: {exc}") from None
         parts.append((Box(*rec["box"]), rec["rpn"], rec["gt"],
                       OracleInfo(generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"])))
-    for key, block in blocks.items():
-        if not np.isfinite(block).all():
-            n = first + 2 + int(np.argwhere(~np.isfinite(block))[0][0])  # the first bad proposal's line, from 1
-            raise ValueError(f"line {n} of dataset {path}, a proposal line of {split} image {image_id}, "
-                             f"holds a non-finite {key} feature")
-        block.setflags(write=False)
+    with np.errstate(over="ignore"):  # a row too long to square still has a direction
+        norms = np.sqrt(np.add.reduce(block * block, axis=2))
+    if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
+        for fault, bad in (("non-finite", ~np.isfinite(block).all(axis=2)), ("zero-norm", norms <= NORM_FLOOR)):
+            for key, rows in zip(_FEATURES, bad):
+                if rows.any():
+                    n = first + 2 + int(rows.argmax())  # the first bad proposal's line, from 1
+                    raise ValueError(f"line {n} of dataset {path}, a proposal line of {split} image {image_id}, "
+                                     f"holds a {fault} {key} feature")
+    block.setflags(write=False)
     proposals = tuple(
         Proposal(box=box, rpn_score=rpn, det_feature=det, img_feature=img, gt_label=gt, oracle=oracle)
-        for (box, rpn, gt, oracle), det, img in zip(parts, blocks.get("det", ()), blocks.get("img", ()))
+        for (box, rpn, gt, oracle), det, img in zip(parts, block[0], block[1])
     )
     return SynthImage(image_id=image_id, proposals=proposals, gt_boxes=gt_boxes)

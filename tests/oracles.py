@@ -13,10 +13,14 @@ steps as written before training computed each quantity once, kept to show
 the fast paths compute alike. The per-proposal scenario generator and the
 joined-text dataset writer are the generator and writer as they were before
 each image's draws were taken in a few calls and its file was streamed.
+The whole-file dataset parser is the loader as it was before it read the
+file one image at a time.
 """
 
+import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,8 @@ from ovlab.core import (
     check_temperature,
     cosine,
     cosine_matrix,
+    from_dict,
+    is_integer,
     log_softmax_rows,
     logsumexp,
     softmax_probs,
@@ -45,7 +51,16 @@ from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.persist import canonical_json
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
-from ovlab.synth import DATASET_FORMAT, DATASET_VERSION, Scenario, ScenarioConfig, SynthImage, _proposal_record
+from ovlab.synth import (
+    DATASET_FORMAT,
+    DATASET_VERSION,
+    SPLITS,
+    Scenario,
+    ScenarioConfig,
+    SynthImage,
+    _parse_image,
+    _proposal_record,
+)
 from ovlab.trainer import Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
@@ -535,3 +550,83 @@ def joined_dataset_text(scenario: Scenario) -> str:
             for p in image.proposals:
                 lines.append(canonical_json(_proposal_record(split, image.image_id, p)))
     return "\n".join(lines) + "\n"
+
+
+def _line_end(data: bytes, start: int, n: int) -> int:
+    """Byte offset just past the ``n`` lines that begin at offset ``start``."""
+    for _ in range(n):
+        start = data.find(b"\n", start) + 1 or len(data)  # the last line may lack its newline
+    return start
+
+
+def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
+    """Parse the header and the lines of ``splits``; only those lines are decoded.
+
+    The file's bytes are dropped once the requested splits are decoded, and
+    each split's text once it is split into lines, so the load holds at most
+    about as much as the file's text while the proposals are built.
+    """
+    data = Path(path).read_bytes()
+    if not data:
+        raise ValueError(f"empty dataset file {path}")
+    start = _line_end(data, 0, 1)
+    header = json.loads(data[:start].decode("utf-8"))
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{path} is not a dataset file")
+    if header.get("version") != DATASET_VERSION:
+        raise ValueError(f"unsupported dataset version {header.get('version')}")
+    config = from_dict(ScenarioConfig, header["config"])
+    encoder = from_dict(MockTextEncoder, header["encoder"])
+    if encoder.dim != config.dim:
+        raise ValueError(f"dataset {path} header: encoder dim {encoder.dim} != scenario dim {config.dim}")
+
+    name_seeds: dict[int, int] = {}
+    base_ids = tuple(rec["id"] for rec in header["base"])
+    novel_ids = tuple(rec["id"] for rec in header["oracle"]["novel"])
+    distractor_ids = tuple(rec["id"] for rec in header["oracle"]["distractor"])
+    for rec in header["base"] + header["oracle"]["novel"] + header["oracle"]["distractor"]:
+        if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
+            raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
+                             "are not both ints")
+        name_seeds[rec["id"]] = rec["name_seed"]
+    prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
+
+    per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
+    counts = {"train": config.n_train_images, "eval": config.n_eval_images}
+    expected = 1 + per_image * sum(counts.values())
+    n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as ``str.splitlines`` counts them
+    if n_lines != expected:
+        raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
+    texts, first = {}, 1  # each requested split's text, and the line number of its first line
+    for split in SPLITS:
+        n_split = counts[split] * per_image
+        end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
+        if split in splits:  # decoded through a view, without a copy of the byte range
+            texts[split] = str(memoryview(data)[start:end], "utf-8"), first
+        start, first = end, first + n_split
+    del data
+    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
+    for split in list(texts):
+        text, first = texts.pop(split)  # so that only its lines outlive the split
+        lines = text.split("\n")
+        del text
+        images[split] = tuple(
+            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
+                         config.dim)
+            for i in range(counts[split])
+        )
+
+    scenario = Scenario(
+        config=config,
+        encoder=encoder,
+        base_ids=base_ids,
+        novel_ids=novel_ids,
+        distractor_ids=distractor_ids,
+        name_seeds=name_seeds,
+        prototypes=prototypes,
+        train_images=images["train"],
+        eval_images=images["eval"],
+    )
+    if header["config_hash"] != scenario.dataset_hash():
+        raise ValueError(f"dataset {path} header config_hash does not match its settings")
+    return scenario

@@ -209,6 +209,39 @@ def test_train_refuses_a_non_finite_feature_by_its_line(dataset, tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+def test_train_refuses_a_zero_norm_feature_by_its_line(dataset, tmp_path, capsys):
+    # A feature with no direction is refused when the dataset loads, by its
+    # line, not later by the first normalization that meets it.
+    lines = dataset.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if '"split":"train"' in line and '"type":"proposal"' in line)
+    rec = json.loads(lines[n])
+    rec["det"] = [0.0] * len(rec["det"])
+    lines[n] = json.dumps(rec)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "run"), *SMALL]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line {n + 1} of dataset {dataset}, a proposal line of train image 0, "
+                   "holds a zero-norm det feature"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_names_a_byte_that_is_not_utf8_by_its_line(dataset, checkpoint, tmp_path, capsys):
+    lines = dataset.read_bytes().split(b"\n")
+    n = max(i for i, line in enumerate(lines) if b'"split":"eval"' in line)
+    image = json.loads(lines[n])["image"]
+    lines[n] = lines[n].replace(b'"img":[', b'"img":[\xff', 1)
+    dataset.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                 "--out-dir", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: line {n + 1} of dataset {dataset}, the proposal line of eval image {image}, "
+                             "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position "), err
+    assert not (tmp_path / "ev").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_diverging_run_ends_in_one_error_line(dataset, tmp_path, capsys):
     # Each setting overflows the parameters within the first steps. The run
@@ -277,6 +310,8 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         assert main([*command, "--set", override]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (override, err)
+        if override.endswith(("=NaN", "=Infinity")):  # a float, but not a finite one
+            assert "must be finite float, got" in err[0], (override, err)
     # Box and score settings are refused before any draw, by the field at fault.
     for override, field in (
         ("scenario.box_max=200", "box_max"),

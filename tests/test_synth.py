@@ -1,17 +1,22 @@
 """Scenario generator: determinism, geometry, oracle isolation, file round-trips."""
 
+import contextlib
 import dataclasses
 import gc
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import joined_dataset_text, per_proposal_images
+from oracles import joined_dataset_text, per_proposal_images, whole_file_parse_dataset
 
+from ovlab import synth
+from ovlab.core import ZeroNormError, unit_rows
 from ovlab.discovery import OracleInfo, Proposal
 from ovlab.encoder import MockTextEncoder
 from ovlab.synth import (
+    SPLITS,
     Scenario,
     ScenarioConfig,
     SynthImage,
@@ -446,6 +451,213 @@ def test_a_broken_line_is_named_by_its_line_in_the_file(tmp_path, scenario, spli
     for splits in ((split,), ("train", "eval")):
         with pytest.raises(ValueError, match=f"^line {n + 1} of dataset .* of {split} image"):
             load_dataset(path, splits)
+
+
+SPLIT_SETS = (("train",), ("eval",), ("train", "eval"))
+
+
+def _whole_file_load(path, splits):
+    """``load_dataset`` with the whole-file oracle parsing in place of the streamed parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_parse_dataset", whole_file_parse_dataset)
+        return load_dataset(path, splits)
+
+
+def _assert_same_scenario(got: Scenario, want: Scenario):
+    """Equal settings, hash and prototypes, and equal images, feature bits included, in each split."""
+    for name in ("config", "base_ids", "novel_ids", "distractor_ids", "name_seeds"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.encoder.config() == want.encoder.config()
+    assert got.dataset_hash() == want.dataset_hash()
+    assert {i: a.tobytes() for i, a in got.prototypes.items()} == {i: a.tobytes() for i, a in want.prototypes.items()}
+    for split in SPLITS:
+        got_images, want_images = getattr(got, f"{split}_images"), getattr(want, f"{split}_images")
+        if want_images is None:
+            assert got_images is None, split
+        else:
+            _assert_same_images(got_images, want_images)
+            assert not any(p.det_feature.flags.writeable or p.img_feature.flags.writeable
+                           for image in got_images for p in image.proposals)
+
+
+def _assert_streamed_as_the_oracle(path):
+    for splits in SPLIT_SETS:
+        _assert_same_scenario(load_dataset(path, splits), _whole_file_load(path, splits))
+
+
+@pytest.mark.parametrize("world", ["reference", "no_proposals", *EDGE_WORLDS, "crlf", "no_final_newline"])
+def test_the_streamed_load_is_the_whole_file_load(tmp_path, enc, scenario, world):
+    # Read one image at a time, the file builds the scenario the whole-file
+    # parser builds, bit for bit, whichever splits are asked for.
+    path = tmp_path / "data.jsonl"
+    if world == "reference":
+        write_dataset(generate_scenario(ScenarioConfig(), enc), path)
+    elif world in ("crlf", "no_final_newline"):
+        write_dataset(scenario, path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\n", b"\r\n") if world == "crlf" else data[:-1])
+    else:
+        edit = dict(objects_per_image=0, clutter_per_image=0) if world == "no_proposals" else EDGE_WORLDS[world]
+        write_dataset(generate_scenario(ScenarioConfig(n_train_images=6, n_eval_images=4, seed=5, **edit), enc),
+                      path)
+    _assert_streamed_as_the_oracle(path)
+
+
+def test_the_streamed_load_is_the_whole_file_load_on_random_worlds():
+    hypothesis = pytest.importorskip("hypothesis")
+    import tempfile
+    from pathlib import Path
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_small_configs(hypothesis.strategies))
+    def same_as_oracle(config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            write_dataset(generate_scenario(config, MockTextEncoder(seed=7, dim=config.dim)), path)
+            _assert_streamed_as_the_oracle(path)
+
+    same_as_oracle()
+
+
+def _edit_line(n: int, edit):
+    """A file fault: ``edit`` applied to the record on line ``n`` (from 0)."""
+    def apply(lines):
+        rec = json.loads(lines[n])
+        edit(rec)
+        lines[n] = json.dumps(rec)
+    return apply
+
+
+def _set(path: tuple, value):
+    """A record edit that sets the value at the key path ``path``."""
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    return edit
+
+
+def _refusal(load, path, splits) -> str | None:
+    try:
+        load(path, splits)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Each fault edits the lines of the 8 + 4 image fixture world: the header is
+# line 0, train image 0 starts at line 1 and each image has 14 lines.
+FILE_FAULTS = {
+    "one_line_too_many": lambda lines: lines.append(""),
+    "one_line_too_few": lambda lines: lines.pop(20),
+    "header_only": lambda lines: lines.__delitem__(slice(1, None)),
+    "train_lines_swapped": lambda lines: lines.insert(16, lines.pop(2)),
+    "eval_lines_swapped": lambda lines: lines.insert(-15, lines.pop(-2)),
+    "image_line_moved": lambda lines: lines.insert(3, lines.pop(1)),
+    "train_line_not_json": lambda lines: lines.__setitem__(5, "{not json"),
+    "eval_line_truncated": lambda lines: lines.__setitem__(-3, lines[-3][:40]),
+    "image_line_not_an_object": lambda lines: lines.__setitem__(15, "[1, 2]"),
+    "det_too_short": _edit_line(2, lambda rec: rec["det"].pop()),
+    "img_not_a_list": _edit_line(-1, _set(("img",), 5)),
+    "det_holds_a_string": _edit_line(3, lambda rec: rec["det"].__setitem__(0, "x")),
+    "det_not_finite": _edit_line(4, lambda rec: rec["det"].__setitem__(1, float("nan"))),
+    "img_not_finite": _edit_line(-4, lambda rec: rec["img"].__setitem__(0, float("inf"))),
+    "det_zero": _edit_line(6, lambda rec: rec.__setitem__("det", [0.0] * len(rec["det"]))),
+    "img_zero": _edit_line(-5, lambda rec: rec.__setitem__("img", [0.0] * len(rec["img"]))),
+    "proposal_lacks_a_key": _edit_line(7, lambda rec: rec.pop("rpn")),
+    "gt_boxes_not_a_list": _edit_line(1, _set(("gt_boxes",), 5)),
+    "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
+    "header_not_an_object": lambda lines: lines.__setitem__(0, "[]"),
+    "header_format": _edit_line(0, _set(("format",), "other")),
+    "header_version": _edit_line(0, _set(("version",), 2)),
+    "header_encoder_dim": _edit_line(0, _set(("encoder", "dim"), 16)),
+    "header_unknown_setting": _edit_line(0, _set(("config", "colour"), 1)),
+    "header_category_id": _edit_line(0, lambda rec: rec["base"][0].__setitem__("id", 1.5)),
+    "header_lacks_a_key": _edit_line(0, lambda rec: rec.pop("base")),
+    "header_config_hash": _edit_line(0, _set(("config_hash",), "0" * 16)),
+    "empty_file": lambda lines: lines.clear(),
+}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+def test_the_streamed_load_refuses_what_the_whole_file_load_refuses(tmp_path, scenario, fault):
+    # Every fault is refused, by the split that holds it, with the message the
+    # whole-file parser gives.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    FILE_FAULTS[fault](lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    refusals = [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS]
+    assert refusals == [_refusal(_whole_file_load, path, splits) for splits in SPLIT_SETS]
+    assert refusals[-1] is not None
+
+
+@pytest.mark.parametrize("feature", ["det", "img"])
+def test_a_feature_without_a_direction_is_refused_by_its_line(tmp_path, scenario, feature):
+    # A row that ``core.unit_rows`` would refuse, zeros or entries whose
+    # squares underflow, is refused when the file loads, by its line; a row
+    # too long to square without overflow has a direction and loads.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    n = 2 + 14 * 3  # a proposal line of train image 3
+    for value, refused in ((0.0, True), (1e-170, True), (1e-150, False), (1e200, False)):
+        rec = json.loads(lines[n])
+        rec[feature] = [value] * len(rec[feature])
+        path.write_text("\n".join([*lines[:n], json.dumps(rec), *lines[n + 1:]]) + "\n")
+        with pytest.raises(ZeroNormError) if refused else contextlib.nullcontext(), np.errstate(over="ignore"):
+            unit_rows(np.array([rec[feature]]))
+        if refused:
+            with pytest.raises(ValueError, match=f"^line {n + 1} of dataset .*, a proposal line of train image 3, "
+                                                 f"holds a zero-norm {feature} feature$"):
+                load_dataset(path, ("train",))
+        else:
+            loaded = load_dataset(path, ("train",))
+            assert getattr(loaded.train_images[3].proposals[0], f"{feature}_feature")[0] == value
+        assert load_dataset(path, ("eval",)).eval_images is not None  # the eval split does not read it
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, scenario, split):
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_bytes().split(b"\n")
+    n = max(i for i, line in enumerate(lines) if f'"split":"{split}"'.encode() in line)
+    image = json.loads(lines[n])["image"]
+    lines[n] = lines[n].replace(b'"det":[', b'"det":[\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+    for splits in ((split,), ("train", "eval")):
+        with pytest.raises(ValueError, match=f"^line {n + 1} of dataset .*, the proposal line of {split} image "
+                                             f"{image}, is not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+            load_dataset(path, splits)
+    other = "eval" if split == "train" else "train"
+    assert load_dataset(path, (other,)).images(other)  # the other split does not decode it
+    path.write_bytes(b"\xff" + b"\n".join(lines))
+    with pytest.raises(ValueError, match="^line 1 of dataset .*, the header line, is not UTF-8: "):
+        load_dataset(path, (other,))
+
+
+def test_a_load_holds_no_more_than_an_image_of_text(enc):
+    # On the default reference world (a file of about 3.4 MB), the memory a
+    # load of both splits allocates beyond the scenario it returns stays
+    # below an eighth of the file's size: the load never holds the file.
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        write_dataset(generate_scenario(ScenarioConfig(), enc), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(loaded.eval_images) == ScenarioConfig().n_eval_images
+    assert size > 3e6
+    assert peak - kept < size / 8, (peak - kept, size)
 
 
 def test_dataset_rejects_foreign_files(tmp_path):
