@@ -245,10 +245,10 @@ def cmd_rectify_report(args) -> int:
     scenario = load_dataset(args.dataset, ("eval",))
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config.temperature
-    queries = [p.det_feature for image in scenario.images("eval") for p in image.proposals]
-    if not queries:
+    blocks = [image.features[0] for image in scenario.images("eval")]  # each image's det rows
+    if not sum(len(block) for block in blocks):
         raise ValueError(f"the eval split of {args.dataset} has no proposals to report on")
-    report = rectification_report(vocab, tau, np.stack(queries[: args.max_proposals]))
+    report = rectification_report(vocab, tau, np.concatenate(blocks)[: args.max_proposals])
     out_dir = Path(args.out_dir)
     write_text(out_dir / "rectification.json", canonical_json(report) + "\n")
     lines = [f"{'category':>10} {'factor':>10}"]

@@ -34,7 +34,7 @@ KMEANS_MAX_ITERS = 100  # Lloyd iterations per initialization
 KMEANS_RESTARTS = 8  # seeded initializations per clustering; the lowest objective wins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box in image units, corners (x1, y1) < (x2, y2)."""
 
@@ -58,7 +58,7 @@ class Box:
         return [self.x1, self.y1, self.x2, self.y2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleInfo:
     """Ground-truth record used only by evaluation and tests.
 
@@ -67,10 +67,10 @@ class OracleInfo:
     """
 
     generative_label: int | None
-    source: str  # "object" or "clutter"
+    source: str  # "object" or "clutter"; a dataset line holds "unknown" for a proposal without a record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """One region proposal: geometry, objectness, and its two feature views.
 

@@ -102,13 +102,17 @@ def evaluate(
     """Score every held-out proposal and compare against the oracle labels.
 
     Never mutates the checkpoint or the dataset. The shrinking factors are
-    computed once; each eval image's proposals are scored in one batch.
+    computed once. Each eval image's ``features[0]`` (its det rows) is
+    scored in one ``score`` call; the best foreground category, its
+    probability, the background decision and the recall test are taken for
+    the whole image as arrays, and the confusion matrix is tallied from
+    their Python values, proposal by proposal in image order.
     """
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config.temperature
     factors = compute_shrinking_factors(vocab, tau)
 
-    fg_ids = list(vocab.base_ids) + list(vocab.novel_ids)
+    fg_keys = [str(i) for i in list(vocab.base_ids) + list(vocab.novel_ids)]
     base_set = set(scenario.base_ids)
     novel_set = set(scenario.novel_ids)
 
@@ -120,24 +124,23 @@ def evaluate(
     for image in scenario.images("eval"):
         if not image.proposals:
             continue
-        features = np.stack([p.det_feature for p in image.proposals])
-        fg_probs, bg_mass = score(features, vocab, tau, factors if rectify else None)
-        for p, probs, mass in zip(image.proposals, fg_probs, bg_mass):
+        fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if rectify else None)
+        # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
+        best = fg_probs.argmax(axis=1)
+        best_prob = fg_probs.max(axis=1)
+        decisions = zip(image.proposals, best.tolist(), (bg_mass > best_prob).tolist(),
+                        (best_prob >= recall_threshold).tolist())
+        for p, best_i, background, recall in decisions:
             label = p.oracle.generative_label if p.oracle else None
             kind = "base" if label in base_set else "novel" if label in novel_set else "background"
             true_key = BACKGROUND_KEY if kind == "background" else str(label)
             totals[kind] += 1
-
-            # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
-            best = int(np.argmax(probs))
-            best_prob = float(probs[best])
-            pred_key = BACKGROUND_KEY if mass > best_prob else str(fg_ids[best])
-
+            pred_key = BACKGROUND_KEY if background else fg_keys[best_i]
             row = confusion.setdefault(true_key, {})
             row[pred_key] = row.get(pred_key, 0) + 1
             if kind in ("base", "novel") and pred_key == true_key:
                 hits[kind] += 1
-                if kind == "novel" and best_prob >= recall_threshold:
+                if kind == "novel" and recall:
                     recalled += 1
 
     report = EvalReport(

@@ -53,7 +53,8 @@ DATASET_FORMAT = "ovlab-dataset"
 DATASET_VERSION = 1
 SPLITS = ("train", "eval")  # in file order
 _CHUNK_BYTES = 1 << 16  # the loader counts a file's lines in chunks of this size
-_FEATURES = ("det", "img")  # a proposal record's feature keys, in the order of a loaded image's block
+_FEATURES = ("det", "img")  # a proposal record's feature keys, in the order of an image's block
+_SOURCES = ("object", "clutter", "unknown")  # the oracle sources a proposal line may hold
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,21 @@ class ScenarioConfig:
         return w / w.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthImage:
-    """Proposals of one image plus its annotated (base-object) boxes."""
+    """Proposals of one image, its annotated (base-object) boxes and its feature block.
+
+    ``features`` is the read-only ``(2, n, dim)`` block of the image's ``n``
+    proposals, their ``det`` rows then their ``img`` rows (``_FEATURES``
+    order). Each proposal's ``det_feature`` and ``img_feature`` are views of
+    its two rows, so code that reads every proposal's features at once reads
+    the block instead of stacking them.
+    """
 
     image_id: int
     proposals: tuple[Proposal, ...]
     gt_boxes: tuple[Box, ...]
+    features: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -235,11 +244,11 @@ _JITTER_SPAN = np.array([0.08, 0.08, 1.08, 1.08]) - _JITTER_LOW
 _CLUTTER = OracleInfo(generative_label=None, source="clutter")
 
 
-def _row_normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row over its norm, and the (n, 1) norms; the row dot product is the arithmetic of
-    ``np.linalg.norm`` on one row."""
+def _row_normalized(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its norm, written to ``out`` if given, and the (n, 1) norms; the row dot
+    product is the arithmetic of ``np.linalg.norm`` on one row."""
     norms = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-    return x / norms, norms
+    return np.divide(x, norms, out=out), norms
 
 
 def _random_boxes(u: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -273,6 +282,7 @@ def _generate_image(
     base_ids: tuple[int, ...],
     hidden_ids: tuple[int, ...],
     hidden_cdf: list[float],
+    objects: dict[int, OracleInfo],
 ) -> SynthImage:
     """One image, its draws taken in the order the dataset format fixes.
 
@@ -283,8 +293,9 @@ def _generate_image(
     four jitter uniforms and a score normal. Each clutter proposal draws
     ``3 * dim`` normals (its direction first), four box uniforms and a score
     normal. The features, boxes and scores of the whole image are then
-    computed at once, with the arithmetic of the per-proposal draws; each
-    proposal holds read-only rows of the image's det and img blocks.
+    computed at once, with the arithmetic of the per-proposal draws, the
+    features into the image's one block; each proposal holds read-only rows
+    of it, and each object proposal its category's record from ``objects``.
     """
     n_objects, per_object, dim = config.objects_per_image, config.proposals_per_object, config.dim
     n_object_proposals = n_objects * per_object
@@ -316,16 +327,16 @@ def _generate_image(
     directions = noise[:, 0]
     directions[:n_object_proposals] = prototypes[np.repeat(np.array(cats, dtype=np.intp), per_object)]
     directions[n_object_proposals:] = _row_normalized(directions[n_object_proposals:])[0]
-    img, img_norms = _row_normalized(directions + config.sigma_feat * noise[:, 1])
-    det, det_norms = _row_normalized(img + config.sigma_det * noise[:, 2])
+    features = np.empty((2, n, dim))  # det rows, then img rows
+    img_norms = _row_normalized(directions + config.sigma_feat * noise[:, 1], out=features[1])[1]
+    det_norms = _row_normalized(features[1] + config.sigma_det * noise[:, 2], out=features[0])[1]
     for name, norms in (("sigma_feat", img_norms), ("sigma_det", det_norms)):
         # A NaN norm fails the first comparison; an image without proposals passes both.
         least, most = np.minimum.reduce(norms, None, initial=math.inf), np.maximum.reduce(norms, None, initial=0.0)
         if not (0.0 < least and most < math.inf):
             raise ValueError(f"ScenarioConfig.{name} = {getattr(config, name)} is too large: the features of "
                              f"image {image_id} overflow to rows without a finite nonzero norm")
-    img.setflags(write=False)
-    det.setflags(write=False)
+    features.setflags(write=False)
     scores[:n_object_proposals] = config.object_score_mean + config.object_score_std * scores[:n_object_proposals]
     scores[n_object_proposals:] = config.clutter_score_mean + config.clutter_score_std * scores[n_object_proposals:]
     gt = _random_boxes(gt_u, config)
@@ -333,15 +344,15 @@ def _generate_image(
         _jittered_boxes(np.repeat(gt, per_object, axis=0), box_u[:n_object_proposals], config.image_size),
         _random_boxes(box_u[n_object_proposals:], config),
     ])
-    labels = [(cat if is_base else None, OracleInfo(generative_label=cat, source="object"))
-              for cat, is_base in zip(cats, bases) for _ in range(per_object)]
+    labels = [(cat if is_base else None, objects[cat]) for cat, is_base in zip(cats, bases) for _ in range(per_object)]
     labels += [(None, _CLUTTER)] * config.clutter_per_image
+    det, img = features
     proposals = [
         Proposal(box=Box(*box), rpn_score=score, det_feature=d, img_feature=i, gt_label=gt_label, oracle=oracle)
         for box, score, d, i, (gt_label, oracle) in zip(boxes.tolist(), _clipped(scores).tolist(), det, img, labels)
     ]
     gt_boxes = [Box(*box) for box, is_base in zip(gt.tolist(), bases) if is_base]
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes))
+    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes), features=features)
 
 
 def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scenario:
@@ -369,16 +380,17 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     cdf = config.resolved_hidden_weights().cumsum()  # as ``Generator.choice(p=...)`` builds it
     hidden_cdf = (cdf / cdf[-1]).tolist() if hidden_ids else []
     rows = np.array(protos)  # row i is category i's prototype
+    objects = {i: OracleInfo(generative_label=i, source="object") for i in ids}  # shared by the category's proposals
 
     rng = np.random.default_rng([4, config.seed])
     # Sigmas large enough to overflow the features are refused per image, in one error, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         train_images = tuple(
-            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
+            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, objects)
             for i in range(config.n_train_images)
         )
         eval_images = tuple(
-            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf)
+            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, objects)
             for i in range(config.n_eval_images)
         )
     return Scenario(
@@ -461,8 +473,11 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     whose line count differs from it, or a parsed line that is not the record
     its position calls for, is a ``ValueError``, as are a malformed file, a
     line that is not UTF-8, a feature that is not finite or has zero norm, a
-    missing key, an unknown split name and a header whose ``config_hash``
-    does not match its settings.
+    bad box, gt box or rpn score, a ``gt`` that is not a base id of the
+    header, an oracle label that is not a category id of the header or a
+    source the writer cannot write, a missing key, an unknown split name and
+    a header whose ``config_hash`` does not match its settings. Every
+    proposal of the load with one oracle (label, source) holds one record.
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
@@ -512,6 +527,9 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
                                  "are not both ints")
             name_seeds[rec["id"]] = rec["name_seed"]
         prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
+        # The oracle record of each (label, source) a proposal line may hold, shared by every line of the load.
+        oracles = {label: {source: OracleInfo(generative_label=label, source=source) for source in _SOURCES}
+                   for label in (None, *name_seeds)}
 
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
         counts = {"train": config.n_train_images, "eval": config.n_eval_images}
@@ -524,7 +542,7 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             if split in splits:
                 images[split] = tuple(
                     _parse_image(path, _image_lines(f, path, first + i * per_image, per_image, split, i),
-                                 first + i * per_image, split, i, config.dim)
+                                 first + i * per_image, split, i, config.dim, base_ids, oracles)
                     for i in range(counts[split])
                 )
             elif split != SPLITS[-1]:  # read past its lines to the next split's
@@ -578,20 +596,36 @@ def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> di
     raise ValueError(f"{_where(path, n, kind, split, image_id)} {problem}")
 
 
-def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int) -> SynthImage:
+def _proposal_line(path, n: int, split: str, image_id: int) -> str:
+    """The place of line ``n`` (from 0), a proposal line of ``split`` image ``image_id``, in error messages."""
+    return f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id},"
+
+
+def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int,
+                 base_ids: tuple[int, ...], oracles: dict[int | None, dict[str, OracleInfo]]) -> SynthImage:
     """One image from its lines, the first of which is line ``first`` (from 0) of the file.
 
     The ``det`` and ``img`` features of the image's proposals are read into
     the rows of one ``(2, n, dim)`` block, as each line is parsed, and the
     block is checked once: every row finite and with a direction (a norm
     above ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). Each proposal
-    holds read-only rows of it. A feature that is not a list of ``dim``
-    numbers is refused by its line, so no row is broadcast into the block.
+    holds read-only rows of it, and the image hands it out as its
+    ``features``. A feature that is not a list of ``dim`` numbers is refused
+    by its line, so no row is broadcast into the block, as are a bad box or
+    rpn score, a ``gt`` that is neither null nor one of ``base_ids``, an
+    oracle label that is not a key of ``oracles`` (each label a line may
+    hold, mapped by source to the one record the load shares) and a source
+    outside ``_SOURCES``.
     """
     rec = _record(path, lines[0], first, "image", split, image_id)
-    gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
+    try:
+        gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{_where(path, first, 'image', split, image_id)} holds bad gt_boxes: {exc}") from None
     block = np.empty((2, len(lines) - 1, dim))
-    parts = []
+    rows = block.view()  # the proposals' read-only view of the block being filled
+    rows.setflags(write=False)
+    proposals = []
     for i, line in enumerate(lines[1:]):
         n = first + 1 + i
         rec = _record(path, line, n, "proposal", split, image_id)
@@ -601,22 +635,35 @@ def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, 
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
                 block[k, i] = rec[key]
             except ValueError as exc:
-                raise ValueError(f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id}, "
-                                 f"holds a bad {key} feature: {exc}") from None
-        parts.append((Box(*rec["box"]), rec["rpn"], rec["gt"],
-                      OracleInfo(generative_label=rec["oracle"]["label"], source=rec["oracle"]["source"])))
+                raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad {key} feature: "
+                                 f"{exc}") from None
+        gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
+        if gt is not None and not (is_integer(gt) and gt in base_ids):
+            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a gt of {gt!r}, which is neither "
+                             "null nor a base category id of the header")
+        by_source = oracles.get(label) if label is None or is_integer(label) else None
+        if by_source is None:
+            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds an oracle label of {label!r}, which "
+                             "is neither null nor a category id of the header")
+        if source not in _SOURCES:
+            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds an oracle source of {source!r}, "
+                             f"which is not one of {', '.join(map(repr, _SOURCES))}")
+        try:
+            box = Box(*rec["box"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad box: {exc}") from None
+        try:
+            proposals.append(Proposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i], img_feature=rows[1, i],
+                                      gt_label=gt, oracle=by_source[source]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad rpn score: {exc}") from None
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
     if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
         for fault, bad in (("non-finite", ~np.isfinite(block).all(axis=2)), ("zero-norm", norms <= NORM_FLOOR)):
-            for key, rows in zip(_FEATURES, bad):
-                if rows.any():
-                    n = first + 2 + int(rows.argmax())  # the first bad proposal's line, from 1
-                    raise ValueError(f"line {n} of dataset {path}, a proposal line of {split} image {image_id}, "
+            for key, bad_rows in zip(_FEATURES, bad):
+                if bad_rows.any():  # the first bad proposal's line
+                    raise ValueError(f"{_proposal_line(path, first + 1 + int(bad_rows.argmax()), split, image_id)} "
                                      f"holds a {fault} {key} feature")
     block.setflags(write=False)
-    proposals = tuple(
-        Proposal(box=box, rpn_score=rpn, det_feature=det, img_feature=img, gt_label=gt, oracle=oracle)
-        for (box, rpn, gt, oracle), det, img in zip(parts, block[0], block[1])
-    )
-    return SynthImage(image_id=image_id, proposals=proposals, gt_boxes=gt_boxes)
+    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=gt_boxes, features=block)

@@ -14,7 +14,8 @@ the fast paths compute alike. The per-proposal scenario generator and the
 joined-text dataset writer are the generator and writer as they were before
 each image's draws were taken in a few calls and its file was streamed.
 The whole-file dataset parser is the loader as it was before it read the
-file one image at a time.
+file one image at a time, and the per-proposal evaluation tally is
+``evaluate`` as it was before it took each image's decisions as arrays.
 """
 
 import json
@@ -49,19 +50,22 @@ from ovlab.discovery import (
 )
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
+from ovlab.metrics import BACKGROUND_KEY, EvalReport, inference_vocab
 from ovlab.persist import canonical_json
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
+from ovlab.rectify import compute_shrinking_factors, score
 from ovlab.synth import (
     DATASET_FORMAT,
     DATASET_VERSION,
     SPLITS,
+    _SOURCES,
     Scenario,
     ScenarioConfig,
     SynthImage,
     _parse_image,
     _proposal_record,
 )
-from ovlab.trainer import Params
+from ovlab.trainer import Checkpoint, Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
 
 
@@ -502,7 +506,10 @@ def _generate_image(
                 oracle=OracleInfo(generative_label=None, source="clutter"),
             )
         )
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes))
+    features = np.array([[p.det_feature for p in proposals], [p.img_feature for p in proposals]])
+    features = features.reshape(2, len(proposals), config.dim)
+    features.setflags(write=False)
+    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes), features=features)
 
 
 def per_proposal_images(scenario: Scenario) -> tuple[tuple[SynthImage, ...], tuple[SynthImage, ...]]:
@@ -590,6 +597,8 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
                              "are not both ints")
         name_seeds[rec["id"]] = rec["name_seed"]
     prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
+    oracles = {label: {source: OracleInfo(generative_label=label, source=source) for source in _SOURCES}
+               for label in (None, *name_seeds)}
 
     per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
     counts = {"train": config.n_train_images, "eval": config.n_eval_images}
@@ -612,7 +621,7 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         del text
         images[split] = tuple(
             _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
-                         config.dim)
+                         config.dim, base_ids, oracles)
             for i in range(counts[split])
         )
 
@@ -630,3 +639,68 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     if header["config_hash"] != scenario.dataset_hash():
         raise ValueError(f"dataset {path} header config_hash does not match its settings")
     return scenario
+
+
+# -- the per-proposal evaluation tally --------------------------------------------
+
+
+def per_proposal_evaluate(
+    checkpoint: Checkpoint,
+    scenario: Scenario,
+    rectify: bool = True,
+    recall_threshold: float = 0.5,
+) -> EvalReport:
+    """``metrics.evaluate`` as it was before it scored each image's feature block and took its
+    decisions as arrays: one image's stacked det rows scored at once, then every proposal's
+    argmax, best probability, background decision and recall test as numpy scalars."""
+    vocab = inference_vocab(checkpoint, scenario)
+    tau = checkpoint.config.temperature
+    factors = compute_shrinking_factors(vocab, tau)
+
+    fg_ids = list(vocab.base_ids) + list(vocab.novel_ids)
+    base_set = set(scenario.base_ids)
+    novel_set = set(scenario.novel_ids)
+
+    confusion: dict[str, dict[str, int]] = {}
+    hits = {"base": 0, "novel": 0}
+    totals = {"base": 0, "novel": 0, "background": 0}
+    recalled = 0
+
+    for image in scenario.images("eval"):
+        if not image.proposals:
+            continue
+        features = np.stack([p.det_feature for p in image.proposals])
+        fg_probs, bg_mass = score(features, vocab, tau, factors if rectify else None)
+        for p, probs, mass in zip(image.proposals, fg_probs, bg_mass):
+            label = p.oracle.generative_label if p.oracle else None
+            kind = "base" if label in base_set else "novel" if label in novel_set else "background"
+            true_key = BACKGROUND_KEY if kind == "background" else str(label)
+            totals[kind] += 1
+
+            # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
+            best = int(np.argmax(probs))
+            best_prob = float(probs[best])
+            pred_key = BACKGROUND_KEY if mass > best_prob else str(fg_ids[best])
+
+            row = confusion.setdefault(true_key, {})
+            row[pred_key] = row.get(pred_key, 0) + 1
+            if kind in ("base", "novel") and pred_key == true_key:
+                hits[kind] += 1
+                if kind == "novel" and best_prob >= recall_threshold:
+                    recalled += 1
+
+    report = EvalReport(
+        novel_top1=hits["novel"] / totals["novel"] if totals["novel"] else 0.0,
+        base_top1=hits["base"] / totals["base"] if totals["base"] else 0.0,
+        novel_recall=recalled / totals["novel"] if totals["novel"] else 0.0,
+        recall_threshold=recall_threshold,
+        rectified=bool(rectify),
+        mean_shrinking_factor=float(factors.mean()) if factors.size else 1.0,
+        confusion=confusion,
+        branch_histogram=dict(checkpoint.branch_totals),
+        n_novel=totals["novel"],
+        n_base=totals["base"],
+        n_background=totals["background"],
+    )
+    report.validate()
+    return report

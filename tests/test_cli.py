@@ -242,6 +242,55 @@ def test_eval_names_a_byte_that_is_not_utf8_by_its_line(dataset, checkpoint, tmp
     assert not (tmp_path / "ev").exists()
 
 
+# A value that a proposal or image line of image 0 of a split may not hold: its split, its
+# line's type, its key path and the start of what the error line says after the line's place.
+BAD_VALUES = {
+    "gt_a_string": ("train", "proposal", ("gt",), "a",
+                    "holds a gt of 'a', which is neither null nor a base category id of the header"),
+    "gt_not_a_base_id": ("train", "proposal", ("gt",), 999, "holds a gt of 999, which is neither null"),
+    "gt_a_float": ("train", "proposal", ("gt",), 1.5, "holds a gt of 1.5, which is neither null"),
+    "gt_a_bool": ("train", "proposal", ("gt",), True, "holds a gt of True, which is neither null"),
+    "label_not_a_category_id": ("eval", "proposal", ("oracle", "label"), 999,
+                                "holds an oracle label of 999, which is neither null nor a category id of the header"),
+    "label_a_string": ("eval", "proposal", ("oracle", "label"), "x", "holds an oracle label of 'x', which is neither"),
+    "label_a_bool": ("eval", "proposal", ("oracle", "label"), True, "holds an oracle label of True, which is neither"),
+    "source_unknown": ("eval", "proposal", ("oracle", "source"), "scrubbed",
+                       "holds an oracle source of 'scrubbed', which is not one of 'object', 'clutter', 'unknown'"),
+    "rpn_above_one": ("train", "proposal", ("rpn",), 1.5,
+                      "holds a bad rpn score: rpn_score must lie in [0, 1], got 1.5"),
+    "box_degenerate": ("train", "proposal", ("box",), [5, 5, 1, 1],
+                       "holds a bad box: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
+    "box_too_short": ("eval", "proposal", ("box",), [1, 2, 3], "holds a bad box: "),
+    "gt_box_degenerate": ("train", "image", ("gt_boxes",), [[5, 5, 1, 1]],
+                          "holds bad gt_boxes: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_VALUES)
+def test_a_bad_value_is_refused_by_its_line(dataset, checkpoint, tmp_path, capsys, fault):
+    # The command that reads the split refuses the file when it loads, with
+    # one error line that names the line, and writes nothing.
+    split, kind, keys, value, message = BAD_VALUES[fault]
+    lines = dataset.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if f'"split":"{split}"' in line and f'"type":"{kind}"' in line)
+    rec = json.loads(lines[n])
+    node = rec
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    lines[n] = json.dumps(rec)
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    command = ["train", *SMALL] if split == "train" else ["eval", "--checkpoint", str(checkpoint)]
+    capsys.readouterr()
+    assert main([*command, "--dataset", str(dataset), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    place = "a proposal line" if kind == "proposal" else "the image line"
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: line {n + 1} of dataset {dataset}, {place} of {split} image 0, {message}"), err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_diverging_run_ends_in_one_error_line(dataset, tmp_path, capsys):
     # Each setting overflows the parameters within the first steps. The run

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import per_proposal_evaluate
+from util import EDGE_WORLDS
 
 from ovlab.encoder import MockTextEncoder
 from ovlab.metrics import (
@@ -11,8 +13,10 @@ from ovlab.metrics import (
     AblationSpec,
     EvalReport,
     evaluate,
+    inference_vocab,
     run_ablation,
 )
+from ovlab.rectify import compute_shrinking_factors, score
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, train
 
@@ -82,6 +86,38 @@ def test_confusion_rows_sum_to_instance_counts(small_scenario):
     total = sum(sum(row.values()) for row in report.confusion.values())
     assert total == report.n_novel + report.n_base + report.n_background
     report.validate()
+
+
+TALLY_WORLDS = {
+    **{f"reference_{seed}": dict(seed=seed) for seed in range(3)},
+    **{name: dict(n_train_images=6, n_eval_images=4, seed=5, **edit) for name, edit in EDGE_WORLDS.items()},
+}
+# Worlds whose training split leaves too little background to discover categories in; their
+# checkpoint is a baseline one.
+UNDISCOVERABLE = {"no_hidden", "all_base", "no_objects", "no_object_proposals", "clipped"}
+
+
+@pytest.mark.parametrize("world", TALLY_WORLDS)
+def test_evaluation_tallies_as_the_per_proposal_oracle(enc, world):
+    # Scoring each image's feature block and taking its decisions as arrays
+    # gives the report, byte for byte, that scoring stacked rows and deciding
+    # proposal by proposal gave, rectified or not, at every recall threshold.
+    scenario = generate_scenario(ScenarioConfig(**TALLY_WORLDS[world]), enc)
+    assert any(image.proposals for image in scenario.eval_images)
+    _, checkpoint = train(TrainConfig(steps=20, seed=0, baseline_mode=world in UNDISCOVERABLE), scenario)
+    for rectify in (True, False):
+        for threshold in (0.0, 0.5, 1.0):
+            got = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+            want = per_proposal_evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+            assert got.to_json() == want.to_json(), (rectify, threshold)
+    vocab = inference_vocab(checkpoint, scenario)
+    tau = checkpoint.config.temperature
+    for factors in (compute_shrinking_factors(vocab, tau), None):
+        for image in scenario.eval_images:
+            if image.proposals:
+                block = score(image.features[0], vocab, tau, factors)
+                stacked = score(np.stack([p.det_feature for p in image.proposals]), vocab, tau, factors)
+                assert [a.tobytes() for a in block] == [a.tobytes() for a in stacked]
 
 
 def test_evaluate_does_not_mutate_inputs(small_scenario):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import joined_dataset_text, per_proposal_images, whole_file_parse_dataset
+from util import EDGE_WORLDS
 
 from ovlab import synth
 from ovlab.core import ZeroNormError, unit_rows
@@ -281,8 +282,31 @@ def test_a_written_scenario_loads_back_split_by_split():
     round_trip()
 
 
+def _assert_holds_its_blocks(scenario: Scenario):
+    """Each image of the loaded splits hands out its read-only ``(2, n, dim)`` feature block, whose
+    rows are its proposals' features, and every proposal of the scenario with one (label, source)
+    holds one oracle record."""
+    records = {}
+    for image in (scenario.train_images or ()) + (scenario.eval_images or ()):
+        assert image.features.shape == (2, len(image.proposals), scenario.config.dim)
+        assert not image.features.flags.writeable
+        for p, det, img in zip(image.proposals, *image.features):
+            for feature, row in ((p.det_feature, det), (p.img_feature, img)):
+                assert np.shares_memory(feature, row) and feature.tobytes() == row.tobytes()
+            assert records.setdefault((p.oracle.generative_label, p.oracle.source), p.oracle) is p.oracle
+
+
+def test_records_hold_no_instance_dict(scenario):
+    # Slotted records: a proposal costs its fields, with no per-instance ``__dict__``.
+    image = scenario.train_images[0]
+    proposal = image.proposals[0]
+    for record in (proposal.box, proposal.oracle, proposal, image):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
 def _assert_generated_as_the_oracle(scenario, tmp_path):
     """``scenario`` equals the per-proposal oracle's draws, feature bits and written bytes included."""
+    _assert_holds_its_blocks(scenario)
     train, eval_ = per_proposal_images(scenario)
     _assert_same_images(scenario.train_images, train)
     _assert_same_images(scenario.eval_images, eval_)
@@ -292,21 +316,6 @@ def _assert_generated_as_the_oracle(scenario, tmp_path):
     write_dataset(scenario, got_path)
     write_dataset(dataclasses.replace(scenario, train_images=train, eval_images=eval_), want_path)
     assert got_path.read_bytes() == want_path.read_bytes()
-
-
-EDGE_WORLDS = {
-    "no_hidden": dict(n_novel=0, n_distractor=0),
-    "all_hidden": dict(base_fraction=0.0),
-    "all_base": dict(base_fraction=1.0),
-    "custom_hidden_weights": dict(hidden_weights=(0.0, 3.0, 1.0, 0.5, 2.0, 0.0, 1.0)),
-    "no_objects": dict(objects_per_image=0),
-    "no_object_proposals": dict(proposals_per_object=0),
-    "no_clutter": dict(clutter_per_image=0),
-    "clipped": dict(box_min=60.0, box_max=100.0, object_score_std=0.1, clutter_score_std=1.0),
-    "fixed_size_boxes": dict(box_min=20.0, box_max=20.0),
-    "boxes_from_zero": dict(box_min=0.0),
-    "noiseless": dict(sigma_feat=0.0, sigma_det=0.0),
-}
 
 
 @pytest.mark.parametrize("world", ["reference", *EDGE_WORLDS])
@@ -482,7 +491,9 @@ def _assert_same_scenario(got: Scenario, want: Scenario):
 
 def _assert_streamed_as_the_oracle(path):
     for splits in SPLIT_SETS:
-        _assert_same_scenario(load_dataset(path, splits), _whole_file_load(path, splits))
+        loaded = load_dataset(path, splits)
+        _assert_holds_its_blocks(loaded)
+        _assert_same_scenario(loaded, _whole_file_load(path, splits))
 
 
 @pytest.mark.parametrize("world", ["reference", "no_proposals", *EDGE_WORLDS, "crlf", "no_final_newline"])
@@ -566,6 +577,22 @@ FILE_FAULTS = {
     "img_zero": _edit_line(-5, lambda rec: rec.__setitem__("img", [0.0] * len(rec["img"]))),
     "proposal_lacks_a_key": _edit_line(7, lambda rec: rec.pop("rpn")),
     "gt_boxes_not_a_list": _edit_line(1, _set(("gt_boxes",), 5)),
+    "gt_box_degenerate": _edit_line(15, _set(("gt_boxes",), [[5, 5, 1, 1]])),
+    "gt_box_too_short": _edit_line(-14, _set(("gt_boxes",), [[1, 2, 3]])),
+    "box_degenerate": _edit_line(8, _set(("box",), [5, 5, 1, 1])),
+    "box_too_short": _edit_line(-6, _set(("box",), [1, 2, 3])),
+    "rpn_above_one": _edit_line(9, _set(("rpn",), 1.5)),
+    "gt_a_string": _edit_line(2, _set(("gt",), "a")),
+    "gt_not_a_base_id": _edit_line(3, _set(("gt",), 999)),
+    "gt_a_novel_id": _edit_line(4, _set(("gt",), 8)),
+    "gt_a_float": _edit_line(5, _set(("gt",), 1.5)),
+    "gt_a_bool": _edit_line(6, _set(("gt",), True)),
+    "label_not_a_category_id": _edit_line(-2, _set(("oracle", "label"), 999)),
+    "label_a_string": _edit_line(-3, _set(("oracle", "label"), "x")),
+    "label_a_bool": _edit_line(-4, _set(("oracle", "label"), True)),
+    "label_a_float": _edit_line(-5, _set(("oracle", "label"), 1.0)),
+    "source_unknown": _edit_line(7, _set(("oracle", "source"), "scrubbed")),
+    "source_not_a_string": _edit_line(-7, _set(("oracle", "source"), ["object"])),
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
     "header_not_an_object": lambda lines: lines.__setitem__(0, "[]"),
     "header_format": _edit_line(0, _set(("format",), "other")),
@@ -638,10 +665,16 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, scenario, split)
         load_dataset(path, (other,))
 
 
+LOADED_BYTES_PER_PROPOSAL = 1200  # traced bytes a both-split load of the reference world keeps per proposal
+
+
 def test_a_load_holds_no_more_than_an_image_of_text(enc):
     # On the default reference world (a file of about 3.4 MB), the memory a
     # load of both splits allocates beyond the scenario it returns stays
-    # below an eighth of the file's size: the load never holds the file.
+    # below an eighth of the file's size: the load never holds the file. The
+    # scenario it keeps costs at most ``LOADED_BYTES_PER_PROPOSAL`` a
+    # proposal, of which its two feature rows hold 512: slotted records, one
+    # oracle record per (label, source) and one feature block per image.
     import tempfile
     from pathlib import Path
 
@@ -658,6 +691,8 @@ def test_a_load_holds_no_more_than_an_image_of_text(enc):
     assert len(loaded.eval_images) == ScenarioConfig().n_eval_images
     assert size > 3e6
     assert peak - kept < size / 8, (peak - kept, size)
+    n_proposals = sum(len(image.proposals) for image in loaded.train_images + loaded.eval_images)
+    assert kept <= LOADED_BYTES_PER_PROPOSAL * n_proposals, kept / n_proposals
 
 
 def test_dataset_rejects_foreign_files(tmp_path):
@@ -682,7 +717,7 @@ def _scrub_oracle(scenario: Scenario) -> Scenario:
             )
             for p in image.proposals
         )
-        return SynthImage(image_id=image.image_id, proposals=props, gt_boxes=image.gt_boxes)
+        return SynthImage(image_id=image.image_id, proposals=props, gt_boxes=image.gt_boxes, features=image.features)
 
     return Scenario(
         config=scenario.config,

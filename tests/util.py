@@ -1,4 +1,4 @@
-"""Shared constructors for hand-built vocabularies and proposals."""
+"""Shared constructors for hand-built vocabularies and proposals, and the edge-case scenario worlds."""
 
 import numpy as np
 
@@ -97,3 +97,20 @@ def random_proposal(rng, d, gt_label=None, source="object", generative=None):
         gt_label=gt_label,
         oracle=OracleInfo(generative_label=generative, source=source),
     )
+
+
+# ``ScenarioConfig`` edits, each applied to a world of 6 train and 4 eval images, that reach
+# the generator's edge cases.
+EDGE_WORLDS = {
+    "no_hidden": dict(n_novel=0, n_distractor=0),
+    "all_hidden": dict(base_fraction=0.0),
+    "all_base": dict(base_fraction=1.0),
+    "custom_hidden_weights": dict(hidden_weights=(0.0, 3.0, 1.0, 0.5, 2.0, 0.0, 1.0)),
+    "no_objects": dict(objects_per_image=0),
+    "no_object_proposals": dict(proposals_per_object=0),
+    "no_clutter": dict(clutter_per_image=0),
+    "clipped": dict(box_min=60.0, box_max=100.0, object_score_std=0.1, clutter_score_std=1.0),
+    "fixed_size_boxes": dict(box_min=20.0, box_max=20.0),
+    "boxes_from_zero": dict(box_min=0.0),
+    "noiseless": dict(sigma_feat=0.0, sigma_det=0.0),
+}
