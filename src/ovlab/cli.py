@@ -167,8 +167,8 @@ def cmd_gen(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     scenario = generate_scenario(config["scenario"], config["encoder"])
     write_dataset(scenario, args.out)
-    n_train = sum(len(im.proposals) for im in scenario.train_images)
-    n_eval = sum(len(im.proposals) for im in scenario.eval_images)
+    n_train = sum(len(im.rpn) for im in scenario.train_images)
+    n_eval = sum(len(im.rpn) for im in scenario.eval_images)
     print(f"wrote {args.out}")
     print(f"categories: {len(scenario.base_ids)} base, {len(scenario.novel_ids)} novel, "
           f"{len(scenario.distractor_ids)} distractor")

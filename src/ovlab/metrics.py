@@ -102,59 +102,54 @@ def evaluate(
     """Score every held-out proposal and compare against the oracle labels.
 
     Never mutates the checkpoint or the dataset. The shrinking factors are
-    computed once. Each eval image's ``features[0]`` (its det rows) is
-    scored in one ``score`` call; the best foreground category, its
-    probability, the background decision and the recall test are taken for
-    the whole image as arrays, and the confusion matrix is tallied from
-    their Python values, proposal by proposal in image order.
+    computed once. Each eval image's ``features[0]`` (its det rows) is scored
+    in one ``score`` call; its predicted and true keys (from its ``label``
+    column) are positions in the foreground keys, background last, and are
+    counted, like its recalled novel hits, with array operations.
     """
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config.temperature
     factors = compute_shrinking_factors(vocab, tau)
 
-    fg_keys = [str(i) for i in list(vocab.base_ids) + list(vocab.novel_ids)]
-    base_set = set(scenario.base_ids)
-    novel_set = set(scenario.novel_ids)
-
-    confusion: dict[str, dict[str, int]] = {}
-    hits = {"base": 0, "novel": 0}
-    totals = {"base": 0, "novel": 0, "background": 0}
+    fg_ids = np.array(list(vocab.base_ids) + list(vocab.novel_ids), dtype=np.int64)
+    n_base, n_fg = len(vocab.base_ids), len(fg_ids)
+    counts = np.zeros((n_fg + 1) ** 2, dtype=np.int64)  # true position by predicted position, flattened
     recalled = 0
 
     for image in scenario.images("eval"):
-        if not image.proposals:
+        if not len(image.label):
             continue
         fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if rectify else None)
         # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
         best = fg_probs.argmax(axis=1)
         best_prob = fg_probs.max(axis=1)
-        decisions = zip(image.proposals, best.tolist(), (bg_mass > best_prob).tolist(),
-                        (best_prob >= recall_threshold).tolist())
-        for p, best_i, background, recall in decisions:
-            label = p.oracle.generative_label if p.oracle else None
-            kind = "base" if label in base_set else "novel" if label in novel_set else "background"
-            true_key = BACKGROUND_KEY if kind == "background" else str(label)
-            totals[kind] += 1
-            pred_key = BACKGROUND_KEY if background else fg_keys[best_i]
-            row = confusion.setdefault(true_key, {})
-            row[pred_key] = row.get(pred_key, 0) + 1
-            if kind in ("base", "novel") and pred_key == true_key:
-                hits[kind] += 1
-                if kind == "novel" and recall:
-                    recalled += 1
+        match = image.label[:, None] == fg_ids
+        true = np.where(match.any(axis=1), match.argmax(axis=1), n_fg)
+        pred = np.where(bg_mass > best_prob, n_fg, best)
+        counts += np.bincount(true * (n_fg + 1) + pred, minlength=counts.size)
+        recalled += int(np.count_nonzero((true == pred) & (true >= n_base) & (true < n_fg)
+                                         & (best_prob >= recall_threshold)))
+
+    counts = counts.reshape(n_fg + 1, n_fg + 1)
+    keys = [str(i) for i in fg_ids.tolist()] + [BACKGROUND_KEY]
+    confusion = {keys[t]: {keys[q]: int(c) for q, c in enumerate(row.tolist()) if c}
+                 for t, row in enumerate(counts) if row.any()}
+    hit, seen = np.diagonal(counts).tolist(), counts.sum(axis=1).tolist()  # per true position
+    n_base_seen, n_novel = sum(seen[:n_base]), sum(seen[n_base:n_fg])
+    base_hits, novel_hits = sum(hit[:n_base]), sum(hit[n_base:n_fg])
 
     report = EvalReport(
-        novel_top1=hits["novel"] / totals["novel"] if totals["novel"] else 0.0,
-        base_top1=hits["base"] / totals["base"] if totals["base"] else 0.0,
-        novel_recall=recalled / totals["novel"] if totals["novel"] else 0.0,
+        novel_top1=novel_hits / n_novel if n_novel else 0.0,
+        base_top1=base_hits / n_base_seen if n_base_seen else 0.0,
+        novel_recall=recalled / n_novel if n_novel else 0.0,
         recall_threshold=recall_threshold,
         rectified=bool(rectify),
         mean_shrinking_factor=float(factors.mean()) if factors.size else 1.0,
         confusion=confusion,
         branch_histogram=dict(checkpoint.branch_totals),
-        n_novel=totals["novel"],
-        n_base=totals["base"],
-        n_background=totals["background"],
+        n_novel=n_novel,
+        n_base=n_base_seen,
+        n_background=seen[n_fg],
     )
     report.validate()
     return report

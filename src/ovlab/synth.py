@@ -10,7 +10,7 @@ draws is part of the dataset format: the same settings give the same file.
 
 Novel and distractor objects appear unlabeled in the training split — they
 are exactly the structure hiding in the background. Hidden category
-identities live only in per-proposal oracle records consumed by evaluation
+identities live only in each image's oracle columns, consumed by evaluation
 and tests; no training-time code path reads them.
 
 A dataset file holds one JSON record per line, in a layout its header
@@ -19,9 +19,9 @@ fixes: the header line, then the ``n_train_images`` train images, then the
 Each image is its image line followed by ``objects_per_image *
 proposals_per_object + clutter_per_image`` proposal lines. The loader
 derives every line's position from the header alone, so it reads the file
-one image's lines at a time, decodes and parses only the lines of the splits
-it is asked for, and refuses a file of any other line count (it counts the
-lines in fixed-size chunks of bytes before it parses one).
+one line at a time, decodes and parses only the lines of the splits it is
+asked for, and refuses a file of any other line count (after the header, it
+counts the lines in fixed-size chunks of bytes before it parses one).
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ SPLITS = ("train", "eval")  # in file order
 _CHUNK_BYTES = 1 << 16  # the loader counts a file's lines in chunks of this size
 _FEATURES = ("det", "img")  # a proposal record's feature keys, in the order of an image's block
 _SOURCES = ("object", "clutter", "unknown")  # the oracle sources a proposal line may hold
+_SOURCE_INDEX = {source: i for i, source in enumerate(_SOURCES)}  # an image's ``source`` column holds these
+_NONE = -1  # the ``gt`` and ``label`` columns' value for none
 
 
 @dataclass(frozen=True)
@@ -135,19 +137,42 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, slots=True)
 class SynthImage:
-    """Proposals of one image, its annotated (base-object) boxes and its feature block.
+    """One image: its annotated (base-object) boxes and its ``n`` proposals as read-only columns.
 
-    ``features`` is the read-only ``(2, n, dim)`` block of the image's ``n``
-    proposals, their ``det`` rows then their ``img`` rows (``_FEATURES``
-    order). Each proposal's ``det_feature`` and ``img_feature`` are views of
-    its two rows, so code that reads every proposal's features at once reads
-    the block instead of stacking them.
+    ``features`` is the ``(2, n, dim)`` block of their ``det`` rows, then their
+    ``img`` rows; ``boxes`` (n, 4) holds their corners, ``rpn`` their scores,
+    ``gt`` their annotated base ids, ``label`` their oracle labels (int64, -1
+    for none) and ``source`` their oracle sources as positions in ``_SOURCES``.
+    ``oracles`` maps each label to its records by source, shared by the
+    images of a generated scenario or of one load.
     """
 
     image_id: int
-    proposals: tuple[Proposal, ...]
     gt_boxes: tuple[Box, ...]
     features: np.ndarray = field(repr=False)
+    boxes: np.ndarray = field(repr=False)
+    rpn: np.ndarray = field(repr=False)
+    gt: np.ndarray = field(repr=False)
+    label: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    oracles: dict[int, tuple[OracleInfo, ...]] = field(repr=False)
+
+    @property
+    def proposals(self) -> tuple[Proposal, ...]:
+        """The records of the image's proposals, built on each read; their features are views of
+        ``features`` and their oracles the shared records."""
+        return tuple(
+            Proposal(box=Box(*box), rpn_score=rpn, det_feature=d, img_feature=i,
+                     gt_label=None if gt == _NONE else gt, oracle=self.oracles[label][source])
+            for box, rpn, d, i, gt, label, source in zip(self.boxes.tolist(), self.rpn.tolist(), *self.features,
+                                                         self.gt.tolist(), self.label.tolist(), self.source.tolist())
+        )
+
+
+def _oracle_records(ids) -> dict[int, tuple[OracleInfo, ...]]:
+    """Each category id, and -1 for none, mapped to its oracle records in ``_SOURCES`` order."""
+    return {label: tuple(OracleInfo(None if label == _NONE else label, source) for source in _SOURCES)
+            for label in (_NONE, *ids)}
 
 
 @dataclass(frozen=True)
@@ -241,7 +266,6 @@ def _sample_prototypes(config: ScenarioConfig, encoder: MockTextEncoder):
 
 _JITTER_LOW = np.array([-0.08, -0.08, 0.92, 0.92])  # centre shifts (times the box's size), then size scales
 _JITTER_SPAN = np.array([0.08, 0.08, 1.08, 1.08]) - _JITTER_LOW
-_CLUTTER = OracleInfo(generative_label=None, source="clutter")
 
 
 def _row_normalized(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +306,7 @@ def _generate_image(
     base_ids: tuple[int, ...],
     hidden_ids: tuple[int, ...],
     hidden_cdf: list[float],
-    objects: dict[int, OracleInfo],
+    oracles: dict[int, tuple[OracleInfo, ...]],
 ) -> SynthImage:
     """One image, its draws taken in the order the dataset format fixes.
 
@@ -292,10 +316,10 @@ def _generate_image(
     annotation's four uniforms, then per proposal ``2 * dim`` feature noises,
     four jitter uniforms and a score normal. Each clutter proposal draws
     ``3 * dim`` normals (its direction first), four box uniforms and a score
-    normal. The features, boxes and scores of the whole image are then
-    computed at once, with the arithmetic of the per-proposal draws, the
-    features into the image's one block; each proposal holds read-only rows
-    of it, and each object proposal its category's record from ``objects``.
+    normal. The image's columns are then computed at once, with the
+    arithmetic of the per-proposal draws; ``oracles`` is the scenario's
+    shared oracle records. A box size range that gives a degenerate box is
+    refused as ``Box`` refuses that box.
     """
     n_objects, per_object, dim = config.objects_per_image, config.proposals_per_object, config.dim
     n_object_proposals = n_objects * per_object
@@ -324,8 +348,10 @@ def _generate_image(
         rng.random(out=box_u[k])
         scores[k] = rng.standard_normal()
 
+    rows = [per_object] * n_objects + [config.clutter_per_image]  # each object's proposals, then the clutter
+    label = np.array(cats + [_NONE], np.int64).repeat(rows)
     directions = noise[:, 0]
-    directions[:n_object_proposals] = prototypes[np.repeat(np.array(cats, dtype=np.intp), per_object)]
+    directions[:n_object_proposals] = prototypes[label[:n_object_proposals]]
     directions[n_object_proposals:] = _row_normalized(directions[n_object_proposals:])[0]
     features = np.empty((2, n, dim))  # det rows, then img rows
     img_norms = _row_normalized(directions + config.sigma_feat * noise[:, 1], out=features[1])[1]
@@ -336,23 +362,25 @@ def _generate_image(
         if not (0.0 < least and most < math.inf):
             raise ValueError(f"ScenarioConfig.{name} = {getattr(config, name)} is too large: the features of "
                              f"image {image_id} overflow to rows without a finite nonzero norm")
-    features.setflags(write=False)
     scores[:n_object_proposals] = config.object_score_mean + config.object_score_std * scores[:n_object_proposals]
     scores[n_object_proposals:] = config.clutter_score_mean + config.clutter_score_std * scores[n_object_proposals:]
-    gt = _random_boxes(gt_u, config)
+    gt_corners = _random_boxes(gt_u, config)
     boxes = np.concatenate([
-        _jittered_boxes(np.repeat(gt, per_object, axis=0), box_u[:n_object_proposals], config.image_size),
+        _jittered_boxes(gt_corners.repeat(per_object, axis=0), box_u[:n_object_proposals], config.image_size),
         _random_boxes(box_u[n_object_proposals:], config),
     ])
-    labels = [(cat if is_base else None, objects[cat]) for cat, is_base in zip(cats, bases) for _ in range(per_object)]
-    labels += [(None, _CLUTTER)] * config.clutter_per_image
-    det, img = features
-    proposals = [
-        Proposal(box=Box(*box), rpn_score=score, det_feature=d, img_feature=i, gt_label=gt_label, oracle=oracle)
-        for box, score, d, i, (gt_label, oracle) in zip(boxes.tolist(), _clipped(scores).tolist(), det, img, labels)
-    ]
-    gt_boxes = [Box(*box) for box, is_base in zip(gt.tolist(), bases) if is_base]
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes), features=features)
+    ordered = (boxes[:, :2] < boxes[:, 2:]).all(axis=1)
+    if not ordered.all():
+        Box(*boxes[ordered.argmin()].tolist())  # raises: the first degenerate box
+    is_base = np.array(bases + [False])
+    gt = np.where(is_base.repeat(rows), label, _NONE)
+    source = np.array([_SOURCE_INDEX["object"]] * n_objects + [_SOURCE_INDEX["clutter"]], np.int64).repeat(rows)
+    rpn = _clipped(scores)
+    for column in (features, boxes, rpn, gt, label, source):
+        column.setflags(write=False)
+    gt_boxes = tuple(Box(*box) for box in gt_corners[is_base[:-1]].tolist())
+    return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=features, boxes=boxes, rpn=rpn, gt=gt,
+                      label=label, source=source, oracles=oracles)
 
 
 def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scenario:
@@ -380,50 +408,35 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     cdf = config.resolved_hidden_weights().cumsum()  # as ``Generator.choice(p=...)`` builds it
     hidden_cdf = (cdf / cdf[-1]).tolist() if hidden_ids else []
     rows = np.array(protos)  # row i is category i's prototype
-    objects = {i: OracleInfo(generative_label=i, source="object") for i in ids}  # shared by the category's proposals
+    oracles = _oracle_records(ids)
 
     rng = np.random.default_rng([4, config.seed])
     # Sigmas large enough to overflow the features are refused per image, in one error, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        train_images = tuple(
-            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, objects)
-            for i in range(config.n_train_images)
+        train_images, eval_images = (  # the train split's draws, then the eval split's
+            tuple(_generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, oracles) for i in range(n))
+            for n in (config.n_train_images, config.n_eval_images)
         )
-        eval_images = tuple(
-            _generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, objects)
-            for i in range(config.n_eval_images)
-        )
-    return Scenario(
-        config=config,
-        encoder=encoder,
-        base_ids=base_ids,
-        novel_ids=novel_ids,
-        distractor_ids=distractor_ids,
-        name_seeds=name_seeds,
-        prototypes=prototypes,
-        train_images=train_images,
-        eval_images=eval_images,
-    )
+    return Scenario(config=config, encoder=encoder, base_ids=base_ids, novel_ids=novel_ids,
+                    distractor_ids=distractor_ids, name_seeds=name_seeds, prototypes=prototypes,
+                    train_images=train_images, eval_images=eval_images)
 
 
 # -- dataset files ------------------------------------------------------------
 
 
-def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
-    return {
-        "type": "proposal",
-        "split": split,
-        "image": image_id,
-        "box": p.box.to_list(),
-        "rpn": p.rpn_score,
-        "det": p.det_feature.tolist(),
-        "img": p.img_feature.tolist(),
-        "gt": p.gt_label,
-        "oracle": {
-            "label": p.oracle.generative_label if p.oracle else None,
-            "source": p.oracle.source if p.oracle else "unknown",
-        },
-    }
+def _image_text(split: str, image: SynthImage) -> str:
+    """The image's line, then its proposal lines, each ending in a newline."""
+    records = [{"type": "image", "split": split, "image": image.image_id,
+                "gt_boxes": [b.to_list() for b in image.gt_boxes]}]
+    records += [
+        {"type": "proposal", "split": split, "image": image.image_id, "box": box, "rpn": rpn, "det": d, "img": i,
+         "gt": None if gt == _NONE else gt, "oracle": {"label": None if label == _NONE else label,
+                                                       "source": _SOURCES[source]}}
+        for box, rpn, d, i, gt, label, source in zip(image.boxes.tolist(), image.rpn.tolist(), *image.features.tolist(),
+                                                      image.gt.tolist(), image.label.tolist(), image.source.tolist())
+    ]
+    return "".join(canonical_json(rec) + "\n" for rec in records)
 
 
 def write_dataset(scenario: Scenario, path) -> None:
@@ -454,10 +467,7 @@ def write_dataset(scenario: Scenario, path) -> None:
             f.write(canonical_json(header) + "\n")
             for split, images in (("train", scenario.train_images), ("eval", scenario.eval_images)):
                 for image in images:
-                    lines = [canonical_json({"type": "image", "split": split, "image": image.image_id,
-                                             "gt_boxes": [b.to_list() for b in image.gt_boxes]})]
-                    lines += [canonical_json(_proposal_record(split, image.image_id, p)) for p in image.proposals]
-                    f.write("\n".join(lines) + "\n")
+                    f.write(_image_text(split, image))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -466,18 +476,19 @@ def write_dataset(scenario: Scenario, path) -> None:
 def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
 
-    The file is read one image's lines at a time, so the load holds the
-    scenario it builds and at most one image's text. Only the lines of
+    The file is read one line at a time, so the load holds the scenario it
+    builds and at most one line's text. Only the lines of
     ``splits`` are decoded and parsed; a split that was not requested is
     None. The header fixes the layout (see the module docstring), so a file
     whose line count differs from it, or a parsed line that is not the record
     its position calls for, is a ``ValueError``, as are a malformed file, a
     line that is not UTF-8, a feature that is not finite or has zero norm, a
-    bad box, gt box or rpn score, a ``gt`` that is not a base id of the
-    header, an oracle label that is not a category id of the header or a
-    source the writer cannot write, a missing key, an unknown split name and
-    a header whose ``config_hash`` does not match its settings. Every
-    proposal of the load with one oracle (label, source) holds one record.
+    bad box, gt box or rpn score (a bool is not a number), a ``gt`` that is
+    not a base id of the header, an oracle label that is not a category id of
+    the header or a source the writer cannot write, a missing key, an unknown
+    split name, a negative category id and a header whose ``config_hash``
+    does not match its settings. Every image of the load shares one oracle
+    record per (label, source).
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
@@ -491,21 +502,18 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
 
 
 def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
-    """Parse the header and the lines of ``splits``, one image's lines at a time.
+    """Parse the header and the lines of ``splits``, one line at a time.
 
-    The file's lines are counted in fixed-size chunks of bytes; the lines of
-    a split that was not requested are read past without being decoded.
+    After the header, the file's lines are counted in fixed-size chunks of
+    bytes, noting where the eval split starts; each requested split is then
+    read from its first byte, so no line of another split is read again.
     """
     with Path(path).open("rb") as f:
-        n_lines, tail = 0, b""
-        while chunk := f.read(_CHUNK_BYTES):
-            n_lines, tail = n_lines + chunk.count(b"\n"), chunk[-1:]
-        if not tail:
+        head = f.readline()
+        if not head:
             raise ValueError(f"empty dataset file {path}")
-        n_lines += tail != b"\n"  # the last line may lack its newline
-        f.seek(0)
         try:
-            header = json.loads(str(f.readline(), "utf-8"))
+            header = json.loads(str(head, "utf-8"))
         except UnicodeDecodeError as exc:
             raise ValueError(f"line 1 of dataset {path}, the header line, is not UTF-8: {exc}") from None
         if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
@@ -525,145 +533,141 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
                 raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
                                  "are not both ints")
+            if not 0 <= rec["id"] < 1 << 63:  # an int64 column holds it, and -1 stays its none
+                raise ValueError(f"dataset {path} header holds a category id {rec['id']} outside [0, 2**63)")
             name_seeds[rec["id"]] = rec["name_seed"]
         prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
-        # The oracle record of each (label, source) a proposal line may hold, shared by every line of the load.
-        oracles = {label: {source: OracleInfo(generative_label=label, source=source) for source in _SOURCES}
-                   for label in (None, *name_seeds)}
+        oracles = _oracle_records(name_seeds)
 
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
         counts = {"train": config.n_train_images, "eval": config.n_eval_images}
         expected = 1 + per_image * sum(counts.values())
+        offset, n_lines, last = f.tell(), 1, b"\n"
+        starts = {"train": offset}  # the byte offset of each split's first line
+        while chunk := f.read(_CHUNK_BYTES):
+            found, left = chunk.count(b"\n"), counts["train"] * per_image + 1 - n_lines  # train lines still to end
+            if "eval" not in starts and left <= found:
+                starts["eval"] = offset + len(chunk) - len(chunk.split(b"\n", left)[-1])
+            n_lines, last, offset = n_lines + found, chunk[-1:], offset + len(chunk)
+        n_lines += last != b"\n"  # the last line may lack its newline
         if n_lines != expected:
             raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
         images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
         first = 1  # the line number (from 0) of the split's first line
         for split in SPLITS:
             if split in splits:
-                images[split] = tuple(
-                    _parse_image(path, _image_lines(f, path, first + i * per_image, per_image, split, i),
-                                 first + i * per_image, split, i, config.dim, base_ids, oracles)
-                    for i in range(counts[split])
-                )
-            elif split != SPLITS[-1]:  # read past its lines to the next split's
-                for _ in range(counts[split] * per_image):
-                    f.readline()
+                f.seek(starts.get(split, offset))  # an eval split past the end of the file has no lines
+                images[split] = tuple(_parse_image(f, path, first + i * per_image, per_image, split, i, config.dim,
+                                                   base_ids, oracles) for i in range(counts[split]))
             first += counts[split] * per_image
 
-    scenario = Scenario(
-        config=config,
-        encoder=encoder,
-        base_ids=base_ids,
-        novel_ids=novel_ids,
-        distractor_ids=distractor_ids,
-        name_seeds=name_seeds,
-        prototypes=prototypes,
-        train_images=images["train"],
-        eval_images=images["eval"],
-    )
+    scenario = Scenario(config=config, encoder=encoder, base_ids=base_ids, novel_ids=novel_ids,
+                        distractor_ids=distractor_ids, name_seeds=name_seeds, prototypes=prototypes,
+                        train_images=images["train"], eval_images=images["eval"])
     if header["config_hash"] != scenario.dataset_hash():
         raise ValueError(f"dataset {path} header config_hash does not match its settings")
     return scenario
 
 
-def _image_lines(f, path, first: int, per_image: int, split: str, image_id: int) -> list[str]:
-    """The next ``per_image`` lines of ``f`` as text, the first of which is line ``first`` (from 0) of the file."""
-    lines = [f.readline().removesuffix(b"\n") for _ in range(per_image)]
-    for j, line in enumerate(lines):
-        try:
-            lines[j] = str(line, "utf-8")
-        except UnicodeDecodeError as exc:
-            where = _where(path, first + j, "proposal" if j else "image", split, image_id)
-            raise ValueError(f"{where} is not UTF-8: {exc}") from None
-    return lines
+def _where(path, n: int, line: str, split: str, image_id: int) -> str:
+    """The place of line ``n`` (from 0), ``line`` (as "the image line") of ``split`` image ``image_id``."""
+    return f"line {n + 1} of dataset {path}, {line} of {split} image {image_id},"
 
 
-def _where(path, n: int, kind: str, split: str, image_id: int) -> str:
-    """The place of line ``n`` (from 0), the ``kind`` line of ``split`` image ``image_id``, in error messages."""
-    return f"line {n + 1} of dataset {path}, the {kind} line of {split} image {image_id},"
-
-
-def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> dict:
+def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> dict:
     """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
     try:
-        rec = json.loads(line)
+        rec = json.loads(str(line.removesuffix(b"\n"), "utf-8"))
         position = (kind, split, image_id)
         if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == position:
             return rec
         problem = "holds another record"
+    except UnicodeDecodeError as exc:
+        problem = f"is not UTF-8: {exc}"
     except json.JSONDecodeError as exc:
         problem = f"is not JSON: {exc}"
-    raise ValueError(f"{_where(path, n, kind, split, image_id)} {problem}")
+    raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 
 
-def _proposal_line(path, n: int, split: str, image_id: int) -> str:
-    """The place of line ``n`` (from 0), a proposal line of ``split`` image ``image_id``, in error messages."""
-    return f"line {n + 1} of dataset {path}, a proposal line of {split} image {image_id},"
+def _check_box(coords) -> None:
+    """Refuse ``coords`` as ``Box(*coords)`` refuses it, and a bool coordinate, which ``Box`` takes as 0 or 1;
+    four floats with finite corners (x1, y1) < (x2, y2) pass without a ``Box`` built."""
+    if type(coords) is list and len(coords) == 4:
+        x1, y1, x2, y2 = coords
+        if (type(x1) is type(y1) is type(x2) is type(y2) is float
+                and -math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+            return
+    box = Box(*coords)
+    if bool in map(type, coords):
+        raise ValueError(f"bool coordinate in {box}")
 
 
-def _parse_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int,
-                 base_ids: tuple[int, ...], oracles: dict[int | None, dict[str, OracleInfo]]) -> SynthImage:
-    """One image from its lines, the first of which is line ``first`` (from 0) of the file.
+def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int,
+                 base_ids: tuple[int, ...], oracles: dict[int, tuple[OracleInfo, ...]]) -> SynthImage:
+    """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
 
-    The ``det`` and ``img`` features of the image's proposals are read into
-    the rows of one ``(2, n, dim)`` block, as each line is parsed, and the
-    block is checked once: every row finite and with a direction (a norm
-    above ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). Each proposal
-    holds read-only rows of it, and the image hands it out as its
-    ``features``. A feature that is not a list of ``dim`` numbers is refused
-    by its line, so no row is broadcast into the block, as are a bad box or
-    rpn score, a ``gt`` that is neither null nor one of ``base_ids``, an
-    oracle label that is not a key of ``oracles`` (each label a line may
-    hold, mapped by source to the one record the load shares) and a source
-    outside ``_SOURCES``.
+    Proposal line ``i`` fills row ``i`` of the columns. The feature block is
+    checked once: every row finite and with a direction (a norm above
+    ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). A line is refused
+    for a feature that is not a list of ``dim`` numbers (so no row is
+    broadcast), a bad box or rpn score, a ``gt`` that is neither null nor one
+    of ``base_ids``, an oracle label that is neither null nor a category id
+    (a key of ``oracles`` but -1) and a source outside ``_SOURCES``.
     """
-    rec = _record(path, lines[0], first, "image", split, image_id)
+    rec = _record(path, f.readline(), first, "image", split, image_id)
     try:
-        gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
+        for coords in rec["gt_boxes"]:
+            _check_box(coords)
+        gt_boxes = tuple(Box(*coords) for coords in rec["gt_boxes"])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{_where(path, first, 'image', split, image_id)} holds bad gt_boxes: {exc}") from None
-    block = np.empty((2, len(lines) - 1, dim))
-    rows = block.view()  # the proposals' read-only view of the block being filled
-    rows.setflags(write=False)
-    proposals = []
-    for i, line in enumerate(lines[1:]):
+        where = _where(path, first, "the image line", split, image_id)
+        raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
+    rows = per_image - 1
+    block, boxes, rpn = np.empty((2, rows, dim)), np.empty((rows, 4)), np.empty(rows)
+    gts, labels, sources = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.int64)
+    for i in range(rows):
         n = first + 1 + i
-        rec = _record(path, line, n, "proposal", split, image_id)
+        rec = _record(path, f.readline(), n, "proposal", split, image_id)
+        where = _where(path, n, "a proposal line", split, image_id)
         for k, key in enumerate(_FEATURES):
             try:
                 if type(rec[key]) is not list or len(rec[key]) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
                 block[k, i] = rec[key]
             except ValueError as exc:
-                raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad {key} feature: "
-                                 f"{exc}") from None
+                raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
         gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
         if gt is not None and not (is_integer(gt) and gt in base_ids):
-            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a gt of {gt!r}, which is neither "
-                             "null nor a base category id of the header")
-        by_source = oracles.get(label) if label is None or is_integer(label) else None
-        if by_source is None:
-            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds an oracle label of {label!r}, which "
-                             "is neither null nor a category id of the header")
-        if source not in _SOURCES:
-            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds an oracle source of {source!r}, "
-                             f"which is not one of {', '.join(map(repr, _SOURCES))}")
+            raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
+                             "header")
+        if label is not None and not (is_integer(label) and label >= 0 and label in oracles):
+            raise ValueError(f"{where} holds an oracle label of {label!r}, which is neither null nor a category id "
+                             "of the header")
+        if type(source) is not str or source not in _SOURCE_INDEX:
+            raise ValueError(f"{where} holds an oracle source of {source!r}, which is not one of "
+                             f"{', '.join(map(repr, _SOURCES))}")
         try:
-            box = Box(*rec["box"])
+            _check_box(rec["box"])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad box: {exc}") from None
+            raise ValueError(f"{where} holds a bad box: {exc}") from None
+        score = rec["rpn"]
         try:
-            proposals.append(Proposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i], img_feature=rows[1, i],
-                                      gt_label=gt, oracle=by_source[source]))
+            if type(score) is bool or not 0.0 <= score <= 1.0:
+                raise ValueError(f"rpn_score must {'be a number' if type(score) is bool else 'lie in [0, 1]'}, "
+                                 f"got {score}")
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{_proposal_line(path, n, split, image_id)} holds a bad rpn score: {exc}") from None
+            raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
+        boxes[i], rpn[i], sources[i] = rec["box"], score, _SOURCE_INDEX[source]
+        gts[i], labels[i] = _NONE if gt is None else gt, _NONE if label is None else label
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
     if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
         for fault, bad in (("non-finite", ~np.isfinite(block).all(axis=2)), ("zero-norm", norms <= NORM_FLOOR)):
             for key, bad_rows in zip(_FEATURES, bad):
                 if bad_rows.any():  # the first bad proposal's line
-                    raise ValueError(f"{_proposal_line(path, first + 1 + int(bad_rows.argmax()), split, image_id)} "
-                                     f"holds a {fault} {key} feature")
-    block.setflags(write=False)
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=gt_boxes, features=block)
+                    where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
+                    raise ValueError(f"{where} holds a {fault} {key} feature")
+    for column in (block, boxes, rpn, gts, labels, sources):
+        column.setflags(write=False)
+    return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=block, boxes=boxes, rpn=rpn, gt=gts,
+                      label=labels, source=sources, oracles=oracles)

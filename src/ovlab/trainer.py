@@ -557,8 +557,9 @@ def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[Pro
     """Each training image's proposals (and pseudo-labels, if any) stacked into ``ProposalBlocks``."""
     blocks = []
     for i, image in enumerate(scenario.images("train")):
-        batch = ProposalBatch(foreground=tuple(p for p in image.proposals if p.gt_label is not None),
-                              background=tuple(p for p in image.proposals if p.gt_label is None))
+        proposals = image.proposals
+        batch = ProposalBatch(foreground=tuple(p for p in proposals if p.gt_label is not None),
+                              background=tuple(p for p in proposals if p.gt_label is None))
         blocks.append(proposal_blocks(batch, partitions[i] if partitions else None, vocab))
     return blocks
 

@@ -14,18 +14,21 @@ the fast paths compute alike. The per-proposal scenario generator and the
 joined-text dataset writer are the generator and writer as they were before
 each image's draws were taken in a few calls and its file was streamed.
 The whole-file dataset parser is the loader as it was before it read the
-file one image at a time, and the per-proposal evaluation tally is
-``evaluate`` as it was before it took each image's decisions as arrays.
+file one image at a time; these three build per-proposal records, as the
+package did before an image held its proposals as columns. The
+per-proposal evaluation tally is ``evaluate`` as it was before it took each
+image's decisions and tally as arrays.
 """
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ovlab.core import (
+    NORM_FLOOR,
     DimensionMismatchError,
     check_temperature,
     cosine,
@@ -58,12 +61,11 @@ from ovlab.synth import (
     DATASET_FORMAT,
     DATASET_VERSION,
     SPLITS,
+    _FEATURES,
     _SOURCES,
     Scenario,
     ScenarioConfig,
-    SynthImage,
-    _parse_image,
-    _proposal_record,
+    _where,
 )
 from ovlab.trainer import Checkpoint, Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
@@ -415,6 +417,15 @@ def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float,
 # -- the per-proposal scenario generator and the joined-text writer ------------
 
 
+@dataclass(frozen=True)
+class RecordImage:
+    """An image as the oracles build it: its proposals as records, not columns."""
+
+    image_id: int
+    proposals: tuple[Proposal, ...]
+    gt_boxes: tuple[Box, ...]
+
+
 def _jittered_box(rng: np.random.Generator, gt: Box, image_size: float) -> Box:
     """Box near an object's annotation; jitter is small enough to keep IoU above 0.5."""
     w = gt.x2 - gt.x1
@@ -469,7 +480,7 @@ def _generate_image(
     base_ids,
     hidden_ids,
     hidden_weights: np.ndarray,
-) -> SynthImage:
+) -> RecordImage:
     proposals: list[Proposal] = []
     gt_boxes: list[Box] = []
     for _ in range(config.objects_per_image):
@@ -506,13 +517,10 @@ def _generate_image(
                 oracle=OracleInfo(generative_label=None, source="clutter"),
             )
         )
-    features = np.array([[p.det_feature for p in proposals], [p.img_feature for p in proposals]])
-    features = features.reshape(2, len(proposals), config.dim)
-    features.setflags(write=False)
-    return SynthImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes), features=features)
+    return RecordImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=tuple(gt_boxes))
 
 
-def per_proposal_images(scenario: Scenario) -> tuple[tuple[SynthImage, ...], tuple[SynthImage, ...]]:
+def per_proposal_images(scenario: Scenario) -> tuple[tuple[RecordImage, ...], tuple[RecordImage, ...]]:
     """Both splits of ``scenario`` drawn again, one proposal at a time, from its seed's stream."""
     config = scenario.config
     weights = config.resolved_hidden_weights()
@@ -524,8 +532,25 @@ def per_proposal_images(scenario: Scenario) -> tuple[tuple[SynthImage, ...], tup
     )
 
 
+def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
+    return {
+        "type": "proposal",
+        "split": split,
+        "image": image_id,
+        "box": p.box.to_list(),
+        "rpn": p.rpn_score,
+        "det": p.det_feature.tolist(),
+        "img": p.img_feature.tolist(),
+        "gt": p.gt_label,
+        "oracle": {
+            "label": p.oracle.generative_label if p.oracle else None,
+            "source": p.oracle.source if p.oracle else "unknown",
+        },
+    }
+
+
 def joined_dataset_text(scenario: Scenario) -> str:
-    """The dataset file's text, every line held and then joined."""
+    """The dataset file's text, every line held and then joined; its images may be ``RecordImage``s."""
     header = {
         "type": "header",
         "format": DATASET_FORMAT,
@@ -564,6 +589,79 @@ def _line_end(data: bytes, start: int, n: int) -> int:
     for _ in range(n):
         start = data.find(b"\n", start) + 1 or len(data)  # the last line may lack its newline
     return start
+
+
+def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> dict:
+    """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image
+    ``image_id``."""
+    try:
+        rec = json.loads(line)
+        if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == (kind, split, image_id):
+            return rec
+        problem = "holds another record"
+    except json.JSONDecodeError as exc:
+        problem = f"is not JSON: {exc}"
+    raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
+
+
+def _record_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int,
+                  base_ids: tuple[int, ...], oracles: dict[int | None, dict[str, OracleInfo]]) -> RecordImage:
+    """One image's records from its lines, the first of which is line ``first`` (from 0) of the file.
+
+    The features of the image's proposals are read into one block and checked
+    once; every proposal holds its two read-only rows and its oracle record
+    from ``oracles``.
+    """
+    rec = _record(path, lines[0], first, "image", split, image_id)
+    try:
+        gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
+    except (TypeError, ValueError) as exc:
+        where = _where(path, first, "the image line", split, image_id)
+        raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
+    block = np.empty((2, len(lines) - 1, dim))
+    rows = block.view()
+    rows.setflags(write=False)
+    proposals = []
+    for i, line in enumerate(lines[1:]):
+        n = first + 1 + i
+        rec = _record(path, line, n, "proposal", split, image_id)
+        where = _where(path, n, "a proposal line", split, image_id)
+        for k, key in enumerate(_FEATURES):
+            try:
+                if type(rec[key]) is not list or len(rec[key]) != dim:
+                    raise ValueError(f"not a list of config.dim = {dim} numbers")
+                block[k, i] = rec[key]
+            except ValueError as exc:
+                raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
+        gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
+        if gt is not None and not (is_integer(gt) and gt in base_ids):
+            raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
+                             "header")
+        by_source = oracles.get(label) if label is None or is_integer(label) else None
+        if by_source is None:
+            raise ValueError(f"{where} holds an oracle label of {label!r}, which is neither null nor a category id "
+                             "of the header")
+        if source not in _SOURCES:
+            raise ValueError(f"{where} holds an oracle source of {source!r}, which is not one of "
+                             f"{', '.join(map(repr, _SOURCES))}")
+        try:
+            box = Box(*rec["box"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} holds a bad box: {exc}") from None
+        try:
+            proposals.append(Proposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i], img_feature=rows[1, i],
+                                      gt_label=gt, oracle=by_source[source]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(block * block, axis=2))
+    if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
+        for fault, bad in (("non-finite", ~np.isfinite(block).all(axis=2)), ("zero-norm", norms <= NORM_FLOOR)):
+            for key, bad_rows in zip(_FEATURES, bad):
+                if bad_rows.any():
+                    where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
+                    raise ValueError(f"{where} holds a {fault} {key} feature")
+    return RecordImage(image_id=image_id, proposals=tuple(proposals), gt_boxes=gt_boxes)
 
 
 def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
@@ -614,14 +712,14 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             texts[split] = str(memoryview(data)[start:end], "utf-8"), first
         start, first = end, first + n_split
     del data
-    images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
+    images: dict[str, tuple[RecordImage, ...] | None] = dict.fromkeys(SPLITS)
     for split in list(texts):
         text, first = texts.pop(split)  # so that only its lines outlive the split
         lines = text.split("\n")
         del text
         images[split] = tuple(
-            _parse_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
-                         config.dim, base_ids, oracles)
+            _record_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
+                          config.dim, base_ids, oracles)
             for i in range(counts[split])
         )
 

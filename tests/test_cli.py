@@ -258,11 +258,16 @@ BAD_VALUES = {
                        "holds an oracle source of 'scrubbed', which is not one of 'object', 'clutter', 'unknown'"),
     "rpn_above_one": ("train", "proposal", ("rpn",), 1.5,
                       "holds a bad rpn score: rpn_score must lie in [0, 1], got 1.5"),
+    "rpn_a_bool": ("train", "proposal", ("rpn",), True, "holds a bad rpn score: rpn_score must be a number, got True"),
+    "box_a_bool": ("eval", "proposal", ("box",), [True, 0, 5, 5],
+                   "holds a bad box: bool coordinate in Box(x1=True, y1=0, x2=5, y2=5)"),
     "box_degenerate": ("train", "proposal", ("box",), [5, 5, 1, 1],
                        "holds a bad box: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
     "box_too_short": ("eval", "proposal", ("box",), [1, 2, 3], "holds a bad box: "),
     "gt_box_degenerate": ("train", "image", ("gt_boxes",), [[5, 5, 1, 1]],
                           "holds bad gt_boxes: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
+    "gt_box_a_bool": ("train", "image", ("gt_boxes",), [[0, 0, 5, True]],
+                      "holds bad gt_boxes: bool coordinate in Box(x1=0, y1=0, x2=5, y2=True)"),
 }
 
 

@@ -99,17 +99,22 @@ UNDISCOVERABLE = {"no_hidden", "all_base", "no_objects", "no_object_proposals", 
 
 @pytest.mark.parametrize("world", TALLY_WORLDS)
 def test_evaluation_tallies_as_the_per_proposal_oracle(enc, world):
-    # Scoring each image's feature block and taking its decisions as arrays
-    # gives the report, byte for byte, that scoring stacked rows and deciding
-    # proposal by proposal gave, rectified or not, at every recall threshold.
+    # Scoring each image's feature block and taking its decisions and tally
+    # as arrays over its columns gives the report, byte for byte, that
+    # scoring stacked rows and deciding and tallying proposal by proposal
+    # gave, rectified or not, at every recall threshold. A world where
+    # discovery runs is also tallied with a baseline checkpoint.
     scenario = generate_scenario(ScenarioConfig(**TALLY_WORLDS[world]), enc)
-    assert any(image.proposals for image in scenario.eval_images)
-    _, checkpoint = train(TrainConfig(steps=20, seed=0, baseline_mode=world in UNDISCOVERABLE), scenario)
-    for rectify in (True, False):
-        for threshold in (0.0, 0.5, 1.0):
-            got = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
-            want = per_proposal_evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
-            assert got.to_json() == want.to_json(), (rectify, threshold)
+    assert any(len(image.rpn) for image in scenario.eval_images)
+    checkpoints = [train(TrainConfig(steps=20, seed=0, baseline_mode=baseline), scenario)[1]
+                   for baseline in sorted({world in UNDISCOVERABLE, True})]
+    for checkpoint in checkpoints:
+        for rectify in (True, False):
+            for threshold in (0.0, 0.5, 1.0):
+                got = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+                want = per_proposal_evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+                assert got.to_json() == want.to_json(), (checkpoint.config.baseline_mode, rectify, threshold)
+    checkpoint = checkpoints[0]
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config.temperature
     for factors in (compute_shrinking_factors(vocab, tau), None):

@@ -10,6 +10,9 @@ tests (scalar oracles live in ``tests/oracles.py``).
 Every name has one home: the package root re-exports nothing, a module's
 ``__all__`` lists only names it defines, and no module imports another's
 private (underscore) name.
+
+Code that reads every proposal reads an image's columns: only the trainer
+functions that take one image's records at a time read ``.proposals``.
 """
 
 import ast
@@ -163,3 +166,20 @@ def test_no_module_imports_a_private_name_of_another():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not private, f"private names imported across modules: {private}"
+
+
+# The functions that take the records one image at a time, by (module, function).
+PROPOSAL_READERS = {("trainer", "pool_background"), ("trainer", "_image_partition"), ("trainer", "_image_blocks")}
+
+
+def test_only_the_per_image_record_readers_read_proposals():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owner = {child: f.name for f in functions for child in ast.walk(f)}  # innermost wins: walk order is outer first
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "proposals" and isinstance(node.ctx, ast.Load):
+                if (path.stem, owner.get(node)) not in PROPOSAL_READERS:
+                    readers.append(f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})")
+    assert not readers, f"reads of .proposals outside {sorted(PROPOSAL_READERS)}: {readers}"

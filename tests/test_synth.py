@@ -14,13 +14,13 @@ from util import EDGE_WORLDS
 
 from ovlab import synth
 from ovlab.core import ZeroNormError, unit_rows
-from ovlab.discovery import OracleInfo, Proposal
+from ovlab.discovery import OracleInfo
 from ovlab.encoder import MockTextEncoder
 from ovlab.synth import (
+    _SOURCES,
     SPLITS,
     Scenario,
     ScenarioConfig,
-    SynthImage,
     generate_scenario,
     load_dataset,
     write_dataset,
@@ -228,12 +228,33 @@ def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
             assert (lp.box, lp.rpn_score, lp.gt_label, lp.oracle) == (fp.box, fp.rpn_score, fp.gt_label, fp.oracle)
 
 
+def _assert_columns_hold_the_records(image, records):
+    """``image``'s columns hold ``records``, field by field and feature bit for bit (-1 for none)."""
+    n = len(records)
+    shapes = {"boxes": (n, 4), "rpn": (n,), "gt": (n,), "label": (n,), "source": (n,)}
+    for name, shape in shapes.items():
+        column = getattr(image, name)
+        assert column.shape == shape and not column.flags.writeable, name
+    assert image.gt.dtype == image.label.dtype == np.int64
+    assert image.boxes.tolist() == [p.box.to_list() for p in records]
+    assert image.rpn.tolist() == [p.rpn_score for p in records]
+    assert image.gt.tolist() == [-1 if p.gt_label is None else p.gt_label for p in records]
+    assert image.label.tolist() == [-1 if p.oracle.generative_label is None else p.oracle.generative_label
+                                    for p in records]
+    assert [_SOURCES[s] for s in image.source.tolist()] == [p.oracle.source for p in records]
+    for k, key in enumerate(("det", "img")):
+        assert image.features[k].tobytes() == b"".join(getattr(p, f"{key}_feature").tobytes() for p in records)
+
+
 def _assert_same_images(got, want):
+    """The images ``got`` hold, as columns and as the records they build, the records of ``want``."""
     assert len(got) == len(want)
     for gi, wi in zip(got, want):
         assert gi.image_id == wi.image_id and gi.gt_boxes == wi.gt_boxes
-        assert len(gi.proposals) == len(wi.proposals)
-        for gp, wp in zip(gi.proposals, wi.proposals):
+        want_records = wi.proposals
+        _assert_columns_hold_the_records(gi, want_records)
+        assert len(gi.proposals) == len(want_records)
+        for gp, wp in zip(gi.proposals, want_records):
             assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
             assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
             assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
@@ -284,13 +305,13 @@ def test_a_written_scenario_loads_back_split_by_split():
 
 def _assert_holds_its_blocks(scenario: Scenario):
     """Each image of the loaded splits hands out its read-only ``(2, n, dim)`` feature block, whose
-    rows are its proposals' features, and every proposal of the scenario with one (label, source)
-    holds one oracle record."""
+    rows are the features of the records it builds, and every record the scenario builds with one
+    (label, source) holds one oracle record."""
     records = {}
     for image in (scenario.train_images or ()) + (scenario.eval_images or ()):
-        assert image.features.shape == (2, len(image.proposals), scenario.config.dim)
+        assert image.features.shape == (2, len(image.rpn), scenario.config.dim)
         assert not image.features.flags.writeable
-        for p, det, img in zip(image.proposals, *image.features):
+        for p, det, img in zip(image.proposals, *image.features, strict=True):
             for feature, row in ((p.det_feature, det), (p.img_feature, img)):
                 assert np.shares_memory(feature, row) and feature.tobytes() == row.tobytes()
             assert records.setdefault((p.oracle.generative_label, p.oracle.source), p.oracle) is p.oracle
@@ -312,10 +333,10 @@ def _assert_generated_as_the_oracle(scenario, tmp_path):
     _assert_same_images(scenario.eval_images, eval_)
     assert not any(p.det_feature.flags.writeable or p.img_feature.flags.writeable
                    for image in scenario.train_images + scenario.eval_images for p in image.proposals)
-    got_path, want_path = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-    write_dataset(scenario, got_path)
-    write_dataset(dataclasses.replace(scenario, train_images=train, eval_images=eval_), want_path)
-    assert got_path.read_bytes() == want_path.read_bytes()
+    path = tmp_path / "got.jsonl"
+    write_dataset(scenario, path)
+    want = joined_dataset_text(dataclasses.replace(scenario, train_images=train, eval_images=eval_))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize("world", ["reference", *EDGE_WORLDS])
@@ -359,8 +380,9 @@ def test_a_failed_write_leaves_no_file(tmp_path, scenario):
     # A non-finite feature is refused by the JSON encoder midway through
     # the file; the lines already streamed are removed.
     image = scenario.eval_images[-1]
-    bad = dataclasses.replace(image.proposals[0], det_feature=np.full(scenario.config.dim, np.nan))
-    broken = dataclasses.replace(image, proposals=(bad, *image.proposals[1:]))
+    features = image.features.copy()
+    features[0, 0] = np.nan
+    broken = dataclasses.replace(image, features=features)
     scenario = dataclasses.replace(scenario, eval_images=(*scenario.eval_images[:-1], broken))
     path = tmp_path / "data.jsonl"
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -368,7 +390,7 @@ def test_a_failed_write_leaves_no_file(tmp_path, scenario):
     assert not path.exists()
 
 
-GENERATE_CALL_BUDGET = 8  # Python-level calls per generated proposal on the reference world
+GENERATE_CALL_BUDGET = 3  # Python-level calls per generated proposal on the reference world
 
 
 def test_generation_stays_within_its_call_budget(enc):
@@ -391,7 +413,7 @@ def test_generation_stays_within_its_call_budget(enc):
     finally:
         sys.setprofile(None)
         gc.enable()
-    per_proposal = calls / sum(len(image.proposals) for image in scenario.train_images + scenario.eval_images)
+    per_proposal = calls / sum(len(image.rpn) for image in scenario.train_images + scenario.eval_images)
     assert per_proposal <= GENERATE_CALL_BUDGET, per_proposal
 
 
@@ -665,7 +687,77 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, scenario, split)
         load_dataset(path, (other,))
 
 
-LOADED_BYTES_PER_PROPOSAL = 1200  # traced bytes a both-split load of the reference world keeps per proposal
+class _LoggedFile:
+    """A binary file that logs the byte range of every ``read`` and ``readline`` it serves."""
+
+    def __init__(self, f):
+        self.f, self.ranges = f, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def _logged(self, data: bytes) -> bytes:
+        end = self.f.tell()
+        self.ranges.append((end - len(data), end))
+        return data
+
+    def read(self, size=-1):
+        return self._logged(self.f.read(size))
+
+    def readline(self):
+        return self._logged(self.f.readline())
+
+    def seek(self, offset):
+        return self.f.seek(offset)
+
+    def tell(self):
+        return self.f.tell()
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_a_one_split_load_reads_no_byte_of_the_other_split_after_counting(tmp_path, monkeypatch, scenario, split):
+    # The counting pass reads every byte after the header once; then a load
+    # of one split reads only the header and that split's lines.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    per_image = 14
+    eval_line = 1 + scenario.config.n_train_images * per_image
+    train_start, eval_start = len(lines[0]), sum(map(len, lines[:eval_line]))
+    other = (eval_start, len(b"".join(lines))) if split == "train" else (train_start, eval_start)
+    logs = []
+
+    class LoggedPath(type(path)):
+        def open(self, mode="r", *args, **kwargs):
+            logs.append(_LoggedFile(super().open(mode, *args, **kwargs)))
+            return logs[-1]
+
+    monkeypatch.setattr(synth, "Path", LoggedPath)
+    loaded = load_dataset(path, (split,))
+    _assert_same_images(loaded.images(split), scenario.images(split))
+    (log,) = logs
+    counted = log.ranges.index((len(b"".join(lines)),) * 2)  # the read that finds the end of the file
+    assert log.ranges[:counted] and all(start >= train_start for start, _ in log.ranges[1:counted])
+    read_after = [(start, end) for start, end in log.ranges[counted + 1:] if start < end]
+    assert read_after and all(end <= other[0] or start >= other[1] for start, end in read_after), read_after
+
+
+def test_a_negative_category_id_is_refused(tmp_path, scenario):
+    # -1 is the columns' value for none, so no header id may be negative.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["oracle"]["distractor"][0]["id"] = -1
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=r"header holds a category id -1 outside \[0, "):
+        load_dataset(path, ("train",))
+
+
+LOADED_BYTES_PER_PROPOSAL = 760  # traced bytes a both-split load of the reference world keeps per proposal
 
 
 def test_a_load_holds_no_more_than_an_image_of_text(enc):
@@ -673,8 +765,8 @@ def test_a_load_holds_no_more_than_an_image_of_text(enc):
     # load of both splits allocates beyond the scenario it returns stays
     # below an eighth of the file's size: the load never holds the file. The
     # scenario it keeps costs at most ``LOADED_BYTES_PER_PROPOSAL`` a
-    # proposal, of which its two feature rows hold 512: slotted records, one
-    # oracle record per (label, source) and one feature block per image.
+    # proposal, of which its two feature rows hold 512: each image holds its
+    # proposals as columns, with no per-proposal object.
     import tempfile
     from pathlib import Path
 
@@ -691,7 +783,7 @@ def test_a_load_holds_no_more_than_an_image_of_text(enc):
     assert len(loaded.eval_images) == ScenarioConfig().n_eval_images
     assert size > 3e6
     assert peak - kept < size / 8, (peak - kept, size)
-    n_proposals = sum(len(image.proposals) for image in loaded.train_images + loaded.eval_images)
+    n_proposals = sum(len(image.rpn) for image in loaded.train_images + loaded.eval_images)
     assert kept <= LOADED_BYTES_PER_PROPOSAL * n_proposals, kept / n_proposals
 
 
@@ -703,33 +795,14 @@ def test_dataset_rejects_foreign_files(tmp_path):
 
 
 def _scrub_oracle(scenario: Scenario) -> Scenario:
-    """Replace every oracle record with garbage; training must not notice."""
+    """Replace every oracle label, source and record with garbage; training must not notice."""
+    garbage = {999: tuple(OracleInfo(generative_label=999, source="scrubbed") for _ in _SOURCES)}
 
     def scrub_image(image):
-        props = tuple(
-            Proposal(
-                box=p.box,
-                rpn_score=p.rpn_score,
-                det_feature=p.det_feature,
-                img_feature=p.img_feature,
-                gt_label=p.gt_label,
-                oracle=OracleInfo(generative_label=999, source="scrubbed"),
-            )
-            for p in image.proposals
-        )
-        return SynthImage(image_id=image.image_id, proposals=props, gt_boxes=image.gt_boxes, features=image.features)
+        return dataclasses.replace(image, label=np.full_like(image.label, 999), source=np.full_like(image.source, 2),
+                                   oracles=garbage)
 
-    return Scenario(
-        config=scenario.config,
-        encoder=scenario.encoder,
-        base_ids=scenario.base_ids,
-        novel_ids=scenario.novel_ids,
-        distractor_ids=scenario.distractor_ids,
-        name_seeds=scenario.name_seeds,
-        prototypes=scenario.prototypes,
-        train_images=tuple(scrub_image(im) for im in scenario.train_images),
-        eval_images=scenario.eval_images,
-    )
+    return dataclasses.replace(scenario, train_images=tuple(scrub_image(im) for im in scenario.train_images))
 
 
 def test_training_never_reads_oracle_records(scenario):
