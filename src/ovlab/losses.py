@@ -74,6 +74,7 @@ __all__ = [
     "ProposalBlocks",
     "background_mass",
     "proposal_blocks",
+    "stack_blocks",
     "proposal_groups",
     "objective_terms",
     "switched_background_loss",
@@ -171,28 +172,25 @@ class ProposalBlocks(NamedTuple):
 
 
 def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> ProposalBlocks:
-    """Stack a batch's proposals (and a pseudo-label partition's, if any) into ``ProposalBlocks``.
+    """``stack_blocks`` of a batch's proposals (and a pseudo-label partition's, if any)."""
+    return stack_blocks([p.det_feature for p in batch.foreground], [p.gt_label for p in batch.foreground],
+                        [p.det_feature for p in batch.background], partition, vocab)
 
-    Features are stored as unit rows, so a zero-norm feature raises
-    ``ZeroNormError`` here. Target positions come from ``vocab``'s layout,
-    which stays fixed while the parameters train, so a run stacks each
-    training image once.
-    """
+
+def stack_blocks(foreground, labels, background, partition, vocab: Vocabulary) -> ProposalBlocks:
+    """``ProposalBlocks`` of detector rows (an (n, dim) array or a list of rows): the foreground's (base
+    ids ``labels``), the background's and a pseudo-label partition's, if any. Features are stored as unit
+    rows, so a zero-norm feature raises ``ZeroNormError`` here. Target positions come from ``vocab``'s
+    layout, which stays fixed while the parameters train, so a run stacks each training image once."""
     positives = partition.positives if partition is not None else ()
     negatives = partition.negatives if partition is not None else ()
-    rows = {
-        "foreground": [p.det_feature for p in batch.foreground],
-        "background": [p.det_feature for p in batch.background],
-        "pseudo_positive": [p.det_feature for p, _ in positives],
-        "pseudo_negative": [p.det_feature for p in negatives],
-    }
-    features = {name: unit_rows(np.stack(r))[0] if r else np.zeros((0, vocab.dim))
-                for name, r in rows.items()}
+    rows = {"foreground": foreground, "background": background,
+            "pseudo_positive": [p.det_feature for p, _ in positives],
+            "pseudo_negative": [p.det_feature for p in negatives]}
+    features = {name: unit_rows(np.asarray(r))[0] if len(r) else np.zeros((0, vocab.dim)) for name, r in rows.items()}
     targets = {
-        "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
-        "pseudo_positive": np.array(
-            [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
-        ),
+        "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),
+        "pseudo_positive": np.array([vocab.underlying_position(lab.category) for _, lab in positives], np.int64),
     }
     return ProposalBlocks(features, targets)
 

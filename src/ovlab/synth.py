@@ -159,14 +159,20 @@ class SynthImage:
 
     @property
     def proposals(self) -> tuple[Proposal, ...]:
-        """The records of the image's proposals, built on each read; their features are views of
-        ``features`` and their oracles the shared records."""
-        return tuple(
-            Proposal(box=Box(*box), rpn_score=rpn, det_feature=d, img_feature=i,
-                     gt_label=None if gt == _NONE else gt, oracle=self.oracles[label][source])
-            for box, rpn, d, i, gt, label, source in zip(self.boxes.tolist(), self.rpn.tolist(), *self.features,
-                                                         self.gt.tolist(), self.label.tolist(), self.source.tolist())
-        )
+        """The records of the image's proposals, built on each read: rows of ``features``, shared oracles."""
+        return self._records(np.arange(len(self.rpn)))
+
+    @property
+    def background_proposals(self) -> tuple[Proposal, ...]:
+        """The records of the proposals without an annotated base id, in order, built as ``proposals`` builds them."""
+        return self._records(np.flatnonzero(self.gt == _NONE))
+
+    def _records(self, rows) -> tuple[Proposal, ...]:
+        det, img = self.features
+        columns = (column[rows].tolist() for column in (self.boxes, self.rpn, self.gt, self.label, self.source))
+        return tuple(Proposal(box=Box(*box), rpn_score=rpn, det_feature=det[r], img_feature=img[r],
+                              gt_label=None if gt == _NONE else gt, oracle=self.oracles[label][source])
+                     for r, box, rpn, gt, label, source in zip(rows.tolist(), *columns))
 
 
 def _oracle_records(ids) -> dict[int, tuple[OracleInfo, ...]]:
@@ -589,17 +595,12 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 
 
-def _check_box(coords) -> None:
-    """Refuse ``coords`` as ``Box(*coords)`` refuses it, and a bool coordinate, which ``Box`` takes as 0 or 1;
-    four floats with finite corners (x1, y1) < (x2, y2) pass without a ``Box`` built."""
-    if type(coords) is list and len(coords) == 4:
-        x1, y1, x2, y2 = coords
-        if (type(x1) is type(y1) is type(x2) is type(y2) is float
-                and -math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
-            return
+def _check_box(coords) -> Box:
+    """``Box(*coords)``, refusing a bool coordinate as well, which ``Box`` takes as 0 or 1."""
     box = Box(*coords)
     if bool in map(type, coords):
         raise ValueError(f"bool coordinate in {box}")
+    return box
 
 
 def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int,
@@ -616,10 +617,8 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
     """
     rec = _record(path, f.readline(), first, "image", split, image_id)
     try:
-        for coords in rec["gt_boxes"]:
-            _check_box(coords)
-        gt_boxes = tuple(Box(*coords) for coords in rec["gt_boxes"])
-    except (TypeError, ValueError) as exc:
+        gt_boxes = tuple(map(_check_box, rec["gt_boxes"]))
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float overflows
         where = _where(path, first, "the image line", split, image_id)
         raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
     rows = per_image - 1
@@ -634,7 +633,7 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                 if type(rec[key]) is not list or len(rec[key]) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
                 block[k, i] = rec[key]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
         gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
         if gt is not None and not (is_integer(gt) and gt in base_ids):
@@ -648,7 +647,7 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                              f"{', '.join(map(repr, _SOURCES))}")
         try:
             _check_box(rec["box"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         score = rec["rpn"]
         try:
@@ -659,6 +658,11 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
             raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
         boxes[i], rpn[i], sources[i] = rec["box"], score, _SOURCE_INDEX[source]
         gts[i], labels[i] = _NONE if gt is None else gt, _NONE if label is None else label
+    rounded = (boxes[:, :2] >= boxes[:, 2:]).any(axis=1)  # int corners that float64 rounds onto each other
+    if rounded.any():
+        row = int(rounded.argmax())
+        where = _where(path, first + 1 + row, "a proposal line", split, image_id)
+        raise ValueError(f"{where} holds a bad box: degenerate box {boxes[row].tolist()} as float64")
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
     if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):

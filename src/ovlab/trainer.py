@@ -49,6 +49,7 @@ from .losses import (
     objective_terms,
     proposal_blocks,
     proposal_groups,
+    stack_blocks,
 )
 from .persist import canonical_json, write_text
 from .pseudo import BackgroundPartition, generate_pseudo_labels
@@ -450,16 +451,17 @@ class Checkpoint:
         return build_training_vocab(fixed, self.context_vectors, self.sub_background)
 
 
-def pool_background(scenario: Scenario, config: TrainConfig) -> np.ndarray:
-    """Image features of every training background proposal that survives filtering."""
-    feats = []
-    for image in scenario.images("train"):
-        bg = [p for p in image.proposals if p.gt_label is None]
-        kept = filter_background_proposals(
-            bg, image.gt_boxes, theta=config.score_threshold,
-            gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou,
-        )
-        feats.extend(p.img_feature for p in kept)
+def _filtered_background(scenario: Scenario, config: TrainConfig) -> list[list]:
+    """Per training image, its background records that survive filtering (``pool_background``'s ``kept``)."""
+    return [filter_background_proposals(image.background_proposals, image.gt_boxes, theta=config.score_threshold,
+                                        gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou)
+            for image in scenario.images("train")]
+
+
+def pool_background(scenario: Scenario, config: TrainConfig, kept=None) -> np.ndarray:
+    """Image features of every training background record that survives filtering (``kept``, if given)."""
+    kept = _filtered_background(scenario, config) if kept is None else kept
+    feats = [p.img_feature for image_kept in kept for p in image_kept]
     if not feats:
         raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
     return np.stack(feats)
@@ -476,8 +478,8 @@ def underlying_count(config: TrainConfig, n_discovered: int) -> int:
     return 0 if config.baseline_mode else n_discovered + config.extra_categories
 
 
-def prepare_background(scenario: Scenario, config: TrainConfig):
-    """Offline prep: pooled filtered background features, latent count, centers.
+def prepare_background(scenario: Scenario, config: TrainConfig, kept=None):
+    """Offline prep: pooled filtered background features (of ``kept``, if given), latent count, centers.
 
     The count comes from the silhouette sweep unless the configuration pins
     it; centers are computed only when the discovery loss is enabled
@@ -486,7 +488,7 @@ def prepare_background(scenario: Scenario, config: TrainConfig):
     """
     if config.baseline_mode:
         return 0, None
-    features = pool_background(scenario, config)
+    features = pool_background(scenario, config, kept)
     model = None
     if config.discovered_categories is not None:
         n_disc = config.discovered_categories
@@ -535,32 +537,28 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     """``prepare_background``, then, with centers, one pseudo-label partition per training image.
 
     Pseudo-labels depend only on the frozen centers and the image data, so
-    each training image is labelled once per prep. A baseline run gets an
-    empty prep without any work.
+    each training image is labelled once per prep, from the records it
+    pooled: the labeller filters them as the pool did, which keeps them all,
+    in order. A baseline run gets an empty prep without any work.
     """
-    n_discovered, centers = prepare_background(scenario, config)
+    kept = None if config.baseline_mode else _filtered_background(scenario, config)
+    n_discovered, centers = prepare_background(scenario, config, kept)
     partitions = None
     if centers is not None:
-        partitions = tuple(_image_partition(im, centers, config) for im in scenario.images("train"))
+        partitions = tuple(generate_pseudo_labels(
+            bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold,
+            nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut, rpn_nms_iou=config.nms_iou,
+        ) for image, bg in zip(scenario.images("train"), kept))
     return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
 
 
-def _image_partition(image, centers, config: TrainConfig) -> BackgroundPartition:
-    bg = [p for p in image.proposals if p.gt_label is None]
-    return generate_pseudo_labels(
-        bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold,
-        nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut, rpn_nms_iou=config.nms_iou,
-    )
-
-
 def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[ProposalBlocks]:
-    """Each training image's proposals (and pseudo-labels, if any) stacked into ``ProposalBlocks``."""
+    """Each training image's detector rows (and pseudo-labels, if any) stacked into ``ProposalBlocks``."""
     blocks = []
     for i, image in enumerate(scenario.images("train")):
-        proposals = image.proposals
-        batch = ProposalBatch(foreground=tuple(p for p in proposals if p.gt_label is not None),
-                              background=tuple(p for p in proposals if p.gt_label is None))
-        blocks.append(proposal_blocks(batch, partitions[i] if partitions else None, vocab))
+        det, annotated = image.features[0], image.gt >= 0  # -1: no annotated base id
+        blocks.append(stack_blocks(det[annotated], image.gt[annotated].tolist(), det[~annotated],
+                                   partitions[i] if partitions else None, vocab))
     return blocks
 
 

@@ -263,17 +263,23 @@ def proposal_groups(batch, partition, vocab: Vocabulary):
 
 def raw_proposal_blocks(batch, partition, vocab: Vocabulary) -> ProposalBlocks:
     """``losses.proposal_blocks`` with the detector rows as given, not unit-normalized."""
+    return raw_stack_blocks([p.det_feature for p in batch.foreground], [p.gt_label for p in batch.foreground],
+                            [p.det_feature for p in batch.background], partition, vocab)
+
+
+def raw_stack_blocks(foreground, labels, background, partition, vocab: Vocabulary) -> ProposalBlocks:
+    """``losses.stack_blocks`` with the detector rows as given, not unit-normalized."""
     positives = partition.positives if partition is not None else ()
     negatives = partition.negatives if partition is not None else ()
     rows = {
-        "foreground": [p.det_feature for p in batch.foreground],
-        "background": [p.det_feature for p in batch.background],
+        "foreground": list(foreground),
+        "background": list(background),
         "pseudo_positive": [p.det_feature for p, _ in positives],
         "pseudo_negative": [p.det_feature for p in negatives],
     }
     features = {name: np.stack(r) if r else np.zeros((0, vocab.dim)) for name, r in rows.items()}
     targets = {
-        "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
+        "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),
         "pseudo_positive": np.array(
             [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
         ),

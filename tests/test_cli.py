@@ -264,10 +264,19 @@ BAD_VALUES = {
     "box_degenerate": ("train", "proposal", ("box",), [5, 5, 1, 1],
                        "holds a bad box: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
     "box_too_short": ("eval", "proposal", ("box",), [1, 2, 3], "holds a bad box: "),
+    "box_rounds_degenerate": ("train", "proposal", ("box",), [2**53, 0, 2**53 + 1, 5],
+                              "holds a bad box: degenerate box [9007199254740992.0, 0.0, 9007199254740992.0, 5.0] "
+                              "as float64"),
+    "box_too_large": ("eval", "proposal", ("box",), [0, 0, 10**400, 5],
+                      "holds a bad box: int too large to convert to float"),
+    "det_too_large": ("train", "proposal", ("det",), [10**400] * 32,
+                      "holds a bad det feature: int too large to convert to float"),
     "gt_box_degenerate": ("train", "image", ("gt_boxes",), [[5, 5, 1, 1]],
                           "holds bad gt_boxes: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
     "gt_box_a_bool": ("train", "image", ("gt_boxes",), [[0, 0, 5, True]],
                       "holds bad gt_boxes: bool coordinate in Box(x1=0, y1=0, x2=5, y2=True)"),
+    "gt_box_too_large": ("train", "image", ("gt_boxes",), [[0, 0, 10**400, 5]],
+                         "holds bad gt_boxes: int too large to convert to float"),
 }
 
 

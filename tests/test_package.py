@@ -12,7 +12,8 @@ Every name has one home: the package root re-exports nothing, a module's
 private (underscore) name.
 
 Code that reads every proposal reads an image's columns: only the trainer
-functions that take one image's records at a time read ``.proposals``.
+function that filters one image's background records at a time reads
+``.proposals`` or ``.background_proposals``.
 """
 
 import ast
@@ -168,8 +169,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private, f"private names imported across modules: {private}"
 
 
-# The functions that take the records one image at a time, by (module, function).
-PROPOSAL_READERS = {("trainer", "pool_background"), ("trainer", "_image_partition"), ("trainer", "_image_blocks")}
+# The function that takes the records one image at a time, by (module, function).
+PROPOSAL_READERS = {("trainer", "_filtered_background")}
+RECORDS = ("proposals", "background_proposals")  # the ``SynthImage`` properties that build records
 
 
 def test_only_the_per_image_record_readers_read_proposals():
@@ -179,7 +181,7 @@ def test_only_the_per_image_record_readers_read_proposals():
         functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         owner = {child: f.name for f in functions for child in ast.walk(f)}  # innermost wins: walk order is outer first
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "proposals" and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Attribute) and node.attr in RECORDS and isinstance(node.ctx, ast.Load):
                 if (path.stem, owner.get(node)) not in PROPOSAL_READERS:
                     readers.append(f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})")
-    assert not readers, f"reads of .proposals outside {sorted(PROPOSAL_READERS)}: {readers}"
+    assert not readers, f"reads of {RECORDS} outside {sorted(PROPOSAL_READERS)}: {readers}"

@@ -306,7 +306,7 @@ def test_a_written_scenario_loads_back_split_by_split():
 def _assert_holds_its_blocks(scenario: Scenario):
     """Each image of the loaded splits hands out its read-only ``(2, n, dim)`` feature block, whose
     rows are the features of the records it builds, and every record the scenario builds with one
-    (label, source) holds one oracle record."""
+    (label, source) holds one oracle record; its background records are the records without a gt."""
     records = {}
     for image in (scenario.train_images or ()) + (scenario.eval_images or ()):
         assert image.features.shape == (2, len(image.rpn), scenario.config.dim)
@@ -315,6 +315,12 @@ def _assert_holds_its_blocks(scenario: Scenario):
             for feature, row in ((p.det_feature, det), (p.img_feature, img)):
                 assert np.shares_memory(feature, row) and feature.tobytes() == row.tobytes()
             assert records.setdefault((p.oracle.generative_label, p.oracle.source), p.oracle) is p.oracle
+        background = [p for p in image.proposals if p.gt_label is None]
+        for got, want in zip(image.background_proposals, background, strict=True):
+            assert (got.box, got.rpn_score, got.gt_label) == (want.box, want.rpn_score, None)
+            assert got.oracle is want.oracle and np.shares_memory(got.det_feature, image.features)
+            assert (got.det_feature.tobytes(), got.img_feature.tobytes()) == (want.det_feature.tobytes(),
+                                                                            want.img_feature.tobytes())
 
 
 def test_records_hold_no_instance_dict(scenario):

@@ -29,7 +29,8 @@ from ovlab.trainer import (
     train,
 )
 
-from oracles import central_difference, raw_proposal_blocks, two_block_sgd_step, unfused_loss_and_gradients
+from oracles import (central_difference, raw_proposal_blocks, raw_stack_blocks, two_block_sgd_step,
+                     unfused_loss_and_gradients)
 from util import make_proposal, training_vocab, unit
 
 
@@ -421,6 +422,53 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
 
 
+def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_background(small_scenario):
+    # A prep filters each image's background once and hands the kept records to the labeller,
+    # whose own filter keeps them all: each partition equals labelling the image's whole background.
+    from ovlab.pseudo import generate_pseudo_labels
+
+    config = TrainConfig(seed=3)
+    prep = prepare_discovery(small_scenario, config)
+    for image, got in zip(small_scenario.train_images, prep.partitions, strict=True):
+        want = generate_pseudo_labels(
+            image.background_proposals, image.gt_boxes, prep.centers, tau=config.temperature,
+            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
+            rpn_nms_iou=config.nms_iou)
+        assert [(p.box, p.rpn_score, label) for p, label in got.positives] == [
+            (p.box, p.rpn_score, label) for p, label in want.positives]
+        assert [(p.box, p.rpn_score) for p in got.negatives] == [(p.box, p.rpn_score) for p in want.negatives]
+    assert sum(len(p.positives) for p in prep.partitions)
+
+
+@pytest.mark.parametrize("baseline_mode", [False, True])
+def test_image_blocks_stack_the_columns_as_the_records_stack(small_scenario, baseline_mode):
+    # ``_image_blocks`` stacks each training image's rows straight from its columns; stacking
+    # the image's records as a ``ProposalBatch`` gives the same bytes, pseudo-labels included.
+    import ovlab.trainer as trainer_mod
+    from ovlab.vocab import FixedRows, build_training_vocab
+
+    config = TrainConfig(seed=3, baseline_mode=baseline_mode)
+    prep = prepare_discovery(small_scenario, config)
+    ids, n_disc = small_scenario.base_ids, prep.n_discovered
+    fixed = FixedRows(ids, np.stack([small_scenario.prototypes[i] for i in ids]), small_scenario.encoder,
+                      trainer_mod.underlying_count(config, n_disc), n_disc, baseline_mode)
+    params = initial_params(config, small_scenario.encoder, n_disc)
+    vocab = build_training_vocab(fixed, params.context_vectors, params.sub_background)
+    blocks = trainer_mod._image_blocks(small_scenario, prep.partitions, vocab)
+    partitions = prep.partitions or [None] * len(blocks)
+    for image, partition, got in zip(small_scenario.train_images, partitions, blocks, strict=True):
+        records = image.proposals
+        batch = ProposalBatch(foreground=tuple(p for p in records if p.gt_label is not None),
+                              background=tuple(p for p in records if p.gt_label is None))
+        want = proposal_blocks(batch, partition, vocab)
+        for name, rows in want.features.items():
+            assert got.features[name].shape == rows.shape and got.features[name].tobytes() == rows.tobytes(), name
+        for name, targets in want.targets.items():
+            assert got.targets[name].dtype == np.int64 and got.targets[name].tolist() == targets.tolist(), name
+    groups = ["foreground", "background"] + ([] if baseline_mode else ["pseudo_positive"])  # none is negative here
+    assert all(sum(len(b.features[name]) for b in blocks) for name in groups)
+
+
 TRAINING_TOGGLES = sorted({(c.baseline_mode, c.use_prompts, c.use_discovery) for c in STANDARD_COMBOS})
 
 
@@ -436,7 +484,7 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
                          use_discovery=use_discovery)
     prep = prepare_discovery(small_scenario, config)
     history, checkpoint = train(config, small_scenario, prep)
-    monkeypatch.setattr(trainer_mod, "proposal_blocks", raw_proposal_blocks)
+    monkeypatch.setattr(trainer_mod, "stack_blocks", raw_stack_blocks)
     monkeypatch.setattr(trainer_mod, "loss_and_gradients", unfused_loss_and_gradients)
     oracle_history, oracle_checkpoint = train(config, small_scenario, prep)
     assert history_to_json(history) == history_to_json(oracle_history)
