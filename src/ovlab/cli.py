@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_fields, from_dict
-from .discovery import Box, Proposal
+from .discovery import Proposal
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
 from .losses import COMPONENTS, ProposalBatch, proposal_blocks
@@ -291,7 +291,7 @@ def _gradcheck_instance(seed: int, tau: float):
 
     def prop(label=None):
         return Proposal(
-            box=Box(0.0, 0.0, 10.0, 10.0),
+            box=np.array([0.0, 0.0, 10.0, 10.0]),
             rpn_score=0.9,
             det_feature=unit(),
             img_feature=unit(),

@@ -1,7 +1,8 @@
 """Offline background preparation: box geometry, proposal filtering, clustering.
 
-Covers the pieces that run before training starts: IoU and greedy NMS,
-objectness-score filtering of background proposals, spherical k-means over
+Covers the pieces that run before training starts: IoU and greedy NMS over
+boxes held as rows of float arrays (corners x1, y1, x2, y2), objectness-score
+filtering of an image's background rows, spherical k-means over
 image-encoder features, and the silhouette sweep that estimates how many
 latent categories hide in the background. k-means carries its seeded
 restarts side by side on one leading axis, one batched Lloyd loop per call;
@@ -11,13 +12,11 @@ compute alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Box",
     "OracleInfo",
     "Proposal",
     "ClusterModel",
@@ -35,30 +34,6 @@ KMEANS_RESTARTS = 8  # seeded initializations per clustering; the lowest objecti
 
 
 @dataclass(frozen=True, slots=True)
-class Box:
-    """Axis-aligned box in image units, corners (x1, y1) < (x2, y2)."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(f"degenerate box {self}")
-        for v in (self.x1, self.y1, self.x2, self.y2):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite box coordinate in {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def to_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
-
-
-@dataclass(frozen=True, slots=True)
 class OracleInfo:
     """Ground-truth record used only by evaluation and tests.
 
@@ -72,7 +47,7 @@ class OracleInfo:
 
 @dataclass(frozen=True, slots=True)
 class Proposal:
-    """One region proposal: geometry, objectness, and its two feature views.
+    """One region proposal: its box (a ``(4,)`` row of corners), objectness, and its two feature views.
 
     ``det_feature`` is the detector-head embedding used by every loss;
     ``img_feature`` is the frozen image-encoder embedding used only for
@@ -80,7 +55,7 @@ class Proposal:
     category id, present only on matched foreground proposals.
     """
 
-    box: Box
+    box: np.ndarray
     rpn_score: float
     det_feature: np.ndarray
     img_feature: np.ndarray
@@ -92,54 +67,56 @@ class Proposal:
             raise ValueError(f"rpn_score must lie in [0, 1], got {self.rpn_score}")
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def iou(a, b) -> np.ndarray:
+    """IoU of the boxes ``a`` and ``b``, elementwise over their broadcast ``(..., 4)`` rows (x1, y1, x2, y2).
+
+    Each pair takes the IEEE operations of the one-pair formula in its order
+    (the overlap's sides clipped at 0), so it gets its bits.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    sides = np.maximum(np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2]), 0.0)
+    inter = sides[..., 0] * sides[..., 1]
+    size_a, size_b = a[..., 2:] - a[..., :2], b[..., 2:] - b[..., :2]
+    return (inter / (size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter))[()]
 
 
 def nms_indices(boxes, scores, iou_threshold: float) -> list[int]:
-    """Greedy descending-score suppression; returns kept indices in keep order.
+    """Greedy descending-score suppression over ``(n, 4)`` boxes; returns kept indices in keep order.
 
     Ties are broken toward the lower original index. A box is kept iff its
-    IoU with every previously kept box is strictly below the threshold.
+    IoU (one ``(n, n)`` matrix) with every previously kept box is below the threshold.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    if len(scores) < 2:  # nothing to suppress
+        return list(range(len(scores)))
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    apart = (iou(boxes[:, None], boxes[None, :]) < iou_threshold).tolist()
+    scores = np.asarray(scores, dtype=np.float64).tolist()
     kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[j]) < iou_threshold for j in kept):
+    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+        if all(apart[i][j] for j in kept):
             kept.append(i)
     return kept
 
 
-def filter_background_proposals(
-    proposals,
-    gt_boxes,
-    theta: float,
-    gt_iou_cut: float = 0.5,
-    nms_iou: float = 0.5,
-):
+def filter_background_proposals(boxes, rpn, gt_boxes, theta: float, gt_iou_cut: float = 0.5,
+                                nms_iou: float = 0.5) -> np.ndarray:
     """Background proposals worth mining: confident, off-annotation, deduplicated.
 
-    Keeps proposals with rpn_score >= theta whose IoU with every annotated
-    box is below ``gt_iou_cut``, then applies greedy NMS on the survivors.
+    Of the proposals with ``(n, 4)`` ``boxes`` and objectness scores ``rpn``,
+    keeps those with a score >= theta whose IoU with every annotated box
+    (``gt_boxes``, ``(g, 4)``) is below ``gt_iou_cut``, then applies greedy
+    NMS to the survivors. Returns the kept rows in NMS keep order.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    survivors = [
-        p
-        for p in proposals
-        if p.rpn_score >= theta
-        and all(iou(p.box, g) < gt_iou_cut for g in gt_boxes)
-    ]
-    kept = nms_indices([p.box for p in survivors], [p.rpn_score for p in survivors], nms_iou)
-    return [survivors[i] for i in kept]
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    gt = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    rpn = np.asarray(rpn, dtype=np.float64)
+    off_gt = (iou(boxes[:, None], gt[None, :]) < gt_iou_cut).all(axis=1)
+    survivors = np.flatnonzero((rpn >= theta) & off_gt)
+    return survivors[nms_indices(boxes[survivors], rpn[survivors], nms_iou)]
 
 
 # -- clustering -------------------------------------------------------------

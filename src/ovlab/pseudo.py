@@ -8,7 +8,9 @@ category; the rest are pushed toward the expansion-plus-sub-background
 block with a small weight.
 
 Labels depend only on image-encoder features and the frozen centers, never
-on the detector features or any trainable parameter.
+on the detector features or any trainable parameter. The labeller takes
+``Proposal`` records (a discovery prep builds them only for the rows its own
+filter kept) and the image's annotated boxes as a ``(g, 4)`` array.
 """
 
 from __future__ import annotations
@@ -68,32 +70,27 @@ def _labels(probs: np.ndarray) -> list[PseudoLabel]:
     return [PseudoLabel(category=c, score=v) for c, v in zip(cats.tolist(), scores.tolist())]
 
 
-def generate_pseudo_labels(
-    batch_bg,
-    gt_boxes,
-    centers,
-    tau: float,
-    theta: float,
-    nms_iou: float = 0.5,
-    gt_iou_cut: float = 0.5,
-    rpn_nms_iou: float = 0.5,
-) -> BackgroundPartition:
+def generate_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
+                           gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
     """Filter, label, threshold, and per-class-suppress one batch's background.
 
-    Pipeline: objectness/annotation-overlap filtering -> per-proposal label
-    from the frozen centers (one cosine matrix over the filtered proposals)
-    -> drop labels scoring under theta -> per-class NMS keyed on the label
-    score. Survivors become positives; every other filtered proposal becomes
-    a negative. Box refinement of the survivors is an identity hook at this
-    scale (no trained box head exists).
+    ``batch_bg`` is a sequence of ``Proposal`` records and ``gt_boxes`` the
+    image's ``(g, 4)`` annotated boxes. Pipeline: objectness/annotation-overlap
+    filtering of the records' boxes -> per-proposal label from the frozen
+    centers (one cosine matrix over the filtered proposals) -> drop labels
+    scoring under theta -> per-class NMS keyed on the label score. Survivors
+    become positives; every other filtered proposal becomes a negative. Box
+    refinement of the survivors is an identity hook at this scale (no trained
+    box head exists).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    filtered = filter_background_proposals(
-        batch_bg, gt_boxes, theta=theta, gt_iou_cut=gt_iou_cut, nms_iou=rpn_nms_iou
-    )
-    if not filtered:
+    boxes = np.array([p.box for p in batch_bg], dtype=np.float64).reshape(-1, 4)
+    rows = filter_background_proposals(boxes, [p.rpn_score for p in batch_bg], gt_boxes, theta=theta,
+                                       gt_iou_cut=gt_iou_cut, nms_iou=rpn_nms_iou)
+    if not len(rows):
         return BackgroundPartition(positives=(), negatives=())
+    filtered, boxes = [batch_bg[i] for i in rows.tolist()], boxes[rows]
 
     labels = _labels(_center_probs(np.stack([p.img_feature for p in filtered]), centers, tau))
     confident = [i for i, lab in enumerate(labels) if lab.score >= theta]
@@ -102,9 +99,8 @@ def generate_pseudo_labels(
     categories = sorted({labels[i].category for i in confident})
     for cat in categories:
         members = [i for i in confident if labels[i].category == cat]
-        boxes = [filtered[i].box for i in members]
         scores = [labels[i].score for i in members]
-        for local in nms_indices(boxes, scores, nms_iou):
+        for local in nms_indices(boxes[members], scores, nms_iou):
             kept.add(members[local])
 
     positives = tuple((filtered[i], labels[i]) for i in sorted(kept))

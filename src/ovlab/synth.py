@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import NORM_FLOOR, check_fields, from_dict, is_integer
-from .discovery import Box, OracleInfo, Proposal
+from .discovery import OracleInfo, Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash
 
@@ -139,6 +139,7 @@ class ScenarioConfig:
 class SynthImage:
     """One image: its annotated (base-object) boxes and its ``n`` proposals as read-only columns.
 
+    ``gt_boxes`` (g, 4) holds the annotated boxes' corners (x1, y1, x2, y2).
     ``features`` is the ``(2, n, dim)`` block of their ``det`` rows, then their
     ``img`` rows; ``boxes`` (n, 4) holds their corners, ``rpn`` their scores,
     ``gt`` their annotated base ids, ``label`` their oracle labels (int64, -1
@@ -148,7 +149,7 @@ class SynthImage:
     """
 
     image_id: int
-    gt_boxes: tuple[Box, ...]
+    gt_boxes: np.ndarray = field(repr=False)
     features: np.ndarray = field(repr=False)
     boxes: np.ndarray = field(repr=False)
     rpn: np.ndarray = field(repr=False)
@@ -159,20 +160,26 @@ class SynthImage:
 
     @property
     def proposals(self) -> tuple[Proposal, ...]:
-        """The records of the image's proposals, built on each read: rows of ``features``, shared oracles."""
-        return self._records(np.arange(len(self.rpn)))
+        """The records of the image's proposals, built on each read (``proposal_records`` of every row)."""
+        return self.proposal_records(np.arange(len(self.rpn)))
 
-    @property
-    def background_proposals(self) -> tuple[Proposal, ...]:
-        """The records of the proposals without an annotated base id, in order, built as ``proposals`` builds them."""
-        return self._records(np.flatnonzero(self.gt == _NONE))
-
-    def _records(self, rows) -> tuple[Proposal, ...]:
+    def proposal_records(self, rows: np.ndarray) -> tuple[Proposal, ...]:
+        """The records of the proposals in ``rows``, in order: rows of ``boxes`` and ``features``, shared oracles."""
         det, img = self.features
-        columns = (column[rows].tolist() for column in (self.boxes, self.rpn, self.gt, self.label, self.source))
-        return tuple(Proposal(box=Box(*box), rpn_score=rpn, det_feature=det[r], img_feature=img[r],
+        columns = (column[rows].tolist() for column in (self.rpn, self.gt, self.label, self.source))
+        return tuple(Proposal(box=self.boxes[r], rpn_score=rpn, det_feature=det[r], img_feature=img[r],
                               gt_label=None if gt == _NONE else gt, oracle=self.oracles[label][source])
-                     for r, box, rpn, gt, label, source in zip(rows.tolist(), *columns))
+                     for r, rpn, gt, label, source in zip(rows.tolist(), *columns))
+
+
+def _box_fault(corners: np.ndarray) -> tuple[int, str] | None:
+    """The first row of ``corners`` that is not a box, with what is wrong; a box has finite (x1, y1) < (x2, y2)."""
+    if (corners[:, :2] < corners[:, 2:]).all() and np.isfinite(corners).all():
+        return None
+    ordered = (corners[:, :2] < corners[:, 2:]).all(axis=1)
+    row = int((~(ordered & np.isfinite(corners).all(axis=1))).argmax())
+    box = corners[row].tolist()
+    return row, f"degenerate box {box} as float64" if not ordered[row] else f"non-finite box coordinate in {box}"
 
 
 def _oracle_records(ids) -> dict[int, tuple[OracleInfo, ...]]:
@@ -325,7 +332,7 @@ def _generate_image(
     normal. The image's columns are then computed at once, with the
     arithmetic of the per-proposal draws; ``oracles`` is the scenario's
     shared oracle records. A box size range that gives a degenerate box is
-    refused as ``Box`` refuses that box.
+    refused with the first such box (proposals before base annotations).
     """
     n_objects, per_object, dim = config.objects_per_image, config.proposals_per_object, config.dim
     n_object_proposals = n_objects * per_object
@@ -375,16 +382,16 @@ def _generate_image(
         _jittered_boxes(gt_corners.repeat(per_object, axis=0), box_u[:n_object_proposals], config.image_size),
         _random_boxes(box_u[n_object_proposals:], config),
     ])
-    ordered = (boxes[:, :2] < boxes[:, 2:]).all(axis=1)
-    if not ordered.all():
-        Box(*boxes[ordered.argmin()].tolist())  # raises: the first degenerate box
     is_base = np.array(bases + [False])
+    gt_boxes = gt_corners[is_base[:-1]]
+    for corners in (boxes, gt_boxes):
+        if fault := _box_fault(corners):
+            raise ValueError(fault[1])
     gt = np.where(is_base.repeat(rows), label, _NONE)
     source = np.array([_SOURCE_INDEX["object"]] * n_objects + [_SOURCE_INDEX["clutter"]], np.int64).repeat(rows)
     rpn = _clipped(scores)
-    for column in (features, boxes, rpn, gt, label, source):
+    for column in (gt_boxes, features, boxes, rpn, gt, label, source):
         column.setflags(write=False)
-    gt_boxes = tuple(Box(*box) for box in gt_corners[is_base[:-1]].tolist())
     return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=features, boxes=boxes, rpn=rpn, gt=gt,
                       label=label, source=source, oracles=oracles)
 
@@ -434,7 +441,7 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
 def _image_text(split: str, image: SynthImage) -> str:
     """The image's line, then its proposal lines, each ending in a newline."""
     records = [{"type": "image", "split": split, "image": image.image_id,
-                "gt_boxes": [b.to_list() for b in image.gt_boxes]}]
+                "gt_boxes": image.gt_boxes.tolist()}]
     records += [
         {"type": "proposal", "split": split, "image": image.image_id, "box": box, "rpn": rpn, "det": d, "img": i,
          "gt": None if gt == _NONE else gt, "oracle": {"label": None if label == _NONE else label,
@@ -595,34 +602,45 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 
 
-def _check_box(coords) -> Box:
-    """``Box(*coords)``, refusing a bool coordinate as well, which ``Box`` takes as 0 or 1."""
-    box = Box(*coords)
-    if bool in map(type, coords):
-        raise ValueError(f"bool coordinate in {box}")
-    return box
+def _check_box(coords) -> None:
+    """Refuse a box of a dataset line that is not a list of 4 ints or floats (numpy would take a bool as
+    0 or 1, and parse a string); an image's rows are then checked as boxes at once (``_box_fault``)."""
+    if type(coords) is not list or len(coords) != 4:
+        raise ValueError(f"{coords!r} is not a list of 4 numbers")
+    kinds = set(map(type, coords))
+    if not kinds <= {int, float}:
+        raise ValueError(f"{'bool' if bool in kinds else 'non-number'} coordinate in {coords}")
 
 
 def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int,
                  base_ids: tuple[int, ...], oracles: dict[int, tuple[OracleInfo, ...]]) -> SynthImage:
     """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
 
-    Proposal line ``i`` fills row ``i`` of the columns. The feature block is
-    checked once: every row finite and with a direction (a norm above
+    Proposal line ``i`` fills row ``i`` of the columns. The image's gt and
+    proposal boxes are checked as one array (``_box_fault``) and the feature
+    block once: every row finite and with a direction (a norm above
     ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). A line is refused
     for a feature that is not a list of ``dim`` numbers (so no row is
-    broadcast), a bad box or rpn score, a ``gt`` that is neither null nor one
-    of ``base_ids``, an oracle label that is neither null nor a category id
-    (a key of ``oracles`` but -1) and a source outside ``_SOURCES``.
+    broadcast), a bad box (``_check_box``, then ``_box_fault``) or rpn score,
+    a ``gt`` that is neither null nor one of ``base_ids``, an oracle label
+    that is neither null nor a category id (a key of ``oracles`` but -1) and
+    a source outside ``_SOURCES``.
     """
     rec = _record(path, f.readline(), first, "image", split, image_id)
+    image_line = _where(path, first, "the image line", split, image_id)
+    gt_coords, rows = rec["gt_boxes"], per_image - 1
     try:
-        gt_boxes = tuple(map(_check_box, rec["gt_boxes"]))
-    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float overflows
-        where = _where(path, first, "the image line", split, image_id)
-        raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
-    rows = per_image - 1
-    block, boxes, rpn = np.empty((2, rows, dim)), np.empty((rows, 4)), np.empty(rows)
+        if type(gt_coords) is not list:
+            raise ValueError(f"{gt_coords!r} is not a list of boxes")
+        corners = np.empty((len(gt_coords) + rows, 4))  # the gt boxes, then the proposals' boxes
+        for j, coords in enumerate(gt_coords):
+            _check_box(coords)
+            corners[j] = coords
+    except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
+        raise ValueError(f"{image_line} holds bad gt_boxes: {exc}") from None
+    n_gt = len(gt_coords)
+    gt_boxes, boxes = corners[:n_gt], corners[n_gt:]
+    block, rpn = np.empty((2, rows, dim)), np.empty(rows)
     gts, labels, sources = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.int64)
     for i in range(rows):
         n = first + 1 + i
@@ -647,7 +665,8 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                              f"{', '.join(map(repr, _SOURCES))}")
         try:
             _check_box(rec["box"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            boxes[i] = rec["box"]
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         score = rec["rpn"]
         try:
@@ -656,13 +675,12 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                                  f"got {score}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
-        boxes[i], rpn[i], sources[i] = rec["box"], score, _SOURCE_INDEX[source]
+        rpn[i], sources[i] = score, _SOURCE_INDEX[source]
         gts[i], labels[i] = _NONE if gt is None else gt, _NONE if label is None else label
-    rounded = (boxes[:, :2] >= boxes[:, 2:]).any(axis=1)  # int corners that float64 rounds onto each other
-    if rounded.any():
-        row = int(rounded.argmax())
-        where = _where(path, first + 1 + row, "a proposal line", split, image_id)
-        raise ValueError(f"{where} holds a bad box: degenerate box {boxes[row].tolist()} as float64")
+    if bad_box := _box_fault(corners):  # int corners that float64 rounds onto each other are degenerate too
+        row, problem = bad_box
+        where = image_line if row < n_gt else _where(path, first + 1 + row - n_gt, "a proposal line", split, image_id)
+        raise ValueError(f"{where} holds {'bad gt_boxes' if row < n_gt else 'a bad box'}: {problem}")
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
     if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
@@ -671,7 +689,7 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                 if bad_rows.any():  # the first bad proposal's line
                     where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
                     raise ValueError(f"{where} holds a {fault} {key} feature")
-    for column in (block, boxes, rpn, gts, labels, sources):
+    for column in (corners, gt_boxes, boxes, block, rpn, gts, labels, sources):
         column.setflags(write=False)
     return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=block, boxes=boxes, rpn=rpn, gt=gts,
                       label=labels, source=sources, oracles=oracles)

@@ -11,12 +11,14 @@ freezes each proposal's branch at the stencil center and reports any stencil
 that straddles the boundary instead of silently differencing across it.
 
 Each quantity of a run is computed at the scope where it changes. Per run:
-the discovery prep (count, centers, per-image pseudo-labels; one per seed in
-an ablation), the vocabulary's ``FixedRows`` (checked base embeddings, the
-block indices), each training image's proposal blocks as unit rows with
-their target positions and its pseudo-label counts, every step's batch of
-images (drawn up front, in step order), and one flat parameter vector and
-one flat velocity with the two blocks as views. Per step: the vocabulary of
+the discovery prep (one per seed in an ablation: each training image's
+background rows filtered once as arrays, their pooled features, count,
+centers, and pseudo-labels from records of the kept rows only), the
+vocabulary's ``FixedRows`` (checked base embeddings, the block indices),
+each training image's proposal blocks as unit rows with their target
+positions and its pseudo-label counts, every step's batch of images (drawn
+up front, in step order), and one flat parameter vector and one flat
+velocity with the two blocks as views. Per step: the vocabulary of
 the live parameters (one encoder forward, kept for the pullback), one
 concatenation and one cosine matrix of the sampled images' rows, one
 log-softmax and the logit gradient of "final" (``losses.objective_terms``),
@@ -451,20 +453,24 @@ class Checkpoint:
         return build_training_vocab(fixed, self.context_vectors, self.sub_background)
 
 
-def _filtered_background(scenario: Scenario, config: TrainConfig) -> list[list]:
-    """Per training image, its background records that survive filtering (``pool_background``'s ``kept``)."""
-    return [filter_background_proposals(image.background_proposals, image.gt_boxes, theta=config.score_threshold,
-                                        gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou)
-            for image in scenario.images("train")]
+def _filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndarray]:
+    """Per training image, the rows of its background proposals that survive filtering, in NMS keep order
+    (``pool_background``'s ``kept``)."""
+    kept = []
+    for image in scenario.images("train"):
+        background = np.flatnonzero(image.gt < 0)  # -1: no annotated base id
+        kept.append(background[filter_background_proposals(
+            image.boxes[background], image.rpn[background], image.gt_boxes, theta=config.score_threshold,
+            gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou)])
+    return kept
 
 
 def pool_background(scenario: Scenario, config: TrainConfig, kept=None) -> np.ndarray:
-    """Image features of every training background record that survives filtering (``kept``, if given)."""
+    """Image features of every training background row that survives filtering (the rows ``kept``, if given)."""
     kept = _filtered_background(scenario, config) if kept is None else kept
-    feats = [p.img_feature for image_kept in kept for p in image_kept]
-    if not feats:
+    if not sum(map(len, kept)):
         raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
-    return np.stack(feats)
+    return np.concatenate([image.features[1][rows] for image, rows in zip(scenario.images("train"), kept)])
 
 
 def sweep_category_count(features: np.ndarray, config: TrainConfig) -> CountEstimate:
@@ -537,18 +543,20 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     """``prepare_background``, then, with centers, one pseudo-label partition per training image.
 
     Pseudo-labels depend only on the frozen centers and the image data, so
-    each training image is labelled once per prep, from the records it
-    pooled: the labeller filters them as the pool did, which keeps them all,
-    in order. A baseline run gets an empty prep without any work.
+    each training image is labelled once per prep, from the records of the
+    rows it pooled (the only records a prep builds): the labeller filters
+    them as the pool did, which keeps them all, in order. A baseline run gets
+    an empty prep without any work.
     """
     kept = None if config.baseline_mode else _filtered_background(scenario, config)
     n_discovered, centers = prepare_background(scenario, config, kept)
     partitions = None
     if centers is not None:
         partitions = tuple(generate_pseudo_labels(
-            bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold,
-            nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut, rpn_nms_iou=config.nms_iou,
-        ) for image, bg in zip(scenario.images("train"), kept))
+            image.proposal_records(rows), image.gt_boxes, centers, tau=config.temperature,
+            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
+            rpn_nms_iou=config.nms_iou,
+        ) for image, rows in zip(scenario.images("train"), kept))
     return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
 
 

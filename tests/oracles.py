@@ -17,7 +17,11 @@ The whole-file dataset parser is the loader as it was before it read the
 file one image at a time; these three build per-proposal records, as the
 package did before an image held its proposals as columns. The
 per-proposal evaluation tally is ``evaluate`` as it was before it took each
-image's decisions and tally as arrays.
+image's decisions and tally as arrays. The box oracles (``Box``, ``iou``,
+``greedy_nms`` and ``filter_background_rows``) are the package's box
+geometry as it was before a box became a row of a float array, one
+``Box`` pair at a time; the per-proposal generator, writer and parser hold
+``Box``es, and the parser refuses each box alone with the loader's message.
 """
 
 import json
@@ -42,14 +46,11 @@ from ovlab.core import (
 from ovlab.discovery import (
     KMEANS_MAX_ITERS,
     KMEANS_RESTARTS,
-    Box,
     ClusterModel,
     OracleInfo,
     Proposal,
     _sq_dists,
     _update_centers,
-    filter_background_proposals,
-    nms_indices,
 )
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
@@ -69,6 +70,74 @@ from ovlab.synth import (
 )
 from ovlab.trainer import Checkpoint, Params
 from ovlab.vocab import CategoryId, Kind, Vocabulary
+
+
+# -- boxes, one pair at a time --------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Box:
+    """Axis-aligned box in image units, corners (x1, y1) < (x2, y2): the box of the per-proposal oracles."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        if not (self.x1 < self.x2 and self.y1 < self.y2):
+            raise ValueError(f"degenerate box {self}")
+        for v in (self.x1, self.y1, self.x2, self.y2):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite box coordinate in {self}")
+
+    @property
+    def area(self) -> float:
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+    def to_list(self) -> list[float]:
+        return [self.x1, self.y1, self.x2, self.y2]
+
+
+def as_box(box) -> Box:
+    """A ``Box`` from a ``Box`` or from a row of corners (x1, y1, x2, y2)."""
+    return box if isinstance(box, Box) else Box(*np.asarray(box, dtype=np.float64).tolist())
+
+
+def corners(box) -> list[float]:
+    """The corners (x1, y1, x2, y2) of a ``Box`` or of a row of an array, as a list."""
+    return as_box(box).to_list()
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes, in [0, 1]."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
+def greedy_nms(boxes, scores, iou_threshold: float) -> list[int]:
+    """``discovery.nms_indices`` one pair at a time: candidates by descending score (ties to the lower
+    index), each kept iff its IoU with every box kept before it is below the threshold."""
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    kept: list[int] = []
+    for i in order:
+        if all(iou(boxes[i], boxes[j]) < iou_threshold for j in kept):
+            kept.append(i)
+    return kept
+
+
+def filter_background_rows(boxes, scores, gt_boxes, theta: float, gt_iou_cut: float = 0.5,
+                           nms_iou: float = 0.5) -> list[int]:
+    """``discovery.filter_background_proposals`` one box at a time, over lists of ``Box``: the rows
+    scoring at least ``theta`` whose IoU with every gt box is below ``gt_iou_cut``, through ``greedy_nms``."""
+    survivors = [i for i, (box, score) in enumerate(zip(boxes, scores))
+                 if score >= theta and all(iou(box, g) < gt_iou_cut for g in gt_boxes)]
+    kept = greedy_nms([boxes[i] for i in survivors], [scores[i] for i in survivors], nms_iou)
+    return [survivors[i] for i in kept]
 
 
 def cos_exp_score(a, b, tau: float) -> float:
@@ -400,9 +469,12 @@ def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weig
 
 def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
                           gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
-    """``pseudo.generate_pseudo_labels`` with each proposal scored alone by the scalar softmax."""
-    filtered = filter_background_proposals(batch_bg, gt_boxes, theta=theta, gt_iou_cut=gt_iou_cut,
-                                           nms_iou=rpn_nms_iou)
+    """``pseudo.generate_pseudo_labels`` with each proposal filtered and scored alone: the scalar
+    filter and NMS over ``Box``es, the scalar softmax."""
+    boxes = [as_box(p.box) for p in batch_bg]
+    rows = filter_background_rows(boxes, [p.rpn_score for p in batch_bg], [as_box(g) for g in gt_boxes], theta,
+                                  gt_iou_cut, rpn_nms_iou)
+    filtered, boxes = [batch_bg[i] for i in rows], [boxes[i] for i in rows]
     labels = []
     for p in filtered:
         probs = softmax_probs(p.img_feature, list(centers), tau)
@@ -411,8 +483,7 @@ def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float,
     kept = set()
     for cat in sorted({lab.category for lab in labels if lab.score >= theta}):
         members = [i for i, lab in enumerate(labels) if lab.score >= theta and lab.category == cat]
-        for local in nms_indices([filtered[i].box for i in members], [labels[i].score for i in members],
-                                 nms_iou):
+        for local in greedy_nms([boxes[i] for i in members], [labels[i].score for i in members], nms_iou):
             kept.add(members[local])
     return BackgroundPartition(
         positives=tuple((filtered[i], labels[i]) for i in sorted(kept)),
@@ -543,7 +614,7 @@ def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
         "type": "proposal",
         "split": split,
         "image": image_id,
-        "box": p.box.to_list(),
+        "box": corners(p.box),
         "rpn": p.rpn_score,
         "det": p.det_feature.tolist(),
         "img": p.img_feature.tolist(),
@@ -581,7 +652,7 @@ def joined_dataset_text(scenario: Scenario) -> str:
                         "type": "image",
                         "split": split,
                         "image": image.image_id,
-                        "gt_boxes": [b.to_list() for b in image.gt_boxes],
+                        "gt_boxes": [corners(b) for b in image.gt_boxes],
                     }
                 )
             )
@@ -610,6 +681,22 @@ def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> di
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 
 
+def _line_box(coords) -> Box:
+    """One box of a dataset line, refused as the loader refuses it, one box at a time."""
+    if type(coords) is not list or len(coords) != 4:
+        raise ValueError(f"{coords!r} is not a list of 4 numbers")
+    if bool in map(type, coords):
+        raise ValueError(f"bool coordinate in {coords}")
+    if not all(type(c) in (int, float) for c in coords):
+        raise ValueError(f"non-number coordinate in {coords}")
+    x1, y1, x2, y2 = floats = [float(c) for c in coords]
+    if not (x1 < x2 and y1 < y2):
+        raise ValueError(f"degenerate box {floats} as float64")
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"non-finite box coordinate in {floats}")
+    return Box(*floats)
+
+
 def _record_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int,
                   base_ids: tuple[int, ...], oracles: dict[int | None, dict[str, OracleInfo]]) -> RecordImage:
     """One image's records from its lines, the first of which is line ``first`` (from 0) of the file.
@@ -620,8 +707,10 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
     """
     rec = _record(path, lines[0], first, "image", split, image_id)
     try:
-        gt_boxes = tuple(Box(*b) for b in rec["gt_boxes"])
-    except (TypeError, ValueError) as exc:
+        if type(rec["gt_boxes"]) is not list:
+            raise ValueError(f"{rec['gt_boxes']!r} is not a list of boxes")
+        gt_boxes = tuple(map(_line_box, rec["gt_boxes"]))
+    except (ValueError, OverflowError) as exc:
         where = _where(path, first, "the image line", split, image_id)
         raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
     block = np.empty((2, len(lines) - 1, dim))
@@ -651,8 +740,8 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
             raise ValueError(f"{where} holds an oracle source of {source!r}, which is not one of "
                              f"{', '.join(map(repr, _SOURCES))}")
         try:
-            box = Box(*rec["box"])
-        except (TypeError, ValueError) as exc:
+            box = _line_box(rec["box"])
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         try:
             proposals.append(Proposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i], img_feature=rows[1, i],

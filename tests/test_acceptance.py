@@ -227,8 +227,6 @@ def test_criterion_4_discovery_suite():
                 hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1)
             )
 
-    from ovlab.discovery import Box
-
     def brute_nms(boxes, scores, thr):
         remaining = list(range(len(boxes)))
         kept = []
@@ -244,7 +242,7 @@ def test_criterion_4_discovery_suite():
         boxes = []
         for _ in range(20):
             x1, y1 = rng.uniform(0, 60, 2)
-            boxes.append(Box(x1, y1, x1 + rng.uniform(1, 25), y1 + rng.uniform(1, 25)))
+            boxes.append((x1, y1, x1 + rng.uniform(1, 25), y1 + rng.uniform(1, 25)))
         scores = rng.uniform(0, 1, 20).round(2).tolist()
         thr = (0.3, 0.5, 0.7)[trial % 3]
         nms_ok = nms_ok and nms_indices(boxes, scores, thr) == brute_nms(boxes, scores, thr)

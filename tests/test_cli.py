@@ -260,10 +260,14 @@ BAD_VALUES = {
                       "holds a bad rpn score: rpn_score must lie in [0, 1], got 1.5"),
     "rpn_a_bool": ("train", "proposal", ("rpn",), True, "holds a bad rpn score: rpn_score must be a number, got True"),
     "box_a_bool": ("eval", "proposal", ("box",), [True, 0, 5, 5],
-                   "holds a bad box: bool coordinate in Box(x1=True, y1=0, x2=5, y2=5)"),
+                   "holds a bad box: bool coordinate in [True, 0, 5, 5]"),
     "box_degenerate": ("train", "proposal", ("box",), [5, 5, 1, 1],
-                       "holds a bad box: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
+                       "holds a bad box: degenerate box [5.0, 5.0, 1.0, 1.0] as float64"),
     "box_too_short": ("eval", "proposal", ("box",), [1, 2, 3], "holds a bad box: "),
+    "box_a_string": ("train", "proposal", ("box",), [0, 0, "5", 5],
+                     "holds a bad box: non-number coordinate in [0, 0, '5', 5]"),
+    "box_not_finite": ("eval", "proposal", ("box",), [0, 0, float("inf"), 5],
+                       "holds a bad box: non-finite box coordinate in [0.0, 0.0, inf, 5.0]"),
     "box_rounds_degenerate": ("train", "proposal", ("box",), [2**53, 0, 2**53 + 1, 5],
                               "holds a bad box: degenerate box [9007199254740992.0, 0.0, 9007199254740992.0, 5.0] "
                               "as float64"),
@@ -272,11 +276,22 @@ BAD_VALUES = {
     "det_too_large": ("train", "proposal", ("det",), [10**400] * 32,
                       "holds a bad det feature: int too large to convert to float"),
     "gt_box_degenerate": ("train", "image", ("gt_boxes",), [[5, 5, 1, 1]],
-                          "holds bad gt_boxes: degenerate box Box(x1=5, y1=5, x2=1, y2=1)"),
+                          "holds bad gt_boxes: degenerate box [5.0, 5.0, 1.0, 1.0] as float64"),
     "gt_box_a_bool": ("train", "image", ("gt_boxes",), [[0, 0, 5, True]],
-                      "holds bad gt_boxes: bool coordinate in Box(x1=0, y1=0, x2=5, y2=True)"),
+                      "holds bad gt_boxes: bool coordinate in [0, 0, 5, True]"),
     "gt_box_too_large": ("train", "image", ("gt_boxes",), [[0, 0, 10**400, 5]],
                          "holds bad gt_boxes: int too large to convert to float"),
+    "gt_box_too_short": ("eval", "image", ("gt_boxes",), [[1, 2, 3]],
+                         "holds bad gt_boxes: [1, 2, 3] is not a list of 4 numbers"),
+    "gt_box_a_string": ("train", "image", ("gt_boxes",), [[0, None, 5, 5]],
+                        "holds bad gt_boxes: non-number coordinate in [0, None, 5, 5]"),
+    "gt_box_not_finite": ("train", "image", ("gt_boxes",), [[float("nan"), 0, 5, 5]],
+                          "holds bad gt_boxes: degenerate box [nan, 0.0, 5.0, 5.0] as float64"),
+    "gt_box_minus_infinite": ("eval", "image", ("gt_boxes",), [[float("-inf"), 0, 5, 5]],
+                              "holds bad gt_boxes: non-finite box coordinate in [-inf, 0.0, 5.0, 5.0]"),
+    "gt_box_rounds_degenerate": ("eval", "image", ("gt_boxes",), [[0, 2**53, 5, 2**53 + 1]],
+                                 "holds bad gt_boxes: degenerate box [0.0, 9007199254740992.0, 5.0, "
+                                 "9007199254740992.0] as float64"),
 }
 
 

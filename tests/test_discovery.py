@@ -1,12 +1,10 @@
-"""Box geometry, NMS against a brute-force oracle, clustering, count estimation."""
+"""Box geometry and NMS against the scalar oracles, clustering, count estimation."""
 
 import numpy as np
 import pytest
 
 from ovlab.discovery import (
     KMEANS_RESTARTS,
-    Box,
-    Proposal,
     estimate_category_count,
     filter_background_proposals,
     iou,
@@ -19,22 +17,23 @@ from ovlab.encoder import MockTextEncoder
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, pool_background
 
-from oracles import kmeans_per_restart, kmeans_restart, lloyd_update
-from util import make_proposal, unit
+import oracles
+from oracles import as_box, filter_background_rows, greedy_nms, kmeans_per_restart, kmeans_restart, lloyd_update
+from util import unit
 
 
 def test_iou_identical():
-    b = Box(1.0, 2.0, 5.0, 7.0)
+    b = (1.0, 2.0, 5.0, 7.0)
     assert iou(b, b) == 1.0
 
 
 def test_iou_disjoint():
-    assert iou(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == 0.0
+    assert iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
 
 
 def test_iou_hand_computed_third():
     # Areas 4 and 4, intersection 2, union 6.
-    assert iou(Box(0, 0, 2, 2), Box(1, 0, 3, 2)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert iou((0, 0, 2, 2), (1, 0, 3, 2)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_iou_symmetric():
@@ -46,56 +45,67 @@ def test_iou_symmetric():
         assert 0.0 <= iou(a, b) <= 1.0
 
 
-def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
-        Box(1.0, 0.0, 1.0, 2.0)
-
-
-@pytest.mark.parametrize("corners,match", [
-    ((0.0, 0.0, float("inf"), 1.0), "non-finite"),
-    ((-np.inf, 0.0, 1.0, 1.0), "non-finite"),
-    ((0.0, np.float64(-np.inf), 1.0, np.float64(2.0)), "non-finite"),
-    ((float("nan"), 0.0, 1.0, 1.0), "degenerate"),
-])
-def test_non_finite_box_rejected(corners, match):
-    with pytest.raises(ValueError, match=match):
-        Box(*corners)
-
-
 def _random_box(rng, span=50.0):
     x1 = rng.uniform(0, span)
     y1 = rng.uniform(0, span)
-    return Box(x1, y1, x1 + rng.uniform(1, 20), y1 + rng.uniform(1, 20))
+    return (x1, y1, x1 + rng.uniform(1, 20), y1 + rng.uniform(1, 20))
+
+
+def _grid_boxes(rng, n):
+    """(n, 4) boxes with corners on a coarse grid: identical boxes, shared and touching edges and
+    containment all occur often."""
+    lo = rng.integers(0, 6, (n, 2))
+    return np.concatenate([lo, lo + rng.integers(1, 6, (n, 2))], axis=1).astype(np.float64)
+
+
+def _mixed_boxes(rng, n):
+    """(n, 4) boxes: half on the grid of ``_grid_boxes``, half with random float corners."""
+    floats = np.array([_random_box(rng, 8.0) for _ in range(n - n // 2)]).reshape(-1, 4)
+    return rng.permutation(np.concatenate([_grid_boxes(rng, n // 2), floats]))
 
 
 def _brute_force_nms(boxes, scores, threshold):
     """Independent exhaustive suppression: repeatedly take the best-scored
     unsuppressed box, then mark everything overlapping it."""
+    boxes = [as_box(b) for b in boxes]
     remaining = list(range(len(boxes)))
     kept = []
     while remaining:
         best = min(remaining, key=lambda i: (-scores[i], i))
         kept.append(best)
         remaining = [
-            i for i in remaining if i != best and iou(boxes[i], boxes[best]) < threshold
+            i for i in remaining if i != best and oracles.iou(boxes[i], boxes[best]) < threshold
         ]
     return kept
 
 
+def test_iou_takes_the_scalar_oracles_bits_on_every_pair():
+    # Random float boxes and grid boxes (identical, touching with IoU 0, nested), one
+    # broadcast call against the one-pair oracle, bit for bit.
+    rng = np.random.default_rng(11)
+    a, b = _mixed_boxes(rng, 4000), _mixed_boxes(rng, 4000)
+    b[::10] = a[::10]  # identical
+    b[5::10] = a[5::10] + (a[5::10, 2] - a[5::10, 0])[:, None] * [1, 0, 1, 0]  # touching a's right edge
+    want = [oracles.iou(as_box(x), as_box(y)) for x, y in zip(a, b)]
+    got = iou(a, b)
+    assert got.shape == (4000,) and got.tobytes() == np.array(want).tobytes()
+    assert set(want[::10]) == {1.0} and set(want[5::10]) == {0.0}
+    nested = [i for i, (x, y) in enumerate(zip(a, b)) if (x[:2] <= y[:2]).all() and (y[2:] <= x[2:]).all()
+              and not (x == y).all()]
+    assert nested and all(0.0 < want[i] < 1.0 for i in nested)
+    matrix = iou(a[:40, None], b[None, :30])
+    assert matrix.shape == (40, 30) and matrix[7, 3] == oracles.iou(as_box(a[7]), as_box(b[3]))
+    assert iou((0, 0, 1, 1), (1, 0, 2, 1)) == 0.0  # a shared edge has no area
+
+
 def test_nms_two_identical_boxes():
-    b = Box(0, 0, 10, 10)
-    props = [make_proposal(np.array([1.0, 0.0]), box=b, rpn_score=0.8),
-             make_proposal(np.array([1.0, 0.0]), box=b, rpn_score=0.9)]
-    kept = filter_background_proposals(props, [], theta=0.1, nms_iou=0.5)
-    assert len(kept) == 1 and kept[0].rpn_score == 0.9
+    b = (0, 0, 10, 10)
+    assert filter_background_proposals([b, b], [0.8, 0.9], [], theta=0.1, nms_iou=0.5).tolist() == [1]
 
 
 def test_nms_disjoint_all_kept():
-    props = [
-        make_proposal(np.array([1.0, 0.0]), box=Box(20 * i, 0, 20 * i + 5, 5), rpn_score=0.5)
-        for i in range(6)
-    ]
-    assert len(filter_background_proposals(props, [], theta=0.1, nms_iou=0.5)) == 6
+    boxes = [(20 * i, 0, 20 * i + 5, 5) for i in range(6)]
+    assert len(filter_background_proposals(boxes, [0.5] * 6, [], theta=0.1, nms_iou=0.5)) == 6
 
 
 def test_nms_matches_brute_force_oracle():
@@ -108,43 +118,86 @@ def test_nms_matches_brute_force_oracle():
             assert nms_indices(boxes, scores, thr) == _brute_force_nms(boxes, scores, thr)
 
 
+def test_nms_matches_the_scalar_greedy_oracle():
+    # Score ties, identical, touching and nested boxes, at thresholds up to 1.
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n = int(rng.integers(0, 25))
+        boxes = _mixed_boxes(rng, n)
+        scores = rng.integers(0, 4, n) / 4  # many ties
+        for thr in (0.1, 0.5, 1.0):
+            want = greedy_nms([as_box(b) for b in boxes], scores.tolist(), thr)
+            assert nms_indices(boxes, scores, thr) == want
+
+
 def test_nms_tie_break_lower_index():
-    b = Box(0, 0, 10, 10)
-    boxes = [b, b, Box(100, 100, 110, 110)]
+    b = (0, 0, 10, 10)
+    boxes = [b, b, (100, 100, 110, 110)]
     scores = [0.7, 0.7, 0.7]
     assert nms_indices(boxes, scores, 0.5) == [0, 2]
 
 
 def test_nms_pseudo_scores():
     # Per-class NMS in pseudo-labelling ranks overlapping boxes by label score.
-    boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11)]
+    boxes = [(0, 0, 10, 10), (1, 1, 11, 11)]
     assert nms_indices(boxes, [0.1, 0.9], 0.5) == [1]
 
 
 def test_filter_background_proposals_threshold_and_overlap():
-    rng = np.random.default_rng(2)
-    gt = [Box(0, 0, 10, 10)]
-    overlapping = make_proposal(unit(rng, 4), box=Box(2, 0, 12, 10), rpn_score=0.99)
-    assert iou(overlapping.box, gt[0]) > 0.5
-    low_score = make_proposal(unit(rng, 4), box=Box(50, 50, 60, 60), rpn_score=0.90)
-    good = make_proposal(unit(rng, 4), box=Box(70, 70, 80, 80), rpn_score=0.97)
-    kept = filter_background_proposals([overlapping, low_score, good], gt, theta=0.95)
-    assert kept == [good]
+    gt = [(0, 0, 10, 10)]
+    boxes = [(2, 0, 12, 10), (50, 50, 60, 60), (70, 70, 80, 80)]  # overlapping, low score, good
+    assert iou(boxes[0], gt[0]) > 0.5
+    kept = filter_background_proposals(boxes, [0.99, 0.90, 0.97], gt, theta=0.95)
+    assert kept.tolist() == [2]
 
 
 def test_filter_background_proposals_empty():
-    assert filter_background_proposals([], [], theta=0.95) == []
+    assert filter_background_proposals(np.zeros((0, 4)), [], [], theta=0.95).tolist() == []
 
 
 def test_filter_never_returns_below_threshold():
     rng = np.random.default_rng(3)
-    props = [
-        make_proposal(unit(rng, 4), box=_random_box(rng), rpn_score=float(rng.uniform(0, 1)))
-        for _ in range(100)
-    ]
+    boxes = [_random_box(rng) for _ in range(100)]
+    scores = rng.uniform(0, 1, 100)
     for theta in (0.5, 0.9, 0.95):
-        for p in filter_background_proposals(props, [], theta=theta):
-            assert p.rpn_score >= theta
+        assert (scores[filter_background_proposals(boxes, scores, [], theta=theta)] >= theta).all()
+
+
+def test_filter_matches_the_scalar_oracle_on_random_boxes():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n, g = int(rng.integers(0, 20)), int(rng.integers(0, 4))
+        boxes, gt = _mixed_boxes(rng, n), _mixed_boxes(rng, g)
+        scores = rng.integers(0, 5, n) / 4
+        for theta, cut, nms_iou in ((0.5, 0.5, 0.5), (0.2, 0.3, 0.7), (0.9, 1.0, 1.0)):
+            want = filter_background_rows([as_box(b) for b in boxes], scores.tolist(), [as_box(b) for b in gt],
+                                          theta, cut, nms_iou)
+            got = filter_background_proposals(boxes, scores, gt, theta, gt_iou_cut=cut, nms_iou=nms_iou)
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize("scenario_seed", [0, 3])
+def test_filter_keeps_the_oracles_rows_on_every_image_of_a_reference_world(scenario_seed):
+    # Each image's background rows, filtered as an array, keep the rows the one-box-at-a-time
+    # filter keeps, in its keep order; the trainer pools exactly those rows of the train split.
+    import ovlab.trainer as trainer_mod
+
+    scenario = generate_scenario(ScenarioConfig(seed=scenario_seed), MockTextEncoder(seed=7))
+    config = TrainConfig()
+    settings = dict(theta=config.score_threshold, gt_iou_cut=config.gt_iou_cut, nms_iou=config.nms_iou)
+    kept = {}
+    for split in ("train", "eval"):
+        kept[split] = []
+        for image in scenario.images(split):
+            background = np.flatnonzero(image.gt < 0)
+            want = filter_background_rows([as_box(b) for b in image.boxes[background]], image.rpn[background].tolist(),
+                                          [as_box(b) for b in image.gt_boxes], **settings)
+            got = filter_background_proposals(image.boxes[background], image.rpn[background], image.gt_boxes,
+                                              **settings)
+            assert got.tolist() == want
+            kept[split].append(background[want].tolist())
+    assert [rows.tolist() for rows in trainer_mod._filtered_background(scenario, config)] == kept["train"]
+    assert sum(map(len, kept["train"])) > len(kept["train"])  # most images keep more than one row
 
 
 # -- clustering -------------------------------------------------------------------

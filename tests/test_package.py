@@ -11,9 +11,11 @@ Every name has one home: the package root re-exports nothing, a module's
 ``__all__`` lists only names it defines, and no module imports another's
 private (underscore) name.
 
-Code that reads every proposal reads an image's columns: only the trainer
-function that filters one image's background records at a time reads
-``.proposals`` or ``.background_proposals``.
+Code that reads every proposal reads an image's columns: outside
+``SynthImage``, which defines them, only the discovery prep builds records
+(``.proposal_records``, or ``.proposals`` for every row), and only for the
+background rows it kept. A box is a row of a float array: no module defines
+a ``Box``, and nothing reads an image's ``background_proposals``.
 """
 
 import ast
@@ -169,9 +171,9 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private, f"private names imported across modules: {private}"
 
 
-# The function that takes the records one image at a time, by (module, function).
-PROPOSAL_READERS = {("trainer", "_filtered_background")}
-RECORDS = ("proposals", "background_proposals")  # the ``SynthImage`` properties that build records
+# The one production record builder, by (module, function): the prep, for its labeller's input.
+PROPOSAL_READERS = {("trainer", "prepare_discovery")}
+RECORDS = ("proposals", "proposal_records")  # the ``SynthImage`` members that build records
 
 
 def test_only_the_per_image_record_readers_read_proposals():
@@ -180,8 +182,20 @@ def test_only_the_per_image_record_readers_read_proposals():
         tree = _parse(path)
         functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         owner = {child: f.name for f in functions for child in ast.walk(f)}  # innermost wins: walk order is outer first
+        builders = {child for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "SynthImage"
+                    for child in ast.walk(cls)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in RECORDS and isinstance(node.ctx, ast.Load):
-                if (path.stem, owner.get(node)) not in PROPOSAL_READERS:
+                if node not in builders and (path.stem, owner.get(node)) not in PROPOSAL_READERS:
                     readers.append(f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})")
     assert not readers, f"reads of {RECORDS} outside {sorted(PROPOSAL_READERS)}: {readers}"
+
+
+def test_no_module_defines_a_box_or_reads_background_proposals():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            names = {getattr(node, key, None) for key in ("id", "name", "asname", "attr")}
+            for name in {"Box", "background_proposals"} & names:
+                found.append(f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}")
+    assert not found, f"a box is a row of a float array, and an image holds no background records: {found}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ovlab.core import softmax_probs
-from ovlab.discovery import Box, iou
+from ovlab.discovery import iou
 from ovlab.losses import ProposalBatch, objective_terms, proposal_blocks, proposal_groups
 from ovlab.pseudo import (
     BackgroundPartition,
@@ -93,7 +93,7 @@ def test_generate_all_below_threshold():
     centers = np.array([unit(rng, 6) for _ in range(4)])
     # Features far from every center: scores well under theta at tau = 1.
     props = [
-        _bg_proposal(rng, 6, Box(15 * i, 0, 15 * i + 10, 10)) for i in range(5)
+        _bg_proposal(rng, 6, (15 * i, 0, 15 * i + 10, 10)) for i in range(5)
     ]
     part = generate_pseudo_labels(props, [], centers, tau=1.0, theta=0.95)
     assert part.positives == ()
@@ -103,7 +103,7 @@ def test_generate_all_below_threshold():
 def test_generate_per_class_nms_keeps_best():
     rng = np.random.default_rng(4)
     centers = np.eye(8)[:3]
-    b1, b2 = Box(0, 0, 10, 10), Box(1, 0, 11, 10)
+    b1, b2 = (0, 0, 10, 10), (1, 0, 11, 10)
     assert iou(b1, b2) > 0.5
     hi = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0], box=b1, rpn_score=0.99)
     lo = make_proposal(unit(rng, 8), img_feature=_tilted(np.eye(8)[0], np.eye(8)[3], 0.05), box=b2, rpn_score=0.98)
@@ -123,7 +123,7 @@ def _tilted(a, b, eps):
 def test_per_class_nms_spares_other_classes():
     rng = np.random.default_rng(5)
     centers = np.eye(8)[:3]
-    b1, b2 = Box(0, 0, 10, 10), Box(1, 0, 11, 10)
+    b1, b2 = (0, 0, 10, 10), (1, 0, 11, 10)
     first = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0], box=b1, rpn_score=0.99)
     second = make_proposal(unit(rng, 8), img_feature=np.eye(8)[1], box=b2, rpn_score=0.98)
     part = generate_pseudo_labels(
@@ -136,14 +136,15 @@ def test_partition_covers_filtered_set_exactly():
     rng = np.random.default_rng(6)
     centers = np.array([unit(rng, 6) for _ in range(3)])
     props = [
-        _bg_proposal(rng, 6, Box(12 * i, 0, 12 * i + 10, 10), rpn=float(rng.uniform(0.9, 1.0)))
+        _bg_proposal(rng, 6, (12 * i, 0, 12 * i + 10, 10), rpn=float(rng.uniform(0.9, 1.0)))
         for i in range(12)
     ]
-    gt = [Box(0, 0, 11, 11)]
+    gt = [(0, 0, 11, 11)]
     part = generate_pseudo_labels(props, gt, centers, tau=0.02, theta=0.95)
     from ovlab.discovery import filter_background_proposals
 
-    filtered = filter_background_proposals(props, gt, theta=0.95)
+    rows = filter_background_proposals([p.box for p in props], [p.rpn_score for p in props], gt, theta=0.95)
+    filtered = [props[i] for i in rows]
     positives = [p for p, _ in part.positives]
     assert sorted(map(id, positives + list(part.negatives))) == sorted(map(id, filtered))
     assert not (set(map(id, positives)) & set(map(id, part.negatives)))
@@ -153,7 +154,7 @@ def test_labels_ignore_detector_features():
     rng = np.random.default_rng(7)
     centers = np.array([unit(rng, 6) for _ in range(3)])
     img_feats = [unit(rng, 6) for _ in range(4)]
-    boxes = [Box(15 * i, 0, 15 * i + 10, 10) for i in range(4)]
+    boxes = [(15 * i, 0, 15 * i + 10, 10) for i in range(4)]
     props_a = [
         make_proposal(unit(rng, 6), img_feature=f, box=b, rpn_score=0.99)
         for f, b in zip(img_feats, boxes)
@@ -164,8 +165,8 @@ def test_labels_ignore_detector_features():
     ]
     part_a = generate_pseudo_labels(props_a, [], centers, tau=0.02, theta=0.5)
     part_b = generate_pseudo_labels(props_b, [], centers, tau=0.02, theta=0.5)
-    labels_a = [(p.box, l.category) for p, l in part_a.positives]
-    labels_b = [(p.box, l.category) for p, l in part_b.positives]
+    labels_a = [(p.box.tolist(), l.category) for p, l in part_a.positives]
+    labels_b = [(p.box.tolist(), l.category) for p, l in part_b.positives]
     assert labels_a == labels_b
 
 

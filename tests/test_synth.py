@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import joined_dataset_text, per_proposal_images, whole_file_parse_dataset
+from oracles import corners, joined_dataset_text, per_proposal_images, whole_file_parse_dataset
 from util import EDGE_WORLDS
 
 from ovlab import synth
@@ -26,6 +26,15 @@ from ovlab.synth import (
     write_dataset,
 )
 from ovlab.trainer import TrainConfig, train
+
+
+def _fields(p) -> tuple:
+    """A record's box corners, score, gt label and oracle record, comparable whether its box is a row or a ``Box``."""
+    return corners(p.box), p.rpn_score, p.gt_label, p.oracle
+
+
+def _gt_corners(image) -> list[list[float]]:
+    return [corners(b) for b in image.gt_boxes]
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +61,7 @@ def test_generation_deterministic(enc, small_config):
     pa = a.train_images[0].proposals[0]
     pb = b.train_images[0].proposals[0]
     np.testing.assert_array_equal(pa.det_feature, pb.det_feature)
-    assert pa.box == pb.box and pa.rpn_score == pb.rpn_score
+    assert pa.box.tolist() == pb.box.tolist() and pa.rpn_score == pb.rpn_score
 
 
 def test_noiseless_features_equal_prototypes(enc):
@@ -159,7 +168,7 @@ def test_gt_boxes_cover_only_base_objects(scenario):
     for image in scenario.train_images:
         n_base_objects = len(
             {
-                (p.box.x1, p.box.y1)
+                tuple(p.box[:2].tolist())
                 for p in image.proposals
                 if p.gt_label is not None
             }
@@ -184,7 +193,7 @@ def test_dataset_file_round_trip(tmp_path, scenario):
     assert len(loaded.train_images) == len(scenario.train_images)
     for li, si in zip(loaded.train_images, scenario.train_images):
         assert len(li.proposals) == len(si.proposals)
-        assert li.gt_boxes == si.gt_boxes
+        assert li.gt_boxes.tolist() == si.gt_boxes.tolist()
         for lp, sp in zip(li.proposals, si.proposals):
             np.testing.assert_array_equal(lp.det_feature, sp.det_feature)
             np.testing.assert_array_equal(lp.img_feature, sp.img_feature)
@@ -220,12 +229,12 @@ def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
     images, want = part.images(split), full.images(split)
     assert len(images) == len(want) > 0
     for li, fi in zip(images, want):
-        assert li.image_id == fi.image_id and li.gt_boxes == fi.gt_boxes
+        assert li.image_id == fi.image_id and li.gt_boxes.tolist() == fi.gt_boxes.tolist()
         assert len(li.proposals) == len(fi.proposals)
         for lp, fp in zip(li.proposals, fi.proposals):
             assert lp.det_feature.tobytes() == fp.det_feature.tobytes()
             assert lp.img_feature.tobytes() == fp.img_feature.tobytes()
-            assert (lp.box, lp.rpn_score, lp.gt_label, lp.oracle) == (fp.box, fp.rpn_score, fp.gt_label, fp.oracle)
+            assert _fields(lp) == _fields(fp)
 
 
 def _assert_columns_hold_the_records(image, records):
@@ -236,7 +245,7 @@ def _assert_columns_hold_the_records(image, records):
         column = getattr(image, name)
         assert column.shape == shape and not column.flags.writeable, name
     assert image.gt.dtype == image.label.dtype == np.int64
-    assert image.boxes.tolist() == [p.box.to_list() for p in records]
+    assert image.boxes.tolist() == [corners(p.box) for p in records]
     assert image.rpn.tolist() == [p.rpn_score for p in records]
     assert image.gt.tolist() == [-1 if p.gt_label is None else p.gt_label for p in records]
     assert image.label.tolist() == [-1 if p.oracle.generative_label is None else p.oracle.generative_label
@@ -250,14 +259,14 @@ def _assert_same_images(got, want):
     """The images ``got`` hold, as columns and as the records they build, the records of ``want``."""
     assert len(got) == len(want)
     for gi, wi in zip(got, want):
-        assert gi.image_id == wi.image_id and gi.gt_boxes == wi.gt_boxes
+        assert gi.image_id == wi.image_id and _gt_corners(gi) == _gt_corners(wi)
         want_records = wi.proposals
         _assert_columns_hold_the_records(gi, want_records)
         assert len(gi.proposals) == len(want_records)
         for gp, wp in zip(gi.proposals, want_records):
             assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
             assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
-            assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
+            assert _fields(gp) == _fields(wp)
 
 
 def _small_configs(st):
@@ -306,21 +315,41 @@ def test_a_written_scenario_loads_back_split_by_split():
 def _assert_holds_its_blocks(scenario: Scenario):
     """Each image of the loaded splits hands out its read-only ``(2, n, dim)`` feature block, whose
     rows are the features of the records it builds, and every record the scenario builds with one
-    (label, source) holds one oracle record; its background records are the records without a gt."""
+    (label, source) holds one oracle record; the records of its background rows are the records without a gt."""
     records = {}
     for image in (scenario.train_images or ()) + (scenario.eval_images or ()):
         assert image.features.shape == (2, len(image.rpn), scenario.config.dim)
         assert not image.features.flags.writeable
+        assert image.gt_boxes.shape == (len(image.gt_boxes), 4) and image.gt_boxes.dtype == np.float64
+        assert not image.gt_boxes.flags.writeable
         for p, det, img in zip(image.proposals, *image.features, strict=True):
             for feature, row in ((p.det_feature, det), (p.img_feature, img)):
                 assert np.shares_memory(feature, row) and feature.tobytes() == row.tobytes()
             assert records.setdefault((p.oracle.generative_label, p.oracle.source), p.oracle) is p.oracle
         background = [p for p in image.proposals if p.gt_label is None]
-        for got, want in zip(image.background_proposals, background, strict=True):
-            assert (got.box, got.rpn_score, got.gt_label) == (want.box, want.rpn_score, None)
+        for got, want in zip(image.proposal_records(np.flatnonzero(image.gt < 0)), background, strict=True):
+            assert _fields(got) == _fields(want) and got.gt_label is None
+            assert np.shares_memory(got.box, image.boxes) and not got.box.flags.writeable
             assert got.oracle is want.oracle and np.shares_memory(got.det_feature, image.features)
             assert (got.det_feature.tobytes(), got.img_feature.tobytes()) == (want.det_feature.tobytes(),
                                                                             want.img_feature.tobytes())
+
+
+@pytest.mark.parametrize("edit", [dict(proposals_per_object=1), dict(proposals_per_object=0, clutter_per_image=0)])
+def test_the_generator_refuses_a_degenerate_box(enc, monkeypatch, edit):
+    # Annotations of zero width make their proposals' boxes degenerate, which are refused first;
+    # with no proposal, the base annotation itself is refused.
+    real = synth._random_boxes
+
+    def zero_width(u, config):
+        boxes = real(u, config)
+        boxes[:, 2] = boxes[:, 0]
+        return boxes
+
+    monkeypatch.setattr(synth, "_random_boxes", zero_width)
+    config = ScenarioConfig(n_train_images=1, n_eval_images=0, base_fraction=1.0, seed=1, **edit)
+    with pytest.raises(ValueError, match=r"^degenerate box \[(\d+\.\d+), [\d.]+, \1, [\d.]+\] as float64$"):
+        generate_scenario(config, enc)
 
 
 def test_records_hold_no_instance_dict(scenario):
@@ -357,7 +386,7 @@ def test_generation_matches_the_per_proposal_oracle(enc, tmp_path, world):
     _assert_generated_as_the_oracle(scenario, tmp_path)
     if world == "clipped":  # the edge cases the clipping handles do occur
         proposals = [p for image in scenario.train_images + scenario.eval_images for p in image.proposals]
-        coords = [c for p in proposals for c in p.box.to_list()]
+        coords = [c for p in proposals for c in p.box.tolist()]
         assert 0.0 in coords and config.image_size in coords
         assert {0.0, 1.0} <= {p.rpn_score for p in proposals}
 
@@ -464,11 +493,11 @@ def test_line_endings_load_as_the_lines_they_hold(tmp_path, scenario, ending):
         assert got.dataset_hash() == want.dataset_hash()
         for split in splits:
             for gi, wi in zip(got.images(split), want.images(split), strict=True):
-                assert gi.gt_boxes == wi.gt_boxes and len(gi.proposals) == len(wi.proposals)
+                assert gi.gt_boxes.tolist() == wi.gt_boxes.tolist() and len(gi.proposals) == len(wi.proposals)
                 for gp, wp in zip(gi.proposals, wi.proposals):
                     assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
                     assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
-                    assert (gp.box, gp.rpn_score, gp.gt_label, gp.oracle) == (wp.box, wp.rpn_score, wp.gt_label, wp.oracle)
+                    assert _fields(gp) == _fields(wp)
     # A line count the header does not imply is still refused.
     edited.write_bytes(data + b"\n")
     with pytest.raises(ValueError, match="has .* lines, but its header implies"):

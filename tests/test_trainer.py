@@ -431,13 +431,61 @@ def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_backgrou
     prep = prepare_discovery(small_scenario, config)
     for image, got in zip(small_scenario.train_images, prep.partitions, strict=True):
         want = generate_pseudo_labels(
-            image.background_proposals, image.gt_boxes, prep.centers, tau=config.temperature,
+            [p for p in image.proposals if p.gt_label is None], image.gt_boxes, prep.centers, tau=config.temperature,
             theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
             rpn_nms_iou=config.nms_iou)
-        assert [(p.box, p.rpn_score, label) for p, label in got.positives] == [
-            (p.box, p.rpn_score, label) for p, label in want.positives]
-        assert [(p.box, p.rpn_score) for p in got.negatives] == [(p.box, p.rpn_score) for p in want.negatives]
+        assert [(p.box.tolist(), p.rpn_score, label) for p, label in got.positives] == [
+            (p.box.tolist(), p.rpn_score, label) for p, label in want.positives]
+        assert [(p.box.tolist(), p.rpn_score) for p in got.negatives] == [
+            (p.box.tolist(), p.rpn_score) for p in want.negatives]
     assert sum(len(p.positives) for p in prep.partitions)
+
+
+def _count_records(monkeypatch) -> list:
+    """The boxes of the ``Proposal`` records the package builds from an image's columns from now on."""
+    import ovlab.synth as synth_mod
+
+    built, real = [], synth_mod.Proposal
+
+    def counting(**fields):
+        built.append(fields["box"])
+        return real(**fields)
+
+    monkeypatch.setattr(synth_mod, "Proposal", counting)
+    return built
+
+
+@pytest.fixture(scope="module")
+def reference_world():
+    return generate_scenario(ScenarioConfig(seed=0), MockTextEncoder(seed=7))
+
+
+def test_estimate_k_pools_the_background_without_building_a_record(reference_world, tmp_path, monkeypatch, capsys):
+    # ``cmd_estimate_k`` pools the filtered background features straight from each image's columns.
+    from ovlab.cli import main
+    from ovlab.synth import write_dataset
+
+    path = tmp_path / "data.jsonl"
+    write_dataset(reference_world, path)
+    built = _count_records(monkeypatch)
+    assert main(["estimate-k", "--dataset", str(path)]) == 0
+    assert "estimated count" in capsys.readouterr().out
+    assert built == []
+
+
+def test_a_prep_builds_one_record_per_kept_row(reference_world, monkeypatch):
+    # The labeller's input is the only record a prep builds: one per background row that survives
+    # filtering, 137 of the 432 background rows of the reference world's 48 train images.
+    import ovlab.trainer as trainer_mod
+
+    config = TrainConfig(seed=0)
+    kept = trainer_mod._filtered_background(reference_world, config)
+    built = _count_records(monkeypatch)
+    prep = prepare_discovery(reference_world, config)
+    assert sum(len(p.positives) + len(p.negatives) for p in prep.partitions) == len(built) == 137
+    assert sum(map(len, kept)) == 137 and sum(int((im.gt < 0).sum()) for im in reference_world.train_images) == 432
+    boxes = np.concatenate([image.boxes[rows] for image, rows in zip(reference_world.train_images, kept)])
+    assert np.array_equal(np.stack(built), boxes)  # the kept rows, image by image, in keep order
 
 
 @pytest.mark.parametrize("baseline_mode", [False, True])

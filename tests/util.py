@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ovlab.discovery import Box, OracleInfo, Proposal
+from ovlab.discovery import OracleInfo, Proposal
 from ovlab.vocab import FixedRows, Vocabulary, build_training_vocab
 
 
@@ -81,7 +81,7 @@ def make_proposal(det_feature, img_feature=None, gt_label=None, box=None, rpn_sc
     det = np.asarray(det_feature, dtype=np.float64)
     img = np.asarray(img_feature, dtype=np.float64) if img_feature is not None else det
     return Proposal(
-        box=box or Box(0.0, 0.0, 10.0, 10.0),
+        box=np.asarray((0.0, 0.0, 10.0, 10.0) if box is None else box, dtype=np.float64),
         rpn_score=rpn_score,
         det_feature=det,
         img_feature=img,
