@@ -7,7 +7,8 @@ image-encoder features, and the silhouette sweep that estimates how many
 latent categories hide in the background. k-means carries its seeded
 restarts side by side on one leading axis, one batched Lloyd loop per call;
 each restart keeps its own random stream and computes the bits it would
-compute alone.
+compute alone. ``Proposal`` is the record the pseudo-labeller and a
+``losses.ProposalBatch`` take; it holds no hidden category (an image's columns do).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "OracleInfo",
     "Proposal",
     "ClusterModel",
     "CountEstimate",
@@ -31,18 +31,6 @@ __all__ = [
 
 KMEANS_MAX_ITERS = 100  # Lloyd iterations per initialization
 KMEANS_RESTARTS = 8  # seeded initializations per clustering; the lowest objective wins
-
-
-@dataclass(frozen=True, slots=True)
-class OracleInfo:
-    """Ground-truth record used only by evaluation and tests.
-
-    ``generative_label`` is the hidden category id a proposal was drawn
-    around (None for pure clutter). No training-time code path may read it.
-    """
-
-    generative_label: int | None
-    source: str  # "object" or "clutter"; a dataset line holds "unknown" for a proposal without a record
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +48,6 @@ class Proposal:
     det_feature: np.ndarray
     img_feature: np.ndarray
     gt_label: int | None = None
-    oracle: OracleInfo | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.rpn_score <= 1.0):

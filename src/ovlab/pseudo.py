@@ -10,7 +10,8 @@ block with a small weight.
 Labels depend only on image-encoder features and the frozen centers, never
 on the detector features or any trainable parameter. The labeller takes
 ``Proposal`` records (a discovery prep builds them only for the rows its own
-filter kept) and the image's annotated boxes as a ``(g, 4)`` array.
+filter kept) and the image's annotated boxes as a ``(g, 4)`` array, and its
+partition holds the very records it was given.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ per-type truncated Gaussians, and jittered boxes. The order of the random
 draws is part of the dataset format: the same settings give the same file.
 
 Novel and distractor objects appear unlabeled in the training split — they
-are exactly the structure hiding in the background. Hidden category
-identities live only in each image's oracle columns, consumed by evaluation
-and tests; no training-time code path reads them.
+are exactly the structure hiding in the background. A proposal's hidden
+category and source live only in its image's ``label`` and ``source``
+columns, read by evaluation, the dataset writer and tests; no training-time
+code path reads them.
 
 A dataset file holds one JSON record per line, in a layout its header
 fixes: the header line, then the ``n_train_images`` train images, then the
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import NORM_FLOOR, check_fields, from_dict, is_integer
-from .discovery import OracleInfo, Proposal
+from .discovery import Proposal
 from .encoder import MockTextEncoder
 from .persist import canonical_json, config_hash
 
@@ -144,8 +145,7 @@ class SynthImage:
     ``img`` rows; ``boxes`` (n, 4) holds their corners, ``rpn`` their scores,
     ``gt`` their annotated base ids, ``label`` their oracle labels (int64, -1
     for none) and ``source`` their oracle sources as positions in ``_SOURCES``.
-    ``oracles`` maps each label to its records by source, shared by the
-    images of a generated scenario or of one load.
+    Every column is made read-only when the image is built.
     """
 
     image_id: int
@@ -156,20 +156,17 @@ class SynthImage:
     gt: np.ndarray = field(repr=False)
     label: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)
-    oracles: dict[int, tuple[OracleInfo, ...]] = field(repr=False)
 
-    @property
-    def proposals(self) -> tuple[Proposal, ...]:
-        """The records of the image's proposals, built on each read (``proposal_records`` of every row)."""
-        return self.proposal_records(np.arange(len(self.rpn)))
+    def __post_init__(self):
+        for column in (self.gt_boxes, self.features, self.boxes, self.rpn, self.gt, self.label, self.source):
+            column.setflags(write=False)
 
     def proposal_records(self, rows: np.ndarray) -> tuple[Proposal, ...]:
-        """The records of the proposals in ``rows``, in order: rows of ``boxes`` and ``features``, shared oracles."""
+        """The records of the proposals in ``rows``, in order, holding rows of ``boxes`` and ``features``."""
         det, img = self.features
-        columns = (column[rows].tolist() for column in (self.rpn, self.gt, self.label, self.source))
         return tuple(Proposal(box=self.boxes[r], rpn_score=rpn, det_feature=det[r], img_feature=img[r],
-                              gt_label=None if gt == _NONE else gt, oracle=self.oracles[label][source])
-                     for r, rpn, gt, label, source in zip(rows.tolist(), *columns))
+                              gt_label=None if gt == _NONE else gt)
+                     for r, rpn, gt in zip(rows.tolist(), self.rpn[rows].tolist(), self.gt[rows].tolist()))
 
 
 def _box_fault(corners: np.ndarray) -> tuple[int, str] | None:
@@ -180,12 +177,6 @@ def _box_fault(corners: np.ndarray) -> tuple[int, str] | None:
     row = int((~(ordered & np.isfinite(corners).all(axis=1))).argmax())
     box = corners[row].tolist()
     return row, f"degenerate box {box} as float64" if not ordered[row] else f"non-finite box coordinate in {box}"
-
-
-def _oracle_records(ids) -> dict[int, tuple[OracleInfo, ...]]:
-    """Each category id, and -1 for none, mapped to its oracle records in ``_SOURCES`` order."""
-    return {label: tuple(OracleInfo(None if label == _NONE else label, source) for source in _SOURCES)
-            for label in (_NONE, *ids)}
 
 
 @dataclass(frozen=True)
@@ -319,7 +310,6 @@ def _generate_image(
     base_ids: tuple[int, ...],
     hidden_ids: tuple[int, ...],
     hidden_cdf: list[float],
-    oracles: dict[int, tuple[OracleInfo, ...]],
 ) -> SynthImage:
     """One image, its draws taken in the order the dataset format fixes.
 
@@ -330,9 +320,9 @@ def _generate_image(
     four jitter uniforms and a score normal. Each clutter proposal draws
     ``3 * dim`` normals (its direction first), four box uniforms and a score
     normal. The image's columns are then computed at once, with the
-    arithmetic of the per-proposal draws; ``oracles`` is the scenario's
-    shared oracle records. A box size range that gives a degenerate box is
-    refused with the first such box (proposals before base annotations).
+    arithmetic of the per-proposal draws. A box size range that gives a
+    degenerate box is refused with the first such box (proposals before base
+    annotations).
     """
     n_objects, per_object, dim = config.objects_per_image, config.proposals_per_object, config.dim
     n_object_proposals = n_objects * per_object
@@ -389,11 +379,8 @@ def _generate_image(
             raise ValueError(fault[1])
     gt = np.where(is_base.repeat(rows), label, _NONE)
     source = np.array([_SOURCE_INDEX["object"]] * n_objects + [_SOURCE_INDEX["clutter"]], np.int64).repeat(rows)
-    rpn = _clipped(scores)
-    for column in (gt_boxes, features, boxes, rpn, gt, label, source):
-        column.setflags(write=False)
-    return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=features, boxes=boxes, rpn=rpn, gt=gt,
-                      label=label, source=source, oracles=oracles)
+    return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=features, boxes=boxes, rpn=_clipped(scores),
+                      gt=gt, label=label, source=source)
 
 
 def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scenario:
@@ -421,13 +408,12 @@ def generate_scenario(config: ScenarioConfig, encoder: MockTextEncoder) -> Scena
     cdf = config.resolved_hidden_weights().cumsum()  # as ``Generator.choice(p=...)`` builds it
     hidden_cdf = (cdf / cdf[-1]).tolist() if hidden_ids else []
     rows = np.array(protos)  # row i is category i's prototype
-    oracles = _oracle_records(ids)
 
     rng = np.random.default_rng([4, config.seed])
     # Sigmas large enough to overflow the features are refused per image, in one error, not in warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         train_images, eval_images = (  # the train split's draws, then the eval split's
-            tuple(_generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf, oracles) for i in range(n))
+            tuple(_generate_image(rng, i, config, rows, base_ids, hidden_ids, hidden_cdf) for i in range(n))
             for n in (config.n_train_images, config.n_eval_images)
         )
     return Scenario(config=config, encoder=encoder, base_ids=base_ids, novel_ids=novel_ids,
@@ -500,8 +486,7 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     not a base id of the header, an oracle label that is not a category id of
     the header or a source the writer cannot write, a missing key, an unknown
     split name, a negative category id and a header whose ``config_hash``
-    does not match its settings. Every image of the load shares one oracle
-    record per (label, source).
+    does not match its settings.
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
@@ -550,7 +535,6 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
                 raise ValueError(f"dataset {path} header holds a category id {rec['id']} outside [0, 2**63)")
             name_seeds[rec["id"]] = rec["name_seed"]
         prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
-        oracles = _oracle_records(name_seeds)
 
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
         counts = {"train": config.n_train_images, "eval": config.n_eval_images}
@@ -571,7 +555,7 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             if split in splits:
                 f.seek(starts.get(split, offset))  # an eval split past the end of the file has no lines
                 images[split] = tuple(_parse_image(f, path, first + i * per_image, per_image, split, i, config.dim,
-                                                   base_ids, oracles) for i in range(counts[split]))
+                                                   base_ids, name_seeds) for i in range(counts[split]))
             first += counts[split] * per_image
 
     scenario = Scenario(config=config, encoder=encoder, base_ids=base_ids, novel_ids=novel_ids,
@@ -613,7 +597,7 @@ def _check_box(coords) -> None:
 
 
 def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int,
-                 base_ids: tuple[int, ...], oracles: dict[int, tuple[OracleInfo, ...]]) -> SynthImage:
+                 base_ids: tuple[int, ...], name_seeds: dict[int, int]) -> SynthImage:
     """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
 
     Proposal line ``i`` fills row ``i`` of the columns. The image's gt and
@@ -623,8 +607,8 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
     for a feature that is not a list of ``dim`` numbers (so no row is
     broadcast), a bad box (``_check_box``, then ``_box_fault``) or rpn score,
     a ``gt`` that is neither null nor one of ``base_ids``, an oracle label
-    that is neither null nor a category id (a key of ``oracles`` but -1) and
-    a source outside ``_SOURCES``.
+    that is neither null nor a category id of the header (a key of
+    ``name_seeds``) and a source outside ``_SOURCES``.
     """
     rec = _record(path, f.readline(), first, "image", split, image_id)
     image_line = _where(path, first, "the image line", split, image_id)
@@ -657,7 +641,7 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
         if gt is not None and not (is_integer(gt) and gt in base_ids):
             raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
                              "header")
-        if label is not None and not (is_integer(label) and label >= 0 and label in oracles):
+        if label is not None and not (is_integer(label) and label in name_seeds):
             raise ValueError(f"{where} holds an oracle label of {label!r}, which is neither null nor a category id "
                              "of the header")
         if type(source) is not str or source not in _SOURCE_INDEX:
@@ -689,7 +673,5 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                 if bad_rows.any():  # the first bad proposal's line
                     where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
                     raise ValueError(f"{where} holds a {fault} {key} feature")
-    for column in (corners, gt_boxes, boxes, block, rpn, gts, labels, sources):
-        column.setflags(write=False)
     return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=block, boxes=boxes, rpn=rpn, gt=gts,
-                      label=labels, source=sources, oracles=oracles)
+                      label=labels, source=sources)

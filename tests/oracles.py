@@ -15,7 +15,12 @@ joined-text dataset writer are the generator and writer as they were before
 each image's draws were taken in a few calls and its file was streamed.
 The whole-file dataset parser is the loader as it was before it read the
 file one image at a time; these three build per-proposal records, as the
-package did before an image held its proposals as columns. The
+package did before an image held its proposals as columns. A record that
+tests compare by its hidden category is an ``OracleProposal``, the
+package's ``Proposal`` plus its ``OracleInfo``, as the package's records
+carried one before the image's ``label`` and ``source`` columns became its
+only home; ``records`` builds them from an image's columns, and the two
+record-building oracles build them too. The
 per-proposal evaluation tally is ``evaluate`` as it was before it took each
 image's decisions and tally as arrays. The box oracles (``Box``, ``iou``,
 ``greedy_nms`` and ``filter_background_rows``) are the package's box
@@ -47,7 +52,6 @@ from ovlab.discovery import (
     KMEANS_MAX_ITERS,
     KMEANS_RESTARTS,
     ClusterModel,
-    OracleInfo,
     Proposal,
     _sq_dists,
     _update_centers,
@@ -494,13 +498,43 @@ def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float,
 # -- the per-proposal scenario generator and the joined-text writer ------------
 
 
+@dataclass(frozen=True, slots=True)
+class OracleInfo:
+    """A proposal's hidden category id (None for pure clutter) and its source, which only tests read."""
+
+    generative_label: int | None
+    source: str  # "object" or "clutter"; a dataset line may also hold "unknown"
+
+
+@dataclass(frozen=True, slots=True)
+class OracleProposal(Proposal):
+    """A ``Proposal`` that carries its ``OracleInfo``. The labeller hands back the records it is
+    given, so an ``OracleProposal`` in its input is one in its partition too."""
+
+    oracle: OracleInfo | None = None
+
+
 @dataclass(frozen=True)
 class RecordImage:
     """An image as the oracles build it: its proposals as records, not columns."""
 
     image_id: int
-    proposals: tuple[Proposal, ...]
+    proposals: tuple[OracleProposal, ...]
     gt_boxes: tuple[Box, ...]
+
+
+def records(image, rows=None) -> tuple[OracleProposal, ...]:
+    """The records of ``image``'s proposals, each with its oracle: a ``RecordImage``'s own, or a
+    ``SynthImage``'s (of ``rows``, if given) from ``proposal_records`` and its ``label``/``source`` columns."""
+    if isinstance(image, RecordImage):
+        return image.proposals
+    rows = np.arange(len(image.rpn)) if rows is None else np.asarray(rows)
+    return tuple(
+        OracleProposal(box=p.box, rpn_score=p.rpn_score, det_feature=p.det_feature, img_feature=p.img_feature,
+                       gt_label=p.gt_label, oracle=OracleInfo(None if label < 0 else label, _SOURCES[source]))
+        for p, label, source in zip(image.proposal_records(rows), image.label[rows].tolist(),
+                                    image.source[rows].tolist(), strict=True)
+    )
 
 
 def _jittered_box(rng: np.random.Generator, gt: Box, image_size: float) -> Box:
@@ -558,7 +592,7 @@ def _generate_image(
     hidden_ids,
     hidden_weights: np.ndarray,
 ) -> RecordImage:
-    proposals: list[Proposal] = []
+    proposals: list[OracleProposal] = []
     gt_boxes: list[Box] = []
     for _ in range(config.objects_per_image):
         if hidden_ids and rng.random() >= config.base_fraction:
@@ -573,7 +607,7 @@ def _generate_image(
         for _ in range(config.proposals_per_object):
             det, img = _features(rng, prototypes[cat], config)
             proposals.append(
-                Proposal(
+                OracleProposal(
                     box=_jittered_box(rng, gt, config.image_size),
                     rpn_score=_score(rng, config.object_score_mean, config.object_score_std),
                     det_feature=det,
@@ -585,7 +619,7 @@ def _generate_image(
     for _ in range(config.clutter_per_image):
         det, img = _features(rng, _unit(rng, config.dim), config)
         proposals.append(
-            Proposal(
+            OracleProposal(
                 box=_random_box(rng, config),
                 rpn_score=_score(rng, config.clutter_score_mean, config.clutter_score_std),
                 det_feature=det,
@@ -609,7 +643,7 @@ def per_proposal_images(scenario: Scenario) -> tuple[tuple[RecordImage, ...], tu
     )
 
 
-def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
+def _proposal_record(split: str, image_id: int, p: OracleProposal) -> dict:
     return {
         "type": "proposal",
         "split": split,
@@ -627,7 +661,8 @@ def _proposal_record(split: str, image_id: int, p: Proposal) -> dict:
 
 
 def joined_dataset_text(scenario: Scenario) -> str:
-    """The dataset file's text, every line held and then joined; its images may be ``RecordImage``s."""
+    """The dataset file's text, every line held and then joined; its images may be ``RecordImage``s
+    (each image's lines are written from its ``records``)."""
     header = {
         "type": "header",
         "format": DATASET_FORMAT,
@@ -656,7 +691,7 @@ def joined_dataset_text(scenario: Scenario) -> str:
                     }
                 )
             )
-            for p in image.proposals:
+            for p in records(image):
                 lines.append(canonical_json(_proposal_record(split, image.image_id, p)))
     return "\n".join(lines) + "\n"
 
@@ -744,8 +779,8 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         try:
-            proposals.append(Proposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i], img_feature=rows[1, i],
-                                      gt_label=gt, oracle=by_source[source]))
+            proposals.append(OracleProposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i],
+                                            img_feature=rows[1, i], gt_label=gt, oracle=by_source[source]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
     with np.errstate(over="ignore"):
@@ -860,11 +895,12 @@ def per_proposal_evaluate(
     recalled = 0
 
     for image in scenario.images("eval"):
-        if not image.proposals:
+        proposals = records(image)
+        if not proposals:
             continue
-        features = np.stack([p.det_feature for p in image.proposals])
+        features = np.stack([p.det_feature for p in proposals])
         fg_probs, bg_mass = score(features, vocab, tau, factors if rectify else None)
-        for p, probs, mass in zip(image.proposals, fg_probs, bg_mass):
+        for p, probs, mass in zip(proposals, fg_probs, bg_mass):
             label = p.oracle.generative_label if p.oracle else None
             kind = "base" if label in base_set else "novel" if label in novel_set else "background"
             true_key = BACKGROUND_KEY if kind == "background" else str(label)

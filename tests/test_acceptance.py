@@ -35,6 +35,7 @@ from ovlab.rectify import (
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, prepare_background, train
 
+from oracles import records
 from util import make_proposal, make_vocab, unit
 
 
@@ -266,7 +267,7 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
 
     total = hit = 0
     for image in scen.eval_images:
-        for p in image.proposals:
+        for p in records(image):
             if p.oracle.generative_label is None:
                 continue
             pred = ids[int(np.argmax(protos @ p.img_feature))]
@@ -284,7 +285,7 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
     votes: dict[int, dict] = {}
     partitions = []
     for image in scen.train_images:
-        bg = [p for p in image.proposals if p.gt_label is None]
+        bg = [p for p in records(image) if p.gt_label is None]
         part = generate_pseudo_labels(
             bg, image.gt_boxes, centers, tau=config.temperature,
             theta=config.score_threshold,

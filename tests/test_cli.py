@@ -254,6 +254,9 @@ BAD_VALUES = {
                                 "holds an oracle label of 999, which is neither null nor a category id of the header"),
     "label_a_string": ("eval", "proposal", ("oracle", "label"), "x", "holds an oracle label of 'x', which is neither"),
     "label_a_bool": ("eval", "proposal", ("oracle", "label"), True, "holds an oracle label of True, which is neither"),
+    "label_minus_one": ("eval", "proposal", ("oracle", "label"), -1,
+                        "holds an oracle label of -1, which is neither null nor a category id of the header"),
+    "label_a_float": ("eval", "proposal", ("oracle", "label"), 1.0, "holds an oracle label of 1.0, which is neither"),
     "source_unknown": ("eval", "proposal", ("oracle", "source"), "scrubbed",
                        "holds an oracle source of 'scrubbed', which is not one of 'object', 'clutter', 'unknown'"),
     "rpn_above_one": ("train", "proposal", ("rpn",), 1.5,

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import per_proposal_evaluate
+from oracles import per_proposal_evaluate, records
 from util import EDGE_WORLDS
 
 from ovlab.encoder import MockTextEncoder
@@ -119,9 +119,9 @@ def test_evaluation_tallies_as_the_per_proposal_oracle(enc, world):
     tau = checkpoint.config.temperature
     for factors in (compute_shrinking_factors(vocab, tau), None):
         for image in scenario.eval_images:
-            if image.proposals:
+            if len(image.rpn):
                 block = score(image.features[0], vocab, tau, factors)
-                stacked = score(np.stack([p.det_feature for p in image.proposals]), vocab, tau, factors)
+                stacked = score(np.stack([p.det_feature for p in records(image)]), vocab, tau, factors)
                 assert [a.tobytes() for a in block] == [a.tobytes() for a in stacked]
 
 
@@ -129,12 +129,10 @@ def test_evaluate_does_not_mutate_inputs(small_scenario):
     config = TrainConfig(steps=5, seed=5)
     _, checkpoint = train(config, small_scenario)
     ctx_before = checkpoint.context_vectors.copy()
-    feat_before = small_scenario.eval_images[0].proposals[0].det_feature.copy()
+    feat_before = small_scenario.eval_images[0].features.copy()
     evaluate(checkpoint, small_scenario, rectify=True)
     np.testing.assert_array_equal(checkpoint.context_vectors, ctx_before)
-    np.testing.assert_array_equal(
-        small_scenario.eval_images[0].proposals[0].det_feature, feat_before
-    )
+    np.testing.assert_array_equal(small_scenario.eval_images[0].features, feat_before)
 
 
 def test_evaluate_dimension_mismatch(enc, small_scenario):

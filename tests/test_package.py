@@ -12,10 +12,12 @@ Every name has one home: the package root re-exports nothing, a module's
 private (underscore) name.
 
 Code that reads every proposal reads an image's columns: outside
-``SynthImage``, which defines them, only the discovery prep builds records
-(``.proposal_records``, or ``.proposals`` for every row), and only for the
-background rows it kept. A box is a row of a float array: no module defines
-a ``Box``, and nothing reads an image's ``background_proposals``.
+``SynthImage``, which defines it, only the discovery prep builds records
+(``.proposal_records``), and only for the background rows it kept. A box is
+a row of a float array: no module defines a ``Box``, and nothing reads an
+image's ``background_proposals``. A proposal's hidden category lives only in
+its image's ``label`` and ``source`` columns: no module defines an
+``OracleInfo`` or reads an ``.oracle``, ``.oracles`` or ``.proposals``.
 """
 
 import ast
@@ -173,7 +175,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 # The one production record builder, by (module, function): the prep, for its labeller's input.
 PROPOSAL_READERS = {("trainer", "prepare_discovery")}
-RECORDS = ("proposals", "proposal_records")  # the ``SynthImage`` members that build records
+RECORDS = ("proposal_records",)  # the ``SynthImage`` members that build records
 
 
 def test_only_the_per_image_record_readers_read_proposals():
@@ -191,11 +193,16 @@ def test_only_the_per_image_record_readers_read_proposals():
     assert not readers, f"reads of {RECORDS} outside {sorted(PROPOSAL_READERS)}: {readers}"
 
 
+FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals"}  # defined, imported or read anywhere
+FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
+
+
 def test_no_module_defines_a_box_or_reads_background_proposals():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(_parse(path)):
-            names = {getattr(node, key, None) for key in ("id", "name", "asname", "attr")}
-            for name in {"Box", "background_proposals"} & names:
-                found.append(f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}")
-    assert not found, f"a box is a row of a float array, and an image holds no background records: {found}"
+            names = {getattr(node, key, None) for key in ("id", "name", "asname", "attr")} & FORBIDDEN_NAMES
+            names |= {getattr(node, "attr", None)} & FORBIDDEN_ATTRIBUTES
+            found += [f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}" for name in names]
+    assert not found, (f"a box is a row of a float array, an image holds no background records, and a proposal's "
+                       f"oracle lives only in its image's columns: {found}")

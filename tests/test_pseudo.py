@@ -183,7 +183,7 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
     _, centers = prepare_background(scenario, config)
     n_positive = 0
     for image in scenario.images("train"):
-        bg = [p for p in image.proposals if p.gt_label is None]
+        bg = image.proposal_records(np.flatnonzero(image.gt < 0))
         got, want = (label(bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold)
                      for label in (generate_pseudo_labels, rowwise_pseudo_labels))
         assert [id(p) for p, _ in got.positives] == [id(p) for p, _ in want.positives]

@@ -9,13 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import corners, joined_dataset_text, per_proposal_images, whole_file_parse_dataset
+from oracles import corners, joined_dataset_text, per_proposal_images, records, whole_file_parse_dataset
 from util import EDGE_WORLDS
 
 from ovlab import synth
 from ovlab.core import ZeroNormError, unit_rows
-from ovlab.discovery import OracleInfo
 from ovlab.encoder import MockTextEncoder
+from ovlab.metrics import evaluate
 from ovlab.synth import (
     _SOURCES,
     SPLITS,
@@ -58,8 +58,8 @@ def test_generation_deterministic(enc, small_config):
     assert a.name_seeds == b.name_seeds
     for i in a.prototypes:
         np.testing.assert_array_equal(a.prototypes[i], b.prototypes[i])
-    pa = a.train_images[0].proposals[0]
-    pb = b.train_images[0].proposals[0]
+    pa = records(a.train_images[0])[0]
+    pb = records(b.train_images[0])[0]
     np.testing.assert_array_equal(pa.det_feature, pb.det_feature)
     assert pa.box.tolist() == pb.box.tolist() and pa.rpn_score == pb.rpn_score
 
@@ -70,7 +70,7 @@ def test_noiseless_features_equal_prototypes(enc):
     )
     scen = generate_scenario(config, enc)
     for image in scen.train_images:
-        for p in image.proposals:
+        for p in records(image):
             if p.oracle.source != "object":
                 continue
             proto = scen.prototypes[p.oracle.generative_label]
@@ -112,7 +112,7 @@ def test_reference_scenario_nearest_prototype_accuracy(enc):
     protos = np.stack([scen.prototypes[i] for i in ids])
     total = hit = 0
     for image in scen.eval_images:
-        for p in image.proposals:
+        for p in records(image):
             if p.oracle.generative_label is None:
                 continue
             pred = ids[int(np.argmax(protos @ p.img_feature))]
@@ -125,9 +125,10 @@ def test_split_fg_bg_partitions(scenario):
     # Annotated (foreground) proposals are base objects labeled with their
     # own category; every other proposal is unlabeled background.
     for image in scenario.train_images:
-        fg = [p for p in image.proposals if p.gt_label is not None]
-        bg = [p for p in image.proposals if p.gt_label is None]
-        assert len(fg) + len(bg) == len(image.proposals)
+        proposals = records(image)
+        fg = [p for p in proposals if p.gt_label is not None]
+        bg = [p for p in proposals if p.gt_label is None]
+        assert len(fg) + len(bg) == len(proposals)
         for p in fg:
             assert p.oracle.generative_label in scenario.base_ids
             assert p.gt_label == p.oracle.generative_label
@@ -138,7 +139,7 @@ def test_every_hidden_object_is_background(scenario):
     # background proposal.
     hidden = set(scenario.hidden_ids)
     for image in scenario.train_images:
-        for p in image.proposals:
+        for p in records(image):
             if p.oracle.generative_label in hidden:
                 assert p.gt_label is None
 
@@ -149,14 +150,14 @@ def test_no_hidden_objects_means_clutter_only_background(enc):
     )
     scen = generate_scenario(config, enc)
     for image in scen.train_images:
-        for p in image.proposals:
+        for p in records(image):
             assert p.gt_label is not None or p.oracle.source == "clutter"
 
 
 def test_rpn_scores_separate_objects_from_clutter(scenario):
-    obj = [p.rpn_score for im in scenario.train_images for p in im.proposals
+    obj = [p.rpn_score for im in scenario.train_images for p in records(im)
            if p.oracle.source == "object"]
-    clut = [p.rpn_score for im in scenario.train_images for p in im.proposals
+    clut = [p.rpn_score for im in scenario.train_images for p in records(im)
             if p.oracle.source == "clutter"]
     assert np.mean(obj) > 0.9
     assert np.mean(clut) < 0.7
@@ -169,7 +170,7 @@ def test_gt_boxes_cover_only_base_objects(scenario):
         n_base_objects = len(
             {
                 tuple(p.box[:2].tolist())
-                for p in image.proposals
+                for p in records(image)
                 if p.gt_label is not None
             }
         )
@@ -178,7 +179,7 @@ def test_gt_boxes_cover_only_base_objects(scenario):
 
 def test_features_unit_norm(scenario):
     for image in scenario.train_images:
-        for p in image.proposals:
+        for p in records(image):
             assert abs(np.linalg.norm(p.det_feature) - 1.0) < 1e-12
             assert abs(np.linalg.norm(p.img_feature) - 1.0) < 1e-12
 
@@ -192,9 +193,8 @@ def test_dataset_file_round_trip(tmp_path, scenario):
     assert loaded.name_seeds == scenario.name_seeds
     assert len(loaded.train_images) == len(scenario.train_images)
     for li, si in zip(loaded.train_images, scenario.train_images):
-        assert len(li.proposals) == len(si.proposals)
         assert li.gt_boxes.tolist() == si.gt_boxes.tolist()
-        for lp, sp in zip(li.proposals, si.proposals):
+        for lp, sp in zip(records(li), records(si), strict=True):
             np.testing.assert_array_equal(lp.det_feature, sp.det_feature)
             np.testing.assert_array_equal(lp.img_feature, sp.img_feature)
             assert lp.gt_label == sp.gt_label
@@ -230,29 +230,28 @@ def test_loading_one_split_matches_the_full_load(tmp_path, scenario, split):
     assert len(images) == len(want) > 0
     for li, fi in zip(images, want):
         assert li.image_id == fi.image_id and li.gt_boxes.tolist() == fi.gt_boxes.tolist()
-        assert len(li.proposals) == len(fi.proposals)
-        for lp, fp in zip(li.proposals, fi.proposals):
+        for lp, fp in zip(records(li), records(fi), strict=True):
             assert lp.det_feature.tobytes() == fp.det_feature.tobytes()
             assert lp.img_feature.tobytes() == fp.img_feature.tobytes()
             assert _fields(lp) == _fields(fp)
 
 
-def _assert_columns_hold_the_records(image, records):
-    """``image``'s columns hold ``records``, field by field and feature bit for bit (-1 for none)."""
-    n = len(records)
+def _assert_columns_hold_the_records(image, want):
+    """``image``'s columns hold the records ``want``, field by field and feature bit for bit (-1 for none)."""
+    n = len(want)
     shapes = {"boxes": (n, 4), "rpn": (n,), "gt": (n,), "label": (n,), "source": (n,)}
     for name, shape in shapes.items():
         column = getattr(image, name)
         assert column.shape == shape and not column.flags.writeable, name
     assert image.gt.dtype == image.label.dtype == np.int64
-    assert image.boxes.tolist() == [corners(p.box) for p in records]
-    assert image.rpn.tolist() == [p.rpn_score for p in records]
-    assert image.gt.tolist() == [-1 if p.gt_label is None else p.gt_label for p in records]
+    assert image.boxes.tolist() == [corners(p.box) for p in want]
+    assert image.rpn.tolist() == [p.rpn_score for p in want]
+    assert image.gt.tolist() == [-1 if p.gt_label is None else p.gt_label for p in want]
     assert image.label.tolist() == [-1 if p.oracle.generative_label is None else p.oracle.generative_label
-                                    for p in records]
-    assert [_SOURCES[s] for s in image.source.tolist()] == [p.oracle.source for p in records]
+                                    for p in want]
+    assert [_SOURCES[s] for s in image.source.tolist()] == [p.oracle.source for p in want]
     for k, key in enumerate(("det", "img")):
-        assert image.features[k].tobytes() == b"".join(getattr(p, f"{key}_feature").tobytes() for p in records)
+        assert image.features[k].tobytes() == b"".join(getattr(p, f"{key}_feature").tobytes() for p in want)
 
 
 def _assert_same_images(got, want):
@@ -260,10 +259,10 @@ def _assert_same_images(got, want):
     assert len(got) == len(want)
     for gi, wi in zip(got, want):
         assert gi.image_id == wi.image_id and _gt_corners(gi) == _gt_corners(wi)
-        want_records = wi.proposals
+        got_records, want_records = records(gi), records(wi)
         _assert_columns_hold_the_records(gi, want_records)
-        assert len(gi.proposals) == len(want_records)
-        for gp, wp in zip(gi.proposals, want_records):
+        assert len(got_records) == len(want_records)
+        for gp, wp in zip(got_records, want_records):
             assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
             assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
             assert _fields(gp) == _fields(wp)
@@ -314,23 +313,21 @@ def test_a_written_scenario_loads_back_split_by_split():
 
 def _assert_holds_its_blocks(scenario: Scenario):
     """Each image of the loaded splits hands out its read-only ``(2, n, dim)`` feature block, whose
-    rows are the features of the records it builds, and every record the scenario builds with one
-    (label, source) holds one oracle record; the records of its background rows are the records without a gt."""
-    records = {}
+    rows are the features of the records it builds; the records of its background rows are the
+    records without a gt."""
     for image in (scenario.train_images or ()) + (scenario.eval_images or ()):
         assert image.features.shape == (2, len(image.rpn), scenario.config.dim)
         assert not image.features.flags.writeable
         assert image.gt_boxes.shape == (len(image.gt_boxes), 4) and image.gt_boxes.dtype == np.float64
         assert not image.gt_boxes.flags.writeable
-        for p, det, img in zip(image.proposals, *image.features, strict=True):
+        for p, det, img in zip(records(image), *image.features, strict=True):
             for feature, row in ((p.det_feature, det), (p.img_feature, img)):
                 assert np.shares_memory(feature, row) and feature.tobytes() == row.tobytes()
-            assert records.setdefault((p.oracle.generative_label, p.oracle.source), p.oracle) is p.oracle
-        background = [p for p in image.proposals if p.gt_label is None]
-        for got, want in zip(image.proposal_records(np.flatnonzero(image.gt < 0)), background, strict=True):
+        background = [p for p in records(image) if p.gt_label is None]
+        for got, want in zip(records(image, np.flatnonzero(image.gt < 0)), background, strict=True):
             assert _fields(got) == _fields(want) and got.gt_label is None
             assert np.shares_memory(got.box, image.boxes) and not got.box.flags.writeable
-            assert got.oracle is want.oracle and np.shares_memory(got.det_feature, image.features)
+            assert np.shares_memory(got.det_feature, image.features)
             assert (got.det_feature.tobytes(), got.img_feature.tobytes()) == (want.det_feature.tobytes(),
                                                                             want.img_feature.tobytes())
 
@@ -355,8 +352,8 @@ def test_the_generator_refuses_a_degenerate_box(enc, monkeypatch, edit):
 def test_records_hold_no_instance_dict(scenario):
     # Slotted records: a proposal costs its fields, with no per-instance ``__dict__``.
     image = scenario.train_images[0]
-    proposal = image.proposals[0]
-    for record in (proposal.box, proposal.oracle, proposal, image):
+    proposal = image.proposal_records(np.arange(1))[0]
+    for record in (proposal.box, proposal, image):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
@@ -367,7 +364,7 @@ def _assert_generated_as_the_oracle(scenario, tmp_path):
     _assert_same_images(scenario.train_images, train)
     _assert_same_images(scenario.eval_images, eval_)
     assert not any(p.det_feature.flags.writeable or p.img_feature.flags.writeable
-                   for image in scenario.train_images + scenario.eval_images for p in image.proposals)
+                   for image in scenario.train_images + scenario.eval_images for p in records(image))
     path = tmp_path / "got.jsonl"
     write_dataset(scenario, path)
     want = joined_dataset_text(dataclasses.replace(scenario, train_images=train, eval_images=eval_))
@@ -385,7 +382,7 @@ def test_generation_matches_the_per_proposal_oracle(enc, tmp_path, world):
     scenario = generate_scenario(config, enc)
     _assert_generated_as_the_oracle(scenario, tmp_path)
     if world == "clipped":  # the edge cases the clipping handles do occur
-        proposals = [p for image in scenario.train_images + scenario.eval_images for p in image.proposals]
+        proposals = [p for image in scenario.train_images + scenario.eval_images for p in records(image)]
         coords = [c for p in proposals for c in p.box.tolist()]
         assert 0.0 in coords and config.image_size in coords
         assert {0.0, 1.0} <= {p.rpn_score for p in proposals}
@@ -493,8 +490,8 @@ def test_line_endings_load_as_the_lines_they_hold(tmp_path, scenario, ending):
         assert got.dataset_hash() == want.dataset_hash()
         for split in splits:
             for gi, wi in zip(got.images(split), want.images(split), strict=True):
-                assert gi.gt_boxes.tolist() == wi.gt_boxes.tolist() and len(gi.proposals) == len(wi.proposals)
-                for gp, wp in zip(gi.proposals, wi.proposals):
+                assert gi.gt_boxes.tolist() == wi.gt_boxes.tolist()
+                for gp, wp in zip(records(gi), records(wi), strict=True):
                     assert gp.det_feature.tobytes() == wp.det_feature.tobytes()
                     assert gp.img_feature.tobytes() == wp.img_feature.tobytes()
                     assert _fields(gp) == _fields(wp)
@@ -543,7 +540,7 @@ def _assert_same_scenario(got: Scenario, want: Scenario):
         else:
             _assert_same_images(got_images, want_images)
             assert not any(p.det_feature.flags.writeable or p.img_feature.flags.writeable
-                           for image in got_images for p in image.proposals)
+                           for image in got_images for p in records(image))
 
 
 def _assert_streamed_as_the_oracle(path):
@@ -648,6 +645,7 @@ FILE_FAULTS = {
     "label_a_string": _edit_line(-3, _set(("oracle", "label"), "x")),
     "label_a_bool": _edit_line(-4, _set(("oracle", "label"), True)),
     "label_a_float": _edit_line(-5, _set(("oracle", "label"), 1.0)),
+    "label_minus_one": _edit_line(-8, _set(("oracle", "label"), -1)),
     "source_unknown": _edit_line(7, _set(("oracle", "source"), "scrubbed")),
     "source_not_a_string": _edit_line(-7, _set(("oracle", "source"), ["object"])),
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
@@ -698,7 +696,7 @@ def test_a_feature_without_a_direction_is_refused_by_its_line(tmp_path, scenario
                 load_dataset(path, ("train",))
         else:
             loaded = load_dataset(path, ("train",))
-            assert getattr(loaded.train_images[3].proposals[0], f"{feature}_feature")[0] == value
+            assert getattr(records(loaded.train_images[3])[0], f"{feature}_feature")[0] == value
         assert load_dataset(path, ("eval",)).eval_images is not None  # the eval split does not read it
 
 
@@ -829,22 +827,31 @@ def test_dataset_rejects_foreign_files(tmp_path):
         load_dataset(path)
 
 
-def _scrub_oracle(scenario: Scenario) -> Scenario:
-    """Replace every oracle label, source and record with garbage; training must not notice."""
-    garbage = {999: tuple(OracleInfo(generative_label=999, source="scrubbed") for _ in _SOURCES)}
-
-    def scrub_image(image):
-        return dataclasses.replace(image, label=np.full_like(image.label, 999), source=np.full_like(image.source, 2),
-                                   oracles=garbage)
-
-    return dataclasses.replace(scenario, train_images=tuple(scrub_image(im) for im in scenario.train_images))
+def _scrub_oracle(scenario: Scenario, split: str) -> Scenario:
+    """``scenario`` with every oracle label and source of ``split``'s images replaced by garbage."""
+    images = tuple(dataclasses.replace(image, label=np.full_like(image.label, 999), source=np.full_like(image.source, 2))
+                   for image in scenario.images(split))
+    return dataclasses.replace(scenario, **{f"{split}_images": images})
 
 
 def test_training_never_reads_oracle_records(scenario):
+    # Training does not notice a scrubbed train split; evaluation does notice a scrubbed eval
+    # split, so the scrub reaches the columns that the oracle lives in.
     config = TrainConfig(steps=5, seed=9)
     _, clean = train(config, scenario)
-    _, scrubbed = train(config, _scrub_oracle(scenario))
+    _, scrubbed = train(config, _scrub_oracle(scenario, "train"))
     assert clean.to_json() == scrubbed.to_json()
+    assert evaluate(clean, scenario).to_json() != evaluate(clean, _scrub_oracle(scenario, "eval")).to_json()
+
+
+def test_an_image_built_from_writable_columns_holds_them_read_only(scenario):
+    image = scenario.train_images[0]
+    label = image.label.copy()
+    assert label.flags.writeable
+    replaced = dataclasses.replace(image, label=label)
+    assert replaced.label is label and not label.flags.writeable
+    for name in ("gt_boxes", "features", "boxes", "rpn", "gt", "label", "source"):
+        assert not getattr(replaced, name).flags.writeable, name
 
 
 def test_reference_scenario_defaults_pinned():

@@ -431,7 +431,7 @@ def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_backgrou
     prep = prepare_discovery(small_scenario, config)
     for image, got in zip(small_scenario.train_images, prep.partitions, strict=True):
         want = generate_pseudo_labels(
-            [p for p in image.proposals if p.gt_label is None], image.gt_boxes, prep.centers, tau=config.temperature,
+            image.proposal_records(np.flatnonzero(image.gt < 0)), image.gt_boxes, prep.centers, tau=config.temperature,
             theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
             rpn_nms_iou=config.nms_iou)
         assert [(p.box.tolist(), p.rpn_score, label) for p, label in got.positives] == [
@@ -505,7 +505,7 @@ def test_image_blocks_stack_the_columns_as_the_records_stack(small_scenario, bas
     blocks = trainer_mod._image_blocks(small_scenario, prep.partitions, vocab)
     partitions = prep.partitions or [None] * len(blocks)
     for image, partition, got in zip(small_scenario.train_images, partitions, blocks, strict=True):
-        records = image.proposals
+        records = image.proposal_records(np.arange(len(image.rpn)))
         batch = ProposalBatch(foreground=tuple(p for p in records if p.gt_label is not None),
                               background=tuple(p for p in records if p.gt_label is None))
         want = proposal_blocks(batch, partition, vocab)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ovlab.discovery import OracleInfo, Proposal
+from ovlab.discovery import Proposal
 from ovlab.vocab import FixedRows, Vocabulary, build_training_vocab
 
 
@@ -77,7 +77,7 @@ def make_vocab(
     )
 
 
-def make_proposal(det_feature, img_feature=None, gt_label=None, box=None, rpn_score=0.9, oracle=None):
+def make_proposal(det_feature, img_feature=None, gt_label=None, box=None, rpn_score=0.9):
     det = np.asarray(det_feature, dtype=np.float64)
     img = np.asarray(img_feature, dtype=np.float64) if img_feature is not None else det
     return Proposal(
@@ -86,16 +86,6 @@ def make_proposal(det_feature, img_feature=None, gt_label=None, box=None, rpn_sc
         det_feature=det,
         img_feature=img,
         gt_label=gt_label,
-        oracle=oracle,
-    )
-
-
-def random_proposal(rng, d, gt_label=None, source="object", generative=None):
-    return make_proposal(
-        unit(rng, d),
-        img_feature=unit(rng, d),
-        gt_label=gt_label,
-        oracle=OracleInfo(generative_label=generative, source=source),
     )
 
 
