@@ -290,13 +290,7 @@ def _gradcheck_instance(seed: int, tau: float):
         return v / np.linalg.norm(v)
 
     def prop(label=None):
-        return Proposal(
-            box=np.array([0.0, 0.0, 10.0, 10.0]),
-            rpn_score=0.9,
-            det_feature=unit(),
-            img_feature=unit(),
-            gt_label=label,
-        )
+        return Proposal(det_feature=unit(), img_feature=unit(), gt_label=label)
 
     n_base, n_disc, n_extra = 4, 3, 2
     base_emb = np.stack([enc.encode_named_category(s) for s in range(n_base)])

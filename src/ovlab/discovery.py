@@ -8,7 +8,8 @@ latent categories hide in the background. k-means carries its seeded
 restarts side by side on one leading axis, one batched Lloyd loop per call;
 each restart keeps its own random stream and computes the bits it would
 compute alone. ``Proposal`` is the record the pseudo-labeller and a
-``losses.ProposalBatch`` take; it holds no hidden category (an image's columns do).
+``losses.ProposalBatch`` take: two feature views and an annotated base id
+(its box, score and hidden category stay in its image's columns).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ KMEANS_RESTARTS = 8  # seeded initializations per clustering; the lowest objecti
 
 @dataclass(frozen=True, slots=True)
 class Proposal:
-    """One region proposal: its box (a ``(4,)`` row of corners), objectness, and its two feature views.
+    """One region proposal's two feature views and its annotated category.
 
     ``det_feature`` is the detector-head embedding used by every loss;
     ``img_feature`` is the frozen image-encoder embedding used only for
@@ -43,15 +44,9 @@ class Proposal:
     category id, present only on matched foreground proposals.
     """
 
-    box: np.ndarray
-    rpn_score: float
     det_feature: np.ndarray
     img_feature: np.ndarray
     gt_label: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.rpn_score <= 1.0):
-            raise ValueError(f"rpn_score must lie in [0, 1], got {self.rpn_score}")
 
 
 def iou(a, b) -> np.ndarray:

@@ -8,10 +8,10 @@ category; the rest are pushed toward the expansion-plus-sub-background
 block with a small weight.
 
 Labels depend only on image-encoder features and the frozen centers, never
-on the detector features or any trainable parameter. The labeller takes
-``Proposal`` records (a discovery prep builds them only for the rows its own
-filter kept) and the image's annotated boxes as a ``(g, 4)`` array, and its
-partition holds the very records it was given.
+on the detector features or any trainable parameter. The labeller filters
+nothing: it takes the ``Proposal`` records of the rows a discovery prep's
+filter kept (the only records a prep builds) and those rows' boxes as an
+``(n, 4)`` array, and its partition holds the very records it was given.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_temperature, cosine_matrix
-from .discovery import Proposal, filter_background_proposals, nms_indices
+from .discovery import Proposal, nms_indices
 
 __all__ = [
     "PseudoLabel",
@@ -71,29 +71,27 @@ def _labels(probs: np.ndarray) -> list[PseudoLabel]:
     return [PseudoLabel(category=c, score=v) for c, v in zip(cats.tolist(), scores.tolist())]
 
 
-def generate_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
-                           gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
-    """Filter, label, threshold, and per-class-suppress one batch's background.
+def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float,
+                           nms_iou: float = 0.5) -> BackgroundPartition:
+    """Label, threshold, and per-class-suppress one image's filtered background.
 
-    ``batch_bg`` is a sequence of ``Proposal`` records and ``gt_boxes`` the
-    image's ``(g, 4)`` annotated boxes. Pipeline: objectness/annotation-overlap
-    filtering of the records' boxes -> per-proposal label from the frozen
-    centers (one cosine matrix over the filtered proposals) -> drop labels
-    scoring under theta -> per-class NMS keyed on the label score. Survivors
-    become positives; every other filtered proposal becomes a negative. Box
-    refinement of the survivors is an identity hook at this scale (no trained
-    box head exists).
+    ``batch_bg`` is a sequence of ``Proposal`` records, the rows a discovery
+    prep's filter kept, and ``boxes`` their ``(len(batch_bg), 4)`` corners.
+    Pipeline: per-proposal label from the frozen centers (one cosine matrix
+    over the records) -> drop labels scoring under theta -> per-class NMS
+    keyed on the label score. Survivors become positives; every other record
+    becomes a negative. Box refinement of the survivors is an identity hook
+    at this scale (no trained box head exists).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    boxes = np.array([p.box for p in batch_bg], dtype=np.float64).reshape(-1, 4)
-    rows = filter_background_proposals(boxes, [p.rpn_score for p in batch_bg], gt_boxes, theta=theta,
-                                       gt_iou_cut=gt_iou_cut, nms_iou=rpn_nms_iou)
-    if not len(rows):
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.shape != (len(batch_bg), 4):
+        raise ValueError(f"boxes must be a ({len(batch_bg)}, 4) array, one row per record, got shape {boxes.shape}")
+    if not len(batch_bg):
         return BackgroundPartition(positives=(), negatives=())
-    filtered, boxes = [batch_bg[i] for i in rows.tolist()], boxes[rows]
 
-    labels = _labels(_center_probs(np.stack([p.img_feature for p in filtered]), centers, tau))
+    labels = _labels(_center_probs(np.stack([p.img_feature for p in batch_bg]), centers, tau))
     confident = [i for i, lab in enumerate(labels) if lab.score >= theta]
 
     kept: set[int] = set()
@@ -104,7 +102,6 @@ def generate_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float
         for local in nms_indices(boxes[members], scores, nms_iou):
             kept.add(members[local])
 
-    positives = tuple((filtered[i], labels[i]) for i in sorted(kept))
-    negatives = tuple(filtered[i] for i in range(len(filtered)) if i not in kept)
+    positives = tuple((batch_bg[i], labels[i]) for i in sorted(kept))
+    negatives = tuple(batch_bg[i] for i in range(len(batch_bg)) if i not in kept)
     return BackgroundPartition(positives=positives, negatives=negatives)
-

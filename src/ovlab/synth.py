@@ -162,11 +162,10 @@ class SynthImage:
             column.setflags(write=False)
 
     def proposal_records(self, rows: np.ndarray) -> tuple[Proposal, ...]:
-        """The records of the proposals in ``rows``, in order, holding rows of ``boxes`` and ``features``."""
+        """The records of the proposals in ``rows``, in order, holding rows of ``features``."""
         det, img = self.features
-        return tuple(Proposal(box=self.boxes[r], rpn_score=rpn, det_feature=det[r], img_feature=img[r],
-                              gt_label=None if gt == _NONE else gt)
-                     for r, rpn, gt in zip(rows.tolist(), self.rpn[rows].tolist(), self.gt[rows].tolist()))
+        return tuple(Proposal(det_feature=det[r], img_feature=img[r], gt_label=None if gt == _NONE else gt)
+                     for r, gt in zip(rows.tolist(), self.gt[rows].tolist()))
 
 
 def _box_fault(corners: np.ndarray) -> tuple[int, str] | None:

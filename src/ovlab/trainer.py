@@ -13,7 +13,7 @@ that straddles the boundary instead of silently differencing across it.
 Each quantity of a run is computed at the scope where it changes. Per run:
 the discovery prep (one per seed in an ablation: each training image's
 background rows filtered once as arrays, their pooled features, count,
-centers, and pseudo-labels from records of the kept rows only), the
+centers, and pseudo-labels of the kept rows' records and boxes), the
 vocabulary's ``FixedRows`` (checked base embeddings, the block indices),
 each training image's proposal blocks as unit rows with their target
 positions and its pseudo-label counts, every step's batch of images (drawn
@@ -70,6 +70,7 @@ __all__ = [
     "compute_gradients",
     "finite_diff_gradients",
     "sgd_step",
+    "filtered_background",
     "pool_background",
     "sweep_category_count",
     "underlying_count",
@@ -134,6 +135,8 @@ class TrainConfig:
             raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
         if not self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 < self.score_threshold < 1.0:
+            raise ValueError(f"score_threshold must lie in (0, 1), got {self.score_threshold}")
         for name in ("gt_iou_cut", "nms_iou", "pseudo_nms_iou"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
@@ -453,9 +456,9 @@ class Checkpoint:
         return build_training_vocab(fixed, self.context_vectors, self.sub_background)
 
 
-def _filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndarray]:
+def filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndarray]:
     """Per training image, the rows of its background proposals that survive filtering, in NMS keep order
-    (``pool_background``'s ``kept``)."""
+    (``pool_background``'s ``kept``, and the rows the prep labels)."""
     kept = []
     for image in scenario.images("train"):
         background = np.flatnonzero(image.gt < 0)  # -1: no annotated base id
@@ -467,7 +470,7 @@ def _filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.nda
 
 def pool_background(scenario: Scenario, config: TrainConfig, kept=None) -> np.ndarray:
     """Image features of every training background row that survives filtering (the rows ``kept``, if given)."""
-    kept = _filtered_background(scenario, config) if kept is None else kept
+    kept = filtered_background(scenario, config) if kept is None else kept
     if not sum(map(len, kept)):
         raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
     return np.concatenate([image.features[1][rows] for image, rows in zip(scenario.images("train"), kept)])
@@ -543,19 +546,18 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     """``prepare_background``, then, with centers, one pseudo-label partition per training image.
 
     Pseudo-labels depend only on the frozen centers and the image data, so
-    each training image is labelled once per prep, from the records of the
-    rows it pooled (the only records a prep builds): the labeller filters
-    them as the pool did, which keeps them all, in order. A baseline run gets
-    an empty prep without any work.
+    each training image is filtered and labelled once per prep: the labeller
+    takes the records and boxes of the rows the pool kept (the only records a
+    prep builds), in keep order. A baseline run gets an empty prep without
+    any work.
     """
-    kept = None if config.baseline_mode else _filtered_background(scenario, config)
+    kept = None if config.baseline_mode else filtered_background(scenario, config)
     n_discovered, centers = prepare_background(scenario, config, kept)
     partitions = None
     if centers is not None:
         partitions = tuple(generate_pseudo_labels(
-            image.proposal_records(rows), image.gt_boxes, centers, tau=config.temperature,
-            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
-            rpn_nms_iou=config.nms_iou,
+            image.proposal_records(rows), image.boxes[rows], centers, tau=config.temperature,
+            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou,
         ) for image, rows in zip(scenario.images("train"), kept))
     return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
 

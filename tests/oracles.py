@@ -16,11 +16,11 @@ each image's draws were taken in a few calls and its file was streamed.
 The whole-file dataset parser is the loader as it was before it read the
 file one image at a time; these three build per-proposal records, as the
 package did before an image held its proposals as columns. A record that
-tests compare by its hidden category is an ``OracleProposal``, the
-package's ``Proposal`` plus its ``OracleInfo``, as the package's records
-carried one before the image's ``label`` and ``source`` columns became its
-only home; ``records`` builds them from an image's columns, and the two
-record-building oracles build them too. The
+tests compare by its box, score or hidden category is an
+``OracleProposal``, the package's ``Proposal`` plus its box, objectness and
+``OracleInfo``, as the package's records carried them before the image's
+columns became their only home; ``records`` builds them from an image's
+columns, and the two record-building oracles build them too. The
 per-proposal evaluation tally is ``evaluate`` as it was before it took each
 image's decisions and tally as arrays. The box oracles (``Box``, ``iou``,
 ``greedy_nms`` and ``filter_background_rows``) are the package's box
@@ -473,8 +473,9 @@ def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weig
 
 def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
                           gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
-    """``pseudo.generate_pseudo_labels`` with each proposal filtered and scored alone: the scalar
-    filter and NMS over ``Box``es, the scalar softmax."""
+    """An image's background filtered, then labelled, with each proposal taken alone: the scalar
+    filter and NMS over ``Box``es, the scalar softmax. Production splits this pipeline between
+    ``trainer.filtered_background`` and ``pseudo.generate_pseudo_labels``; this is its one reference."""
     boxes = [as_box(p.box) for p in batch_bg]
     rows = filter_background_rows(boxes, [p.rpn_score for p in batch_bg], [as_box(g) for g in gt_boxes], theta,
                                   gt_iou_cut, rpn_nms_iou)
@@ -506,12 +507,20 @@ class OracleInfo:
     source: str  # "object" or "clutter"; a dataset line may also hold "unknown"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class OracleProposal(Proposal):
-    """A ``Proposal`` that carries its ``OracleInfo``. The labeller hands back the records it is
-    given, so an ``OracleProposal`` in its input is one in its partition too."""
+    """A ``Proposal`` that carries its box (a ``(4,)`` row of corners or a ``Box``), its objectness
+    and its ``OracleInfo``, as the package's records did before their image's columns became the
+    only home of all three. The labeller hands back the records it is given, so an
+    ``OracleProposal`` in its input is one in its partition too."""
 
+    box: np.ndarray | Box
+    rpn_score: float
     oracle: OracleInfo | None = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.rpn_score <= 1.0):
+            raise ValueError(f"rpn_score must lie in [0, 1], got {self.rpn_score}")
 
 
 @dataclass(frozen=True)
@@ -525,15 +534,16 @@ class RecordImage:
 
 def records(image, rows=None) -> tuple[OracleProposal, ...]:
     """The records of ``image``'s proposals, each with its oracle: a ``RecordImage``'s own, or a
-    ``SynthImage``'s (of ``rows``, if given) from ``proposal_records`` and its ``label``/``source`` columns."""
+    ``SynthImage``'s (of ``rows``, if given) from ``proposal_records`` and its ``boxes``, ``rpn``,
+    ``label`` and ``source`` columns."""
     if isinstance(image, RecordImage):
         return image.proposals
     rows = np.arange(len(image.rpn)) if rows is None else np.asarray(rows)
     return tuple(
-        OracleProposal(box=p.box, rpn_score=p.rpn_score, det_feature=p.det_feature, img_feature=p.img_feature,
+        OracleProposal(box=image.boxes[r], rpn_score=rpn, det_feature=p.det_feature, img_feature=p.img_feature,
                        gt_label=p.gt_label, oracle=OracleInfo(None if label < 0 else label, _SOURCES[source]))
-        for p, label, source in zip(image.proposal_records(rows), image.label[rows].tolist(),
-                                    image.source[rows].tolist(), strict=True)
+        for r, p, rpn, label, source in zip(rows.tolist(), image.proposal_records(rows), image.rpn[rows].tolist(),
+                                            image.label[rows].tolist(), image.source[rows].tolist(), strict=True)
     )
 
 

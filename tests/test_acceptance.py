@@ -33,7 +33,7 @@ from ovlab.rectify import (
     rectified_underlying_sum,
 )
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, prepare_background, train
+from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
 from oracles import records
 from util import make_proposal, make_vocab, unit
@@ -284,10 +284,9 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
     # Majority generative label per cluster over the filtered training pool.
     votes: dict[int, dict] = {}
     partitions = []
-    for image in scen.train_images:
-        bg = [p for p in records(image) if p.gt_label is None]
+    for image, rows in zip(scen.train_images, filtered_background(scen, config)):
         part = generate_pseudo_labels(
-            bg, image.gt_boxes, centers, tau=config.temperature,
+            records(image, rows), image.boxes[rows], centers, tau=config.temperature,
             theta=config.score_threshold,
         )
         partitions.append(part)

@@ -11,7 +11,7 @@ from pathlib import Path
 import ovlab.cli  # noqa: F401  the tracer patches the modules already imported; the CLI imports every one
 from ovlab.encoder import MockTextEncoder
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, _filtered_background, prepare_discovery
+from ovlab.trainer import TrainConfig, filtered_background, prepare_discovery
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,11 +27,11 @@ def test_a_traced_prep_fires_the_filter_nms_and_labelling_hooks(monkeypatch):
     assert tracer.missing == []
     summary = tracer.summary()
     n_images = len(scenario.train_images)
-    # One filter per image for the pool, and one more inside each image's labelling.
-    assert summary["discovery.filter"]["calls"] == 2 * n_images
+    # One filter per image, for the pool; the labeller labels the rows it kept without filtering them again.
+    assert summary["discovery.filter"]["calls"] == n_images
     assert summary["pseudo.label"]["calls"] == n_images
-    assert summary["discovery.nms"]["calls"] >= 2 * n_images  # each filter's NMS, then the per-class NMS
-    kept = sum(map(len, _filtered_background(scenario, config)))
+    assert summary["discovery.nms"]["calls"] >= n_images  # each filter's NMS, then the per-class NMS
+    kept = sum(map(len, filtered_background(scenario, config)))
     assert tracer.counts["pseudo.filtered"] == kept == sum(len(p.positives) + len(p.negatives)
                                                            for p in prep.partitions)
     assert kept > n_images

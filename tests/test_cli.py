@@ -355,6 +355,7 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "x.jsonl"), "--set", "nonsense"]) == 1
     gen = ["gen", "--out", str(tmp_path / "x.jsonl")]
     train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r")]
+    baseline = [*train, "--set", "train.baseline_mode=true"]  # filters nothing, yet refuses a bad threshold
     ablate = ["ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r")]
     gradcheck = ["gradcheck", "--out", str(tmp_path / "r" / "gc.json")]
     # A section or an intermediate node that is not an object, or a value of the wrong type.
@@ -372,6 +373,7 @@ def test_bad_override_fails(dataset, tmp_path, capsys):
         (train, "train.momentum=1"),
         (train, "train.gt_iou_cut=5"),
         (train, "train.gt_iou_cut=0"),
+        (baseline, "train.score_threshold=1.5"),
         (gen, "encoder.dim=2.5"),
         (gen, "encoder.seed=[1]"),
         (gen, "scenario.n_base=2.5"),

@@ -196,7 +196,7 @@ def test_filter_keeps_the_oracles_rows_on_every_image_of_a_reference_world(scena
                                               **settings)
             assert got.tolist() == want
             kept[split].append(background[want].tolist())
-    assert [rows.tolist() for rows in trainer_mod._filtered_background(scenario, config)] == kept["train"]
+    assert [rows.tolist() for rows in trainer_mod.filtered_background(scenario, config)] == kept["train"]
     assert sum(map(len, kept["train"])) > len(kept["train"])  # most images keep more than one row
 
 

@@ -223,9 +223,9 @@ def test_ablation_shares_one_discovery_prep_per_seed(small_scenario, monkeypatch
         sweeps.append(seed)
         return real_estimate(features, k_min, k_max, seed)
 
-    def counting_label(batch_bg, gt_boxes, centers, **kwargs):
-        labelled[id(gt_boxes)] += 1
-        return real_label(batch_bg, gt_boxes, centers, **kwargs)
+    def counting_label(batch_bg, boxes, centers, **kwargs):
+        labelled[boxes.tobytes()] += 1  # an image's kept boxes
+        return real_label(batch_bg, boxes, centers, **kwargs)
 
     monkeypatch.setattr(eval_mod, "train", recording_train)
     monkeypatch.setattr(trainer_mod, "estimate_category_count", counting_estimate)

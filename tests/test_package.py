@@ -13,7 +13,9 @@ private (underscore) name.
 
 Code that reads every proposal reads an image's columns: outside
 ``SynthImage``, which defines it, only the discovery prep builds records
-(``.proposal_records``), and only for the background rows it kept. A box is
+(``.proposal_records``), and only for the background rows it kept. Only
+``trainer.filtered_background`` calls ``filter_background_proposals``, so a
+prep filters each image once and the labeller filters nothing. A box is
 a row of a float array: no module defines a ``Box``, and nothing reads an
 image's ``background_proposals``. A proposal's hidden category lives only in
 its image's ``label`` and ``source`` columns: no module defines an
@@ -178,12 +180,17 @@ PROPOSAL_READERS = {("trainer", "prepare_discovery")}
 RECORDS = ("proposal_records",)  # the ``SynthImage`` members that build records
 
 
+def _owners(tree: ast.Module) -> dict[ast.AST, str]:
+    """The name of the innermost function that holds each node (walk order is outer first, so inner wins)."""
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {child: f.name for f in functions for child in ast.walk(f)}
+
+
 def test_only_the_per_image_record_readers_read_proposals():
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
-        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        owner = {child: f.name for f in functions for child in ast.walk(f)}  # innermost wins: walk order is outer first
+        owner = _owners(tree)
         builders = {child for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "SynthImage"
                     for child in ast.walk(cls)}
         for node in ast.walk(tree):
@@ -191,6 +198,20 @@ def test_only_the_per_image_record_readers_read_proposals():
                 if node not in builders and (path.stem, owner.get(node)) not in PROPOSAL_READERS:
                     readers.append(f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})")
     assert not readers, f"reads of {RECORDS} outside {sorted(PROPOSAL_READERS)}: {readers}"
+
+
+# The one production caller of the background filter, by (module, function): the prep's per-image pass.
+FILTER_CALLERS = {("trainer", "filtered_background")}
+
+
+def test_only_the_prep_filters_the_background():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = _owners(tree)
+        callers |= {(path.stem, owner.get(node, "<module>")) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and "filter_background_proposals" in (getattr(node.func, k, None) for k in ("id", "attr"))}
+    assert callers == FILTER_CALLERS, f"filter_background_proposals is called by {sorted(callers)}"
 
 
 FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals"}  # defined, imported or read anywhere

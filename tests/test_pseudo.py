@@ -16,7 +16,7 @@ from ovlab.pseudo import (
     generate_pseudo_labels,
 )
 
-from oracles import rowwise_pseudo_labels
+from oracles import records, rowwise_pseudo_labels
 from util import make_proposal, make_vocab, unit
 
 
@@ -80,24 +80,19 @@ def test_assign_label_tie_breaks_to_smaller_index():
     assert assign_pseudo_label(np.eye(3)[0], centers, tau=1.0).category == 0
 
 
-def _bg_proposal(rng, d, box, rpn=0.97, img_feature=None):
-    feat = unit(rng, d)
-    return make_proposal(
-        feat, img_feature=img_feature if img_feature is not None else unit(rng, d),
-        box=box, rpn_score=rpn,
-    )
+def _bg_proposal(rng, d, img_feature=None):
+    return make_proposal(unit(rng, d), img_feature=img_feature if img_feature is not None else unit(rng, d))
 
 
 def test_generate_all_below_threshold():
     rng = np.random.default_rng(3)
     centers = np.array([unit(rng, 6) for _ in range(4)])
     # Features far from every center: scores well under theta at tau = 1.
-    props = [
-        _bg_proposal(rng, 6, (15 * i, 0, 15 * i + 10, 10)) for i in range(5)
-    ]
-    part = generate_pseudo_labels(props, [], centers, tau=1.0, theta=0.95)
+    props = [_bg_proposal(rng, 6) for _ in range(5)]
+    boxes = np.array([(15 * i, 0, 15 * i + 10, 10) for i in range(5)], dtype=np.float64)
+    part = generate_pseudo_labels(props, boxes, centers, tau=1.0, theta=0.95)
     assert part.positives == ()
-    assert len(part.negatives) > 0
+    assert part.negatives == tuple(props)
 
 
 def test_generate_per_class_nms_keeps_best():
@@ -105,14 +100,12 @@ def test_generate_per_class_nms_keeps_best():
     centers = np.eye(8)[:3]
     b1, b2 = (0, 0, 10, 10), (1, 0, 11, 10)
     assert iou(b1, b2) > 0.5
-    hi = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0], box=b1, rpn_score=0.99)
-    lo = make_proposal(unit(rng, 8), img_feature=_tilted(np.eye(8)[0], np.eye(8)[3], 0.05), box=b2, rpn_score=0.98)
-    part = generate_pseudo_labels(
-        [hi, lo], [], centers, tau=0.02, theta=0.95, rpn_nms_iou=1.0
-    )
+    hi = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0])
+    lo = make_proposal(unit(rng, 8), img_feature=_tilted(np.eye(8)[0], np.eye(8)[3], 0.05))
+    part = generate_pseudo_labels([hi, lo], np.array([b1, b2], dtype=np.float64), centers, tau=0.02, theta=0.95)
     kept = [p for p, _ in part.positives]
     assert kept == [hi]
-    assert lo in part.negatives
+    assert part.negatives == (lo,)
 
 
 def _tilted(a, b, eps):
@@ -124,27 +117,26 @@ def test_per_class_nms_spares_other_classes():
     rng = np.random.default_rng(5)
     centers = np.eye(8)[:3]
     b1, b2 = (0, 0, 10, 10), (1, 0, 11, 10)
-    first = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0], box=b1, rpn_score=0.99)
-    second = make_proposal(unit(rng, 8), img_feature=np.eye(8)[1], box=b2, rpn_score=0.98)
-    part = generate_pseudo_labels(
-        [first, second], [], centers, tau=0.02, theta=0.95, rpn_nms_iou=1.0
-    )
+    first = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0])
+    second = make_proposal(unit(rng, 8), img_feature=np.eye(8)[1])
+    part = generate_pseudo_labels([first, second], np.array([b1, b2], dtype=np.float64), centers, tau=0.02,
+                                  theta=0.95)
     assert len(part.positives) == 2  # overlapping boxes, different classes
 
 
 def test_partition_covers_filtered_set_exactly():
-    rng = np.random.default_rng(6)
-    centers = np.array([unit(rng, 6) for _ in range(3)])
-    props = [
-        _bg_proposal(rng, 6, (12 * i, 0, 12 * i + 10, 10), rpn=float(rng.uniform(0.9, 1.0)))
-        for i in range(12)
-    ]
-    gt = [(0, 0, 11, 11)]
-    part = generate_pseudo_labels(props, gt, centers, tau=0.02, theta=0.95)
+    # The labeller filters nothing: every record of the filtered set it is given lands in exactly one half.
     from ovlab.discovery import filter_background_proposals
 
-    rows = filter_background_proposals([p.box for p in props], [p.rpn_score for p in props], gt, theta=0.95)
+    rng = np.random.default_rng(6)
+    centers = np.array([unit(rng, 6) for _ in range(3)])
+    props = [_bg_proposal(rng, 6) for _ in range(12)]
+    boxes = np.array([(12 * i, 0, 12 * i + 10, 10) for i in range(12)], dtype=np.float64)
+    gt = [(0, 0, 11, 11)]
+    rows = filter_background_proposals(boxes, rng.uniform(0.9, 1.0, 12), gt, theta=0.95)
     filtered = [props[i] for i in rows]
+    assert 0 < len(filtered) < len(props)
+    part = generate_pseudo_labels(filtered, boxes[rows], centers, tau=0.02, theta=0.95)
     positives = [p for p, _ in part.positives]
     assert sorted(map(id, positives + list(part.negatives))) == sorted(map(id, filtered))
     assert not (set(map(id, positives)) & set(map(id, part.negatives)))
@@ -154,26 +146,23 @@ def test_labels_ignore_detector_features():
     rng = np.random.default_rng(7)
     centers = np.array([unit(rng, 6) for _ in range(3)])
     img_feats = [unit(rng, 6) for _ in range(4)]
-    boxes = [(15 * i, 0, 15 * i + 10, 10) for i in range(4)]
-    props_a = [
-        make_proposal(unit(rng, 6), img_feature=f, box=b, rpn_score=0.99)
-        for f, b in zip(img_feats, boxes)
-    ]
-    props_b = [
-        make_proposal(unit(rng, 6), img_feature=f, box=b, rpn_score=0.99)
-        for f, b in zip(img_feats, boxes)
-    ]
-    part_a = generate_pseudo_labels(props_a, [], centers, tau=0.02, theta=0.5)
-    part_b = generate_pseudo_labels(props_b, [], centers, tau=0.02, theta=0.5)
-    labels_a = [(p.box.tolist(), l.category) for p, l in part_a.positives]
-    labels_b = [(p.box.tolist(), l.category) for p, l in part_b.positives]
-    assert labels_a == labels_b
+    boxes = np.array([(15 * i, 0, 15 * i + 10, 10) for i in range(4)], dtype=np.float64)
+    props_a = [make_proposal(unit(rng, 6), img_feature=f) for f in img_feats]
+    props_b = [make_proposal(unit(rng, 6), img_feature=f) for f in img_feats]
+    part_a = generate_pseudo_labels(props_a, boxes, centers, tau=0.02, theta=0.5)
+    part_b = generate_pseudo_labels(props_b, boxes, centers, tau=0.02, theta=0.5)
+    at_a, at_b = ({id(p): i for i, p in enumerate(props)} for props in (props_a, props_b))
+    labels_a = [(at_a[id(p)], l.category) for p, l in part_a.positives]
+    labels_b = [(at_b[id(p)], l.category) for p, l in part_b.positives]
+    assert labels_a == labels_b and labels_a
 
 
 def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
-    # Each image's filtered proposals are scored with one cosine matrix; the
-    # oracle scores each proposal alone with the scalar softmax. Scores may
-    # differ in the last bits, but no label or partition may.
+    # Production filters an image's background rows once (``filtered_background``'s filter) and
+    # labels the kept records with one cosine matrix; the oracle filters and scores each proposal
+    # alone with the scalar filter and softmax. Scores may differ in the last bits, but no label or
+    # partition may.
+    from ovlab.discovery import filter_background_proposals
     from ovlab.encoder import MockTextEncoder
     from ovlab.synth import ScenarioConfig, generate_scenario
     from ovlab.trainer import TrainConfig, prepare_background
@@ -183,9 +172,14 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
     _, centers = prepare_background(scenario, config)
     n_positive = 0
     for image in scenario.images("train"):
-        bg = image.proposal_records(np.flatnonzero(image.gt < 0))
-        got, want = (label(bg, image.gt_boxes, centers, tau=config.temperature, theta=config.score_threshold)
-                     for label in (generate_pseudo_labels, rowwise_pseudo_labels))
+        background = np.flatnonzero(image.gt < 0)
+        bg = records(image, background)
+        kept = filter_background_proposals(image.boxes[background], image.rpn[background], image.gt_boxes,
+                                           theta=config.score_threshold)
+        got = generate_pseudo_labels([bg[i] for i in kept.tolist()], image.boxes[background[kept]], centers,
+                                     tau=config.temperature, theta=config.score_threshold)
+        want = rowwise_pseudo_labels(bg, image.gt_boxes, centers, tau=config.temperature,
+                                     theta=config.score_threshold)
         assert [id(p) for p, _ in got.positives] == [id(p) for p, _ in want.positives]
         assert list(map(id, got.negatives)) == list(map(id, want.negatives))
         for (_, g), (_, w) in zip(got.positives, want.positives):
@@ -197,7 +191,18 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
 
 def test_theta_out_of_range():
     with pytest.raises(ValueError):
-        generate_pseudo_labels([], [], np.eye(3), tau=1.0, theta=1.0)
+        generate_pseudo_labels([], np.zeros((0, 4)), np.eye(3), tau=1.0, theta=1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 3), (2,), (8,), (2, 4, 1)])
+def test_boxes_must_hold_one_row_per_record(shape):
+    # Two records take a (2, 4) array; any other shape is refused before a label is computed.
+    rng = np.random.default_rng(13)
+    props = [_bg_proposal(rng, 6) for _ in range(2)]
+    with pytest.raises(ValueError, match=r"^boxes must be a \(2, 4\) array"):
+        generate_pseudo_labels(props, np.zeros(shape), np.eye(6)[:3], tau=0.02, theta=0.95)
+    with pytest.raises(ValueError, match=r"^boxes must be a \(0, 4\) array"):
+        generate_pseudo_labels([], [], np.eye(6)[:3], tau=0.02, theta=0.95)
 
 
 # -- loss ---------------------------------------------------------------------

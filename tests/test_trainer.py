@@ -29,8 +29,8 @@ from ovlab.trainer import (
     train,
 )
 
-from oracles import (central_difference, raw_proposal_blocks, raw_stack_blocks, two_block_sgd_step,
-                     unfused_loss_and_gradients)
+from oracles import (central_difference, raw_proposal_blocks, raw_stack_blocks, records, rowwise_pseudo_labels,
+                     two_block_sgd_step, unfused_loss_and_gradients)
 from util import make_proposal, training_vocab, unit
 
 
@@ -422,33 +422,34 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
 
 
-def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_background(small_scenario):
-    # A prep filters each image's background once and hands the kept records to the labeller,
-    # whose own filter keeps them all: each partition equals labelling the image's whole background.
-    from ovlab.pseudo import generate_pseudo_labels
-
+def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_background():
+    # A prep filters each image's background once and hands the kept records and their boxes to the
+    # labeller: on reference worlds of scenario seeds 0 and 3, each partition equals the row-by-row
+    # oracle's filtering and labelling of the image's whole background (records compared by their rows).
     config = TrainConfig(seed=3)
-    prep = prepare_discovery(small_scenario, config)
-    for image, got in zip(small_scenario.train_images, prep.partitions, strict=True):
-        want = generate_pseudo_labels(
-            image.proposal_records(np.flatnonzero(image.gt < 0)), image.gt_boxes, prep.centers, tau=config.temperature,
-            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
-            rpn_nms_iou=config.nms_iou)
-        assert [(p.box.tolist(), p.rpn_score, label) for p, label in got.positives] == [
-            (p.box.tolist(), p.rpn_score, label) for p, label in want.positives]
-        assert [(p.box.tolist(), p.rpn_score) for p in got.negatives] == [
-            (p.box.tolist(), p.rpn_score) for p in want.negatives]
-    assert sum(len(p.positives) for p in prep.partitions)
+    for scenario_seed in (0, 3):
+        scenario = generate_scenario(ScenarioConfig(seed=scenario_seed), MockTextEncoder(seed=7))
+        prep = prepare_discovery(scenario, config)
+        for image, got in zip(scenario.train_images, prep.partitions, strict=True):
+            want = rowwise_pseudo_labels(
+                records(image, np.flatnonzero(image.gt < 0)), image.gt_boxes, prep.centers, tau=config.temperature,
+                theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
+                rpn_nms_iou=config.nms_iou)
+            assert [(p.img_feature.tobytes(), label.category) for p, label in got.positives] == [
+                (p.img_feature.tobytes(), label.category) for p, label in want.positives]
+            assert [p.img_feature.tobytes() for p in got.negatives] == [
+                p.img_feature.tobytes() for p in want.negatives]
+        assert sum(len(p.positives) for p in prep.partitions)
 
 
 def _count_records(monkeypatch) -> list:
-    """The boxes of the ``Proposal`` records the package builds from an image's columns from now on."""
+    """The detector rows of the ``Proposal`` records the package builds from an image's columns from now on."""
     import ovlab.synth as synth_mod
 
     built, real = [], synth_mod.Proposal
 
     def counting(**fields):
-        built.append(fields["box"])
+        built.append(fields["det_feature"])
         return real(**fields)
 
     monkeypatch.setattr(synth_mod, "Proposal", counting)
@@ -479,13 +480,13 @@ def test_a_prep_builds_one_record_per_kept_row(reference_world, monkeypatch):
     import ovlab.trainer as trainer_mod
 
     config = TrainConfig(seed=0)
-    kept = trainer_mod._filtered_background(reference_world, config)
+    kept = trainer_mod.filtered_background(reference_world, config)
     built = _count_records(monkeypatch)
     prep = prepare_discovery(reference_world, config)
     assert sum(len(p.positives) + len(p.negatives) for p in prep.partitions) == len(built) == 137
     assert sum(map(len, kept)) == 137 and sum(int((im.gt < 0).sum()) for im in reference_world.train_images) == 432
-    boxes = np.concatenate([image.boxes[rows] for image, rows in zip(reference_world.train_images, kept)])
-    assert np.array_equal(np.stack(built), boxes)  # the kept rows, image by image, in keep order
+    det = np.concatenate([image.features[0][rows] for image, rows in zip(reference_world.train_images, kept)])
+    assert np.array_equal(np.stack(built), det)  # the kept rows, image by image, in keep order
 
 
 @pytest.mark.parametrize("baseline_mode", [False, True])
@@ -780,7 +781,8 @@ def test_train_config_rejects_non_integer_counts(name):
     # Each field admits only its annotated type; an accepted value is stored unconverted.
     if name in FLOAT_FIELDS:
         bad = ("x", "0.5", True, None, [0.5], math.nan, math.inf, -math.inf)
-        good = (np.int64(1), 1, 0.25)
+        # score_threshold lies in (0, 1), which holds no int.
+        good = (np.int64(1), 1, 0.25) if name != "score_threshold" else (np.float64(0.5), 0.25)
     elif name in BOOL_FIELDS:
         bad, good = (1, 0, "no", "false", None), (False, True)
     else:
@@ -804,7 +806,10 @@ def test_train_config_rejects_non_integer_counts(name):
      pytest.param("gt_iou_cut", 5.0, id="gt_iou_cut_above_one"),
      pytest.param("gt_iou_cut", 0.0, id="gt_iou_cut_zero"),
      pytest.param("nms_iou", 0.0, id="nms_iou_zero"),
-     pytest.param("pseudo_nms_iou", 1.5, id="pseudo_nms_iou_above_one")],
+     pytest.param("pseudo_nms_iou", 1.5, id="pseudo_nms_iou_above_one"),
+     pytest.param("score_threshold", 0.0, id="score_threshold_zero"),
+     pytest.param("score_threshold", 1.0, id="score_threshold_one"),
+     pytest.param("score_threshold", 1.5, id="score_threshold_above_one")],
 )
 def test_train_config_rejects_out_of_range_values(name, value):
     with pytest.raises(ValueError, match=name):

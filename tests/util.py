@@ -77,12 +77,10 @@ def make_vocab(
     )
 
 
-def make_proposal(det_feature, img_feature=None, gt_label=None, box=None, rpn_score=0.9):
+def make_proposal(det_feature, img_feature=None, gt_label=None):
     det = np.asarray(det_feature, dtype=np.float64)
     img = np.asarray(img_feature, dtype=np.float64) if img_feature is not None else det
     return Proposal(
-        box=np.asarray((0.0, 0.0, 10.0, 10.0) if box is None else box, dtype=np.float64),
-        rpn_score=rpn_score,
         det_feature=det,
         img_feature=img,
         gt_label=gt_label,
