@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_right
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ import numpy as np
 from .core import NORM_FLOOR, check_fields, from_dict, is_integer
 from .discovery import Proposal
 from .encoder import MockTextEncoder
+from .forked import in_halves, split_at
 from .persist import canonical_json, config_hash
 
 __all__ = [
@@ -58,6 +62,7 @@ _FEATURES = ("det", "img")  # a proposal record's feature keys, in the order of 
 _SOURCES = ("object", "clutter", "unknown")  # the oracle sources a proposal line may hold
 _SOURCE_INDEX = {source: i for i, source in enumerate(_SOURCES)}  # an image's ``source`` column holds these
 _NONE = -1  # the ``gt`` and ``label`` columns' value for none
+_NUMBERS = frozenset((int, float))  # the types a box coordinate or feature entry of a dataset line may have
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,11 @@ class SynthImage:
     def __post_init__(self):
         for column in (self.gt_boxes, self.features, self.boxes, self.rpn, self.gt, self.label, self.source):
             column.setflags(write=False)
+
+    def __reduce__(self):
+        """Unpickled through the constructor, so the columns an image arrives with are read-only too."""
+        return SynthImage, (self.image_id, self.gt_boxes, self.features, self.boxes, self.rpn, self.gt, self.label,
+                            self.source)
 
     def proposal_records(self, rows: np.ndarray) -> tuple[Proposal, ...]:
         """The records of the proposals in ``rows``, in order, holding rows of ``features``."""
@@ -440,8 +450,13 @@ def _image_text(split: str, image: SynthImage) -> str:
 def write_dataset(scenario: Scenario, path) -> None:
     """One-line-per-record dataset file: header, then image and proposal lines.
 
-    The file is written image by image, so at most one image's text is held
-    at a time; a write that fails removes its partial file.
+    The parent writes the header, then formats and writes the first half of
+    the images one at a time. Where the process may run on two CPUs, a forked
+    child formats the second half into its own memory meanwhile, and the
+    parent then writes those texts in order as they arrive
+    (``forked.in_halves``); elsewhere the parent formats them too. Either way
+    the parent holds at most one image's text, and the file's bytes are the
+    same. A write that fails removes its partial file.
     """
     header = {
         "type": "header",
@@ -460,12 +475,13 @@ def write_dataset(scenario: Scenario, path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    items = [("train", image) for image in scenario.train_images] + [("eval", image) for image in scenario.eval_images]
     try:
         with path.open("w", encoding="utf-8") as f:
             f.write(canonical_json(header) + "\n")
-            for split, images in (("train", scenario.train_images), ("eval", scenario.eval_images)):
-                for image in images:
-                    f.write(_image_text(split, image))
+            with closing(in_halves(items, lambda part: (_image_text(*item) for item in part))) as texts:
+                for text in texts:
+                    f.write(text)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -475,17 +491,21 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
 
     The file is read one line at a time, so the load holds the scenario it
-    builds and at most one line's text. Only the lines of
+    builds and at most one line's text. Where the process may run on two
+    CPUs, the requested images are parsed in two halves: this process parses
+    the first, while one forked child parses the second and sends its images'
+    columns back in order (``forked.in_halves``); the scenario and every
+    refusal are the same either way. Only the lines of
     ``splits`` are decoded and parsed; a split that was not requested is
     None. The header fixes the layout (see the module docstring), so a file
     whose line count differs from it, or a parsed line that is not the record
     its position calls for, is a ``ValueError``, as are a malformed file, a
-    line that is not UTF-8, a feature that is not finite or has zero norm, a
-    bad box, gt box or rpn score (a bool is not a number), a ``gt`` that is
-    not a base id of the header, an oracle label that is not a category id of
-    the header or a source the writer cannot write, a missing key, an unknown
-    split name, a negative category id and a header whose ``config_hash``
-    does not match its settings.
+    line that is not UTF-8, a feature that is not a list of numbers or is not
+    finite or has zero norm, a bad box, gt box or rpn score (a bool is not a
+    number), a ``gt`` that is not a base id of the header, an oracle label
+    that is not a category id of the header or a source the writer cannot
+    write, a missing key, an unknown split name, a negative category id and a
+    header whose ``config_hash`` does not match its settings.
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
@@ -502,8 +522,11 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     """Parse the header and the lines of ``splits``, one line at a time.
 
     After the header, the file's lines are counted in fixed-size chunks of
-    bytes, noting where the eval split starts; each requested split is then
-    read from its first byte, so no line of another split is read again.
+    bytes, noting where the requested images start and where the second half
+    of them starts. The images are then read from their first byte, so no
+    line of another split is read again, and parsed in two halves by
+    ``forked.in_halves``: a forked child opens its own handle, seeks to the
+    second half and parses it while this process parses the first.
     """
     with Path(path).open("rb") as f:
         head = f.readline()
@@ -538,24 +561,37 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
         counts = {"train": config.n_train_images, "eval": config.n_eval_images}
         expected = 1 + per_image * sum(counts.values())
+        firsts = {"train": 1, "eval": 1 + counts["train"] * per_image}  # each split's first line (from 0)
+        order = [(split, i, firsts[split] + i * per_image) for split in SPLITS if split in splits
+                 for i in range(counts[split])]  # each requested image, with its first line
+        halves = {order[j][2] for j in (0, split_at(len(order))) if j < len(order)}  # where each half starts
         offset, n_lines, last = f.tell(), 1, b"\n"
-        starts = {"train": offset}  # the byte offset of each split's first line
+        starts = {}  # the byte offset of each half's first line
         while chunk := f.read(_CHUNK_BYTES):
-            found, left = chunk.count(b"\n"), counts["train"] * per_image + 1 - n_lines  # train lines still to end
-            if "eval" not in starts and left <= found:
-                starts["eval"] = offset + len(chunk) - len(chunk.split(b"\n", left)[-1])
+            found = chunk.count(b"\n")
+            for n in halves - starts.keys():
+                if n - n_lines <= found:
+                    starts[n] = offset + len(chunk) - len(chunk.split(b"\n", n - n_lines)[-1])
             n_lines, last, offset = n_lines + found, chunk[-1:], offset + len(chunk)
         n_lines += last != b"\n"  # the last line may lack its newline
         if n_lines != expected:
             raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
+        parent = os.getpid()
+
+        def parse(part):
+            if not part:
+                return
+            # A forked child reads through a handle of its own: an inherited one shares its offset.
+            with nullcontext(f) if os.getpid() == parent else Path(path).open("rb") as own:
+                own.seek(starts[part[0][2]])
+                for split, i, line in part:
+                    yield _parse_image(own, path, line, per_image, split, i, config.dim, base_ids, name_seeds)
+
         images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
-        first = 1  # the line number (from 0) of the split's first line
-        for split in SPLITS:
-            if split in splits:
-                f.seek(starts.get(split, offset))  # an eval split past the end of the file has no lines
-                images[split] = tuple(_parse_image(f, path, first + i * per_image, per_image, split, i, config.dim,
-                                                   base_ids, name_seeds) for i in range(counts[split]))
-            first += counts[split] * per_image
+        with closing(in_halves(order, parse)) as parsed:
+            for split in SPLITS:
+                if split in splits:
+                    images[split] = tuple(islice(parsed, counts[split]))
 
     scenario = Scenario(config=config, encoder=encoder, base_ids=base_ids, novel_ids=novel_ids,
                         distractor_ids=distractor_ids, name_seeds=name_seeds, prototypes=prototypes,
@@ -591,7 +627,7 @@ def _check_box(coords) -> None:
     if type(coords) is not list or len(coords) != 4:
         raise ValueError(f"{coords!r} is not a list of 4 numbers")
     kinds = set(map(type, coords))
-    if not kinds <= {int, float}:
+    if not kinds <= _NUMBERS:
         raise ValueError(f"{'bool' if bool in kinds else 'non-number'} coordinate in {coords}")
 
 
@@ -603,11 +639,12 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
     proposal boxes are checked as one array (``_box_fault``) and the feature
     block once: every row finite and with a direction (a norm above
     ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). A line is refused
-    for a feature that is not a list of ``dim`` numbers (so no row is
-    broadcast), a bad box (``_check_box``, then ``_box_fault``) or rpn score,
-    a ``gt`` that is neither null nor one of ``base_ids``, an oracle label
-    that is neither null nor a category id of the header (a key of
-    ``name_seeds``) and a source outside ``_SOURCES``.
+    for a feature that is not a list of ``dim`` ints and floats (so no row is
+    broadcast, and no bool or numeric string is coerced), a bad box
+    (``_check_box``, then ``_box_fault``) or rpn score, a ``gt`` that is
+    neither null nor one of ``base_ids``, an oracle label that is neither null
+    nor a category id of the header (a key of ``name_seeds``) and a source
+    outside ``_SOURCES``.
     """
     rec = _record(path, f.readline(), first, "image", split, image_id)
     image_line = _where(path, first, "the image line", split, image_id)
@@ -631,9 +668,13 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
         where = _where(path, n, "a proposal line", split, image_id)
         for k, key in enumerate(_FEATURES):
             try:
-                if type(rec[key]) is not list or len(rec[key]) != dim:
+                feature = rec[key]
+                if type(feature) is not list or len(feature) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
-                block[k, i] = rec[key]
+                if not _NUMBERS.issuperset(map(type, feature)):  # numpy would take a bool or a numeric string
+                    j = next(j for j, entry in enumerate(feature) if type(entry) not in _NUMBERS)
+                    raise ValueError(f"entry {j} is {feature[j]!r}, not an int or a float")
+                block[k, i] = feature
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
         gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]

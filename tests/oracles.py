@@ -770,6 +770,9 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
             try:
                 if type(rec[key]) is not list or len(rec[key]) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
+                for j, entry in enumerate(rec[key]):
+                    if type(entry) not in (int, float):
+                        raise ValueError(f"entry {j} is {entry!r}, not an int or a float")
                 block[k, i] = rec[key]
             except ValueError as exc:
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None

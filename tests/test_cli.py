@@ -4,7 +4,9 @@ import json
 import re
 
 import pytest
+from util import assert_no_child_left
 
+from ovlab import forked
 from ovlab.cli import main
 from ovlab.persist import config_hash, sha256_file
 
@@ -278,6 +280,10 @@ BAD_VALUES = {
                       "holds a bad box: int too large to convert to float"),
     "det_too_large": ("train", "proposal", ("det",), [10**400] * 32,
                       "holds a bad det feature: int too large to convert to float"),
+    "det_a_numeric_string": ("eval", "proposal", ("det",), ["0.5"] + [0.5] * 31,
+                             "holds a bad det feature: entry 0 is '0.5', not an int or a float"),
+    "img_a_bool": ("train", "proposal", ("img",), [0.5] * 31 + [True],
+                   "holds a bad img feature: entry 31 is True, not an int or a float"),
     "gt_box_degenerate": ("train", "image", ("gt_boxes",), [[5, 5, 1, 1]],
                           "holds bad gt_boxes: degenerate box [5.0, 5.0, 1.0, 1.0] as float64"),
     "gt_box_a_bool": ("train", "image", ("gt_boxes",), [[0, 0, 5, True]],
@@ -321,6 +327,59 @@ def test_a_bad_value_is_refused_by_its_line(dataset, checkpoint, tmp_path, capsy
     assert len(err) == 1, err
     assert err[0].startswith(f"error: line {n + 1} of dataset {dataset}, {place} of {split} image 0, {message}"), err
     assert not out.exists()
+
+
+def test_a_mutated_dataset_is_refused_in_one_error_line(dataset, checkpoint, monkeypatch, capsys):
+    # A truncated file, two swapped lines that an eval load reads, or a byte
+    # of such a line made non-ASCII (so not UTF-8): ``eval`` exits 1 with one
+    # error line and no traceback, writes nothing and leaves no forked child.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import tempfile
+    from pathlib import Path
+
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+    data = dataset.read_bytes()
+    lines = data.splitlines(keepends=True)
+    keys = [(rec.get("type"), rec.get("split"), rec.get("image")) for rec in map(json.loads, lines)]
+    first_eval = keys.index(("image", "eval", 0))
+    read = [0, *range(first_eval, len(lines))]  # the header and the eval lines
+    eval_start = len(b"".join(lines[:first_eval]))
+    mutations = st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(data) - 2)),  # the last byte alone is the final newline
+        st.tuples(st.just("swap"), st.sampled_from(read), st.integers(0, len(lines) - 1)),
+        st.tuples(st.just("flip"), st.one_of(st.integers(0, len(lines[0]) - 1), st.integers(eval_start, len(data) - 1)),
+                  st.integers(0x80, 0xFF)),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(mutations)
+    def refused(mutation):
+        kind, *args = mutation
+        if kind == "truncate":
+            mutated = data[:args[0]]
+        elif kind == "swap":
+            i, j = args
+            hypothesis.assume(keys[i] != keys[j])  # two lines of one image's proposals may trade places
+            swapped = list(lines)
+            swapped[i], swapped[j] = lines[j], lines[i]
+            mutated = b"".join(swapped)
+        else:
+            at, mask = args
+            mutated = data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "data.jsonl", Path(tmp) / "out"
+            path.write_bytes(mutated)
+            capsys.readouterr()
+            code = main(["eval", "--dataset", str(path), "--checkpoint", str(checkpoint), "--out-dir", str(out)])
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: "), (mutation, err)
+            assert "Traceback" not in captured.out + captured.err
+            assert not out.exists()
+        assert_no_child_left()
+
+    refused()
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import corners, joined_dataset_text, per_proposal_images, records, whole_file_parse_dataset
-from util import EDGE_WORLDS
+from util import EDGE_WORLDS, assert_no_child_left
 
-from ovlab import synth
+from ovlab import forked, synth
 from ovlab.core import ZeroNormError, unit_rows
 from ovlab.encoder import MockTextEncoder
 from ovlab.metrics import evaluate
@@ -611,7 +611,9 @@ def _refusal(load, path, splits) -> str | None:
 
 
 # Each fault edits the lines of the 8 + 4 image fixture world: the header is
-# line 0, train image 0 starts at line 1 and each image has 14 lines.
+# line 0, train image 0 starts at line 1 and each image has 14 lines. Where a
+# load forks, the child parses train images 4-7 of a train load, eval images
+# 2-3 of an eval load and train images 6-7 and the eval images of a load of both.
 FILE_FAULTS = {
     "one_line_too_many": lambda lines: lines.append(""),
     "one_line_too_few": lambda lines: lines.pop(20),
@@ -625,6 +627,8 @@ FILE_FAULTS = {
     "det_too_short": _edit_line(2, lambda rec: rec["det"].pop()),
     "img_not_a_list": _edit_line(-1, _set(("img",), 5)),
     "det_holds_a_string": _edit_line(3, lambda rec: rec["det"].__setitem__(0, "x")),
+    "det_a_numeric_string": _edit_line(1 + 14 * 7 + 2, lambda rec: rec["det"].__setitem__(0, "0.5")),  # train image 7
+    "img_a_bool": _edit_line(-2, lambda rec: rec["img"].__setitem__(5, True)),
     "det_not_finite": _edit_line(4, lambda rec: rec["det"].__setitem__(1, float("nan"))),
     "img_not_finite": _edit_line(-4, lambda rec: rec["img"].__setitem__(0, float("inf"))),
     "det_zero": _edit_line(6, lambda rec: rec.__setitem__("det", [0.0] * len(rec["det"]))),
@@ -662,17 +666,109 @@ FILE_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", FILE_FAULTS)
-def test_the_streamed_load_refuses_what_the_whole_file_load_refuses(tmp_path, scenario, fault):
+def test_the_streamed_load_refuses_what_the_whole_file_load_refuses(tmp_path, monkeypatch, scenario, fault):
     # Every fault is refused, by the split that holds it, with the message the
-    # whole-file parser gives.
+    # whole-file parser gives, whether the load parses every image in-process
+    # or forks a child for the second half of them.
     path = tmp_path / "data.jsonl"
     write_dataset(scenario, path)
     lines = path.read_text().splitlines()
     FILE_FAULTS[fault](lines)
     path.write_text("".join(line + "\n" for line in lines))
-    refusals = [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS]
-    assert refusals == [_refusal(_whole_file_load, path, splits) for splits in SPLIT_SETS]
-    assert refusals[-1] is not None
+    want = [_refusal(_whole_file_load, path, splits) for splits in SPLIT_SETS]
+    assert want[-1] is not None
+    for n in (1, 2):
+        monkeypatch.setattr(forked, "_cpu_count", lambda n=n: n)
+        assert [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS] == want, n
+    assert_no_child_left()
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count ``forked.in_halves`` sees: 1 runs every image in-process, 2 forks a child for the second half."""
+    monkeypatch.setattr(forked, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+def _columns(scenario: Scenario) -> list:
+    """Every column of every loaded image, as its bytes, dtype, shape and write flag."""
+    return [(split, image.image_id, name, column.tobytes(), column.dtype.str, column.shape, column.flags.writeable)
+            for split in SPLITS if getattr(scenario, f"{split}_images") is not None
+            for image in scenario.images(split) for name in synth.SynthImage.__slots__
+            if isinstance(column := getattr(image, name), np.ndarray)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_forked_and_in_process_paths_write_and_load_the_same(tmp_path, monkeypatch, enc, seed):
+    # The reference world's file and every column of every load are the same
+    # bytes whether the writer and loader fork or not.
+    scenario = generate_scenario(ScenarioConfig(seed=seed), enc)
+    written, loads = {}, {}
+    for n in (1, 2):
+        monkeypatch.setattr(forked, "_cpu_count", lambda n=n: n)
+        path = tmp_path / f"{n}.jsonl"
+        write_dataset(scenario, path)
+        written[n] = path.read_bytes()
+        loads[n] = [_columns(load_dataset(path, splits)) for splits in SPLIT_SETS]
+        assert_no_child_left()
+    assert written[1] == written[2]
+    assert loads[1] == loads[2]
+    assert all(not writeable for columns in loads[2] for *_, writeable in columns)
+
+
+def _broken(tmp_path, scenario, *edits):
+    """The fixture world's file with each ``(line, key)`` edit removing ``key`` from that line."""
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    for n, key in edits:
+        _edit_line(n, lambda rec, key=key: rec.pop(key))(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def test_the_first_fault_in_file_order_wins_across_the_split(tmp_path, scenario, cpus):
+    # One fault in train image 1 (the parent's half of a load of both
+    # splits) and one in eval image 3 (the child's half): the first is refused.
+    path = _broken(tmp_path, scenario, (1 + 14 * 1 + 3, "gt"), (-1, "rpn"))
+    with pytest.raises(ValueError, match=r"^dataset .* lacks key 'gt'$"):
+        load_dataset(path)
+    with pytest.raises(ValueError, match=r"^dataset .* lacks key 'rpn'$"):  # a missing key of the child's half
+        load_dataset(path, ("eval",))
+    assert_no_child_left()
+
+
+def test_a_load_refused_in_either_half_leaves_no_child(tmp_path, monkeypatch, enc):
+    # The parent's half fails at its first image while the child still
+    # parses 62 images; then the child's half fails at its last image.
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+    path = tmp_path / "data.jsonl"
+    write_dataset(generate_scenario(ScenarioConfig(n_train_images=4, seed=1), enc), path)
+    lines = path.read_text().splitlines()
+    for n, split in ((2, "train"), (len(lines) - 1, "eval")):
+        edited = list(lines)
+        _edit_line(n, _set(("det",), "x"))(edited)
+        path.write_text("".join(line + "\n" for line in edited))
+        with pytest.raises(ValueError, match=f"^line {n + 1} of dataset .* of {split} image .* holds a bad det "):
+            load_dataset(path)
+        assert_no_child_left()
+
+
+def test_a_write_whose_child_fails_removes_its_file_and_leaves_no_child(tmp_path, monkeypatch, scenario):
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+    image_text = synth._image_text
+
+    def failing(split, image):
+        if split == "eval" and image.image_id == 3:  # in the child's half
+            raise ZeroNormError(f"{split} image {image.image_id} has no text")
+        return image_text(split, image)
+
+    monkeypatch.setattr(synth, "_image_text", failing)
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ZeroNormError, match="^eval image 3 has no text$"):
+        write_dataset(scenario, path)
+    assert not path.exists()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("feature", ["det", "img"])

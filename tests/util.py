@@ -1,6 +1,10 @@
-"""Shared constructors for hand-built vocabularies and proposals, and the edge-case scenario worlds."""
+"""Shared constructors for hand-built vocabularies and proposals, the edge-case scenario worlds, and a check that
+no forked child outlived its call."""
+
+import os
 
 import numpy as np
+import pytest
 
 from ovlab.discovery import Proposal
 from ovlab.vocab import FixedRows, Vocabulary, build_training_vocab
@@ -102,3 +106,9 @@ EDGE_WORLDS = {
     "boxes_from_zero": dict(box_min=0.0),
     "noiseless": dict(sigma_feat=0.0, sigma_det=0.0),
 }
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
