@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its inputs. Probability work is done
 in log space (max-shifted) because the default temperature of 0.02 turns
-cosines into logits of magnitude 50, and downstream rectification code
-multiplies and partially sums the raw exponential scores.
+cosines into logits of magnitude 50, and rectification scales the raw
+exponential scores by its shrinking factors before it sums them by block.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ __all__ = [
     "is_integer",
     "check_fields",
     "from_dict",
-    "as_embedding",
-    "cosine",
     "logsumexp",
-    "softmax_probs",
     "unit_rows",
     "unit_cosines",
     "cosine_matrix",
@@ -100,40 +97,6 @@ def from_dict(cls, data, **defaults):
         raise ValueError(f"invalid {cls.__name__} settings: {exc}") from None
 
 
-def as_embedding(v, dim: int | None = None) -> np.ndarray:
-    """Validate and return a 1-D float64 embedding vector.
-
-    Checks finiteness and, when `dim` is given, the dimension. Does not
-    require unit norm: rectification and finite-difference stencils evaluate
-    cosines at slightly off-sphere points.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"embedding must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("embedding has non-finite entries")
-    return arr
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two vectors, in [-1, 1].
-
-    Uses the full norm division rather than assuming unit inputs, so values
-    stay exact for vectors that drift off the sphere mid-optimizer-step.
-    """
-    av = as_embedding(a)
-    bv = as_embedding(b, dim=av.shape[0])
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na <= NORM_FLOOR or nb <= NORM_FLOOR:
-        raise ZeroNormError("cosine undefined for zero-norm input")
-    c = float(np.dot(av, bv) / (na * nb))
-    # Rounding can push |c| a hair past 1; clamp so exp(c/tau) stays in range.
-    return min(1.0, max(-1.0, c))
-
-
 def logsumexp(values) -> float:
     """Max-shifted log-sum-exp with compensated (fsum) accumulation.
 
@@ -147,20 +110,6 @@ def logsumexp(values) -> float:
     if m == -math.inf:
         return -math.inf
     return m + math.log(math.fsum(math.exp(v - m) for v in arr.ravel()))
-
-
-def softmax_probs(query, categories, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax of a query embedding over an ordered category list.
-
-    Probabilities are strictly positive, sum to 1 within 1e-9, and are
-    aligned with the order of `categories`.
-    """
-    tau = check_temperature(tau)
-    q = as_embedding(query)
-    if len(categories) == 0:
-        raise ValueError("softmax over an empty category list")
-    z = np.array([cosine(q, c) / tau for c in categories])
-    return np.exp(z - logsumexp(z))
 
 
 def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +134,7 @@ def unit_cosines(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
 def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Pairwise cosines between row sets: (n, d) x (m, d) -> (n, m).
 
-    Divides by both row norms, matching `cosine` exactly on every pair.
+    Divides by both row norms, so rows need not be unit length.
     """
     q = np.asarray(queries, dtype=np.float64)
     r = np.asarray(references, dtype=np.float64)

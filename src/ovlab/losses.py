@@ -16,8 +16,7 @@ vocabulary and these components:
 ``objective_terms`` is the one implementation: from one cosine matrix over
 every group's stacked proposals it returns every component value, the
 switch pattern and the logit gradient of the one component asked for; the
-trainer chains that through the cosine layer and the encoder, and
-``switched_background_loss`` reads one batch's switched value from it.
+trainer chains that through the cosine layer and the encoder.
 Every component has the same logit gradient per proposal, w * (p - q): p
 the row's probabilities, q a target distribution over the vocabulary
 (one-hot at the target for the cross-entropies, p renormalized over the
@@ -72,12 +71,10 @@ __all__ = [
     "LossBreakdown",
     "ObjectiveTerms",
     "ProposalBlocks",
-    "background_mass",
     "proposal_blocks",
     "stack_blocks",
     "proposal_groups",
     "objective_terms",
-    "switched_background_loss",
 ]
 
 MASS_BRANCH = "mass"
@@ -109,17 +106,6 @@ class LossBreakdown(NamedTuple):
     pseudo: float
     total: float
     branches: tuple[str, ...]
-
-
-def background_mass(probs, vocab: Vocabulary) -> float:
-    """Summed probability of the underlying block plus the sub-background slot.
-
-    ``probs`` must be a probability vector aligned with the vocabulary order.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.shape != (vocab.size,):
-        raise ValueError(f"probability vector of length {p.shape} does not match vocabulary size {vocab.size}")
-    return float(p[vocab.background_indices()].sum())
 
 
 # -- per-proposal terms -------------------------------------------------------
@@ -333,25 +319,3 @@ def objective_terms(
     values = {"foreground": foreground, "mass": mass, "uniform": uniform, "switched": switched,
               "pseudo": pseudo, "final": total}
     return ObjectiveTerms(values, live, grad)
-
-
-def switched_background_loss(
-    batch: ProposalBatch,
-    vocab: Vocabulary,
-    tau: float,
-    gamma: float,
-    forced_branches: tuple[str, ...] | None = None,
-) -> tuple[float, tuple[str, ...]]:
-    """Per-proposal switch between the mass loss and the relaxed loss.
-
-    A proposal whose background mass is at least gamma (inclusive) takes the
-    mass branch; otherwise the relaxed branch. The endpoints are admitted so
-    the degenerate identities are expressible: at 0 every proposal takes the
-    mass branch, at 1 only proposals with full background mass do.
-    ``forced_branches`` pins the selection regardless of the current mass.
-    """
-    if not (0.0 <= gamma <= 1.0) and forced_branches is None:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
-    terms = objective_terms(cosines, slices, targets, vocab, tau, gamma, branches=forced_branches)
-    return terms.values["switched"], tuple(forced_branches or terms.branches)

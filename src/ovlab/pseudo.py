@@ -26,7 +26,6 @@ from .discovery import Proposal, nms_indices
 __all__ = [
     "PseudoLabel",
     "BackgroundPartition",
-    "assign_pseudo_label",
     "generate_pseudo_labels",
 ]
 
@@ -59,13 +58,8 @@ def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def assign_pseudo_label(img_feature, centers, tau: float) -> PseudoLabel:
-    """Highest-probability discovered category; ties break toward the smaller index."""
-    return _labels(_center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau))[0]
-
-
 def _labels(probs: np.ndarray) -> list[PseudoLabel]:
-    """One ``PseudoLabel`` per row of center probabilities."""
+    """One ``PseudoLabel`` per row of center probabilities: its best category, ties to the smaller index."""
     cats = probs.argmax(axis=1)
     scores = probs[np.arange(len(probs)), cats]
     return [PseudoLabel(category=c, score=v) for c, v in zip(cats.tolist(), scores.tolist())]

@@ -12,10 +12,10 @@ shrunken underlying sum.
 
 Raw scores at the default temperature span dozens of orders of magnitude,
 so one scorer, ``_shifted_scores``, takes one cosine matrix per call and
-shifts each row by its largest (shrunk) logit before exponentiating. Every
-view reads it: ``score`` for many rows (``inference_probs`` is its one-row
-case), and ``partial_sums`` and ``rectified_underlying_sum`` for one row,
-whose linear block sums are the shifted sums times exp(shift).
+shifts each row by its largest (shrunk) logit before exponentiating; a
+row's linear block sums are its shifted sums times exp(shift). ``score``
+turns them into probabilities for many rows; ``inference_probs`` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -29,28 +29,12 @@ from .core import DimensionMismatchError, check_temperature, logsumexp, unit_cos
 from .vocab import Vocabulary
 
 __all__ = [
-    "PartialSums",
     "RectifiedScores",
-    "partial_sums",
     "compute_shrinking_factors",
     "score",
-    "rectified_underlying_sum",
     "inference_probs",
     "rectification_report",
 ]
-
-
-@dataclass(frozen=True)
-class PartialSums:
-    """Block sums of the raw exponential scores exp(cos/tau); the denominator is their total.
-
-    foreground covers the base and novel blocks together; underlying covers
-    the context-backed block; sub_background is the final slot's score.
-    """
-
-    foreground: float
-    underlying: float
-    sub_background: float
 
 
 @dataclass(frozen=True)
@@ -67,13 +51,6 @@ def _require_inference(vocab: Vocabulary) -> None:
         raise ValueError(
             "inference vocabulary required (build_inference_vocab registers the novel block)"
         )
-
-
-def partial_sums(query, vocab: Vocabulary, tau: float) -> PartialSums:
-    """Block sums of exp(cos/tau) of one query against an inference vocabulary."""
-    shift, fg, under, sub = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, None)
-    scale = np.exp(shift[0])
-    return PartialSums(float(scale * fg[0].sum()), float(scale * under[0].sum()), float(scale * sub[0]))
 
 
 def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
@@ -145,16 +122,6 @@ def score(
     shrink the underlying scores (rectified), ``None`` leaves them whole.
     """
     return _probabilities(*_shifted_scores(features, vocab, tau, factors)[1:])
-
-
-def rectified_underlying_sum(
-    query, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Underlying-block score sum with each term shrunk by its factor."""
-    if factors is None:
-        factors = compute_shrinking_factors(vocab, tau)
-    shift, _, under, _ = _shifted_scores(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, factors)
-    return float(np.exp(shift[0]) * under[0].sum()), factors
 
 
 def inference_probs(

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_fields, from_dict
+from .core import NORM_FLOOR, check_fields, from_dict
 from .discovery import CountEstimate, estimate_category_count, filter_background_proposals, kmeans
 from .encoder import MockTextEncoder, init_context_vectors
 from .losses import (
@@ -420,7 +420,7 @@ class Checkpoint:
             raise ValueError(f"unsupported checkpoint version {rec.get('version')}")
         try:
             encoder = from_dict(MockTextEncoder, rec["encoder"])
-            context = np.asarray(rec["context_vectors"], dtype=np.float64)
+            context, sub = (_floats(key, rec[key]) for key in ("context_vectors", "sub_background"))
             centers = rec["cluster_centers"]
             ckpt = Checkpoint(
                 encoder=encoder,
@@ -429,16 +429,15 @@ class Checkpoint:
                 base_categories=tuple((r["id"], r["name_seed"]) for r in rec["base"]),
                 n_discovered=rec["n_discovered"],
                 context_vectors=context.reshape(0, encoder.ctx_dim) if context.shape == (0,) else context,
-                sub_background=np.asarray(rec["sub_background"], dtype=np.float64),
-                cluster_centers=(
-                    np.asarray(centers, dtype=np.float64) if centers is not None else None
-                ),
+                sub_background=sub,
+                cluster_centers=_floats("cluster_centers", centers) if centers is not None else None,
                 rng_state=rec["rng_state"],
                 branch_totals=rec["branch_totals"],
             )
             shapes = (("context vectors", ckpt.context_vectors,
                         (underlying_count(ckpt.config, ckpt.n_discovered), encoder.ctx_dim)),
-                      ("cluster centers", ckpt.cluster_centers, (ckpt.n_discovered, encoder.dim)))
+                      ("cluster centers", ckpt.cluster_centers, (ckpt.n_discovered, encoder.dim)),
+                      ("a sub-background embedding", sub, (encoder.dim,)))
         except KeyError as exc:
             raise ValueError(f"checkpoint {path} lacks {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -447,6 +446,8 @@ class Checkpoint:
             if rows is not None and rows.shape != want:
                 raise ValueError(f"checkpoint {path} has {name} of shape {rows.shape}, needs {want} "
                                  "(rows of the run, columns of the encoder)")
+        if not np.sqrt(np.add.reduce(sub * sub)) > NORM_FLOOR:  # as ``core.unit_rows`` takes a norm
+            raise ValueError(f"malformed checkpoint {path}: bad sub_background: it has zero norm, so no direction")
         return ckpt
 
     def build_vocab(self) -> Vocabulary:
@@ -454,6 +455,20 @@ class Checkpoint:
         fixed = FixedRows(tuple(i for i, _ in self.base_categories), base_emb, self.encoder,
                           len(self.context_vectors), self.n_discovered, self.config.baseline_mode)
         return build_training_vocab(fixed, self.context_vectors, self.sub_background)
+
+
+def _floats(key: str, value) -> np.ndarray:
+    """A checkpoint field ``key``, nested lists of ints and floats, as a float64 array of finite entries; a bool or a
+    numeric string (which numpy would coerce), NaN, Infinity or an int too large for a float is a ``ValueError``."""
+    try:
+        if bad := [v for v in np.asarray(value, dtype=object).flat if type(v) not in (int, float)]:
+            raise ValueError(f"entry {bad[0]!r} is not an int or a float")
+        arr = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"entry {arr[~np.isfinite(arr)][0]} is not finite")
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {key}: {exc}") from None
+    return arr
 
 
 def filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndarray]:

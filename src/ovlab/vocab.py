@@ -157,10 +157,6 @@ class Vocabulary:
         """Base and novel blocks together."""
         return slice(0, self.n_base + self.n_novel)
 
-    def background_indices(self) -> np.ndarray:
-        """Positions of the underlying block plus the sub-background slot (a read-only array)."""
-        return self.block_indices.background
-
     def base_position(self, base_id: int) -> int:
         try:
             return self.base_ids.index(base_id)

@@ -1,8 +1,10 @@
 """Independent scalar references that tests compare the production paths against.
 
 Each one computes its quantity the slow, direct way (one pair, one category
-pair, one coordinate, one cluster or one proposal at a time) from the
-``ovlab.core`` primitives only. A few are exceptions. The encoder's
+pair, one coordinate, one cluster or one proposal at a time) from the scalar
+``cosine`` and ``softmax_probs`` here and the ``ovlab.core`` primitives
+only; the package itself scores rows as matrices and keeps no scalar
+cosine or softmax. A few are exceptions. The encoder's
 Jacobian-vector product reads the encoder's frozen weights; it is the
 forward-mode derivative that the reverse-mode ``encode_context_vjp`` is
 checked against. The per-restart k-means runs the production distance and
@@ -39,14 +41,13 @@ import numpy as np
 from ovlab.core import (
     NORM_FLOOR,
     DimensionMismatchError,
+    ZeroNormError,
     check_temperature,
-    cosine,
     cosine_matrix,
     from_dict,
     is_integer,
     log_softmax_rows,
     logsumexp,
-    softmax_probs,
 )
 from ovlab.discovery import (
     KMEANS_MAX_ITERS,
@@ -142,6 +143,57 @@ def filter_background_rows(boxes, scores, gt_boxes, theta: float, gt_iou_cut: fl
                  if score >= theta and all(iou(box, g) < gt_iou_cut for g in gt_boxes)]
     kept = greedy_nms([boxes[i] for i in survivors], [scores[i] for i in survivors], nms_iou)
     return [survivors[i] for i in kept]
+
+
+# -- scalar cosine and softmax, one pair at a time ------------------------------
+
+
+def as_embedding(v, dim: int | None = None) -> np.ndarray:
+    """Validate and return a 1-D float64 embedding vector.
+
+    Checks finiteness and, when `dim` is given, the dimension. Does not
+    require unit norm: rectification and finite-difference stencils evaluate
+    cosines at slightly off-sphere points.
+    """
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"embedding must be 1-D, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("embedding has non-finite entries")
+    return arr
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two vectors, in [-1, 1].
+
+    Uses the full norm division rather than assuming unit inputs, so values
+    stay exact for vectors that drift off the sphere mid-optimizer-step.
+    """
+    av = as_embedding(a)
+    bv = as_embedding(b, dim=av.shape[0])
+    na = float(np.linalg.norm(av))
+    nb = float(np.linalg.norm(bv))
+    if na <= NORM_FLOOR or nb <= NORM_FLOOR:
+        raise ZeroNormError("cosine undefined for zero-norm input")
+    c = float(np.dot(av, bv) / (na * nb))
+    # Rounding can push |c| a hair past 1; clamp so exp(c/tau) stays in range.
+    return min(1.0, max(-1.0, c))
+
+
+def softmax_probs(query, categories, tau: float) -> np.ndarray:
+    """Temperature-scaled softmax of a query embedding over an ordered category list.
+
+    Probabilities are strictly positive, sum to 1 within 1e-9, and are
+    aligned with the order of `categories`.
+    """
+    tau = check_temperature(tau)
+    q = as_embedding(query)
+    if len(categories) == 0:
+        raise ValueError("softmax over an empty category list")
+    z = np.array([cosine(q, c) / tau for c in categories])
+    return np.exp(z - logsumexp(z))
 
 
 def cos_exp_score(a, b, tau: float) -> float:
@@ -416,8 +468,8 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
         grads["foreground"][rows] = g / g.shape[0]
     if "background" in slices:
         rows = slices["background"]
-        mass_vals, g_mass, masses = _mass(z[rows], vocab.background_indices())
-        uniform_vals, g_uniform = _uniform(z[rows], vocab.background_indices())
+        mass_vals, g_mass, masses = _mass(z[rows], vocab.block_indices.background)
+        uniform_vals, g_uniform = _uniform(z[rows], vocab.block_indices.background)
         branches = tuple(MASS_BRANCH if m >= config.relax_threshold else UNIFORM_BRANCH for m in masses)
         sel = np.array([b == MASS_BRANCH for b in branches])
         n = len(branches)

@@ -14,29 +14,26 @@ import numpy as np
 import pytest
 
 from ovlab.cli import gradcheck_table, main
-from ovlab.core import softmax_probs
+from ovlab.core import log_softmax_rows
 from ovlab.discovery import kmeans, estimate_category_count, nms_indices, iou
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import (
     MASS_BRANCH,
     UNIFORM_BRANCH,
     ProposalBatch,
-    background_mass,
-    switched_background_loss,
+    mass_terms,
+    objective_terms,
+    proposal_blocks,
+    proposal_groups,
 )
 from ovlab.metrics import AblationCombo, AblationSpec, run_ablation
-from ovlab.pseudo import assign_pseudo_label, generate_pseudo_labels
-from ovlab.rectify import (
-    compute_shrinking_factors,
-    inference_probs,
-    partial_sums,
-    rectified_underlying_sum,
-)
+from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
+from ovlab.rectify import compute_shrinking_factors, score
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
 from oracles import records
-from util import make_proposal, make_vocab, unit
+from util import block_sums, make_proposal, make_vocab, unit
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -76,13 +73,13 @@ def test_criterion_1_normalization_suite():
         for _ in range(10):
             q = unit(rng, 16)
             for tau in (1.0, 0.02):
-                probs = softmax_probs(q, cats, tau)
-                worst_sum = max(worst_sum, abs(float(probs.sum()) - 1.0))
-                sums = partial_sums(q, vocab, tau)
+                probs, bg_mass = score(q[None, :], vocab, tau)
+                worst_sum = max(worst_sum, abs(float(probs.sum() + bg_mass[0]) - 1.0))
+                foreground, underlying, sub_background = block_sums(q, vocab, tau)
                 brute = math.fsum(
                     math.exp(float(np.dot(q, e) / np.linalg.norm(e)) / tau) for e in cats
                 )
-                recon = sums.foreground + sums.underlying + sums.sub_background
+                recon = foreground + underlying + sub_background
                 worst_recon = max(worst_recon, abs(recon - brute) / brute)
             pairs += 1
     elapsed = time.monotonic() - start
@@ -147,22 +144,20 @@ def test_criterion_3_rectification_suite():
                 worst_oracle = max(worst_oracle, dev / max(expected, 1e-300))
         for _ in range(20):
             q = unit(rng, 16)
-            sums = partial_sums(q, vocab, tau)
-            shrunk, _ = rectified_underlying_sum(q, vocab, tau, factors=factors)
-            plain = inference_probs(q, vocab, tau, rectify=False)
-            fixed = inference_probs(q, vocab, tau, rectify=True, factors=factors)
+            underlying = block_sums(q, vocab, tau)[1]
+            shrunk = block_sums(q, vocab, tau, factors)[1]
+            plain = score(q[None, :], vocab, tau)[0][0]
+            fixed = score(q[None, :], vocab, tau, factors)[0][0]
             # (b) shrunken sum never exceeds the plain sum.
-            if shrunk > sums.underlying * (1 + 1e-12):
+            if shrunk > underlying * (1 + 1e-12):
                 ok, detail = False, "rectified sum exceeded plain sum"
                 break
             # (c) rectification never lowers a foreground probability.
-            if not np.all(fixed.probabilities >= plain.probabilities - 1e-15):
+            if not np.all(fixed >= plain - 1e-15):
                 ok, detail = False, "rectified probability decreased"
                 break
             # (d) empty novel block: exact identity.
-            if n_novel == 0 and not np.allclose(
-                fixed.probabilities, plain.probabilities, atol=1e-12
-            ):
+            if n_novel == 0 and not np.allclose(fixed, plain, atol=1e-12):
                 ok, detail = False, "identity violated with empty novel block"
                 break
             # (e) term-by-term oracle for the rectified probabilities.
@@ -177,7 +172,7 @@ def test_criterion_3_rectification_suite():
             denom_oracle = math.fsum(scores[:fg_n]) + shrunk_oracle + scores[-1]
             for i in range(fg_n):
                 expected = scores[i] / denom_oracle
-                dev = abs(fixed.probabilities[i] - expected) / max(expected, 1e-300)
+                dev = abs(fixed[i] - expected) / max(expected, 1e-300)
                 worst_oracle = max(worst_oracle, dev)
             cases += 1
         if not ok:
@@ -304,8 +299,8 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
 
     rng = np.random.default_rng(5005)
     invariant = all(
-        assign_pseudo_label(q, centers, tau=1.0).category
-        == assign_pseudo_label(q, centers, tau=0.02).category
+        _labels(_center_probs(q[None, :], centers, tau=1.0))[0].category
+        == _labels(_center_probs(q[None, :], centers, tau=0.02))[0].category
         for q in (unit(rng, scen.config.dim) for _ in range(1000))
     )
     elapsed = time.monotonic() - start
@@ -334,27 +329,28 @@ def test_criterion_6_branch_suite():
         q = c_base * eye[0] + c_sub * eye[1] + residual * eye[3]
         return make_proposal(q / np.linalg.norm(q))
 
+    def groups(batch):
+        return proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+
+    def switch(batch, gamma):
+        _, slices, targets, cosines = groups(batch)
+        return objective_terms(cosines, slices, targets, vocab, tau, gamma).branches
+
     below = with_mass(gamma - 1e-6)
     above = with_mass(gamma + 1e-6)
     batch = ProposalBatch(foreground=(), background=(below, above))
-    _, branches = switched_background_loss(batch, vocab, tau, gamma=gamma)
+    branches = switch(batch, gamma=gamma)
     eps_ok = branches == (UNIFORM_BRANCH, MASS_BRANCH)
 
     # Knife edge: the threshold equals the computed mass bit-for-bit, and the
     # inclusive comparison must select the mass branch.
-    knife = with_mass(gamma)
-    probs = softmax_probs(knife.det_feature, list(vocab.embeddings), tau)
-    exact_mass = background_mass(probs, vocab)
+    knife = ProposalBatch(foreground=(), background=(with_mass(gamma),))
+    _, slices, _, cosines = groups(knife)
+    logp = log_softmax_rows(cosines / tau)[slices["background"]]
+    exact_mass = float(mass_terms(logp[:, vocab.block_indices.background])[2][0])
     assert abs(exact_mass - gamma) < 1e-12
-    _, eq_branches = switched_background_loss(
-        ProposalBatch(foreground=(), background=(knife,)), vocab, tau, gamma=exact_mass
-    )
-    _, above_branches = switched_background_loss(
-        ProposalBatch(foreground=(), background=(knife,)),
-        vocab,
-        tau,
-        gamma=float(np.nextafter(exact_mass, 1.0)),
-    )
+    eq_branches = switch(knife, gamma=exact_mass)
+    above_branches = switch(knife, gamma=float(np.nextafter(exact_mass, 1.0)))
     edge_ok = eq_branches == (MASS_BRANCH,) and above_branches == (UNIFORM_BRANCH,)
     elapsed = time.monotonic() - start
     _report(

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, overrides, manifests, determinism."""
 
 import json
+import math
 import re
 
 import pytest
@@ -507,6 +508,7 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
     short = dict(rec, context_vectors=rec["context_vectors"][:-1])
     centers = dict(rec, cluster_centers=rec["cluster_centers"][:-1])
     narrow = dict(rec, cluster_centers=[row[:-1] for row in rec["cluster_centers"]])
+    sub, (center, *others), (context, *rest) = rec["sub_background"], rec["cluster_centers"], rec["context_vectors"]
     for name, payload, message in (
         ("list", [rec], "not a checkpoint"),
         ("missing", {k: v for k, v in rec.items() if k != "sub_background"}, "sub_background"),
@@ -514,6 +516,18 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
         ("centers", centers, "cluster centers"),
         ("narrow", narrow, "cluster centers"),
         ("config", dict(rec, train_config=dict(rec["train_config"], bogus=1)), "bogus"),
+        # JSON's NaN and Infinity parse, and numpy would take true as 1.0 and "0.5" as 0.5.
+        ("sub_nan", dict(rec, sub_background=[math.nan, *sub[1:]]), "bad sub_background: entry nan is not finite"),
+        ("sub_inf", dict(rec, sub_background=[*sub[:-1], math.inf]), "bad sub_background: entry inf is not finite"),
+        ("sub_true", dict(rec, sub_background=[True, *sub[1:]]), "bad sub_background: entry True is not"),
+        ("sub_string", dict(rec, sub_background=["0.5", *sub[1:]]), "bad sub_background: entry '0.5' is not"),
+        ("sub_huge", dict(rec, sub_background=[10**400, *sub[1:]]), "bad sub_background: int too large"),
+        ("sub_zero", dict(rec, sub_background=[0.0] * len(sub)), "bad sub_background: it has zero norm"),
+        ("sub_width", dict(rec, sub_background=sub[1:]), "sub-background embedding of shape"),
+        ("center_nan", dict(rec, cluster_centers=[[math.nan, *center[1:]], *others]),
+         "bad cluster_centers: entry nan is not finite"),
+        ("context_inf", dict(rec, context_vectors=[[-math.inf, *context[1:]], *rest]),
+         "bad context_vectors: entry -inf is not finite"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))

@@ -1,4 +1,4 @@
-"""Cosine, exponential-score, and softmax primitives."""
+"""Cosine, exponential-score, and softmax primitives, and the scalar oracles that check them."""
 
 import math
 
@@ -8,27 +8,34 @@ import pytest
 from ovlab.core import (
     DimensionMismatchError,
     ZeroNormError,
-    cosine,
+    cosine_matrix,
     log_softmax_rows,
     logsumexp,
-    softmax_probs,
 )
 
-from oracles import cos_exp_score
+from oracles import cos_exp_score, cosine, softmax_probs
+
+
+def _softmax(query, categories, tau):
+    """The package's softmax of one query: a row log-softmax of its cosine-matrix logits."""
+    return np.exp(log_softmax_rows(cosine_matrix(np.atleast_2d(query), np.asarray(categories)) / tau))[0]
 
 
 def test_cosine_identity():
     v = np.array([0.3, -0.4, 0.5])
     assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert cosine_matrix(v[None], v[None])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_antipodal():
     v = np.array([0.3, -0.4, 0.5])
     assert cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
+    assert cosine_matrix(v[None], -v[None])[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_cosine_orthogonal():
     assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert cosine_matrix(np.eye(2)[:1], np.eye(2)[1:]).tolist() == [[0.0]]
 
 
 def test_cosine_errors():
@@ -36,6 +43,10 @@ def test_cosine_errors():
         cosine([1.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(ZeroNormError):
         cosine([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        cosine_matrix(np.ones((1, 2)), np.ones((1, 3)))
+    with pytest.raises(ZeroNormError):
+        cosine_matrix(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 def test_cos_exp_score_zero_cosine():
@@ -81,21 +92,21 @@ def test_invalid_temperature():
 
 
 def test_softmax_single_category():
-    np.testing.assert_allclose(softmax_probs([1.0, 0.0], [[0.0, 1.0]], tau=0.5), [1.0])
+    np.testing.assert_allclose(_softmax([1.0, 0.0], [[0.0, 1.0]], tau=0.5), [1.0])
 
 
 def test_softmax_equal_cosines():
     # Query equidistant from two categories.
     q = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     cats = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    np.testing.assert_allclose(softmax_probs(q, cats, tau=0.02), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(_softmax(q, cats, tau=0.02), [0.5, 0.5], atol=1e-12)
 
 
 def test_softmax_three_categories_scalar_oracle():
     # Cosines (1, 0, -1) at tau = 1, evaluated by direct scalar arithmetic.
     q = np.array([1.0, 0.0])
     cats = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
-    probs = softmax_probs(q, cats, tau=1.0)
+    probs = _softmax(q, cats, tau=1.0)
     raw = [math.exp(1.0), math.exp(0.0), math.exp(-1.0)]
     expected = [r / sum(raw) for r in raw]
     np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -111,6 +122,8 @@ def test_softmax_empty_categories():
 def test_softmax_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         softmax_probs([1.0, 0.0], [[1.0, 0.0, 0.0]], tau=1.0)
+    with pytest.raises(DimensionMismatchError):
+        _softmax([1.0, 0.0], [[1.0, 0.0, 0.0]], tau=1.0)
 
 
 def _random_unit(rng, d):
@@ -128,7 +141,8 @@ def test_softmax_normalization_and_range_sweep():
             m = int(rng.integers(2, 12))
             q = _random_unit(rng, 16)
             cats = [_random_unit(rng, 16) for _ in range(m)]
-            p = softmax_probs(q, cats, tau)
+            p = _softmax(q, cats, tau)
+            np.testing.assert_allclose(p, softmax_probs(q, cats, tau), rtol=1e-12, atol=0)
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p > 0.0) and np.all(p <= 1.0)
             if tau == 1.0:
@@ -140,9 +154,9 @@ def test_softmax_argmax_temperature_invariance():
     for _ in range(200):
         q = _random_unit(rng, 12)
         cats = [_random_unit(rng, 12) for _ in range(6)]
-        a = softmax_probs(q, cats, tau=1.0).argmax()
-        b = softmax_probs(q, cats, tau=0.02).argmax()
-        c = softmax_probs(q, cats, tau=3.7).argmax()
+        a = _softmax(q, cats, tau=1.0).argmax()
+        b = _softmax(q, cats, tau=0.02).argmax()
+        c = _softmax(q, cats, tau=3.7).argmax()
         assert a == b == c
 
 

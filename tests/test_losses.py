@@ -5,21 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.core import softmax_probs
+from ovlab.core import log_softmax_rows
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import (
     MASS_BRANCH,
     UNIFORM_BRANCH,
     ProposalBatch,
-    background_mass,
+    mass_terms,
     objective_terms,
     proposal_blocks,
     proposal_groups,
-    switched_background_loss,
 )
 from ovlab.pseudo import BackgroundPartition, PseudoLabel
 
-from oracles import proposal_groups as oracle_groups
+from oracles import proposal_groups as oracle_groups, softmax_probs
 from util import make_proposal, make_vocab, training_vocab, unit
 
 
@@ -39,41 +38,53 @@ def _batch(fg=(), bg=()):
     return ProposalBatch(foreground=tuple(fg), background=tuple(bg))
 
 
+def _terms(batch, vocab, tau, gamma=0.0):
+    """``objective_terms`` of a batch without pseudo-labels."""
+    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    return objective_terms(cosines, slices, targets, vocab, tau, gamma)
+
+
 def _loss(component, batch, vocab, tau):
     """One component of the objective on a batch without pseudo-labels."""
-    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau).values[component]
+    return _terms(batch, vocab, tau).values[component]
 
 
-# -- background_mass -----------------------------------------------------------
+def _switched(batch, vocab, tau, gamma):
+    """The switched loss of a batch and the switch pattern its background masses select."""
+    terms = _terms(batch, vocab, tau, gamma)
+    return terms.values["switched"], terms.branches
+
+
+def _masses(batch, vocab, tau):
+    """Each background proposal's background mass, the value ``objective_terms`` compares with gamma."""
+    _, slices, _, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    logp = log_softmax_rows(cosines / tau)
+    return mass_terms(logp[slices["background"]][:, vocab.block_indices.background])[2]
+
+
+# -- background mass -------------------------------------------------------------
 
 
 def test_background_mass_no_base_categories():
     vocab = make_vocab(base_emb=np.zeros((0, 3)), under_emb=np.eye(3)[:2], sub=np.eye(3)[2])
-    probs = softmax_probs(unit(np.random.default_rng(0), 3), list(vocab.embeddings), tau=1.0)
-    assert background_mass(probs, vocab) == pytest.approx(1.0, abs=1e-12)
+    q = unit(np.random.default_rng(0), 3)
+    assert _masses(_batch(bg=[make_proposal(q)]), vocab, tau=1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_background_mass_symmetric_thirds():
     vocab = _eye_vocab(1, 1)
     q = np.ones(3) / math.sqrt(3.0)  # equal cosine to all three categories
-    probs = softmax_probs(q, list(vocab.embeddings), tau=0.7)
-    assert background_mass(probs, vocab) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert _masses(_batch(bg=[make_proposal(q)]), vocab, tau=0.7)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_background_mass_matches_index_sum_oracle():
     rng = np.random.default_rng(1)
     vocab = _eye_vocab(2, 2, d=8)
-    for _ in range(20):
-        probs = softmax_probs(unit(rng, 8), list(vocab.embeddings), tau=0.5)
+    bg = [make_proposal(unit(rng, 8)) for _ in range(20)]
+    for p, mass in zip(bg, _masses(_batch(bg=bg), vocab, tau=0.5)):
+        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.5)
         oracle = sum(probs[i] for i in (2, 3, 4))  # underlying rows then sub slot
-        assert background_mass(probs, vocab) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_background_mass_length_mismatch():
-    vocab = _eye_vocab(2, 1)
-    with pytest.raises(ValueError):
-        background_mass(np.ones(3) / 3, vocab)
+        assert mass == pytest.approx(oracle, abs=1e-12)
 
 
 # -- foreground loss -------------------------------------------------------------
@@ -214,8 +225,7 @@ def test_relaxed_loss_brute_force_oracle():
 
 
 def _mass_of(proposal, vocab, tau):
-    probs = softmax_probs(proposal.det_feature, list(vocab.embeddings), tau)
-    return background_mass(probs, vocab)
+    return float(_masses(_batch(bg=[proposal]), vocab, tau)[0])
 
 
 def _proposal_with_mass(vocab, tau, target):
@@ -249,9 +259,9 @@ def test_switch_inclusive_at_threshold():
     p = _proposal_with_mass(vocab, tau, 0.02)
     mass = _mass_of(p, vocab, tau)
     # Exactly at the threshold the mass branch is taken (inclusive).
-    _, branches = switched_background_loss(_batch(bg=[p]), vocab, tau, gamma=mass)
+    _, branches = _switched(_batch(bg=[p]), vocab, tau, gamma=mass)
     assert branches == (MASS_BRANCH,)
-    _, branches = switched_background_loss(
+    _, branches = _switched(
         _batch(bg=[p]), vocab, tau, gamma=float(np.nextafter(mass, 1.0))
     )
     assert branches == (UNIFORM_BRANCH,)
@@ -263,7 +273,7 @@ def test_switch_epsilon_around_default_threshold():
     gamma = 0.02
     below = _proposal_with_mass(vocab, tau, gamma - 1e-6)
     above = _proposal_with_mass(vocab, tau, gamma + 1e-6)
-    _, branches = switched_background_loss(_batch(bg=[below, above]), vocab, tau, gamma=gamma)
+    _, branches = _switched(_batch(bg=[below, above]), vocab, tau, gamma=gamma)
     assert branches == (UNIFORM_BRANCH, MASS_BRANCH)
 
 
@@ -271,7 +281,7 @@ def test_switch_gamma_zero_equals_mass_loss():
     rng = np.random.default_rng(10)
     vocab = _eye_vocab(2, 3, d=8)
     bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
-    value, branches = switched_background_loss(_batch(bg=bg), vocab, tau=0.3, gamma=0.0)
+    value, branches = _switched(_batch(bg=bg), vocab, tau=0.3, gamma=0.0)
     assert set(branches) == {MASS_BRANCH}
     assert value == _loss("mass", _batch(bg=bg), vocab, tau=0.3)
 
@@ -280,27 +290,18 @@ def test_switch_gamma_one_equals_relaxed_loss():
     rng = np.random.default_rng(11)
     vocab = _eye_vocab(2, 3, d=8)
     bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
-    value, branches = switched_background_loss(_batch(bg=bg), vocab, tau=0.3, gamma=1.0)
+    value, branches = _switched(_batch(bg=bg), vocab, tau=0.3, gamma=1.0)
     assert set(branches) == {UNIFORM_BRANCH}
     assert value == _loss("uniform", _batch(bg=bg), vocab, tau=0.3)
-
-
-def test_switch_gamma_out_of_range():
-    vocab = _two_cat_vocab()
-    rng = np.random.default_rng(12)
-    batch = _batch(bg=[make_proposal(unit(rng, 4))])
-    for gamma in (-0.1, 1.5):
-        with pytest.raises(ValueError):
-            switched_background_loss(batch, vocab, tau=1.0, gamma=gamma)
 
 
 def test_switch_permutation_invariance():
     rng = np.random.default_rng(13)
     vocab = _eye_vocab(3, 2, d=9)
     bg = [make_proposal(unit(rng, 9)) for _ in range(8)]
-    v1, b1 = switched_background_loss(_batch(bg=bg), vocab, tau=0.1, gamma=0.02)
+    v1, b1 = _switched(_batch(bg=bg), vocab, tau=0.1, gamma=0.02)
     order = list(reversed(range(len(bg))))
-    v2, b2 = switched_background_loss(
+    v2, b2 = _switched(
         _batch(bg=[bg[i] for i in order]), vocab, tau=0.1, gamma=0.02
     )
     assert v1 == pytest.approx(v2, rel=1e-14)
@@ -315,7 +316,7 @@ def test_all_losses_nonnegative_random_sweep():
         batch = _batch(bg=bg)
         assert _loss("mass", batch, vocab, tau) >= 0.0
         assert _loss("uniform", batch, vocab, tau) >= 0.0
-        value, _ = switched_background_loss(batch, vocab, tau, gamma=0.02)
+        value, _ = _switched(batch, vocab, tau, gamma=0.02)
         assert value >= 0.0
 
 

@@ -1,11 +1,12 @@
 """The production package holds production code.
 
-Every function a module of ``src/ovlab`` exports through ``__all__`` must be
-used by the package itself, be part of the acceptance suite's interface, or
-be a function the benchmark tracer hooks. Every public method and property
-of a class in ``src/ovlab`` must be read by the package, the acceptance
-suite or the benchmark. A function only other tests call belongs in the
-tests (scalar oracles live in ``tests/oracles.py``).
+Every public top-level function and class of ``src/ovlab`` is reached from
+``cli.main``, the one entry point, by a static name walk, or is named in
+``UNREACHED`` with the reason it stays; a listed name that is gone or has
+become reachable fails too, so the list cannot go stale. Every public
+method and property of a class in ``src/ovlab`` must be read by the
+package, the acceptance suite or the benchmark. A function only tests call
+belongs in the tests (scalar oracles live in ``tests/oracles.py``).
 
 Every name has one home: the package root re-exports nothing, a module's
 ``__all__`` lists only names it defines, and no module imports another's
@@ -43,15 +44,6 @@ def _all(tree: ast.Module) -> list[str]:
     return []
 
 
-def _exported_functions(tree: ast.Module) -> list[str]:
-    """Names in ``__all__`` that the module defines as top-level functions."""
-    exported = set(_all(tree))
-    return sorted(
-        node.name for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in exported
-    )
-
-
 def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
     """Names read (or attributes taken) anywhere in ``tree`` outside ``skip``'s body."""
     names = set()
@@ -68,49 +60,77 @@ def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def _imports(tree: ast.Module) -> set[tuple[str, str]]:
-    """(module, name) of every ``from ovlab.<module> import name`` or ``from .<module> import name``."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            module = node.module.removeprefix("ovlab.")
-            found.update((module, alias.name) for alias in node.names)
+# Public names no command reaches that stay, with the reason each stays.
+UNREACHED = {
+    ("trainer", "loss_final"): "the benchmark tracer hooks it (bench/tracing.py, trainer.loss)",
+    ("trainer", "compute_gradients"): "the benchmark tracer hooks it (bench/tracing.py, trainer.grad)",
+    ("rectify", "inference_probs"): "the benchmark tracer hooks it (bench/tracing.py, rectify.score)",
+    ("rectify", "RectifiedScores"): "what inference_probs returns",
+}
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each name a module's top level binds by ``def``, ``class`` or assignment, with its statement."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign):
+            found.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found[node.target.id] = node
     return found
 
 
-def _hook_targets() -> set[tuple[str, str]]:
-    """(module, attribute) of every ``Hook(...)`` in the benchmark tracer's ``HOOKS`` table."""
-    tree = _parse(ROOT / "bench" / "tracing.py")
-    targets = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook":
-            module, attr = (ast.literal_eval(a) for a in node.args[1:3])
-            targets.add((module.removeprefix("ovlab."), attr))
-    return targets
+def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """Every ``from .<module> import ...`` or ``from ovlab.<module> import ...`` in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ovlab")
+    ]
 
 
-def test_every_exported_function_has_a_production_caller():
+def _package_bindings(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Each name bound by ``from .<module> import name`` or ``from ovlab.<module> import name``, to (module, name)."""
+    return {alias.asname or alias.name: ((node.module or "").removeprefix("ovlab."), alias.name)
+            for node in _package_imports(tree) for alias in node.names}
+
+
+def _reached_from_main(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of every top-level definition a static walk reaches from ``cli.main``.
+
+    A definition reaches each name its statement reads (a class, all that its
+    body reads), found among its module's top-level definitions or its
+    package imports. Over-approximate (a local that shadows a top-level name
+    counts), so a definition it leaves unreached is one no command can run.
+    """
+    definitions = {m: _definitions(t) for m, t in trees.items()}
+    bindings = {m: _package_bindings(t) for m, t in trees.items()}
+    reached, stack = set(), [("cli", "main")]
+    while stack:
+        module, name = key = stack.pop()
+        if key in reached or name not in definitions.get(module, {}):
+            continue
+        reached.add(key)
+        for node in ast.walk(definitions[module][name]):
+            if isinstance(node, ast.Name):
+                if node.id in definitions[module]:
+                    stack.append((module, node.id))
+                elif node.id in bindings[module]:
+                    stack.append(bindings[module][node.id])
+    return reached
+
+
+def test_every_public_definition_is_reached_from_cli_main():
     trees = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
-    acceptance = _imports(_parse(ROOT / "tests" / "test_acceptance.py"))
-    hooks = _hook_targets()
-    unused = []
-    for module, tree in trees.items():
-        for name in _exported_functions(tree):
-            if (module, name) in acceptance or (module, name) in hooks:
-                continue
-            definition = next(
-                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name
-            )
-            if name in _references(tree, skip=definition):
-                continue
-            importers = [
-                other for m, other in trees.items()
-                if m != module and (module, name) in _imports(other)
-            ]
-            if any(name in _references(other) for other in importers):
-                continue
-            unused.append(f"{module}.{name}")
-    assert not unused, f"exported functions with no caller in src/ovlab: {unused}"
+    reached = _reached_from_main(trees)
+    public = {(m, node.name) for m, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    unreached = sorted(f"{m}.{n}" for m, n in public - reached - UNREACHED.keys())
+    assert not unreached, f"public functions and classes no path from cli.main reaches: {unreached}"
+    stale = sorted(f"{m}.{n}" for m, n in UNREACHED if (m, n) not in public or (m, n) in reached)
+    assert not stale, f"UNREACHED names that are gone or now reached from cli.main: {stale}"
 
 
 def test_every_public_method_and_property_is_read():
@@ -130,15 +150,6 @@ def test_every_public_method_and_property_is_read():
     assert not unread, f"public methods and properties nothing in src/ovlab, the acceptance suite or bench reads: {unread}"
 
 
-def _package_imports(tree: ast.Module) -> list[ast.ImportFrom]:
-    """Every ``from .<module> import ...`` or ``from ovlab.<module> import ...`` in ``tree``."""
-    return [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").split(".")[0] == "ovlab")
-    ]
-
-
 def test_the_package_root_binds_no_name_of_another_module():
     tree = _parse(PACKAGE / "__init__.py")
     imported = [alias.name for node in _package_imports(tree) for alias in node.names]
@@ -153,14 +164,7 @@ def test_every_name_in_all_is_defined_in_its_module():
     foreign = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
-        defined = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Assign):
-                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined.add(node.target.id)
+        defined = _definitions(tree)
         foreign += [f"{path.stem}.{name}" for name in _all(tree) if name not in defined]
     assert not foreign, f"names exported by a module that does not define them: {foreign}"
 

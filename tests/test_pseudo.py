@@ -5,24 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.core import softmax_probs
 from ovlab.discovery import iou
 from ovlab.losses import ProposalBatch, objective_terms, proposal_blocks, proposal_groups
 from ovlab.pseudo import (
     BackgroundPartition,
     PseudoLabel,
     _center_probs,
-    assign_pseudo_label,
+    _labels,
     generate_pseudo_labels,
 )
 
-from oracles import records, rowwise_pseudo_labels
+from oracles import records, rowwise_pseudo_labels, softmax_probs
 from util import make_proposal, make_vocab, unit
 
 
 def center_probs(img_feature, centers, tau):
     """The batched path's center probabilities of one feature."""
     return _center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau)[0]
+
+
+def label_of(img_feature, centers, tau):
+    """The labeller's label of one feature: its best center, ties to the smaller index."""
+    return _labels(_center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau))[0]
 
 
 def test_center_probs_matched_center_saturates():
@@ -50,7 +54,7 @@ def test_center_probs_empty_centers():
 
 def test_assign_label_matches_center_index():
     centers = np.eye(5)[:4]
-    label = assign_pseudo_label(np.eye(5)[2], centers, tau=0.02)
+    label = label_of(np.eye(5)[2], centers, tau=0.02)
     assert label.category == 2
     assert label.score >= 1.0 - 1e-18
 
@@ -60,8 +64,8 @@ def test_assign_label_temperature_invariant_argmax():
     centers = np.array([unit(rng, 12) for _ in range(6)])
     for _ in range(1000):
         q = unit(rng, 12)
-        a = assign_pseudo_label(q, centers, tau=1.0).category
-        b = assign_pseudo_label(q, centers, tau=0.02).category
+        a = label_of(q, centers, tau=1.0).category
+        b = label_of(q, centers, tau=0.02).category
         assert a == b
 
 
@@ -70,14 +74,14 @@ def test_assign_label_brute_force_nearest_center():
     centers = np.array([unit(rng, 8) for _ in range(5)])
     for _ in range(200):
         q = unit(rng, 8)
-        picked = assign_pseudo_label(q, centers, tau=0.5).category
+        picked = label_of(q, centers, tau=0.5).category
         best = max(range(5), key=lambda j: (float(q @ centers[j]), -j))
         assert picked == best
 
 
 def test_assign_label_tie_breaks_to_smaller_index():
     centers = np.stack([np.eye(3)[0], np.eye(3)[0]])  # duplicated center
-    assert assign_pseudo_label(np.eye(3)[0], centers, tau=1.0).category == 0
+    assert label_of(np.eye(3)[0], centers, tau=1.0).category == 0
 
 
 def _bg_proposal(rng, d, img_feature=None):

@@ -5,20 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.core import DimensionMismatchError, cosine_matrix, softmax_probs
+from ovlab.core import DimensionMismatchError, cosine_matrix
 from ovlab.encoder import MockTextEncoder
 import ovlab.rectify as rectify
 from ovlab.rectify import (
     compute_shrinking_factors,
     inference_probs,
-    partial_sums,
-    rectified_underlying_sum,
     score,
 )
 from ovlab.vocab import CategoryId, Kind, build_inference_vocab
 
-from oracles import conditional_prob
-from util import make_vocab, training_vocab, unit
+from oracles import conditional_prob, softmax_probs
+from util import block_sums, make_vocab, training_vocab, unit
 
 
 def _random_inference_vocab(rng, n_base=3, n_novel=2, n_under=3, d=12, inference=True):
@@ -40,6 +38,12 @@ def _oracle_scores(q, vocab, tau):
     return out
 
 
+def _score_row(q, vocab, tau, factors=None):
+    """``score`` of one query: its foreground probabilities and its background mass."""
+    probs, bg_mass = score(q[None, :], vocab, tau, factors)
+    return probs[0], float(bg_mass[0])
+
+
 def test_vocabulary_cosines_are_the_cosine_matrix():
     # Scoring and the shrinking factors take their cosines against the unit
     # rows the vocabulary holds instead of normalizing it per call; that must
@@ -56,23 +60,23 @@ def test_vocabulary_cosines_are_the_cosine_matrix():
         rectify._vocab_cosines(np.ones(12), vocab)
 
 
-# -- partial sums ---------------------------------------------------------------
+# -- block sums -----------------------------------------------------------------
 
 
 def test_partial_sums_requires_inference_vocab():
     rng = np.random.default_rng(0)
     vocab = _random_inference_vocab(rng, n_novel=0, inference=False)
     with pytest.raises(ValueError):
-        partial_sums(unit(rng, 12), vocab, tau=1.0)
+        block_sums(unit(rng, 12), vocab, tau=1.0)
 
 
 def test_partial_sums_empty_novel_covers_base_only():
     rng = np.random.default_rng(1)
     vocab = _random_inference_vocab(rng, n_novel=0)
     q = unit(rng, 12)
-    sums = partial_sums(q, vocab, tau=0.7)
+    foreground, _, _ = block_sums(q, vocab, tau=0.7)
     scores = _oracle_scores(q, vocab, 0.7)
-    assert sums.foreground == pytest.approx(sum(scores[:3]), rel=1e-12)
+    assert foreground == pytest.approx(sum(scores[:3]), rel=1e-12)
 
 
 def test_partial_sums_orthogonal_blocks_count_members():
@@ -83,10 +87,10 @@ def test_partial_sums_orthogonal_blocks_count_members():
         base_emb=eye[:3], novel_emb=eye[3:5], under_emb=eye[5:8], sub=eye[8]
     )
     q = eye[11]
-    sums = partial_sums(q, vocab, tau=0.4)
-    assert sums.foreground == pytest.approx(5.0, rel=1e-12)
-    assert sums.underlying == pytest.approx(3.0, rel=1e-12)
-    assert sums.sub_background == pytest.approx(1.0, rel=1e-12)
+    foreground, underlying, sub_background = block_sums(q, vocab, tau=0.4)
+    assert foreground == pytest.approx(5.0, rel=1e-12)
+    assert underlying == pytest.approx(3.0, rel=1e-12)
+    assert sub_background == pytest.approx(1.0, rel=1e-12)
 
 
 def test_partial_sums_match_per_index_oracle():
@@ -95,12 +99,12 @@ def test_partial_sums_match_per_index_oracle():
         for _ in range(25):
             vocab = _random_inference_vocab(rng)
             q = unit(rng, 12)
-            sums = partial_sums(q, vocab, tau)
+            foreground, underlying, sub_background = block_sums(q, vocab, tau)
             scores = _oracle_scores(q, vocab, tau)
-            assert sums.foreground == pytest.approx(sum(scores[:5]), rel=1e-12)
-            assert sums.underlying == pytest.approx(sum(scores[5:8]), rel=1e-12)
-            assert sums.sub_background == pytest.approx(scores[8], rel=1e-12)
-            total = sums.foreground + sums.underlying + sums.sub_background
+            assert foreground == pytest.approx(sum(scores[:5]), rel=1e-12)
+            assert underlying == pytest.approx(sum(scores[5:8]), rel=1e-12)
+            assert sub_background == pytest.approx(scores[8], rel=1e-12)
+            total = foreground + underlying + sub_background
             assert total == pytest.approx(sum(scores), rel=1e-9)
 
 
@@ -231,16 +235,15 @@ def test_rectified_sum_identity_factors():
     rng = np.random.default_rng(9)
     vocab = _random_inference_vocab(rng)
     q = unit(rng, 12)
-    total, factors = rectified_underlying_sum(q, vocab, 0.5, factors=np.ones(3))
-    assert total == pytest.approx(partial_sums(q, vocab, 0.5).underlying, rel=1e-12)
-    np.testing.assert_array_equal(factors, 1.0)
+    total = block_sums(q, vocab, 0.5, factors=np.ones(3))[1]
+    assert total == pytest.approx(block_sums(q, vocab, 0.5)[1], rel=1e-12)
 
 
 def test_rectified_sum_zero_factors():
     rng = np.random.default_rng(10)
     vocab = _random_inference_vocab(rng)
     q = unit(rng, 12)
-    total, _ = rectified_underlying_sum(q, vocab, 0.5, factors=np.zeros(3))
+    total = block_sums(q, vocab, 0.5, factors=np.zeros(3))[1]
     assert total == 0.0
 
 
@@ -250,7 +253,8 @@ def test_rectified_sum_term_by_term_oracle():
         for _ in range(20):
             vocab = _random_inference_vocab(rng)
             q = unit(rng, 12)
-            total, factors = rectified_underlying_sum(q, vocab, tau)
+            factors = compute_shrinking_factors(vocab, tau)
+            total = block_sums(q, vocab, tau, factors)[1]
             scores = _oracle_scores(q, vocab, tau)
             start = vocab.underlying_slice.start
             oracle = sum(scores[start + j] * factors[j] for j in range(vocab.n_underlying))
@@ -264,10 +268,10 @@ def test_inference_reduces_to_softmax_without_underlying():
     rng = np.random.default_rng(12)
     vocab = _random_inference_vocab(rng, n_under=0)
     q = unit(rng, 12)
-    scores = inference_probs(q, vocab, tau=0.4, rectify=False)
+    probabilities, background_mass = _score_row(q, vocab, tau=0.4)
     reference = softmax_probs(q, list(vocab.embeddings), tau=0.4)
-    np.testing.assert_allclose(scores.probabilities, reference[:-1], atol=1e-12)
-    assert scores.background_mass == pytest.approx(reference[-1], rel=1e-12)
+    np.testing.assert_allclose(probabilities, reference[:-1], atol=1e-12)
+    assert background_mass == pytest.approx(reference[-1], rel=1e-12)
 
 
 def test_inference_identity_without_novel():
@@ -275,11 +279,12 @@ def test_inference_identity_without_novel():
     for _ in range(20):
         vocab = _random_inference_vocab(rng, n_novel=0)
         q = unit(rng, 12)
-        plain = inference_probs(q, vocab, tau=0.02, rectify=False)
-        fixed = inference_probs(q, vocab, tau=0.02, rectify=True)
-        np.testing.assert_allclose(fixed.probabilities, plain.probabilities, atol=1e-12)
-        shrunk, _ = rectified_underlying_sum(q, vocab, 0.02)
-        whole, _ = rectified_underlying_sum(q, vocab, 0.02, factors=np.ones(vocab.n_underlying))
+        factors = compute_shrinking_factors(vocab, 0.02)
+        plain, _ = _score_row(q, vocab, 0.02)
+        fixed, _ = _score_row(q, vocab, 0.02, factors)
+        np.testing.assert_allclose(fixed, plain, atol=1e-12)
+        shrunk = block_sums(q, vocab, 0.02, factors)[1]
+        whole = block_sums(q, vocab, 0.02, factors=np.ones(vocab.n_underlying))[1]
         assert shrunk == pytest.approx(whole, rel=1e-12)
 
 
@@ -289,11 +294,12 @@ def test_rectification_never_decreases_foreground_probabilities():
         for _ in range(50):
             vocab = _random_inference_vocab(rng)
             q = unit(rng, 12)
-            plain = inference_probs(q, vocab, tau, rectify=False)
-            fixed = inference_probs(q, vocab, tau, rectify=True)
-            assert np.all(fixed.probabilities >= plain.probabilities - 1e-15)
-            shrunk, _ = rectified_underlying_sum(q, vocab, tau)
-            whole, _ = rectified_underlying_sum(q, vocab, tau, factors=np.ones(vocab.n_underlying))
+            factors = compute_shrinking_factors(vocab, tau)
+            plain, _ = _score_row(q, vocab, tau)
+            fixed, _ = _score_row(q, vocab, tau, factors)
+            assert np.all(fixed >= plain - 1e-15)
+            shrunk = block_sums(q, vocab, tau, factors)[1]
+            whole = block_sums(q, vocab, tau, factors=np.ones(vocab.n_underlying))[1]
             assert shrunk <= whole + 1e-15
 
 
@@ -302,13 +308,10 @@ def test_rectification_preserves_novel_ranking():
     for _ in range(50):
         vocab = _random_inference_vocab(rng, n_novel=3)
         q = unit(rng, 12)
-        plain = inference_probs(q, vocab, 1.0, rectify=False)
-        fixed = inference_probs(q, vocab, 1.0, rectify=True)
+        plain, _ = _score_row(q, vocab, 1.0)
+        fixed, _ = _score_row(q, vocab, 1.0, compute_shrinking_factors(vocab, 1.0))
         novel = vocab.novel_slice
-        assert (
-            np.argsort(plain.probabilities[novel]).tolist()
-            == np.argsort(fixed.probabilities[novel]).tolist()
-        )
+        assert np.argsort(plain[novel]).tolist() == np.argsort(fixed[novel]).tolist()
 
 
 def test_inference_probs_match_direct_formula():
@@ -317,8 +320,8 @@ def test_inference_probs_match_direct_formula():
         for _ in range(20):
             vocab = _random_inference_vocab(rng)
             q = unit(rng, 12)
-            result = inference_probs(q, vocab, tau, rectify=True)
             factors = compute_shrinking_factors(vocab, tau)
+            probabilities, background_mass = _score_row(q, vocab, tau, factors)
             scores = _oracle_scores(q, vocab, tau)
             start = vocab.underlying_slice.start
             shrunk = sum(
@@ -327,8 +330,8 @@ def test_inference_probs_match_direct_formula():
             )
             denom = sum(scores[:5]) + shrunk + scores[-1]
             for i in range(5):
-                assert result.probabilities[i] == pytest.approx(scores[i] / denom, rel=1e-10)
-            assert result.background_mass == pytest.approx(
+                assert probabilities[i] == pytest.approx(scores[i] / denom, rel=1e-10)
+            assert background_mass == pytest.approx(
                 (shrunk + scores[-1]) / denom, rel=1e-10
             )
 
@@ -339,8 +342,8 @@ def test_strict_shrinkage_with_partial_overlap():
     q = unit(rng, 12)
     factors = compute_shrinking_factors(vocab, 0.5)
     assert np.any(factors < 1.0)
-    plain = partial_sums(q, vocab, 0.5).underlying
-    fixed, _ = rectified_underlying_sum(q, vocab, 0.5, factors=factors)
+    plain = block_sums(q, vocab, 0.5)[1]
+    fixed = block_sums(q, vocab, 0.5, factors)[1]
     assert fixed < plain
 
 

@@ -30,7 +30,7 @@ from ovlab.trainer import (
 )
 
 from oracles import (central_difference, raw_proposal_blocks, raw_stack_blocks, records, rowwise_pseudo_labels,
-                     two_block_sgd_step, unfused_loss_and_gradients)
+                     softmax_probs, two_block_sgd_step, unfused_loss_and_gradients)
 from util import make_proposal, training_vocab, unit
 
 
@@ -103,8 +103,6 @@ def test_loss_baseline_mode_single_embedding(enc):
     batch = ProposalBatch(foreground=(), background=bg)
     config = TrainConfig(temperature=0.2, baseline_mode=True, use_discovery=False)
     br = loss_final(batch, vocab, None, config)
-    from ovlab.core import softmax_probs
-
     oracle = -np.mean(
         [math.log(softmax_probs(p.det_feature, list(vocab.embeddings), 0.2)[-1]) for p in bg]
     )
@@ -234,7 +232,7 @@ def test_branch_straddle_flagged(enc):
 
     features = np.stack([p.det_feature for p in batch.background])
     logits = cosine_matrix(features, vocab.embeddings) / config.temperature
-    _, _, masses = mass_terms(log_softmax_rows(logits)[:, vocab.background_indices()])
+    _, _, masses = mass_terms(log_softmax_rows(logits)[:, vocab.block_indices.background])
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
     _, flips = finite_diff_gradients([proposal_blocks(batch, None, vocab)], vocab, on_boundary, h=1e-5)
     assert flips > 0

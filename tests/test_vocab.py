@@ -105,7 +105,7 @@ def test_block_ordering_reconstructible_from_counts(enc):
     assert iv.novel_slice == slice(3, 5)
     assert iv.underlying_slice == slice(5, 9)
     assert iv.sub_background_index == 9
-    np.testing.assert_array_equal(iv.background_indices(), [5, 6, 7, 8, 9])
+    np.testing.assert_array_equal(iv.block_indices.background, [5, 6, 7, 8, 9])
 
 
 def test_rebuild_changes_only_underlying_block(enc):
@@ -247,7 +247,7 @@ def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
     background = np.concatenate([np.arange(under.start, under.stop), [sub]])
     members = np.concatenate([np.arange(under.start + vocab.n_discovered, under.stop), [sub]])
     indices, positions = vocab.block_indices, np.arange(vocab.size)
-    for got, columns, want in ((vocab.background_indices(), indices.background_columns, background),
+    for got, columns, want in ((indices.background, indices.background_columns, background),
                                (indices.pseudo_negative, indices.pseudo_negative_columns, members)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist() == positions[columns].tolist()
         with pytest.raises(ValueError):

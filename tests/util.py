@@ -1,5 +1,5 @@
-"""Shared constructors for hand-built vocabularies and proposals, the edge-case scenario worlds, and a check that
-no forked child outlived its call."""
+"""Shared constructors for hand-built vocabularies and proposals, the edge-case scenario worlds, one query's
+linear block sums from the inference scorer, and a check that no forked child outlived its call."""
 
 import os
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ovlab.discovery import Proposal
+from ovlab.rectify import _shifted_scores
 from ovlab.vocab import FixedRows, Vocabulary, build_training_vocab
 
 
@@ -89,6 +90,14 @@ def make_proposal(det_feature, img_feature=None, gt_label=None):
         img_feature=img,
         gt_label=gt_label,
     )
+
+
+def block_sums(q, vocab, tau, factors=None) -> tuple[float, float, float]:
+    """One query's linear sums of exp(logit) over the foreground, underlying and sub-background blocks, underlying
+    scores shrunk by ``factors``: the scorer ``rectify._shifted_scores``'s shifted block sums, each times exp(shift)."""
+    shift, fg, under, sub = _shifted_scores(np.asarray(q, dtype=np.float64)[None, :], vocab, tau, factors)
+    scale = np.exp(shift[0])
+    return float(scale * fg[0].sum()), float(scale * under[0].sum()), float(scale * sub[0])
 
 
 # ``ScenarioConfig`` edits, each applied to a world of 6 train and 4 eval images, that reach
