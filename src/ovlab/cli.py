@@ -22,12 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_fields, from_dict
-from .discovery import Proposal
 from .encoder import MockTextEncoder, init_context_vectors
 from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
-from .losses import COMPONENTS, ProposalBatch, proposal_blocks
+from .losses import COMPONENTS, stack_blocks
 from .persist import canonical_json, config_hash, sha256_file, write_text
-from .pseudo import BackgroundPartition, PseudoLabel
 from .rectify import rectification_report
 from .synth import ScenarioConfig, generate_scenario, load_dataset, write_dataset
 from .trainer import (
@@ -289,8 +287,11 @@ def _gradcheck_instance(seed: int, tau: float):
         v = rng.standard_normal(enc.dim)
         return v / np.linalg.norm(v)
 
-    def prop(label=None):
-        return Proposal(det_feature=unit(), img_feature=unit(), gt_label=label)
+    def det_row():
+        """A proposal's detector row; its image-encoder row is drawn after it and not used."""
+        row = unit()
+        unit()
+        return row
 
     n_base, n_disc, n_extra = 4, 3, 2
     base_emb = np.stack([enc.encode_named_category(s) for s in range(n_base)])
@@ -299,18 +300,13 @@ def _gradcheck_instance(seed: int, tau: float):
     )
     sub = unit()
     vocab = build_training_vocab(FixedRows(tuple(range(n_base)), base_emb, enc, len(ctx), n_disc), ctx, sub)
-    batch = ProposalBatch(
-        foreground=tuple(prop(label=int(rng.integers(n_base))) for _ in range(6)),
-        background=tuple(prop() for _ in range(10)),
-    )
-    partition = BackgroundPartition(
-        positives=tuple(
-            (prop(), PseudoLabel(int(rng.integers(n_disc)), 0.99)) for _ in range(3)
-        ),
-        negatives=tuple(prop() for _ in range(3)),
-    )
+    # Each foreground label is drawn before its rows, each positive's category after them.
+    labels, foreground = zip(*((int(rng.integers(n_base)), det_row()) for _ in range(6)))
+    background = [det_row() for _ in range(10)]
+    positives, categories = zip(*((det_row(), int(rng.integers(n_disc))) for _ in range(3)))
+    negatives = [det_row() for _ in range(3)]
     config = TrainConfig(temperature=tau, discovered_categories=n_disc, extra_categories=n_extra)
-    return [proposal_blocks(batch, partition, vocab)], vocab, config
+    return [stack_blocks(foreground, labels, background, positives, categories, negatives, vocab)], vocab, config
 
 
 def gradcheck_table(n_instances: int, seed: int) -> tuple[list[dict], bool]:

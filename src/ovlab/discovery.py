@@ -7,9 +7,10 @@ image-encoder features, and the silhouette sweep that estimates how many
 latent categories hide in the background. k-means carries its seeded
 restarts side by side on one leading axis, one batched Lloyd loop per call;
 each restart keeps its own random stream and computes the bits it would
-compute alone. ``Proposal`` is the record the pseudo-labeller and a
-``losses.ProposalBatch`` take: two feature views and an annotated base id
-(its box, score and hidden category stay in its image's columns).
+compute alone. ``Proposal`` is the record the pseudo-labeller takes, and
+only ``synth.SynthImage.proposal_records`` builds: two feature views and an
+annotated base id (its box, score and hidden category stay in its image's
+columns).
 """
 
 from __future__ import annotations

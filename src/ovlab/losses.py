@@ -24,13 +24,13 @@ member set for a mass term, uniform over the member set for the relaxed
 term, and per proposal one of the last two for the switch) and w the
 term's weight over the group's proposal count. All means are over
 proposals, so duplicating a batch leaves every loss unchanged. A batch
-reaches the objective in one form, a sequence of ``ProposalBlocks``, into
-which ``proposal_blocks`` stacks a ``ProposalBatch`` and its optional
-pseudo-label partition.
+reaches the objective in one form, a sequence of ``ProposalBlocks``, which
+``stack_blocks`` builds from row arrays: the foreground's, the background's
+and a pseudo-label partition's positives and negatives.
 
 What training computes when:
 
-* per run, ``proposal_blocks`` stacks each training image's groups once, as
+* per run, ``stack_blocks`` stacks each training image's groups once, as
   unit rows (``core.unit_rows``, so a zero-norm feature fails at stacking
   time) with their vocabulary target positions; the vocabulary's block index
   arrays and column slices (``Vocabulary.block_indices``) come from the
@@ -54,24 +54,20 @@ members one after another (see ``objective_terms``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import check_temperature, log_softmax_rows, unit_cosines, unit_rows
-from .discovery import Proposal
 from .vocab import Vocabulary
 
 __all__ = [
     "MASS_BRANCH",
     "UNIFORM_BRANCH",
     "COMPONENTS",
-    "ProposalBatch",
     "LossBreakdown",
     "ObjectiveTerms",
     "ProposalBlocks",
-    "proposal_blocks",
     "stack_blocks",
     "proposal_groups",
     "objective_terms",
@@ -80,22 +76,6 @@ __all__ = [
 MASS_BRANCH = "mass"
 UNIFORM_BRANCH = "uniform"
 COMPONENTS = ("foreground", "mass", "uniform", "switched", "pseudo", "final")
-
-
-@dataclass(frozen=True)
-class ProposalBatch:
-    """Foreground (annotated) and background (everything else) proposals of one step."""
-
-    foreground: tuple[Proposal, ...]
-    background: tuple[Proposal, ...]
-
-    def __post_init__(self):
-        for p in self.foreground:
-            if p.gt_label is None:
-                raise ValueError("foreground proposals must carry a base label")
-        for p in self.background:
-            if p.gt_label is not None:
-                raise ValueError("background proposals must not carry a base label")
 
 
 class LossBreakdown(NamedTuple):
@@ -157,26 +137,19 @@ class ProposalBlocks(NamedTuple):
     targets: dict[str, np.ndarray]
 
 
-def proposal_blocks(batch: ProposalBatch, partition, vocab: Vocabulary) -> ProposalBlocks:
-    """``stack_blocks`` of a batch's proposals (and a pseudo-label partition's, if any)."""
-    return stack_blocks([p.det_feature for p in batch.foreground], [p.gt_label for p in batch.foreground],
-                        [p.det_feature for p in batch.background], partition, vocab)
-
-
-def stack_blocks(foreground, labels, background, partition, vocab: Vocabulary) -> ProposalBlocks:
-    """``ProposalBlocks`` of detector rows (an (n, dim) array or a list of rows): the foreground's (base
-    ids ``labels``), the background's and a pseudo-label partition's, if any. Features are stored as unit
-    rows, so a zero-norm feature raises ``ZeroNormError`` here. Target positions come from ``vocab``'s
-    layout, which stays fixed while the parameters train, so a run stacks each training image once."""
-    positives = partition.positives if partition is not None else ()
-    negatives = partition.negatives if partition is not None else ()
+def stack_blocks(foreground, labels, background, positives, categories, negatives,
+                 vocab: Vocabulary) -> ProposalBlocks:
+    """``ProposalBlocks`` of detector rows (each an (n, dim) array or a list of rows): the foreground's
+    (base ids ``labels``), the background's, the pseudo-positives' (discovered ``categories``) and the
+    pseudo-negatives'. Features are stored as unit rows, so a zero-norm feature raises ``ZeroNormError``
+    here. Target positions come from ``vocab``'s layout, which stays fixed while the parameters train, so
+    a run stacks each training image once."""
     rows = {"foreground": foreground, "background": background,
-            "pseudo_positive": [p.det_feature for p, _ in positives],
-            "pseudo_negative": [p.det_feature for p in negatives]}
+            "pseudo_positive": positives, "pseudo_negative": negatives}
     features = {name: unit_rows(np.asarray(r))[0] if len(r) else np.zeros((0, vocab.dim)) for name, r in rows.items()}
     targets = {
         "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),
-        "pseudo_positive": np.array([vocab.underlying_position(lab.category) for _, lab in positives], np.int64),
+        "pseudo_positive": np.array([vocab.underlying_position(c) for c in categories], dtype=np.int64),
     }
     return ProposalBlocks(features, targets)
 

@@ -11,39 +11,37 @@ Labels depend only on image-encoder features and the frozen centers, never
 on the detector features or any trainable parameter. The labeller filters
 nothing: it takes the ``Proposal`` records of the rows a discovery prep's
 filter kept (the only records a prep builds) and those rows' boxes as an
-``(n, 4)`` array, and its partition holds the very records it was given.
+``(n, 4)`` array, and its partition holds positions into that input: the
+positives with their categories, and the negatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import check_temperature, cosine_matrix
-from .discovery import Proposal, nms_indices
+from .discovery import nms_indices
 
 __all__ = [
-    "PseudoLabel",
     "BackgroundPartition",
     "generate_pseudo_labels",
 ]
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    """Discovered-category label for one background proposal."""
+class BackgroundPartition(NamedTuple):
+    """Filtered background split into labeled positives and the rest, as int64 positions.
 
-    category: int
-    score: float
+    ``generate_pseudo_labels`` returns ``positives`` and ``negatives`` as
+    positions into its input, each in ascending order; ``categories`` holds
+    each positive's discovered category. A discovery prep maps the positions
+    to its image's rows, keeping their order.
+    """
 
-
-@dataclass(frozen=True)
-class BackgroundPartition:
-    """Filtered background proposals split into labeled positives and the rest."""
-
-    positives: tuple[tuple[Proposal, PseudoLabel], ...]
-    negatives: tuple[Proposal, ...]
+    positives: np.ndarray
+    categories: np.ndarray
+    negatives: np.ndarray
 
 
 def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
@@ -58,11 +56,10 @@ def _center_probs(img_features: np.ndarray, centers, tau: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _labels(probs: np.ndarray) -> list[PseudoLabel]:
-    """One ``PseudoLabel`` per row of center probabilities: its best category, ties to the smaller index."""
+def _labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best category (ties to the smaller index) and its probability."""
     cats = probs.argmax(axis=1)
-    scores = probs[np.arange(len(probs)), cats]
-    return [PseudoLabel(category=c, score=v) for c, v in zip(cats.tolist(), scores.tolist())]
+    return cats, probs[np.arange(len(probs)), cats]
 
 
 def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float,
@@ -82,20 +79,13 @@ def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float,
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.shape != (len(batch_bg), 4):
         raise ValueError(f"boxes must be a ({len(batch_bg)}, 4) array, one row per record, got shape {boxes.shape}")
-    if not len(batch_bg):
-        return BackgroundPartition(positives=(), negatives=())
-
-    labels = _labels(_center_probs(np.stack([p.img_feature for p in batch_bg]), centers, tau))
-    confident = [i for i, lab in enumerate(labels) if lab.score >= theta]
-
-    kept: set[int] = set()
-    categories = sorted({labels[i].category for i in confident})
-    for cat in categories:
-        members = [i for i in confident if labels[i].category == cat]
-        scores = [labels[i].score for i in members]
-        for local in nms_indices(boxes[members], scores, nms_iou):
-            kept.add(members[local])
-
-    positives = tuple((batch_bg[i], labels[i]) for i in sorted(kept))
-    negatives = tuple(batch_bg[i] for i in range(len(batch_bg)) if i not in kept)
-    return BackgroundPartition(positives=positives, negatives=negatives)
+    kept = np.zeros(len(batch_bg), dtype=bool)
+    cats = np.zeros(0, dtype=np.int64)
+    if len(batch_bg):
+        cats, scores = _labels(_center_probs(np.stack([p.img_feature for p in batch_bg]), centers, tau))
+        confident = scores >= theta
+        for cat in np.unique(cats[confident]).tolist():
+            members = np.flatnonzero(confident & (cats == cat))
+            kept[members[nms_indices(boxes[members], scores[members], nms_iou)]] = True
+    positives = np.flatnonzero(kept)
+    return BackgroundPartition(positives, cats[positives], np.flatnonzero(~kept))

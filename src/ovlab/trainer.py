@@ -4,8 +4,7 @@ Only the context vectors and the sub-background embedding train; base
 embeddings, the encoder, and the cluster centers are frozen throughout.
 Gradients are analytic, chained loss -> softmax -> cosine -> encoder
 transpose-Jacobian, and a patched-column central-difference oracle verifies
-them; both take a batch in one form, a sequence of ``losses.ProposalBlocks``
-(``loss_final`` and ``compute_gradients`` stack a ``ProposalBatch`` first).
+them; both take a batch in one form, a sequence of ``losses.ProposalBlocks``.
 The switch in the background loss is a step discontinuity, so the oracle
 freezes each proposal's branch at the stencil center and reports any stencil
 that straddles the boundary instead of silently differencing across it.
@@ -13,16 +12,18 @@ that straddles the boundary instead of silently differencing across it.
 Each quantity of a run is computed at the scope where it changes. Per run:
 the discovery prep (one per seed in an ablation: each training image's
 background rows filtered once as arrays, their pooled features, count,
-centers, and pseudo-labels of the kept rows' records and boxes), the
-vocabulary's ``FixedRows`` (checked base embeddings, the block indices),
-each training image's proposal blocks as unit rows with their target
-positions and its pseudo-label counts, every step's batch of images (drawn
-up front, in step order), and one flat parameter vector and one flat
-velocity with the two blocks as views. Per step: the vocabulary of
-the live parameters (one encoder forward, kept for the pullback), one
-concatenation and one cosine matrix of the sampled images' rows, one
-log-softmax and the logit gradient of "final" (``losses.objective_terms``),
-the pullback through the kept forward, and one SGD update of the flat vector.
+centers, and each image's pseudo-label partition: the labeller takes the
+kept rows' records and boxes, and the prep maps its positions to the image's
+rows), the vocabulary's ``FixedRows`` (checked base embeddings, the block
+indices), each training image's proposal blocks as unit rows gathered from
+its columns, with their target positions, and its pseudo-label counts,
+every step's batch of images (drawn up front, in step order), and one flat
+parameter vector and one flat velocity with the two blocks as views. Per
+step: the vocabulary of the live parameters (one encoder forward, kept for
+the pullback), one concatenation and one cosine matrix of the sampled
+images' rows, one log-softmax and the logit gradient of "final"
+(``losses.objective_terms``), the pullback through the kept forward, and one
+SGD update of the flat vector.
 A step is a few dozen small numpy calls, so their count, not their
 arithmetic, sets its time; ``tests/test_trainer.py`` holds it to a budget.
 """
@@ -46,10 +47,8 @@ from .losses import (
     COMPONENTS,
     MASS_BRANCH,
     LossBreakdown,
-    ProposalBatch,
     ProposalBlocks,
     objective_terms,
-    proposal_blocks,
     proposal_groups,
     stack_blocks,
 )
@@ -262,19 +261,15 @@ def _check_finite(grads: Params) -> Params:
     return grads
 
 
-def loss_final(
-    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None, config: TrainConfig
-) -> LossBreakdown:
+def loss_final(blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig) -> LossBreakdown:
     """Combined objective of one batch (the loss half of ``loss_and_gradients``)."""
-    return loss_and_gradients([proposal_blocks(batch, partition, vocab)], vocab, config)[0]
+    return loss_and_gradients(blocks, vocab, config)[0]
 
 
 def compute_gradients(
-    batch: ProposalBatch, vocab: Vocabulary, partition: BackgroundPartition | None,
-    config: TrainConfig, component: str = "final",
+    blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, component: str = "final",
 ) -> Params:
     """Finite-checked gradient of one component (the other half of ``loss_and_gradients``)."""
-    blocks = [proposal_blocks(batch, partition, vocab)]
     return _check_finite(loss_and_gradients(blocks, vocab, config, component)[1])
 
 
@@ -448,6 +443,11 @@ class Checkpoint:
                                  "(rows of the run, columns of the encoder)")
         if not np.sqrt(np.add.reduce(sub * sub)) > NORM_FLOOR:  # as ``core.unit_rows`` takes a norm
             raise ValueError(f"malformed checkpoint {path}: bad sub_background: it has zero norm, so no direction")
+        if ckpt.cluster_centers is not None:  # k-means writes unit rows
+            norms = np.sqrt(np.add.reduce(ckpt.cluster_centers ** 2, axis=1))
+            if (off := np.flatnonzero(~(abs(norms - 1.0) <= 1e-9))).size:
+                raise ValueError(f"malformed checkpoint {path}: bad cluster_centers: row {off[0]} has norm "
+                                 f"{norms[off[0]]}, not 1")
         return ckpt
 
     def build_vocab(self) -> Vocabulary:
@@ -532,7 +532,8 @@ class DiscoveryPrep:
 
     None of it depends on the live parameters or on the module toggles, so
     the trainings of one seed can share one prep. ``partitions`` holds one
-    ``BackgroundPartition`` per training image, present with the centers.
+    ``BackgroundPartition`` per training image, present with the centers, its
+    positions mapped to the image's rows.
     """
 
     config: TrainConfig  # the configuration it was computed with
@@ -563,18 +564,25 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
     Pseudo-labels depend only on the frozen centers and the image data, so
     each training image is filtered and labelled once per prep: the labeller
     takes the records and boxes of the rows the pool kept (the only records a
-    prep builds), in keep order. A baseline run gets an empty prep without
+    prep builds), in keep order, and its positions are mapped to the image's
+    rows once, keeping that order. A baseline run gets an empty prep without
     any work.
     """
     kept = None if config.baseline_mode else filtered_background(scenario, config)
     n_discovered, centers = prepare_background(scenario, config, kept)
     partitions = None
     if centers is not None:
-        partitions = tuple(generate_pseudo_labels(
-            image.proposal_records(rows), image.boxes[rows], centers, tau=config.temperature,
-            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou,
-        ) for image, rows in zip(scenario.images("train"), kept))
+        partitions = []
+        for image, rows in zip(scenario.images("train"), kept):
+            part = generate_pseudo_labels(image.proposal_records(rows), image.boxes[rows], centers,
+                                          tau=config.temperature, theta=config.score_threshold,
+                                          nms_iou=config.pseudo_nms_iou)
+            partitions.append(part._replace(positives=rows[part.positives], negatives=rows[part.negatives]))
+        partitions = tuple(partitions)
     return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[ProposalBlocks]:
@@ -582,8 +590,9 @@ def _image_blocks(scenario: Scenario, partitions, vocab: Vocabulary) -> list[Pro
     blocks = []
     for i, image in enumerate(scenario.images("train")):
         det, annotated = image.features[0], image.gt >= 0  # -1: no annotated base id
+        positives, categories, negatives = partitions[i] if partitions else (_NO_ROWS, _NO_ROWS, _NO_ROWS)
         blocks.append(stack_blocks(det[annotated], image.gt[annotated].tolist(), det[~annotated],
-                                   partitions[i] if partitions else None, vocab))
+                                   det[positives], categories.tolist(), det[negatives], vocab))
     return blocks
 
 

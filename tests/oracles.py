@@ -61,7 +61,6 @@ from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.metrics import BACKGROUND_KEY, EvalReport, inference_vocab
 from ovlab.persist import canonical_json
-from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.rectify import compute_shrinking_factors, score
 from ovlab.synth import (
     DATASET_FORMAT,
@@ -353,63 +352,42 @@ def kmeans_per_restart(features, k: int, seed: int) -> ClusterModel:
     return best
 
 
-def proposal_groups(batch, partition, vocab: Vocabulary):
-    """Stacked features, group row slices, targets and cosines, assembled proposal by proposal.
+def _targets(labels, categories, vocab: Vocabulary) -> dict[str, np.ndarray]:
+    """The labeled groups' vocabulary positions, looked up one proposal at a time."""
+    return {
+        "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),
+        "pseudo_positive": np.array([vocab.underlying_position(c) for c in categories], dtype=np.int64),
+    }
+
+
+def proposal_groups(foreground, labels, background, positives, categories, negatives, vocab: Vocabulary):
+    """Stacked features, group row slices, targets and cosines of ``losses.stack_blocks``'s arguments,
+    assembled proposal by proposal.
 
     Rows run through the groups "foreground", "background", "pseudo_positive"
-    and "pseudo_negative" (the last two from a pseudo-label partition, if
-    any); each target is looked up in the vocabulary per proposal.
+    and "pseudo_negative"; each target is looked up in the vocabulary per proposal.
     """
-    positives = partition.positives if partition is not None else ()
-    negatives = partition.negatives if partition is not None else ()
-    groups = {
-        "foreground": [p.det_feature for p in batch.foreground],
-        "background": [p.det_feature for p in batch.background],
-        "pseudo_positive": [p.det_feature for p, _ in positives],
-        "pseudo_negative": [p.det_feature for p in negatives],
-    }
-    targets = {
-        "foreground": np.array([vocab.base_position(p.gt_label) for p in batch.foreground], dtype=np.int64),
-        "pseudo_positive": np.array(
-            [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
-        ),
-    }
+    groups = {"foreground": foreground, "background": background, "pseudo_positive": positives,
+              "pseudo_negative": negatives}
     slices, rows = {}, []
     for name, feats in groups.items():
-        if feats:
+        if len(feats):
             slices[name] = slice(len(rows), len(rows) + len(feats))
             rows.extend(feats)
     features = np.stack(rows) if rows else np.zeros((0, vocab.dim))
-    return features, slices, targets, cosine_matrix(features, vocab.embeddings)
+    return features, slices, _targets(labels, categories, vocab), cosine_matrix(features, vocab.embeddings)
 
 
 # -- the unfused training step --------------------------------------------------
 
 
-def raw_proposal_blocks(batch, partition, vocab: Vocabulary) -> ProposalBlocks:
-    """``losses.proposal_blocks`` with the detector rows as given, not unit-normalized."""
-    return raw_stack_blocks([p.det_feature for p in batch.foreground], [p.gt_label for p in batch.foreground],
-                            [p.det_feature for p in batch.background], partition, vocab)
-
-
-def raw_stack_blocks(foreground, labels, background, partition, vocab: Vocabulary) -> ProposalBlocks:
+def raw_stack_blocks(foreground, labels, background, positives, categories, negatives,
+                     vocab: Vocabulary) -> ProposalBlocks:
     """``losses.stack_blocks`` with the detector rows as given, not unit-normalized."""
-    positives = partition.positives if partition is not None else ()
-    negatives = partition.negatives if partition is not None else ()
-    rows = {
-        "foreground": list(foreground),
-        "background": list(background),
-        "pseudo_positive": [p.det_feature for p, _ in positives],
-        "pseudo_negative": [p.det_feature for p in negatives],
-    }
-    features = {name: np.stack(r) if r else np.zeros((0, vocab.dim)) for name, r in rows.items()}
-    targets = {
-        "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),
-        "pseudo_positive": np.array(
-            [vocab.underlying_position(lab.category) for _, lab in positives], dtype=np.int64
-        ),
-    }
-    return ProposalBlocks(features, targets)
+    rows = {"foreground": foreground, "background": background, "pseudo_positive": positives,
+            "pseudo_negative": negatives}
+    features = {name: np.stack(list(r)) if len(r) else np.zeros((0, vocab.dim)) for name, r in rows.items()}
+    return ProposalBlocks(features, _targets(labels, categories, vocab))
 
 
 def _nll(logits, targets):
@@ -524,28 +502,29 @@ def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weig
 
 
 def rowwise_pseudo_labels(batch_bg, gt_boxes, centers, tau: float, theta: float, nms_iou: float = 0.5,
-                          gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5) -> BackgroundPartition:
+                          gt_iou_cut: float = 0.5, rpn_nms_iou: float = 0.5):
     """An image's background filtered, then labelled, with each proposal taken alone: the scalar
     filter and NMS over ``Box``es, the scalar softmax. Production splits this pipeline between
-    ``trainer.filtered_background`` and ``pseudo.generate_pseudo_labels``; this is its one reference."""
+    ``trainer.filtered_background`` and ``pseudo.generate_pseudo_labels``; this is its one reference.
+
+    Returns ``(positives, labels, negatives)``: the positives as positions into ``batch_bg``, each
+    with its ``(category, score)`` label, and the negatives' positions, both in the filter's keep order.
+    """
     boxes = [as_box(p.box) for p in batch_bg]
     rows = filter_background_rows(boxes, [p.rpn_score for p in batch_bg], [as_box(g) for g in gt_boxes], theta,
                                   gt_iou_cut, rpn_nms_iou)
-    filtered, boxes = [batch_bg[i] for i in rows], [boxes[i] for i in rows]
     labels = []
-    for p in filtered:
-        probs = softmax_probs(p.img_feature, list(centers), tau)
+    for i in rows:
+        probs = softmax_probs(batch_bg[i].img_feature, list(centers), tau)
         cat = int(np.argmax(probs))
-        labels.append(PseudoLabel(cat, float(probs[cat])))
+        labels.append((cat, float(probs[cat])))
     kept = set()
-    for cat in sorted({lab.category for lab in labels if lab.score >= theta}):
-        members = [i for i, lab in enumerate(labels) if lab.score >= theta and lab.category == cat]
-        for local in greedy_nms([boxes[i] for i in members], [labels[i].score for i in members], nms_iou):
+    for cat in sorted({c for c, score in labels if score >= theta}):
+        members = [j for j, (c, score) in enumerate(labels) if score >= theta and c == cat]
+        for local in greedy_nms([boxes[rows[j]] for j in members], [labels[j][1] for j in members], nms_iou):
             kept.add(members[local])
-    return BackgroundPartition(
-        positives=tuple((filtered[i], labels[i]) for i in sorted(kept)),
-        negatives=tuple(p for i, p in enumerate(filtered) if i not in kept),
-    )
+    return ([rows[j] for j in sorted(kept)], [labels[j] for j in sorted(kept)],
+            [rows[j] for j in range(len(rows)) if j not in kept])
 
 
 # -- the per-proposal scenario generator and the joined-text writer ------------
@@ -563,8 +542,8 @@ class OracleInfo:
 class OracleProposal(Proposal):
     """A ``Proposal`` that carries its box (a ``(4,)`` row of corners or a ``Box``), its objectness
     and its ``OracleInfo``, as the package's records did before their image's columns became the
-    only home of all three. The labeller hands back the records it is given, so an
-    ``OracleProposal`` in its input is one in its partition too."""
+    only home of all three. The labeller reads only its ``img_feature``, so it takes one as it takes
+    a ``Proposal``."""
 
     box: np.ndarray | Box
     rpn_score: float

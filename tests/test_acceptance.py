@@ -20,11 +20,10 @@ from ovlab.encoder import MockTextEncoder
 from ovlab.losses import (
     MASS_BRANCH,
     UNIFORM_BRANCH,
-    ProposalBatch,
     mass_terms,
     objective_terms,
-    proposal_blocks,
     proposal_groups,
+    stack_blocks,
 )
 from ovlab.metrics import AblationCombo, AblationSpec, run_ablation
 from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
@@ -33,7 +32,7 @@ from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
 from oracles import records
-from util import block_sums, make_proposal, make_vocab, unit
+from util import block_sums, make_vocab, unit
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -284,23 +283,22 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
             records(image, rows), image.boxes[rows], centers, tau=config.temperature,
             theta=config.score_threshold,
         )
-        partitions.append(part)
-        for prop, lab in part.positives:
-            votes.setdefault(lab.category, {})
-            key = prop.oracle.generative_label
-            votes[lab.category][key] = votes[lab.category].get(key, 0) + 1
+        partitions.append((image.label[rows[part.positives]].tolist(), part.categories.tolist()))
+        for key, category in zip(*partitions[-1]):
+            votes.setdefault(category, {})
+            votes[category][key] = votes[category].get(key, 0) + 1
     majority = {c: max(v, key=v.get) for c, v in votes.items()}
     n_pos = correct = 0
-    for part in partitions:
-        for prop, lab in part.positives:
+    for generative_labels, categories in partitions:
+        for key, category in zip(generative_labels, categories):
             n_pos += 1
-            correct += prop.oracle.generative_label == majority[lab.category]
+            correct += key == majority[category]
     precision = correct / n_pos
 
     rng = np.random.default_rng(5005)
     invariant = all(
-        _labels(_center_probs(q[None, :], centers, tau=1.0))[0].category
-        == _labels(_center_probs(q[None, :], centers, tau=0.02))[0].category
+        _labels(_center_probs(q[None, :], centers, tau=1.0))[0][0]
+        == _labels(_center_probs(q[None, :], centers, tau=0.02))[0][0]
         for q in (unit(rng, scen.config.dim) for _ in range(1000))
     )
     elapsed = time.monotonic() - start
@@ -327,10 +325,10 @@ def test_criterion_6_branch_suite():
         c_base, c_sub = delta / 2.0, -delta / 2.0
         residual = math.sqrt(1.0 - c_base**2 - c_sub**2)
         q = c_base * eye[0] + c_sub * eye[1] + residual * eye[3]
-        return make_proposal(q / np.linalg.norm(q))
+        return q / np.linalg.norm(q)
 
     def groups(batch):
-        return proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+        return proposal_groups([stack_blocks([], [], batch, [], [], [], vocab)], vocab)
 
     def switch(batch, gamma):
         _, slices, targets, cosines = groups(batch)
@@ -338,13 +336,13 @@ def test_criterion_6_branch_suite():
 
     below = with_mass(gamma - 1e-6)
     above = with_mass(gamma + 1e-6)
-    batch = ProposalBatch(foreground=(), background=(below, above))
+    batch = [below, above]
     branches = switch(batch, gamma=gamma)
     eps_ok = branches == (UNIFORM_BRANCH, MASS_BRANCH)
 
     # Knife edge: the threshold equals the computed mass bit-for-bit, and the
     # inclusive comparison must select the mass branch.
-    knife = ProposalBatch(foreground=(), background=(with_mass(gamma),))
+    knife = [with_mass(gamma)]
     _, slices, _, cosines = groups(knife)
     logp = log_softmax_rows(cosines / tau)[slices["background"]]
     exact_mass = float(mass_terms(logp[:, vocab.block_indices.background])[2][0])

@@ -526,6 +526,11 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
         ("sub_width", dict(rec, sub_background=sub[1:]), "sub-background embedding of shape"),
         ("center_nan", dict(rec, cluster_centers=[[math.nan, *center[1:]], *others]),
          "bad cluster_centers: entry nan is not finite"),
+        # k-means writes unit rows: a zero centre, or one twice as long, is not one of its centres.
+        ("center_zero", dict(rec, cluster_centers=[[0.0] * len(center), *others]),
+         "bad cluster_centers: row 0 has norm 0.0, not 1"),
+        ("center_long", dict(rec, cluster_centers=[[2.0] + [0.0] * (len(center) - 1), *others]),
+         "bad cluster_centers: row 0 has norm 2.0, not 1"),
         ("context_inf", dict(rec, context_vectors=[[-math.inf, *context[1:]], *rest]),
          "bad context_vectors: entry -inf is not finite"),
     ):

@@ -7,19 +7,10 @@ import pytest
 
 from ovlab.core import log_softmax_rows
 from ovlab.encoder import MockTextEncoder
-from ovlab.losses import (
-    MASS_BRANCH,
-    UNIFORM_BRANCH,
-    ProposalBatch,
-    mass_terms,
-    objective_terms,
-    proposal_blocks,
-    proposal_groups,
-)
-from ovlab.pseudo import BackgroundPartition, PseudoLabel
+from ovlab.losses import MASS_BRANCH, UNIFORM_BRANCH, mass_terms, objective_terms, proposal_groups, stack_blocks
 
 from oracles import proposal_groups as oracle_groups, softmax_probs
-from util import make_proposal, make_vocab, training_vocab, unit
+from util import make_vocab, training_vocab, unit
 
 
 def _eye_vocab(n_base, n_under, d=None, n_discovered=None):
@@ -34,13 +25,19 @@ def _eye_vocab(n_base, n_under, d=None, n_discovered=None):
     )
 
 
-def _batch(fg=(), bg=()):
-    return ProposalBatch(foreground=tuple(fg), background=tuple(bg))
+def _batch(fg=(), labels=(), bg=()):
+    """Foreground detector rows with their base ids, and background rows: one image without pseudo-labels."""
+    return fg, labels, bg
+
+
+def _groups(batch, vocab):
+    """``proposal_groups`` of a batch stacked into one block."""
+    return proposal_groups([stack_blocks(*batch, [], [], [], vocab)], vocab)
 
 
 def _terms(batch, vocab, tau, gamma=0.0):
     """``objective_terms`` of a batch without pseudo-labels."""
-    _, slices, targets, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    _, slices, targets, cosines = _groups(batch, vocab)
     return objective_terms(cosines, slices, targets, vocab, tau, gamma)
 
 
@@ -57,7 +54,7 @@ def _switched(batch, vocab, tau, gamma):
 
 def _masses(batch, vocab, tau):
     """Each background proposal's background mass, the value ``objective_terms`` compares with gamma."""
-    _, slices, _, cosines = proposal_groups([proposal_blocks(batch, None, vocab)], vocab)
+    _, slices, _, cosines = _groups(batch, vocab)
     logp = log_softmax_rows(cosines / tau)
     return mass_terms(logp[slices["background"]][:, vocab.block_indices.background])[2]
 
@@ -68,21 +65,21 @@ def _masses(batch, vocab, tau):
 def test_background_mass_no_base_categories():
     vocab = make_vocab(base_emb=np.zeros((0, 3)), under_emb=np.eye(3)[:2], sub=np.eye(3)[2])
     q = unit(np.random.default_rng(0), 3)
-    assert _masses(_batch(bg=[make_proposal(q)]), vocab, tau=1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert _masses(_batch(bg=[q]), vocab, tau=1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_background_mass_symmetric_thirds():
     vocab = _eye_vocab(1, 1)
     q = np.ones(3) / math.sqrt(3.0)  # equal cosine to all three categories
-    assert _masses(_batch(bg=[make_proposal(q)]), vocab, tau=0.7)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert _masses(_batch(bg=[q]), vocab, tau=0.7)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_background_mass_matches_index_sum_oracle():
     rng = np.random.default_rng(1)
     vocab = _eye_vocab(2, 2, d=8)
-    bg = [make_proposal(unit(rng, 8)) for _ in range(20)]
-    for p, mass in zip(bg, _masses(_batch(bg=bg), vocab, tau=0.5)):
-        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.5)
+    bg = [unit(rng, 8) for _ in range(20)]
+    for q, mass in zip(bg, _masses(_batch(bg=bg), vocab, tau=0.5)):
+        probs = softmax_probs(q, list(vocab.embeddings), tau=0.5)
         oracle = sum(probs[i] for i in (2, 3, 4))  # underlying rows then sub slot
         assert mass == pytest.approx(oracle, abs=1e-12)
 
@@ -96,7 +93,7 @@ def test_foreground_loss_perfect_classification_saturates():
     for m in (4, 50, 100):
         eye = np.eye(m + 1)
         vocab = make_vocab(base_emb=eye[: m - 1], under_emb=None, sub=eye[m - 1])
-        batch = _batch(fg=[make_proposal(eye[0], gt_label=0)])
+        batch = _batch(fg=[eye[0]], labels=[0])
         loss = _loss("foreground", batch, vocab, tau=0.02)
         expected = math.log1p((m - 1) * math.exp(-50.0))
         assert loss == pytest.approx(expected, rel=1e-6)
@@ -107,16 +104,16 @@ def test_foreground_loss_symmetric_two_category():
     eye = np.eye(3)
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     q = (eye[0] + eye[1]) / math.sqrt(2.0)
-    batch = _batch(fg=[make_proposal(q, gt_label=0)])
+    batch = _batch(fg=[q], labels=[0])
     assert _loss("foreground", batch, vocab, tau=0.31) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_foreground_loss_mean_not_sum():
     rng = np.random.default_rng(2)
     vocab = _eye_vocab(3, 2, d=8)
-    fg = [make_proposal(unit(rng, 8), gt_label=i % 3) for i in range(4)]
-    single = _loss("foreground", _batch(fg=fg), vocab, tau=0.5)
-    doubled = _loss("foreground", _batch(fg=fg + fg), vocab, tau=0.5)
+    fg, labels = [unit(rng, 8) for _ in range(4)], [i % 3 for i in range(4)]
+    single = _loss("foreground", _batch(fg=fg, labels=labels), vocab, tau=0.5)
+    doubled = _loss("foreground", _batch(fg=fg + fg, labels=labels + labels), vocab, tau=0.5)
     assert single == pytest.approx(doubled, rel=1e-12)
 
 
@@ -125,24 +122,13 @@ def test_foreground_loss_empty_set_is_zero():
     assert _loss("foreground", _batch(), vocab, tau=1.0) == 0.0
 
 
-def test_unlabeled_foreground_rejected():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        _batch(fg=[make_proposal(unit(rng, 4))])
-
-
-def test_labeled_background_rejected():
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        _batch(bg=[make_proposal(unit(rng, 4), gt_label=1)])
-
-
 def test_foreground_loss_nonnegative_sweep():
     rng = np.random.default_rng(5)
     vocab = _eye_vocab(3, 2, d=10)
     for tau in (1.0, 0.05):
         for _ in range(30):
-            batch = _batch(fg=[make_proposal(unit(rng, 10), gt_label=int(rng.integers(3)))])
+            q = unit(rng, 10)
+            batch = _batch(fg=[q], labels=[int(rng.integers(3))])
             assert _loss("foreground", batch, vocab, tau) >= 0.0
 
 
@@ -154,26 +140,26 @@ def test_mass_loss_half_mass():
     eye = np.eye(3)
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     q = (eye[0] + eye[1]) / math.sqrt(2.0)
-    loss = _loss("mass", _batch(bg=[make_proposal(q)]), vocab, tau=0.11)
+    loss = _loss("mass", _batch(bg=[q]), vocab, tau=0.11)
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_mass_loss_no_base_limit():
     vocab = make_vocab(base_emb=np.zeros((0, 4)), under_emb=np.eye(4)[:2], sub=np.eye(4)[2])
     rng = np.random.default_rng(6)
-    loss = _loss("mass", _batch(bg=[make_proposal(unit(rng, 4))]), vocab, tau=0.5)
+    loss = _loss("mass", _batch(bg=[unit(rng, 4)]), vocab, tau=0.5)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mass_loss_brute_force_oracle():
     rng = np.random.default_rng(7)
     vocab = _eye_vocab(3, 3, d=12)
-    bg = [make_proposal(unit(rng, 12)) for _ in range(9)]
+    bg = [unit(rng, 12) for _ in range(9)]
     loss = _loss("mass", _batch(bg=bg), vocab, tau=0.2)
     # Independent path: scalar softmax, explicit index sum, then -log.
     total = 0.0
-    for p in bg:
-        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.2)
+    for q in bg:
+        probs = softmax_probs(q, list(vocab.embeddings), tau=0.2)
         total += -math.log(sum(probs[i] for i in (3, 4, 5, 6)))
     assert loss == pytest.approx(total / len(bg), rel=1e-10)
 
@@ -193,7 +179,7 @@ def test_relaxed_loss_uniform_probabilities():
     eye = np.eye(m + 1)
     vocab = make_vocab(base_emb=eye[:2], under_emb=eye[2:4], sub=eye[4])
     q = eye[:m].sum(axis=0) / math.sqrt(m)
-    loss = _loss("uniform", _batch(bg=[make_proposal(q)]), vocab, tau=0.4)
+    loss = _loss("uniform", _batch(bg=[q]), vocab, tau=0.4)
     assert loss == pytest.approx(math.log(m), abs=1e-12)
 
 
@@ -202,7 +188,7 @@ def test_relaxed_loss_degenerate_single_term():
     eye = np.eye(3)
     vocab = make_vocab(base_emb=eye[:1], under_emb=None, sub=eye[1])
     rng = np.random.default_rng(8)
-    bg = [make_proposal(unit(rng, 3))]
+    bg = [unit(rng, 3)]
     relaxed = _loss("uniform", _batch(bg=bg), vocab, tau=0.3)
     mass = _loss("mass", _batch(bg=bg), vocab, tau=0.3)
     assert relaxed == pytest.approx(mass, rel=1e-12)
@@ -211,11 +197,11 @@ def test_relaxed_loss_degenerate_single_term():
 def test_relaxed_loss_brute_force_oracle():
     rng = np.random.default_rng(9)
     vocab = _eye_vocab(2, 4, d=10)
-    bg = [make_proposal(unit(rng, 10)) for _ in range(7)]
+    bg = [unit(rng, 10) for _ in range(7)]
     loss = _loss("uniform", _batch(bg=bg), vocab, tau=0.15)
     total = 0.0
-    for p in bg:
-        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.15)
+    for q in bg:
+        probs = softmax_probs(q, list(vocab.embeddings), tau=0.15)
         inner = sum(-math.log(probs[i]) for i in (2, 3, 4, 5, 6))
         total += inner / 5.0
     assert loss == pytest.approx(total / len(bg), rel=1e-10)
@@ -224,8 +210,8 @@ def test_relaxed_loss_brute_force_oracle():
 # -- switched loss ----------------------------------------------------------------
 
 
-def _mass_of(proposal, vocab, tau):
-    return float(_masses(_batch(bg=[proposal]), vocab, tau)[0])
+def _mass_of(q, vocab, tau):
+    return float(_masses(_batch(bg=[q]), vocab, tau)[0])
 
 
 def _proposal_with_mass(vocab, tau, target):
@@ -245,7 +231,7 @@ def _proposal_with_mass(vocab, tau, target):
     ortho = np.zeros(vocab.dim)
     ortho[-1] = 1.0  # last axis unused by this two-category vocabulary
     q = c_base * base_dir + c_sub * sub_dir + residual * ortho
-    return make_proposal(q / np.linalg.norm(q))
+    return q / np.linalg.norm(q)
 
 
 def _two_cat_vocab():
@@ -280,7 +266,7 @@ def test_switch_epsilon_around_default_threshold():
 def test_switch_gamma_zero_equals_mass_loss():
     rng = np.random.default_rng(10)
     vocab = _eye_vocab(2, 3, d=8)
-    bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
+    bg = [unit(rng, 8) for _ in range(6)]
     value, branches = _switched(_batch(bg=bg), vocab, tau=0.3, gamma=0.0)
     assert set(branches) == {MASS_BRANCH}
     assert value == _loss("mass", _batch(bg=bg), vocab, tau=0.3)
@@ -289,7 +275,7 @@ def test_switch_gamma_zero_equals_mass_loss():
 def test_switch_gamma_one_equals_relaxed_loss():
     rng = np.random.default_rng(11)
     vocab = _eye_vocab(2, 3, d=8)
-    bg = [make_proposal(unit(rng, 8)) for _ in range(6)]
+    bg = [unit(rng, 8) for _ in range(6)]
     value, branches = _switched(_batch(bg=bg), vocab, tau=0.3, gamma=1.0)
     assert set(branches) == {UNIFORM_BRANCH}
     assert value == _loss("uniform", _batch(bg=bg), vocab, tau=0.3)
@@ -298,7 +284,7 @@ def test_switch_gamma_one_equals_relaxed_loss():
 def test_switch_permutation_invariance():
     rng = np.random.default_rng(13)
     vocab = _eye_vocab(3, 2, d=9)
-    bg = [make_proposal(unit(rng, 9)) for _ in range(8)]
+    bg = [unit(rng, 9) for _ in range(8)]
     v1, b1 = _switched(_batch(bg=bg), vocab, tau=0.1, gamma=0.02)
     order = list(reversed(range(len(bg))))
     v2, b2 = _switched(
@@ -312,7 +298,7 @@ def test_all_losses_nonnegative_random_sweep():
     rng = np.random.default_rng(14)
     vocab = _eye_vocab(3, 3, d=10)
     for tau in (1.0, 0.05):
-        bg = [make_proposal(unit(rng, 10)) for _ in range(5)]
+        bg = [unit(rng, 10) for _ in range(5)]
         batch = _batch(bg=bg)
         assert _loss("mass", batch, vocab, tau) >= 0.0
         assert _loss("uniform", batch, vocab, tau) >= 0.0
@@ -324,22 +310,18 @@ def test_all_losses_nonnegative_random_sweep():
 
 
 def _random_images(rng, vocab, n_images, with_partition):
-    """Per-image (batch, partition) pairs with random group sizes, some of them empty."""
+    """Per-image ``stack_blocks`` arguments (vocabulary aside) with random group sizes, some of them empty."""
     d = vocab.dim
     images = []
     for _ in range(n_images):
-        fg = [make_proposal(unit(rng, d), gt_label=int(rng.choice(vocab.base_ids)))
-              for _ in range(rng.integers(0, 4))]
-        bg = [make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 5))]
-        partition = None
+        fg = [(unit(rng, d), int(rng.choice(vocab.base_ids))) for _ in range(rng.integers(0, 4))]
+        bg = [unit(rng, d) for _ in range(rng.integers(0, 5))]
+        positives, categories, negatives = [], [], []
         if with_partition:
-            labels = [PseudoLabel(int(rng.integers(vocab.n_discovered)), 0.99)
-                      for _ in range(rng.integers(0, 3))]
-            partition = BackgroundPartition(
-                positives=tuple((make_proposal(unit(rng, d)), lab) for lab in labels),
-                negatives=tuple(make_proposal(unit(rng, d)) for _ in range(rng.integers(0, 3))),
-            )
-        images.append((_batch(fg, bg), partition))
+            categories = [int(rng.integers(vocab.n_discovered)) for _ in range(rng.integers(0, 3))]
+            positives = [unit(rng, d) for _ in categories]
+            negatives = [unit(rng, d) for _ in range(rng.integers(0, 3))]
+        images.append(([q for q, _ in fg], [label for _, label in fg], bg, positives, categories, negatives))
     return images
 
 
@@ -347,9 +329,8 @@ def test_zero_norm_feature_fails_at_stacking_time():
     from ovlab.core import ZeroNormError
 
     vocab = _eye_vocab(2, 1)
-    batch = _batch(fg=[make_proposal(np.eye(4)[0], gt_label=0)], bg=[make_proposal(np.zeros(4))])
     with pytest.raises(ZeroNormError):
-        proposal_blocks(batch, None, vocab)
+        stack_blocks([np.eye(4)[0]], [0], [np.zeros(4)], [], [], [], vocab)
 
 
 @pytest.mark.parametrize("kind", ["partition", "no_partition", "baseline"])
@@ -369,16 +350,9 @@ def test_block_assembly_matches_per_proposal_oracle(kind):
                                      n_discovered=3)
     for _ in range(20):
         images = _random_images(rng, vocab, int(rng.integers(1, 5)), kind == "partition")
-        union = _batch([p for b, _ in images for p in b.foreground],
-                       [p for b, _ in images for p in b.background])
-        partition = None
-        if kind == "partition":
-            partition = BackgroundPartition(
-                positives=tuple(x for _, part in images for x in part.positives),
-                negatives=tuple(x for _, part in images for x in part.negatives),
-            )
-        got = proposal_groups([proposal_blocks(b, part, vocab) for b, part in images], vocab)
-        want = oracle_groups(union, partition, vocab)
+        union = [[x for image in images for x in image[part]] for part in range(6)]
+        got = proposal_groups([stack_blocks(*image, vocab) for image in images], vocab)
+        want = oracle_groups(*union, vocab)
         assert got[1] == want[1]  # slices
         targets = np.concatenate([want[2]["foreground"], want[2]["pseudo_positive"]])  # in row order
         unit_rows = want[0] / np.linalg.norm(want[0], axis=1, keepdims=True)  # blocks hold unit rows

@@ -14,7 +14,10 @@ private (underscore) name.
 
 Code that reads every proposal reads an image's columns: outside
 ``SynthImage``, which defines it, only the discovery prep builds records
-(``.proposal_records``), and only for the background rows it kept. Only
+(``.proposal_records``), and only for the background rows it kept; nothing
+but ``SynthImage`` constructs a ``Proposal``. Pseudo-labels and training
+batches are arrays: no module defines, imports or reads a ``ProposalBatch``,
+``proposal_blocks`` or ``PseudoLabel``. Only
 ``trainer.filtered_background`` calls ``filter_background_proposals``, so a
 prep filters each image once and the labeller filters nothing. A box is
 a row of a float array: no module defines a ``Box``, and nothing reads an
@@ -190,18 +193,35 @@ def _owners(tree: ast.Module) -> dict[ast.AST, str]:
     return {child: f.name for f in functions for child in ast.walk(f)}
 
 
+def _in_synth_image(tree: ast.Module) -> set[ast.AST]:
+    """Every node inside the ``SynthImage`` class, the one home of the record builder."""
+    return {child for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "SynthImage"
+            for child in ast.walk(cls)}
+
+
 def test_only_the_per_image_record_readers_read_proposals():
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
         owner = _owners(tree)
-        builders = {child for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "SynthImage"
-                    for child in ast.walk(cls)}
+        builders = _in_synth_image(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in RECORDS and isinstance(node.ctx, ast.Load):
                 if node not in builders and (path.stem, owner.get(node)) not in PROPOSAL_READERS:
                     readers.append(f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})")
     assert not readers, f"reads of {RECORDS} outside {sorted(PROPOSAL_READERS)}: {readers}"
+
+
+def test_only_synth_image_constructs_a_proposal():
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = _owners(tree)
+        inside = _in_synth_image(tree)
+        builders += [f"{path.stem}.{owner.get(node, '<module>')} (line {node.lineno})" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and node not in inside
+                     and "Proposal" in (getattr(node.func, k, None) for k in ("id", "attr"))]
+    assert not builders, f"Proposal records built outside SynthImage: {builders}"
 
 
 # The one production caller of the background filter, by (module, function): the prep's per-image pass.
@@ -218,7 +238,8 @@ def test_only_the_prep_filters_the_background():
     assert callers == FILTER_CALLERS, f"filter_background_proposals is called by {sorted(callers)}"
 
 
-FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals"}  # defined, imported or read anywhere
+# Defined, imported or read anywhere.
+FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -229,5 +250,5 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
             names = {getattr(node, key, None) for key in ("id", "name", "asname", "attr")} & FORBIDDEN_NAMES
             names |= {getattr(node, "attr", None)} & FORBIDDEN_ATTRIBUTES
             found += [f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}" for name in names]
-    assert not found, (f"a box is a row of a float array, an image holds no background records, and a proposal's "
-                       f"oracle lives only in its image's columns: {found}")
+    assert not found, (f"a box is a row of a float array, an image holds no background records, a proposal's "
+                       f"oracle lives only in its image's columns, and pseudo-labels and batches are arrays: {found}")

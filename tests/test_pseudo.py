@@ -5,17 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.discovery import iou
-from ovlab.losses import ProposalBatch, objective_terms, proposal_blocks, proposal_groups
-from ovlab.pseudo import (
-    BackgroundPartition,
-    PseudoLabel,
-    _center_probs,
-    _labels,
-    generate_pseudo_labels,
-)
+from ovlab.discovery import filter_background_proposals, iou
+from ovlab.losses import objective_terms, proposal_groups, stack_blocks
+from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
 
-from oracles import records, rowwise_pseudo_labels, softmax_probs
+from oracles import OracleProposal, records, rowwise_pseudo_labels, softmax_probs
 from util import make_proposal, make_vocab, unit
 
 
@@ -25,8 +19,9 @@ def center_probs(img_feature, centers, tau):
 
 
 def label_of(img_feature, centers, tau):
-    """The labeller's label of one feature: its best center, ties to the smaller index."""
-    return _labels(_center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau))[0]
+    """The labeller's label of one feature: its best center (ties to the smaller index) and that center's score."""
+    cats, scores = _labels(_center_probs(np.asarray(img_feature, dtype=np.float64)[None, :], centers, tau))
+    return int(cats[0]), float(scores[0])
 
 
 def test_center_probs_matched_center_saturates():
@@ -54,9 +49,9 @@ def test_center_probs_empty_centers():
 
 def test_assign_label_matches_center_index():
     centers = np.eye(5)[:4]
-    label = label_of(np.eye(5)[2], centers, tau=0.02)
-    assert label.category == 2
-    assert label.score >= 1.0 - 1e-18
+    category, score = label_of(np.eye(5)[2], centers, tau=0.02)
+    assert category == 2
+    assert score >= 1.0 - 1e-18
 
 
 def test_assign_label_temperature_invariant_argmax():
@@ -64,8 +59,8 @@ def test_assign_label_temperature_invariant_argmax():
     centers = np.array([unit(rng, 12) for _ in range(6)])
     for _ in range(1000):
         q = unit(rng, 12)
-        a = label_of(q, centers, tau=1.0).category
-        b = label_of(q, centers, tau=0.02).category
+        a = label_of(q, centers, tau=1.0)[0]
+        b = label_of(q, centers, tau=0.02)[0]
         assert a == b
 
 
@@ -74,14 +69,14 @@ def test_assign_label_brute_force_nearest_center():
     centers = np.array([unit(rng, 8) for _ in range(5)])
     for _ in range(200):
         q = unit(rng, 8)
-        picked = label_of(q, centers, tau=0.5).category
+        picked = label_of(q, centers, tau=0.5)[0]
         best = max(range(5), key=lambda j: (float(q @ centers[j]), -j))
         assert picked == best
 
 
 def test_assign_label_tie_breaks_to_smaller_index():
     centers = np.stack([np.eye(3)[0], np.eye(3)[0]])  # duplicated center
-    assert label_of(np.eye(3)[0], centers, tau=1.0).category == 0
+    assert label_of(np.eye(3)[0], centers, tau=1.0)[0] == 0
 
 
 def _bg_proposal(rng, d, img_feature=None):
@@ -95,8 +90,8 @@ def test_generate_all_below_threshold():
     props = [_bg_proposal(rng, 6) for _ in range(5)]
     boxes = np.array([(15 * i, 0, 15 * i + 10, 10) for i in range(5)], dtype=np.float64)
     part = generate_pseudo_labels(props, boxes, centers, tau=1.0, theta=0.95)
-    assert part.positives == ()
-    assert part.negatives == tuple(props)
+    assert part.positives.tolist() == part.categories.tolist() == []
+    assert part.negatives.tolist() == list(range(5))
 
 
 def test_generate_per_class_nms_keeps_best():
@@ -107,9 +102,8 @@ def test_generate_per_class_nms_keeps_best():
     hi = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0])
     lo = make_proposal(unit(rng, 8), img_feature=_tilted(np.eye(8)[0], np.eye(8)[3], 0.05))
     part = generate_pseudo_labels([hi, lo], np.array([b1, b2], dtype=np.float64), centers, tau=0.02, theta=0.95)
-    kept = [p for p, _ in part.positives]
-    assert kept == [hi]
-    assert part.negatives == (lo,)
+    assert part.positives.tolist() == part.categories.tolist() == [0]
+    assert part.negatives.tolist() == [1]
 
 
 def _tilted(a, b, eps):
@@ -125,13 +119,12 @@ def test_per_class_nms_spares_other_classes():
     second = make_proposal(unit(rng, 8), img_feature=np.eye(8)[1])
     part = generate_pseudo_labels([first, second], np.array([b1, b2], dtype=np.float64), centers, tau=0.02,
                                   theta=0.95)
-    assert len(part.positives) == 2  # overlapping boxes, different classes
+    assert part.categories.tolist() == [0, 1]  # overlapping boxes, different classes
 
 
 def test_partition_covers_filtered_set_exactly():
-    # The labeller filters nothing: every record of the filtered set it is given lands in exactly one half.
-    from ovlab.discovery import filter_background_proposals
-
+    # The labeller filters nothing: every record of the filtered set it is given lands in exactly one
+    # half, each half holding int64 positions into its input in ascending order.
     rng = np.random.default_rng(6)
     centers = np.array([unit(rng, 6) for _ in range(3)])
     props = [_bg_proposal(rng, 6) for _ in range(12)]
@@ -141,9 +134,11 @@ def test_partition_covers_filtered_set_exactly():
     filtered = [props[i] for i in rows]
     assert 0 < len(filtered) < len(props)
     part = generate_pseudo_labels(filtered, boxes[rows], centers, tau=0.02, theta=0.95)
-    positives = [p for p, _ in part.positives]
-    assert sorted(map(id, positives + list(part.negatives))) == sorted(map(id, filtered))
-    assert not (set(map(id, positives)) & set(map(id, part.negatives)))
+    assert part.positives.dtype == part.negatives.dtype == np.int64
+    assert sorted(part.positives.tolist() + part.negatives.tolist()) == list(range(len(filtered)))
+    for half in (part.positives, part.negatives):
+        assert half.tolist() == sorted(half.tolist())
+    assert len(part.categories) == len(part.positives)
 
 
 def test_labels_ignore_detector_features():
@@ -155,10 +150,42 @@ def test_labels_ignore_detector_features():
     props_b = [make_proposal(unit(rng, 6), img_feature=f) for f in img_feats]
     part_a = generate_pseudo_labels(props_a, boxes, centers, tau=0.02, theta=0.5)
     part_b = generate_pseudo_labels(props_b, boxes, centers, tau=0.02, theta=0.5)
-    at_a, at_b = ({id(p): i for i, p in enumerate(props)} for props in (props_a, props_b))
-    labels_a = [(at_a[id(p)], l.category) for p, l in part_a.positives]
-    labels_b = [(at_b[id(p)], l.category) for p, l in part_b.positives]
-    assert labels_a == labels_b and labels_a
+    labels_a, labels_b = ([half.tolist() for half in part] for part in (part_a, part_b))
+    assert labels_a == labels_b and labels_a[0]
+
+
+def _reference_images():
+    """The background records of a reference world's 12 train images with their gt boxes, and the prep's centers."""
+    from ovlab.encoder import MockTextEncoder
+    from ovlab.synth import ScenarioConfig, generate_scenario
+    from ovlab.trainer import TrainConfig, prepare_background
+
+    scenario = generate_scenario(ScenarioConfig(n_train_images=12, n_eval_images=0, seed=0), MockTextEncoder(seed=7))
+    _, centers = prepare_background(scenario, TrainConfig(seed=0))
+    return [(records(image, np.flatnonzero(image.gt < 0)), image.gt_boxes) for image in scenario.images("train")], centers
+
+
+def _hand_image(img_features, boxes):
+    """One unannotated image whose background records have the given image-encoder rows at ``boxes``, each
+    with objectness 0.99 (so the filter keeps every box that no other overlaps by half)."""
+    bg = [OracleProposal(box=np.array(b, dtype=np.float64), rpn_score=0.99, det_feature=f, img_feature=f)
+          for f, b in zip(img_features, boxes)]
+    return [(bg, np.zeros((0, 4)))], np.eye(4)[:2]
+
+
+_APART = [(0, 0, 10, 10), (20, 0, 30, 10), (40, 0, 50, 10)]
+_BETWEEN = [v / np.linalg.norm(v) for v in ([1.0, 1.0, 0.1, 0.0], [1.0, 1.0, 0.0, 0.1], [1.0, 1.0, -0.1, 0.0])]
+
+# name -> (images and centers, the labeller's NMS IoU, the oracle's (positives, negatives) of each image if fixed)
+LABELLER_CASES = {
+    "reference_world": (_reference_images, 0.5, None),
+    "empty": (lambda: _hand_image([], []), 0.5, [([], [])]),
+    # Halfway between the two centers: every score is about 1/2, far under theta.
+    "nothing_above_theta": (lambda: _hand_image(_BETWEEN, _APART), 0.5, [([], [0, 1, 2])]),
+    # One feature at two boxes that overlap by 0.43: equal scores, so the class NMS keeps the lower index.
+    "equal_scores_overlap": (lambda: _hand_image([np.eye(4)[0]] * 2, [(0, 0, 10, 10), (4, 0, 14, 10)]), 0.3,
+                             [([0], [1])]),
+}
 
 
 def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
@@ -166,31 +193,28 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
     # labels the kept records with one cosine matrix; the oracle filters and scores each proposal
     # alone with the scalar filter and softmax. Scores may differ in the last bits, but no label or
     # partition may.
-    from ovlab.discovery import filter_background_proposals
-    from ovlab.encoder import MockTextEncoder
-    from ovlab.synth import ScenarioConfig, generate_scenario
-    from ovlab.trainer import TrainConfig, prepare_background
-
-    scenario = generate_scenario(ScenarioConfig(n_train_images=12, n_eval_images=0, seed=0), MockTextEncoder(seed=7))
-    config = TrainConfig(seed=0)
-    _, centers = prepare_background(scenario, config)
-    n_positive = 0
-    for image in scenario.images("train"):
-        background = np.flatnonzero(image.gt < 0)
-        bg = records(image, background)
-        kept = filter_background_proposals(image.boxes[background], image.rpn[background], image.gt_boxes,
-                                           theta=config.score_threshold)
-        got = generate_pseudo_labels([bg[i] for i in kept.tolist()], image.boxes[background[kept]], centers,
-                                     tau=config.temperature, theta=config.score_threshold)
-        want = rowwise_pseudo_labels(bg, image.gt_boxes, centers, tau=config.temperature,
-                                     theta=config.score_threshold)
-        assert [id(p) for p, _ in got.positives] == [id(p) for p, _ in want.positives]
-        assert list(map(id, got.negatives)) == list(map(id, want.negatives))
-        for (_, g), (_, w) in zip(got.positives, want.positives):
-            assert g.category == w.category
-            assert g.score == pytest.approx(w.score, rel=1e-12)
-        n_positive += len(got.positives)
-    assert n_positive > 0
+    tau, theta = 0.02, 0.95
+    for case, (build, nms_iou, expected) in LABELLER_CASES.items():
+        images, centers = build()
+        found = []
+        for bg, gt_boxes in images:
+            boxes = np.array([p.box for p in bg], dtype=np.float64).reshape(-1, 4)
+            kept = filter_background_proposals(boxes, [p.rpn_score for p in bg], gt_boxes, theta=theta)
+            got = generate_pseudo_labels([bg[i] for i in kept.tolist()], boxes[kept], centers, tau=tau,
+                                         theta=theta, nms_iou=nms_iou)
+            positives, labels, negatives = rowwise_pseudo_labels(bg, gt_boxes, centers, tau=tau, theta=theta,
+                                                                 nms_iou=nms_iou)
+            assert kept[got.positives].tolist() == positives, case
+            assert kept[got.negatives].tolist() == negatives, case
+            assert got.categories.tolist() == [category for category, _ in labels], case
+            if labels:
+                scores = _labels(_center_probs(np.stack([bg[i].img_feature for i in positives]), centers, tau))[1]
+                assert scores.tolist() == pytest.approx([score for _, score in labels], rel=1e-12), case
+            found.append((positives, negatives))
+        if expected is None:
+            assert sum(len(positives) for positives, _ in found) > 0, case
+        else:
+            assert found == expected, case
 
 
 def test_theta_out_of_range():
@@ -222,42 +246,38 @@ def _vocab_for_loss(rng, n_base=3, n_disc=2, n_extra=2, d=10):
     )
 
 
-def _pseudo_loss(partition, vocab, tau, negative_weight):
-    """The objective's pseudo-label component on a batch with no other proposals."""
-    empty = ProposalBatch(foreground=(), background=())
-    _, slices, targets, cosines = proposal_groups([proposal_blocks(empty, partition, vocab)], vocab)
+def _pseudo_loss(positives, categories, negatives, vocab, tau, negative_weight):
+    """The objective's pseudo-label component on the given pseudo-positive and pseudo-negative rows alone."""
+    blocks = stack_blocks([], [], [], positives, categories, negatives, vocab)
+    _, slices, targets, cosines = proposal_groups([blocks], vocab)
     return objective_terms(cosines, slices, targets, vocab, tau, negative_weight=negative_weight).values["pseudo"]
 
 
 def test_loss_empty_partition_zero():
     rng = np.random.default_rng(8)
     vocab = _vocab_for_loss(rng)
-    part = BackgroundPartition(positives=(), negatives=())
-    assert _pseudo_loss(part, vocab, tau=0.5, negative_weight=0.05) == 0.0
+    assert _pseudo_loss([], [], [], vocab, tau=0.5, negative_weight=0.05) == 0.0
 
 
 def test_loss_brute_force_oracle():
     rng = np.random.default_rng(9)
     vocab = _vocab_for_loss(rng, n_base=3, n_disc=2, n_extra=2, d=10)
-    positives = tuple(
-        (make_proposal(unit(rng, 10)), PseudoLabel(int(rng.integers(2)), 0.99))
-        for _ in range(4)
-    )
-    negatives = tuple(make_proposal(unit(rng, 10)) for _ in range(3))
-    part = BackgroundPartition(positives=positives, negatives=negatives)
+    positives = [(unit(rng, 10), int(rng.integers(2))) for _ in range(4)]
+    negatives = [unit(rng, 10) for _ in range(3)]
     lam = 0.05
-    value = _pseudo_loss(part, vocab, tau=0.2, negative_weight=lam)
+    value = _pseudo_loss([q for q, _ in positives], [c for _, c in positives], negatives, vocab, tau=0.2,
+                         negative_weight=lam)
 
     # Independent evaluation: scalar softmax per proposal, explicit index sets.
     # Positive targets live in the discovered block (positions 3, 4 here);
     # the negative sum runs over the expansion block plus the final slot.
     pos_total = 0.0
-    for p, lab in positives:
-        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.2)
-        pos_total += -math.log(probs[3 + lab.category])
+    for q, category in positives:
+        probs = softmax_probs(q, list(vocab.embeddings), tau=0.2)
+        pos_total += -math.log(probs[3 + category])
     neg_total = 0.0
-    for p in negatives:
-        probs = softmax_probs(p.det_feature, list(vocab.embeddings), tau=0.2)
+    for q in negatives:
+        probs = softmax_probs(q, list(vocab.embeddings), tau=0.2)
         neg_total += -math.log(probs[5] + probs[6] + probs[7])
     oracle = pos_total / len(positives) + lam * neg_total / len(negatives)
     assert value == pytest.approx(oracle, rel=1e-10)
@@ -271,13 +291,11 @@ def test_loss_negative_index_set_excludes_discovered():
     kwargs = dict(base_emb=eye[:2], under_emb=eye[2:6], sub=eye[6])
     v_two = make_vocab(n_discovered=2, **kwargs)
     v_three = make_vocab(n_discovered=3, **kwargs)
-    part = BackgroundPartition(
-        positives=(), negatives=(make_proposal(unit(rng, 9)),)
-    )
-    a = _pseudo_loss(part, v_two, tau=0.3, negative_weight=1.0)
-    b = _pseudo_loss(part, v_three, tau=0.3, negative_weight=1.0)
+    negative = unit(rng, 9)
+    a = _pseudo_loss([], [], [negative], v_two, tau=0.3, negative_weight=1.0)
+    b = _pseudo_loss([], [], [negative], v_three, tau=0.3, negative_weight=1.0)
     assert a != b
-    probs = softmax_probs(part.negatives[0].det_feature, list(v_two.embeddings), tau=0.3)
+    probs = softmax_probs(negative, list(v_two.embeddings), tau=0.3)
     assert a == pytest.approx(-math.log(probs[4] + probs[5] + probs[6]), rel=1e-10)
     assert b == pytest.approx(-math.log(probs[5] + probs[6]), rel=1e-10)
 
@@ -285,10 +303,5 @@ def test_loss_negative_index_set_excludes_discovered():
 def test_pseudo_label_target_outside_discovered_rejected():
     rng = np.random.default_rng(12)
     vocab = _vocab_for_loss(rng, n_disc=2, n_extra=2)
-    part = BackgroundPartition(
-        positives=((make_proposal(unit(rng, 10)), PseudoLabel(2, 0.99)),),
-        negatives=(),
-    )
     with pytest.raises(IndexError):
-        _pseudo_loss(part, vocab, tau=0.5, negative_weight=0.05)
-
+        _pseudo_loss([unit(rng, 10)], [2], [], vocab, tau=0.5, negative_weight=0.05)

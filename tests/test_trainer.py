@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.losses import COMPONENTS, MASS_BRANCH, UNIFORM_BRANCH, ProposalBatch, proposal_blocks
+from ovlab.losses import COMPONENTS, MASS_BRANCH, UNIFORM_BRANCH, stack_blocks
 from ovlab.metrics import STANDARD_COMBOS
-from ovlab.pseudo import BackgroundPartition, PseudoLabel
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import (
     Checkpoint,
@@ -29,9 +28,9 @@ from ovlab.trainer import (
     train,
 )
 
-from oracles import (central_difference, raw_proposal_blocks, raw_stack_blocks, records, rowwise_pseudo_labels,
-                     softmax_probs, two_block_sgd_step, unfused_loss_and_gradients)
-from util import make_proposal, training_vocab, unit
+from oracles import (central_difference, raw_stack_blocks, records, rowwise_pseudo_labels, softmax_probs,
+                     two_block_sgd_step, unfused_loss_and_gradients)
+from util import training_vocab, unit
 
 
 @pytest.fixture(scope="module")
@@ -49,43 +48,40 @@ def _setup(enc, seed, n_base=4, n_disc=3, n_extra=2, n_fg=6, n_bg=10, tau=0.05):
     vocab = training_vocab(
         list(range(n_base)), base_emb, ctx, sub, enc, n_discovered=n_disc
     )
-    batch = ProposalBatch(
-        foreground=tuple(
-            make_proposal(unit(rng, enc.dim), gt_label=int(rng.integers(n_base)))
-            for _ in range(n_fg)
-        ),
-        background=tuple(make_proposal(unit(rng, enc.dim)) for _ in range(n_bg)),
-    )
-    partition = BackgroundPartition(
-        positives=tuple(
-            (make_proposal(unit(rng, enc.dim)), PseudoLabel(int(rng.integers(n_disc)), 0.99))
-            for _ in range(3)
-        ),
-        negatives=tuple(make_proposal(unit(rng, enc.dim)) for _ in range(3)),
-    )
+    foreground = [(unit(rng, enc.dim), int(rng.integers(n_base))) for _ in range(n_fg)]
+    background = [unit(rng, enc.dim) for _ in range(n_bg)]
+    positives = [(unit(rng, enc.dim), int(rng.integers(n_disc))) for _ in range(3)]
+    negatives = [unit(rng, enc.dim) for _ in range(3)]
+    blocks = [stack_blocks([q for q, _ in foreground], [label for _, label in foreground], background,
+                           [q for q, _ in positives], [c for _, c in positives], negatives, vocab)]
     config = TrainConfig(temperature=tau, discovered_categories=n_disc, extra_categories=n_extra)
-    return batch, vocab, partition, config
+    return blocks, vocab, config
+
+
+def _blocks(vocab, foreground=(), labels=(), background=()):
+    """One image's ``ProposalBlocks`` without pseudo-labels."""
+    return [stack_blocks(foreground, labels, background, [], [], [], vocab)]
 
 
 # -- objective ------------------------------------------------------------------
 
 
 def test_loss_breakdown_additivity(enc):
-    batch, vocab, partition, config = _setup(enc, seed=0)
-    br = loss_final(batch, vocab, partition, config)
+    blocks, vocab, config = _setup(enc, seed=0)
+    br = loss_final(blocks, vocab, config)
     assert br.total == pytest.approx(br.foreground + br.background + br.pseudo, abs=1e-12)
     assert len(br.branches) == 10
 
 
 def test_loss_toggles_zero_terms(enc):
-    batch, vocab, partition, config = _setup(enc, seed=1)
+    blocks, vocab, config = _setup(enc, seed=1)
     no_prompts = dataclasses.replace(config, use_prompts=False)
-    br = loss_final(batch, vocab, partition, no_prompts)
+    br = loss_final(blocks, vocab, no_prompts)
     assert br.background == 0.0 and br.branches == ()
     assert br.total == pytest.approx(br.foreground + br.pseudo, abs=1e-12)
 
     no_discovery = dataclasses.replace(config, use_discovery=False)
-    br = loss_final(batch, vocab, partition, no_discovery)
+    br = loss_final(blocks, vocab, no_discovery)
     assert br.pseudo == 0.0
     assert br.total == pytest.approx(br.foreground + br.background, abs=1e-12)
 
@@ -99,12 +95,11 @@ def test_loss_baseline_mode_single_embedding(enc):
     vocab = training_vocab(
         [0, 1, 2], base_emb, np.zeros((0, enc.ctx_dim)), sub, enc, baseline_mode=True
     )
-    bg = tuple(make_proposal(unit(rng, enc.dim)) for _ in range(5))
-    batch = ProposalBatch(foreground=(), background=bg)
+    bg = [unit(rng, enc.dim) for _ in range(5)]
     config = TrainConfig(temperature=0.2, baseline_mode=True, use_discovery=False)
-    br = loss_final(batch, vocab, None, config)
+    br = loss_final(_blocks(vocab, background=bg), vocab, config)
     oracle = -np.mean(
-        [math.log(softmax_probs(p.det_feature, list(vocab.embeddings), 0.2)[-1]) for p in bg]
+        [math.log(softmax_probs(q, list(vocab.embeddings), 0.2)[-1]) for q in bg]
     )
     assert br.background == pytest.approx(oracle, rel=1e-10)
     assert br.total == pytest.approx(br.background, abs=1e-12)
@@ -120,9 +115,8 @@ def test_loss_baseline_mode_single_embedding(enc):
 def test_gradients_match_central_differences(enc, tau, tol, component):
     worst = 0.0
     for seed in range(5):
-        batch, vocab, partition, config = _setup(enc, seed=seed, tau=tau)
-        analytic = compute_gradients(batch, vocab, partition, config, component=component)
-        blocks = [proposal_blocks(batch, partition, vocab)]
+        blocks, vocab, config = _setup(enc, seed=seed, tau=tau)
+        analytic = compute_gradients(blocks, vocab, config, component=component)
         fd, flips = finite_diff_gradients(blocks, vocab, config, h=1e-5, component=component)
         if flips:
             continue
@@ -140,20 +134,17 @@ def test_gradients_vanish_when_saturated(enc):
     sub = np.eye(enc.dim)[3]
     ctx = init_context_vectors(2, seed=0, ctx_dim=enc.ctx_dim)
     vocab = training_vocab([0, 1, 2], base_emb, ctx, sub, enc, n_discovered=2)
-    batch = ProposalBatch(
-        foreground=tuple(make_proposal(base_emb[i], gt_label=i) for i in range(3)),
-        background=(make_proposal(sub),),
-    )
+    blocks = _blocks(vocab, base_emb, [0, 1, 2], [sub])
     config = TrainConfig(temperature=0.02, discovered_categories=2, extra_categories=0,
                          use_discovery=False)
-    grads = compute_gradients(batch, vocab, None, config)
+    grads = compute_gradients(blocks, vocab, config)
     assert np.all(np.abs(grads.flat) < 1e-8)
 
 
 def test_disabled_everything_zero_gradients(enc):
-    batch, vocab, partition, config = _setup(enc, seed=5, n_fg=0)
+    blocks, vocab, config = _setup(enc, seed=5, n_fg=0)
     off = dataclasses.replace(config, use_prompts=False, use_discovery=False)
-    grads = compute_gradients(batch, vocab, partition, off)
+    grads = compute_gradients(blocks, vocab, off)
     np.testing.assert_array_equal(grads.flat, 0.0)
 
 
@@ -164,20 +155,17 @@ def test_baseline_mode_has_no_context_gradients(enc):
     vocab = training_vocab(
         [0, 1, 2], base_emb, np.zeros((0, enc.ctx_dim)), sub, enc, baseline_mode=True
     )
-    batch = ProposalBatch(
-        foreground=(make_proposal(unit(rng, enc.dim), gt_label=0),),
-        background=(make_proposal(unit(rng, enc.dim)),),
-    )
+    blocks = _blocks(vocab, [unit(rng, enc.dim)], [0], [unit(rng, enc.dim)])
     config = TrainConfig(temperature=0.1, baseline_mode=True, use_discovery=False)
-    grads = compute_gradients(batch, vocab, None, config)
+    grads = compute_gradients(blocks, vocab, config)
     assert grads.context_vectors.shape == (0, enc.ctx_dim)
     assert np.any(grads.sub_background != 0.0)
 
 
 def test_unknown_component_rejected(enc):
-    batch, vocab, partition, config = _setup(enc, seed=7)
+    blocks, vocab, config = _setup(enc, seed=7)
     with pytest.raises(ValueError):
-        compute_gradients(batch, vocab, partition, config, component="bogus")
+        compute_gradients(blocks, vocab, config, component="bogus")
 
 
 # -- finite-difference machinery ------------------------------------------------------
@@ -203,11 +191,11 @@ def test_central_difference_exact_on_quadratic():
 def test_finite_difference_error_shrinks_quadratically(enc):
     # Halving h should shrink the truncation error roughly fourfold in the
     # smooth regime (h large enough that roundoff is negligible).
-    batch, vocab, partition, config = _setup(enc, seed=9, tau=0.3)
-    analytic = compute_gradients(batch, vocab, partition, config).flat
+    blocks, vocab, config = _setup(enc, seed=9, tau=0.3)
+    analytic = compute_gradients(blocks, vocab, config).flat
     errs = []
     for h in (2e-3, 1e-3):
-        fd, flips = finite_diff_gradients([proposal_blocks(batch, partition, vocab)], vocab, config, h=h)
+        fd, flips = finite_diff_gradients(blocks, vocab, config, h=h)
         assert flips == 0
         errs.append(np.linalg.norm(fd.flat - analytic))
     ratio = errs[0] / errs[1]
@@ -224,24 +212,23 @@ def test_branch_straddle_flagged(enc):
     vocab = training_vocab([0], base_emb, ctx, sub, enc, n_discovered=1)
     q = np.eye(enc.dim)[0] * 0.9 + np.eye(enc.dim)[1] * 0.1
     q /= np.linalg.norm(q)
-    batch = ProposalBatch(foreground=(), background=(make_proposal(q),))
     config = TrainConfig(temperature=0.05, discovered_categories=1, extra_categories=0,
                          use_discovery=False)
     from ovlab.core import cosine_matrix, log_softmax_rows
     from ovlab.losses import mass_terms
 
-    features = np.stack([p.det_feature for p in batch.background])
+    features = q[None, :]
     logits = cosine_matrix(features, vocab.embeddings) / config.temperature
     _, _, masses = mass_terms(log_softmax_rows(logits)[:, vocab.block_indices.background])
     on_boundary = dataclasses.replace(config, relax_threshold=float(masses[0]))
-    _, flips = finite_diff_gradients([proposal_blocks(batch, None, vocab)], vocab, on_boundary, h=1e-5)
+    _, flips = finite_diff_gradients(_blocks(vocab, background=[q]), vocab, on_boundary, h=1e-5)
     assert flips > 0
 
 
 def test_finite_diff_rejects_bad_step(enc):
-    batch, vocab, partition, config = _setup(enc, seed=11)
+    blocks, vocab, config = _setup(enc, seed=11)
     with pytest.raises(ValueError):
-        finite_diff_gradients([proposal_blocks(batch, partition, vocab)], vocab, config, h=0.0)
+        finite_diff_gradients(blocks, vocab, config, h=0.0)
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -422,21 +409,21 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
 
 def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_background():
     # A prep filters each image's background once and hands the kept records and their boxes to the
-    # labeller: on reference worlds of scenario seeds 0 and 3, each partition equals the row-by-row
-    # oracle's filtering and labelling of the image's whole background (records compared by their rows).
+    # labeller: on reference worlds of scenario seeds 0 and 3, each partition, as the image's rows,
+    # equals the row-by-row oracle's filtering and labelling of the image's whole background.
     config = TrainConfig(seed=3)
     for scenario_seed in (0, 3):
         scenario = generate_scenario(ScenarioConfig(seed=scenario_seed), MockTextEncoder(seed=7))
         prep = prepare_discovery(scenario, config)
         for image, got in zip(scenario.train_images, prep.partitions, strict=True):
-            want = rowwise_pseudo_labels(
-                records(image, np.flatnonzero(image.gt < 0)), image.gt_boxes, prep.centers, tau=config.temperature,
+            background = np.flatnonzero(image.gt < 0)
+            positives, labels, negatives = rowwise_pseudo_labels(
+                records(image, background), image.gt_boxes, prep.centers, tau=config.temperature,
                 theta=config.score_threshold, nms_iou=config.pseudo_nms_iou, gt_iou_cut=config.gt_iou_cut,
                 rpn_nms_iou=config.nms_iou)
-            assert [(p.img_feature.tobytes(), label.category) for p, label in got.positives] == [
-                (p.img_feature.tobytes(), label.category) for p, label in want.positives]
-            assert [p.img_feature.tobytes() for p in got.negatives] == [
-                p.img_feature.tobytes() for p in want.negatives]
+            assert got.positives.tolist() == background[positives].tolist()
+            assert got.categories.tolist() == [category for category, _ in labels]
+            assert got.negatives.tolist() == background[negatives].tolist()
         assert sum(len(p.positives) for p in prep.partitions)
 
 
@@ -490,7 +477,7 @@ def test_a_prep_builds_one_record_per_kept_row(reference_world, monkeypatch):
 @pytest.mark.parametrize("baseline_mode", [False, True])
 def test_image_blocks_stack_the_columns_as_the_records_stack(small_scenario, baseline_mode):
     # ``_image_blocks`` stacks each training image's rows straight from its columns; stacking
-    # the image's records as a ``ProposalBatch`` gives the same bytes, pseudo-labels included.
+    # the image's records gives the same bytes, pseudo-labels included.
     import ovlab.trainer as trainer_mod
     from ovlab.vocab import FixedRows, build_training_vocab
 
@@ -505,9 +492,12 @@ def test_image_blocks_stack_the_columns_as_the_records_stack(small_scenario, bas
     partitions = prep.partitions or [None] * len(blocks)
     for image, partition, got in zip(small_scenario.train_images, partitions, blocks, strict=True):
         records = image.proposal_records(np.arange(len(image.rpn)))
-        batch = ProposalBatch(foreground=tuple(p for p in records if p.gt_label is not None),
-                              background=tuple(p for p in records if p.gt_label is None))
-        want = proposal_blocks(batch, partition, vocab)
+        foreground = [p for p in records if p.gt_label is not None]
+        positives, categories, negatives = partition if partition is not None else ([], [], [])
+        want = stack_blocks([p.det_feature for p in foreground], [p.gt_label for p in foreground],
+                            [p.det_feature for p in records if p.gt_label is None],
+                            [records[r].det_feature for r in positives], categories,
+                            [records[r].det_feature for r in negatives], vocab)
         for name, rows in want.features.items():
             assert got.features[name].shape == rows.shape and got.features[name].tobytes() == rows.tobytes(), name
         for name, targets in want.targets.items():
@@ -549,7 +539,7 @@ def test_every_component_gradient_matches_the_unfused_oracle(monkeypatch):
     seen = set()
     for seed, tau in itertools.product(range(3), (1.0, 0.05, 0.02)):
         blocks, vocab, config = cli._gradcheck_instance(seed, tau)
-        monkeypatch.setattr(cli, "proposal_blocks", raw_proposal_blocks)
+        monkeypatch.setattr(cli, "stack_blocks", raw_stack_blocks)
         raw, _, _ = cli._gradcheck_instance(seed, tau)
         monkeypatch.undo()
         for use_prompts, use_discovery in itertools.product((True, False), repeat=2):
