@@ -100,8 +100,9 @@ def from_dict(cls, data, **defaults):
 def logsumexp(values) -> float:
     """Max-shifted log-sum-exp with compensated (fsum) accumulation.
 
-    Accepts -inf entries (scores of categories whose shrinking factor is
-    exactly zero); returns -inf only if all entries are -inf.
+    Returns -inf only if all entries are -inf. Its caller, the shrinking
+    factors, passes finite logits: the factors themselves enter the scorer
+    as log-space offsets and never reach this function.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:

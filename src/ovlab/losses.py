@@ -142,10 +142,14 @@ def stack_blocks(foreground, labels, background, positives, categories, negative
     """``ProposalBlocks`` of detector rows (each an (n, dim) array or a list of rows): the foreground's
     (base ids ``labels``), the background's, the pseudo-positives' (discovered ``categories``) and the
     pseudo-negatives'. Features are stored as unit rows, so a zero-norm feature raises ``ZeroNormError``
-    here. Target positions come from ``vocab``'s layout, which stays fixed while the parameters train, so
-    a run stacks each training image once."""
+    here, and ``labels`` or ``categories`` whose length is not their group's row count a ``ValueError``.
+    Target positions come from ``vocab``'s layout, which stays fixed while the parameters train, so a run
+    stacks each training image once."""
     rows = {"foreground": foreground, "background": background,
             "pseudo_positive": positives, "pseudo_negative": negatives}
+    for name, ids in (("foreground", labels), ("pseudo_positive", categories)):
+        if len(ids) != len(rows[name]):
+            raise ValueError(f"{name} group: {len(ids)} targets for {len(rows[name])} rows")
     features = {name: unit_rows(np.asarray(r))[0] if len(r) else np.zeros((0, vocab.dim)) for name, r in rows.items()}
     targets = {
         "foreground": np.array([vocab.base_position(label) for label in labels], dtype=np.int64),

@@ -10,12 +10,13 @@ minus the conditional probability mass it shares with the novel block
 the vocabulary, not of any proposal), then re-run the softmax with the
 shrunken underlying sum.
 
-Raw scores at the default temperature span dozens of orders of magnitude,
-so one scorer, ``_shifted_scores``, takes one cosine matrix per call and
-shifts each row by its largest (shrunk) logit before exponentiating; a
-row's linear block sums are its shifted sums times exp(shift). ``score``
-turns them into probabilities for many rows; ``inference_probs`` is its
-one-row case.
+Every cosine here is ``core.cosine_matrix`` against the whole inference
+vocabulary: the underlying rows' for the shrinking factors, the feature
+rows' for scoring. Raw scores at the default temperature span dozens of
+orders of magnitude, so the one scorer, ``_shifted_scores``, shifts each row
+by its largest (shrunk) logit before exponentiating; a row's linear block
+sums are its shifted sums times exp(shift). ``score`` divides them into
+probabilities for many rows; ``inference_probs`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, check_temperature, logsumexp, unit_cosines, unit_rows
+from .core import check_temperature, cosine_matrix, logsumexp
 from .vocab import Vocabulary
 
 __all__ = [
@@ -64,7 +65,7 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     n_under = vocab.n_underlying
     if vocab.n_novel == 0:  # nothing to share mass with (also covers an empty underlying block)
         return np.ones(n_under)
-    z = _vocab_cosines(vocab.embeddings[vocab.underlying_slice], vocab) / tau
+    z = cosine_matrix(vocab.embeddings[vocab.underlying_slice], vocab.embeddings) / tau
     under_start = vocab.underlying_slice.start
     novel = vocab.novel_slice
     factors = np.empty(n_under)
@@ -75,16 +76,6 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     return factors
 
 
-def _vocab_cosines(queries, vocab: Vocabulary) -> np.ndarray:
-    """``cosine_matrix(queries, vocab.embeddings)``, against the unit rows the vocabulary already holds."""
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != vocab.dim:
-        raise DimensionMismatchError(
-            f"incompatible shapes for cosine matrix: {q.shape} vs {vocab.embeddings.shape}"
-        )
-    return unit_cosines(unit_rows(q)[0], vocab.unit_embeddings[0])
-
-
 def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     """Each row's shift, and its blocks' exp(logit - shift) with factors applied.
 
@@ -93,7 +84,7 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     """
     tau = check_temperature(tau)
     _require_inference(vocab)
-    z = _vocab_cosines(np.atleast_2d(features), vocab) / tau
+    z = cosine_matrix(features, vocab.embeddings) / tau
     if factors is not None:
         if np.shape(factors) != (vocab.n_underlying,):
             raise ValueError(f"need {vocab.n_underlying} shrinking factors, got {np.shape(factors)}")
@@ -105,13 +96,6 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     return shift, e[:, fg], e[:, under], e[:, sub]
 
 
-def _probabilities(fg, under, sub) -> tuple[np.ndarray, np.ndarray]:
-    """Foreground probabilities and background mass from shifted block scores."""
-    bg = under.sum(axis=1) + sub
-    denom = fg.sum(axis=1) + bg
-    return fg / denom[:, None], bg / denom
-
-
 def score(
     features, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +105,10 @@ def score(
     foreground sum + underlying sum + sub-background score. ``factors``
     shrink the underlying scores (rectified), ``None`` leaves them whole.
     """
-    return _probabilities(*_shifted_scores(features, vocab, tau, factors)[1:])
+    _, fg, under, sub = _shifted_scores(features, vocab, tau, factors)
+    bg = under.sum(axis=1) + sub
+    denom = fg.sum(axis=1) + bg
+    return fg / denom[:, None], bg / denom
 
 
 def inference_probs(

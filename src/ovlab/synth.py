@@ -556,6 +556,11 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             if not 0 <= rec["id"] < 1 << 63:  # an int64 column holds it, and -1 stays its none
                 raise ValueError(f"dataset {path} header holds a category id {rec['id']} outside [0, 2**63)")
             name_seeds[rec["id"]] = rec["name_seed"]
+        sizes = (len(base_ids), len(novel_ids), len(distractor_ids))
+        wanted = (config.n_base, config.n_novel, config.n_distractor)
+        if sizes != wanted or len(name_seeds) != sum(sizes):  # a repeated id overwrote a name seed
+            raise ValueError(f"dataset {path} header lists {sizes} base, novel and distractor categories under "
+                             f"{len(name_seeds)} distinct ids; its settings call for {wanted} under distinct ids")
         prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
 
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image

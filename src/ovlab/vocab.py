@@ -20,7 +20,6 @@ the moving rows of each step's vocabulary.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -29,27 +28,12 @@ from .core import DimensionMismatchError, unit_rows
 from .encoder import ContextForward, MockTextEncoder
 
 __all__ = [
-    "Kind",
-    "CategoryId",
     "BlockIndices",
     "Vocabulary",
     "FixedRows",
     "build_training_vocab",
     "build_inference_vocab",
 ]
-
-
-class Kind(Enum):
-    BASE = "base"
-    NOVEL = "novel"
-    UNDERLYING = "underlying"
-    SUB_BACKGROUND = "sub_background"
-
-
-@dataclass(frozen=True)
-class CategoryId:
-    index: int
-    kind: Kind
 
 
 class BlockIndices(NamedTuple):
@@ -171,29 +155,17 @@ class Vocabulary:
             )
         return self.underlying_slice.start + cluster_index
 
-    def categories(self) -> list[CategoryId]:
-        """Ordered CategoryId list matching the embedding rows."""
-        out = [CategoryId(i, Kind.BASE) for i in self.base_ids]
-        out += [CategoryId(i, Kind.NOVEL) for i in self.novel_ids]
-        out += [CategoryId(i, Kind.UNDERLYING) for i in range(self.n_underlying)]
-        out.append(CategoryId(0, Kind.SUB_BACKGROUND))
-        return out
-
     def records(self) -> list[dict]:
-        """Serializable ordered records {id, kind, embedding, context vector or None}."""
-        recs = []
-        under_start = self.underlying_slice.start
-        for pos, cat in enumerate(self.categories()):
-            rec = {
-                "id": cat.index,
-                "kind": cat.kind.value,
-                "embedding": self.embeddings[pos].tolist(),
-                "context_vector": None,
-            }
-            if cat.kind is Kind.UNDERLYING:
-                rec["context_vector"] = self.context_vectors[pos - under_start].tolist()
-            recs.append(rec)
-        return recs
+        """Serializable records {id, kind, embedding, context vector or None}, one per row in block order.
+
+        An underlying category's id is its index in the block, and the sub-background's is 0.
+        """
+        n_fg, n_under = self.n_base + self.n_novel, self.n_underlying
+        ids = [*self.base_ids, *self.novel_ids, *range(n_under), 0]
+        kinds = ["base"] * self.n_base + ["novel"] * self.n_novel + ["underlying"] * n_under + ["sub_background"]
+        contexts = [None] * n_fg + self.context_vectors.tolist() + [None]
+        return [{"id": i, "kind": kind, "embedding": row, "context_vector": ctx}
+                for i, kind, row, ctx in zip(ids, kinds, self.embeddings.tolist(), contexts, strict=True)]
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ from ovlab.synth import (
     _where,
 )
 from ovlab.trainer import Checkpoint, Params
-from ovlab.vocab import CategoryId, Kind, Vocabulary
+from ovlab.vocab import Vocabulary
 
 
 # -- boxes, one pair at a time --------------------------------------------------
@@ -200,18 +200,8 @@ def cos_exp_score(a, b, tau: float) -> float:
     return math.exp(cosine(a, b) / check_temperature(tau))
 
 
-def _position(vocab: Vocabulary, cat: CategoryId) -> int:
-    if cat.kind is Kind.NOVEL:
-        return vocab.novel_slice.start + vocab.novel_ids.index(cat.index)
-    if not (0 <= cat.index < vocab.n_underlying):
-        raise IndexError(f"underlying index {cat.index} out of range")
-    return vocab.underlying_slice.start + cat.index
-
-
-def conditional_prob(
-    c_novel: CategoryId, c_underlying: CategoryId, vocab: Vocabulary, tau: float
-) -> float:
-    """Probability that an underlying category's concept is the given novel one.
+def conditional_prob(novel_id: int, underlying: int, vocab: Vocabulary, tau: float) -> float:
+    """Probability that the underlying category at index ``underlying`` of its block is novel category ``novel_id``.
 
     Sample-agnostic: computed purely from embedding similarities, as the
     underlying embedding's score for the novel embedding normalized over
@@ -220,12 +210,12 @@ def conditional_prob(
     tau = check_temperature(tau)
     if not vocab.inference:
         raise ValueError("inference vocabulary required")
-    if c_novel.kind is not Kind.NOVEL:
-        raise ValueError(f"first argument must be a novel category, got {c_novel.kind}")
-    if c_underlying.kind is not Kind.UNDERLYING:
-        raise ValueError(f"second argument must be an underlying category, got {c_underlying.kind}")
-    anchor_pos = _position(vocab, c_underlying)
-    novel_pos = _position(vocab, c_novel)
+    if novel_id not in vocab.novel_ids:
+        raise ValueError(f"{novel_id} is not a novel category id")
+    if not (0 <= underlying < vocab.n_underlying):
+        raise IndexError(f"underlying index {underlying} out of range")
+    anchor_pos = vocab.underlying_slice.start + underlying
+    novel_pos = vocab.novel_slice.start + vocab.novel_ids.index(novel_id)
     z = cosine_matrix(vocab.embeddings[anchor_pos][None, :], vocab.embeddings)[0] / tau
     others = np.delete(np.arange(vocab.size), anchor_pos)
     return math.exp(z[novel_pos] - logsumexp(z[others]))
@@ -868,6 +858,11 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
                              "are not both ints")
         name_seeds[rec["id"]] = rec["name_seed"]
+    sizes = (len(base_ids), len(novel_ids), len(distractor_ids))
+    wanted = (config.n_base, config.n_novel, config.n_distractor)
+    if sizes != wanted or len(name_seeds) != sum(sizes):
+        raise ValueError(f"dataset {path} header lists {sizes} base, novel and distractor categories under "
+                         f"{len(name_seeds)} distinct ids; its settings call for {wanted} under distinct ids")
     prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
     oracles = {label: {source: OracleInfo(generative_label=label, source=source) for source in _SOURCES}
                for label in (None, *name_seeds)}

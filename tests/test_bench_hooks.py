@@ -1,4 +1,4 @@
-"""The benchmark's tracer still sees the package's discovery and pseudo-labelling hooks.
+"""The benchmark's tracer still sees the package's discovery, pseudo-labelling and scoring hooks.
 
 ``bench/tracing.py`` patches public functions of the package by name; a
 refactor that stops calling one of them through its module would silently
@@ -8,10 +8,13 @@ reads it.
 
 from pathlib import Path
 
+import pytest
+
 import ovlab.cli  # noqa: F401  the tracer patches the modules already imported; the CLI imports every one
 from ovlab.encoder import MockTextEncoder
+from ovlab.metrics import evaluate
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, filtered_background, prepare_discovery
+from ovlab.trainer import TrainConfig, filtered_background, prepare_discovery, train
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,3 +38,22 @@ def test_a_traced_prep_fires_the_filter_nms_and_labelling_hooks(monkeypatch):
     assert tracer.counts["pseudo.filtered"] == kept == sum(len(p.positives) + len(p.negatives)
                                                            for p in prep.partitions)
     assert kept > n_images
+
+
+@pytest.mark.parametrize("n_novel", [4, 0])
+def test_a_traced_evaluate_fires_one_cosine_per_scored_image(monkeypatch, n_novel):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    scenario = generate_scenario(ScenarioConfig(n_train_images=6, n_eval_images=5, n_novel=n_novel, seed=4),
+                                 MockTextEncoder(seed=7))
+    _, checkpoint = train(TrainConfig(steps=3, seed=1), scenario)
+    scored = sum(1 for image in scenario.images("eval") if len(image.label))
+    assert scored > 1
+    for rectify in (True, False):
+        with Tracer() as tracer:
+            evaluate(checkpoint, scenario, rectify=rectify)
+        assert tracer.missing == []
+        # One cosine matrix per eval image with proposals, and one for the shrinking factors unless
+        # there is no novel block to share mass with.
+        assert tracer.summary()["core.cosine"]["calls"] == scored + (n_novel > 0)

@@ -331,6 +331,12 @@ def test_zero_norm_feature_fails_at_stacking_time():
     vocab = _eye_vocab(2, 1)
     with pytest.raises(ZeroNormError):
         stack_blocks([np.eye(4)[0]], [0], [np.zeros(4)], [], [], [], vocab)
+    # So does a labeled group with one target too few (read in row order, the pseudo-positive's target
+    # would become the second foreground row's) or one too many.
+    rows = [np.eye(4)[0], np.eye(4)[1]]
+    for labels, categories, group in [([0], [0], "foreground"), ([0, 1], [0, 0], "pseudo_positive")]:
+        with pytest.raises(ValueError, match=f"^{group} group: "):
+            stack_blocks(rows, labels, [], rows[:1], categories, [], vocab)
 
 
 @pytest.mark.parametrize("kind", ["partition", "no_partition", "baseline"])

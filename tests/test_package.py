@@ -239,7 +239,8 @@ def test_only_the_prep_filters_the_background():
 
 
 # Defined, imported or read anywhere.
-FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel"}
+FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel",
+                   "Kind", "CategoryId", "_vocab_cosines"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -251,4 +252,6 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
             names |= {getattr(node, "attr", None)} & FORBIDDEN_ATTRIBUTES
             found += [f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}" for name in names]
     assert not found, (f"a box is a row of a float array, an image holds no background records, a proposal's "
-                       f"oracle lives only in its image's columns, and pseudo-labels and batches are arrays: {found}")
+                       f"oracle lives only in its image's columns, pseudo-labels and batches are arrays, a "
+                       f"vocabulary's block counts are its only layout, and inference takes its cosines with "
+                       f"core.cosine_matrix: {found}")

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ovlab.core import DimensionMismatchError, cosine_matrix
+from ovlab.core import DimensionMismatchError
 from ovlab.encoder import MockTextEncoder
-import ovlab.rectify as rectify
 from ovlab.rectify import (
     compute_shrinking_factors,
     inference_probs,
     score,
 )
-from ovlab.vocab import CategoryId, Kind, build_inference_vocab
+from ovlab.vocab import build_inference_vocab
 
 from oracles import conditional_prob, softmax_probs
 from util import block_sums, make_vocab, training_vocab, unit
@@ -44,20 +43,14 @@ def _score_row(q, vocab, tau, factors=None):
     return probs[0], float(bg_mass[0])
 
 
-def test_vocabulary_cosines_are_the_cosine_matrix():
-    # Scoring and the shrinking factors take their cosines against the unit
-    # rows the vocabulary holds instead of normalizing it per call; that must
-    # be ``cosine_matrix`` to the bit, and a query of another width is refused.
+def test_score_refuses_a_query_that_is_not_a_row_of_the_vocabulary_width():
+    # Scoring takes its cosines with ``core.cosine_matrix``, which needs rows
+    # as wide as the vocabulary's: a bare vector or another width is refused.
     rng = np.random.default_rng(40)
-    for n_under in (0, 3):
-        vocab = _random_inference_vocab(rng, n_under=n_under)
-        queries = rng.normal(size=(7, 12)) * rng.uniform(0.1, 10.0, size=(7, 1))
-        for q in (queries, vocab.embeddings[vocab.underlying_slice]):
-            assert rectify._vocab_cosines(q, vocab).tobytes() == cosine_matrix(q, vocab.embeddings).tobytes()
-    with pytest.raises(DimensionMismatchError):
-        rectify._vocab_cosines(np.ones((2, 11)), vocab)
-    with pytest.raises(DimensionMismatchError):
-        rectify._vocab_cosines(np.ones(12), vocab)
+    vocab = _random_inference_vocab(rng)
+    for query in (np.ones(12), np.ones((2, 11))):
+        with pytest.raises(DimensionMismatchError):
+            score(query, vocab, 1.0)
 
 
 # -- block sums -----------------------------------------------------------------
@@ -116,9 +109,7 @@ def test_conditional_prob_orthogonal_uniform():
     eye = np.eye(d)
     vocab = make_vocab(base_emb=eye[:2], novel_emb=eye[2:3], under_emb=eye[3:5], sub=eye[5])
     m = vocab.size
-    p = conditional_prob(
-        CategoryId(vocab.novel_ids[0], Kind.NOVEL), CategoryId(0, Kind.UNDERLYING), vocab, tau=0.5
-    )
+    p = conditional_prob(vocab.novel_ids[0], 0, vocab, tau=0.5)
     assert p == pytest.approx(1.0 / (m - 1), rel=1e-12)
 
 
@@ -129,9 +120,7 @@ def test_conditional_prob_perfect_overlap_saturates():
     under = np.vstack([novel, eye[4]])  # first underlying equals the novel embedding
     vocab = make_vocab(base_emb=eye[:2], novel_emb=novel[None, :], under_emb=under, sub=eye[5])
     m = vocab.size
-    p = conditional_prob(
-        CategoryId(vocab.novel_ids[0], Kind.NOVEL), CategoryId(0, Kind.UNDERLYING), vocab, tau=0.02
-    )
+    p = conditional_prob(vocab.novel_ids[0], 0, vocab, tau=0.02)
     assert p >= 1.0 - (m - 2) * math.exp(-50.0)
 
 
@@ -145,12 +134,7 @@ def test_conditional_prob_matches_brute_force():
         denom = sum(s for i, s in enumerate(scores) if i != anchor_pos)
         novel_pos = vocab.novel_slice.start
         expected = scores[novel_pos] / denom
-        got = conditional_prob(
-            CategoryId(vocab.novel_ids[0], Kind.NOVEL),
-            CategoryId(1, Kind.UNDERLYING),
-            vocab,
-            tau,
-        )
+        got = conditional_prob(vocab.novel_ids[0], 1, vocab, tau)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -158,11 +142,9 @@ def test_conditional_prob_wrong_kinds():
     rng = np.random.default_rng(4)
     vocab = _random_inference_vocab(rng)
     with pytest.raises(ValueError):
-        conditional_prob(CategoryId(0, Kind.BASE), CategoryId(0, Kind.UNDERLYING), vocab, 1.0)
-    with pytest.raises(ValueError):
-        conditional_prob(
-            CategoryId(vocab.novel_ids[0], Kind.NOVEL), CategoryId(0, Kind.BASE), vocab, 1.0
-        )
+        conditional_prob(vocab.base_ids[0], 0, vocab, 1.0)
+    with pytest.raises(IndexError):
+        conditional_prob(vocab.novel_ids[0], vocab.n_underlying, vocab, 1.0)
 
 
 def test_conditional_rows_sum_to_one():
@@ -213,7 +195,7 @@ def test_factors_match_conditional_prob_oracle():
         factors = compute_shrinking_factors(vocab, tau)
         for u in range(vocab.n_underlying):
             shared = sum(
-                conditional_prob(CategoryId(n, Kind.NOVEL), CategoryId(u, Kind.UNDERLYING), vocab, tau)
+                conditional_prob(n, u, vocab, tau)
                 for n in vocab.novel_ids
             )
             assert factors[u] == pytest.approx(1.0 - shared, rel=1e-12, abs=1e-15)

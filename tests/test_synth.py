@@ -660,6 +660,9 @@ FILE_FAULTS = {
     "header_unknown_setting": _edit_line(0, _set(("config", "colour"), 1)),
     "header_category_id": _edit_line(0, lambda rec: rec["base"][0].__setitem__("id", 1.5)),
     "header_lacks_a_key": _edit_line(0, lambda rec: rec.pop("base")),
+    "header_extra_base_record": _edit_line(0, lambda rec: rec["base"].append({"id": 99, "name_seed": 500})),
+    "header_repeated_id": _edit_line(0, lambda rec: rec["oracle"]["distractor"][0].__setitem__("id", 0)),
+    "header_dropped_record": _edit_line(0, lambda rec: rec["oracle"]["novel"].pop()),
     "header_config_hash": _edit_line(0, _set(("config_hash",), "0" * 16)),
     "empty_file": lambda lines: lines.clear(),
 }

@@ -7,7 +7,7 @@ import pytest
 
 from ovlab.core import ZeroNormError
 from ovlab.encoder import MockTextEncoder, init_context_vectors
-from ovlab.vocab import FixedRows, Kind, Vocabulary, build_inference_vocab, build_training_vocab
+from ovlab.vocab import FixedRows, Vocabulary, build_inference_vocab, build_training_vocab
 
 from util import training_vocab
 
@@ -100,8 +100,8 @@ def test_block_ordering_reconstructible_from_counts(enc):
     tv = training_vocab(ids, emb, ctx, _sub(enc), enc, n_discovered=2)
     novel_emb = np.stack([enc.encode_named_category(60), enc.encode_named_category(61)])
     iv = build_inference_vocab(tv, [10, 11], novel_emb)
-    kinds = [c.kind for c in iv.categories()]
-    assert kinds == [Kind.BASE] * 3 + [Kind.NOVEL] * 2 + [Kind.UNDERLYING] * 4 + [Kind.SUB_BACKGROUND]
+    kinds = [rec["kind"] for rec in iv.records()]
+    assert kinds == ["base"] * 3 + ["novel"] * 2 + ["underlying"] * 4 + ["sub_background"]
     assert iv.novel_slice == slice(3, 5)
     assert iv.underlying_slice == slice(5, 9)
     assert iv.sub_background_index == 9
