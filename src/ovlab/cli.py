@@ -31,6 +31,7 @@ from .synth import ScenarioConfig, generate_scenario, load_dataset, write_datase
 from .trainer import (
     Checkpoint,
     TrainConfig,
+    filtered_background,
     finite_diff_gradients,
     history_to_json,
     loss_and_gradients,
@@ -178,7 +179,8 @@ def cmd_gen(args) -> int:
 def cmd_estimate_k(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = config["train"]
-    features = pool_background(load_dataset(args.dataset, ("train",)), tcfg)
+    scenario = load_dataset(args.dataset, ("train",))
+    features = pool_background(scenario, filtered_background(scenario, tcfg))
     estimate = sweep_category_count(features, tcfg)
     print(f"{'k':>4} {'silhouette':>12}")
     for k, score in estimate.scores:

@@ -18,7 +18,7 @@ import numpy as np
 from .persist import canonical_json
 from .rectify import compute_shrinking_factors, score
 from .synth import Scenario
-from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_discovery, train
+from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_background, train
 from .vocab import Vocabulary, build_inference_vocab
 
 __all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "inference_vocab",
@@ -130,6 +130,8 @@ def evaluate(
         recalled += int(np.count_nonzero((true == pred) & (true >= n_base) & (true < n_fg)
                                          & (best_prob >= recall_threshold)))
 
+    if not counts.any():
+        raise ValueError("the eval split has no proposals to evaluate")
     counts = counts.reshape(n_fg + 1, n_fg + 1)
     keys = [str(i) for i in fg_ids.tolist()] + [BACKGROUND_KEY]
     confusion = {keys[t]: {keys[q]: int(c) for q, c in enumerate(row.tolist()) if c}
@@ -210,10 +212,10 @@ def run_ablation(
 ) -> AblationResult:
     """Train/evaluate every toggle combination on identical data and seeds.
 
-    Per seed, the discovery prep (pooling, silhouette sweep, centers and the
-    pseudo-labels of every training image) is computed once, with
-    ``prepare_discovery``, and shared by every non-baseline training of that
-    seed; each training keeps what its toggles use, so its checkpoint equals
+    Per seed, the discovery prep (filtering, pooling, silhouette sweep,
+    centers and the pseudo-labels of every training image) is computed once,
+    with ``prepare_background``, and shared by every non-baseline training of
+    that seed; each training keeps what its toggles use, so its checkpoint equals
     that of a standalone ``train``. Combinations sharing training toggles
     reuse the trained checkpoint and differ only in the rectify flag,
     mirroring how rectification is purely an inference-time change.
@@ -238,9 +240,7 @@ def run_ablation(
                 prep = None  # a baseline run needs none
                 if not combo.baseline_mode:
                     if seed not in preps:
-                        preps[seed] = prepare_discovery(
-                            scenario, replace(config, use_discovery=discovers)
-                        )
+                        preps[seed] = prepare_background(scenario, replace(config, use_discovery=discovers))
                     prep = preps[seed]
                 _, checkpoint = train(config, scenario, prep)
                 cache[key] = checkpoint

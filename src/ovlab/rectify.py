@@ -65,12 +65,12 @@ def compute_shrinking_factors(vocab: Vocabulary, tau: float) -> np.ndarray:
     n_under = vocab.n_underlying
     if vocab.n_novel == 0:  # nothing to share mass with (also covers an empty underlying block)
         return np.ones(n_under)
-    z = cosine_matrix(vocab.embeddings[vocab.underlying_slice], vocab.embeddings) / tau
-    under_start = vocab.underlying_slice.start
+    under = vocab.block_indices.underlying
+    z = cosine_matrix(vocab.embeddings[under], vocab.embeddings) / tau
     novel = vocab.novel_slice
     factors = np.empty(n_under)
     for i in range(n_under):
-        others = np.delete(np.arange(vocab.size), under_start + i)
+        others = np.delete(np.arange(vocab.size), under.start + i)
         shared = math.exp(logsumexp(z[i, novel]) - logsumexp(z[i, others]))
         factors[i] = min(1.0, max(0.0, 1.0 - shared))
     return factors
@@ -85,15 +85,15 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     tau = check_temperature(tau)
     _require_inference(vocab)
     z = cosine_matrix(features, vocab.embeddings) / tau
+    under, sub = vocab.block_indices.underlying, vocab.block_indices.sub_background
     if factors is not None:
         if np.shape(factors) != (vocab.n_underlying,):
             raise ValueError(f"need {vocab.n_underlying} shrinking factors, got {np.shape(factors)}")
         with np.errstate(divide="ignore"):
-            z[:, vocab.underlying_slice] += np.log(factors)
+            z[:, under] += np.log(factors)
     shift = z.max(axis=1)
     e = np.exp(z - shift[:, None])
-    fg, under, sub = vocab.foreground_slice, vocab.underlying_slice, vocab.sub_background_index
-    return shift, e[:, fg], e[:, under], e[:, sub]
+    return shift, e[:, vocab.foreground_slice], e[:, under], e[:, sub]
 
 
 def score(

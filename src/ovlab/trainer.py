@@ -10,15 +10,16 @@ freezes each proposal's branch at the stencil center and reports any stencil
 that straddles the boundary instead of silently differencing across it.
 
 Each quantity of a run is computed at the scope where it changes. Per run:
-the discovery prep (one per seed in an ablation: each training image's
-background rows filtered once as arrays, their pooled features, count,
-centers, and each image's pseudo-label partition: the labeller takes the
-kept rows' records and boxes, and the prep maps its positions to the image's
-rows), the vocabulary's ``FixedRows`` (checked base embeddings, the block
-indices), each training image's proposal blocks as unit rows gathered from
-its columns, with their target positions, and its pseudo-label counts,
-every step's batch of images (drawn up front, in step order), and one flat
-parameter vector and one flat velocity with the two blocks as views. Per
+the discovery prep, ``prepare_background`` (one per seed in an ablation:
+each training image's background rows filtered once as arrays, their pooled
+features, count, centers, and each image's pseudo-label partition: the
+labeller takes the kept rows' records and boxes, and the prep maps its
+positions to the image's rows), the vocabulary's ``FixedRows`` (checked
+base embeddings, the block indices), each training image's proposal blocks
+as unit rows gathered from its columns, with their target positions, and
+its pseudo-label counts, every step's batch of images (drawn up front, in
+step order), and one flat parameter vector and one flat velocity with the
+two blocks as views. Per
 step: the vocabulary of the live parameters (one encoder forward, kept for
 the pullback), one concatenation and one cosine matrix of the sampled
 images' rows, one log-softmax and the logit gradient of "final"
@@ -73,9 +74,8 @@ __all__ = [
     "pool_background",
     "sweep_category_count",
     "underlying_count",
-    "prepare_background",
     "DiscoveryPrep",
-    "prepare_discovery",
+    "prepare_background",
     "train",
 ]
 
@@ -186,13 +186,15 @@ class StepRecord(NamedTuple):
     n_pseudo_negative: int
 
 
+TOTALS = ("mass_branch", "uniform_branch", "pseudo_positive", "pseudo_negative")  # a run's counted events
+
+
 @dataclass(frozen=True)
 class TrainHistory:
     steps: tuple[StepRecord, ...]
 
     def totals(self) -> dict:
-        return {key: sum(map(attrgetter(f"n_{key}"), self.steps))
-                for key in ("mass_branch", "uniform_branch", "pseudo_positive", "pseudo_negative")}
+        return {key: sum(map(attrgetter(f"n_{key}"), self.steps)) for key in TOTALS}
 
 
 # -- objective and analytic gradients -------------------------------------------
@@ -318,7 +320,7 @@ def finite_diff_gradients(
             flips += f1 or f2
         return grad.reshape(n, k)
 
-    under, sub = vocab.underlying_slice, vocab.sub_background_index
+    under, sub = vocab.block_indices.underlying, vocab.block_indices.sub_background
     ctx_grad = np.zeros_like(vocab.context_vectors)
     if vocab.n_underlying:
         rows = range(under.start, under.stop)
@@ -427,7 +429,7 @@ class Checkpoint:
                 sub_background=sub,
                 cluster_centers=_floats("cluster_centers", centers) if centers is not None else None,
                 rng_state=rec["rng_state"],
-                branch_totals=rec["branch_totals"],
+                branch_totals=_totals("branch_totals", rec["branch_totals"]),
             )
             shapes = (("context vectors", ckpt.context_vectors,
                         (underlying_count(ckpt.config, ckpt.n_discovered), encoder.ctx_dim)),
@@ -471,9 +473,18 @@ def _floats(key: str, value) -> np.ndarray:
     return arr
 
 
+def _totals(key: str, value) -> dict:
+    """A checkpoint field ``key``, a run's ``TrainHistory.totals``: exactly its four keys, each a non-negative int."""
+    if not isinstance(value, dict) or value.keys() != set(TOTALS):
+        raise ValueError(f"bad {key}: needs exactly the keys {', '.join(TOTALS)}, got {value!r}")
+    if bad := [name for name in TOTALS if type(value[name]) is not int or value[name] < 0]:
+        raise ValueError(f"bad {key}: {bad[0]} is {value[bad[0]]!r}, not a non-negative int")
+    return value
+
+
 def filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndarray]:
     """Per training image, the rows of its background proposals that survive filtering, in NMS keep order
-    (``pool_background``'s ``kept``, and the rows the prep labels)."""
+    (the rows ``pool_background`` pools and the prep labels)."""
     kept = []
     for image in scenario.images("train"):
         background = np.flatnonzero(image.gt < 0)  # -1: no annotated base id
@@ -483,9 +494,8 @@ def filtered_background(scenario: Scenario, config: TrainConfig) -> list[np.ndar
     return kept
 
 
-def pool_background(scenario: Scenario, config: TrainConfig, kept=None) -> np.ndarray:
-    """Image features of every training background row that survives filtering (the rows ``kept``, if given)."""
-    kept = filtered_background(scenario, config) if kept is None else kept
+def pool_background(scenario: Scenario, kept: Sequence[np.ndarray]) -> np.ndarray:
+    """Image features of the training background rows ``kept`` (``filtered_background``'s, one array per image)."""
     if not sum(map(len, kept)):
         raise ValueError("no background proposals survive filtering; cannot size the vocabulary")
     return np.concatenate([image.features[1][rows] for image, rows in zip(scenario.images("train"), kept)])
@@ -500,30 +510,6 @@ def sweep_category_count(features: np.ndarray, config: TrainConfig) -> CountEsti
 def underlying_count(config: TrainConfig, n_discovered: int) -> int:
     """Context vectors a run trains: discovered plus expansion categories (none in baseline mode)."""
     return 0 if config.baseline_mode else n_discovered + config.extra_categories
-
-
-def prepare_background(scenario: Scenario, config: TrainConfig, kept=None):
-    """Offline prep: pooled filtered background features (of ``kept``, if given), latent count, centers.
-
-    The count comes from the silhouette sweep unless the configuration pins
-    it; centers are computed only when the discovery loss is enabled
-    (reusing the sweep's winning clustering), and stay frozen for the whole
-    run. Returns ``(n_discovered, centers)``.
-    """
-    if config.baseline_mode:
-        return 0, None
-    features = pool_background(scenario, config, kept)
-    model = None
-    if config.discovered_categories is not None:
-        n_disc = config.discovered_categories
-    else:
-        estimate = sweep_category_count(features, config)
-        n_disc, model = estimate.count, estimate.model
-    if not config.use_discovery:
-        return n_disc, None
-    if model is None:
-        model = kmeans(features, n_disc, seed=config.seed)
-    return n_disc, model.centers
 
 
 @dataclass(frozen=True)
@@ -558,20 +544,31 @@ class DiscoveryPrep:
         return self
 
 
-def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
-    """``prepare_background``, then, with centers, one pseudo-label partition per training image.
+def prepare_background(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
+    """The run's offline discovery prep: latent count, frozen centers, one pseudo-label partition per image.
 
-    Pseudo-labels depend only on the frozen centers and the image data, so
-    each training image is filtered and labelled once per prep: the labeller
-    takes the records and boxes of the rows the pool kept (the only records a
-    prep builds), in keep order, and its positions are mapped to the image's
-    rows once, keeping that order. A baseline run gets an empty prep without
-    any work.
+    Each training image's background rows are filtered once; their features
+    are pooled, and the count comes from the silhouette sweep unless the
+    configuration pins it. Centers are computed only when the discovery loss
+    is enabled (reusing the sweep's winning clustering); with them, the
+    labeller takes the records and boxes of each image's kept rows (the only
+    records a prep builds), in keep order, and its positions are mapped to
+    the image's rows, keeping that order. A baseline run gets an empty prep
+    without any work.
     """
-    kept = None if config.baseline_mode else filtered_background(scenario, config)
-    n_discovered, centers = prepare_background(scenario, config, kept)
-    partitions = None
-    if centers is not None:
+    if config.baseline_mode:
+        return DiscoveryPrep(config, scenario.dataset_hash(), 0, None, None)
+    kept = filtered_background(scenario, config)
+    features = pool_background(scenario, kept)
+    model = None
+    if config.discovered_categories is not None:
+        n_disc = config.discovered_categories
+    else:
+        estimate = sweep_category_count(features, config)
+        n_disc, model = estimate.count, estimate.model
+    centers = partitions = None
+    if config.use_discovery:
+        centers = (kmeans(features, n_disc, seed=config.seed) if model is None else model).centers
         partitions = []
         for image, rows in zip(scenario.images("train"), kept):
             part = generate_pseudo_labels(image.proposal_records(rows), image.boxes[rows], centers,
@@ -579,7 +576,7 @@ def prepare_discovery(scenario: Scenario, config: TrainConfig) -> DiscoveryPrep:
                                           nms_iou=config.pseudo_nms_iou)
             partitions.append(part._replace(positives=rows[part.positives], negatives=rows[part.negatives]))
         partitions = tuple(partitions)
-    return DiscoveryPrep(config, scenario.dataset_hash(), n_discovered, centers, partitions)
+    return DiscoveryPrep(config, scenario.dataset_hash(), n_disc, centers, partitions)
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -616,7 +613,7 @@ def train(
     ``prep`` is a discovery prep computed on this run's scenario with this
     run's configuration (the module toggles aside);
     ``run_ablation`` shares one among the trainings of a seed. Without it
-    the run computes its own with ``prepare_discovery``. Either way the run
+    the run computes its own with ``prepare_background``. Either way the run
     keeps only what its toggles use (``DiscoveryPrep.for_run``). The
     vocabulary's fixed rows and each training image's proposal groups are
     laid out once, then per step: sample a batch of images, rebuild the
@@ -627,7 +624,7 @@ def train(
     """
     encoder, base_ids = scenario.encoder, scenario.base_ids
     base_emb = np.stack([scenario.prototypes[i] for i in base_ids])
-    prep = (prep if prep is not None else prepare_discovery(scenario, config)).for_run(config, scenario)
+    prep = (prep if prep is not None else prepare_background(scenario, config)).for_run(config, scenario)
     n_discovered, centers = prep.n_discovered, prep.centers
     fixed = FixedRows(base_ids, base_emb, encoder, underlying_count(config, n_discovered), n_discovered,
                       config.baseline_mode)

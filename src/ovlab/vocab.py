@@ -129,14 +129,6 @@ class Vocabulary:
         return slice(self.n_base, self.n_base + self.n_novel)
 
     @property
-    def underlying_slice(self) -> slice:
-        return self.block_indices.underlying
-
-    @property
-    def sub_background_index(self) -> int:
-        return self.block_indices.sub_background
-
-    @property
     def foreground_slice(self) -> slice:
         """Base and novel blocks together."""
         return slice(0, self.n_base + self.n_novel)
@@ -153,7 +145,7 @@ class Vocabulary:
             raise IndexError(
                 f"cluster index {cluster_index} outside the {self.n_discovered} discovered categories"
             )
-        return self.underlying_slice.start + cluster_index
+        return self.block_indices.underlying.start + cluster_index
 
     def records(self) -> list[dict]:
         """Serializable records {id, kind, embedding, context vector or None}, one per row in block order.

@@ -214,7 +214,7 @@ def conditional_prob(novel_id: int, underlying: int, vocab: Vocabulary, tau: flo
         raise ValueError(f"{novel_id} is not a novel category id")
     if not (0 <= underlying < vocab.n_underlying):
         raise IndexError(f"underlying index {underlying} out of range")
-    anchor_pos = vocab.underlying_slice.start + underlying
+    anchor_pos = vocab.block_indices.underlying.start + underlying
     novel_pos = vocab.novel_slice.start + vocab.novel_ids.index(novel_id)
     z = cosine_matrix(vocab.embeddings[anchor_pos][None, :], vocab.embeddings)[0] / tau
     others = np.delete(np.arange(vocab.size), anchor_pos)
@@ -453,9 +453,9 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
         grads["pseudo"][rows] = g / g.shape[0]
     if "pseudo_negative" in slices:
         rows = slices["pseudo_negative"]
-        under = vocab.underlying_slice
+        under = vocab.block_indices.underlying
         expansion = np.arange(under.start + vocab.n_discovered, under.stop)
-        members = np.concatenate([expansion, [vocab.sub_background_index]])
+        members = np.concatenate([expansion, [vocab.block_indices.sub_background]])
         vals, g, _ = _mass(z[rows], members)
         values["pseudo"] += config.negative_weight * float(vals.mean())
         grads["pseudo"][rows] = g * (config.negative_weight / g.shape[0])
@@ -477,8 +477,8 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
         config.temperature * norms)
     ctx_grad = np.zeros_like(vocab.context_vectors)
     if vocab.n_underlying:
-        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.underlying_slice])
-    return breakdown, Params(ctx_grad, demb[vocab.sub_background_index])
+        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.block_indices.underlying])
+    return breakdown, Params(ctx_grad, demb[vocab.block_indices.sub_background])
 
 
 def two_block_sgd_step(params, grads, velocity, lr: float, momentum: float, weight_decay: float):

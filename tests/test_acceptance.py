@@ -125,7 +125,7 @@ def test_criterion_3_rectification_suite():
             ok, detail = False, "factor outside [0,1]"
             break
         emb = vocab.embeddings
-        start_u = vocab.underlying_slice.start
+        start_u = vocab.block_indices.underlying.start
         for j in range(vocab.n_underlying):
             anchor = emb[start_u + j]
             scores = [
@@ -274,7 +274,7 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
     # quality (and its expected underestimation, which the expansion
     # categories absorb) is criterion 4's subject.
     config = TrainConfig(seed=0, discovered_categories=len(scen.hidden_ids))
-    n_disc, centers = prepare_background(scen, config)
+    centers = prepare_background(scen, config).centers
     # Majority generative label per cluster over the filtered training pool.
     votes: dict[int, dict] = {}
     partitions = []

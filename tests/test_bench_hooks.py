@@ -6,6 +6,7 @@ leave a bench metric at 0. This test imports the tracer as it is and only
 reads it.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import ovlab.cli  # noqa: F401  the tracer patches the modules already imported;
 from ovlab.encoder import MockTextEncoder
 from ovlab.metrics import evaluate
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, filtered_background, prepare_discovery, train
+from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,7 +27,7 @@ def test_a_traced_prep_fires_the_filter_nms_and_labelling_hooks(monkeypatch):
     scenario = generate_scenario(ScenarioConfig(n_train_images=8, n_eval_images=0, seed=4), MockTextEncoder(seed=7))
     config = TrainConfig(seed=1)
     with Tracer() as tracer:
-        prep = prepare_discovery(scenario, config)
+        prep = prepare_background(scenario, config)
     assert tracer.missing == []
     summary = tracer.summary()
     n_images = len(scenario.train_images)
@@ -38,6 +39,21 @@ def test_a_traced_prep_fires_the_filter_nms_and_labelling_hooks(monkeypatch):
     assert tracer.counts["pseudo.filtered"] == kept == sum(len(p.positives) + len(p.negatives)
                                                            for p in prep.partitions)
     assert kept > n_images
+    # The labeller runs inside the prep's span, in a training too, so the bench's step time (a training's time
+    # less its prep's) holds no labelling.
+    with Tracer() as tracer:
+        train(replace(config, steps=1), scenario)
+    labels = [i for i, span in enumerate(tracer.spans) if span.name == "pseudo.label"]
+    assert len(labels) == n_images
+    assert all("trainer.prep" in _ancestors(tracer.spans, i) for i in labels)
+
+
+def _ancestors(spans, index: int) -> list[str]:
+    """The names of the spans that enclose span ``index``, innermost first."""
+    names = []
+    while (index := spans[index].parent) >= 0:
+        names.append(spans[index].name)
+    return names
 
 
 @pytest.mark.parametrize("n_novel", [4, 0])

@@ -509,6 +509,7 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
     centers = dict(rec, cluster_centers=rec["cluster_centers"][:-1])
     narrow = dict(rec, cluster_centers=[row[:-1] for row in rec["cluster_centers"]])
     sub, (center, *others), (context, *rest) = rec["sub_background"], rec["cluster_centers"], rec["context_vectors"]
+    totals = rec["branch_totals"]
     for name, payload, message in (
         ("list", [rec], "not a checkpoint"),
         ("missing", {k: v for k, v in rec.items() if k != "sub_background"}, "sub_background"),
@@ -533,6 +534,21 @@ def test_eval_rejects_malformed_checkpoints(checkpoint, dataset, tmp_path, capsy
          "bad cluster_centers: row 0 has norm 2.0, not 1"),
         ("context_inf", dict(rec, context_vectors=[[-math.inf, *context[1:]], *rest]),
          "bad context_vectors: entry -inf is not finite"),
+        # Branch totals are copied into the report: only the four counts a run writes, each a non-negative int.
+        ("totals_string", dict(rec, branch_totals=dict(totals, mass_branch="x")),
+         "bad branch_totals: mass_branch is 'x', not a non-negative int"),
+        ("totals_negative", dict(rec, branch_totals=dict(totals, pseudo_negative=-5)),
+         "bad branch_totals: pseudo_negative is -5"),
+        ("totals_nan", dict(rec, branch_totals=dict(totals, uniform_branch=math.nan)),
+         "bad branch_totals: uniform_branch is nan"),
+        ("totals_float", dict(rec, branch_totals=dict(totals, pseudo_positive=3.0)),
+         "bad branch_totals: pseudo_positive is 3.0"),
+        ("totals_bool", dict(rec, branch_totals=dict(totals, mass_branch=True)),
+         "bad branch_totals: mass_branch is True"),
+        ("totals_unknown", dict(rec, branch_totals={"bogus": -5}), "bad branch_totals: needs exactly the keys"),
+        ("totals_extra", dict(rec, branch_totals=dict(totals, bogus=0)), "bad branch_totals: needs exactly the keys"),
+        ("totals_missing", dict(rec, branch_totals={k: v for k, v in totals.items() if k != "mass_branch"}),
+         "bad branch_totals: needs exactly the keys"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
@@ -595,6 +611,21 @@ def test_rectify_report_rejects_an_empty_eval_split(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "no proposals" in err[0], err
     assert not (tmp_path / "rect").exists()
+
+
+def test_eval_and_ablate_reject_an_empty_eval_split(tmp_path, capsys):
+    # A split with nothing to score has no top-1 to report: eval refuses it, as rectify-report does, and so
+    # does ablate, which evaluates each training.
+    data, run = tmp_path / "d.jsonl", tmp_path / "run"
+    empty = [*SMALL, "--set", "scenario.n_eval_images=0"]
+    assert main(["gen", "--out", str(data), *empty]) == 0
+    assert main(["train", "--dataset", str(data), "--out-dir", str(run), *empty]) == 0
+    err = _eval_error(run / "checkpoint.json", data, tmp_path / "ev", capsys)
+    assert err == "error: the eval split has no proposals to evaluate", err
+    assert main(["ablate", "--dataset", str(data), "--out-dir", str(tmp_path / "ab"), *empty,
+                 "--set", "ablation.seeds=[0]", "--set", 'ablation.combos=["baseline"]']) == 1
+    assert capsys.readouterr().err.splitlines() == [err]
+    assert not (tmp_path / "ab").exists()
 
 
 def test_out_of_order_or_empty_dataset_fails(dataset, checkpoint, tmp_path, capsys):

@@ -15,7 +15,7 @@ from ovlab.discovery import (
 
 from ovlab.encoder import MockTextEncoder
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, pool_background
+from ovlab.trainer import TrainConfig, filtered_background, pool_background
 
 import oracles
 from oracles import as_box, filter_background_rows, greedy_nms, kmeans_per_restart, kmeans_restart, lloyd_update
@@ -344,7 +344,7 @@ def _assert_same_bits(got, want):
 @pytest.mark.parametrize("scenario_seed", range(6))
 def test_kmeans_matches_the_per_restart_oracle_on_reference_pools(scenario_seed):
     scenario = generate_scenario(ScenarioConfig(seed=scenario_seed, n_eval_images=0), MockTextEncoder(seed=7))
-    pool = pool_background(scenario, TrainConfig())
+    pool = pool_background(scenario, filtered_background(scenario, TrainConfig()))
     for k in range(2, 13):
         _assert_same_bits(kmeans(pool, k, seed=0), kmeans_per_restart(pool, k, seed=0))
 

@@ -222,7 +222,7 @@ def _proposal_with_mass(vocab, tau, target):
     sqrt(2) for a unit query, which bounds the usable temperature.
     """
     base_dir = vocab.embeddings[0]
-    sub_dir = vocab.embeddings[vocab.sub_background_index]
+    sub_dir = vocab.embeddings[vocab.block_indices.sub_background]
     delta = tau * math.log((1.0 - target) / target)
     assert abs(delta) <= math.sqrt(2.0), "infeasible mass target for this temperature"
     c_base = delta / 2.0

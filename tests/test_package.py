@@ -24,6 +24,10 @@ a row of a float array: no module defines a ``Box``, and nothing reads an
 image's ``background_proposals``. A proposal's hidden category lives only in
 its image's ``label`` and ``source`` columns: no module defines an
 ``OracleInfo`` or reads an ``.oracle``, ``.oracles`` or ``.proposals``.
+The discovery prep is one function, ``trainer.prepare_background``: no
+module defines or calls a ``prepare_discovery``. A vocabulary's blocks are
+read from its ``block_indices``: no ``underlying_slice`` or
+``sub_background_index`` alias.
 """
 
 import ast
@@ -183,7 +187,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 # The one production record builder, by (module, function): the prep, for its labeller's input.
-PROPOSAL_READERS = {("trainer", "prepare_discovery")}
+PROPOSAL_READERS = {("trainer", "prepare_background")}
 RECORDS = ("proposal_records",)  # the ``SynthImage`` members that build records
 
 
@@ -240,7 +244,8 @@ def test_only_the_prep_filters_the_background():
 
 # Defined, imported or read anywhere.
 FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel",
-                   "Kind", "CategoryId", "_vocab_cosines"}
+                   "Kind", "CategoryId", "_vocab_cosines", "prepare_discovery", "underlying_slice",
+                   "sub_background_index"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -253,5 +258,6 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
             found += [f"{path.stem} line {getattr(node, 'lineno', '?')}: {name}" for name in names]
     assert not found, (f"a box is a row of a float array, an image holds no background records, a proposal's "
                        f"oracle lives only in its image's columns, pseudo-labels and batches are arrays, a "
-                       f"vocabulary's block counts are its only layout, and inference takes its cosines with "
-                       f"core.cosine_matrix: {found}")
+                       f"vocabulary's block counts are its only layout (read through block_indices), inference "
+                       f"takes its cosines with core.cosine_matrix, and prepare_background is the one discovery "
+                       f"prep: {found}")

@@ -161,7 +161,7 @@ def _reference_images():
     from ovlab.trainer import TrainConfig, prepare_background
 
     scenario = generate_scenario(ScenarioConfig(n_train_images=12, n_eval_images=0, seed=0), MockTextEncoder(seed=7))
-    _, centers = prepare_background(scenario, TrainConfig(seed=0))
+    centers = prepare_background(scenario, TrainConfig(seed=0)).centers
     return [(records(image, np.flatnonzero(image.gt < 0)), image.gt_boxes) for image in scenario.images("train")], centers
 
 

@@ -129,7 +129,7 @@ def test_conditional_prob_matches_brute_force():
     for _ in range(20):
         vocab = _random_inference_vocab(rng)
         tau = 0.3
-        anchor_pos = vocab.underlying_slice.start + 1
+        anchor_pos = vocab.block_indices.underlying.start + 1
         scores = _oracle_scores(vocab.embeddings[anchor_pos], vocab, tau)
         denom = sum(s for i, s in enumerate(scores) if i != anchor_pos)
         novel_pos = vocab.novel_slice.start
@@ -152,7 +152,7 @@ def test_conditional_rows_sum_to_one():
     vocab = _random_inference_vocab(rng)
     tau = 0.15
     for u in range(vocab.n_underlying):
-        anchor_pos = vocab.underlying_slice.start + u
+        anchor_pos = vocab.block_indices.underlying.start + u
         scores = _oracle_scores(vocab.embeddings[anchor_pos], vocab, tau)
         denom = sum(s for i, s in enumerate(scores) if i != anchor_pos)
         total = sum(s / denom for i, s in enumerate(scores) if i != anchor_pos)
@@ -238,7 +238,7 @@ def test_rectified_sum_term_by_term_oracle():
             factors = compute_shrinking_factors(vocab, tau)
             total = block_sums(q, vocab, tau, factors)[1]
             scores = _oracle_scores(q, vocab, tau)
-            start = vocab.underlying_slice.start
+            start = vocab.block_indices.underlying.start
             oracle = sum(scores[start + j] * factors[j] for j in range(vocab.n_underlying))
             assert total == pytest.approx(oracle, rel=1e-10)
 
@@ -305,7 +305,7 @@ def test_inference_probs_match_direct_formula():
             factors = compute_shrinking_factors(vocab, tau)
             probabilities, background_mass = _score_row(q, vocab, tau, factors)
             scores = _oracle_scores(q, vocab, tau)
-            start = vocab.underlying_slice.start
+            start = vocab.block_indices.underlying.start
             shrunk = sum(
                 scores[start + j] * factors[j]
                 for j in range(vocab.n_underlying)
@@ -335,11 +335,11 @@ def test_strict_shrinkage_with_partial_overlap():
 def _oracle_row(q, vocab, tau, factors=None):
     """Term-by-term foreground probabilities and background mass of one query."""
     scores = _oracle_scores(q, vocab, tau)
-    under = scores[vocab.underlying_slice]
+    under = scores[vocab.block_indices.underlying]
     if factors is not None:
         under = [s * f for s, f in zip(under, factors)]
     fg = scores[vocab.foreground_slice]
-    bg = math.fsum(under) + scores[vocab.sub_background_index]
+    bg = math.fsum(under) + scores[vocab.block_indices.sub_background]
     denom = math.fsum(fg) + bg
     return np.array(fg) / denom, bg / denom
 

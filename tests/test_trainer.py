@@ -23,7 +23,6 @@ from ovlab.trainer import (
     loss_and_gradients,
     loss_final,
     prepare_background,
-    prepare_discovery,
     sgd_step,
     train,
 )
@@ -414,7 +413,7 @@ def test_the_prep_labels_the_records_it_pooled_as_each_image_labels_its_backgrou
     config = TrainConfig(seed=3)
     for scenario_seed in (0, 3):
         scenario = generate_scenario(ScenarioConfig(seed=scenario_seed), MockTextEncoder(seed=7))
-        prep = prepare_discovery(scenario, config)
+        prep = prepare_background(scenario, config)
         for image, got in zip(scenario.train_images, prep.partitions, strict=True):
             background = np.flatnonzero(image.gt < 0)
             positives, labels, negatives = rowwise_pseudo_labels(
@@ -467,7 +466,7 @@ def test_a_prep_builds_one_record_per_kept_row(reference_world, monkeypatch):
     config = TrainConfig(seed=0)
     kept = trainer_mod.filtered_background(reference_world, config)
     built = _count_records(monkeypatch)
-    prep = prepare_discovery(reference_world, config)
+    prep = prepare_background(reference_world, config)
     assert sum(len(p.positives) + len(p.negatives) for p in prep.partitions) == len(built) == 137
     assert sum(map(len, kept)) == 137 and sum(int((im.gt < 0).sum()) for im in reference_world.train_images) == 432
     det = np.concatenate([image.features[0][rows] for image, rows in zip(reference_world.train_images, kept)])
@@ -482,7 +481,7 @@ def test_image_blocks_stack_the_columns_as_the_records_stack(small_scenario, bas
     from ovlab.vocab import FixedRows, build_training_vocab
 
     config = TrainConfig(seed=3, baseline_mode=baseline_mode)
-    prep = prepare_discovery(small_scenario, config)
+    prep = prepare_background(small_scenario, config)
     ids, n_disc = small_scenario.base_ids, prep.n_discovered
     fixed = FixedRows(ids, np.stack([small_scenario.prototypes[i] for i in ids]), small_scenario.encoder,
                       trainer_mod.underlying_count(config, n_disc), n_disc, baseline_mode)
@@ -519,7 +518,7 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
 
     config = TrainConfig(steps=20, seed=3, baseline_mode=baseline_mode, use_prompts=use_prompts,
                          use_discovery=use_discovery)
-    prep = prepare_discovery(small_scenario, config)
+    prep = prepare_background(small_scenario, config)
     history, checkpoint = train(config, small_scenario, prep)
     monkeypatch.setattr(trainer_mod, "stack_blocks", raw_stack_blocks)
     monkeypatch.setattr(trainer_mod, "loss_and_gradients", unfused_loss_and_gradients)
@@ -584,7 +583,7 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
     per_run = {}
     for steps in (0, 3):
         config = TrainConfig(steps=steps, seed=4)
-        prep = prepare_discovery(small_scenario, config)
+        prep = prepare_background(small_scenario, config)
         calls.update(dict.fromkeys(calls, 0))
         train(config, small_scenario, prep)
         per_run[steps] = dict(calls)
@@ -610,7 +609,7 @@ def test_a_training_step_stays_within_its_call_budget(small_scenario):
     counts = {}
     for steps in (0, 3):
         config = TrainConfig(steps=steps, seed=4)
-        prep = prepare_discovery(small_scenario, config)
+        prep = prepare_background(small_scenario, config)
         train(config, small_scenario, prep)
         calls = 0
 
@@ -632,7 +631,7 @@ def test_a_training_step_stays_within_its_call_budget(small_scenario):
 
 
 def test_train_refuses_a_discovery_prep_it_cannot_use(small_scenario):
-    prep = prepare_discovery(small_scenario, TrainConfig(steps=1, seed=1, use_discovery=False))
+    prep = prepare_background(small_scenario, TrainConfig(steps=1, seed=1, use_discovery=False))
     assert prep.centers is None and prep.partitions is None
     with pytest.raises(ValueError, match="other settings"):
         train(TrainConfig(steps=1, seed=2, use_discovery=False), small_scenario, prep)
@@ -678,13 +677,13 @@ def test_train_refuses_a_discovery_prep_of_another_scenario():
     one, two = (generate_scenario(ScenarioConfig(n_train_images=10, n_eval_images=0, seed=s), enc)
                 for s in (1, 2))
     config = TrainConfig(steps=5, seed=1)
-    foreign = prepare_discovery(one, config)
+    foreign = prepare_background(one, config)
     for run in (config, dataclasses.replace(config, use_discovery=False),
                 dataclasses.replace(config, baseline_mode=True)):
         with pytest.raises(ValueError, match="another scenario"):
             train(run, two, foreign)
     # The scenario's own prep is accepted, and trains as a run that makes its own.
-    _, own = train(config, two, prepare_discovery(two, config))
+    _, own = train(config, two, prepare_background(two, config))
     _, fresh = train(config, two)
     assert own.to_json() == fresh.to_json()
 

@@ -103,8 +103,8 @@ def test_block_ordering_reconstructible_from_counts(enc):
     kinds = [rec["kind"] for rec in iv.records()]
     assert kinds == ["base"] * 3 + ["novel"] * 2 + ["underlying"] * 4 + ["sub_background"]
     assert iv.novel_slice == slice(3, 5)
-    assert iv.underlying_slice == slice(5, 9)
-    assert iv.sub_background_index == 9
+    assert iv.block_indices.underlying == slice(5, 9)
+    assert iv.block_indices.sub_background == 9
     np.testing.assert_array_equal(iv.block_indices.background, [5, 6, 7, 8, 9])
 
 
@@ -116,10 +116,10 @@ def test_rebuild_changes_only_underlying_block(enc):
     v2 = training_vocab(ids, emb, ctx + 0.5, sub, enc)
     np.testing.assert_array_equal(v1.embeddings[:3], v2.embeddings[:3])
     np.testing.assert_array_equal(
-        v1.embeddings[v1.sub_background_index], v2.embeddings[v2.sub_background_index]
+        v1.embeddings[v1.block_indices.sub_background], v2.embeddings[v2.block_indices.sub_background]
     )
     assert not np.allclose(
-        v1.embeddings[v1.underlying_slice], v2.embeddings[v2.underlying_slice]
+        v1.embeddings[v1.block_indices.underlying], v2.embeddings[v2.block_indices.underlying]
     )
 
 
@@ -161,7 +161,7 @@ def test_directly_constructed_vocabulary_derives_its_lookups(enc):
                        context_vectors=ctx, encoder=enc)
     assert [vocab.base_position(i) for i in ids] == [0, 1, 2]
     assert vocab.n_underlying == 2 and vocab.size == 6
-    assert vocab.underlying_slice == slice(3, 5) and vocab.sub_background_index == 5
+    assert vocab.block_indices.underlying == slice(3, 5) and vocab.block_indices.sub_background == 5
     with pytest.raises(KeyError):
         vocab.base_position(7)
 
@@ -243,7 +243,7 @@ def test_block_indices_equal_the_positions_they_stand_for(enc, n_novel):
         vocab = build_inference_vocab(vocab, [100, 101], np.stack([_sub(enc, s) for s in (1, 2)]))
     start = vocab.n_base + vocab.n_novel
     under, sub = slice(start, start + vocab.n_underlying), vocab.size - 1
-    assert (vocab.underlying_slice, vocab.sub_background_index) == (under, sub)
+    assert (vocab.block_indices.underlying, vocab.block_indices.sub_background) == (under, sub)
     background = np.concatenate([np.arange(under.start, under.stop), [sub]])
     members = np.concatenate([np.arange(under.start + vocab.n_discovered, under.stop), [sub]])
     indices, positions = vocab.block_indices, np.arange(vocab.size)
