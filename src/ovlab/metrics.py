@@ -17,7 +17,7 @@ import numpy as np
 
 from .persist import canonical_json
 from .rectify import compute_shrinking_factors, score
-from .synth import Scenario
+from .synth import Scenario, SynthImage
 from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_background, train
 from .vocab import Vocabulary, build_inference_vocab
 
@@ -93,6 +93,14 @@ def inference_vocab(checkpoint: Checkpoint, scenario: Scenario) -> Vocabulary:
     return build_inference_vocab(checkpoint.build_vocab(), scenario.novel_ids, novel_emb)
 
 
+def _eval_images(scenario: Scenario) -> tuple[SynthImage, ...]:
+    """The eval split's images; a split without a proposal has nothing to evaluate and is a ``ValueError``."""
+    images = scenario.images("eval")
+    if not any(len(image.label) for image in images):
+        raise ValueError("the eval split has no proposals to evaluate")
+    return images
+
+
 def evaluate(
     checkpoint: Checkpoint,
     scenario: Scenario,
@@ -116,7 +124,7 @@ def evaluate(
     counts = np.zeros((n_fg + 1) ** 2, dtype=np.int64)  # true position by predicted position, flattened
     recalled = 0
 
-    for image in scenario.images("eval"):
+    for image in _eval_images(scenario):
         if not len(image.label):
             continue
         fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if rectify else None)
@@ -130,8 +138,6 @@ def evaluate(
         recalled += int(np.count_nonzero((true == pred) & (true >= n_base) & (true < n_fg)
                                          & (best_prob >= recall_threshold)))
 
-    if not counts.any():
-        raise ValueError("the eval split has no proposals to evaluate")
     counts = counts.reshape(n_fg + 1, n_fg + 1)
     keys = [str(i) for i in fg_ids.tolist()] + [BACKGROUND_KEY]
     confusion = {keys[t]: {keys[q]: int(c) for q, c in enumerate(row.tolist()) if c}
@@ -218,8 +224,10 @@ def run_ablation(
     that seed; each training keeps what its toggles use, so its checkpoint equals
     that of a standalone ``train``. Combinations sharing training toggles
     reuse the trained checkpoint and differ only in the rectify flag,
-    mirroring how rectification is purely an inference-time change.
+    mirroring how rectification is purely an inference-time change. An eval
+    split without a proposal is refused before any prep or training.
     """
+    _eval_images(scenario)
     base_config = base_config or TrainConfig()
     discovers = any(c.use_discovery and not c.baseline_mode for c in spec.combos)
     preps: dict[int, DiscoveryPrep] = {}

@@ -20,21 +20,24 @@ fixes: the header line, then the ``n_train_images`` train images, then the
 Each image is its image line followed by ``objects_per_image *
 proposals_per_object + clutter_per_image`` proposal lines. The loader
 derives every line's position from the header alone, so it reads the file
-one line at a time, decodes and parses only the lines of the splits it is
-asked for, and refuses a file of any other line count (after the header, it
-counts the lines in fixed-size chunks of bytes before it parses one).
+one image's lines at a time, decodes and parses only the lines of the splits
+it is asked for, and refuses a file of any other line count (after the
+header, it counts the lines in fixed-size chunks of bytes before it parses
+one).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from bisect import bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -490,18 +493,21 @@ def write_dataset(scenario: Scenario, path) -> None:
 def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     """Rebuild a Scenario from a dataset file (prototypes recomputed via the encoder).
 
-    The file is read one line at a time, so the load holds the scenario it
-    builds and at most one line's text. Where the process may run on two
-    CPUs, the requested images are parsed in two halves: this process parses
-    the first, while one forked child parses the second and sends its images'
-    columns back in order (``forked.in_halves``); the scenario and every
-    refusal are the same either way. Only the lines of
-    ``splits`` are decoded and parsed; a split that was not requested is
-    None. The header fixes the layout (see the module docstring), so a file
-    whose line count differs from it, or a parsed line that is not the record
-    its position calls for, is a ``ValueError``, as are a malformed file, a
-    line that is not UTF-8, a feature that is not a list of numbers or is not
-    finite or has zero norm, a bad box, gt box or rpn score (a bool is not a
+    The file is read one image's lines at a time, so the load holds the
+    scenario it builds and at most one image's text. Each image's lines are
+    decoded, checked and turned into columns at once; only an image that
+    fails a check is walked line by line, to refuse its first fault in file
+    order. Where the process may run on two CPUs, the requested images are
+    parsed in two halves: this process parses the first, while one forked
+    child parses the second and sends its images' columns back in order
+    (``forked.in_halves``); the scenario and every refusal are the same
+    either way. Only the lines of ``splits`` are decoded and parsed; a split
+    that was not requested is None. The header fixes the layout (see the
+    module docstring), so a file whose line count differs from it, or a
+    parsed line that is not the record its position calls for, is a
+    ``ValueError``, as are a malformed file, a line that is not UTF-8 or not
+    one JSON value, a feature that is not a list of numbers or is not finite
+    or has zero norm, a bad box, gt box or rpn score (a bool is not a
     number), a ``gt`` that is not a base id of the header, an oracle label
     that is not a category id of the header or a source the writer cannot
     write, a missing key, an unknown split name, a negative category id and a
@@ -519,7 +525,7 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
 
 
 def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
-    """Parse the header and the lines of ``splits``, one line at a time.
+    """Parse the header and the lines of ``splits``, one image at a time (``_parse_image``).
 
     After the header, the file's lines are counted in fixed-size chunks of
     bytes, noting where the requested images start and where the second half
@@ -562,6 +568,9 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             raise ValueError(f"dataset {path} header lists {sizes} base, novel and distractor categories under "
                              f"{len(name_seeds)} distinct ids; its settings call for {wanted} under distinct ids")
         prototypes = {i: encoder.encode_named_category(s) for i, s in name_seeds.items()}
+        # The column value of each id a proposal line's gt and oracle label may hold, and of null.
+        gt_values = {None: _NONE, **{i: i for i in base_ids}}
+        label_values = {None: _NONE, **{i: i for i in name_seeds}}
 
         per_image = 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
         counts = {"train": config.n_train_images, "eval": config.n_eval_images}
@@ -590,7 +599,7 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
             with nullcontext(f) if os.getpid() == parent else Path(path).open("rb") as own:
                 own.seek(starts[part[0][2]])
                 for split, i, line in part:
-                    yield _parse_image(own, path, line, per_image, split, i, config.dim, base_ids, name_seeds)
+                    yield _parse_image(own, path, line, per_image, split, i, config.dim, gt_values, label_values)
 
         images: dict[str, tuple[SynthImage, ...] | None] = dict.fromkeys(SPLITS)
         with closing(in_halves(order, parse)) as parsed:
@@ -628,50 +637,102 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
 
 def _check_box(coords) -> None:
     """Refuse a box of a dataset line that is not a list of 4 ints or floats (numpy would take a bool as
-    0 or 1, and parse a string); an image's rows are then checked as boxes at once (``_box_fault``)."""
+    0 or 1, and parse a string) or whose int does not fit a float; an image's rows are then checked as
+    boxes at once (``_box_fault``)."""
     if type(coords) is not list or len(coords) != 4:
         raise ValueError(f"{coords!r} is not a list of 4 numbers")
     kinds = set(map(type, coords))
     if not kinds <= _NUMBERS:
         raise ValueError(f"{'bool' if bool in kinds else 'non-number'} coordinate in {coords}")
+    np.array(coords, np.float64)  # an int too large for a float overflows
 
 
-def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int,
-                 base_ids: tuple[int, ...], name_seeds: dict[int, int]) -> SynthImage:
-    """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
+_SCAN = json.JSONDecoder().scan_once  # json.loads' scanner: the JSON value at an index of a str, and its end
+_SPACE = json.decoder.WHITESPACE.match  # the whitespace json.loads allows before and after that value
+_PROPOSAL_KEYS = operator.itemgetter("det", "img", "gt", "oracle", "box", "rpn")
+_ORACLE_KEYS = operator.itemgetter("label", "source")
+_IDS = frozenset((int, type(None)))  # the types a proposal's gt and oracle label may have
+# What a column check of a malformed line may raise; the line-by-line walk then names the first fault.
+_FAULTS = (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError)
 
-    Proposal line ``i`` fills row ``i`` of the columns. The image's gt and
-    proposal boxes are checked as one array (``_box_fault``) and the feature
-    block once: every row finite and with a direction (a norm above
-    ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it). A line is refused
-    for a feature that is not a list of ``dim`` ints and floats (so no row is
-    broadcast, and no bool or numeric string is coerced), a bad box
-    (``_check_box``, then ``_box_fault``) or rpn score, a ``gt`` that is
-    neither null nor one of ``base_ids``, an oracle label that is neither null
-    nor a category id of the header (a key of ``name_seeds``) and a source
-    outside ``_SOURCES``.
+
+def _columns(lines: list[bytes], split: str, image_id: int, dim: int, gt_values: dict, label_values: dict):
+    """The image of ``lines`` as (corners, feature block, rpn, gt, label, source) columns, or None.
+
+    Each line is decoded as one JSON value, as ``json.loads`` decodes it.
+    Then each check runs over all the image's records at once: their
+    positions, the feature and box list shapes and entry types, the ``gt``,
+    ``label`` and ``source`` memberships (``gt_values`` and ``label_values``
+    map each id a line may hold, and null, to its column value) and the
+    ``rpn`` range; the boxes (gt boxes first), the features and the scores
+    each become one array. A failed check gives None, or raises one of
+    ``_FAULTS``; either way the image holds a fault that the line-by-line walk
+    ``_refuse_first_fault`` names, and no other.
     """
-    rec = _record(path, f.readline(), first, "image", split, image_id)
+    recs = []
+    for line in lines:
+        text = str(line, "utf-8")
+        rec, end = _SCAN(text, _SPACE(text, 0).end())
+        if _SPACE(text, end).end() != len(text):
+            return None
+        recs.append(rec)
+    image, proposals = recs[0], recs[1:]
+    position = ("proposal", split, image_id)
+    if not ({dict}.issuperset(map(type, recs))
+            and (image.get("type"), image.get("split"), image.get("image")) == ("image", split, image_id)
+            and [(r.get("type"), r.get("split"), r.get("image")) for r in proposals].count(position) == len(proposals)
+            and type(image["gt_boxes"]) is list):
+        return None
+    det, img, gts, oracles, boxes, scores = zip(*map(_PROPOSAL_KEYS, proposals)) if proposals else ((),) * 6
+    labels, sources = zip(*map(_ORACLE_KEYS, oracles)) if proposals else ((), ())
+    features, corners = det + img, image["gt_boxes"] + list(boxes)
+    if not ({list}.issuperset(map(type, features)) and {dim}.issuperset(map(len, features))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(features)))
+            and _IDS.issuperset(map(type, gts)) and _IDS.issuperset(map(type, labels))
+            and {str}.issuperset(map(type, sources))
+            and {list}.issuperset(map(type, corners)) and {4}.issuperset(map(len, corners))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(corners)))
+            and _NUMBERS.issuperset(map(type, scores))):
+        return None
+    rpn = np.array(scores, np.float64)
+    if not ((0.0 <= rpn) & (rpn <= 1.0)).all():
+        return None
+    return (np.array(corners, np.float64).reshape(-1, 4),
+            np.array(features, np.float64).reshape(2, len(proposals), dim), rpn,
+            np.array(list(map(gt_values.__getitem__, gts)), np.int64),
+            np.array(list(map(label_values.__getitem__, labels)), np.int64),
+            np.array(list(map(_SOURCE_INDEX.__getitem__, sources)), np.int64))
+
+
+def _refuse_first_fault(lines: list[bytes], path, first: int, split: str, image_id: int, dim: int, gt_values: dict,
+                        label_values: dict) -> NoReturn:
+    """Refuse the image of ``lines``, the first of which is line ``first`` (from 0), by its first fault.
+
+    Walks the lines in file order: the image line and its gt boxes, then
+    each proposal line, and within it its ``det`` and ``img`` features, its
+    ``gt``, oracle label and source, its box and its rpn score. A feature that
+    is not a list of ``dim`` ints and floats (so no row is broadcast, and no
+    bool or numeric string is coerced), a bad box (``_check_box``) or rpn
+    score, a ``gt`` that is neither null nor a base id of the header, an
+    oracle label that is neither null nor a category id of the header and a
+    source outside ``_SOURCES`` are refused, as is a missing key (a
+    ``KeyError``). Runs only where ``_columns`` found a fault, so it never
+    returns.
+    """
+    rec = _record(path, lines[0], first, "image", split, image_id)
     image_line = _where(path, first, "the image line", split, image_id)
-    gt_coords, rows = rec["gt_boxes"], per_image - 1
+    gt_coords = rec["gt_boxes"]
     try:
         if type(gt_coords) is not list:
             raise ValueError(f"{gt_coords!r} is not a list of boxes")
-        corners = np.empty((len(gt_coords) + rows, 4))  # the gt boxes, then the proposals' boxes
-        for j, coords in enumerate(gt_coords):
+        for coords in gt_coords:
             _check_box(coords)
-            corners[j] = coords
-    except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{image_line} holds bad gt_boxes: {exc}") from None
-    n_gt = len(gt_coords)
-    gt_boxes, boxes = corners[:n_gt], corners[n_gt:]
-    block, rpn = np.empty((2, rows, dim)), np.empty(rows)
-    gts, labels, sources = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.int64)
-    for i in range(rows):
-        n = first + 1 + i
-        rec = _record(path, f.readline(), n, "proposal", split, image_id)
+    for n, line in enumerate(lines[1:], first + 1):
+        rec = _record(path, line, n, "proposal", split, image_id)
         where = _where(path, n, "a proposal line", split, image_id)
-        for k, key in enumerate(_FEATURES):
+        for key in _FEATURES:
             try:
                 feature = rec[key]
                 if type(feature) is not list or len(feature) != dim:
@@ -679,14 +740,14 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                 if not _NUMBERS.issuperset(map(type, feature)):  # numpy would take a bool or a numeric string
                     j = next(j for j, entry in enumerate(feature) if type(entry) not in _NUMBERS)
                     raise ValueError(f"entry {j} is {feature[j]!r}, not an int or a float")
-                block[k, i] = feature
+                np.array(feature, np.float64)  # an int too large for a float overflows
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
         gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
-        if gt is not None and not (is_integer(gt) and gt in base_ids):
+        if not (gt is None or is_integer(gt) and gt in gt_values):
             raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
                              "header")
-        if label is not None and not (is_integer(label) and label in name_seeds):
+        if not (label is None or is_integer(label) and label in label_values):
             raise ValueError(f"{where} holds an oracle label of {label!r}, which is neither null nor a category id "
                              "of the header")
         if type(source) is not str or source not in _SOURCE_INDEX:
@@ -694,7 +755,6 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                              f"{', '.join(map(repr, _SOURCES))}")
         try:
             _check_box(rec["box"])
-            boxes[i] = rec["box"]
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         score = rec["rpn"]
@@ -704,11 +764,34 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                                  f"got {score}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
-        rpn[i], sources[i] = score, _SOURCE_INDEX[source]
-        gts[i], labels[i] = _NONE if gt is None else gt, _NONE if label is None else label
+    raise RuntimeError(f"{image_line} failed a column check that no line check refuses")
+
+
+def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int, gt_values: dict,
+                 label_values: dict) -> SynthImage:
+    """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
+
+    The image's lines are read, then checked and turned into columns at once
+    (``_columns``); proposal line ``i`` fills row ``i``. Only where a check
+    fails are the lines walked one at a time, to refuse the first fault in
+    file order (``_refuse_first_fault``). The gt and proposal boxes are then
+    checked as one array (``_box_fault``) and the feature block once: every
+    row finite and with a direction (a norm above ``core.NORM_FLOOR``, as
+    ``core.unit_rows`` takes it).
+    """
+    lines = [f.readline() for _ in range(per_image)]
+    try:
+        columns = _columns(lines, split, image_id, dim, gt_values, label_values)
+    except _FAULTS:
+        columns = None
+    if columns is None:
+        _refuse_first_fault(lines, path, first, split, image_id, dim, gt_values, label_values)
+    corners, block, rpn, gts, labels, sources = columns
+    n_gt = len(corners) - len(rpn)
     if bad_box := _box_fault(corners):  # int corners that float64 rounds onto each other are degenerate too
         row, problem = bad_box
-        where = image_line if row < n_gt else _where(path, first + 1 + row - n_gt, "a proposal line", split, image_id)
+        where = (_where(path, first, "the image line", split, image_id) if row < n_gt
+                 else _where(path, first + 1 + row - n_gt, "a proposal line", split, image_id))
         raise ValueError(f"{where} holds {'bad gt_boxes' if row < n_gt else 'a bad box'}: {problem}")
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
@@ -718,5 +801,5 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
                 if bad_rows.any():  # the first bad proposal's line
                     where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
                     raise ValueError(f"{where} holds a {fault} {key} feature")
-    return SynthImage(image_id=image_id, gt_boxes=gt_boxes, features=block, boxes=boxes, rpn=rpn, gt=gts,
-                      label=labels, source=sources)
+    return SynthImage(image_id=image_id, gt_boxes=corners[:n_gt], features=block, boxes=corners[n_gt:], rpn=rpn,
+                      gt=gts, label=labels, source=sources)

@@ -734,14 +734,16 @@ def _line_end(data: bytes, start: int, n: int) -> int:
     return start
 
 
-def _record(path, line: str, n: int, kind: str, split: str, image_id: int) -> dict:
+def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> dict:
     """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image
     ``image_id``."""
     try:
-        rec = json.loads(line)
+        rec = json.loads(str(line, "utf-8"))
         if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == (kind, split, image_id):
             return rec
         problem = "holds another record"
+    except UnicodeDecodeError as exc:
+        problem = f"is not UTF-8: {exc}"
     except json.JSONDecodeError as exc:
         problem = f"is not JSON: {exc}"
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
@@ -763,7 +765,7 @@ def _line_box(coords) -> Box:
     return Box(*floats)
 
 
-def _record_image(path, lines: list[str], first: int, split: str, image_id: int, dim: int,
+def _record_image(path, lines: list[bytes], first: int, split: str, image_id: int, dim: int,
                   base_ids: tuple[int, ...], oracles: dict[int | None, dict[str, OracleInfo]]) -> RecordImage:
     """One image's records from its lines, the first of which is line ``first`` (from 0) of the file.
 
@@ -795,7 +797,7 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
                     if type(entry) not in (int, float):
                         raise ValueError(f"entry {j} is {entry!r}, not an int or a float")
                 block[k, i] = rec[key]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
         gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
         if gt is not None and not (is_integer(gt) and gt in base_ids):
@@ -813,6 +815,8 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
         try:
+            if type(rec["rpn"]) is bool:
+                raise ValueError(f"rpn_score must be a number, got {rec['rpn']}")
             proposals.append(OracleProposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i],
                                             img_feature=rows[1, i], gt_label=gt, oracle=by_source[source]))
         except (TypeError, ValueError) as exc:
@@ -829,11 +833,11 @@ def _record_image(path, lines: list[str], first: int, split: str, image_id: int,
 
 
 def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
-    """Parse the header and the lines of ``splits``; only those lines are decoded.
+    """Parse the header and the lines of ``splits``; only those lines are decoded, each on its own.
 
-    The file's bytes are dropped once the requested splits are decoded, and
-    each split's text once it is split into lines, so the load holds at most
-    about as much as the file's text while the proposals are built.
+    The file's bytes are dropped once the requested splits are split into
+    lines, so the load holds at most about as much as the file's bytes while
+    the proposals are built.
     """
     data = Path(path).read_bytes()
     if not data:
@@ -857,6 +861,8 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         if not (is_integer(rec["id"]) and is_integer(rec["name_seed"])):
             raise ValueError(f"dataset {path} header holds a category record {rec} whose id and name_seed "
                              "are not both ints")
+        if not 0 <= rec["id"] < 1 << 63:
+            raise ValueError(f"dataset {path} header holds a category id {rec['id']} outside [0, 2**63)")
         name_seeds[rec["id"]] = rec["name_seed"]
     sizes = (len(base_ids), len(novel_ids), len(distractor_ids))
     wanted = (config.n_base, config.n_novel, config.n_distractor)
@@ -873,19 +879,17 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # as ``str.splitlines`` counts them
     if n_lines != expected:
         raise ValueError(f"dataset {path} has {n_lines} lines, but its header implies {expected}")
-    texts, first = {}, 1  # each requested split's text, and the line number of its first line
+    texts, first = {}, 1  # each requested split's lines, and the line number of its first line
     for split in SPLITS:
         n_split = counts[split] * per_image
         end = len(data) if split == SPLITS[-1] else _line_end(data, start, n_split)
-        if split in splits:  # decoded through a view, without a copy of the byte range
-            texts[split] = str(memoryview(data)[start:end], "utf-8"), first
+        if split in splits:
+            texts[split] = data[start:end].split(b"\n"), first
         start, first = end, first + n_split
     del data
     images: dict[str, tuple[RecordImage, ...] | None] = dict.fromkeys(SPLITS)
     for split in list(texts):
-        text, first = texts.pop(split)  # so that only its lines outlive the split
-        lines = text.split("\n")
-        del text
+        lines, first = texts.pop(split)  # so that only the lines of one split outlive its parse
         images[split] = tuple(
             _record_image(path, lines[i * per_image:(i + 1) * per_image], first + i * per_image, split, i,
                           config.dim, base_ids, oracles)

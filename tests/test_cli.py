@@ -7,7 +7,7 @@ import re
 import pytest
 from util import assert_no_child_left
 
-from ovlab import forked
+from ovlab import forked, metrics
 from ovlab.cli import main
 from ovlab.persist import config_hash, sha256_file
 
@@ -613,15 +613,21 @@ def test_rectify_report_rejects_an_empty_eval_split(tmp_path, capsys):
     assert not (tmp_path / "rect").exists()
 
 
-def test_eval_and_ablate_reject_an_empty_eval_split(tmp_path, capsys):
+def test_eval_and_ablate_reject_an_empty_eval_split(tmp_path, capsys, monkeypatch):
     # A split with nothing to score has no top-1 to report: eval refuses it, as rectify-report does, and so
-    # does ablate, which evaluates each training.
+    # does ablate, which evaluates each training, before it preps or trains anything.
     data, run = tmp_path / "d.jsonl", tmp_path / "run"
     empty = [*SMALL, "--set", "scenario.n_eval_images=0"]
     assert main(["gen", "--out", str(data), *empty]) == 0
     assert main(["train", "--dataset", str(data), "--out-dir", str(run), *empty]) == 0
     err = _eval_error(run / "checkpoint.json", data, tmp_path / "ev", capsys)
     assert err == "error: the eval split has no proposals to evaluate", err
+
+    def never(*args, **kwargs):
+        raise AssertionError("ablate prepped or trained before it refused the eval split")
+
+    for name in ("prepare_background", "train"):
+        monkeypatch.setattr(metrics, name, never)
     assert main(["ablate", "--dataset", str(data), "--out-dir", str(tmp_path / "ab"), *empty,
                  "--set", "ablation.seeds=[0]", "--set", 'ablation.combos=["baseline"]']) == 1
     assert capsys.readouterr().err.splitlines() == [err]

@@ -2,15 +2,13 @@
 
 import contextlib
 import dataclasses
-import gc
 import json
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import corners, joined_dataset_text, per_proposal_images, records, whole_file_parse_dataset
-from util import EDGE_WORLDS, assert_no_child_left
+from util import EDGE_WORLDS, assert_no_child_left, count_calls
 
 from ovlab import forked, synth
 from ovlab.core import ZeroNormError, unit_rows
@@ -423,30 +421,31 @@ def test_a_failed_write_leaves_no_file(tmp_path, scenario):
 
 
 GENERATE_CALL_BUDGET = 3  # Python-level calls per generated proposal on the reference world
+LOAD_CALL_BUDGET = 3  # Python-level calls per loaded proposal of a both-split reference load, in-process
 
 
 def test_generation_stays_within_its_call_budget(enc):
-    # Counted as ``sys.setprofile`` "call" events of one reference
-    # ``generate_scenario`` (run once before it is counted), with the garbage
-    # collector paused so that no collection adds calls.
+    # Counted as ``count_calls`` counts them, of one reference
+    # ``generate_scenario`` (run once before it is counted).
     config = ScenarioConfig()
     generate_scenario(config, enc)
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        scenario = generate_scenario(config, enc)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+    scenario, calls = count_calls(generate_scenario, config, enc)
     per_proposal = calls / sum(len(image.rpn) for image in scenario.train_images + scenario.eval_images)
     assert per_proposal <= GENERATE_CALL_BUDGET, per_proposal
+
+
+def test_a_load_stays_within_its_call_budget(tmp_path, monkeypatch, enc):
+    # Counted as ``count_calls`` counts them, of one load of both splits of
+    # the reference world (run once before it is counted) that parses every
+    # image in-process: an image's lines are checked as columns, and walked
+    # one at a time only to name a fault.
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 1)
+    path = tmp_path / "data.jsonl"
+    write_dataset(generate_scenario(ScenarioConfig(), enc), path)
+    load_dataset(path)
+    loaded, calls = count_calls(load_dataset, path)
+    per_proposal = calls / sum(len(image.rpn) for image in loaded.train_images + loaded.eval_images)
+    assert per_proposal <= LOAD_CALL_BUDGET, per_proposal
 
 
 def test_unknown_split_name_is_refused(tmp_path, scenario):
@@ -602,6 +601,22 @@ def _set(path: tuple, value):
     return edit
 
 
+def _faults(*faults):
+    """A file fault made of ``faults``, applied in order."""
+    def apply(lines):
+        for fault in faults:
+            fault(lines)
+    return apply
+
+
+def _split_and_merged(lines):
+    """Train image 0's first proposal line split at its first comma into two lines, and its next two
+    proposal lines joined by a comma into one: the image keeps its 14 lines, and the lines joined by
+    commas still read as its 14 records."""
+    k = lines[2].index(",")
+    lines[2:5] = [lines[2][:k], lines[2][k + 1:], lines[3] + "," + lines[4]]
+
+
 def _refusal(load, path, splits) -> str | None:
     try:
         load(path, splits)
@@ -652,6 +667,12 @@ FILE_FAULTS = {
     "label_minus_one": _edit_line(-8, _set(("oracle", "label"), -1)),
     "source_unknown": _edit_line(7, _set(("oracle", "source"), "scrubbed")),
     "source_not_a_string": _edit_line(-7, _set(("oracle", "source"), ["object"])),
+    "det_a_bool_and_box_degenerate": _faults(_edit_line(2, lambda rec: rec["det"].__setitem__(3, True)),
+                                             _edit_line(2, _set(("box",), [5, 5, 1, 1]))),
+    "rpn_above_one_then_img_a_string": _faults(_edit_line(3, _set(("rpn",), 1.5)),
+                                               _edit_line(6, lambda rec: rec["img"].__setitem__(0, "x"))),
+    "record_split_and_records_merged": _split_and_merged,
+    "det_a_huge_int": _edit_line(-3, lambda rec: rec["det"].__setitem__(2, 10**400)),
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
     "header_not_an_object": lambda lines: lines.__setitem__(0, "[]"),
     "header_format": _edit_line(0, _set(("format",), "other")),
@@ -684,6 +705,85 @@ def test_the_streamed_load_refuses_what_the_whole_file_load_refuses(tmp_path, mo
         monkeypatch.setattr(forked, "_cpu_count", lambda n=n: n)
         assert [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS] == want, n
     assert_no_child_left()
+
+
+def test_a_surrogate_in_a_line_is_refused_as_not_utf8(tmp_path, monkeypatch, scenario):
+    # The UTF-8 form of a lone surrogate in a string of an extra key:
+    # ``json.loads`` of the bytes decodes it with "surrogatepass" and takes
+    # it, but each line is decoded strictly, so the load refuses it, as the
+    # whole-file parser does, whether it forks or not.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_bytes().split(b"\n")
+    n = 1 + 14 * 5 + 3  # a proposal line of train image 5
+    lines[n] = b'{"note":"\xed\xa0\x80",' + lines[n][1:]
+    assert json.loads(lines[n])["note"] == "\ud800"
+    path.write_bytes(b"\n".join(lines))
+    want = [_refusal(_whole_file_load, path, splits) for splits in SPLIT_SETS]
+    assert want[1] is None and want[0] == want[2], want  # the eval split does not decode it
+    assert want[0].startswith(f"line {n + 1} of dataset {path}, the proposal line of train image 5, is not UTF-8: "
+                              "'utf-8' codec can't decode byte 0xed"), want[0]
+    for cpus in (1, 2):
+        monkeypatch.setattr(forked, "_cpu_count", lambda cpus=cpus: cpus)
+        assert [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS] == want, cpus
+    assert_no_child_left()
+
+
+def _field_paths(value, path=()):
+    """The key or index path of every value inside ``value``, at any depth."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _load_or_refusal(load, path, splits):
+    """The scenario ``load`` builds, or the message it refuses the file with."""
+    try:
+        return load(path, splits)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_a_random_field_loads_or_is_refused_as_the_whole_file_load(tmp_path, scenario):
+    # One field of one line of the fixture world's file set to a value of a
+    # random kind: whether the load forks or not, it builds the whole-file
+    # parser's scenario, bit for bit, or refuses the file with its message.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    dim = scenario.config.dim
+    values = st.one_of(
+        st.booleans(), st.text(max_size=3), st.floats(-2.0, 2.0).map(str), st.none(),
+        st.lists(st.floats(0.0, 1.0), max_size=5), st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+        st.dictionaries(st.sampled_from(["label", "source", "det"]),
+                        st.none() | st.integers(-1, 20) | st.sampled_from(_SOURCES), max_size=2),
+        st.integers(2**1024, 10**400), st.just(float("nan")), st.floats(), st.integers(max_value=-1),
+        st.integers(0, 20),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def same_as_oracle(data):
+        n = data.draw(st.integers(0, len(lines) - 1), label="line")
+        rec = json.loads(lines[n])
+        _set(data.draw(st.sampled_from(list(_field_paths(rec))), label="field"), data.draw(values, label="value"))(rec)
+        path.write_text("".join(line + "\n" for line in [*lines[:n], json.dumps(rec), *lines[n + 1:]]))
+        for splits in SPLIT_SETS:
+            want = _load_or_refusal(_whole_file_load, path, splits)
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(forked, "_cpu_count", lambda cpus=cpus: cpus)
+                    got = _load_or_refusal(load_dataset, path, splits)
+                if isinstance(want, str) or isinstance(got, str):
+                    assert got == want, (splits, cpus)
+                else:
+                    _assert_same_scenario(got, want)
+        assert_no_child_left()
+
+    same_as_oracle()
 
 
 @pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])

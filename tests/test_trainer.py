@@ -29,7 +29,7 @@ from ovlab.trainer import (
 
 from oracles import (central_difference, raw_stack_blocks, records, rowwise_pseudo_labels, softmax_probs,
                      two_block_sgd_step, unfused_loss_and_gradients)
-from util import training_vocab, unit
+from util import count_calls, training_vocab, unit
 
 
 @pytest.fixture(scope="module")
@@ -599,33 +599,14 @@ STEP_CALL_BUDGET = 52  # Python-level calls per training step
 
 def test_a_training_step_stays_within_its_call_budget(small_scenario):
     # Every Python-level call of a step costs far more than the step's
-    # arithmetic. Counted as ``sys.setprofile`` "call" events of a 3-step run
-    # minus those of a 0-step run, each run once before it is counted, with
-    # the garbage collector paused: a collection's calls depend on the tests
-    # that ran before.
-    import gc
-    import sys
-
+    # arithmetic. Counted as ``count_calls`` counts them, of a 3-step run
+    # minus those of a 0-step run, each run once before it is counted.
     counts = {}
     for steps in (0, 3):
         config = TrainConfig(steps=steps, seed=4)
         prep = prepare_background(small_scenario, config)
         train(config, small_scenario, prep)
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        gc.collect()
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            train(config, small_scenario, prep)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-        counts[steps] = calls
+        _, counts[steps] = count_calls(train, config, small_scenario, prep)
     per_step = (counts[3] - counts[0]) / 3
     assert per_step <= STEP_CALL_BUDGET, per_step
 

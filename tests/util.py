@@ -1,7 +1,10 @@
 """Shared constructors for hand-built vocabularies and proposals, the edge-case scenario worlds, one query's
-linear block sums from the inference scorer, and a check that no forked child outlived its call."""
+linear block sums from the inference scorer, a check that no forked child outlived its call, and a count of
+the Python-level calls a call makes."""
 
+import gc
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -121,3 +124,23 @@ def assert_no_child_left():
     """This process has no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_calls(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``'s result and the ``sys.setprofile`` "call" events it made, ``fn``'s own
+    included, with the garbage collector paused: a collection's calls depend on the tests that ran before."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, calls
