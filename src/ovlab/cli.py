@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import check_fields, from_dict
 from .encoder import MockTextEncoder, init_context_vectors
-from .metrics import STANDARD_COMBOS, AblationSpec, evaluate, inference_vocab, run_ablation
+from .metrics import AblationConfig, EvalConfig, evaluate, inference_vocab, run_ablation
 from .losses import COMPONENTS, stack_blocks
 from .persist import canonical_json, config_hash, sha256_file, write_text
 from .rectify import rectification_report
@@ -44,38 +44,6 @@ from .vocab import FixedRows, build_training_vocab
 
 GRADCHECK_TOLERANCES = {1.0: 1e-5, 0.05: 1e-4}
 GRADCHECK_STEP = 1e-5  # central-difference step size
-COMBOS_BY_NAME = {c.name: c for c in STANDARD_COMBOS}
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """The ``eval`` section: whether to rectify and the probability that counts as recalled."""
-
-    rectify: bool = True
-    recall_threshold: float = 0.5
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 <= self.recall_threshold <= 1:
-            raise ValueError(f"EvalConfig.recall_threshold must lie in [0, 1], got {self.recall_threshold}")
-
-
-@dataclass(frozen=True)
-class AblationConfig:
-    """The ``ablation`` section: training seeds and combination names (all standard ones if unset)."""
-
-    seeds: tuple[int, ...] = tuple(range(10))
-    combos: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"AblationConfig.seeds must be nonnegative and not empty, got {self.seeds}")
-        if self.combos == ():
-            raise ValueError("AblationConfig.combos must name at least one combination, or be null for all")
-        unknown = [n for n in self.combos or () if n not in COMBOS_BY_NAME]
-        if unknown:
-            raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(COMBOS_BY_NAME)}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +196,7 @@ def cmd_eval(args) -> int:
     settings = load_config(args.config, [*args.set, *_flag("eval.rectify", args.rectify)], args.seed)["eval"]
     checkpoint = Checkpoint.load(args.checkpoint)
     scenario = load_dataset(args.dataset, ("eval",))
-    report = evaluate(checkpoint, scenario, rectify=settings.rectify, recall_threshold=settings.recall_threshold)
+    report = evaluate(checkpoint, scenario, settings)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "report.json", report.to_json() + "\n")
     write_text(out_dir / "report.txt", report.render() + "\n")
@@ -265,10 +233,8 @@ def cmd_rectify_report(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set, args.seed)
     tcfg = config["train"]
-    settings = config["ablation"]
-    combos = tuple(COMBOS_BY_NAME[n] for n in settings.combos) if settings.combos else STANDARD_COMBOS
     scenario = load_dataset(args.dataset)
-    result = run_ablation(AblationSpec(combos=combos, seeds=settings.seeds), scenario, tcfg)
+    result = run_ablation(config["ablation"], scenario, tcfg)
     out_dir = Path(args.out_dir)
     write_text(out_dir / "ablation.json", result.to_json() + "\n")
     write_text(out_dir / "ablation.txt", result.render() + "\n")

@@ -83,14 +83,13 @@ def nms_indices(boxes, scores, iou_threshold: float) -> list[int]:
     return kept
 
 
-def filter_background_proposals(boxes, rpn, gt_boxes, theta: float, gt_iou_cut: float = 0.5,
-                                nms_iou: float = 0.5) -> np.ndarray:
+def filter_background_proposals(boxes, rpn, gt_boxes, theta: float, gt_iou_cut: float, nms_iou: float) -> np.ndarray:
     """Background proposals worth mining: confident, off-annotation, deduplicated.
 
     Of the proposals with ``(n, 4)`` ``boxes`` and objectness scores ``rpn``,
     keeps those with a score >= theta whose IoU with every annotated box
     (``gt_boxes``, ``(g, 4)``) is below ``gt_iou_cut``, then applies greedy
-    NMS to the survivors. Returns the kept rows in NMS keep order.
+    NMS (``nms_iou``) to the survivors. Returns the kept rows in NMS keep order.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -116,11 +115,9 @@ class ClusterModel:
     objective_history: tuple[float, ...] = field(default=())
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray, point_sq=None) -> np.ndarray:
-    # ||x - c||^2 expanded; clamped at zero against rounding on near-duplicates.
-    # ``centers`` may carry leading (restart) axes: one product per (k, d) slice.
-    if point_sq is None:
-        point_sq = (points * points).sum(axis=-1)
+def _sq_dists(points: np.ndarray, centers: np.ndarray, point_sq: np.ndarray) -> np.ndarray:
+    # ||x - c||^2 expanded, with ``point_sq`` the points' squared norms; clamped at zero against
+    # rounding on near-duplicates. ``centers`` may carry leading (restart) axes: one product per (k, d) slice.
     d2 = 2.0 * points @ np.swapaxes(centers, -1, -2)
     np.subtract(point_sq[..., :, None], d2, out=d2)
     d2 += (centers * centers).sum(axis=-1)[..., None, :]
@@ -267,23 +264,21 @@ def _distance_matrix(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0))
 
 
-def silhouette_score(features, assignments, _distances: np.ndarray | None = None) -> float:
+def silhouette_score(distances: np.ndarray, assignments) -> float:
     """Mean silhouette over all points (Euclidean); singleton clusters score 0.
 
-    ``_distances`` is the features' pairwise distance matrix, for a caller
-    that scores several clusterings of the same points (the count sweep).
+    ``distances`` is the points' (n, n) pairwise distance matrix, which the
+    count sweep computes once for every clustering it scores.
     """
-    pts = np.asarray(features, dtype=np.float64)
     labels = np.asarray(assignments)
-    n = pts.shape[0]
+    n = distances.shape[0]
     uniq = np.unique(labels)
     if len(uniq) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    d = _distances if _distances is not None else _distance_matrix(pts)
 
     onehot = (labels[:, None] == uniq[None, :]).astype(np.float64)
     sizes = onehot.sum(axis=0)
-    sums = d @ onehot  # per point: summed distance to each cluster
+    sums = distances @ onehot  # per point: summed distance to each cluster
     own_col = np.searchsorted(uniq, labels)
     own_size = sizes[own_col]
     rows = np.arange(n)
@@ -335,7 +330,7 @@ def estimate_category_count(features, k_min: int, k_max: int, seed: int) -> Coun
         if len(np.unique(model.assignments)) < 2:
             score = -1.0
         else:
-            score = silhouette_score(pts, model.assignments, _distances=distances)
+            score = silhouette_score(distances, model.assignments)
         results.append((k, score))
     best_k, best_score = max(results, key=lambda kv: (kv[1], -kv[0]))
     return CountEstimate(

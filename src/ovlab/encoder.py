@@ -136,19 +136,19 @@ class MockTextEncoder:
         out = self.forward(v).embeddings
         return out[0] if np.ndim(v) == 1 else out
 
-    def encode_context_vjp(self, v, cotangent, forward: ContextForward | None = None) -> np.ndarray:
+    def encode_context_vjp(self, v, cotangent, forward: ContextForward) -> np.ndarray:
         """Transpose-Jacobian product: pulls an embedding-space gradient back to context space.
 
         Takes one vector and cotangent, or matching (n, ctx_dim) and (n, dim)
-        row stacks. ``forward``, when given, is ``self.forward(v)``: the
-        pullback then reuses it instead of running the stack again.
+        row stacks, and ``forward``, which is ``self.forward(v)``: the
+        pullback reuses it instead of running the stack again.
         """
         arr, g = self._check_ctx(v), np.asarray(cotangent, dtype=np.float64)
         if g.shape != arr.shape[:-1] + (self.dim,):
             raise DimensionMismatchError(
                 f"cotangent must have shape {arr.shape[:-1] + (self.dim,)}, got {g.shape}"
             )
-        hidden, ny, yhat = forward if forward is not None else self.forward(arr)
+        hidden, ny, yhat = forward
         if hidden.shape[0] != (arr.shape[0] if arr.ndim == 2 else 1):
             raise DimensionMismatchError(f"forward of {hidden.shape[0]} rows for context shape {arr.shape}")
         if g.ndim == 1:
@@ -189,8 +189,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0]
 
 
-def init_context_vectors(count: int, seed: int, ctx_dim: int = 16) -> np.ndarray:
-    """Seeded i.i.d. Gaussian (std 0.02) initialization, one row per category."""
+def init_context_vectors(count: int, seed: int, ctx_dim: int) -> np.ndarray:
+    """Seeded i.i.d. Gaussian (std 0.02) initialization, one ``ctx_dim`` row per category."""
     if count < 1:
         raise ValueError(f"need at least one context vector, got count={count}")
     rng = np.random.default_rng([2, int(seed)])

@@ -198,13 +198,14 @@ _BACKGROUND_COMPONENTS = ("mass", "uniform", "switched")
 
 def objective_terms(
     cosines: np.ndarray, slices: dict[str, slice], targets: np.ndarray, vocab: Vocabulary,
-    tau: float, gamma: float = 0.0, negative_weight: float = 0.0,
-    use_prompts: bool = True, use_discovery: bool = True, branches: tuple[str, ...] | None = None,
-    component: str = "final",
+    tau: float, gamma: float, negative_weight: float, use_prompts: bool, use_discovery: bool,
+    branches: tuple[str, ...] | None = None, component: str = "final",
 ) -> ObjectiveTerms:
     """Every component value, the switch pattern, and the logit gradient of ``component``.
 
     ``cosines``, ``slices`` and ``targets`` come from ``proposal_groups``.
+    ``tau`` to ``use_discovery`` are the run's ``temperature``,
+    ``relax_threshold``, ``negative_weight``, ``use_prompts`` and ``use_discovery``.
     "final" is foreground plus the switched loss (when ``use_prompts``) plus
     the pseudo-label loss (when ``use_discovery``). The gradient folds in
     every mean and weight, and rows the component does not read are zero.

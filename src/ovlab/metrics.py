@@ -15,16 +15,30 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .core import check_fields
 from .persist import canonical_json
 from .rectify import compute_shrinking_factors, score
 from .synth import Scenario, SynthImage
 from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_background, train
 from .vocab import Vocabulary, build_inference_vocab
 
-__all__ = ["EvalReport", "AblationCombo", "AblationSpec", "STANDARD_COMBOS", "inference_vocab",
-           "evaluate", "run_ablation"]
+__all__ = ["EvalConfig", "EvalReport", "AblationCombo", "STANDARD_COMBOS", "COMBOS_BY_NAME", "AblationConfig",
+           "inference_vocab", "evaluate", "run_ablation"]
 
 BACKGROUND_KEY = "background"
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The ``eval`` section: whether to rectify and the probability that counts as recalled."""
+
+    rectify: bool = True
+    recall_threshold: float = 0.5
+
+    def __post_init__(self):
+        check_fields(self)
+        if not 0 <= self.recall_threshold <= 1:
+            raise ValueError(f"EvalConfig.recall_threshold must lie in [0, 1], got {self.recall_threshold}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +115,11 @@ def _eval_images(scenario: Scenario) -> tuple[SynthImage, ...]:
     return images
 
 
-def evaluate(
-    checkpoint: Checkpoint,
-    scenario: Scenario,
-    rectify: bool = True,
-    recall_threshold: float = 0.5,
-) -> EvalReport:
+def evaluate(checkpoint: Checkpoint, scenario: Scenario, settings: EvalConfig) -> EvalReport:
     """Score every held-out proposal and compare against the oracle labels.
 
+    ``settings`` is the ``eval`` section: whether the scores are rectified
+    and the probability at or above which a novel hit counts as recalled.
     Never mutates the checkpoint or the dataset. The shrinking factors are
     computed once. Each eval image's ``features[0]`` (its det rows) is scored
     in one ``score`` call; its predicted and true keys (from its ``label``
@@ -127,7 +138,7 @@ def evaluate(
     for image in _eval_images(scenario):
         if not len(image.label):
             continue
-        fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if rectify else None)
+        fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if settings.rectify else None)
         # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
         best = fg_probs.argmax(axis=1)
         best_prob = fg_probs.max(axis=1)
@@ -136,7 +147,7 @@ def evaluate(
         pred = np.where(bg_mass > best_prob, n_fg, best)
         counts += np.bincount(true * (n_fg + 1) + pred, minlength=counts.size)
         recalled += int(np.count_nonzero((true == pred) & (true >= n_base) & (true < n_fg)
-                                         & (best_prob >= recall_threshold)))
+                                         & (best_prob >= settings.recall_threshold)))
 
     counts = counts.reshape(n_fg + 1, n_fg + 1)
     keys = [str(i) for i in fg_ids.tolist()] + [BACKGROUND_KEY]
@@ -150,8 +161,8 @@ def evaluate(
         novel_top1=novel_hits / n_novel if n_novel else 0.0,
         base_top1=base_hits / n_base_seen if n_base_seen else 0.0,
         novel_recall=recalled / n_novel if n_novel else 0.0,
-        recall_threshold=recall_threshold,
-        rectified=bool(rectify),
+        recall_threshold=settings.recall_threshold,
+        rectified=settings.rectify,
         mean_shrinking_factor=float(factors.mean()) if factors.size else 1.0,
         confusion=confusion,
         branch_histogram=dict(checkpoint.branch_totals),
@@ -190,10 +201,25 @@ STANDARD_COMBOS = (
 )
 
 
+COMBOS_BY_NAME = {c.name: c for c in STANDARD_COMBOS}
+
+
 @dataclass(frozen=True)
-class AblationSpec:
-    combos: tuple[AblationCombo, ...] = STANDARD_COMBOS
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+class AblationConfig:
+    """The ``ablation`` section: training seeds and combination names (all standard ones if unset)."""
+
+    seeds: tuple[int, ...] = tuple(range(10))
+    combos: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"AblationConfig.seeds must be nonnegative and not empty, got {self.seeds}")
+        if self.combos == ():
+            raise ValueError("AblationConfig.combos must name at least one combination, or be null for all")
+        unknown = [n for n in self.combos or () if n not in COMBOS_BY_NAME]
+        if unknown:
+            raise ValueError(f"unknown ablation combos {unknown}; known: {sorted(COMBOS_BY_NAME)}")
 
 
 @dataclass(frozen=True)
@@ -213,10 +239,12 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def run_ablation(
-    spec: AblationSpec, scenario: Scenario, base_config: TrainConfig | None = None
-) -> AblationResult:
+def run_ablation(settings: AblationConfig, scenario: Scenario, train_config: TrainConfig) -> AblationResult:
     """Train/evaluate every toggle combination on identical data and seeds.
+
+    ``settings`` is the ``ablation`` section: its combinations, one row each
+    in its order, and its seeds; ``train_config`` is the ``train`` section,
+    whose toggles and seed each training replaces.
 
     Per seed, the discovery prep (filtering, pooling, silhouette sweep,
     centers and the pseudo-labels of every training image) is computed once,
@@ -228,18 +256,18 @@ def run_ablation(
     split without a proposal is refused before any prep or training.
     """
     _eval_images(scenario)
-    base_config = base_config or TrainConfig()
-    discovers = any(c.use_discovery and not c.baseline_mode for c in spec.combos)
+    combos = tuple(map(COMBOS_BY_NAME.__getitem__, settings.combos)) if settings.combos else STANDARD_COMBOS
+    discovers = any(c.use_discovery and not c.baseline_mode for c in combos)
     preps: dict[int, DiscoveryPrep] = {}
     cache: dict[tuple, Checkpoint] = {}
     rows = []
-    for combo in spec.combos:
+    for combo in combos:
         novel_scores, base_scores = [], []
-        for seed in spec.seeds:
+        for seed in settings.seeds:
             key = combo.train_key() + (seed,)
             if key not in cache:
                 config = replace(
-                    base_config,
+                    train_config,
                     seed=seed,
                     baseline_mode=combo.baseline_mode,
                     use_prompts=combo.use_prompts,
@@ -252,13 +280,13 @@ def run_ablation(
                     prep = preps[seed]
                 _, checkpoint = train(config, scenario, prep)
                 cache[key] = checkpoint
-            report = evaluate(cache[key], scenario, rectify=combo.rectify)
+            report = evaluate(cache[key], scenario, EvalConfig(rectify=combo.rectify))
             novel_scores.append(report.novel_top1)
             base_scores.append(report.base_top1)
         rows.append(
             {
                 **asdict(combo),
-                "seeds": list(spec.seeds),
+                "seeds": list(settings.seeds),
                 "novel_top1": novel_scores,
                 "base_top1": base_scores,
                 "novel_top1_median": statistics.median(novel_scores),

@@ -62,17 +62,16 @@ def _labels(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cats, probs[np.arange(len(probs)), cats]
 
 
-def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float,
-                           nms_iou: float = 0.5) -> BackgroundPartition:
+def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float, nms_iou: float) -> BackgroundPartition:
     """Label, threshold, and per-class-suppress one image's filtered background.
 
     ``batch_bg`` is a sequence of ``Proposal`` records, the rows a discovery
     prep's filter kept, and ``boxes`` their ``(len(batch_bg), 4)`` corners.
     Pipeline: per-proposal label from the frozen centers (one cosine matrix
-    over the records) -> drop labels scoring under theta -> per-class NMS
-    keyed on the label score. Survivors become positives; every other record
-    becomes a negative. Box refinement of the survivors is an identity hook
-    at this scale (no trained box head exists).
+    over the records) -> drop labels scoring under theta -> per-class NMS at
+    IoU ``nms_iou``, keyed on the label score. Survivors become positives;
+    every other record becomes a negative. Box refinement of the survivors is
+    an identity hook at this scale (no trained box head exists).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")

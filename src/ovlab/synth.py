@@ -630,7 +630,7 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
         problem = "holds another record"
     except UnicodeDecodeError as exc:
         problem = f"is not UTF-8: {exc}"
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past Python's int-string limit, or deep nesting
         problem = f"is not JSON: {exc}"
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 

@@ -477,7 +477,8 @@ def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str
         config.temperature * norms)
     ctx_grad = np.zeros_like(vocab.context_vectors)
     if vocab.n_underlying:
-        ctx_grad = vocab.encoder.encode_context_vjp(vocab.context_vectors, demb[vocab.block_indices.underlying])
+        ctx = vocab.context_vectors
+        ctx_grad = vocab.encoder.encode_context_vjp(ctx, demb[vocab.block_indices.underlying], vocab.encoder.forward(ctx))
     return breakdown, Params(ctx_grad, demb[vocab.block_indices.sub_background])
 
 
@@ -744,7 +745,7 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
         problem = "holds another record"
     except UnicodeDecodeError as exc:
         problem = f"is not UTF-8: {exc}"
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past Python's int-string limit, or deep nesting
         problem = f"is not JSON: {exc}"
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 

@@ -25,7 +25,7 @@ from ovlab.losses import (
     proposal_groups,
     stack_blocks,
 )
-from ovlab.metrics import AblationCombo, AblationSpec, run_ablation
+from ovlab.metrics import AblationConfig, run_ablation
 from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
 from ovlab.rectify import compute_shrinking_factors, score
 from ovlab.synth import ScenarioConfig, generate_scenario
@@ -281,7 +281,7 @@ def test_criterion_5_pseudo_label_suite(reference_scenario):
     for image, rows in zip(scen.train_images, filtered_background(scen, config)):
         part = generate_pseudo_labels(
             records(image, rows), image.boxes[rows], centers, tau=config.temperature,
-            theta=config.score_threshold,
+            theta=config.score_threshold, nms_iou=config.pseudo_nms_iou,
         )
         partitions.append((image.label[rows[part.positives]].tolist(), part.categories.tolist()))
         for key, category in zip(*partitions[-1]):
@@ -332,7 +332,7 @@ def test_criterion_6_branch_suite():
 
     def switch(batch, gamma):
         _, slices, targets, cosines = groups(batch)
-        return objective_terms(cosines, slices, targets, vocab, tau, gamma).branches
+        return objective_terms(cosines, slices, targets, vocab, tau, gamma, 0.0, True, True).branches
 
     below = with_mass(gamma - 1e-6)
     above = with_mass(gamma + 1e-6)
@@ -385,14 +385,8 @@ def test_criterion_7_training_trend(reference_scenario):
 
 def test_criterion_8_ablation_directions(reference_scenario):
     start = time.monotonic()
-    combos = (
-        AblationCombo("baseline", baseline_mode=True, use_prompts=True, use_discovery=False, rectify=False),
-        AblationCombo("prompts", baseline_mode=False, use_prompts=True, use_discovery=False, rectify=False),
-        AblationCombo("prompts+rectify", baseline_mode=False, use_prompts=True, use_discovery=False, rectify=True),
-        AblationCombo("full", baseline_mode=False, use_prompts=True, use_discovery=True, rectify=True),
-    )
-    spec = AblationSpec(combos=combos, seeds=tuple(range(10)))
-    result = run_ablation(spec, reference_scenario, TrainConfig())
+    settings = AblationConfig(seeds=tuple(range(10)), combos=("baseline", "prompts", "prompts+rectify", "full"))
+    result = run_ablation(settings, reference_scenario, TrainConfig())
     rows = {r["name"]: r for r in result.rows}
     full = rows["full"]["novel_top1"]
     base = rows["baseline"]["novel_top1"]

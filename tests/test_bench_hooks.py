@@ -13,7 +13,7 @@ import pytest
 
 import ovlab.cli  # noqa: F401  the tracer patches the modules already imported; the CLI imports every one
 from ovlab.encoder import MockTextEncoder
-from ovlab.metrics import evaluate
+from ovlab.metrics import EvalConfig, evaluate
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
@@ -68,7 +68,7 @@ def test_a_traced_evaluate_fires_one_cosine_per_scored_image(monkeypatch, n_nove
     assert scored > 1
     for rectify in (True, False):
         with Tracer() as tracer:
-            evaluate(checkpoint, scenario, rectify=rectify)
+            evaluate(checkpoint, scenario, EvalConfig(rectify=rectify))
         assert tracer.missing == []
         # One cosine matrix per eval image with proposals, and one for the shrinking factors unless
         # there is no novel block to share mass with.

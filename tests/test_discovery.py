@@ -5,6 +5,7 @@ import pytest
 
 from ovlab.discovery import (
     KMEANS_RESTARTS,
+    _distance_matrix,
     estimate_category_count,
     filter_background_proposals,
     iou,
@@ -100,12 +101,12 @@ def test_iou_takes_the_scalar_oracles_bits_on_every_pair():
 
 def test_nms_two_identical_boxes():
     b = (0, 0, 10, 10)
-    assert filter_background_proposals([b, b], [0.8, 0.9], [], theta=0.1, nms_iou=0.5).tolist() == [1]
+    assert filter_background_proposals([b, b], [0.8, 0.9], [], theta=0.1, gt_iou_cut=0.5, nms_iou=0.5).tolist() == [1]
 
 
 def test_nms_disjoint_all_kept():
     boxes = [(20 * i, 0, 20 * i + 5, 5) for i in range(6)]
-    assert len(filter_background_proposals(boxes, [0.5] * 6, [], theta=0.1, nms_iou=0.5)) == 6
+    assert len(filter_background_proposals(boxes, [0.5] * 6, [], theta=0.1, gt_iou_cut=0.5, nms_iou=0.5)) == 6
 
 
 def test_nms_matches_brute_force_oracle():
@@ -147,12 +148,12 @@ def test_filter_background_proposals_threshold_and_overlap():
     gt = [(0, 0, 10, 10)]
     boxes = [(2, 0, 12, 10), (50, 50, 60, 60), (70, 70, 80, 80)]  # overlapping, low score, good
     assert iou(boxes[0], gt[0]) > 0.5
-    kept = filter_background_proposals(boxes, [0.99, 0.90, 0.97], gt, theta=0.95)
+    kept = filter_background_proposals(boxes, [0.99, 0.90, 0.97], gt, theta=0.95, gt_iou_cut=0.5, nms_iou=0.5)
     assert kept.tolist() == [2]
 
 
 def test_filter_background_proposals_empty():
-    assert filter_background_proposals(np.zeros((0, 4)), [], [], theta=0.95).tolist() == []
+    assert filter_background_proposals(np.zeros((0, 4)), [], [], theta=0.95, gt_iou_cut=0.5, nms_iou=0.5).tolist() == []
 
 
 def test_filter_never_returns_below_threshold():
@@ -160,7 +161,8 @@ def test_filter_never_returns_below_threshold():
     boxes = [_random_box(rng) for _ in range(100)]
     scores = rng.uniform(0, 1, 100)
     for theta in (0.5, 0.9, 0.95):
-        assert (scores[filter_background_proposals(boxes, scores, [], theta=theta)] >= theta).all()
+        kept = filter_background_proposals(boxes, scores, [], theta=theta, gt_iou_cut=0.5, nms_iou=0.5)
+        assert (scores[kept] >= theta).all()
 
 
 def test_filter_matches_the_scalar_oracle_on_random_boxes():
@@ -307,7 +309,7 @@ def test_center_update_matches_per_cluster_oracle(case):
     want = lloyd_update(pts, assign, k, own_d2)
     assert np.abs(got - want).max() <= EPS
     np.testing.assert_array_equal(
-        discovery._sq_dists(pts, got).argmin(axis=1), discovery._sq_dists(pts, want).argmin(axis=1)
+        *(discovery._sq_dists(pts, c, (pts * pts).sum(axis=1)).argmin(axis=1) for c in (got, want))
     )
     if case == "empty":
         far = pts[int(own_d2.argmax())]
@@ -453,12 +455,12 @@ def test_kmeans_every_point_nearest_its_center():
 def test_silhouette_separated_blobs_high():
     rng = np.random.default_rng(9)
     pts, labels, _ = _blobs(rng, 3, 60, d=8)
-    assert silhouette_score(pts, labels) > 0.6
+    assert silhouette_score(_distance_matrix(pts), labels) > 0.6
 
 
 def test_silhouette_needs_two_clusters():
     with pytest.raises(ValueError):
-        silhouette_score(np.eye(4), np.zeros(4, dtype=int))
+        silhouette_score(_distance_matrix(np.eye(4)), np.zeros(4, dtype=int))
 
 
 def test_estimate_count_recovers_five_blobs():
@@ -498,13 +500,13 @@ def test_estimate_count_returns_the_winning_clustering():
 
 def test_sweep_scores_equal_the_public_silhouette_per_k():
     # The sweep builds the distance matrix once and shares it; every k's
-    # score must be the bytes the public silhouette_score gives on its own.
+    # score must be the bytes the public silhouette_score gives on a fresh matrix.
     rng = np.random.default_rng(14)
     pts, _, _ = _blobs(rng, 4, 40, d=8)
     estimate = estimate_category_count(pts, 2, 9, seed=3)
     for k, score in estimate.scores:
         assignments = kmeans(pts, k, seed=3).assignments
-        assert score == silhouette_score(pts, assignments)
+        assert score == silhouette_score(_distance_matrix(pts), assignments)
 
 
 def test_estimate_count_invalid_ranges():

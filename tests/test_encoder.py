@@ -65,8 +65,8 @@ def test_row_stack_matches_per_row_calls(enc):
         enc.encode_context(v), np.stack([enc.encode_context(row) for row in v]), rtol=1e-12
     )
     np.testing.assert_allclose(
-        enc.encode_context_vjp(v, g),
-        np.stack([enc.encode_context_vjp(row, cot) for row, cot in zip(v, g)]),
+        enc.encode_context_vjp(v, g, enc.forward(v)),
+        np.stack([enc.encode_context_vjp(row, cot, enc.forward(row)) for row, cot in zip(v, g)]),
         rtol=1e-12,
     )
 
@@ -77,7 +77,8 @@ def test_one_row_stack_equals_vector_call_exactly(enc):
         v = rng.normal(0, 1.2, enc.ctx_dim)
         g = rng.standard_normal(enc.dim)
         assert np.array_equal(enc.encode_context(v[None])[0], enc.encode_context(v))
-        assert np.array_equal(enc.encode_context_vjp(v[None], g[None])[0], enc.encode_context_vjp(v, g))
+        assert np.array_equal(enc.encode_context_vjp(v[None], g[None], enc.forward(v[None]))[0],
+                              enc.encode_context_vjp(v, g, enc.forward(v)))
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7], ids=["vector", "one_row", "stack"])
@@ -91,7 +92,7 @@ def test_vjp_through_a_kept_forward_equals_a_fresh_forward(enc, rows):
         g = rng.standard_normal(shape + (enc.dim,))
         forward = enc.forward(v)
         kept = enc.encode_context_vjp(v, g, forward=forward)
-        fresh = enc.encode_context_vjp(v, g)
+        fresh = enc.encode_context_vjp(v, g, enc.forward(v))
         assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
         encoded = enc.encode_context(v)
         assert forward.embeddings.reshape(encoded.shape).tobytes() == encoded.tobytes()
@@ -108,9 +109,9 @@ def test_row_stack_shape_errors(enc):
     with pytest.raises(DimensionMismatchError):
         enc.encode_context(np.zeros((2, 3, enc.ctx_dim)))
     with pytest.raises(DimensionMismatchError):
-        enc.encode_context_vjp(v, np.zeros((2, enc.dim)))
+        enc.encode_context_vjp(v, np.zeros((2, enc.dim)), enc.forward(v))
     with pytest.raises(DimensionMismatchError):
-        enc.encode_context_vjp(v, np.zeros(enc.dim))
+        enc.encode_context_vjp(v, np.zeros(enc.dim), enc.forward(v))
     with pytest.raises(DimensionMismatchError):
         encode_context_jvp(enc, v, v)
 
@@ -163,7 +164,7 @@ def test_vjp_jvp_duality(enc):
         d = rng.standard_normal(enc.ctx_dim)
         g = rng.standard_normal(enc.dim)
         lhs = float(g @ encode_context_jvp(enc, v, d))
-        rhs = float(enc.encode_context_vjp(v, g) @ d)
+        rhs = float(enc.encode_context_vjp(v, g, enc.forward(v)) @ d)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -177,15 +178,15 @@ def test_named_category_determinism_and_distinctness(enc):
 
 
 def test_init_context_vectors_determinism():
-    a = init_context_vectors(7, seed=9)
-    b = init_context_vectors(7, seed=9)
+    a = init_context_vectors(7, seed=9, ctx_dim=16)
+    b = init_context_vectors(7, seed=9, ctx_dim=16)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, init_context_vectors(7, seed=10))
+    assert not np.array_equal(a, init_context_vectors(7, seed=10, ctx_dim=16))
 
 
 def test_init_context_vectors_default_count_distinct():
     # One per estimated category plus the safety expansion of ten.
-    vs = init_context_vectors(11, seed=0)
+    vs = init_context_vectors(11, seed=0, ctx_dim=16)
     assert vs.shape == (11, 16)
     for i in range(11):
         for j in range(i + 1, 11):
@@ -193,11 +194,11 @@ def test_init_context_vectors_default_count_distinct():
 
 
 def test_init_context_vectors_empirical_std():
-    vs = init_context_vectors(625, seed=1)  # 625 * 16 = 10000 entries
+    vs = init_context_vectors(625, seed=1, ctx_dim=16)  # 625 * 16 = 10000 entries
     assert vs.size == 10000
     assert abs(vs.std() - CONTEXT_INIT_STD) / CONTEXT_INIT_STD < 0.05
 
 
 def test_init_context_vectors_zero_count():
     with pytest.raises(ValueError):
-        init_context_vectors(0, seed=0)
+        init_context_vectors(0, seed=0, ctx_dim=16)

@@ -9,8 +9,8 @@ from util import EDGE_WORLDS
 
 from ovlab.encoder import MockTextEncoder
 from ovlab.metrics import (
-    AblationCombo,
-    AblationSpec,
+    AblationConfig,
+    EvalConfig,
     EvalReport,
     evaluate,
     inference_vocab,
@@ -45,7 +45,7 @@ def test_perfect_information_ceiling(noiseless_scenario):
     # generative prototypes), so classification is exact for both splits.
     config = TrainConfig(steps=30, seed=0, baseline_mode=True, use_discovery=False)
     _, checkpoint = train(config, noiseless_scenario)
-    report = evaluate(checkpoint, noiseless_scenario, rectify=False)
+    report = evaluate(checkpoint, noiseless_scenario, EvalConfig(rectify=False))
     assert report.novel_top1 == 1.0
     assert report.base_top1 == 1.0
 
@@ -57,8 +57,8 @@ def test_rectify_identity_without_novel_categories(enc):
     scen = generate_scenario(config, enc)
     tconfig = TrainConfig(steps=20, seed=1)
     _, checkpoint = train(tconfig, scen)
-    on = evaluate(checkpoint, scen, rectify=True)
-    off = evaluate(checkpoint, scen, rectify=False)
+    on = evaluate(checkpoint, scen, EvalConfig(rectify=True))
+    off = evaluate(checkpoint, scen, EvalConfig(rectify=False))
     assert on.base_top1 == off.base_top1
     assert on.confusion == off.confusion
     assert on.mean_shrinking_factor == 1.0
@@ -67,7 +67,7 @@ def test_rectify_identity_without_novel_categories(enc):
 def test_report_round_trip(small_scenario):
     config = TrainConfig(steps=15, seed=2)
     _, checkpoint = train(config, small_scenario)
-    report = evaluate(checkpoint, small_scenario, rectify=True)
+    report = evaluate(checkpoint, small_scenario, EvalConfig(rectify=True))
     recovered = EvalReport.from_json(report.to_json())
     assert recovered == report
 
@@ -75,14 +75,14 @@ def test_report_round_trip(small_scenario):
 def test_report_render_mentions_metrics(small_scenario):
     config = TrainConfig(steps=5, seed=3)
     _, checkpoint = train(config, small_scenario)
-    text = evaluate(checkpoint, small_scenario, rectify=True).render()
+    text = evaluate(checkpoint, small_scenario, EvalConfig(rectify=True)).render()
     assert "novel top-1" in text and "base top-1" in text
 
 
 def test_confusion_rows_sum_to_instance_counts(small_scenario):
     config = TrainConfig(steps=10, seed=4)
     _, checkpoint = train(config, small_scenario)
-    report = evaluate(checkpoint, small_scenario, rectify=True)
+    report = evaluate(checkpoint, small_scenario, EvalConfig(rectify=True))
     total = sum(sum(row.values()) for row in report.confusion.values())
     assert total == report.n_novel + report.n_base + report.n_background
     report.validate()
@@ -111,7 +111,7 @@ def test_evaluation_tallies_as_the_per_proposal_oracle(enc, world):
     for checkpoint in checkpoints:
         for rectify in (True, False):
             for threshold in (0.0, 0.5, 1.0):
-                got = evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
+                got = evaluate(checkpoint, scenario, EvalConfig(rectify=rectify, recall_threshold=threshold))
                 want = per_proposal_evaluate(checkpoint, scenario, rectify=rectify, recall_threshold=threshold)
                 assert got.to_json() == want.to_json(), (checkpoint.config.baseline_mode, rectify, threshold)
     checkpoint = checkpoints[0]
@@ -130,7 +130,7 @@ def test_evaluate_does_not_mutate_inputs(small_scenario):
     _, checkpoint = train(config, small_scenario)
     ctx_before = checkpoint.context_vectors.copy()
     feat_before = small_scenario.eval_images[0].features.copy()
-    evaluate(checkpoint, small_scenario, rectify=True)
+    evaluate(checkpoint, small_scenario, EvalConfig(rectify=True))
     np.testing.assert_array_equal(checkpoint.context_vectors, ctx_before)
     np.testing.assert_array_equal(small_scenario.eval_images[0].features, feat_before)
 
@@ -143,19 +143,12 @@ def test_evaluate_dimension_mismatch(enc, small_scenario):
     config = TrainConfig(steps=2, seed=0)
     _, checkpoint = train(config, scen16)
     with pytest.raises(ValueError):
-        evaluate(checkpoint, small_scenario)
+        evaluate(checkpoint, small_scenario, EvalConfig())
 
 
 def test_ablation_single_combo_single_seed(small_scenario):
-    spec = AblationSpec(
-        combos=(
-            AblationCombo(
-                "baseline", baseline_mode=True, use_prompts=True, use_discovery=False, rectify=False
-            ),
-        ),
-        seeds=(0,),
-    )
-    result = run_ablation(spec, small_scenario, TrainConfig(steps=10))
+    settings = AblationConfig(seeds=(0,), combos=("baseline",))
+    result = run_ablation(settings, small_scenario, TrainConfig(steps=10))
     assert len(result.rows) == 1
     row = result.rows[0]
     assert row["name"] == "baseline"
@@ -164,17 +157,10 @@ def test_ablation_single_combo_single_seed(small_scenario):
 
 
 def test_ablation_deterministic(small_scenario):
-    spec = AblationSpec(
-        combos=(
-            AblationCombo(
-                "full", baseline_mode=False, use_prompts=True, use_discovery=True, rectify=True
-            ),
-        ),
-        seeds=(0, 1),
-    )
+    settings = AblationConfig(seeds=(0, 1), combos=("full",))
     config = TrainConfig(steps=10)
-    a = run_ablation(spec, small_scenario, config)
-    b = run_ablation(spec, small_scenario, config)
+    a = run_ablation(settings, small_scenario, config)
+    b = run_ablation(settings, small_scenario, config)
     assert a.to_json() == b.to_json()
 
 
@@ -190,15 +176,10 @@ def test_ablation_shares_training_across_rectify_flags(small_scenario, monkeypat
         return real_train(config, scenario, prep)
 
     monkeypatch.setattr(eval_mod, "train", counting_train)
-    combos = (
-        AblationCombo("p", baseline_mode=False, use_prompts=True, use_discovery=False, rectify=False),
-        AblationCombo("p+r", baseline_mode=False, use_prompts=True, use_discovery=False, rectify=True),
-    )
-    result = run_ablation(
-        AblationSpec(combos=combos, seeds=(0, 1)), small_scenario, TrainConfig(steps=10)
-    )
+    settings = AblationConfig(seeds=(0, 1), combos=("prompts", "prompts+rectify"))
+    result = run_ablation(settings, small_scenario, TrainConfig(steps=10))
     assert len(calls) == 2  # one training per seed, shared by both rows
-    assert {r["name"] for r in result.rows} == {"p", "p+r"}
+    assert {r["name"] for r in result.rows} == {"prompts", "prompts+rectify"}
 
 
 def test_ablation_shares_one_discovery_prep_per_seed(small_scenario, monkeypatch):
@@ -231,7 +212,7 @@ def test_ablation_shares_one_discovery_prep_per_seed(small_scenario, monkeypatch
     monkeypatch.setattr(trainer_mod, "estimate_category_count", counting_estimate)
     monkeypatch.setattr(trainer_mod, "generate_pseudo_labels", counting_label)
     seeds = (0, 1)
-    run_ablation(AblationSpec(seeds=seeds), small_scenario, TrainConfig(steps=10))
+    run_ablation(AblationConfig(seeds=seeds), small_scenario, TrainConfig(steps=10))
     monkeypatch.undo()
 
     assert sorted(sweeps) == list(seeds)

@@ -38,7 +38,7 @@ def _groups(batch, vocab):
 def _terms(batch, vocab, tau, gamma=0.0):
     """``objective_terms`` of a batch without pseudo-labels."""
     _, slices, targets, cosines = _groups(batch, vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau, gamma)
+    return objective_terms(cosines, slices, targets, vocab, tau, gamma, 0.0, True, True)
 
 
 def _loss(component, batch, vocab, tau):

@@ -27,10 +27,17 @@ its image's ``label`` and ``source`` columns: no module defines an
 The discovery prep is one function, ``trainer.prepare_background``: no
 module defines or calls a ``prepare_discovery``. A vocabulary's blocks are
 read from its ``block_indices``: no ``underlying_slice`` or
-``sub_background_index`` alias.
+``sub_background_index`` alias. The ablation runner takes the ``ablation``
+section: no ``AblationSpec``.
+
+A setting's default is written once, in its config section: the functions
+in ``NO_DEFAULT`` take each listed parameter from their caller.
 """
 
 import ast
+import importlib
+import inspect
+from functools import reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,7 +252,7 @@ def test_only_the_prep_filters_the_background():
 # Defined, imported or read anywhere.
 FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel",
                    "Kind", "CategoryId", "_vocab_cosines", "prepare_discovery", "underlying_slice",
-                   "sub_background_index"}
+                   "sub_background_index", "AblationSpec"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -259,5 +266,34 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
     assert not found, (f"a box is a row of a float array, an image holds no background records, a proposal's "
                        f"oracle lives only in its image's columns, pseudo-labels and batches are arrays, a "
                        f"vocabulary's block counts are its only layout (read through block_indices), inference "
-                       f"takes its cosines with core.cosine_matrix, and prepare_background is the one discovery "
-                       f"prep: {found}")
+                       f"takes its cosines with core.cosine_matrix, prepare_background is the one discovery "
+                       f"prep, and the ablation takes its config section: {found}")
+
+
+# (module, function, parameter): each parameter a production caller passes from a config section, or, for the
+# two distance helpers, computes once for many calls; a default here would be a second definition of it.
+NO_DEFAULT = (
+    ("losses", "objective_terms", "gamma"),
+    ("losses", "objective_terms", "negative_weight"),
+    ("losses", "objective_terms", "use_prompts"),
+    ("losses", "objective_terms", "use_discovery"),
+    ("discovery", "filter_background_proposals", "gt_iou_cut"),
+    ("discovery", "filter_background_proposals", "nms_iou"),
+    ("discovery", "silhouette_score", "distances"),
+    ("discovery", "_sq_dists", "point_sq"),
+    ("pseudo", "generate_pseudo_labels", "nms_iou"),
+    ("encoder", "init_context_vectors", "ctx_dim"),
+    ("encoder", "MockTextEncoder.encode_context_vjp", "forward"),
+    ("metrics", "evaluate", "settings"),
+    ("metrics", "run_ablation", "train_config"),
+)
+
+
+def test_no_signature_repeats_a_section_default():
+    found = []
+    for module, function, parameter in NO_DEFAULT:
+        fn = reduce(getattr, function.split("."), importlib.import_module(f"ovlab.{module}"))
+        param = inspect.signature(fn).parameters.get(parameter)
+        if param is None or param.default is not inspect.Parameter.empty:
+            found.append(f"{module}.{function}({parameter}): {'missing' if param is None else param.default!r}")
+    assert not found, f"parameters that must exist and take no default: {found}"

@@ -89,7 +89,7 @@ def test_generate_all_below_threshold():
     # Features far from every center: scores well under theta at tau = 1.
     props = [_bg_proposal(rng, 6) for _ in range(5)]
     boxes = np.array([(15 * i, 0, 15 * i + 10, 10) for i in range(5)], dtype=np.float64)
-    part = generate_pseudo_labels(props, boxes, centers, tau=1.0, theta=0.95)
+    part = generate_pseudo_labels(props, boxes, centers, tau=1.0, theta=0.95, nms_iou=0.5)
     assert part.positives.tolist() == part.categories.tolist() == []
     assert part.negatives.tolist() == list(range(5))
 
@@ -101,7 +101,8 @@ def test_generate_per_class_nms_keeps_best():
     assert iou(b1, b2) > 0.5
     hi = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0])
     lo = make_proposal(unit(rng, 8), img_feature=_tilted(np.eye(8)[0], np.eye(8)[3], 0.05))
-    part = generate_pseudo_labels([hi, lo], np.array([b1, b2], dtype=np.float64), centers, tau=0.02, theta=0.95)
+    part = generate_pseudo_labels([hi, lo], np.array([b1, b2], dtype=np.float64), centers, tau=0.02, theta=0.95,
+                                  nms_iou=0.5)
     assert part.positives.tolist() == part.categories.tolist() == [0]
     assert part.negatives.tolist() == [1]
 
@@ -118,7 +119,7 @@ def test_per_class_nms_spares_other_classes():
     first = make_proposal(unit(rng, 8), img_feature=np.eye(8)[0])
     second = make_proposal(unit(rng, 8), img_feature=np.eye(8)[1])
     part = generate_pseudo_labels([first, second], np.array([b1, b2], dtype=np.float64), centers, tau=0.02,
-                                  theta=0.95)
+                                  theta=0.95, nms_iou=0.5)
     assert part.categories.tolist() == [0, 1]  # overlapping boxes, different classes
 
 
@@ -130,10 +131,10 @@ def test_partition_covers_filtered_set_exactly():
     props = [_bg_proposal(rng, 6) for _ in range(12)]
     boxes = np.array([(12 * i, 0, 12 * i + 10, 10) for i in range(12)], dtype=np.float64)
     gt = [(0, 0, 11, 11)]
-    rows = filter_background_proposals(boxes, rng.uniform(0.9, 1.0, 12), gt, theta=0.95)
+    rows = filter_background_proposals(boxes, rng.uniform(0.9, 1.0, 12), gt, theta=0.95, gt_iou_cut=0.5, nms_iou=0.5)
     filtered = [props[i] for i in rows]
     assert 0 < len(filtered) < len(props)
-    part = generate_pseudo_labels(filtered, boxes[rows], centers, tau=0.02, theta=0.95)
+    part = generate_pseudo_labels(filtered, boxes[rows], centers, tau=0.02, theta=0.95, nms_iou=0.5)
     assert part.positives.dtype == part.negatives.dtype == np.int64
     assert sorted(part.positives.tolist() + part.negatives.tolist()) == list(range(len(filtered)))
     for half in (part.positives, part.negatives):
@@ -148,8 +149,8 @@ def test_labels_ignore_detector_features():
     boxes = np.array([(15 * i, 0, 15 * i + 10, 10) for i in range(4)], dtype=np.float64)
     props_a = [make_proposal(unit(rng, 6), img_feature=f) for f in img_feats]
     props_b = [make_proposal(unit(rng, 6), img_feature=f) for f in img_feats]
-    part_a = generate_pseudo_labels(props_a, boxes, centers, tau=0.02, theta=0.5)
-    part_b = generate_pseudo_labels(props_b, boxes, centers, tau=0.02, theta=0.5)
+    part_a = generate_pseudo_labels(props_a, boxes, centers, tau=0.02, theta=0.5, nms_iou=0.5)
+    part_b = generate_pseudo_labels(props_b, boxes, centers, tau=0.02, theta=0.5, nms_iou=0.5)
     labels_a, labels_b = ([half.tolist() for half in part] for part in (part_a, part_b))
     assert labels_a == labels_b and labels_a[0]
 
@@ -199,7 +200,8 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
         found = []
         for bg, gt_boxes in images:
             boxes = np.array([p.box for p in bg], dtype=np.float64).reshape(-1, 4)
-            kept = filter_background_proposals(boxes, [p.rpn_score for p in bg], gt_boxes, theta=theta)
+            kept = filter_background_proposals(boxes, [p.rpn_score for p in bg], gt_boxes, theta=theta, gt_iou_cut=0.5,
+                                               nms_iou=0.5)
             got = generate_pseudo_labels([bg[i] for i in kept.tolist()], boxes[kept], centers, tau=tau,
                                          theta=theta, nms_iou=nms_iou)
             positives, labels, negatives = rowwise_pseudo_labels(bg, gt_boxes, centers, tau=tau, theta=theta,
@@ -219,7 +221,7 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
 
 def test_theta_out_of_range():
     with pytest.raises(ValueError):
-        generate_pseudo_labels([], np.zeros((0, 4)), np.eye(3), tau=1.0, theta=1.0)
+        generate_pseudo_labels([], np.zeros((0, 4)), np.eye(3), tau=1.0, theta=1.0, nms_iou=0.5)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 3), (2,), (8,), (2, 4, 1)])
@@ -228,9 +230,9 @@ def test_boxes_must_hold_one_row_per_record(shape):
     rng = np.random.default_rng(13)
     props = [_bg_proposal(rng, 6) for _ in range(2)]
     with pytest.raises(ValueError, match=r"^boxes must be a \(2, 4\) array"):
-        generate_pseudo_labels(props, np.zeros(shape), np.eye(6)[:3], tau=0.02, theta=0.95)
+        generate_pseudo_labels(props, np.zeros(shape), np.eye(6)[:3], tau=0.02, theta=0.95, nms_iou=0.5)
     with pytest.raises(ValueError, match=r"^boxes must be a \(0, 4\) array"):
-        generate_pseudo_labels([], [], np.eye(6)[:3], tau=0.02, theta=0.95)
+        generate_pseudo_labels([], [], np.eye(6)[:3], tau=0.02, theta=0.95, nms_iou=0.5)
 
 
 # -- loss ---------------------------------------------------------------------
@@ -250,7 +252,7 @@ def _pseudo_loss(positives, categories, negatives, vocab, tau, negative_weight):
     """The objective's pseudo-label component on the given pseudo-positive and pseudo-negative rows alone."""
     blocks = stack_blocks([], [], [], positives, categories, negatives, vocab)
     _, slices, targets, cosines = proposal_groups([blocks], vocab)
-    return objective_terms(cosines, slices, targets, vocab, tau, negative_weight=negative_weight).values["pseudo"]
+    return objective_terms(cosines, slices, targets, vocab, tau, 0.0, negative_weight, True, True).values["pseudo"]
 
 
 def test_loss_empty_partition_zero():

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from util import EDGE_WORLDS, assert_no_child_left, count_calls
 from ovlab import forked, synth
 from ovlab.core import ZeroNormError, unit_rows
 from ovlab.encoder import MockTextEncoder
-from ovlab.metrics import evaluate
+from ovlab.metrics import EvalConfig, evaluate
 from ovlab.synth import (
     _SOURCES,
     SPLITS,
@@ -617,6 +618,33 @@ def _split_and_merged(lines):
     lines[2:5] = [lines[2][:k], lines[2][k + 1:], lines[3] + "," + lines[4]]
 
 
+def _edit_text(n: int, edit):
+    """A file fault: ``edit`` applied to the text of line ``n`` (from 0), for a value ``json.dumps`` cannot write."""
+    def apply(lines):
+        lines[n] = edit(lines[n])
+    return apply
+
+
+def _huge_rpn(line: str) -> str:
+    """The line with its rpn score written as a 5,000-digit int, past Python's 4,300-digit int-string limit."""
+    return re.sub(r'"rpn":[^,}]+', '"rpn":' + "7" * 5000, line)
+
+
+def _deep_key(line: str) -> str:
+    """The line with one more key, a list nested past the recursion limit."""
+    return '{"deep":' + "[" * 10**5 + "]" * 10**5 + "," + line[1:]
+
+
+# Lines ``json.loads`` refuses with a plain ``ValueError`` or a ``RecursionError``, not a ``JSONDecodeError``:
+# (line, edit, the start of the problem it reports). The first is a proposal line of train image 5, the
+# second of train image 2.
+PAST_A_LIMIT = {
+    "rpn_past_the_int_digit_limit": (1 + 14 * 5 + 3, _huge_rpn,
+                                     "Exceeds the limit (4300 digits) for integer string conversion"),
+    "nested_past_the_recursion_limit": (1 + 14 * 2 + 4, _deep_key, "maximum recursion depth exceeded"),
+}
+
+
 def _refusal(load, path, splits) -> str | None:
     try:
         load(path, splits)
@@ -673,6 +701,7 @@ FILE_FAULTS = {
                                                _edit_line(6, lambda rec: rec["img"].__setitem__(0, "x"))),
     "record_split_and_records_merged": _split_and_merged,
     "det_a_huge_int": _edit_line(-3, lambda rec: rec["det"].__setitem__(2, 10**400)),
+    **{name: _edit_text(n, edit) for name, (n, edit, _) in PAST_A_LIMIT.items()},
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
     "header_not_an_object": lambda lines: lines.__setitem__(0, "[]"),
     "header_format": _edit_line(0, _set(("format",), "other")),
@@ -726,6 +755,23 @@ def test_a_surrogate_in_a_line_is_refused_as_not_utf8(tmp_path, monkeypatch, sce
     for cpus in (1, 2):
         monkeypatch.setattr(forked, "_cpu_count", lambda cpus=cpus: cpus)
         assert [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS] == want, cpus
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", PAST_A_LIMIT)
+def test_a_line_past_a_json_limit_is_refused_by_its_line(tmp_path, monkeypatch, scenario, fault):
+    # The refusal names the file and the line, as every refusal of a line that is not JSON does,
+    # whether the load forks or not (train image 5 is in a forked train load's second half, 2 in its first).
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    FILE_FAULTS[fault](lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    n, _, problem = PAST_A_LIMIT[fault]
+    want = f"line {n + 1} of dataset {path}, the proposal line of train image {(n - 1) // 14}, is not JSON: {problem}"
+    for cpus in (1, 2):
+        monkeypatch.setattr(forked, "_cpu_count", lambda cpus=cpus: cpus)
+        assert _refusal(load_dataset, path, ("train",)).startswith(want), cpus
     assert_no_child_left()
 
 
@@ -1040,7 +1086,9 @@ def test_training_never_reads_oracle_records(scenario):
     _, clean = train(config, scenario)
     _, scrubbed = train(config, _scrub_oracle(scenario, "train"))
     assert clean.to_json() == scrubbed.to_json()
-    assert evaluate(clean, scenario).to_json() != evaluate(clean, _scrub_oracle(scenario, "eval")).to_json()
+    settings = EvalConfig()
+    assert (evaluate(clean, scenario, settings).to_json()
+            != evaluate(clean, _scrub_oracle(scenario, "eval"), settings).to_json())
 
 
 def test_an_image_built_from_writable_columns_holds_them_read_only(scenario):
