@@ -31,10 +31,10 @@ from .synth import ScenarioConfig, generate_scenario, load_dataset, write_datase
 from .trainer import (
     Checkpoint,
     TrainConfig,
+    compute_gradients,
     filtered_background,
     finite_diff_gradients,
     history_to_json,
-    loss_and_gradients,
     pool_background,
     sweep_category_count,
     train,
@@ -291,7 +291,7 @@ def gradcheck_table(n_instances: int, seed: int) -> tuple[list[dict], bool]:
             flagged = 0
             for i in range(n_instances):
                 blocks, vocab, config = _gradcheck_instance(seed + i, tau)
-                _, analytic = loss_and_gradients(blocks, vocab, config, component)
+                _, analytic = compute_gradients(blocks, vocab, config, component)
                 fd, flips = finite_diff_gradients(blocks, vocab, config, GRADCHECK_STEP, component)
                 if flips:
                     flagged += 1

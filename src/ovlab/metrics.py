@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import check_fields
 from .persist import canonical_json
-from .rectify import compute_shrinking_factors, score
+from .rectify import compute_shrinking_factors, inference_probs
 from .synth import Scenario, SynthImage
 from .trainer import Checkpoint, DiscoveryPrep, TrainConfig, prepare_background, train
 from .vocab import Vocabulary, build_inference_vocab
@@ -122,9 +122,10 @@ def evaluate(checkpoint: Checkpoint, scenario: Scenario, settings: EvalConfig) -
     and the probability at or above which a novel hit counts as recalled.
     Never mutates the checkpoint or the dataset. The shrinking factors are
     computed once. Each eval image's ``features[0]`` (its det rows) is scored
-    in one ``score`` call; its predicted and true keys (from its ``label``
-    column) are positions in the foreground keys, background last, and are
-    counted, like its recalled novel hits, with array operations.
+    in one ``inference_probs`` call, the one batched scorer; its predicted and
+    true keys (from its ``label`` column) are positions in the foreground
+    keys, background last, and are counted, like its recalled novel hits,
+    with array operations.
     """
     vocab = inference_vocab(checkpoint, scenario)
     tau = checkpoint.config.temperature
@@ -138,7 +139,7 @@ def evaluate(checkpoint: Checkpoint, scenario: Scenario, settings: EvalConfig) -
     for image in _eval_images(scenario):
         if not len(image.label):
             continue
-        fg_probs, bg_mass = score(image.features[0], vocab, tau, factors if settings.rectify else None)
+        fg_probs, bg_mass = inference_probs(image.features[0], vocab, tau, factors if settings.rectify else None)
         # ``Checkpoint.build_vocab`` refuses an empty base list: the foreground block is never empty.
         best = fg_probs.argmax(axis=1)
         best_prob = fg_probs.max(axis=1)

@@ -15,14 +15,13 @@ vocabulary: the underlying rows' for the shrinking factors, the feature
 rows' for scoring. Raw scores at the default temperature span dozens of
 orders of magnitude, so the one scorer, ``_shifted_scores``, shifts each row
 by its largest (shrunk) logit before exponentiating; a row's linear block
-sums are its shifted sums times exp(shift). ``score`` divides them into
-probabilities for many rows; ``inference_probs`` is its one-row case.
+sums are its shifted sums times exp(shift). ``inference_probs`` divides them
+into probabilities, for every row of a batch at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,21 +29,10 @@ from .core import check_temperature, cosine_matrix, logsumexp
 from .vocab import Vocabulary
 
 __all__ = [
-    "RectifiedScores",
     "compute_shrinking_factors",
-    "score",
     "inference_probs",
     "rectification_report",
 ]
-
-
-@dataclass(frozen=True)
-class RectifiedScores:
-    """One proposal's inference probabilities for the foreground blocks, aligned with
-    [base block, novel block], and its background mass."""
-
-    probabilities: np.ndarray
-    background_mass: float
 
 
 def _require_inference(vocab: Vocabulary) -> None:
@@ -96,7 +84,7 @@ def _shifted_scores(features, vocab: Vocabulary, tau: float, factors):
     return shift, e[:, vocab.foreground_slice], e[:, under], e[:, sub]
 
 
-def score(
+def inference_probs(
     features, vocab: Vocabulary, tau: float, factors: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Foreground probabilities (n, n_base + n_novel) and background mass (n,) of feature rows.
@@ -111,26 +99,11 @@ def score(
     return fg / denom[:, None], bg / denom
 
 
-def inference_probs(
-    query,
-    vocab: Vocabulary,
-    tau: float,
-    rectify: bool = True,
-    factors: np.ndarray | None = None,
-) -> RectifiedScores:
-    """One proposal's foreground probabilities: a one-row ``score``, rectified unless
-    ``rectify`` is false (shrinking can only raise foreground probabilities)."""
-    if rectify and factors is None:
-        factors = compute_shrinking_factors(vocab, tau)
-    probs, bg_mass = score(np.asarray(query, dtype=np.float64)[None, :], vocab, tau, factors if rectify else None)
-    return RectifiedScores(probabilities=probs[0], background_mass=float(bg_mass[0]))
-
-
 def rectification_report(vocab: Vocabulary, tau: float, queries) -> dict:
     """Per-category factors plus (unrectified, rectified) probability pairs per query."""
     factors = compute_shrinking_factors(vocab, tau)
-    plain, plain_bg = score(queries, vocab, tau)
-    fixed, fixed_bg = score(queries, vocab, tau, factors)
+    plain, plain_bg = inference_probs(queries, vocab, tau)
+    fixed, fixed_bg = inference_probs(queries, vocab, tau, factors)
     rows = zip(plain.tolist(), fixed.tolist(), plain_bg.tolist(), fixed_bg.tolist())
     return {
         "shrinking_factors": factors.tolist(),

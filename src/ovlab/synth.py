@@ -538,10 +538,7 @@ def _parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
         head = f.readline()
         if not head:
             raise ValueError(f"empty dataset file {path}")
-        try:
-            header = json.loads(str(head, "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"line 1 of dataset {path}, the header line, is not UTF-8: {exc}") from None
+        header = _decoded(head, f"line 1 of dataset {path}, the header line,")
         if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
             raise ValueError(f"{path} is not a dataset file")
         if header.get("version") != DATASET_VERSION:
@@ -620,19 +617,23 @@ def _where(path, n: int, line: str, split: str, image_id: int) -> str:
     return f"line {n + 1} of dataset {path}, {line} of {split} image {image_id},"
 
 
+def _decoded(line: bytes, where: str):
+    """``line`` as one JSON value, or a ``ValueError`` that starts with ``where`` if it is not UTF-8 or not JSON."""
+    try:
+        return json.loads(str(line, "utf-8"))
+    except UnicodeDecodeError as exc:  # a ValueError too, so it is caught first
+        raise ValueError(f"{where} is not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also an int past Python's int-string limit, or deep nesting
+        raise ValueError(f"{where} is not JSON: {exc}") from None
+
+
 def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> dict:
     """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
-    try:
-        rec = json.loads(str(line.removesuffix(b"\n"), "utf-8"))
-        position = (kind, split, image_id)
-        if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == position:
-            return rec
-        problem = "holds another record"
-    except UnicodeDecodeError as exc:
-        problem = f"is not UTF-8: {exc}"
-    except (ValueError, RecursionError) as exc:  # also an int past Python's int-string limit, or deep nesting
-        problem = f"is not JSON: {exc}"
-    raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
+    where = _where(path, n, f"the {kind} line", split, image_id)
+    rec = _decoded(line.removesuffix(b"\n"), where)
+    if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == (kind, split, image_id):
+        return rec
+    raise ValueError(f"{where} holds another record")
 
 
 def _check_box(coords) -> None:

@@ -23,8 +23,9 @@ two blocks as views. Per
 step: the vocabulary of the live parameters (one encoder forward, kept for
 the pullback), one concatenation and one cosine matrix of the sampled
 images' rows, one log-softmax and the logit gradient of "final"
-(``losses.objective_terms``), the pullback through the kept forward, and one
-SGD update of the flat vector.
+(``losses.objective_terms``), the pullback through the kept forward (all of
+it one ``compute_gradients`` call, the one objective), and one SGD update
+of the flat vector.
 A step is a few dozen small numpy calls, so their count, not their
 arithmetic, sets its time; ``tests/test_trainer.py`` holds it to a budget.
 """
@@ -65,9 +66,8 @@ __all__ = [
     "TrainHistory",
     "Checkpoint",
     "TrainingDivergedError",
-    "loss_and_gradients",
-    "loss_final",
     "compute_gradients",
+    "loss_final",
     "finite_diff_gradients",
     "sgd_step",
     "filtered_background",
@@ -94,7 +94,8 @@ class TrainConfig:
     ``use_prompts`` gates the switched background loss; ``use_discovery``
     gates pseudo-labeling and its loss; ``baseline_mode`` drops the
     underlying block entirely, leaving the single catch-all background
-    embedding of conventional heads.
+    embedding of conventional heads. The count sweep tries k from ``k_min``
+    (at least 2) to ``k_max``, capped by the pooled background's size.
     """
 
     learning_rate: float = 0.1
@@ -126,10 +127,14 @@ class TrainConfig:
             raise ValueError("invalid step or batch configuration")
         if self.negative_weight < 0:
             raise ValueError(f"negative_weight must be nonnegative, got {self.negative_weight}")
-        for name, least in (("seed", 0), ("extra_categories", 0), ("discovered_categories", 1)):
+        if not self.temperature > 0:
+            raise ValueError(f"TrainConfig.temperature must be positive, got {self.temperature}")
+        for name, least in (("seed", 0), ("extra_categories", 0), ("discovered_categories", 1), ("k_min", 2)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"TrainConfig.{name} must be at least {least}, got {value}")
+        if self.k_max < self.k_min:
+            raise ValueError(f"TrainConfig.k_max must be at least k_min ({self.k_min}), got {self.k_max}")
         if not 0.0 <= self.relax_threshold <= 1.0:
             raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
         if not self.momentum < 1.0:
@@ -218,7 +223,7 @@ def _embedding_gradient(features, cosines, g: np.ndarray, vocab: Vocabulary, tau
     return demb
 
 
-def loss_and_gradients(
+def compute_gradients(
     blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, component: str = "final",
 ) -> tuple[LossBreakdown, Params]:
     """Combined objective of one batch and the exact gradient of one of its components.
@@ -228,7 +233,8 @@ def loss_and_gradients(
     Context-vector gradients chain through the encoder's transpose-Jacobian;
     the sub-background gradient is the raw embedding-space gradient (its
     cosine already accounts for the parameter's norm). Values are returned
-    unchecked: a non-finite loss or gradient is the caller's to report.
+    unchecked: a non-finite loss or gradient is the caller's to report
+    (``train`` checks both every step).
     """
     features, slices, targets, cosines = proposal_groups(blocks, vocab)
     values, branches, logit_grad = _terms(cosines, slices, targets, vocab, config, component=component)
@@ -264,15 +270,8 @@ def _check_finite(grads: Params) -> Params:
 
 
 def loss_final(blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig) -> LossBreakdown:
-    """Combined objective of one batch (the loss half of ``loss_and_gradients``)."""
-    return loss_and_gradients(blocks, vocab, config)[0]
-
-
-def compute_gradients(
-    blocks: Sequence[ProposalBlocks], vocab: Vocabulary, config: TrainConfig, component: str = "final",
-) -> Params:
-    """Finite-checked gradient of one component (the other half of ``loss_and_gradients``)."""
-    return _check_finite(loss_and_gradients(blocks, vocab, config, component)[1])
+    """Combined objective of one batch (the loss half of ``compute_gradients``)."""
+    return compute_gradients(blocks, vocab, config)[0]
 
 
 # -- finite-difference oracle ---------------------------------------------------
@@ -650,7 +649,7 @@ def train(
         for step, idx in enumerate(batches):
             try:
                 vocab = build_training_vocab(fixed, params.context_vectors, params.sub_background)
-                breakdown, grads = loss_and_gradients([blocks[i] for i in idx], vocab, config)
+                breakdown, grads = compute_gradients([blocks[i] for i in idx], vocab, config)
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergedError(f"non-finite loss {breakdown}")
                 params, velocity = sgd_step(params, _check_finite(grads), velocity, *rates)

@@ -61,7 +61,7 @@ from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.metrics import BACKGROUND_KEY, EvalReport, inference_vocab
 from ovlab.persist import canonical_json
-from ovlab.rectify import compute_shrinking_factors, score
+from ovlab.rectify import compute_shrinking_factors, inference_probs
 from ovlab.synth import (
     DATASET_FORMAT,
     DATASET_VERSION,
@@ -406,7 +406,7 @@ def _uniform(logits, members):
 
 
 def unfused_loss_and_gradients(blocks, vocab: Vocabulary, config, component: str = "final"):
-    """``trainer.loss_and_gradients`` on ``raw_proposal_blocks``, every quantity computed where it is used.
+    """``trainer.compute_gradients`` on ``raw_proposal_blocks``, every quantity computed where it is used.
 
     Raw rows go through ``cosine_matrix``; each group takes its own
     log-softmax (the background group two); all five component gradients are
@@ -844,7 +844,12 @@ def whole_file_parse_dataset(path, splits: tuple[str, ...]) -> Scenario:
     if not data:
         raise ValueError(f"empty dataset file {path}")
     start = _line_end(data, 0, 1)
-    header = json.loads(data[:start].decode("utf-8"))
+    try:
+        header = json.loads(data[:start].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"line 1 of dataset {path}, the header line, is not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"line 1 of dataset {path}, the header line, is not JSON: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path} is not a dataset file")
     if header.get("version") != DATASET_VERSION:
@@ -943,7 +948,7 @@ def per_proposal_evaluate(
         if not proposals:
             continue
         features = np.stack([p.det_feature for p in proposals])
-        fg_probs, bg_mass = score(features, vocab, tau, factors if rectify else None)
+        fg_probs, bg_mass = inference_probs(features, vocab, tau, factors if rectify else None)
         for p, probs, mass in zip(proposals, fg_probs, bg_mass):
             label = p.oracle.generative_label if p.oracle else None
             kind = "base" if label in base_set else "novel" if label in novel_set else "background"

@@ -27,7 +27,7 @@ from ovlab.losses import (
 )
 from ovlab.metrics import AblationConfig, run_ablation
 from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
-from ovlab.rectify import compute_shrinking_factors, score
+from ovlab.rectify import compute_shrinking_factors, inference_probs
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, filtered_background, prepare_background, train
 
@@ -72,7 +72,7 @@ def test_criterion_1_normalization_suite():
         for _ in range(10):
             q = unit(rng, 16)
             for tau in (1.0, 0.02):
-                probs, bg_mass = score(q[None, :], vocab, tau)
+                probs, bg_mass = inference_probs(q[None, :], vocab, tau)
                 worst_sum = max(worst_sum, abs(float(probs.sum() + bg_mass[0]) - 1.0))
                 foreground, underlying, sub_background = block_sums(q, vocab, tau)
                 brute = math.fsum(
@@ -145,8 +145,8 @@ def test_criterion_3_rectification_suite():
             q = unit(rng, 16)
             underlying = block_sums(q, vocab, tau)[1]
             shrunk = block_sums(q, vocab, tau, factors)[1]
-            plain = score(q[None, :], vocab, tau)[0][0]
-            fixed = score(q[None, :], vocab, tau, factors)[0][0]
+            plain = inference_probs(q[None, :], vocab, tau)[0][0]
+            fixed = inference_probs(q[None, :], vocab, tau, factors)[0][0]
             # (b) shrunken sum never exceeds the plain sum.
             if shrunk > underlying * (1 + 1e-12):
                 ok, detail = False, "rectified sum exceeded plain sum"

@@ -1,4 +1,4 @@
-"""The benchmark's tracer still sees the package's discovery, pseudo-labelling and scoring hooks.
+"""The benchmark's tracer still sees the package's discovery, pseudo-labelling, objective and scoring hooks.
 
 ``bench/tracing.py`` patches public functions of the package by name; a
 refactor that stops calling one of them through its module would silently
@@ -71,5 +71,23 @@ def test_a_traced_evaluate_fires_one_cosine_per_scored_image(monkeypatch, n_nove
             evaluate(checkpoint, scenario, EvalConfig(rectify=rectify))
         assert tracer.missing == []
         # One cosine matrix per eval image with proposals, and one for the shrinking factors unless
-        # there is no novel block to share mass with.
-        assert tracer.summary()["core.cosine"]["calls"] == scored + (n_novel > 0)
+        # there is no novel block to share mass with; each image's cosines are taken by one scorer call.
+        summary = tracer.summary()
+        assert summary["core.cosine"]["calls"] == scored + (n_novel > 0)
+        assert summary["rectify.score"]["calls"] == scored
+
+
+def test_a_traced_training_fires_one_objective_per_step(monkeypatch):
+    # Each step evaluates its objective and gradient in one hooked call, and the encoder's
+    # pullback and every loss term run inside it.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    scenario = generate_scenario(ScenarioConfig(n_train_images=6, n_eval_images=0, seed=4), MockTextEncoder(seed=7))
+    with Tracer() as tracer:
+        train(TrainConfig(steps=3, seed=1), scenario)
+    assert tracer.missing == []
+    assert tracer.summary()["trainer.grad"]["calls"] == 3
+    for name in ("encoder.vjp", "losses.nll", "losses.mass", "losses.uniform"):
+        spans = [i for i, span in enumerate(tracer.spans) if span.name == name]
+        assert len(spans) >= 3 and all("trainer.grad" in _ancestors(tracer.spans, i) for i in spans), name

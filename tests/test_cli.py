@@ -767,6 +767,10 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
         (train, ["train.extra_categories=-3"], "TrainConfig.extra_categories"),
         (train, ["train.seed=-1"], "TrainConfig.seed"),
         (train, ["train.discovered_categories=0"], "TrainConfig.discovered_categories"),
+        (train, ["train.k_min=1"], "TrainConfig.k_min"),
+        (gen, ["train.temperature=-1"], "TrainConfig.temperature"),
+        (gen, ["train.k_min=1"], "TrainConfig.k_min"),
+        (gen, ["train.k_max=1"], "TrainConfig.k_max"),
         (gen, ["encoder.seed=-1"], "MockTextEncoder.seed"),
         (gen, ["encoder.hidden_dim=0"], "MockTextEncoder.hidden_dim"),
         (gen, ["encoder.dim=0"], "MockTextEncoder.dim"),

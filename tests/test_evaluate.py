@@ -16,7 +16,7 @@ from ovlab.metrics import (
     inference_vocab,
     run_ablation,
 )
-from ovlab.rectify import compute_shrinking_factors, score
+from ovlab.rectify import compute_shrinking_factors, inference_probs
 from ovlab.synth import ScenarioConfig, generate_scenario
 from ovlab.trainer import TrainConfig, train
 
@@ -120,8 +120,8 @@ def test_evaluation_tallies_as_the_per_proposal_oracle(enc, world):
     for factors in (compute_shrinking_factors(vocab, tau), None):
         for image in scenario.eval_images:
             if len(image.rpn):
-                block = score(image.features[0], vocab, tau, factors)
-                stacked = score(np.stack([p.det_feature for p in records(image)]), vocab, tau, factors)
+                block = inference_probs(image.features[0], vocab, tau, factors)
+                stacked = inference_probs(np.stack([p.det_feature for p in records(image)]), vocab, tau, factors)
                 assert [a.tobytes() for a in block] == [a.tobytes() for a in stacked]
 
 

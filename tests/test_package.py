@@ -28,7 +28,10 @@ The discovery prep is one function, ``trainer.prepare_background``: no
 module defines or calls a ``prepare_discovery``. A vocabulary's blocks are
 read from its ``block_indices``: no ``underlying_slice`` or
 ``sub_background_index`` alias. The ablation runner takes the ``ablation``
-section: no ``AblationSpec``.
+section: no ``AblationSpec``. Inference scores through one batched
+``rectify.inference_probs`` and training through one
+``trainer.compute_gradients``: no ``RectifiedScores`` or
+``loss_and_gradients``.
 
 A setting's default is written once, in its config section: the functions
 in ``NO_DEFAULT`` take each listed parameter from their caller.
@@ -77,9 +80,6 @@ def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
 # Public names no command reaches that stay, with the reason each stays.
 UNREACHED = {
     ("trainer", "loss_final"): "the benchmark tracer hooks it (bench/tracing.py, trainer.loss)",
-    ("trainer", "compute_gradients"): "the benchmark tracer hooks it (bench/tracing.py, trainer.grad)",
-    ("rectify", "inference_probs"): "the benchmark tracer hooks it (bench/tracing.py, rectify.score)",
-    ("rectify", "RectifiedScores"): "what inference_probs returns",
 }
 
 
@@ -252,7 +252,7 @@ def test_only_the_prep_filters_the_background():
 # Defined, imported or read anywhere.
 FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel",
                    "Kind", "CategoryId", "_vocab_cosines", "prepare_discovery", "underlying_slice",
-                   "sub_background_index", "AblationSpec"}
+                   "sub_background_index", "AblationSpec", "RectifiedScores", "loss_and_gradients"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -267,7 +267,8 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
                        f"oracle lives only in its image's columns, pseudo-labels and batches are arrays, a "
                        f"vocabulary's block counts are its only layout (read through block_indices), inference "
                        f"takes its cosines with core.cosine_matrix, prepare_background is the one discovery "
-                       f"prep, and the ablation takes its config section: {found}")
+                       f"prep, the ablation takes its config section, and inference and training each have one scorer "
+                       f"and one objective: {found}")
 
 
 # (module, function, parameter): each parameter a production caller passes from a config section, or, for the

@@ -7,11 +7,7 @@ import pytest
 
 from ovlab.core import DimensionMismatchError
 from ovlab.encoder import MockTextEncoder
-from ovlab.rectify import (
-    compute_shrinking_factors,
-    inference_probs,
-    score,
-)
+from ovlab.rectify import compute_shrinking_factors, inference_probs
 from ovlab.vocab import build_inference_vocab
 
 from oracles import conditional_prob, softmax_probs
@@ -38,8 +34,8 @@ def _oracle_scores(q, vocab, tau):
 
 
 def _score_row(q, vocab, tau, factors=None):
-    """``score`` of one query: its foreground probabilities and its background mass."""
-    probs, bg_mass = score(q[None, :], vocab, tau, factors)
+    """``inference_probs`` of one query: its foreground probabilities and its background mass."""
+    probs, bg_mass = inference_probs(q[None, :], vocab, tau, factors)
     return probs[0], float(bg_mass[0])
 
 
@@ -50,7 +46,7 @@ def test_score_refuses_a_query_that_is_not_a_row_of_the_vocabulary_width():
     vocab = _random_inference_vocab(rng)
     for query in (np.ones(12), np.ones((2, 11))):
         with pytest.raises(DimensionMismatchError):
-            score(query, vocab, 1.0)
+            inference_probs(query, vocab, 1.0)
 
 
 # -- block sums -----------------------------------------------------------------
@@ -345,7 +341,7 @@ def _oracle_row(q, vocab, tau, factors=None):
 
 
 def _assert_matches_oracle(queries, vocab, tau, factors=None):
-    probs, bg_mass = score(queries, vocab, tau, factors)
+    probs, bg_mass = inference_probs(queries, vocab, tau, factors)
     assert probs.shape == (len(queries), vocab.n_base + vocab.n_novel)
     assert bg_mass.shape == (len(queries),)
     for q, p, b in zip(queries, probs, bg_mass):
@@ -376,8 +372,8 @@ def test_score_baseline_vocab_with_empty_underlying_block():
     queries = np.array([unit(rng, d) for _ in range(5)])
     for tau in (1.0, 0.02):
         _assert_matches_oracle(queries, vocab, tau)
-        plain = score(queries, vocab, tau)
-        fixed = score(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
+        plain = inference_probs(queries, vocab, tau)
+        fixed = inference_probs(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
         for a, b in zip(plain, fixed):
             np.testing.assert_array_equal(a, b)
 
@@ -389,8 +385,8 @@ def test_score_empty_novel_block_rectified_equals_plain_exactly():
         queries = np.array([unit(rng, 12) for _ in range(6)])
         factors = compute_shrinking_factors(vocab, tau)
         np.testing.assert_array_equal(factors, 1.0)
-        plain = score(queries, vocab, tau)
-        fixed = score(queries, vocab, tau, factors)
+        plain = inference_probs(queries, vocab, tau)
+        fixed = inference_probs(queries, vocab, tau, factors)
         for a, b in zip(plain, fixed):
             np.testing.assert_array_equal(a, b)
 
@@ -406,7 +402,7 @@ def test_score_factors_with_exact_zeros():
     # than the float64 range: the remaining five scores are all exp(0).
     eye = np.eye(8)
     vocab = make_vocab(base_emb=eye[1:3], novel_emb=eye[3:4], under_emb=eye[[0, 4]], sub=eye[5])
-    probs, bg_mass = score(eye[:1], vocab, 0.001, factors=np.array([0.0, 1.0]))
+    probs, bg_mass = inference_probs(eye[:1], vocab, 0.001, factors=np.array([0.0, 1.0]))
     np.testing.assert_allclose(probs, [[0.2, 0.2, 0.2]], rtol=1e-15)
     np.testing.assert_allclose(bg_mass, [0.4], rtol=1e-15)
 
@@ -417,8 +413,8 @@ def test_score_rectified_never_below_plain_on_any_row():
         for _ in range(20):
             vocab = _random_inference_vocab(rng, n_novel=int(rng.integers(0, 4)))
             queries = np.array([unit(rng, 12) for _ in range(8)])
-            plain, _ = score(queries, vocab, tau)
-            fixed, _ = score(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
+            plain, _ = inference_probs(queries, vocab, tau)
+            fixed, _ = inference_probs(queries, vocab, tau, compute_shrinking_factors(vocab, tau))
             assert np.all(fixed >= plain - 1e-15)
 
 
@@ -426,32 +422,18 @@ def test_score_rejects_a_factor_count_mismatch():
     rng = np.random.default_rng(23)
     vocab = _random_inference_vocab(rng)
     with pytest.raises(ValueError, match="need 3 shrinking factors"):
-        score(np.array([unit(rng, 12)]), vocab, 1.0, factors=np.ones(1))
+        inference_probs(np.array([unit(rng, 12)]), vocab, 1.0, factors=np.ones(1))
 
 
 def test_inference_probs_is_a_row_of_score():
+    # Each row is scored on its own: a query scored alone gives its row of the batch.
     rng = np.random.default_rng(24)
     vocab = _random_inference_vocab(rng)
     queries = np.array([unit(rng, 12) for _ in range(4)])
     factors = compute_shrinking_factors(vocab, 0.02)
-    probs, bg_mass = score(queries, vocab, 0.02, factors)
+    probs, bg_mass = inference_probs(queries, vocab, 0.02, factors)
     for q, p, b in zip(queries, probs, bg_mass):
-        one = inference_probs(q, vocab, 0.02, rectify=True, factors=factors)
+        one, one_bg = _score_row(q, vocab, 0.02, factors)
         # A one-row cosine product may round differently from a many-row one.
-        np.testing.assert_allclose(one.probabilities, p, rtol=1e-12, atol=0)
-        assert one.background_mass == pytest.approx(b, rel=1e-12)
-
-
-def test_inference_probs_is_a_one_row_score_to_the_bit():
-    # ``inference_probs`` is ``score`` of the one-row stack: the same
-    # product, so the same bits, rectified (given factors or its own) and not.
-    rng = np.random.default_rng(25)
-    for tau in (1.0, 0.02):
-        vocab = _random_inference_vocab(rng)
-        factors = compute_shrinking_factors(vocab, tau)
-        for q in (unit(rng, 12) for _ in range(4)):
-            for rectify, given, shrink in ((True, factors, factors), (True, None, factors), (False, None, None)):
-                one = inference_probs(q, vocab, tau, rectify=rectify, factors=given)
-                probs, bg_mass = score(q[None, :], vocab, tau, shrink)
-                assert one.probabilities.tobytes() == probs[0].tobytes()
-                assert one.background_mass == float(bg_mass[0])
+        np.testing.assert_allclose(one, p, rtol=1e-12, atol=0)
+        assert one_bg == pytest.approx(b, rel=1e-12)

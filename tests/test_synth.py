@@ -703,6 +703,8 @@ FILE_FAULTS = {
     "det_a_huge_int": _edit_line(-3, lambda rec: rec["det"].__setitem__(2, 10**400)),
     **{name: _edit_text(n, edit) for name, (n, edit, _) in PAST_A_LIMIT.items()},
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
+    "header_past_the_int_digit_limit": _edit_text(0, lambda line: '{"big":' + "7" * 5000 + "," + line[1:]),
+    "header_nested_past_the_recursion_limit": _edit_text(0, _deep_key),
     "header_not_an_object": lambda lines: lines.__setitem__(0, "[]"),
     "header_format": _edit_line(0, _set(("format",), "other")),
     "header_version": _edit_line(0, _set(("version",), 2)),

@@ -20,7 +20,6 @@ from ovlab.trainer import (
     finite_diff_gradients,
     history_to_json,
     initial_params,
-    loss_and_gradients,
     loss_final,
     prepare_background,
     sgd_step,
@@ -115,7 +114,7 @@ def test_gradients_match_central_differences(enc, tau, tol, component):
     worst = 0.0
     for seed in range(5):
         blocks, vocab, config = _setup(enc, seed=seed, tau=tau)
-        analytic = compute_gradients(blocks, vocab, config, component=component)
+        _, analytic = compute_gradients(blocks, vocab, config, component=component)
         fd, flips = finite_diff_gradients(blocks, vocab, config, h=1e-5, component=component)
         if flips:
             continue
@@ -136,14 +135,14 @@ def test_gradients_vanish_when_saturated(enc):
     blocks = _blocks(vocab, base_emb, [0, 1, 2], [sub])
     config = TrainConfig(temperature=0.02, discovered_categories=2, extra_categories=0,
                          use_discovery=False)
-    grads = compute_gradients(blocks, vocab, config)
+    _, grads = compute_gradients(blocks, vocab, config)
     assert np.all(np.abs(grads.flat) < 1e-8)
 
 
 def test_disabled_everything_zero_gradients(enc):
     blocks, vocab, config = _setup(enc, seed=5, n_fg=0)
     off = dataclasses.replace(config, use_prompts=False, use_discovery=False)
-    grads = compute_gradients(blocks, vocab, off)
+    _, grads = compute_gradients(blocks, vocab, off)
     np.testing.assert_array_equal(grads.flat, 0.0)
 
 
@@ -156,7 +155,7 @@ def test_baseline_mode_has_no_context_gradients(enc):
     )
     blocks = _blocks(vocab, [unit(rng, enc.dim)], [0], [unit(rng, enc.dim)])
     config = TrainConfig(temperature=0.1, baseline_mode=True, use_discovery=False)
-    grads = compute_gradients(blocks, vocab, config)
+    _, grads = compute_gradients(blocks, vocab, config)
     assert grads.context_vectors.shape == (0, enc.ctx_dim)
     assert np.any(grads.sub_background != 0.0)
 
@@ -191,7 +190,7 @@ def test_finite_difference_error_shrinks_quadratically(enc):
     # Halving h should shrink the truncation error roughly fourfold in the
     # smooth regime (h large enough that roundoff is negligible).
     blocks, vocab, config = _setup(enc, seed=9, tau=0.3)
-    analytic = compute_gradients(blocks, vocab, config).flat
+    analytic = compute_gradients(blocks, vocab, config)[1].flat
     errs = []
     for h in (2e-3, 1e-3):
         fd, flips = finite_diff_gradients(blocks, vocab, config, h=h)
@@ -401,7 +400,7 @@ def test_train_aborts_on_non_finite_loss(small_scenario, monkeypatch):
         zero = Params(np.zeros_like(vocab.context_vectors), np.zeros(vocab.dim))
         return breakdown, zero
 
-    monkeypatch.setattr(trainer_mod, "loss_and_gradients", bad_loss)
+    monkeypatch.setattr(trainer_mod, "compute_gradients", bad_loss)
     with pytest.raises(TrainingDivergedError, match="step 0"):
         trainer_mod.train(TrainConfig(steps=3, seed=7), small_scenario)
 
@@ -521,7 +520,7 @@ def test_fused_step_trains_like_the_unfused_oracle(small_scenario, monkeypatch, 
     prep = prepare_background(small_scenario, config)
     history, checkpoint = train(config, small_scenario, prep)
     monkeypatch.setattr(trainer_mod, "stack_blocks", raw_stack_blocks)
-    monkeypatch.setattr(trainer_mod, "loss_and_gradients", unfused_loss_and_gradients)
+    monkeypatch.setattr(trainer_mod, "compute_gradients", unfused_loss_and_gradients)
     oracle_history, oracle_checkpoint = train(config, small_scenario, prep)
     assert history_to_json(history) == history_to_json(oracle_history)
     assert checkpoint.to_json() == oracle_checkpoint.to_json()
@@ -545,7 +544,7 @@ def test_every_component_gradient_matches_the_unfused_oracle(monkeypatch):
             cfg = dataclasses.replace(config, relax_threshold=0.3, use_prompts=use_prompts,
                                       use_discovery=use_discovery)
             for component in COMPONENTS:
-                breakdown, grads = loss_and_gradients(blocks, vocab, cfg, component)
+                breakdown, grads = compute_gradients(blocks, vocab, cfg, component)
                 oracle_breakdown, oracle = unfused_loss_and_gradients(raw, vocab, cfg, component)
                 assert breakdown == oracle_breakdown, (seed, tau, use_prompts, use_discovery, component)
                 for block in ("context_vectors", "sub_background"):
@@ -563,7 +562,8 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
 
     from ovlab.encoder import MockTextEncoder as Encoder
 
-    homes = {"sgd_step": "ovlab.trainer", "build_training_vocab": "ovlab.vocab",
+    homes = {"compute_gradients": "ovlab.trainer", "sgd_step": "ovlab.trainer",
+             "build_training_vocab": "ovlab.vocab",
              "nll_terms": "ovlab.losses", "mass_terms": "ovlab.losses", "uniform_terms": "ovlab.losses"}
     calls = dict.fromkeys([*homes, "encode_context_vjp"], 0)
 
@@ -588,7 +588,7 @@ def test_every_step_calls_the_hooked_layers(small_scenario, monkeypatch):
         train(config, small_scenario, prep)
         per_run[steps] = dict(calls)
     per_step = {name: per_run[3][name] - per_run[0][name] for name in calls}
-    for name in ("sgd_step", "build_training_vocab", "encode_context_vjp"):
+    for name in ("compute_gradients", "sgd_step", "build_training_vocab", "encode_context_vjp"):
         assert per_step[name] == 3, per_step
     for name in ("nll_terms", "mass_terms", "uniform_terms"):
         assert per_step[name] >= 3, per_step
@@ -777,7 +777,12 @@ def test_train_config_rejects_non_integer_counts(name):
      pytest.param("pseudo_nms_iou", 1.5, id="pseudo_nms_iou_above_one"),
      pytest.param("score_threshold", 0.0, id="score_threshold_zero"),
      pytest.param("score_threshold", 1.0, id="score_threshold_one"),
-     pytest.param("score_threshold", 1.5, id="score_threshold_above_one")],
+     pytest.param("score_threshold", 1.5, id="score_threshold_above_one"),
+     pytest.param("temperature", 0.0, id="temperature_zero"),
+     pytest.param("temperature", -1.0, id="temperature_negative"),
+     pytest.param("k_min", 1, id="k_min_one"),
+     pytest.param("k_min", 13, id="k_min_above_k_max"),
+     pytest.param("k_max", 1, id="k_max_below_k_min")],
 )
 def test_train_config_rejects_out_of_range_values(name, value):
     with pytest.raises(ValueError, match=name):
