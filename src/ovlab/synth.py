@@ -37,7 +37,6 @@ from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -183,12 +182,12 @@ class SynthImage:
 
 def _box_fault(corners: np.ndarray) -> tuple[int, str] | None:
     """The first row of ``corners`` that is not a box, with what is wrong; a box has finite (x1, y1) < (x2, y2)."""
-    if (corners[:, :2] < corners[:, 2:]).all() and np.isfinite(corners).all():
+    lo, hi = corners[:, :2], corners[:, 2:]
+    if np.logical_and.reduce(good := (lo < hi) & np.isfinite(lo) & np.isfinite(hi), axis=None):
         return None
-    ordered = (corners[:, :2] < corners[:, 2:]).all(axis=1)
-    row = int((~(ordered & np.isfinite(corners).all(axis=1))).argmax())
-    box = corners[row].tolist()
-    return row, f"degenerate box {box} as float64" if not ordered[row] else f"non-finite box coordinate in {box}"
+    row = int(np.logical_and.reduce(good, axis=1).argmin())
+    box = x1, y1, x2, y2 = corners[row].tolist()
+    return row, f"non-finite box coordinate in {box}" if x1 < x2 and y1 < y2 else f"degenerate box {box} as float64"
 
 
 @dataclass(frozen=True)
@@ -495,9 +494,9 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
 
     The file is read one image's lines at a time, so the load holds the
     scenario it builds and at most one image's text. Each image's lines are
-    decoded, checked and turned into columns at once; only an image that
-    fails a check is walked line by line, to refuse its first fault in file
-    order. Where the process may run on two CPUs, the requested images are
+    decoded, checked and turned into columns at once, each rule over all of
+    its rows; an image that fails a rule is refused by its first fault in
+    file order. Where the process may run on two CPUs, the requested images are
     parsed in two halves: this process parses the first, while one forked
     child parses the second and sends its images' columns back in order
     (``forked.in_halves``); the scenario and every refusal are the same
@@ -627,180 +626,166 @@ def _decoded(line: bytes, where: str):
         raise ValueError(f"{where} is not JSON: {exc}") from None
 
 
-def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> dict:
-    """``line``, line ``n`` (from 0) of the file, which its position makes the ``kind`` line of ``split`` image ``image_id``."""
-    where = _where(path, n, f"the {kind} line", split, image_id)
-    rec = _decoded(line.removesuffix(b"\n"), where)
-    if isinstance(rec, dict) and (rec.get("type"), rec.get("split"), rec.get("image")) == (kind, split, image_id):
-        return rec
-    raise ValueError(f"{where} holds another record")
-
-
-def _check_box(coords) -> None:
-    """Refuse a box of a dataset line that is not a list of 4 ints or floats (numpy would take a bool as
-    0 or 1, and parse a string) or whose int does not fit a float; an image's rows are then checked as
-    boxes at once (``_box_fault``)."""
-    if type(coords) is not list or len(coords) != 4:
-        raise ValueError(f"{coords!r} is not a list of 4 numbers")
-    kinds = set(map(type, coords))
-    if not kinds <= _NUMBERS:
-        raise ValueError(f"{'bool' if bool in kinds else 'non-number'} coordinate in {coords}")
-    np.array(coords, np.float64)  # an int too large for a float overflows
-
-
 _SCAN = json.JSONDecoder().scan_once  # json.loads' scanner: the JSON value at an index of a str, and its end
 _SPACE = json.decoder.WHITESPACE.match  # the whitespace json.loads allows before and after that value
-_PROPOSAL_KEYS = operator.itemgetter("det", "img", "gt", "oracle", "box", "rpn")
-_ORACLE_KEYS = operator.itemgetter("label", "source")
+_DET, _IMG, _GT, _ORACLE, _LABEL, _SOURCE, _BOX, _RPN = map(
+    operator.itemgetter, ("det", "img", "gt", "oracle", "label", "source", "box", "rpn"))
 _IDS = frozenset((int, type(None)))  # the types a proposal's gt and oracle label may have
-# What a column check of a malformed line may raise; the line-by-line walk then names the first fault.
-_FAULTS = (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError)
 
 
-def _columns(lines: list[bytes], split: str, image_id: int, dim: int, gt_values: dict, label_values: dict):
-    """The image of ``lines`` as (corners, feature block, rpn, gt, label, source) columns, or None.
-
-    Each line is decoded as one JSON value, as ``json.loads`` decodes it.
-    Then each check runs over all the image's records at once: their
-    positions, the feature and box list shapes and entry types, the ``gt``,
-    ``label`` and ``source`` memberships (``gt_values`` and ``label_values``
-    map each id a line may hold, and null, to its column value) and the
-    ``rpn`` range; the boxes (gt boxes first), the features and the scores
-    each become one array. A failed check gives None, or raises one of
-    ``_FAULTS``; either way the image holds a fault that the line-by-line walk
-    ``_refuse_first_fault`` names, and no other.
-    """
+def _records(lines: list[bytes], split: str, image_id: int) -> list[dict]:
+    """The records of ``lines``, the image line and then proposal lines of ``split`` image ``image_id``, up
+    to the first line that is not one JSON value (as ``json.loads`` decodes it) holding the record its
+    position calls for."""
     recs = []
     for line in lines:
-        text = str(line, "utf-8")
-        rec, end = _SCAN(text, _SPACE(text, 0).end())
-        if _SPACE(text, end).end() != len(text):
-            return None
+        kind = "proposal" if recs else "image"
+        try:
+            text = str(line, "utf-8")
+            rec, end = _SCAN(text, _SPACE(text, 0).end())
+        except (ValueError, StopIteration, RecursionError):  # not UTF-8, or not JSON
+            break
+        if not (_SPACE(text, end).end() == len(text) and type(rec) is dict
+                and (rec.get("type"), rec.get("split"), rec.get("image")) == (kind, split, image_id)):
+            break
         recs.append(rec)
-    image, proposals = recs[0], recs[1:]
-    position = ("proposal", split, image_id)
-    if not ({dict}.issuperset(map(type, recs))
-            and (image.get("type"), image.get("split"), image.get("image")) == ("image", split, image_id)
-            and [(r.get("type"), r.get("split"), r.get("image")) for r in proposals].count(position) == len(proposals)
-            and type(image["gt_boxes"]) is list):
-        return None
-    det, img, gts, oracles, boxes, scores = zip(*map(_PROPOSAL_KEYS, proposals)) if proposals else ((),) * 6
-    labels, sources = zip(*map(_ORACLE_KEYS, oracles)) if proposals else ((), ())
-    features, corners = det + img, image["gt_boxes"] + list(boxes)
-    if not ({list}.issuperset(map(type, features)) and {dim}.issuperset(map(len, features))
-            and _NUMBERS.issuperset(map(type, chain.from_iterable(features)))
-            and _IDS.issuperset(map(type, gts)) and _IDS.issuperset(map(type, labels))
-            and {str}.issuperset(map(type, sources))
-            and {list}.issuperset(map(type, corners)) and {4}.issuperset(map(len, corners))
-            and _NUMBERS.issuperset(map(type, chain.from_iterable(corners)))
-            and _NUMBERS.issuperset(map(type, scores))):
-        return None
-    rpn = np.array(scores, np.float64)
-    if not ((0.0 <= rpn) & (rpn <= 1.0)).all():
-        return None
-    return (np.array(corners, np.float64).reshape(-1, 4),
-            np.array(features, np.float64).reshape(2, len(proposals), dim), rpn,
-            np.array(list(map(gt_values.__getitem__, gts)), np.int64),
-            np.array(list(map(label_values.__getitem__, labels)), np.int64),
-            np.array(list(map(_SOURCE_INDEX.__getitem__, sources)), np.int64))
+    return recs
 
 
-def _refuse_first_fault(lines: list[bytes], path, first: int, split: str, image_id: int, dim: int, gt_values: dict,
-                        label_values: dict) -> NoReturn:
-    """Refuse the image of ``lines``, the first of which is line ``first`` (from 0), by its first fault.
+def _checked(check, rows: list, holds, *args):
+    """``check(rows, *args)``, whose checks each run over all ``rows`` at once.
 
-    Walks the lines in file order: the image line and its gt boxes, then
-    each proposal line, and within it its ``det`` and ``img`` features, its
-    ``gt``, oracle label and source, its box and its rpn score. A feature that
-    is not a list of ``dim`` ints and floats (so no row is broadcast, and no
-    bool or numeric string is coerced), a bad box (``_check_box``) or rpn
-    score, a ``gt`` that is neither null nor a base id of the header, an
-    oracle label that is neither null nor a category id of the header and a
-    source outside ``_SOURCES`` are refused, as is a missing key (a
-    ``KeyError``). Runs only where ``_columns`` found a fault, so it never
-    returns.
+    Where one fails, ``check`` runs on one row at a time, and the first row
+    that fails on its own is refused by its first fault: a ``ValueError`` as
+    ``holds(row)`` and then its problem, a missing key (``KeyError``) or a
+    bad nesting (``TypeError``) as raised.
     """
-    rec = _record(path, lines[0], first, "image", split, image_id)
-    image_line = _where(path, first, "the image line", split, image_id)
-    gt_coords = rec["gt_boxes"]
     try:
-        if type(gt_coords) is not list:
-            raise ValueError(f"{gt_coords!r} is not a list of boxes")
-        for coords in gt_coords:
-            _check_box(coords)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{image_line} holds bad gt_boxes: {exc}") from None
-    for n, line in enumerate(lines[1:], first + 1):
-        rec = _record(path, line, n, "proposal", split, image_id)
-        where = _where(path, n, "a proposal line", split, image_id)
-        for key in _FEATURES:
+        return check(rows, *args)
+    except (ValueError, TypeError, KeyError):
+        for row in range(len(rows)):
             try:
-                feature = rec[key]
-                if type(feature) is not list or len(feature) != dim:
-                    raise ValueError(f"not a list of config.dim = {dim} numbers")
-                if not _NUMBERS.issuperset(map(type, feature)):  # numpy would take a bool or a numeric string
-                    j = next(j for j, entry in enumerate(feature) if type(entry) not in _NUMBERS)
-                    raise ValueError(f"entry {j} is {feature[j]!r}, not an int or a float")
-                np.array(feature, np.float64)  # an int too large for a float overflows
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
-        gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
-        if not (gt is None or is_integer(gt) and gt in gt_values):
-            raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
-                             "header")
-        if not (label is None or is_integer(label) and label in label_values):
-            raise ValueError(f"{where} holds an oracle label of {label!r}, which is neither null nor a category id "
-                             "of the header")
-        if type(source) is not str or source not in _SOURCE_INDEX:
-            raise ValueError(f"{where} holds an oracle source of {source!r}, which is not one of "
-                             f"{', '.join(map(repr, _SOURCES))}")
-        try:
-            _check_box(rec["box"])
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{where} holds a bad box: {exc}") from None
-        score = rec["rpn"]
-        try:
-            if type(score) is bool or not 0.0 <= score <= 1.0:
-                raise ValueError(f"rpn_score must {'be a number' if type(score) is bool else 'lie in [0, 1]'}, "
-                                 f"got {score}")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where} holds a bad rpn score: {exc}") from None
-    raise RuntimeError(f"{image_line} failed a column check that no line check refuses")
+                check(rows[row:row + 1], *args)
+            except ValueError as exc:
+                raise ValueError(f"{holds(row)} {exc}") from None
+        raise
+
+
+def _corners(boxes: list) -> np.ndarray:
+    """The (n, 4) corners of ``boxes``: each a list of 4 ints or floats (numpy would take a bool as 0 or 1, and
+    parse a string) that fit a float, with finite (x1, y1) < (x2, y2); else a ``ValueError`` that, for one box,
+    names its fault."""
+    if not ({list}.issuperset(map(type, boxes)) and {4}.issuperset(map(len, boxes))):
+        raise ValueError(f"{boxes[0]!r} is not a list of 4 numbers")
+    kinds = set(map(type, chain.from_iterable(boxes)))
+    if not kinds <= _NUMBERS:
+        raise ValueError(f"{'bool' if bool in kinds else 'non-number'} coordinate in {boxes[0]}")
+    try:
+        corners = np.array(boxes, np.float64).reshape(len(boxes), 4)
+    except OverflowError as exc:  # an int too large for a float
+        raise ValueError(exc) from None
+    if fault := _box_fault(corners):  # int corners that float64 rounds onto each other are degenerate too
+        raise ValueError(fault[1])
+    return corners
+
+
+def _features(rows: list, dim: int, key: str) -> np.ndarray:
+    """The (n, dim) ``key`` rows: each a list of ``dim`` ints and floats (so no row is broadcast, and no bool or
+    numeric string is coerced) that fit a float; else a ``ValueError`` that, for one row, names its fault."""
+    try:
+        if not ({list}.issuperset(map(type, rows)) and {dim}.issuperset(map(len, rows))):
+            raise ValueError(f"not a list of config.dim = {dim} numbers")
+        if not _NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
+            entries = list(chain.from_iterable(rows))
+            j = [type(entry) in _NUMBERS for entry in entries].index(False)
+            raise ValueError(f"entry {j} is {entries[j]!r}, not an int or a float")
+        return np.array(rows, np.float64).reshape(len(rows), dim)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+        raise ValueError(f"a bad {key} feature: {exc}") from None
+
+
+def _ids(values: list, kinds: frozenset, column_values: dict, problem: str) -> np.ndarray:
+    """The int64 column ``column_values`` maps ``values`` to; a value of a type outside ``kinds`` (a bool is not
+    an int) or outside ``column_values`` is a ``ValueError`` of ``problem``, which, for one row, names it."""
+    if kinds.issuperset(map(type, values)) and all(map(column_values.__contains__, values)):
+        return np.array(list(map(column_values.__getitem__, values)), np.int64)
+    raise ValueError(problem.format(values[0]))
+
+
+def _scores(scores: list) -> np.ndarray:
+    """The rpn column: each score a number (not a bool) in [0, 1]; else a ``ValueError`` that, for one row,
+    names its fault."""
+    try:
+        if bool in map(type, scores):
+            raise ValueError(f"rpn_score must be a number, got {scores[0]}")
+        if not all([0.0 <= score <= 1.0 for score in scores]):  # a non-number fails the comparison
+            raise ValueError(f"rpn_score must lie in [0, 1], got {scores[0]}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"a bad rpn score: {exc}") from None
+    return np.array(scores, np.float64)
+
+
+def _proposal_columns(recs: list[dict], dim: int, gt_values: dict, label_values: dict):
+    """The (feature block, corners, rpn, gt, label, source) columns of the proposal records ``recs``.
+
+    Each field is read and checked over all records at once, in the order
+    one line's fields are checked: ``det`` and ``img``, then ``gt``, oracle
+    label and source (all three read before any is checked), ``box`` and
+    ``rpn``. ``gt_values`` and ``label_values`` map each id a line may hold,
+    and null, to its column value. Run on one record, the first fault raised
+    is that line's first fault in file order.
+    """
+    block = np.array([_features(list(map(_DET, recs)), dim, "det"), _features(list(map(_IMG, recs)), dim, "img")])
+    gts, oracles = list(map(_GT, recs)), list(map(_ORACLE, recs))
+    labels, sources = list(map(_LABEL, oracles)), list(map(_SOURCE, oracles))
+    gt = _ids(gts, _IDS, gt_values, "a gt of {!r}, which is neither null nor a base category id of the header")
+    label = _ids(labels, _IDS, label_values,
+                 "an oracle label of {!r}, which is neither null nor a category id of the header")
+    source = _ids(sources, frozenset((str,)), _SOURCE_INDEX,
+                  f"an oracle source of {{!r}}, which is not one of {', '.join(map(repr, _SOURCES))}")
+    try:
+        corners = _corners(list(map(_BOX, recs)))
+    except ValueError as exc:
+        raise ValueError(f"a bad box: {exc}") from None
+    return block, corners, _scores(list(map(_RPN, recs))), gt, label, source
 
 
 def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int, dim: int, gt_values: dict,
                  label_values: dict) -> SynthImage:
     """One image from the next ``per_image`` lines of ``f``, the first of which is line ``first`` (from 0).
 
-    The image's lines are read, then checked and turned into columns at once
-    (``_columns``); proposal line ``i`` fills row ``i``. Only where a check
-    fails are the lines walked one at a time, to refuse the first fault in
-    file order (``_refuse_first_fault``). The gt and proposal boxes are then
-    checked as one array (``_box_fault``) and the feature block once: every
-    row finite and with a direction (a norm above ``core.NORM_FLOOR``, as
-    ``core.unit_rows`` takes it).
+    The image is refused by its first fault in file order: a line that is
+    not the record its position calls for (``_records``), then, in the
+    image line, its gt boxes in list order (``_corners``), and in each
+    proposal line its fields in order (``_proposal_columns``). The checks
+    run over all of the image's rows at once; only where one fails are they
+    run on one row at a time, to name the first faulty row (``_checked``).
+    Proposal line ``i`` fills row ``i``. The feature block is then checked
+    once: every row finite and with a direction (a norm above
+    ``core.NORM_FLOOR``, as ``core.unit_rows`` takes it).
     """
     lines = [f.readline() for _ in range(per_image)]
-    try:
-        columns = _columns(lines, split, image_id, dim, gt_values, label_values)
-    except _FAULTS:
-        columns = None
-    if columns is None:
-        _refuse_first_fault(lines, path, first, split, image_id, dim, gt_values, label_values)
-    corners, block, rpn, gts, labels, sources = columns
-    n_gt = len(corners) - len(rpn)
-    if bad_box := _box_fault(corners):  # int corners that float64 rounds onto each other are degenerate too
-        row, problem = bad_box
-        where = (_where(path, first, "the image line", split, image_id) if row < n_gt
-                 else _where(path, first + 1 + row - n_gt, "a proposal line", split, image_id))
-        raise ValueError(f"{where} holds {'bad gt_boxes' if row < n_gt else 'a bad box'}: {problem}")
+    recs = _records(lines, split, image_id)
+
+    def at(n: int, line: str = "a proposal line") -> str:  # the place of the image's line n (from 0)
+        return _where(path, first + n, line, split, image_id)
+
+    if recs:
+        if type(gt_boxes := recs[0]["gt_boxes"]) is not list:
+            raise ValueError(f"{at(0, 'the image line')} holds bad gt_boxes: {gt_boxes!r} is not a list of boxes")
+        gt_corners = _checked(_corners, gt_boxes, lambda _: f"{at(0, 'the image line')} holds bad gt_boxes:")
+        block, corners, rpn, gt, label, source = _checked(
+            _proposal_columns, recs[1:], lambda row: f"{at(1 + row)} holds", dim, gt_values, label_values)
+    if len(recs) < per_image:  # the first line that is not its record, after every line before it passed
+        where = at(len(recs), f"the {'proposal' if recs else 'image'} line")
+        _decoded(lines[len(recs)].removesuffix(b"\n"), where)
+        raise ValueError(f"{where} holds another record")
     with np.errstate(over="ignore"):  # a row too long to square still has a direction
         norms = np.sqrt(np.add.reduce(block * block, axis=2))
     if not (np.isfinite(block).all() and np.minimum.reduce(norms, axis=None, initial=math.inf) > NORM_FLOOR):
         for fault, bad in (("non-finite", ~np.isfinite(block).all(axis=2)), ("zero-norm", norms <= NORM_FLOOR)):
             for key, bad_rows in zip(_FEATURES, bad):
                 if bad_rows.any():  # the first bad proposal's line
-                    where = _where(path, first + 1 + int(bad_rows.argmax()), "a proposal line", split, image_id)
-                    raise ValueError(f"{where} holds a {fault} {key} feature")
-    return SynthImage(image_id=image_id, gt_boxes=corners[:n_gt], features=block, boxes=corners[n_gt:], rpn=rpn,
-                      gt=gts, label=labels, source=sources)
+                    raise ValueError(f"{at(1 + int(bad_rows.argmax()))} holds a {fault} {key} feature")
+    return SynthImage(image_id=image_id, gt_boxes=gt_corners, features=block, boxes=corners, rpn=rpn, gt=gt,
+                      label=label, source=source)

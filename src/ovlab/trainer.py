@@ -121,29 +121,29 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.learning_rate <= 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be positive (momentum/decay nonnegative)")
-        if self.steps < 0 or self.batch_images < 1:
-            raise ValueError("invalid step or batch configuration")
-        if self.negative_weight < 0:
-            raise ValueError(f"negative_weight must be nonnegative, got {self.negative_weight}")
-        if not self.temperature > 0:
-            raise ValueError(f"TrainConfig.temperature must be positive, got {self.temperature}")
-        for name, least in (("seed", 0), ("extra_categories", 0), ("discovered_categories", 1), ("k_min", 2)):
+        for name, least in (("steps", 0), ("batch_images", 1), ("seed", 0), ("extra_categories", 0),
+                            ("discovered_categories", 1), ("k_min", 2)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"TrainConfig.{name} must be at least {least}, got {value}")
         if self.k_max < self.k_min:
             raise ValueError(f"TrainConfig.k_max must be at least k_min ({self.k_min}), got {self.k_max}")
-        if not 0.0 <= self.relax_threshold <= 1.0:
-            raise ValueError(f"relax_threshold must lie in [0, 1], got {self.relax_threshold}")
-        if not self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0.0 < self.score_threshold < 1.0:
-            raise ValueError(f"score_threshold must lie in (0, 1), got {self.score_threshold}")
-        for name in ("gt_iou_cut", "nms_iou", "pseudo_nms_iou"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        for name in ("learning_rate", "temperature"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"TrainConfig.{name} must be positive, got {getattr(self, name)}")
+        for name in ("weight_decay", "negative_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"TrainConfig.{name} must be nonnegative, got {getattr(self, name)}")
+        for name, inside, interval in (
+            ("momentum", 0.0 <= self.momentum < 1.0, "[0, 1)"),
+            ("relax_threshold", 0.0 <= self.relax_threshold <= 1.0, "[0, 1]"),
+            ("score_threshold", 0.0 < self.score_threshold < 1.0, "(0, 1)"),
+            ("gt_iou_cut", 0.0 < self.gt_iou_cut <= 1.0, "(0, 1]"),
+            ("nms_iou", 0.0 < self.nms_iou <= 1.0, "(0, 1]"),
+            ("pseudo_nms_iou", 0.0 < self.pseudo_nms_iou <= 1.0, "(0, 1]"),
+        ):
+            if not inside:
+                raise ValueError(f"TrainConfig.{name} must lie in {interval}, got {getattr(self, name)}")
 
 
 class Params:

@@ -771,6 +771,17 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
         (gen, ["train.temperature=-1"], "TrainConfig.temperature"),
         (gen, ["train.k_min=1"], "TrainConfig.k_min"),
         (gen, ["train.k_max=1"], "TrainConfig.k_max"),
+        (gen, ["train.learning_rate=-1"], "TrainConfig.learning_rate must be positive, got -1"),
+        (gen, ["train.momentum=-1"], "TrainConfig.momentum must lie in [0, 1), got -1"),
+        (gen, ["train.weight_decay=-1"], "TrainConfig.weight_decay must be nonnegative, got -1"),
+        (gen, ["train.steps=-1"], "TrainConfig.steps must be at least 0, got -1"),
+        (gen, ["train.batch_images=0"], "TrainConfig.batch_images must be at least 1, got 0"),
+        (gen, ["train.negative_weight=-1"], "TrainConfig.negative_weight must be nonnegative, got -1"),
+        (gen, ["train.relax_threshold=2"], "TrainConfig.relax_threshold must lie in [0, 1], got 2"),
+        (gen, ["train.score_threshold=1"], "TrainConfig.score_threshold must lie in (0, 1), got 1"),
+        (gen, ["train.gt_iou_cut=0"], "TrainConfig.gt_iou_cut must lie in (0, 1], got 0"),
+        (gen, ["train.nms_iou=0"], "TrainConfig.nms_iou must lie in (0, 1], got 0"),
+        (gen, ["train.pseudo_nms_iou=2"], "TrainConfig.pseudo_nms_iou must lie in (0, 1], got 2"),
         (gen, ["encoder.seed=-1"], "MockTextEncoder.seed"),
         (gen, ["encoder.hidden_dim=0"], "MockTextEncoder.hidden_dim"),
         (gen, ["encoder.dim=0"], "MockTextEncoder.dim"),

@@ -31,7 +31,9 @@ read from its ``block_indices``: no ``underlying_slice`` or
 section: no ``AblationSpec``. Inference scores through one batched
 ``rectify.inference_probs`` and training through one
 ``trainer.compute_gradients``: no ``RectifiedScores`` or
-``loss_and_gradients``.
+``loss_and_gradients``. The loader checks each rule of a dataset line once,
+over an image's rows at once: no line-by-line ``_refuse_first_fault`` or
+``_check_box``.
 
 A setting's default is written once, in its config section: the functions
 in ``NO_DEFAULT`` take each listed parameter from their caller.
@@ -252,7 +254,8 @@ def test_only_the_prep_filters_the_background():
 # Defined, imported or read anywhere.
 FORBIDDEN_NAMES = {"Box", "OracleInfo", "background_proposals", "ProposalBatch", "proposal_blocks", "PseudoLabel",
                    "Kind", "CategoryId", "_vocab_cosines", "prepare_discovery", "underlying_slice",
-                   "sub_background_index", "AblationSpec", "RectifiedScores", "loss_and_gradients"}
+                   "sub_background_index", "AblationSpec", "RectifiedScores", "loss_and_gradients",
+                   "_refuse_first_fault", "_check_box"}
 FORBIDDEN_ATTRIBUTES = {"oracle", "oracles", "proposals"}  # read as an attribute
 
 
@@ -267,8 +270,8 @@ def test_no_module_defines_a_box_or_reads_background_proposals():
                        f"oracle lives only in its image's columns, pseudo-labels and batches are arrays, a "
                        f"vocabulary's block counts are its only layout (read through block_indices), inference "
                        f"takes its cosines with core.cosine_matrix, prepare_background is the one discovery "
-                       f"prep, the ablation takes its config section, and inference and training each have one scorer "
-                       f"and one objective: {found}")
+                       f"prep, the ablation takes its config section, inference and training each have one scorer "
+                       f"and one objective, and the loader checks each dataset rule once: {found}")
 
 
 # (module, function, parameter): each parameter a production caller passes from a config section, or, for the

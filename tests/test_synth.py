@@ -438,8 +438,8 @@ def test_generation_stays_within_its_call_budget(enc):
 def test_a_load_stays_within_its_call_budget(tmp_path, monkeypatch, enc):
     # Counted as ``count_calls`` counts them, of one load of both splits of
     # the reference world (run once before it is counted) that parses every
-    # image in-process: an image's lines are checked as columns, and walked
-    # one at a time only to name a fault.
+    # image in-process: each rule checks all of an image's rows at once, and
+    # runs on one line at a time only to name a fault.
     monkeypatch.setattr(forked, "_cpu_count", lambda: 1)
     path = tmp_path / "data.jsonl"
     write_dataset(generate_scenario(ScenarioConfig(), enc), path)
@@ -700,6 +700,18 @@ FILE_FAULTS = {
     "rpn_above_one_then_img_a_string": _faults(_edit_line(3, _set(("rpn",), 1.5)),
                                                _edit_line(6, lambda rec: rec["img"].__setitem__(0, "x"))),
     "record_split_and_records_merged": _split_and_merged,
+    # Two faults on the lines of one train image: the earlier line's box is refused, not the later line's fault.
+    "box_degenerate_then_det_a_bool": _faults(_edit_line(3, _set(("box",), [5, 5, 1, 1])),
+                                              _edit_line(6, lambda rec: rec["det"].__setitem__(0, True))),
+    "gt_box_degenerate_then_det_a_bool": _faults(_edit_line(15, _set(("gt_boxes",), [[5, 5, 1, 1]])),
+                                                 _edit_line(17, lambda rec: rec["det"].__setitem__(2, False))),
+    "box_degenerate_then_a_line_not_json": _faults(_edit_line(30, _set(("box",), [5, 5, 1, 1])),
+                                                   lambda lines: lines.__setitem__(33, "{not json")),
+    "box_degenerate_then_a_line_without_rpn": _faults(_edit_line(59, _set(("box",), [5, 5, 1, 1])),
+                                                      _edit_line(62, lambda rec: rec.pop("rpn"))),
+    "box_infinite_then_det_a_bool": _faults(_edit_line(73, _set(("box",), [0, 0, float("inf"), 5])),
+                                            _edit_line(75, lambda rec: rec["det"].__setitem__(1, True))),
+    "gt_box_degenerate_then_a_short_gt_box": _edit_line(85, _set(("gt_boxes",), [[5, 5, 1, 1], [1, 2, 3]])),
     "det_a_huge_int": _edit_line(-3, lambda rec: rec["det"].__setitem__(2, 10**400)),
     **{name: _edit_text(n, edit) for name, (n, edit, _) in PAST_A_LIMIT.items()},
     "header_not_json": lambda lines: lines.__setitem__(0, "{header"),
@@ -795,14 +807,17 @@ def _load_or_refusal(load, path, splits):
 
 def test_a_random_field_loads_or_is_refused_as_the_whole_file_load(tmp_path, scenario):
     # One field of one line of the fixture world's file set to a value of a
-    # random kind: whether the load forks or not, it builds the whole-file
-    # parser's scenario, bit for bit, or refuses the file with its message.
+    # random kind, and in part of the examples a field of another line of the
+    # same image (of any line, where the first is the header) too: whether the
+    # load forks or not, it builds the whole-file parser's scenario, bit for
+    # bit, or refuses the file with its message, which names the first fault.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     path = tmp_path / "data.jsonl"
     write_dataset(scenario, path)
     lines = path.read_text().splitlines()
-    dim = scenario.config.dim
+    config = scenario.config
+    dim, per_image = config.dim, 1 + config.objects_per_image * config.proposals_per_object + config.clutter_per_image
     values = st.one_of(
         st.booleans(), st.text(max_size=3), st.floats(-2.0, 2.0).map(str), st.none(),
         st.lists(st.floats(0.0, 1.0), max_size=5), st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
@@ -815,10 +830,17 @@ def test_a_random_field_loads_or_is_refused_as_the_whole_file_load(tmp_path, sce
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @hypothesis.given(st.data())
     def same_as_oracle(data):
+        edited = list(lines)
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
-        rec = json.loads(lines[n])
-        _set(data.draw(st.sampled_from(list(_field_paths(rec))), label="field"), data.draw(values, label="value"))(rec)
-        path.write_text("".join(line + "\n" for line in [*lines[:n], json.dumps(rec), *lines[n + 1:]]))
+        first = n - (n - 1) % per_image if n else 0  # the first line of line n's image, or the header
+        others = [m for m in range(first, first + per_image if n else len(lines)) if m != n]
+        for m in [n] + ([data.draw(st.sampled_from(others), label="second line")]
+                        if data.draw(st.booleans(), label="two edits") else []):
+            rec = json.loads(lines[m])
+            _set(data.draw(st.sampled_from(list(_field_paths(rec))), label="field"),
+                 data.draw(values, label="value"))(rec)
+            edited[m] = json.dumps(rec)
+        path.write_text("".join(line + "\n" for line in edited))
         for splits in SPLIT_SETS:
             want = _load_or_refusal(_whole_file_load, path, splits)
             for cpus in (1, 2):
