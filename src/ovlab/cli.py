@@ -55,8 +55,9 @@ class GradcheckConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0 or self.instances < 1:
-            raise ValueError(f"GradcheckConfig needs seed >= 0 and instances >= 1, got {self}")
+        for name, least in (("seed", 0), ("instances", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"GradcheckConfig.{name} must be at least {least}, got {getattr(self, name)}")
 
 
 SECTIONS = {"scenario": ScenarioConfig, "encoder": MockTextEncoder, "train": TrainConfig,
@@ -156,7 +157,10 @@ def cmd_estimate_k(args) -> int:
         print(f"{k:>4} {score:>12.4f}{marker}")
     print(f"estimated count: {estimate.count}"
           + (" (low confidence)" if estimate.low_confidence else ""))
-    print(f"vocabulary will use {underlying_count(tcfg, estimate.count)} underlying categories")
+    pinned = tcfg.discovered_categories  # training uses a pinned count, not the estimate
+    n_discovered = estimate.count if pinned is None else pinned
+    note = "" if pinned is None else f" (train.discovered_categories pins the count at {pinned})"
+    print(f"vocabulary will use {underlying_count(tcfg, n_discovered)} underlying categories{note}")
     if args.out:
         write_text(
             args.out,

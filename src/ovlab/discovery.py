@@ -272,7 +272,11 @@ def silhouette_score(distances: np.ndarray, assignments) -> float:
     """
     labels = np.asarray(assignments)
     n = distances.shape[0]
-    uniq = np.unique(labels)
+    # The distinct labels, ascending, as ``numpy.unique`` gives them; its first call imports ``numpy.ma``.
+    ordered = np.sort(labels)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    uniq = ordered[first]
     if len(uniq) < 2:
         raise ValueError("silhouette needs at least two clusters")
 
@@ -327,10 +331,11 @@ def estimate_category_count(features, k_min: int, k_max: int, seed: int) -> Coun
     distances = _distance_matrix(pts)  # one matrix for every k of the sweep
     for k in range(k_min, k_max + 1):
         model = models[k] = kmeans(pts, k, seed=seed)
-        if len(np.unique(model.assignments)) < 2:
+        labels = model.assignments
+        if not (labels != labels[0]).any():  # one cluster; ``numpy.unique`` would import ``numpy.ma``
             score = -1.0
         else:
-            score = silhouette_score(distances, model.assignments)
+            score = silhouette_score(distances, labels)
         results.append((k, score))
     best_k, best_score = max(results, key=lambda kv: (kv[1], -kv[0]))
     return CountEstimate(

@@ -83,7 +83,8 @@ def generate_pseudo_labels(batch_bg, boxes, centers, tau: float, theta: float, n
     if len(batch_bg):
         cats, scores = _labels(_center_probs(np.stack([p.img_feature for p in batch_bg]), centers, tau))
         confident = scores >= theta
-        for cat in np.unique(cats[confident]).tolist():
+        # The confident categories, ascending; ``numpy.unique`` would import ``numpy.ma`` on its first call.
+        for cat in np.flatnonzero(np.bincount(cats[confident])).tolist():
             members = np.flatnonzero(confident & (cats == cat))
             kept[members[nms_indices(boxes[members], scores[members], nms_iou)]] = True
     positives = np.flatnonzero(kept)

@@ -110,7 +110,7 @@ class ScenarioConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"ScenarioConfig.{name} must be nonnegative, got {getattr(self, name)}")
         if self.n_base < 1:
-            raise ValueError("need at least one base category")
+            raise ValueError(f"ScenarioConfig.n_base must be at least 1, got {self.n_base}")
         if self.dim < 1:
             raise ValueError(f"ScenarioConfig.dim must be at least 1, got {self.dim}")
         if not (0.0 <= self.base_fraction <= 1.0):
@@ -507,17 +507,18 @@ def load_dataset(path, splits: tuple[str, ...] = SPLITS) -> Scenario:
     ``ValueError``, as are a malformed file, a line that is not UTF-8 or not
     one JSON value, a feature that is not a list of numbers or is not finite
     or has zero norm, a bad box, gt box or rpn score (a bool is not a
-    number), a ``gt`` that is not a base id of the header, an oracle label
-    that is not a category id of the header or a source the writer cannot
-    write, a missing key, an unknown split name, a negative category id and a
-    header whose ``config_hash`` does not match its settings.
+    number), a ``gt`` that is not a base id of the header, an oracle that is
+    not an object, an oracle label that is not a category id of the header or
+    a source the writer cannot write, a missing key (a line's by its place),
+    an unknown split name, a negative category id and a header whose
+    ``config_hash`` does not match its settings.
     """
     unknown = [s for s in splits if s not in SPLITS]
     if unknown:
         raise ValueError(f"unknown dataset splits {unknown}; known: {list(SPLITS)}")
     try:
         return _parse_dataset(path, splits)
-    except KeyError as exc:
+    except KeyError as exc:  # the header's; a line's missing key is refused by its place
         raise ValueError(f"dataset {path} lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed dataset {path}: {exc}") from None
@@ -657,17 +658,19 @@ def _checked(check, rows: list, holds, *args):
 
     Where one fails, ``check`` runs on one row at a time, and the first row
     that fails on its own is refused by its first fault: a ``ValueError`` as
-    ``holds(row)`` and then its problem, a missing key (``KeyError``) or a
-    bad nesting (``TypeError``) as raised.
+    ``holds(row)`` and then its problem, a missing key (``KeyError``) as
+    ``holds(row)`` and then "no key" and the key.
     """
     try:
         return check(rows, *args)
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, KeyError):
         for row in range(len(rows)):
             try:
                 check(rows[row:row + 1], *args)
             except ValueError as exc:
                 raise ValueError(f"{holds(row)} {exc}") from None
+            except KeyError as exc:
+                raise ValueError(f"{holds(row)} no key {exc}") from None
         raise
 
 
@@ -732,12 +735,18 @@ def _proposal_columns(recs: list[dict], dim: int, gt_values: dict, label_values:
     one line's fields are checked: ``det`` and ``img``, then ``gt``, oracle
     label and source (all three read before any is checked), ``box`` and
     ``rpn``. ``gt_values`` and ``label_values`` map each id a line may hold,
-    and null, to its column value. Run on one record, the first fault raised
-    is that line's first fault in file order.
+    and null, to its column value. A missing key is a ``KeyError`` (an
+    oracle's as ``oracle.label`` or ``oracle.source``). Run on one record,
+    the first fault raised is that line's first fault in file order.
     """
     block = np.array([_features(list(map(_DET, recs)), dim, "det"), _features(list(map(_IMG, recs)), dim, "img")])
     gts, oracles = list(map(_GT, recs)), list(map(_ORACLE, recs))
-    labels, sources = list(map(_LABEL, oracles)), list(map(_SOURCE, oracles))
+    if not {dict}.issuperset(map(type, oracles)):
+        raise ValueError(f"an oracle of {oracles[0]!r}, which is not an object")
+    try:
+        labels, sources = list(map(_LABEL, oracles)), list(map(_SOURCE, oracles))
+    except KeyError as exc:
+        raise KeyError(f"oracle.{exc.args[0]}") from None
     gt = _ids(gts, _IDS, gt_values, "a gt of {!r}, which is neither null nor a base category id of the header")
     label = _ids(labels, _IDS, label_values,
                  "an oracle label of {!r}, which is neither null nor a category id of the header")
@@ -771,6 +780,8 @@ def _parse_image(f, path, first: int, per_image: int, split: str, image_id: int,
         return _where(path, first + n, line, split, image_id)
 
     if recs:
+        if "gt_boxes" not in recs[0]:
+            raise ValueError(f"{at(0, 'the image line')} holds no key 'gt_boxes'")
         if type(gt_boxes := recs[0]["gt_boxes"]) is not list:
             raise ValueError(f"{at(0, 'the image line')} holds bad gt_boxes: {gt_boxes!r} is not a list of boxes")
         gt_corners = _checked(_corners, gt_boxes, lambda _: f"{at(0, 'the image line')} holds bad gt_boxes:")

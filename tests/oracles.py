@@ -12,7 +12,10 @@ centre-update helpers on one restart's 2-D arrays, as ``kmeans`` ran before
 it carried its restarts on one axis. The unfused training step, the
 two-block SGD update and the row-by-row pseudo-labeller at the end are those
 steps as written before training computed each quantity once, kept to show
-the fast paths compute alike. The per-proposal scenario generator and the
+the fast paths compute alike. The silhouette and the labeller's
+partition with their label sets taken by ``np.unique`` are those two as
+written before the package stopped calling it, whose first call imports
+``numpy.ma``. The per-proposal scenario generator and the
 joined-text dataset writer are the generator and writer as they were before
 each image's draws were taken in a few calls and its file was streamed.
 The whole-file dataset parser is the loader as it was before it read the
@@ -56,11 +59,13 @@ from ovlab.discovery import (
     Proposal,
     _sq_dists,
     _update_centers,
+    nms_indices,
 )
 from ovlab.encoder import MockTextEncoder
 from ovlab.losses import GROUPS, MASS_BRANCH, UNIFORM_BRANCH, LossBreakdown, ProposalBlocks
 from ovlab.metrics import BACKGROUND_KEY, EvalReport, inference_vocab
 from ovlab.persist import canonical_json
+from ovlab.pseudo import _center_probs, _labels
 from ovlab.rectify import compute_shrinking_factors, inference_probs
 from ovlab.synth import (
     DATASET_FORMAT,
@@ -340,6 +345,41 @@ def kmeans_per_restart(features, k: int, seed: int) -> ClusterModel:
         if best is None or model.objective < best.objective:
             best = model
     return best
+
+
+def unique_silhouette_score(distances: np.ndarray, assignments) -> float:
+    """``discovery.silhouette_score`` with its clusters listed by ``np.unique``."""
+    labels = np.asarray(assignments)
+    n = distances.shape[0]
+    uniq = np.unique(labels)
+    if len(uniq) < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    onehot = (labels[:, None] == uniq[None, :]).astype(np.float64)
+    sizes = onehot.sum(axis=0)
+    sums = distances @ onehot
+    own_col = np.searchsorted(uniq, labels)
+    own_size = sizes[own_col]
+    rows = np.arange(n)
+    a = np.divide(sums[rows, own_col], np.maximum(own_size - 1, 1), where=own_size > 1, out=np.zeros(n))
+    means = sums / sizes[None, :]
+    means[rows, own_col] = np.inf
+    b = means.min(axis=1)
+    scores = np.where(own_size > 1, (b - a) / np.maximum(a, b), 0.0)
+    return float(scores.mean())
+
+
+def unique_pseudo_partition(features: np.ndarray, boxes: np.ndarray, centers, tau: float, theta: float,
+                            nms_iou: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pseudo.generate_pseudo_labels``' (positives, categories, negatives) of rows with image ``features`` and
+    ``boxes``, its confident categories listed by ``np.unique``."""
+    cats, scores = _labels(_center_probs(features, centers, tau))
+    confident = scores >= theta
+    kept = np.zeros(len(cats), dtype=bool)
+    for cat in np.unique(cats[confident]).tolist():
+        members = np.flatnonzero(confident & (cats == cat))
+        kept[members[nms_indices(boxes[members], scores[members], nms_iou)]] = True
+    positives = np.flatnonzero(kept)
+    return positives, cats[positives], np.flatnonzero(~kept)
 
 
 def _targets(labels, categories, vocab: Vocabulary) -> dict[str, np.ndarray]:
@@ -750,6 +790,13 @@ def _record(path, line: bytes, n: int, kind: str, split: str, image_id: int) -> 
     raise ValueError(f"{_where(path, n, f'the {kind} line', split, image_id)} {problem}")
 
 
+def _key(rec: dict, key: str, where: str, prefix: str = ""):
+    """``rec[key]``, or the refusal of the line at ``where`` that names the missing key (after ``prefix``)."""
+    if key not in rec:
+        raise ValueError(f"{where} holds no key '{prefix}{key}'")
+    return rec[key]
+
+
 def _line_box(coords) -> Box:
     """One box of a dataset line, refused as the loader refuses it, one box at a time."""
     if type(coords) is not list or len(coords) != 4:
@@ -775,12 +822,13 @@ def _record_image(path, lines: list[bytes], first: int, split: str, image_id: in
     from ``oracles``.
     """
     rec = _record(path, lines[0], first, "image", split, image_id)
+    where = _where(path, first, "the image line", split, image_id)
+    boxes = _key(rec, "gt_boxes", where)
     try:
-        if type(rec["gt_boxes"]) is not list:
-            raise ValueError(f"{rec['gt_boxes']!r} is not a list of boxes")
-        gt_boxes = tuple(map(_line_box, rec["gt_boxes"]))
+        if type(boxes) is not list:
+            raise ValueError(f"{boxes!r} is not a list of boxes")
+        gt_boxes = tuple(map(_line_box, boxes))
     except (ValueError, OverflowError) as exc:
-        where = _where(path, first, "the image line", split, image_id)
         raise ValueError(f"{where} holds bad gt_boxes: {exc}") from None
     block = np.empty((2, len(lines) - 1, dim))
     rows = block.view()
@@ -791,16 +839,20 @@ def _record_image(path, lines: list[bytes], first: int, split: str, image_id: in
         rec = _record(path, line, n, "proposal", split, image_id)
         where = _where(path, n, "a proposal line", split, image_id)
         for k, key in enumerate(_FEATURES):
+            row = _key(rec, key, where)
             try:
-                if type(rec[key]) is not list or len(rec[key]) != dim:
+                if type(row) is not list or len(row) != dim:
                     raise ValueError(f"not a list of config.dim = {dim} numbers")
-                for j, entry in enumerate(rec[key]):
+                for j, entry in enumerate(row):
                     if type(entry) not in (int, float):
                         raise ValueError(f"entry {j} is {entry!r}, not an int or a float")
-                block[k, i] = rec[key]
+                block[k, i] = row
             except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
                 raise ValueError(f"{where} holds a bad {key} feature: {exc}") from None
-        gt, label, source = rec["gt"], rec["oracle"]["label"], rec["oracle"]["source"]
+        gt, oracle = _key(rec, "gt", where), _key(rec, "oracle", where)
+        if type(oracle) is not dict:
+            raise ValueError(f"{where} holds an oracle of {oracle!r}, which is not an object")
+        label, source = _key(oracle, "label", where, "oracle."), _key(oracle, "source", where, "oracle.")
         if gt is not None and not (is_integer(gt) and gt in base_ids):
             raise ValueError(f"{where} holds a gt of {gt!r}, which is neither null nor a base category id of the "
                              "header")
@@ -811,14 +863,16 @@ def _record_image(path, lines: list[bytes], first: int, split: str, image_id: in
         if source not in _SOURCES:
             raise ValueError(f"{where} holds an oracle source of {source!r}, which is not one of "
                              f"{', '.join(map(repr, _SOURCES))}")
+        coords = _key(rec, "box", where)
         try:
-            box = _line_box(rec["box"])
+            box = _line_box(coords)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} holds a bad box: {exc}") from None
+        rpn = _key(rec, "rpn", where)
         try:
-            if type(rec["rpn"]) is bool:
-                raise ValueError(f"rpn_score must be a number, got {rec['rpn']}")
-            proposals.append(OracleProposal(box=box, rpn_score=rec["rpn"], det_feature=rows[0, i],
+            if type(rpn) is bool:
+                raise ValueError(f"rpn_score must be a number, got {rpn}")
+            proposals.append(OracleProposal(box=box, rpn_score=rpn, det_feature=rows[0, i],
                                             img_feature=rows[1, i], gt_label=gt, oracle=by_source[source]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where} holds a bad rpn score: {exc}") from None

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from util import assert_no_child_left
 
+import ovlab
 from ovlab import forked, metrics
 from ovlab.cli import main
 from ovlab.persist import config_hash, sha256_file
@@ -54,6 +59,18 @@ def test_estimate_k(dataset, tmp_path, capsys):
     assert rec["count"] >= 2 and len(rec["scores"]) >= 1
 
 
+def test_estimate_k_reports_the_pinned_count_that_training_uses(dataset, tmp_path, capsys):
+    # A pinned count is what training uses; the report file is the unpinned run's bytes.
+    pinned = ["--set", "train.discovered_categories=3"]
+    assert main(["estimate-k", "--dataset", str(dataset), "--out", str(tmp_path / "free.json"), *SMALL]) == 0
+    assert main(["estimate-k", "--dataset", str(dataset), "--out", str(tmp_path / "k.json"), *SMALL, *pinned]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "vocabulary will use 13 underlying categories (train.discovered_categories pins the count at 3)")
+    assert (tmp_path / "k.json").read_bytes() == (tmp_path / "free.json").read_bytes()
+    assert main(["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "run"), *SMALL, *pinned]) == 0
+    assert "underlying categories: 13" in capsys.readouterr().out.splitlines()
+
+
 def test_train_eval_pipeline(dataset, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(dataset), "--out-dir", str(run), *SMALL]) == 0
@@ -74,6 +91,39 @@ def test_train_eval_pipeline(dataset, tmp_path, capsys):
     assert 0.0 <= report["novel_top1"] <= 1.0
     assert (ev / "report.txt").exists()
     assert "novel top-1" in capsys.readouterr().out
+
+
+# Every command on the tiny world, in one process; "{d}" is a scratch directory.
+EVERY_COMMAND = (
+    ["gen", "--out", "{d}/data.jsonl"],
+    ["estimate-k", "--dataset", "{d}/data.jsonl", "--out", "{d}/k.json"],
+    ["train", "--dataset", "{d}/data.jsonl", "--out-dir", "{d}/run"],
+    ["eval", "--checkpoint", "{d}/run/checkpoint.json", "--dataset", "{d}/data.jsonl", "--out-dir", "{d}/eval"],
+    ["rectify-report", "--checkpoint", "{d}/run/checkpoint.json", "--dataset", "{d}/data.jsonl",
+     "--out-dir", "{d}/rect"],
+    ["ablate", "--dataset", "{d}/data.jsonl", "--out-dir", "{d}/ablate", "--set", "ablation.seeds=[0]"],
+    ["gradcheck", "--instances", "1", "--out", "{d}/gc.json"],
+)
+_NO_NUMPY_MA = """
+import json, sys
+from ovlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules, "a command imported numpy.ma"
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # ``numpy.unique`` imports ``numpy.ma`` on its first call (numpy 2.4),
+    # resident memory that no command needs. A fresh process runs all seven
+    # commands, since this test's own process may have imported it already.
+    argvs = [[a.format(d=tmp_path) for a in argv] + SMALL for argv in EVERY_COMMAND]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ovlab.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, json.dumps(argvs)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ablate" / "ablation.json").exists() and (tmp_path / "gc.json").exists()
 
 
 def test_train_byte_deterministic(dataset, tmp_path):
@@ -763,6 +813,7 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
     # (or the wrong one, or only after 10,000 rejection tries).
     train = ["train", "--dataset", str(dataset), "--out-dir", str(tmp_path / "r"), *SMALL]
     gen = ["gen", "--out", str(tmp_path / "g" / "x.jsonl")]
+    ablate = ["ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "a"), *SMALL]
     for command, overrides, name in (
         (train, ["train.extra_categories=-3"], "TrainConfig.extra_categories"),
         (train, ["train.seed=-1"], "TrainConfig.seed"),
@@ -788,6 +839,10 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
         (gen, ["encoder.dim=0", "scenario.dim=0"], "ScenarioConfig.dim"),
         (gen, ["scenario.sigma_det=1e200"], "ScenarioConfig.sigma_det"),  # all-zero det features
         (gen, ["scenario.sigma_feat=1e308"], "ScenarioConfig.sigma_feat"),  # NaN features
+        (gen, ["scenario.n_base=0"], "ScenarioConfig.n_base must be at least 1, got 0"),
+        (["gradcheck"], ["gradcheck.seed=-1"], "GradcheckConfig.seed must be at least 0, got -1"),
+        (["gradcheck"], ["gradcheck.instances=0"], "GradcheckConfig.instances must be at least 1, got 0"),
+        (ablate, ["ablation.seeds=[3,3]"], "AblationConfig.seeds must be distinct, got (3, 3)"),
     ):
         capsys.readouterr()
         assert main([*command, *(a for o in overrides for a in ("--set", o))]) == 1
@@ -795,6 +850,7 @@ def test_an_out_of_range_setting_is_named_in_the_error(dataset, tmp_path, capsys
         assert len(err) == 1 and err[0].startswith("error:") and name in err[0], (overrides, err)
     assert not (tmp_path / "r").exists()
     assert not (tmp_path / "g").exists()
+    assert not (tmp_path / "a").exists()
 
 
 def test_unknown_ablation_combo_fails(dataset, tmp_path):

@@ -16,10 +16,19 @@ from ovlab.discovery import (
 
 from ovlab.encoder import MockTextEncoder
 from ovlab.synth import ScenarioConfig, generate_scenario
-from ovlab.trainer import TrainConfig, filtered_background, pool_background
+from ovlab.trainer import TrainConfig, filtered_background, pool_background, prepare_background, sweep_category_count
 
 import oracles
-from oracles import as_box, filter_background_rows, greedy_nms, kmeans_per_restart, kmeans_restart, lloyd_update
+from oracles import (
+    as_box,
+    filter_background_rows,
+    greedy_nms,
+    kmeans_per_restart,
+    kmeans_restart,
+    lloyd_update,
+    unique_pseudo_partition,
+    unique_silhouette_score,
+)
 from util import unit
 
 
@@ -461,6 +470,61 @@ def test_silhouette_separated_blobs_high():
 def test_silhouette_needs_two_clusters():
     with pytest.raises(ValueError):
         silhouette_score(_distance_matrix(np.eye(4)), np.zeros(4, dtype=int))
+
+
+def test_silhouette_lists_its_clusters_as_np_unique_does():
+    # Random int labels of every width, negative, repeated and far apart,
+    # singleton clusters included: the score is the bytes of the silhouette
+    # whose clusters ``np.unique`` lists, and one distinct label is refused by both.
+    rng = np.random.default_rng(16)
+    for trial in range(300):
+        dtype = np.dtype(rng.choice(["int8", "int16", "int32", "int64", "uint8", "uint64"]))
+        info = np.iinfo(dtype)
+        n = int(rng.integers(1, 25))
+        picks = rng.integers(max(int(info.min), -(1 << 62)), min(int(info.max), 1 << 62), int(rng.integers(1, 6)),
+                             endpoint=True)
+        labels = picks[rng.integers(len(picks), size=n)].astype(dtype)
+        distances = _distance_matrix(rng.standard_normal((n, 3)))
+        argument = labels.tolist() if trial % 3 == 0 else labels
+        if len(set(labels.tolist())) < 2:
+            for score in (silhouette_score, unique_silhouette_score):
+                with pytest.raises(ValueError, match="at least two clusters"):
+                    score(distances, argument)
+        else:
+            assert silhouette_score(distances, argument) == unique_silhouette_score(distances, argument), labels
+
+
+def test_a_sweep_over_one_repeated_point_scores_each_k_minus_one():
+    # k-means leaves every point in one cluster, which the sweep scores -1, not by the silhouette.
+    estimate = estimate_category_count(np.tile(np.eye(5)[0], (6, 1)), 2, 4, seed=0)
+    assert estimate.scores == ((2, -1.0), (3, -1.0), (4, -1.0))
+    assert estimate.count == 2 and estimate.low_confidence
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_reference_prep_counts_and_labels_as_its_np_unique_forms(seed):
+    # On the reference world (scenario and train seed ``seed``), the sweep's
+    # scores, the chosen count and every image's pseudo-label partition are
+    # the bits the forms that listed labels with ``np.unique`` give.
+    scenario = generate_scenario(ScenarioConfig(seed=seed, n_eval_images=0), MockTextEncoder(seed=7))
+    config = TrainConfig(seed=seed)
+    kept = filtered_background(scenario, config)
+    pool = pool_background(scenario, kept)
+    distances = _distance_matrix(pool)
+    want = []
+    for k in range(config.k_min, config.k_max + 1):
+        assignments = kmeans(pool, k, seed=seed).assignments
+        want.append((k, -1.0 if len(np.unique(assignments)) < 2 else unique_silhouette_score(distances, assignments)))
+    assert sweep_category_count(pool, config).scores == tuple(want)
+    prep = prepare_background(scenario, config)
+    assert prep.n_discovered == max(want, key=lambda kv: (kv[1], -kv[0]))[0]
+    for image, rows, got in zip(scenario.images("train"), kept, prep.partitions, strict=True):
+        positives, categories, negatives = unique_pseudo_partition(
+            image.features[1][rows], image.boxes[rows], prep.centers, config.temperature, config.score_threshold,
+            config.pseudo_nms_iou)
+        for name, array in (("positives", rows[positives]), ("categories", categories), ("negatives", rows[negatives])):
+            assert getattr(got, name).dtype == np.int64 and getattr(got, name).tolist() == array.tolist(), name
+    assert sum(len(part.positives) for part in prep.partitions) > 0
 
 
 def test_estimate_count_recovers_five_blobs():

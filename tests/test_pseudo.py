@@ -9,7 +9,7 @@ from ovlab.discovery import filter_background_proposals, iou
 from ovlab.losses import objective_terms, proposal_groups, stack_blocks
 from ovlab.pseudo import _center_probs, _labels, generate_pseudo_labels
 
-from oracles import OracleProposal, records, rowwise_pseudo_labels, softmax_probs
+from oracles import OracleProposal, records, rowwise_pseudo_labels, softmax_probs, unique_pseudo_partition
 from util import make_proposal, make_vocab, unit
 
 
@@ -217,6 +217,24 @@ def test_one_cosine_matrix_labels_like_the_row_by_row_oracle():
             assert sum(len(positives) for positives, _ in found) > 0, case
         else:
             assert found == expected, case
+
+
+def test_the_labeller_visits_the_categories_np_unique_lists():
+    # Random images with up to 9 centres, features near them and boxes on a
+    # coarse grid (so that each category's NMS suppresses): every partition is
+    # the one the labeller gives when ``np.unique`` lists its confident categories.
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        centers = np.array([unit(rng, 6) for _ in range(int(rng.integers(1, 10)))])
+        n = int(rng.integers(0, 30))
+        near = centers[rng.integers(len(centers), size=n)] + rng.uniform(0.0, 0.6) * rng.standard_normal((n, 6))
+        lo = rng.integers(0, 6, (n, 2))
+        boxes = np.concatenate([lo, lo + rng.integers(1, 6, (n, 2))], axis=1).astype(np.float64)
+        tau, theta = rng.uniform(0.02, 0.3), rng.uniform(0.05, 0.95)
+        got = generate_pseudo_labels([make_proposal(row) for row in near], boxes, centers, tau, theta, nms_iou=0.4)
+        want = unique_pseudo_partition(near.reshape(n, 6), boxes, centers, tau, theta, 0.4)
+        for name, array in zip(("positives", "categories", "negatives"), want):
+            assert getattr(got, name).tolist() == array.tolist(), (trial, name)
 
 
 def test_theta_out_of_range():

@@ -677,6 +677,13 @@ FILE_FAULTS = {
     "det_zero": _edit_line(6, lambda rec: rec.__setitem__("det", [0.0] * len(rec["det"]))),
     "img_zero": _edit_line(-5, lambda rec: rec.__setitem__("img", [0.0] * len(rec["img"]))),
     "proposal_lacks_a_key": _edit_line(7, lambda rec: rec.pop("rpn")),
+    "oracle_a_list": _edit_line(10, _set(("oracle",), [1])),
+    "oracle_null": _edit_line(-9, _set(("oracle",), None)),
+    "oracle_lacks_label": _edit_line(1 + 14 * 5 + 2, lambda rec: rec["oracle"].pop("label")),  # train image 5
+    "oracle_lacks_source": _edit_line(-10, lambda rec: rec["oracle"].pop("source")),
+    "image_line_lacks_gt_boxes": _edit_line(1 + 14 * 6, lambda rec: rec.pop("gt_boxes")),  # train image 6
+    "gt_a_string_and_oracle_lacks_label": _faults(_edit_line(4, _set(("gt",), "a")),
+                                                  _edit_line(4, lambda rec: rec["oracle"].pop("label"))),
     "gt_boxes_not_a_list": _edit_line(1, _set(("gt_boxes",), 5)),
     "gt_box_degenerate": _edit_line(15, _set(("gt_boxes",), [[5, 5, 1, 1]])),
     "gt_box_too_short": _edit_line(-14, _set(("gt_boxes",), [[1, 2, 3]])),
@@ -747,6 +754,34 @@ def test_the_streamed_load_refuses_what_the_whole_file_load_refuses(tmp_path, mo
     for n in (1, 2):
         monkeypatch.setattr(forked, "_cpu_count", lambda n=n: n)
         assert [_refusal(load_dataset, path, splits) for splits in SPLIT_SETS] == want, n
+    assert_no_child_left()
+
+
+# A line fault that a load once refused without its place: (line, the problem after the place).
+PLACED_FAULTS = {
+    "proposal_lacks_a_key": (7, "holds no key 'rpn'"),
+    "oracle_a_list": (10, "holds an oracle of [1], which is not an object"),
+    "oracle_lacks_label": (1 + 14 * 5 + 2, "holds no key 'oracle.label'"),
+    "image_line_lacks_gt_boxes": (1 + 14 * 6, "holds no key 'gt_boxes'"),
+}
+
+
+@pytest.mark.parametrize("fault", PLACED_FAULTS)
+def test_a_missing_key_or_an_oracle_not_an_object_is_refused_by_its_place(tmp_path, monkeypatch, scenario, fault):
+    # The refusal names the line, the split and the image, whether the load forks or not.
+    path = tmp_path / "data.jsonl"
+    write_dataset(scenario, path)
+    lines = path.read_text().splitlines()
+    FILE_FAULTS[fault](lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    n, problem = PLACED_FAULTS[fault]
+    line = "the image line" if (n - 1) % 14 == 0 else "a proposal line"
+    want = f"line {n + 1} of dataset {path}, {line} of train image {(n - 1) // 14}, {problem}"
+    for cpus in (1, 2):
+        monkeypatch.setattr(forked, "_cpu_count", lambda cpus=cpus: cpus)
+        for splits in (("train",), ("train", "eval")):
+            assert _refusal(load_dataset, path, splits) == want, (cpus, splits)
+    assert _refusal(_whole_file_load, path, ("train",)) == want
     assert_no_child_left()
 
 
@@ -904,9 +939,11 @@ def test_the_first_fault_in_file_order_wins_across_the_split(tmp_path, scenario,
     # One fault in train image 1 (the parent's half of a load of both
     # splits) and one in eval image 3 (the child's half): the first is refused.
     path = _broken(tmp_path, scenario, (1 + 14 * 1 + 3, "gt"), (-1, "rpn"))
-    with pytest.raises(ValueError, match=r"^dataset .* lacks key 'gt'$"):
+    with pytest.raises(ValueError,
+                       match=r"^line 19 of dataset .*, a proposal line of train image 1, holds no key 'gt'$"):
         load_dataset(path)
-    with pytest.raises(ValueError, match=r"^dataset .* lacks key 'rpn'$"):  # a missing key of the child's half
+    with pytest.raises(ValueError,  # a missing key of the child's half
+                       match=r"^line 169 of dataset .*, a proposal line of eval image 3, holds no key 'rpn'$"):
         load_dataset(path, ("eval",))
     assert_no_child_left()
 
